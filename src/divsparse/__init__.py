@@ -22,6 +22,7 @@ from .core import (
     NotFound,
     OracleContext,
     SetFamily,
+    SoundnessError,
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
@@ -84,6 +85,7 @@ __all__ = [
     "SetFamily",
     "SmallSparsifyParams",
     "SolveAnswer",
+    "SoundnessError",
     "SparsifierBuilder",
     "SparsifierReport",
     "SplitMix64",

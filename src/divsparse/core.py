@@ -29,6 +29,18 @@ class GuardError(RuntimeError):
     """A desk-scale size guard was exceeded."""
 
 
+class SoundnessError(RuntimeError):
+    """An oracle answer broke the contract a construction relies on."""
+
+
+def iter_bits(bits: int) -> Iterator[int]:
+    """Indices of the set bits of ``bits``, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _check_universe_size(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"universe size must be a positive integer, got {n!r}")
@@ -98,13 +110,7 @@ class SubsetMask:
         return cls(universe_size, bits)
 
     def members(self) -> tuple[int, ...]:
-        out = []
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(out)
+        return tuple(iter_bits(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -365,7 +371,10 @@ class DomainOracle(ABC):
     * ``exact_empty_extend(r, forbidden, ctx)``: the special case with empty
       center and forced set, i.e. exact cardinality ``r``.
 
-    Oracles are pure: identical inputs give identical outputs.
+    Oracles are pure: identical inputs give identical outputs.  A NotFound
+    answer stays NotFound when more elements are forced or forbidden at the
+    same center and radius; the small construction relies on this to skip
+    queries whose answer is already implied.
     """
 
     @property

@@ -21,6 +21,7 @@ from ..core import (
     OracleContext,
     SubsetMask,
     WeightVector,
+    iter_bits,
 )
 from .graphs import GraphData
 
@@ -161,14 +162,14 @@ class MatroidBaseOracle(DomainOracle):
         ``prefer`` elements first (then the rest), all in index order."""
         full = (1 << self.universe_size) - 1
         base = 0
-        for e in _iter_bits(forced):
+        for e in iter_bits(forced):
             cand = base | (1 << e)
             if not self._m.independent_bits(cand):
                 return None
             base = cand
         open_pool = full & ~forced & ~blocked
         for pool in (open_pool & prefer, open_pool & ~prefer):
-            for e in _iter_bits(pool):
+            for e in iter_bits(pool):
                 cand = base | (1 << e)
                 if self._m.independent_bits(cand):
                     base = cand
@@ -212,18 +213,11 @@ class MatroidBaseOracle(DomainOracle):
             return None
         e1 = (only1 & -only1).bit_length() - 1
         stripped = d1 & ~(1 << e1)
-        for e2 in _iter_bits(d2 & ~d1):
+        for e2 in iter_bits(d2 & ~d1):
             cand = stripped | (1 << e2)
             if self._m.independent_bits(cand):
                 return cand
         raise AssertionError("strong exchange property violated")
-
-
-def _iter_bits(bits: int):
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def matroid_base_oracle(matroid: Matroid) -> MatroidBaseOracle:

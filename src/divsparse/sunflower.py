@@ -12,6 +12,13 @@ avoid a blocker set Y that intersects every current member of size l' and
 the core of every sunflower of kr+1 equal-size members, which guarantees
 progress and keeps K sunflower-free enough for the classic sunflower bound
 (l+1)! (kr+1)^l to apply.
+
+Blockers are enumerated directly as hitting sets in (size, lex) order.  The
+search is incremental across passes: every blocker the oracle answered
+NotFound is remembered per cardinality, and no blocker containing one is
+asked again, since forbidding more elements can only remove members.  The
+output is the same as asking every blocker afresh; only the call count
+drops.
 """
 
 from __future__ import annotations
@@ -26,9 +33,11 @@ from .core import (
     GuardError,
     NotFound,
     SetFamily,
+    SoundnessError,
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
+    iter_bits,
 )
 
 #: Blocker sets are enumerated over subsets of the union of current members;
@@ -64,15 +73,6 @@ def is_sunflower(family: SetFamily) -> Sunflower | None:
         if a & b != core:
             return None
     return Sunflower(family, SubsetMask(family.universe_size, core))
-
-
-def _bits_of(mask_bits: int) -> list[int]:
-    out = []
-    while mask_bits:
-        low = mask_bits & -mask_bits
-        out.append(low.bit_length() - 1)
-        mask_bits ^= low
-    return out
 
 
 def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
@@ -127,30 +127,61 @@ def _sunflower_cores(group: list[int], t: int, universe_size: int) -> list[int]:
     return cores
 
 
-def _candidate_blockers(
-    union_bits: int, required: list[int]
+def _hitting_sets(
+    union_bits: int, required: list[int], known_empty: dict[int, list[int]]
 ) -> Iterator[int]:
     """Subsets of the member union that intersect every required set.
 
     Ordered by increasing size, then lexicographically by member indices.
     Yields nothing when some required set is empty (nothing can hit it);
     yields the empty set first when there is nothing to intersect.
+
+    Sets containing a known-empty set are skipped.  ``known_empty`` maps
+    ``y.bit_length()`` (highest element + 1, or 0 for the empty set) to the
+    known-empty sets ``y``; it is read live, so sets the caller adds while
+    iterating prune what follows.
+
+    Each size is a depth-first walk over index-ordered prefixes.  Elements
+    join a prefix in increasing order, so a known-empty set becomes
+    contained exactly when its highest element joins; that is the only
+    moment it is checked.  A prefix is also cut when some required set it
+    misses has no element left above the prefix's last index.
     """
     if any(req == 0 for req in required):
         return
-    elems = _bits_of(union_bits)
+    elems = list(iter_bits(union_bits))
     if len(elems) > BLOCKER_UNION_GUARD:
         raise GuardError(
             f"blocker enumeration over {len(elems)} elements exceeds the "
             f"2^{BLOCKER_UNION_GUARD} guard"
         )
+    # above[i]: the union's elements with index greater than elems[i]
+    above = [union_bits >> (e + 1) << (e + 1) for e in elems]
+
+    def grow(y: int, start: int, left: int, missed: list[int]) -> Iterator[int]:
+        for i in range(start, len(elems) - left + 1):
+            bit = 1 << elems[i]
+            z = y | bit
+            tops = known_empty.get(elems[i] + 1)
+            if tops and any(b & ~z == 0 for b in tops):
+                continue
+            still = [req for req in missed if not req & bit]
+            rest = above[i] if left > 1 else 0
+            if any(not req & rest for req in still):
+                continue
+            if left == 1:
+                yield z
+            else:
+                yield from grow(z, i + 1, left - 1, still)
+
     for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            y = 0
-            for i in combo:
-                y |= 1 << i
-            if all(y & req for req in required):
-                yield y
+        if 0 in known_empty:
+            return
+        if size == 0:
+            if not required:
+                yield 0
+        else:
+            yield from grow(0, 0, size, required)
 
 
 def blocker_candidates(
@@ -171,7 +202,7 @@ def blocker_candidates(
     required = group + _sunflower_cores(group, t, n)
     return [
         SubsetMask(n, y)
-        for y in _candidate_blockers(family.union_bits(), required)
+        for y in _hitting_sets(family.union_bits(), required, {})
     ]
 
 
@@ -206,15 +237,32 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     pass adds nothing.  Output size is bounded by (ell+1)! (kr+1)^ell.
 
     Each cardinality class is first probed with an unconstrained query;
-    classes with no member at all are skipped, which changes only the call
-    count, never the output.  If the oracle surfaces a trivial sparsifier,
-    that family is returned at once with ``shortcut`` set.
+    classes with no member at all are skipped.  Answers are remembered
+    across passes: a class is probed once, a blocker answered NotFound is
+    never asked again, nor is any blocker containing it, and a class with
+    no blocker left is not enumerated again until the member union or the
+    class changes.  This changes only the call count (``calls_extend``
+    counts the queries actually issued), never the output, the pass count
+    or when the blocker guard fires, provided the oracle honours the
+    monotonicity in :class:`DomainOracle`.  If the oracle surfaces a
+    trivial sparsifier, that family is returned at once with ``shortcut``
+    set.
+
+    Every witness is checked (universe, cardinality l', disjoint from Y,
+    not already a member); a violation raises :class:`SoundnessError`.
     """
     n = oracle.universe_size
     t = params.k * params.r + 1
     ell_cap = min(params.ell, n)
     members: list[int] = []
     member_set: set[int] = set()
+    # per cardinality: blockers answered NotFound, keyed as _hitting_sets
+    # reads them (the empty set when the class has no member at all)
+    known_empty: list[dict[int, list[int]]] = [{} for _ in range(ell_cap + 1)]
+    inhabited: set[int] = set()  # cardinalities known to have a member
+    # per cardinality: (union, class size) of the last pass in which no
+    # blocker was left to ask
+    drained: list[tuple[int, int] | None] = [None] * (ell_cap + 1)
     calls = 0
     passes = 0
 
@@ -235,6 +283,22 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
             shortcut=shortcut,
         )
 
+    def check_witness(got: SubsetMask, lp: int, y: int) -> None:
+        if got.universe_size != n:
+            raise SoundnessError(
+                f"witness universe {got.universe_size} differs from {n}"
+            )
+        if len(got) != lp:
+            raise SoundnessError(f"witness {got!r} does not have size {lp}")
+        # before the blocker check: Y meets every member of size l', so a
+        # repeated member would otherwise be reported as meeting Y
+        if got.bits in member_set:
+            raise SoundnessError(f"witness {got!r} is already a member")
+        if got.bits & y:
+            raise SoundnessError(
+                f"witness {got!r} meets the blocker {SubsetMask(n, y)!r}"
+            )
+
     while True:
         passes += 1
         union_bits = 0
@@ -243,34 +307,43 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
         added = False
         for lp in range(ell_cap + 1):
             group = [b for b in members if b.bit_count() == lp]
+            # same union and class as a drained pass: the same blockers,
+            # which are still all known empty, and the same guard outcome
+            key = (union_bits, len(group))
+            if drained[lp] == key:
+                continue
             required = group + _sunflower_cores(group, t, n)
-            gen = _candidate_blockers(union_bits, required)
+            blocked = known_empty[lp]
+            gen = _hitting_sets(union_bits, required, blocked)
             first = next(gen, None)
             if first is None:
+                drained[lp] = key
                 continue
-            if first != 0:
+            if first != 0 and lp not in inhabited:
                 # cardinality probe: no size-lp member at all kills every Y
                 out = query(lp, 0)
                 if isinstance(out, TrivialSparsifier):
                     return report(out.family, shortcut=True)
                 if isinstance(out, NotFound):
+                    blocked[0] = [0]
                     continue
+                inhabited.add(lp)
 
             for y in chain((first,), gen):
                 out = query(lp, y)
                 if isinstance(out, TrivialSparsifier):
                     return report(out.family, shortcut=True)
                 if isinstance(out, Found):
-                    got = out.witness
-                    assert got.universe_size == n
-                    assert len(got) == lp and got.bits & y == 0
-                    assert got.bits not in member_set
-                    members.append(got.bits)
-                    member_set.add(got.bits)
+                    check_witness(out.witness, lp, y)
+                    members.append(out.witness.bits)
+                    member_set.add(out.witness.bits)
+                    inhabited.add(lp)
                     added = True
                     break
+                blocked.setdefault(y.bit_length(), []).append(y)
             if added:
                 break
+            drained[lp] = key
         if not added:
             break
 

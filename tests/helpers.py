@@ -4,8 +4,19 @@ certification against enumerated domains."""
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
-from divsparse import ProblemSpec, SetFamily, SolveAnswer, SubsetMask
+from divsparse import (
+    DomainOracle,
+    Found,
+    NotFound,
+    ProblemSpec,
+    SetFamily,
+    SmallSparsifyParams,
+    SolveAnswer,
+    SubsetMask,
+    is_sunflower,
+)
 from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import GraphData
 from divsparse.instances import (
@@ -199,3 +210,72 @@ def certify_answer(
                 dist(member, c) <= r
                 for c, r in zip(answer.witnesses, answer.radii)
             ), "a domain member is not covered"
+
+
+def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
+    """Sets a blocker must hit, straight from the definition: every member
+    of cardinality ``ell_prime`` and the core of every size-``t`` sunflower
+    among them."""
+    n = family.universe_size
+    group = [m for m in family if len(m) == ell_prime]
+    cores = []
+    for sub in combinations(group, t):
+        got = is_sunflower(SetFamily.of(n, list(sub)))
+        if got is not None:
+            cores.append(got.core.bits)
+    return [m.bits for m in group] + cores
+
+
+def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:
+    """Direct enumeration from the definition, for cross-checking."""
+    required = brute_required(family, ell_prime, t)
+    n = family.universe_size
+    elems = SubsetMask(n, family.union_bits()).members()
+    out = []
+    for size in range(len(elems) + 1):
+        for combo in combinations(elems, size):
+            y = 0
+            for e in combo:
+                y |= 1 << e
+            if all(y & req for req in required):
+                out.append(y)
+    return out
+
+
+def reference_k_sparsify(
+    params: SmallSparsifyParams, oracle: DomainOracle
+) -> tuple[list[int], int, int]:
+    """The small construction without remembered answers.
+
+    Every pass regenerates all blockers by generate-and-filter and asks
+    the oracle afresh, probe included.  Returns (member bits in insertion
+    order, passes, extension calls).  Trivial-sparsifier outcomes are not
+    handled: use it with oracles that never produce them.
+    """
+    n = oracle.universe_size
+    t = params.k * params.r + 1
+    members: list[int] = []
+    calls = passes = 0
+    while True:
+        passes += 1
+        family = SetFamily.from_bits(n, members)
+        added = False
+        for lp in range(min(params.ell, n) + 1):
+            blockers = brute_blockers(family, lp, t)
+            if not blockers:
+                continue
+            if blockers[0] != 0:
+                calls += 1
+                if isinstance(oracle.exact_empty_extend(lp, SubsetMask.empty(n)), NotFound):
+                    continue
+            for y in blockers:
+                calls += 1
+                out = oracle.exact_empty_extend(lp, SubsetMask(n, y))
+                if isinstance(out, Found):
+                    members.append(out.witness.bits)
+                    added = True
+                    break
+            if added:
+                break
+        if not added:
+            return members, passes, calls

@@ -3,23 +3,37 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import divsparse
 from divsparse import (
+    GuardError,
     SetFamily,
     SmallSparsifyParams,
     SubsetMask,
     blocker_candidates,
     is_sunflower,
     k_sparsify,
+    shifted_empty_extension,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import explicit_oracle
+from divsparse.sunflower import _hitting_sets
 
-from helpers import random_family
+from helpers import (
+    brute_blockers,
+    brute_required,
+    random_family,
+    reference_k_sparsify,
+)
 
 
 def fam(n, *bit_lists):
@@ -51,32 +65,6 @@ class TestIsSunflower:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             is_sunflower(SetFamily.empty(3))
-
-
-def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:
-    """Direct enumeration from the definition, for cross-checking."""
-    n = family.universe_size
-    group = [m for m in family if len(m) == ell_prime]
-    cores = []
-    for size in range(1, len(group) + 1):
-        for sub in combinations(group, size):
-            if size != t:
-                continue
-            got = is_sunflower(SetFamily.of(n, list(sub)))
-            if got is not None:
-                cores.append(got.core.bits)
-    required = [m.bits for m in group] + cores
-    union = family.union_bits()
-    elems = SubsetMask(n, union).members()
-    out = []
-    for size in range(len(elems) + 1):
-        for combo in combinations(elems, size):
-            y = 0
-            for e in combo:
-                y |= 1 << e
-            if all(y & req for req in required):
-                out.append(y)
-    return out
 
 
 class TestBlockerCandidates:
@@ -112,19 +100,65 @@ class TestBlockerCandidates:
         assert got[0].members() == (0,)  # the cheapest transversal first
 
     def test_union_guard(self):
-        from divsparse import GuardError
-
         # no sunflower of size 23 exists among 22 singletons, so the
         # enumeration over the 22-element union must start, and is refused
         family = SetFamily.from_bits(24, [1 << i for i in range(22)])
         with pytest.raises(GuardError):
             blocker_candidates(family, 1, 23)
+        # remembered answers never get to skip the guard, not even the
+        # empty set, which rules out every candidate
+        for known_empty in ([0b11], [0]):
+            with pytest.raises(GuardError):
+                next(_hitting_sets(
+                    family.union_bits(), family.bits_list(), by_top(known_empty)
+                ))
 
     def test_empty_core_blocks_without_enumerating(self):
         # 22 singletons do hold a 12-sunflower with empty core: nothing can
         # intersect it, so the (huge) enumeration is legally skipped
         family = SetFamily.from_bits(24, [1 << i for i in range(22)])
         assert blocker_candidates(family, 1, 12) == []
+
+
+def by_top(sets):
+    """Known-empty sets keyed the way the enumerator reads them."""
+    out: dict[int, list[int]] = {}
+    for y in sets:
+        out.setdefault(y.bit_length(), []).append(y)
+    return out
+
+
+class TestHittingSetsWithKnownEmpty:
+    def test_matches_brute_minus_supersets(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            family = random_family(rng, n, 6, max_size=3)
+            ell_prime = rng.randint(0, 3)
+            t = rng.randint(1, 4)
+            union = family.union_bits()
+            known_empty = [
+                rng.getrandbits(n) & union for _ in range(rng.randint(1, 3))
+            ]
+            got = list(_hitting_sets(
+                union, brute_required(family, ell_prime, t), by_top(known_empty)
+            ))
+            want = [
+                y for y in brute_blockers(family, ell_prime, t)
+                if not any(b & ~y == 0 for b in known_empty)
+            ]
+            assert got == want
+
+    def test_sets_appended_while_iterating_prune_the_rest(self):
+        union = 0b1111
+        known_empty: dict[int, list[int]] = {}
+        seen = []
+        for y in _hitting_sets(union, [], known_empty):
+            seen.append(y)
+            if y in (0b0001, 0b0110):
+                known_empty.setdefault(y.bit_length(), []).append(y)
+        # nothing above {0} follows it, and {1,2,3} is cut by {1,2}
+        assert seen == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0110, 0b1010, 0b1100]
 
 
 def small_params(k, r, ell):
@@ -204,6 +238,15 @@ class TestKSparsify:
                         assert is_sunflower(SetFamily.of(n, list(sub))) is None
         assert checked > 10
 
+    def test_guard_fires_for_a_class_with_no_blocker_left(self):
+        # the classes of sizes 0 and 1 run out of blockers early; the tenth
+        # disjoint pair grows the union to 21 elements and completes a
+        # 10-sunflower with empty core, so only the two exhausted classes
+        # are left to meet the guard on the next pass
+        family = SetFamily.from_bits(24, [1] + [0b11 << (2 * i + 1) for i in range(10)])
+        with pytest.raises(GuardError):
+            k_sparsify(small_params(1, 9, 2), explicit_oracle(family))
+
     def test_deterministic_and_call_counts_recorded(self):
         family = SetFamily.from_bits(6, [0b000111, 0b111000, 0b000110])
         params = small_params(2, 3, 3)
@@ -212,3 +255,101 @@ class TestKSparsify:
         assert first.family == second.family
         assert first.calls_extend == second.calls_extend > 0
         assert first.passes == len(first.family) + 1
+
+
+class TestAgainstReference:
+    """Remembered answers change the call count and nothing else."""
+
+    @staticmethod
+    def _compare(params, make_oracle):
+        report = k_sparsify(params, make_oracle())
+        members, passes, calls = reference_k_sparsify(params, make_oracle())
+        assert report.family.bits_list() == members
+        assert report.passes == passes
+        assert report.calls_extend <= calls
+        return report.calls_extend < calls
+
+    def test_plain_and_shifted_explicit_families(self):
+        rng = random.Random(2024)
+        fewer = 0
+        for _ in range(150):
+            n = rng.randint(3, 6)
+            family = random_family(rng, n, 14)
+            k = rng.randint(1, 3)
+            ell = max(len(m) for m in family)
+            r = rng.randint(ell, ell + 1)
+            fewer += self._compare(
+                small_params(k, r, ell), lambda: explicit_oracle(family)
+            )
+            center = SubsetMask(n, rng.getrandbits(n))
+            shifted_ell = max((m.bits ^ center.bits).bit_count() for m in family)
+            fewer += self._compare(
+                small_params(k, shifted_ell, shifted_ell),
+                lambda: shifted_empty_extension(explicit_oracle(family), center, k, 1),
+            )
+        assert fewer > 150  # the memo does save calls on most runs
+
+
+_LYING_ORACLES = textwrap.dedent(
+    """
+    import sys
+    from divsparse import (
+        DomainOracle, Found, NOT_FOUND, SmallSparsifyParams, SoundnessError,
+        SubsetMask, k_sparsify,
+    )
+
+    N = 6
+
+    class Liar(DomainOracle):
+        # members only of size 2; each lie breaks one witness property
+        def __init__(self, lie):
+            self.lie = lie
+
+        @property
+        def universe_size(self):
+            return N
+
+        def exact_extend(self, query, ctx=None):
+            raise NotImplementedError
+
+        def exact_empty_extend(self, r, forbidden, ctx=None):
+            if r != 2:
+                return NOT_FOUND
+            top = ((1 << r) - 1) << (N - r)
+            y = forbidden.bits
+            if self.lie == "universe":
+                return Found(SubsetMask(N + 1, top))
+            if self.lie == "size":
+                return Found(SubsetMask(N, (1 << (r + 1)) - 1))
+            if self.lie == "member" or y == 0:
+                return Found(SubsetMask(N, top))
+            # "blocker": a new set holding the lowest forbidden element
+            low = y & -y
+            free = ~y & ((1 << N) - 1)
+            return Found(SubsetMask(N, low | (free & -free)))
+
+    print("optimize", sys.flags.optimize)
+    for lie in ("universe", "size", "member", "blocker"):
+        try:
+            k_sparsify(SmallSparsifyParams(k=1, r=2, ell=2), Liar(lie))
+            print(lie, "accepted")
+        except SoundnessError as exc:
+            print(lie, "refused:", exc)
+    """
+)
+
+
+def test_lying_oracle_is_refused_under_optimize():
+    src = str(Path(divsparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _LYING_ORACLES],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    verdicts = dict(line.split(" ", 1) for line in lines[1:])
+    assert verdicts["universe"].startswith("refused: witness universe 7")
+    assert "does not have size 2" in verdicts["size"]
+    assert "already a member" in verdicts["member"]
+    assert "meets the blocker" in verdicts["blocker"]

@@ -27,8 +27,7 @@ from .core import (
     SubsetMask,
     TrivialSparsifier,
     WeightVector,
-    hamming,
-    modified_hamming,
+    distance,
 )
 from .limited import (
     ClusterResult,
@@ -50,10 +49,6 @@ from .solvers import (
     min_cluster_radius,
     small_builder,
     solve,
-    solve_k_center,
-    solve_k_sum_radii,
-    solve_max_min,
-    solve_max_sum,
 )
 from .sunflower import (
     SmallSparsifyParams,
@@ -98,18 +93,13 @@ __all__ = [
     "cluster_or_trivial",
     "default_cluster_radius",
     "default_trials",
+    "distance",
     "dk_sparsify",
-    "hamming",
     "is_sunflower",
     "k_sparsify",
     "limited_builder",
     "min_cluster_radius",
-    "modified_hamming",
     "shifted_empty_extension",
     "small_builder",
     "solve",
-    "solve_k_center",
-    "solve_k_sum_radii",
-    "solve_max_min",
-    "solve_max_sum",
 ]

@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import DomainOracle, GuardError, SetFamily, SubsetMask
-from .domains.explicit import ExplicitOracle
+from .core import GuardError, SetFamily, SubsetMask, distance
 from .solvers import ProblemSpec, SolveAnswer
 
 ENUMERATION_GUARD = 20  # largest universe enumerate_domain will scan
@@ -238,19 +237,12 @@ def brute_solve(domain: SetFamily, spec: ProblemSpec) -> SolveAnswer:
         raise GuardError(
             f"{len(members)}^{spec.k} tuples exceed the exhaustive-solve guard"
         )
-    if spec.modified:
-        def dist(a: int, b: int) -> int:
-            plain = (a ^ b).bit_count()
-            return min(plain, n - plain)
-    else:
-        def dist(a: int, b: int) -> int:
-            return (a ^ b).bit_count()
-
+    modified = spec.modified
     if not members:
         return SolveAnswer(feasible=False)
     k = spec.k
     if spec.problem in ("maxmin", "maxsum"):
-        pair = [[dist(a, b) for b in members] for a in members]
+        pair = [[distance(a, b, n, modified) for b in members] for a in members]
         best_sum: int | None = None
         best_combo: tuple[int, ...] | None = None
         for combo in combinations_with_replacement(range(len(members)), k):
@@ -288,7 +280,7 @@ def brute_solve(domain: SetFamily, spec: ProblemSpec) -> SolveAnswer:
         for radius in range(spec.d + 1):
             mask = 0
             for j, m in enumerate(members):
-                if dist(c, m) <= radius:
+                if distance(c, m, n, modified) <= radius:
                     mask |= 1 << j
             row.append(mask)
         cover.append(row)
@@ -303,8 +295,8 @@ def brute_solve(domain: SetFamily, spec: ProblemSpec) -> SolveAnswer:
                 witnesses = tuple(SubsetMask(n, members[i]) for i in combo)
                 radii = tuple(
                     max(
-                        (dist(members[i], m) for m in members
-                         if dist(members[i], m) <= spec.d),
+                        (distance(members[i], m, n, modified) for m in members
+                         if distance(members[i], m, n, modified) <= spec.d),
                         default=0,
                     )
                     for i in combo
@@ -340,8 +332,3 @@ def _radius_vectors(d: int, k: int) -> list[tuple[int, ...]]:
         for rest in _radius_vectors(d - r, k - 1):
             out.append((r,) + rest)
     return out
-
-
-def brute_oracles(domain: SetFamily) -> DomainOracle:
-    """Reference oracle over an enumerated family (scan semantics)."""
-    return ExplicitOracle(domain)

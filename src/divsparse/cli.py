@@ -5,7 +5,8 @@ Sets print as ``set: i1 i2 ...`` with ascending indices (an empty set
 prints ``set:``); witness lists are ordered by ascending mask value so
 identical runs are byte-identical.  Exit codes: 0 the command ran (NO
 answers included), 2 parse or usage errors, 3 a desk-scale guard or an
-unsupported capability.
+unsupported capability, 4 an oracle answer that broke its contract (a
+:class:`~divsparse.core.SoundnessError`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import sys
 from typing import Sequence
 
 from .bruteforce import VerifyScope, enumerate_domain, verify_sparsifier
-from .core import CapabilityError, GuardError, SparsifierReport, SubsetMask
+from .core import (
+    CapabilityError,
+    GuardError,
+    SoundnessError,
+    SparsifierReport,
+    SubsetMask,
+)
 from .instances import DomainInstance, ParseError, parse_instance
 from .limited import LimitedSparsifyParams, dk_sparsify
 from .solvers import ProblemSpec, limited_builder, small_builder, solve
@@ -24,6 +31,7 @@ from .sunflower import SmallSparsifyParams, k_sparsify
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_SOUNDNESS = 4
 
 
 def _set_line(mask: SubsetMask) -> str:
@@ -73,14 +81,19 @@ def _pick_mode(mode: str, instance: DomainInstance) -> str:
     return mode
 
 
+def _small_ell(instance: DomainInstance) -> int:
+    """The member-size bound the small pipeline runs with."""
+    if not instance.supports_small:
+        raise ValueError(
+            f"domain {instance.kind} does not support the small pipeline"
+        )
+    assert instance.size_bound is not None
+    return instance.size_bound
+
+
 def _make_builder(args, mode: str, instance: DomainInstance):
     if mode == "small":
-        if not instance.supports_small:
-            raise ValueError(
-                f"domain {instance.kind} does not support the small pipeline"
-            )
-        assert instance.size_bound is not None
-        return small_builder(instance.size_bound)
+        return small_builder(_small_ell(instance))
     return limited_builder(
         seed=args.seed, epsilon=args.epsilon, p=args.p, trials=args.trials
     )
@@ -113,12 +126,7 @@ def _run_solve(args, instance: DomainInstance) -> int:
 def _sparsify_report(args, instance: DomainInstance) -> tuple[SparsifierReport, str]:
     mode = _pick_mode(args.mode, instance)
     if mode == "small":
-        if not instance.supports_small:
-            raise ValueError(
-                f"domain {instance.kind} does not support the small pipeline"
-            )
-        assert instance.size_bound is not None
-        ell = instance.size_bound
+        ell = _small_ell(instance)
         # a full sparsifier w.r.t. the radius-ell ball; --d plays no role here
         params = SmallSparsifyParams(k=args.k, r=ell, ell=ell)
         return k_sparsify(params, instance.oracle()), mode
@@ -206,6 +214,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (GuardError, CapabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except SoundnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOUNDNESS
 
 
 def main() -> None:

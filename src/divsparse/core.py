@@ -6,8 +6,10 @@ and families have a canonical on-disk form.  All types in this module are
 immutable after construction and safe to share across threads; every
 operation is a pure function.
 
-Hot paths (oracle scans, verification) work on raw ``int`` masks internally
-and wrap them into :class:`SubsetMask` only at API boundaries.
+Oracles take and return raw ``int`` masks (bit i set means element i is
+in the set), and so do the constructions and solvers between them.
+:class:`SubsetMask` is used only for results (families, answers, reports)
+and for CLI input and output.
 """
 
 from __future__ import annotations
@@ -56,23 +58,9 @@ class GroundSet:
     """The finite universe whose subsets form solutions."""
 
     size: int
-    element_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         _check_universe_size(self.size)
-        if self.element_names is not None:
-            if len(self.element_names) != self.size:
-                raise ValueError(
-                    f"expected {self.size} element names, got "
-                    f"{len(self.element_names)}"
-                )
-
-    def name_of(self, index: int) -> str:
-        if not 0 <= index < self.size:
-            raise ValueError(f"element index {index} out of range")
-        if self.element_names is None:
-            return str(index)
-        return self.element_names[index]
 
 
 @dataclass(frozen=True)
@@ -93,10 +81,6 @@ class SubsetMask:
     @classmethod
     def empty(cls, universe_size: int) -> "SubsetMask":
         return cls(universe_size, 0)
-
-    @classmethod
-    def full(cls, universe_size: int) -> "SubsetMask":
-        return cls(universe_size, (1 << universe_size) - 1)
 
     @classmethod
     def from_indices(cls, universe_size: int, indices: Iterable[int]) -> "SubsetMask":
@@ -120,37 +104,6 @@ class SubsetMask:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
-
-    def _check_mate(self, other: "SubsetMask") -> None:
-        if self.universe_size != other.universe_size:
-            raise ValueError(
-                f"universe mismatch: {self.universe_size} vs {other.universe_size}"
-            )
-
-    def __or__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_mate(other)
-        return SubsetMask(self.universe_size, self.bits | other.bits)
-
-    def __and__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_mate(other)
-        return SubsetMask(self.universe_size, self.bits & other.bits)
-
-    def __xor__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_mate(other)
-        return SubsetMask(self.universe_size, self.bits ^ other.bits)
-
-    def __sub__(self, other: "SubsetMask") -> "SubsetMask":
-        self._check_mate(other)
-        return SubsetMask(self.universe_size, self.bits & ~other.bits)
-
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(
-            self.universe_size, ((1 << self.universe_size) - 1) ^ self.bits
-        )
-
-    def is_subset_of(self, other: "SubsetMask") -> bool:
-        self._check_mate(other)
-        return self.bits & ~other.bits == 0
 
     def __repr__(self) -> str:  # compact: {0,2}/4
         inner = ",".join(str(i) for i in self.members())
@@ -255,36 +208,19 @@ class WeightVector:
         """Draw uniformly from {-1,+1}^n, one generator step per element."""
         return cls(universe_size, tuple(rng.pm1() for _ in range(universe_size)))
 
-    def weight_of_bits(self, bits: int) -> int:
+    def weight_of(self, bits: int) -> int:
         return 2 * (bits & self.positive_bits).bit_count() - bits.bit_count()
 
-    def weight_of(self, mask: SubsetMask) -> int:
-        if mask.universe_size != self.universe_size:
-            raise ValueError("universe mismatch")
-        return self.weight_of_bits(mask.bits)
 
+def distance(a: int, b: int, n: int, modified: bool = False) -> int:
+    """Hamming distance |a ^ b| of two masks over a universe of size ``n``.
 
-def hamming(a: SubsetMask, b: SubsetMask) -> int:
-    """Size of the symmetric difference |a ^ b|."""
-    if a.universe_size != b.universe_size:
-        raise ValueError(
-            f"universe mismatch: {a.universe_size} vs {b.universe_size}"
-        )
-    return (a.bits ^ b.bits).bit_count()
-
-
-def modified_hamming(a: SubsetMask, b: SubsetMask) -> int:
-    """Hamming distance after identifying each set with its complement.
-
-    ``min(|a ^ b|, |a ^ (U \\ b)|)``; it is 0 when b equals a or its
+    ``modified`` identifies each set with its complement:
+    ``min(|a ^ b|, n - |a ^ b|)``, which is 0 when b equals a or its
     complement and never exceeds floor(n / 2).
     """
-    if a.universe_size != b.universe_size:
-        raise ValueError(
-            f"universe mismatch: {a.universe_size} vs {b.universe_size}"
-        )
-    plain = (a.bits ^ b.bits).bit_count()
-    return min(plain, a.universe_size - plain)
+    plain = (a ^ b).bit_count()
+    return min(plain, n - plain) if modified else plain
 
 
 @dataclass(frozen=True)
@@ -292,37 +228,36 @@ class ExtensionQuery:
     """Arguments of an exact-extension query.
 
     Asks for a domain member at Hamming distance exactly ``radius`` from
-    ``center`` that contains ``forced`` and avoids ``forbidden``.
+    ``center`` that contains ``forced`` and avoids ``forbidden`` (all three
+    are raw masks).
     """
 
-    center: SubsetMask
+    center: int
     radius: int
-    forced: SubsetMask
-    forbidden: SubsetMask
+    forced: int
+    forbidden: int
 
     def __post_init__(self) -> None:
-        n = self.center.universe_size
-        if self.forced.universe_size != n or self.forbidden.universe_size != n:
-            raise ValueError("query masks must share one universe")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
-        if self.forced.bits & self.forbidden.bits:
+        if self.forced & self.forbidden:
             raise ValueError("forced and forbidden sets must be disjoint")
 
     def admits_bits(self, bits: int) -> bool:
         """Whether a candidate member satisfies all three constraints."""
         return (
-            (bits ^ self.center.bits).bit_count() == self.radius
-            and self.forced.bits & ~bits == 0
-            and self.forbidden.bits & bits == 0
+            (bits ^ self.center).bit_count() == self.radius
+            and self.forced & ~bits == 0
+            and self.forbidden & bits == 0
         )
 
 
 @dataclass(frozen=True)
 class Found:
-    """Extension query succeeded; ``witness`` satisfies the constraints."""
+    """Extension query succeeded; ``witness`` (a raw mask) satisfies the
+    constraints."""
 
-    witness: SubsetMask
+    witness: int
 
 
 @dataclass(frozen=True)
@@ -361,7 +296,8 @@ class DomainOracle(ABC):
     """Behavior contract of an implicitly represented solution domain.
 
     Three capabilities, any of which may be declared unsupported by raising
-    :class:`CapabilityError`:
+    :class:`CapabilityError`; every mask they take or return is a raw
+    ``int``:
 
     * ``opt_pm1(w)``: a domain member maximizing the +-1 weight sum, or
       ``None`` when the domain is empty.  Ties are broken by the adapter's
@@ -381,7 +317,7 @@ class DomainOracle(ABC):
     @abstractmethod
     def universe_size(self) -> int: ...
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         raise CapabilityError(
             f"{type(self).__name__} does not offer the +-1 optimization capability"
         )
@@ -392,11 +328,9 @@ class DomainOracle(ABC):
     ) -> ExtensionOutcome: ...
 
     def exact_empty_extend(
-        self, r: int, forbidden: SubsetMask, ctx: OracleContext | None = None
+        self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        n = self.universe_size
-        empty = SubsetMask.empty(n)
-        return self.exact_extend(ExtensionQuery(empty, r, empty, forbidden), ctx)
+        return self.exact_extend(ExtensionQuery(0, r, 0, forbidden), ctx)
 
     @property
     def complement_closed(self) -> bool:
@@ -417,7 +351,7 @@ class CountingOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._inner.universe_size
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         self.calls_opt += 1
         return self._inner.opt_pm1(weights)
 
@@ -428,7 +362,7 @@ class CountingOracle(DomainOracle):
         return self._inner.exact_extend(query, ctx)
 
     def exact_empty_extend(
-        self, r: int, forbidden: SubsetMask, ctx: OracleContext | None = None
+        self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         self.calls_extend += 1
         return self._inner.exact_empty_extend(r, forbidden, ctx)

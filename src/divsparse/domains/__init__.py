@@ -1,20 +1,19 @@
 """Concrete domain adapters implementing the oracle contracts."""
 
-from .dagdp import DagDpInstance, DagDpOracle, dagdp_oracle
-from .explicit import ExplicitOracle, explicit_oracle
+from .dagdp import DagDpInstance, DagDpOracle
+from .explicit import ExplicitOracle
 from .graphs import GraphData
-from .matching import MatchingOracle, matching_oracle
+from .matching import MatchingOracle
 from .matroid import (
     GraphicMatroid,
     Matroid,
     MatroidBaseOracle,
     PartitionMatroid,
     UniformMatroid,
-    matroid_base_oracle,
 )
-from .mincut import MinCutOracle, MinCutPoset, build_mincut_poset, mincut_oracle
-from .union import UnionOracle, union_oracle
-from .vertex_cover import VertexCoverOracle, vertex_cover_oracle
+from .mincut import MinCutOracle, MinCutPoset, build_mincut_poset
+from .union import UnionOracle
+from .vertex_cover import VertexCoverOracle
 
 __all__ = [
     "DagDpInstance",
@@ -32,11 +31,4 @@ __all__ = [
     "UnionOracle",
     "VertexCoverOracle",
     "build_mincut_poset",
-    "dagdp_oracle",
-    "explicit_oracle",
-    "matching_oracle",
-    "matroid_base_oracle",
-    "mincut_oracle",
-    "union_oracle",
-    "vertex_cover_oracle",
 ]

@@ -24,7 +24,6 @@ from ..core import (
     GuardError,
     NOT_FOUND,
     OracleContext,
-    SubsetMask,
     WeightVector,
     _check_universe_size,
 )
@@ -162,7 +161,7 @@ class DagDpOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return bits in self.member_bits()
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         g = self._inst.dag
         if g.n_vertices == 0:
             return None
@@ -200,7 +199,7 @@ class DagDpOracle(DomainOracle):
                     break
             else:
                 raise AssertionError("longest-path reconstruction failed")
-        return SubsetMask(self.universe_size, bits)
+        return bits
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
@@ -209,9 +208,9 @@ class DagDpOracle(DomainOracle):
         if g.n_vertices == 0:
             return NOT_FOUND
         labels = self._inst.labels
-        c = query.center.bits
-        x = query.forced.bits
-        y = query.forbidden.bits
+        c = query.center
+        x = query.forced
+        y = query.forbidden
         L = self._longest
         # |D| = L for every member; |D ^ C| = r pins |D \ C|
         doubled = query.radius - c.bit_count() + L
@@ -252,9 +251,5 @@ class DagDpOracle(DomainOracle):
             got = table[v][nx][outside] if outside <= L else None
             if got is not None:
                 assert query.admits_bits(got)
-                return Found(SubsetMask(self.universe_size, got))
+                return Found(got)
         return NOT_FOUND
-
-
-def dagdp_oracle(instance: DagDpInstance) -> DagDpOracle:
-    return DagDpOracle(instance)

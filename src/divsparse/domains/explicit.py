@@ -14,7 +14,6 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SetFamily,
-    SubsetMask,
     WeightVector,
 )
 
@@ -36,30 +35,24 @@ class ExplicitOracle(DomainOracle):
     def family(self) -> SetFamily:
         return self._family
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         best_bits = None
         best_weight = None
         for b in self._bits:
-            w = weights.weight_of_bits(b)
+            w = weights.weight_of(b)
             if best_weight is None or w > best_weight:
                 best_weight = w
                 best_bits = b
-        if best_bits is None:
-            return None
-        return SubsetMask(self.universe_size, best_bits)
+        return best_bits
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         for b in self._bits:
             if query.admits_bits(b):
-                return Found(SubsetMask(self.universe_size, b))
+                return Found(b)
         return NOT_FOUND
 
     @property
     def complement_closed(self) -> bool:
         return self._complement_closed
-
-
-def explicit_oracle(family: SetFamily) -> ExplicitOracle:
-    return ExplicitOracle(family)

@@ -30,15 +30,6 @@ class GraphData:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def out_neighbors(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (neighbor, edge index); both ends if undirected."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_vertices)]
-        for idx, (u, v) in enumerate(self.edges):
-            adj[u].append((v, idx))
-            if not self.directed:
-                adj[v].append((u, idx))
-        return adj
-
     def arcs(self) -> list[tuple[int, int]]:
         """Directed arc list; undirected edges become two antiparallel arcs."""
         if self.directed:

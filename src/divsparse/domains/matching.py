@@ -19,7 +19,6 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    SubsetMask,
     WeightVector,
 )
 from .graphs import GraphData
@@ -46,9 +45,9 @@ class MatchingOracle(DomainOracle):
     def size_bound(self) -> int:
         return self._ell
 
-    def is_member_bits(self, bits: int) -> bool:
-        if bits.bit_count() != self._ell:
-            return False
+    def _endpoints(self, bits: int) -> int | None:
+        """Vertices covered by the edges in ``bits``, or None when two of
+        them share a vertex (``bits`` is not a matching)."""
         used = 0
         b = bits
         while b:
@@ -56,9 +55,12 @@ class MatchingOracle(DomainOracle):
             b ^= low
             u, v = self._graph.edges[low.bit_length() - 1]
             if used >> u & 1 or used >> v & 1:
-                return False
+                return None
             used |= (1 << u) | (1 << v)
-        return True
+        return used
+
+    def is_member_bits(self, bits: int) -> bool:
+        return bits.bit_count() == self._ell and self._endpoints(bits) is not None
 
     def _check_cap(self, n_expanded: int) -> None:
         if n_expanded > EXPANDED_VERTEX_CAP:
@@ -67,7 +69,7 @@ class MatchingOracle(DomainOracle):
                 f"{EXPANDED_VERTEX_CAP}-vertex DP cap"
             )
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         nv = self._graph.n_vertices
         if 2 * self._ell > nv:
             return None
@@ -134,17 +136,18 @@ class MatchingOracle(DomainOracle):
                     break
             else:
                 raise AssertionError("matching reconstruction failed")
-        return SubsetMask(self.universe_size, chosen)
+        return chosen
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        c = query.center.bits
-        x = query.forced.bits
-        y = query.forbidden.bits
+        c = query.center
+        x = query.forced
+        y = query.forbidden
         r = query.radius
         ell = self._ell
-        if x.bit_count() > ell or not self.is_matching_bits(x):
+        x_vertices = self._endpoints(x)
+        if x.bit_count() > ell or x_vertices is None:
             return NOT_FOUND
         # |D & C| is fixed by |D ^ C| = |D| + |C| - 2 |D & C|
         doubled_overlap = ell + c.bit_count() - r
@@ -158,17 +161,10 @@ class MatchingOracle(DomainOracle):
         need = ell - x.bit_count()
         if need == 0:
             if blue_in_rest == 0 and query.admits_bits(x) and self.is_member_bits(x):
-                return Found(SubsetMask(self.universe_size, x))
+                return Found(x)
             return NOT_FOUND
 
         nv = self._graph.n_vertices
-        x_vertices = 0
-        b = x
-        while b:
-            low = b & -b
-            b ^= low
-            u, v = self._graph.edges[low.bit_length() - 1]
-            x_vertices |= (1 << u) | (1 << v)
         live = [v for v in range(nv) if not x_vertices >> v & 1]
         if 2 * need > len(live):
             return NOT_FOUND
@@ -236,21 +232,4 @@ class MatchingOracle(DomainOracle):
             else:
                 raise AssertionError("exact-matching reconstruction failed")
         assert query.admits_bits(chosen) and self.is_member_bits(chosen)
-        return Found(SubsetMask(self.universe_size, chosen))
-
-    def is_matching_bits(self, bits: int) -> bool:
-        """Whether ``bits`` is a matching (of any size)."""
-        used = 0
-        b = bits
-        while b:
-            low = b & -b
-            b ^= low
-            u, v = self._graph.edges[low.bit_length() - 1]
-            if used >> u & 1 or used >> v & 1:
-                return False
-            used |= (1 << u) | (1 << v)
-        return True
-
-
-def matching_oracle(graph: GraphData, size_ell: int) -> MatchingOracle:
-    return MatchingOracle(graph, size_ell)
+        return Found(chosen)

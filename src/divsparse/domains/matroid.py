@@ -19,7 +19,6 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    SubsetMask,
     WeightVector,
     iter_bits,
 )
@@ -147,7 +146,7 @@ class MatroidBaseOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return self._m.is_base_bits(bits)
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         order = sorted(range(self.universe_size), key=lambda e: (-weights.weights[e], e))
         base = 0
         for e in order:
@@ -155,7 +154,7 @@ class MatroidBaseOracle(DomainOracle):
             if self._m.independent_bits(cand):
                 base = cand
         assert base.bit_count() == self._m.rank, "matroid rank not reached by greedy"
-        return SubsetMask(self.universe_size, base)
+        return base
 
     def _greedy_base(self, forced: int, blocked: int, prefer: int) -> int | None:
         """Greedy base containing ``forced``, avoiding ``blocked``, taking
@@ -178,9 +177,9 @@ class MatroidBaseOracle(DomainOracle):
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        c = query.center.bits
-        x = query.forced.bits
-        y = query.forbidden.bits
+        c = query.center
+        x = query.forced
+        y = query.forbidden
         r = query.radius
         # |D ^ C| = rank + |C| - 2 |D & C| pins the distance parity; the
         # center need not be a base itself (empty-center queries are not)
@@ -204,7 +203,7 @@ class MatroidBaseOracle(DomainOracle):
             after = (current ^ c).bit_count()
             assert after - before in (-2, 0, 2)
         assert query.admits_bits(current)
-        return Found(SubsetMask(self.universe_size, current))
+        return Found(current)
 
     def _exchange_step(self, d1: int, d2: int) -> int | None:
         """One strong-exchange move of d1 toward d2 (lowest-index choices)."""
@@ -218,7 +217,3 @@ class MatroidBaseOracle(DomainOracle):
             if self._m.independent_bits(cand):
                 return cand
         raise AssertionError("strong exchange property violated")
-
-
-def matroid_base_oracle(matroid: Matroid) -> MatroidBaseOracle:
-    return MatroidBaseOracle(matroid)

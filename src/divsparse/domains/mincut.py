@@ -33,7 +33,6 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SetFamily,
-    SubsetMask,
     TrivialSparsifier,
     WeightVector,
 )
@@ -279,7 +278,7 @@ class MinCutOracle(DomainOracle):
             return False
         return self.crossing_arcs_bits(bits) == self._poset.cut_value
 
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         n = self._graph.n_vertices
         heavy = 2 * n + 1
         arcs = [(u, v, heavy) for u, v in self._arcs]
@@ -293,7 +292,7 @@ class MinCutOracle(DomainOracle):
         _, to, cap, adj = _max_flow(n, arcs, self._s, self._t)
         cut = _residual_reachable(n, to, cap, adj, self._s, reverse=False)
         assert self.is_member_bits(cut)
-        return SubsetMask(n, cut)
+        return cut
 
     def _sandwich(self, ideal: int, p_eff: int) -> tuple[list[int], list[int]]:
         """Poset nodes addable to / removable from ``ideal`` within p_eff
@@ -348,7 +347,7 @@ class MinCutOracle(DomainOracle):
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         poset = self._poset
-        ideal = poset.ideal_bits(query.center.bits)
+        ideal = poset.ideal_bits(query.center)
         if ideal is None:
             raise ValueError("extension center is not a minimum s,t-cut")
         p_eff = query.radius if ctx is None else max(ctx.p, query.radius)
@@ -383,9 +382,5 @@ class MinCutOracle(DomainOracle):
                     continue
                 cut = poset.cut_bits(cand)
                 if query.admits_bits(cut):
-                    return Found(SubsetMask(self.universe_size, cut))
+                    return Found(cut)
         return NOT_FOUND
-
-
-def mincut_oracle(graph: GraphData, s: int, t: int) -> MinCutOracle:
-    return MinCutOracle(graph, s, t)

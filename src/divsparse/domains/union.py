@@ -17,7 +17,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    SubsetMask,
+    SoundnessError,
     TrivialSparsifier,
     WeightVector,
 )
@@ -36,11 +36,7 @@ class UnionOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._parts[0].universe_size
 
-    @property
-    def parts(self) -> list[DomainOracle]:
-        return list(self._parts)
-
-    def opt_pm1(self, weights: WeightVector) -> SubsetMask | None:
+    def opt_pm1(self, weights: WeightVector) -> int | None:
         best = None
         best_weight = None
         for part in self._parts:
@@ -57,10 +53,17 @@ class UnionOracle(DomainOracle):
     def _validated(out: TrivialSparsifier, ctx: OracleContext | None) -> TrivialSparsifier:
         if ctx is not None:
             bits = out.family.bits_list()
-            assert len(bits) == ctx.k + 1
+            if len(bits) != ctx.k + 1:
+                raise SoundnessError(
+                    f"trivial sparsifier has {len(bits)} members, not k+1 = {ctx.k + 1}"
+                )
             for i in range(len(bits)):
                 for j in range(i + 1, len(bits)):
-                    assert (bits[i] ^ bits[j]).bit_count() > 2 * ctx.d
+                    if (bits[i] ^ bits[j]).bit_count() <= 2 * ctx.d:
+                        raise SoundnessError(
+                            f"trivial sparsifier members {i} and {j} are within "
+                            f"2d = {2 * ctx.d} of each other"
+                        )
         return out
 
     def exact_extend(
@@ -75,7 +78,7 @@ class UnionOracle(DomainOracle):
         return NOT_FOUND
 
     def exact_empty_extend(
-        self, r: int, forbidden: SubsetMask, ctx: OracleContext | None = None
+        self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         for part in self._parts:
             out = part.exact_empty_extend(r, forbidden, ctx)
@@ -88,7 +91,3 @@ class UnionOracle(DomainOracle):
     @property
     def complement_closed(self) -> bool:
         return all(p.complement_closed for p in self._parts)
-
-
-def union_oracle(parts: Sequence[DomainOracle]) -> UnionOracle:
-    return UnionOracle(parts)

@@ -18,7 +18,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    SubsetMask,
+    iter_bits,
 )
 from .graphs import GraphData
 
@@ -107,9 +107,9 @@ class VertexCoverOracle(DomainOracle):
         return _pad_to_size(forced | cover, allowed, size)
 
     def exact_empty_extend(
-        self, r: int, forbidden: SubsetMask, ctx: OracleContext | None = None
+        self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        y = forbidden.bits
+        y = forbidden
         # an edge inside the forbidden set can never be covered
         if any(y >> u & 1 and y >> v & 1 for u, v in self._edges):
             return NOT_FOUND
@@ -122,17 +122,17 @@ class VertexCoverOracle(DomainOracle):
         got = self._solve_forced(neighborhood, y, r)
         if got is None:
             return NOT_FOUND
-        return Found(SubsetMask(self.universe_size, got))
+        return Found(got)
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        c = query.center.bits
-        x = query.forced.bits
-        y = query.forbidden.bits
+        c = query.center
+        x = query.forced
+        y = query.forbidden
         if c == 0 and x == 0:
-            return self.exact_empty_extend(query.radius, query.forbidden, ctx)
-        c_members = SubsetMask(self.universe_size, c).members()
+            return self.exact_empty_extend(query.radius, y, ctx)
+        c_members = list(iter_bits(c))
         # guess the overlap S = D & C among subsets of the center
         for sub in range(1 << len(c_members)):
             s = 0
@@ -153,9 +153,5 @@ class VertexCoverOracle(DomainOracle):
             if got is None:
                 continue
             assert got & c == s and query.admits_bits(got)
-            return Found(SubsetMask(self.universe_size, got))
+            return Found(got)
         return NOT_FOUND
-
-
-def vertex_cover_oracle(graph: GraphData, ell: int) -> VertexCoverOracle:
-    return VertexCoverOracle(graph, ell)

@@ -13,15 +13,17 @@ from typing import Callable
 from .core import DomainOracle, GroundSet, SetFamily
 from .domains import (
     DagDpInstance,
+    DagDpOracle,
+    ExplicitOracle,
     GraphData,
-    dagdp_oracle,
-    explicit_oracle,
-    matching_oracle,
-    matroid_base_oracle,
-    mincut_oracle,
-    vertex_cover_oracle,
+    GraphicMatroid,
+    MatchingOracle,
+    MatroidBaseOracle,
+    MinCutOracle,
+    PartitionMatroid,
+    UniformMatroid,
+    VertexCoverOracle,
 )
-from .domains.matroid import GraphicMatroid, PartitionMatroid, UniformMatroid
 
 
 class ParseError(ValueError):
@@ -62,12 +64,12 @@ def explicit_instance(family: SetFamily) -> DomainInstance:
         size_bound=max((len(m) for m in family), default=0),
         supports_small=True,
         prefers_small=False,
-        _oracle_factory=lambda: explicit_oracle(family),
+        _oracle_factory=lambda: ExplicitOracle(family),
     )
 
 
 def vertex_cover_instance(graph: GraphData, ell: int) -> DomainInstance:
-    oracle = vertex_cover_oracle(graph, ell)
+    oracle = VertexCoverOracle(graph, ell)
     return DomainInstance(
         kind="vertex_cover",
         ground=GroundSet(graph.n_vertices),
@@ -82,7 +84,7 @@ def vertex_cover_instance(graph: GraphData, ell: int) -> DomainInstance:
 
 def spanning_tree_instance(graph: GraphData) -> DomainInstance:
     matroid = GraphicMatroid(graph)
-    oracle = matroid_base_oracle(matroid)
+    oracle = MatroidBaseOracle(matroid)
     return DomainInstance(
         kind="spanning_tree",
         ground=GroundSet(graph.n_edges),
@@ -97,7 +99,7 @@ def spanning_tree_instance(graph: GraphData) -> DomainInstance:
 
 def uniform_matroid_instance(universe: int, rank: int) -> DomainInstance:
     matroid = UniformMatroid(universe, rank)
-    oracle = matroid_base_oracle(matroid)
+    oracle = MatroidBaseOracle(matroid)
     return DomainInstance(
         kind="uniform_matroid",
         ground=GroundSet(universe),
@@ -113,7 +115,7 @@ def partition_matroid_instance(
     universe: int, blocks: list[tuple[int, tuple[int, ...]]]
 ) -> DomainInstance:
     matroid = PartitionMatroid(universe, blocks)
-    oracle = matroid_base_oracle(matroid)
+    oracle = MatroidBaseOracle(matroid)
     return DomainInstance(
         kind="partition_matroid",
         ground=GroundSet(universe),
@@ -126,7 +128,7 @@ def partition_matroid_instance(
 
 
 def matching_instance(graph: GraphData, size_ell: int) -> DomainInstance:
-    oracle = matching_oracle(graph, size_ell)
+    oracle = MatchingOracle(graph, size_ell)
     return DomainInstance(
         kind="matching",
         ground=GroundSet(graph.n_edges),
@@ -140,7 +142,7 @@ def matching_instance(graph: GraphData, size_ell: int) -> DomainInstance:
 
 
 def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
-    oracle = mincut_oracle(graph, s, t)
+    oracle = MinCutOracle(graph, s, t)
     return DomainInstance(
         kind="st_mincut",
         ground=GroundSet(graph.n_vertices),
@@ -155,7 +157,7 @@ def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
 
 def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) -> DomainInstance:
     inst = DagDpInstance(dag=graph, labels=labels, universe_size=universe)
-    oracle = dagdp_oracle(inst)
+    oracle = DagDpOracle(inst)
     return DomainInstance(
         kind="dag_dp",
         ground=GroundSet(universe),

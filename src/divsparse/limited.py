@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .core import (
     CapabilityError,
@@ -34,7 +35,6 @@ from .core import (
     OracleContext,
     SetFamily,
     SparsifierReport,
-    SubsetMask,
     WeightVector,
 )
 from .rng import SplitMix64
@@ -107,12 +107,12 @@ class ClusterResult:
 
 def approx_far_set(
     oracle: DomainOracle,
-    centers: SetFamily,
+    centers: Sequence[int],
     d: int,
     p: int,
     trials: int,
     rng: SplitMix64,
-) -> SubsetMask | None:
+) -> int | None:
     """Look for a member more than 2d from every center.
 
     Each trial optimizes a fresh uniform +-1 weight vector; a candidate is
@@ -125,15 +125,15 @@ def approx_far_set(
     if trials < 1:
         raise ValueError("trials must be positive")
     n = oracle.universe_size
-    center_bits = centers.bits_list()
+    if any(not 0 <= c < 1 << n for c in centers):
+        raise ValueError("center has elements outside the universe")
     threshold = 2 * d
     for _ in range(trials):
         w = WeightVector.random(n, rng)
         best = oracle.opt_pm1(w)
         if best is None:
             return None  # empty domain
-        bb = best.bits
-        if all((bb ^ c).bit_count() > threshold for c in center_bits):
+        if all((best ^ c).bit_count() > threshold for c in centers):
             return best
     return None
 
@@ -156,20 +156,13 @@ def cluster_or_trivial(
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far = approx_far_set(
-            oracle,
-            SetFamily.from_bits(n, center_bits),
-            params.d,
-            params.p,
-            trials,
-            rng,
-        )
+        far = approx_far_set(oracle, center_bits, params.d, params.p, trials, rng)
         if far is None:
             return ClusterResult(SetFamily.from_bits(n, center_bits), trivial=False)
         assert all(
-            (far.bits ^ c).bit_count() > 2 * params.d for c in center_bits
+            (far ^ c).bit_count() > 2 * params.d for c in center_bits
         ), "far-set soundness violated"
-        center_bits.append(far.bits)
+        center_bits.append(far)
         if len(center_bits) == params.k + 1:
             return ClusterResult(SetFamily.from_bits(n, center_bits), trivial=True)
 
@@ -185,10 +178,10 @@ class ShiftedEmptyExtension(DomainOracle):
     """
 
     def __init__(
-        self, inner: DomainOracle, center: SubsetMask, ctx: OracleContext | None
+        self, inner: DomainOracle, center: int, ctx: OracleContext | None
     ) -> None:
-        if center.universe_size != inner.universe_size:
-            raise ValueError("center universe mismatch")
+        if not 0 <= center < 1 << inner.universe_size:
+            raise ValueError("center has elements outside the universe")
         self._inner = inner
         self._center = center
         self._ctx = ctx
@@ -203,13 +196,13 @@ class ShiftedEmptyExtension(DomainOracle):
         raise CapabilityError("shifted view offers only the empty extension")
 
     def exact_empty_extend(
-        self, r: int, forbidden: SubsetMask, ctx: OracleContext | None = None
+        self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         query = ExtensionQuery(
             center=self._center,
             radius=r,
             forced=forbidden & self._center,
-            forbidden=forbidden - self._center,
+            forbidden=forbidden & ~self._center,
         )
         out = self._inner.exact_extend(query, self._ctx)
         if isinstance(out, Found):
@@ -218,7 +211,7 @@ class ShiftedEmptyExtension(DomainOracle):
 
 
 def shifted_empty_extension(
-    oracle: DomainOracle, center: SubsetMask, k: int, d: int, p: int | None = None
+    oracle: DomainOracle, center: int, k: int, d: int, p: int | None = None
 ) -> ShiftedEmptyExtension:
     """Build the shifted empty-extension view with its query context."""
     if p is None:
@@ -264,7 +257,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     ctx = OracleContext(k=params.k, d=params.d, p=params.p)
     out_bits: list[int] = []
     passes = 0
-    for center in clusters.family:
+    for center in clusters.family.bits_list():
         view = ShiftedEmptyExtension(counting, center, ctx)
         sub = k_sparsify(
             SmallSparsifyParams(k=params.k, r=params.p + params.d, ell=params.p),
@@ -273,7 +266,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
         passes += sub.passes
         if sub.shortcut:
             return report(sub.family, passes=passes, shortcut=True, scattered=False)
-        out_bits.extend(b ^ center.bits for b in sub.family.bits_list())
+        out_bits.extend(b ^ center for b in sub.family.bits_list())
 
     family = SetFamily.dedup_from_bits(n, out_bits)
     return report(family, passes=passes, shortcut=False, scattered=False)

@@ -1,8 +1,8 @@
 """Deterministic 64-bit randomness for the randomized sparsifier pipeline.
 
 The generator is SplitMix64 (the mixing function behind Java's
-SplittableRandom).  It is tiny, bit-exact on every platform, and splittable,
-which is all the far-set sampler needs.  Randomness is never ambient: every
+SplittableRandom).  It is tiny and bit-exact on every platform, which is
+all the far-set sampler needs.  Randomness is never ambient: every
 randomized operation receives one of these explicitly.
 """
 
@@ -13,7 +13,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """SplitMix64 stream.  ``next_u64`` steps the state; ``split`` forks it."""
+    """SplitMix64 stream.  ``next_u64`` steps the state."""
 
     __slots__ = ("_state",)
 
@@ -30,13 +30,3 @@ class SplitMix64:
     def pm1(self) -> int:
         """One +1/-1 draw (top bit of the next word)."""
         return 1 if self.next_u64() >> 63 else -1
-
-    def below(self, bound: int) -> int:
-        """Uniform-ish integer in [0, bound); fine for desk-scale sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return self.next_u64() % bound
-
-    def split(self) -> "SplitMix64":
-        """Fork an independent stream (for concurrent trial workers)."""
-        return SplitMix64(self.next_u64())

@@ -18,6 +18,7 @@ member; it requires a complement-closed domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Protocol, Sequence
 
@@ -27,14 +28,15 @@ from .core import (
     Found,
     OracleContext,
     SetFamily,
+    SoundnessError,
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
+    distance,
+    iter_bits,
 )
 from .limited import LimitedSparsifyParams, dk_sparsify
 from .sunflower import SmallSparsifyParams, k_sparsify
-
-PROBLEMS = ("maxmin", "maxsum", "kcenter", "ksumradii")
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ class ProblemSpec:
     modified: bool = False
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEMS:
+        if self.problem not in _SOLVERS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
@@ -116,28 +118,11 @@ class GloballyInfeasible(Exception):
         self.family = family
 
 
-def _pair_distance(a: int, b: int, n: int, modified: bool) -> int:
-    plain = (a ^ b).bit_count()
-    return min(plain, n - plain) if modified else plain
-
-
 def _require_modified_support(oracle: DomainOracle, spec: ProblemSpec) -> None:
     if spec.modified and not oracle.complement_closed:
         raise ValueError(
             "the modified Hamming distance needs a complement-closed domain"
         )
-
-
-def solve(
-    oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
-) -> SolveAnswer:
-    if spec.problem == "maxmin":
-        return solve_max_min(oracle, spec, sparsifier_builder)
-    if spec.problem == "maxsum":
-        return solve_max_sum(oracle, spec, sparsifier_builder)
-    if spec.problem == "kcenter":
-        return solve_k_center(oracle, spec, sparsifier_builder)
-    return solve_k_sum_radii(oracle, spec, sparsifier_builder)
 
 
 def _diversification_family(
@@ -148,22 +133,19 @@ def _diversification_family(
     return rep.family
 
 
-def solve_max_min(
+def _max_min(
     oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
 ) -> SolveAnswer:
     """Is there a k-tuple with all pairwise distances at least d?
 
     Tuples allow repetition, so k = 1 or d = 0 reduce to non-emptiness.
     """
-    if spec.problem != "maxmin":
-        raise ValueError("spec.problem must be maxmin")
-    _require_modified_support(oracle, spec)
     family = _diversification_family(oracle, spec, sparsifier_builder)
     bits = family.bits_list()
     n = family.universe_size
     for combo in combinations_with_replacement(range(len(bits)), spec.k):
         if all(
-            _pair_distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
+            distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
             >= spec.d
             for i in range(spec.k)
             for j in range(i + 1, spec.k)
@@ -173,16 +155,13 @@ def solve_max_min(
     return SolveAnswer(feasible=False)
 
 
-def solve_max_sum(
+def _max_sum(
     oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
 ) -> SolveAnswer:
     """Is there a k-tuple with pairwise distance sum at least d?
 
     Also reports the best sum seen over the sparsifier as the objective.
     """
-    if spec.problem != "maxsum":
-        raise ValueError("spec.problem must be maxsum")
-    _require_modified_support(oracle, spec)
     family = _diversification_family(oracle, spec, sparsifier_builder)
     bits = family.bits_list()
     n = family.universe_size
@@ -190,7 +169,7 @@ def solve_max_sum(
     best_combo: tuple[int, ...] | None = None
     for combo in combinations_with_replacement(range(len(bits)), spec.k):
         total = sum(
-            _pair_distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
+            distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
             for i in range(spec.k)
             for j in range(i + 1, spec.k)
         )
@@ -205,25 +184,27 @@ def solve_max_sum(
 
 
 def min_cluster_radius(
-    cluster: Sequence[SubsetMask],
+    cluster: Sequence[int],
     d: int,
     oracle: DomainOracle,
     ctx: OracleContext | None = None,
-) -> tuple[int, SubsetMask] | None:
+) -> tuple[int, int] | None:
     """Least radius r <= d with a domain member covering the whole cluster.
 
     Closest-string style: the cluster's disagreement elements are few or
     the answer is already out of reach; guessing the center's trace on them
     pins the farthest cluster member, leaving one exact-distance query per
     guess.  Returns (radius, center) or None; a trivial-sparsifier outcome
-    aborts the whole clustering via :class:`GloballyInfeasible`.
+    aborts the whole clustering via :class:`GloballyInfeasible`.  A center
+    that does not cover the cluster raises :class:`SoundnessError`.
     """
     if not cluster:
         raise ValueError("cluster must be nonempty")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    n = cluster[0].universe_size
-    masks = [m.bits for m in cluster]
+    masks = list(cluster)
+    if any(not 0 <= m < 1 << oracle.universe_size for m in masks):
+        raise ValueError("cluster member has elements outside the universe")
     agreement_all = masks[0]
     union_all = masks[0]
     for b in masks[1:]:
@@ -232,14 +213,13 @@ def min_cluster_radius(
     bad = union_all & ~agreement_all
     if bad.bit_count() > d * len(masks):
         return None
-    bad_elems = SubsetMask(n, bad).members()
+    bad_elems = list(iter_bits(bad))
     # a center within r of both endpoints of the widest pair needs 2r >= diam
     diam = max(
         ((a ^ b).bit_count() for a, b in combinations_with_replacement(masks, 2)),
         default=0,
     )
     start = (diam + 1) // 2
-    empty = SubsetMask.empty(n)
     for radius in range(start, d + 1):
         for guess in range(1 << len(bad_elems)):
             trace = 0
@@ -252,19 +232,21 @@ def min_cluster_radius(
                 key=lambda i: (((masks[i] & bad) ^ trace).bit_count(), -i),
             )
             query = ExtensionQuery(
-                center=SubsetMask(n, masks[far_idx]),
+                center=masks[far_idx],
                 radius=radius,
-                forced=SubsetMask(n, trace),
-                forbidden=SubsetMask(n, bad & ~trace),
+                forced=trace,
+                forbidden=bad & ~trace,
             )
             out = oracle.exact_extend(query, ctx)
             if isinstance(out, TrivialSparsifier):
                 raise GloballyInfeasible(out.family)
             if isinstance(out, Found):
                 center = out.witness
-                assert all(
-                    (center.bits ^ m).bit_count() <= radius for m in masks
-                ), "cluster coverage certificate failed"
+                if any((center ^ m).bit_count() > radius for m in masks):
+                    raise SoundnessError(
+                        f"cluster coverage certificate failed: center {center:#x} "
+                        f"is farther than {radius} from a cluster member"
+                    )
                 return radius, center
     return None
 
@@ -303,17 +285,16 @@ class _ClusterCostCache:
         self._n = n
         self._modified = modified
         self._ctx = ctx
-        self._memo: dict[frozenset[int], tuple[int, SubsetMask] | None] = {}
+        self._memo: dict[frozenset[int], tuple[int, int] | None] = {}
 
-    def evaluate(self, member_bits: frozenset[int]) -> tuple[int, SubsetMask] | None:
+    def evaluate(self, member_bits: frozenset[int]) -> tuple[int, int] | None:
         if member_bits in self._memo:
             return self._memo[member_bits]
         masks = sorted(member_bits)
         n = self._n
-        result: tuple[int, SubsetMask] | None = None
+        result: tuple[int, int] | None = None
         if not self._modified:
-            cluster = [SubsetMask(n, b) for b in masks]
-            result = min_cluster_radius(cluster, self._d, self._oracle, self._ctx)
+            result = min_cluster_radius(masks, self._d, self._oracle, self._ctx)
         else:
             for oriented in _oriented_variants(masks, n):
                 # only strictly better radii matter; diameters filter cheaply
@@ -330,8 +311,7 @@ class _ClusterCostCache:
                 )
                 if diam > 2 * cap:
                     continue
-                cluster = [SubsetMask(n, b) for b in oriented]
-                got = min_cluster_radius(cluster, cap, self._oracle, self._ctx)
+                got = min_cluster_radius(oriented, cap, self._oracle, self._ctx)
                 if got is not None and (result is None or got[0] < result[0]):
                     result = got
                     if result[0] == 0:
@@ -346,7 +326,8 @@ def _solve_clustering(
     sparsifier_builder: SparsifierBuilder,
     sum_mode: bool,
 ) -> SolveAnswer:
-    _require_modified_support(oracle, spec)
+    """Can k balls around domain members cover the domain, with every
+    radius at most d (k-center) or the radius sum at most d (sum mode)?"""
     order = 2 * spec.k if spec.modified else spec.k
     rep = sparsifier_builder(oracle, order, spec.d + 1, spec.modified)
     members = rep.family.bits_list()
@@ -357,9 +338,7 @@ def _solve_clustering(
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
     cache = _ClusterCostCache(oracle, spec.d, n, spec.modified, ctx)
 
-    dist = [
-        [_pair_distance(a, b, n, spec.modified) for b in members] for a in members
-    ]
+    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
 
     clusters: list[list[int]] = []
 
@@ -408,7 +387,7 @@ def _solve_clustering(
         got = cache.evaluate(frozenset(members[i] for i in cluster))
         assert got is not None
         radius, center = got
-        witnesses.append(center)
+        witnesses.append(SubsetMask(n, center))
         radii.append(radius)
     while len(witnesses) < k:  # unused slots: repeat a center at radius 0
         witnesses.append(witnesses[0])
@@ -426,19 +405,18 @@ def _solve_clustering(
     )
 
 
-def solve_k_center(
-    oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
-) -> SolveAnswer:
-    """Can k domain members cover the whole domain within radius d?"""
-    if spec.problem != "kcenter":
-        raise ValueError("spec.problem must be kcenter")
-    return _solve_clustering(oracle, spec, sparsifier_builder, sum_mode=False)
+_SOLVERS = {
+    "maxmin": _max_min,
+    "maxsum": _max_sum,
+    "kcenter": partial(_solve_clustering, sum_mode=False),
+    "ksumradii": partial(_solve_clustering, sum_mode=True),
+}
 
 
-def solve_k_sum_radii(
+def solve(
     oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
 ) -> SolveAnswer:
-    """Can k balls around domain members with radius sum at most d cover?"""
-    if spec.problem != "ksumradii":
-        raise ValueError("spec.problem must be ksumradii")
-    return _solve_clustering(oracle, spec, sparsifier_builder, sum_mode=True)
+    """Answer ``spec`` on the domain behind ``oracle`` exactly, searching a
+    sparsifier from ``sparsifier_builder``."""
+    _require_modified_support(oracle, spec)
+    return _SOLVERS[spec.problem](oracle, spec, sparsifier_builder)

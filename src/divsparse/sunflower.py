@@ -248,8 +248,9 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     trivial sparsifier, that family is returned at once with ``shortcut``
     set.
 
-    Every witness is checked (universe, cardinality l', disjoint from Y,
-    not already a member); a violation raises :class:`SoundnessError`.
+    Every witness is checked (no element outside the universe, cardinality
+    l', disjoint from Y, not already a member); a violation raises
+    :class:`SoundnessError`.
     """
     n = oracle.universe_size
     t = params.k * params.r + 1
@@ -269,7 +270,7 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     def query(r: int, y_bits: int):
         nonlocal calls
         calls += 1
-        return oracle.exact_empty_extend(r, SubsetMask(n, y_bits))
+        return oracle.exact_empty_extend(r, y_bits)
 
     def report(family: SetFamily, shortcut: bool) -> SparsifierReport:
         return SparsifierReport(
@@ -283,20 +284,22 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
             shortcut=shortcut,
         )
 
-    def check_witness(got: SubsetMask, lp: int, y: int) -> None:
-        if got.universe_size != n:
+    def check_witness(got: int, lp: int, y: int) -> None:
+        if got < 0 or got >> n:
             raise SoundnessError(
-                f"witness universe {got.universe_size} differs from {n}"
+                f"witness {got:#x} has elements outside a universe of size {n}"
             )
-        if len(got) != lp:
-            raise SoundnessError(f"witness {got!r} does not have size {lp}")
+        if got.bit_count() != lp:
+            raise SoundnessError(
+                f"witness {SubsetMask(n, got)!r} does not have size {lp}"
+            )
         # before the blocker check: Y meets every member of size l', so a
         # repeated member would otherwise be reported as meeting Y
-        if got.bits in member_set:
-            raise SoundnessError(f"witness {got!r} is already a member")
-        if got.bits & y:
+        if got in member_set:
+            raise SoundnessError(f"witness {SubsetMask(n, got)!r} is already a member")
+        if got & y:
             raise SoundnessError(
-                f"witness {got!r} meets the blocker {SubsetMask(n, y)!r}"
+                f"witness {SubsetMask(n, got)!r} meets the blocker {SubsetMask(n, y)!r}"
             )
 
     while True:
@@ -335,8 +338,8 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
                     return report(out.family, shortcut=True)
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
-                    members.append(out.witness.bits)
-                    member_set.add(out.witness.bits)
+                    members.append(out.witness)
+                    member_set.add(out.witness)
                     inhabited.add(lp)
                     added = True
                     break

@@ -14,10 +14,11 @@ from divsparse import (
     SetFamily,
     SmallSparsifyParams,
     SolveAnswer,
-    SubsetMask,
+    distance,
     is_sunflower,
 )
 from divsparse.bruteforce import enumerate_domain
+from divsparse.core import iter_bits
 from divsparse.domains import GraphData
 from divsparse.instances import (
     DomainInstance,
@@ -183,9 +184,8 @@ def certify_answer(
         return
     n = domain.universe_size
 
-    def dist(a: SubsetMask, b: SubsetMask) -> int:
-        plain = (a.bits ^ b.bits).bit_count()
-        return min(plain, n - plain) if spec.modified else plain
+    def dist(a, b) -> int:
+        return distance(a.bits, b.bits, n, spec.modified)
 
     assert len(answer.witnesses) == spec.k
     for w in answer.witnesses:
@@ -229,8 +229,7 @@ def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
 def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     """Direct enumeration from the definition, for cross-checking."""
     required = brute_required(family, ell_prime, t)
-    n = family.universe_size
-    elems = SubsetMask(n, family.union_bits()).members()
+    elems = list(iter_bits(family.union_bits()))
     out = []
     for size in range(len(elems) + 1):
         for combo in combinations(elems, size):
@@ -266,13 +265,13 @@ def reference_k_sparsify(
                 continue
             if blockers[0] != 0:
                 calls += 1
-                if isinstance(oracle.exact_empty_extend(lp, SubsetMask.empty(n)), NotFound):
+                if isinstance(oracle.exact_empty_extend(lp, 0), NotFound):
                     continue
             for y in blockers:
                 calls += 1
-                out = oracle.exact_empty_extend(lp, SubsetMask(n, y))
+                out = oracle.exact_empty_extend(lp, y)
                 if isinstance(out, Found):
-                    members.append(out.witness.bits)
+                    members.append(out.witness)
                     added = True
                     break
             if added:

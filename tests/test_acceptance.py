@@ -28,7 +28,7 @@ from divsparse import (
     k_sparsify,
 )
 from divsparse.cli import run as cli_run
-from divsparse.domains import GraphData, explicit_oracle, mincut_oracle
+from divsparse.domains import ExplicitOracle, GraphData, MinCutOracle
 from divsparse.instances import st_mincut_instance
 
 from helpers import (
@@ -59,7 +59,7 @@ def test_criterion_1_small_sparsifier_definition_suite():
         k = rng.randint(1, 3)
         family = random_family(rng, n, 30, max_size=r)
         ell = max((len(m) for m in family), default=0)
-        rep = k_sparsify(SmallSparsifyParams(k=k, r=r, ell=ell), explicit_oracle(family))
+        rep = k_sparsify(SmallSparsifyParams(k=k, r=r, ell=ell), ExplicitOracle(family))
         bound = math.factorial(ell + 1) * (k * r + 1) ** ell
         assert len(rep.family) <= bound, f"size bound violated on run {run}"
         scope = bf.VerifyScope.versus_ball(
@@ -85,7 +85,7 @@ def test_criterion_2_limited_sparsifier_suite():
         k = rng.randint(1, 3)
         d = rng.randint(0, 3)
         params = LimitedSparsifyParams(k=k, d=d, epsilon=0.01, seed=run)
-        rep = dk_sparsify(explicit_oracle(family), params)
+        rep = dk_sparsify(ExplicitOracle(family), params)
         scope = bf.VerifyScope.versus_all_subsets(k=k, cap=d)
         if bf.verify_sparsifier(family, rep.family, scope).ok:
             verified += 1
@@ -93,15 +93,15 @@ def test_criterion_2_limited_sparsifier_suite():
             failures.append(run)
 
         # independent far-set soundness probe on the same domain
-        oracle = explicit_oracle(family)
-        centers = SetFamily.from_bits(n, family.bits_list()[: min(2, len(family))])
+        oracle = ExplicitOracle(family)
+        centers = family.bits_list()[: min(2, len(family))]
         got = approx_far_set(
             oracle, centers, d=d, p=params.p, trials=16, rng=SplitMix64(run)
         )
         far_calls += 1
         if got is not None:
             assert all(
-                (got.bits ^ c).bit_count() > 2 * d for c in centers.bits_list()
+                (got ^ c).bit_count() > 2 * d for c in centers
             ), f"unsound far set on run {run}"
     if failures:
         print(f"criterion 2 verification misses (far-set completeness): {failures}")
@@ -160,7 +160,7 @@ def test_criterion_3_solver_oracle_equivalence():
         d = rng.randint(0, 3)
         spec = ProblemSpec(problem, k, d, modified=True)
         answer = ds.solve(
-            explicit_oracle(family), spec, ds.limited_builder(seed=idx, trials=128)
+            ExplicitOracle(family), spec, ds.limited_builder(seed=idx, trials=128)
         )
         expected = bf.brute_solve(family, spec)
         modified_total += 1
@@ -179,14 +179,14 @@ def test_criterion_3_solver_oracle_equivalence():
 def _opt_matches(instance, domain) -> bool:
     n = domain.universe_size
     oracle = instance.oracle()
-    reference = bf.brute_oracles(domain)
+    reference = ExplicitOracle(domain)
     for w in all_weight_vectors(n):
         got = oracle.opt_pm1(w)
         want = reference.opt_pm1(w)
         if (got is None) != (want is None):
             return False
         if got is not None:
-            if not domain.contains_bits(got.bits):
+            if not domain.contains_bits(got):
                 return False
             if w.weight_of(got) != w.weight_of(want):
                 return False
@@ -196,16 +196,16 @@ def _opt_matches(instance, domain) -> bool:
 def _extend_matches(instance, domain, ctx=None) -> bool:
     n = domain.universe_size
     oracle = instance.oracle()
-    reference = bf.brute_oracles(domain)
+    reference = ExplicitOracle(domain)
     for query in extension_queries(n, domain, max_forced_forbidden=4):
         got = oracle.exact_extend(query, ctx)
         want = reference.exact_extend(query)
         if isinstance(want, Found) != isinstance(got, Found):
             return False
         if isinstance(got, Found):
-            if not query.admits_bits(got.witness.bits):
+            if not query.admits_bits(got.witness):
                 return False
-            if not domain.contains_bits(got.witness.bits):
+            if not domain.contains_bits(got.witness):
                 return False
     return True
 
@@ -363,14 +363,13 @@ def test_criterion_6_far_set_completeness_calibration():
     tail = sum(math.comb(n, j) for j in range(n // 2 + 1, n + 1))
     assert tail / 2**n == 386 / 1024  # approx 0.377
     family = SetFamily.from_bits(n, [0, (1 << n) - 1])
-    oracle = explicit_oracle(family)
-    centers = SetFamily.from_bits(n, [0])
+    oracle = ExplicitOracle(family)
     hits = 0
     for seed in range(100):
         got = approx_far_set(
-            oracle, centers, d=1, p=37, trials=512, rng=SplitMix64(seed)
+            oracle, [0], d=1, p=37, trials=512, rng=SplitMix64(seed)
         )
-        if got is not None and got.bits == (1 << n) - 1:
+        if got is not None and got == (1 << n) - 1:
             hits += 1
     report(6, hits >= 99, f"{hits}/100 seeded runs found the far set")
 
@@ -384,7 +383,7 @@ def test_criterion_7_mincut_structure():
     for _ in range(50):
         nv = rng.randint(3, 8)
         graph = random_digraph(rng, nv, rng.randint(nv, 3 * nv))
-        oracle = mincut_oracle(graph, 0, nv - 1)
+        oracle = MinCutOracle(graph, 0, nv - 1)
         ideals = oracle.poset.all_ideals()
         cuts = sorted(oracle.poset.cut_bits(i) for i in ideals)
         arcs = graph.arcs()
@@ -408,10 +407,9 @@ def test_criterion_7_mincut_structure():
         length = k * (2 * d + 1) + 2
         edges = tuple((i, i + 1) for i in range(length))
         graph = GraphData(directed=True, n_vertices=length + 1, edges=edges)
-        oracle = mincut_oracle(graph, 0, length)
+        oracle = MinCutOracle(graph, 0, length)
         ctx = OracleContext(k=k, d=d, p=length + 1)
-        empty = SubsetMask.empty(length + 1)
-        q = ExtensionQuery(SubsetMask(length + 1, 0b1), 2, empty, empty)
+        q = ExtensionQuery(0b1, 2, 0, 0)
         got = oracle.exact_extend(q, ctx)
         assert isinstance(got, TrivialSparsifier), (k, d)
         family = got.family

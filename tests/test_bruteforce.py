@@ -9,7 +9,6 @@ import pytest
 from divsparse import GuardError, ProblemSpec, SetFamily
 from divsparse.bruteforce import (
     VerifyScope,
-    brute_oracles,
     brute_solve,
     enumerate_domain,
     verify_sparsifier,
@@ -180,11 +179,3 @@ class TestBruteSolve:
         fam = SetFamily.from_bits(12, list(range(1, 400)))
         with pytest.raises(GuardError):
             brute_solve(fam, ProblemSpec("maxmin", 3, 1))
-
-    def test_brute_oracles_share_scan_semantics(self):
-        fam = SetFamily.from_bits(2, [0b01, 0b10])
-        oracle = brute_oracles(fam)
-        from divsparse import WeightVector
-
-        got = oracle.opt_pm1(WeightVector(2, (1, -1)))
-        assert got is not None and got.bits == 0b01

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import io
 import contextlib
+from dataclasses import replace
 
 import pytest
 
+import divsparse.cli as cli
+from divsparse import DomainOracle, Found
 from divsparse.cli import run
 from divsparse.instances import ParseError, parse_instance
 
@@ -271,3 +274,26 @@ class TestExitCodes:
         path = write(big)
         code, _ = invoke(["enumerate", "--instance", path])
         assert code == 3
+
+    def test_soundness_error_is_4(self, write, monkeypatch, capsys):
+        class Liar(DomainOracle):
+            # answers every query with {0,1}, whatever size was asked for
+            universe_size = 2
+
+            def exact_extend(self, query, ctx=None):
+                return Found(0b11)
+
+        monkeypatch.setattr(
+            cli,
+            "parse_instance",
+            lambda text: replace(parse_instance(text), _oracle_factory=Liar),
+        )
+        path = write(EXPLICIT_TWO)
+        code, out = invoke(
+            ["sparsify", "--instance", path, "--k", "1", "--d", "1", "--mode", "small"]
+        )
+        assert code == cli.EXIT_SOUNDNESS == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: witness {0,1}/2 does not have size 0\n"
+        )

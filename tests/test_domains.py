@@ -13,20 +13,19 @@ from divsparse import (
     Found,
     NotFound,
     SetFamily,
-    SubsetMask,
     WeightVector,
-    hamming,
+    distance,
 )
-from divsparse.bruteforce import brute_oracles, enumerate_domain
+from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import (
+    ExplicitOracle,
     GraphData,
     GraphicMatroid,
+    MatchingOracle,
+    MatroidBaseOracle,
     UniformMatroid,
-    explicit_oracle,
-    matching_oracle,
-    matroid_base_oracle,
-    union_oracle,
-    vertex_cover_oracle,
+    UnionOracle,
+    VertexCoverOracle,
 )
 from divsparse.instances import (
     dag_dp_instance,
@@ -47,8 +46,7 @@ def extension_queries(n, domain, max_forced_forbidden=4, radii=None):
     if radii is None:
         radii = range(n + 1)
     elements = list(range(n))
-    for c_bits in domain.bits_list():
-        center = SubsetMask(n, c_bits)
+    for center in domain.bits_list():
         for total in range(max_forced_forbidden + 1):
             for chosen in combinations(elements, total):
                 for assign in range(1 << total):
@@ -60,18 +58,13 @@ def extension_queries(n, domain, max_forced_forbidden=4, radii=None):
                         else:
                             y_bits |= 1 << e
                     for r in radii:
-                        yield ExtensionQuery(
-                            center,
-                            r,
-                            SubsetMask(n, x_bits),
-                            SubsetMask(n, y_bits),
-                        )
+                        yield ExtensionQuery(center, r, x_bits, y_bits)
 
 
 def assert_oracle_matches_brute(instance, domain, max_ff=3, opt=True):
     n = domain.universe_size
     oracle = instance.oracle()
-    reference = brute_oracles(domain)
+    reference = ExplicitOracle(domain)
     if opt:
         for w in all_weight_vectors(n):
             got = oracle.opt_pm1(w)
@@ -80,15 +73,15 @@ def assert_oracle_matches_brute(instance, domain, max_ff=3, opt=True):
                 assert got is None
             else:
                 assert got is not None
-                assert domain.contains_bits(got.bits)
+                assert domain.contains_bits(got)
                 assert w.weight_of(got) == w.weight_of(want)
     for query in extension_queries(n, domain, max_ff):
         got = oracle.exact_extend(query)
         want = reference.exact_extend(query)
         if isinstance(want, Found):
             assert isinstance(got, Found), (query, want)
-            assert query.admits_bits(got.witness.bits)
-            assert domain.contains_bits(got.witness.bits)
+            assert query.admits_bits(got.witness)
+            assert domain.contains_bits(got.witness)
         else:
             assert isinstance(got, NotFound), (query, got)
 
@@ -96,30 +89,30 @@ def assert_oracle_matches_brute(instance, domain, max_ff=3, opt=True):
 class TestExplicitOracle:
     def test_opt_scan(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        got = explicit_oracle(fam).opt_pm1(WeightVector(2, (1, -1)))
-        assert got is not None and got.bits == 0b01
+        got = ExplicitOracle(fam).opt_pm1(WeightVector(2, (1, -1)))
+        assert got is not None and got == 0b01
 
     def test_extend_scan(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        q = ExtensionQuery(SubsetMask(2, 0b01), 2, SubsetMask.empty(2), SubsetMask.empty(2))
-        got = explicit_oracle(fam).exact_extend(q)
-        assert isinstance(got, Found) and got.witness.bits == 0b10
+        q = ExtensionQuery(0b01, 2, 0, 0)
+        got = ExplicitOracle(fam).exact_extend(q)
+        assert isinstance(got, Found) and got.witness == 0b10
 
     def test_extend_not_found(self):
         fam = SetFamily.from_bits(2, [0b01])
-        q = ExtensionQuery(SubsetMask(2, 0b01), 1, SubsetMask.empty(2), SubsetMask.empty(2))
-        assert isinstance(explicit_oracle(fam).exact_extend(q), NotFound)
+        q = ExtensionQuery(0b01, 1, 0, 0)
+        assert isinstance(ExplicitOracle(fam).exact_extend(q), NotFound)
 
     def test_empty_family_opt(self):
-        assert explicit_oracle(SetFamily.empty(3)).opt_pm1(
+        assert ExplicitOracle(SetFamily.empty(3)).opt_pm1(
             WeightVector(3, (1, 1, 1))
         ) is None
 
     def test_complement_closure_detection(self):
         closed = SetFamily.from_bits(2, [0b01, 0b10])
-        assert explicit_oracle(closed).complement_closed
+        assert ExplicitOracle(closed).complement_closed
         open_ = SetFamily.from_bits(2, [0b01, 0b11])
-        assert not explicit_oracle(open_).complement_closed
+        assert not ExplicitOracle(open_).complement_closed
 
 
 def p3() -> GraphData:
@@ -128,24 +121,20 @@ def p3() -> GraphData:
 
 class TestVertexCover:
     def test_empty_extension_examples(self):
-        oracle = vertex_cover_oracle(p3(), 2)
-        got = oracle.exact_empty_extend(2, SubsetMask(3, 0b010))
-        assert isinstance(got, Found) and got.witness.bits == 0b101
-        got = oracle.exact_empty_extend(1, SubsetMask(3, 0b101))
-        assert isinstance(got, Found) and got.witness.bits == 0b010
-        assert isinstance(
-            oracle.exact_empty_extend(2, SubsetMask(3, 0b011)), NotFound
-        )
+        oracle = VertexCoverOracle(p3(), 2)
+        got = oracle.exact_empty_extend(2, 0b010)
+        assert isinstance(got, Found) and got.witness == 0b101
+        got = oracle.exact_empty_extend(1, 0b101)
+        assert isinstance(got, Found) and got.witness == 0b010
+        assert isinstance(oracle.exact_empty_extend(2, 0b011), NotFound)
 
     def test_oversized_requests_rejected(self):
-        oracle = vertex_cover_oracle(p3(), 2)
-        assert isinstance(
-            oracle.exact_empty_extend(3, SubsetMask.empty(3)), NotFound
-        )
+        oracle = VertexCoverOracle(p3(), 2)
+        assert isinstance(oracle.exact_empty_extend(3, 0), NotFound)
 
     def test_opt_unsupported(self):
         with pytest.raises(CapabilityError):
-            vertex_cover_oracle(p3(), 2).opt_pm1(WeightVector(3, (1, 1, 1)))
+            VertexCoverOracle(p3(), 2).opt_pm1(WeightVector(3, (1, 1, 1)))
 
     def test_matches_brute_on_random_instances(self):
         for seed in range(6):
@@ -156,27 +145,27 @@ class TestVertexCover:
 class TestMatroidBases:
     def test_triangle_opt(self):
         graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2), (2, 0)))
-        oracle = matroid_base_oracle(GraphicMatroid(graph))
+        oracle = MatroidBaseOracle(GraphicMatroid(graph))
         got = oracle.opt_pm1(WeightVector(3, (1, 1, -1)))
-        assert got is not None and got.bits == 0b011
+        assert got is not None and got == 0b011
 
     def test_triangle_extension_at_distance_two(self):
         graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2), (2, 0)))
-        oracle = matroid_base_oracle(GraphicMatroid(graph))
-        q = ExtensionQuery(SubsetMask(3, 0b011), 2, SubsetMask.empty(3), SubsetMask.empty(3))
+        oracle = MatroidBaseOracle(GraphicMatroid(graph))
+        q = ExtensionQuery(0b011, 2, 0, 0)
         got = oracle.exact_extend(q)
         assert isinstance(got, Found)
-        assert hamming(got.witness, SubsetMask(3, 0b011)) == 2
+        assert distance(got.witness, 0b011, 3) == 2
 
     def test_uniform_antipodal_extension(self):
-        oracle = matroid_base_oracle(UniformMatroid(4, 2))
-        q = ExtensionQuery(SubsetMask(4, 0b0011), 4, SubsetMask.empty(4), SubsetMask.empty(4))
+        oracle = MatroidBaseOracle(UniformMatroid(4, 2))
+        q = ExtensionQuery(0b0011, 4, 0, 0)
         got = oracle.exact_extend(q)
-        assert isinstance(got, Found) and got.witness.bits == 0b1100
+        assert isinstance(got, Found) and got.witness == 0b1100
 
     def test_odd_radius_rejected(self):
-        oracle = matroid_base_oracle(UniformMatroid(4, 2))
-        q = ExtensionQuery(SubsetMask(4, 0b0011), 3, SubsetMask.empty(4), SubsetMask.empty(4))
+        oracle = MatroidBaseOracle(UniformMatroid(4, 2))
+        q = ExtensionQuery(0b0011, 3, 0, 0)
         assert isinstance(oracle.exact_extend(q), NotFound)
 
     def test_exchange_walk_invariants(self):
@@ -215,16 +204,16 @@ def c4() -> GraphData:
 
 class TestMatching:
     def test_c4_opt_ties(self):
-        oracle = matching_oracle(c4(), 2)
+        oracle = MatchingOracle(c4(), 2)
         got = oracle.opt_pm1(WeightVector(4, (1, 1, 1, 1)))
-        assert got is not None and got.bits in (0b0101, 0b1010)
+        assert got is not None and got in (0b0101, 0b1010)
 
     def test_c4_extension(self):
-        oracle = matching_oracle(c4(), 2)
-        q = ExtensionQuery(SubsetMask(4, 0b0101), 4, SubsetMask.empty(4), SubsetMask.empty(4))
+        oracle = MatchingOracle(c4(), 2)
+        q = ExtensionQuery(0b0101, 4, 0, 0)
         got = oracle.exact_extend(q)
-        assert isinstance(got, Found) and got.witness.bits == 0b1010
-        q2 = ExtensionQuery(SubsetMask(4, 0b0101), 2, SubsetMask.empty(4), SubsetMask.empty(4))
+        assert isinstance(got, Found) and got.witness == 0b1010
+        q2 = ExtensionQuery(0b0101, 2, 0, 0)
         assert isinstance(oracle.exact_extend(q2), NotFound)
 
     def test_expansion_matches_enumeration(self):
@@ -286,7 +275,7 @@ class TestMatching:
             assert_oracle_matches_brute(instance, domain, max_ff=2)
 
     def test_infeasible_size_gives_empty_domain(self):
-        oracle = matching_oracle(c4(), 3)  # C4 has no 3-edge matching
+        oracle = MatchingOracle(c4(), 3)  # C4 has no 3-edge matching
         assert oracle.opt_pm1(WeightVector(4, (1, 1, 1, 1))) is None
 
 
@@ -298,11 +287,11 @@ class TestDagDp:
         assert sorted(domain.bits_list()) == [0b101, 0b110]
         oracle = instance.oracle()
         got = oracle.opt_pm1(WeightVector(3, (1, -1, 1)))
-        assert got is not None and got.bits == 0b101
-        q = ExtensionQuery(SubsetMask(3, 0b101), 2, SubsetMask.empty(3), SubsetMask.empty(3))
+        assert got is not None and got == 0b101
+        q = ExtensionQuery(0b101, 2, 0, 0)
         found = oracle.exact_extend(q)
-        assert isinstance(found, Found) and found.witness.bits == 0b110
-        q_odd = ExtensionQuery(SubsetMask(3, 0b101), 1, SubsetMask.empty(3), SubsetMask.empty(3))
+        assert isinstance(found, Found) and found.witness == 0b110
+        q_odd = ExtensionQuery(0b101, 1, 0, 0)
         assert isinstance(oracle.exact_extend(q_odd), NotFound)
 
     def test_label_repetition_on_path_rejected(self):
@@ -319,31 +308,29 @@ class TestDagDp:
 class TestUnionOracle:
     def test_opt_takes_best_part(self):
         parts = [
-            explicit_oracle(SetFamily.from_bits(2, [0b01])),
-            explicit_oracle(SetFamily.from_bits(2, [0b10])),
+            ExplicitOracle(SetFamily.from_bits(2, [0b01])),
+            ExplicitOracle(SetFamily.from_bits(2, [0b10])),
         ]
-        got = union_oracle(parts).opt_pm1(WeightVector(2, (-1, 1)))
-        assert got is not None and got.bits == 0b10
+        got = UnionOracle(parts).opt_pm1(WeightVector(2, (-1, 1)))
+        assert got is not None and got == 0b10
 
     def test_extension_falls_through_blocked_parts(self):
         parts = [
-            explicit_oracle(SetFamily.from_bits(2, [0b10])),
-            explicit_oracle(SetFamily.from_bits(2, [0b01])),
+            ExplicitOracle(SetFamily.from_bits(2, [0b10])),
+            ExplicitOracle(SetFamily.from_bits(2, [0b01])),
         ]
-        q = ExtensionQuery(
-            SubsetMask.empty(2), 1, SubsetMask.empty(2), SubsetMask(2, 0b10)
-        )
-        got = union_oracle(parts).exact_extend(q)
-        assert isinstance(got, Found) and got.witness.bits == 0b01
+        q = ExtensionQuery(0, 1, 0, 0b10)
+        got = UnionOracle(parts).exact_extend(q)
+        assert isinstance(got, Found) and got.witness == 0b01
 
     def test_empty_part_is_transparent(self):
         parts = [
-            explicit_oracle(SetFamily.empty(2)),
-            explicit_oracle(SetFamily.from_bits(2, [0b11])),
+            ExplicitOracle(SetFamily.empty(2)),
+            ExplicitOracle(SetFamily.from_bits(2, [0b11])),
         ]
-        union = union_oracle(parts)
+        union = UnionOracle(parts)
         got = union.opt_pm1(WeightVector(2, (1, 1)))
-        assert got is not None and got.bits == 0b11
+        assert got is not None and got == 0b11
 
     def test_equivalent_to_merged_family(self):
         rng = random.Random(51)
@@ -355,11 +342,11 @@ class TestUnionOracle:
             fam_b = SetFamily.from_bits(
                 n, list({rng.getrandbits(n) for _ in range(3)})
             )
-            union = union_oracle([explicit_oracle(fam_a), explicit_oracle(fam_b)])
+            union = UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)])
             merged = SetFamily.dedup_from_bits(
                 n, fam_a.bits_list() + fam_b.bits_list()
             )
-            reference = brute_oracles(merged)
+            reference = ExplicitOracle(merged)
             for w in all_weight_vectors(n):
                 got = union.opt_pm1(w)
                 want = reference.opt_pm1(w)
@@ -371,15 +358,15 @@ class TestUnionOracle:
                 want = reference.exact_extend(query)
                 assert isinstance(got, Found) == isinstance(want, Found)
                 if isinstance(got, Found):
-                    assert query.admits_bits(got.witness.bits)
-                    assert merged.contains_bits(got.witness.bits)
+                    assert query.admits_bits(got.witness)
+                    assert merged.contains_bits(got.witness)
 
     def test_mismatched_universes_rejected(self):
         with pytest.raises(ValueError):
-            union_oracle(
+            UnionOracle(
                 [
-                    explicit_oracle(SetFamily.empty(2)),
-                    explicit_oracle(SetFamily.empty(3)),
+                    ExplicitOracle(SetFamily.empty(2)),
+                    ExplicitOracle(SetFamily.empty(3)),
                 ]
             )
 
@@ -396,7 +383,7 @@ class TestUnionOracle:
             fam_b = SetFamily.from_bits(
                 n, list({rng.getrandbits(n) for _ in range(4)})
             )
-            union = union_oracle([explicit_oracle(fam_a), explicit_oracle(fam_b)])
+            union = UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)])
             merged = SetFamily.dedup_from_bits(
                 n, fam_a.bits_list() + fam_b.bits_list()
             )

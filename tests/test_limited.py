@@ -12,17 +12,16 @@ from divsparse import (
     NotFound,
     SetFamily,
     SplitMix64,
-    SubsetMask,
     approx_far_set,
     cluster_or_trivial,
     default_cluster_radius,
     default_trials,
     dk_sparsify,
-    hamming,
+    distance,
     shifted_empty_extension,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
-from divsparse.domains import explicit_oracle
+from divsparse.domains import ExplicitOracle
 
 from helpers import random_family
 
@@ -46,22 +45,24 @@ def single_trial_success_probability(n: int) -> float:
 class TestApproxFarSet:
     def test_only_member_is_never_far(self):
         fam = SetFamily.from_bits(4, [0b0101])
-        oracle = explicit_oracle(fam)
-        got = approx_far_set(oracle, fam, d=1, p=37, trials=64, rng=SplitMix64(3))
+        oracle = ExplicitOracle(fam)
+        got = approx_far_set(
+            oracle, fam.bits_list(), d=1, p=37, trials=64, rng=SplitMix64(3)
+        )
         assert got is None
 
     def test_two_point_domain_finds_far_set(self):
         n = 10
         fam = two_point_domain(n)
-        oracle = explicit_oracle(fam)
-        centers = SetFamily.from_bits(n, [0])
+        oracle = ExplicitOracle(fam)
+        centers = [0]
         # frozen from the binomial tail: 386/1024 per trial
         assert single_trial_success_probability(n) == 386 / 1024
         got = approx_far_set(
             oracle, centers, d=1, p=37, trials=512, rng=SplitMix64(0)
         )
-        assert got is not None and len(got) == n
-        assert hamming(got, centers.members[0]) == n > 2
+        assert got is not None and got.bit_count() == n
+        assert distance(got, centers[0], n) == n > 2
 
     def test_soundness_only_far_sets_returned(self):
         rng = random.Random(17)
@@ -69,10 +70,10 @@ class TestApproxFarSet:
             n = rng.randint(3, 8)
             fam = random_family(rng, n, 12)
             centers_count = rng.randint(0, min(3, len(fam)))
-            centers = SetFamily.from_bits(n, fam.bits_list()[:centers_count])
+            centers = fam.bits_list()[:centers_count]
             d = rng.randint(0, 2)
             got = approx_far_set(
-                explicit_oracle(fam),
+                ExplicitOracle(fam),
                 centers,
                 d=d,
                 p=2 * d + 5,
@@ -80,21 +81,21 @@ class TestApproxFarSet:
                 rng=SplitMix64(trial),
             )
             if got is not None:
-                assert all(hamming(got, c) > 2 * d for c in centers)
+                assert all(distance(got, c, n) > 2 * d for c in centers)
 
     def test_empty_domain(self):
-        oracle = explicit_oracle(SetFamily.empty(4))
-        got = approx_far_set(
-            oracle, SetFamily.empty(4), d=1, p=37, trials=8, rng=SplitMix64(1)
-        )
+        oracle = ExplicitOracle(SetFamily.empty(4))
+        got = approx_far_set(oracle, [], d=1, p=37, trials=8, rng=SplitMix64(1))
         assert got is None
 
     def test_parameter_validation(self):
-        oracle = explicit_oracle(two_point_domain(4))
+        oracle = ExplicitOracle(two_point_domain(4))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, SetFamily.empty(4), 2, p=4, trials=8, rng=SplitMix64(0))
+            approx_far_set(oracle, [], 2, p=4, trials=8, rng=SplitMix64(0))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, SetFamily.empty(4), 1, p=37, trials=0, rng=SplitMix64(0))
+            approx_far_set(oracle, [], 1, p=37, trials=0, rng=SplitMix64(0))
+        with pytest.raises(ValueError):
+            approx_far_set(oracle, [1 << 4], 1, p=37, trials=8, rng=SplitMix64(0))
 
 
 class TestDefaults:
@@ -121,7 +122,7 @@ class TestClusterOrTrivial:
     def test_single_member_domain(self):
         fam = SetFamily.from_bits(3, [0])
         got = cluster_or_trivial(
-            explicit_oracle(fam), LimitedSparsifyParams(k=2, d=1, seed=5)
+            ExplicitOracle(fam), LimitedSparsifyParams(k=2, d=1, seed=5)
         )
         assert not got.trivial and got.family.bits_list() == [0]
 
@@ -129,15 +130,15 @@ class TestClusterOrTrivial:
         n = 10
         fam = two_point_domain(n)
         got = cluster_or_trivial(
-            explicit_oracle(fam), LimitedSparsifyParams(k=1, d=1, seed=0)
+            ExplicitOracle(fam), LimitedSparsifyParams(k=1, d=1, seed=0)
         )
         assert got.trivial and len(got.family) == 2
-        a, b = got.family.members
-        assert hamming(a, b) == n > 2
+        a, b = got.family.bits_list()
+        assert distance(a, b, n) == n > 2
 
     def test_empty_domain(self):
         got = cluster_or_trivial(
-            explicit_oracle(SetFamily.empty(4)),
+            ExplicitOracle(SetFamily.empty(4)),
             LimitedSparsifyParams(k=2, d=1, seed=9),
         )
         assert not got.trivial and len(got.family) == 0
@@ -151,44 +152,42 @@ class TestClusterOrTrivial:
             k = rng.randint(1, 2)
             d = rng.randint(0, 1)
             got = cluster_or_trivial(
-                explicit_oracle(fam),
+                ExplicitOracle(fam),
                 LimitedSparsifyParams(k=k, d=d, seed=trial, trials_override=64),
             )
             if got.trivial:
                 seen_trivial += 1
                 assert len(got.family) == k + 1
-                for a, b in combinations(got.family, 2):
-                    assert hamming(a, b) > 2 * d
+                for a, b in combinations(got.family.bits_list(), 2):
+                    assert distance(a, b, n) > 2 * d
         assert seen_trivial > 5
 
 
 class TestShiftedEmptyExtension:
     def test_empty_center_is_identity(self):
         fam = SetFamily.from_bits(3, [0b011, 0b100])
-        oracle = explicit_oracle(fam)
-        view = shifted_empty_extension(oracle, SubsetMask.empty(3), k=1, d=1)
-        got = view.exact_empty_extend(2, SubsetMask.empty(3))
-        assert isinstance(got, Found) and got.witness.bits == 0b011
+        oracle = ExplicitOracle(fam)
+        view = shifted_empty_extension(oracle, 0, k=1, d=1)
+        got = view.exact_empty_extend(2, 0)
+        assert isinstance(got, Found) and got.witness == 0b011
 
     def test_zero_radius_checks_center_membership(self):
         fam = SetFamily.from_bits(3, [0b011])
-        oracle = explicit_oracle(fam)
-        inside = shifted_empty_extension(oracle, SubsetMask(3, 0b011), k=1, d=1)
-        got = inside.exact_empty_extend(0, SubsetMask.empty(3))
-        assert isinstance(got, Found) and got.witness.bits == 0
-        outside = shifted_empty_extension(oracle, SubsetMask(3, 0b101), k=1, d=1)
-        assert isinstance(
-            outside.exact_empty_extend(0, SubsetMask.empty(3)), NotFound
-        )
+        oracle = ExplicitOracle(fam)
+        inside = shifted_empty_extension(oracle, 0b011, k=1, d=1)
+        got = inside.exact_empty_extend(0, 0)
+        assert isinstance(got, Found) and got.witness == 0
+        outside = shifted_empty_extension(oracle, 0b101, k=1, d=1)
+        assert isinstance(outside.exact_empty_extend(0, 0), NotFound)
 
     def test_forbidden_splits_into_forced_and_avoided(self):
         # members {0} and {0,1}; center {0}: query (r=1, Y*={0}) maps to
         # forced {0}, forbidden empty, and must return {0,1} shifted to {1}
         fam = SetFamily.from_bits(2, [0b01, 0b11])
-        oracle = explicit_oracle(fam)
-        view = shifted_empty_extension(oracle, SubsetMask(2, 0b01), k=1, d=1)
-        got = view.exact_empty_extend(1, SubsetMask(2, 0b01))
-        assert isinstance(got, Found) and got.witness.bits == 0b10
+        oracle = ExplicitOracle(fam)
+        view = shifted_empty_extension(oracle, 0b01, k=1, d=1)
+        got = view.exact_empty_extend(1, 0b01)
+        assert isinstance(got, Found) and got.witness == 0b10
         # brute check: the only member at shifted distance 1 keeping
         # element 0 as in the center is {0,1}
         matches = [
@@ -202,24 +201,24 @@ class TestShiftedEmptyExtension:
 class TestDkSparsify:
     def test_single_empty_set(self):
         fam = SetFamily.from_bits(3, [0])
-        report = dk_sparsify(explicit_oracle(fam), LimitedSparsifyParams(k=1, d=1, seed=2))
+        report = dk_sparsify(ExplicitOracle(fam), LimitedSparsifyParams(k=1, d=1, seed=2))
         assert report.family.bits_list() == [0]
         assert not report.shortcut and not report.scattered
 
     def test_three_member_example(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10, 0b11])
-        report = dk_sparsify(explicit_oracle(fam), LimitedSparsifyParams(k=2, d=2, seed=0))
+        report = dk_sparsify(ExplicitOracle(fam), LimitedSparsifyParams(k=2, d=2, seed=0))
         scope = VerifyScope.versus_all_subsets(k=2, cap=2)
         assert verify_sparsifier(fam, report.family, scope).ok
 
     def test_two_point_domain_returns_both_via_trivial(self):
         n = 10
         fam = two_point_domain(n)
-        report = dk_sparsify(explicit_oracle(fam), LimitedSparsifyParams(k=1, d=1, seed=0))
+        report = dk_sparsify(ExplicitOracle(fam), LimitedSparsifyParams(k=1, d=1, seed=0))
         assert report.scattered
         assert sorted(report.family.bits_list()) == [0, (1 << n) - 1]
-        a, b = report.family.members
-        assert hamming(a, b) > 2
+        a, b = report.family.bits_list()
+        assert distance(a, b, n) > 2
         scope = VerifyScope.versus_all_subsets(k=1, cap=1)
         assert verify_sparsifier(fam, report.family, scope).ok
 
@@ -232,7 +231,7 @@ class TestDkSparsify:
             k = rng.randint(1, 2)
             d = rng.randint(0, 1)
             report = dk_sparsify(
-                explicit_oracle(fam),
+                ExplicitOracle(fam),
                 LimitedSparsifyParams(k=k, d=d, seed=trial, trials_override=64),
             )
             if not report.scattered:
@@ -244,7 +243,7 @@ class TestDkSparsify:
 
     def test_empty_domain_returns_empty_family(self):
         report = dk_sparsify(
-            explicit_oracle(SetFamily.empty(5)), LimitedSparsifyParams(k=2, d=1, seed=3)
+            ExplicitOracle(SetFamily.empty(5)), LimitedSparsifyParams(k=2, d=1, seed=3)
         )
         assert len(report.family) == 0
 
@@ -256,7 +255,7 @@ class TestDkSparsify:
             k = rng.randint(1, 3)
             d = rng.randint(0, 3)
             report = dk_sparsify(
-                explicit_oracle(fam),
+                ExplicitOracle(fam),
                 LimitedSparsifyParams(k=k, d=d, seed=trial, trials_override=128),
             )
             for m in report.family:
@@ -267,8 +266,8 @@ class TestDkSparsify:
     def test_determinism_per_seed(self):
         fam = SetFamily.from_bits(6, [0b000111, 0b111000, 0b010101, 0b101010])
         params = LimitedSparsifyParams(k=2, d=1, seed=77, trials_override=64)
-        first = dk_sparsify(explicit_oracle(fam), params)
-        second = dk_sparsify(explicit_oracle(fam), params)
+        first = dk_sparsify(ExplicitOracle(fam), params)
+        second = dk_sparsify(ExplicitOracle(fam), params)
         assert first.family == second.family
         assert first.calls_opt == second.calls_opt
         assert first.calls_extend == second.calls_extend
@@ -276,7 +275,7 @@ class TestDkSparsify:
     def test_report_provenance(self):
         fam = SetFamily.from_bits(4, [0b0001, 0b0010])
         params = LimitedSparsifyParams(k=1, d=0, seed=11)
-        report = dk_sparsify(explicit_oracle(fam), params)
+        report = dk_sparsify(ExplicitOracle(fam), params)
         assert report.mode == "limited"
         assert report.seed == 11 and report.p == default_cluster_radius(1, 0)
         assert report.calls_opt > 0

@@ -11,17 +11,14 @@ from divsparse import (
     LimitedSparsifyParams,
     ProblemSpec,
     SetFamily,
-    SubsetMask,
     dk_sparsify,
     limited_builder,
     min_cluster_radius,
     small_builder,
     solve,
-    solve_k_center,
-    solve_max_min,
 )
 from divsparse.bruteforce import brute_solve, enumerate_domain
-from divsparse.domains import GraphData, explicit_oracle
+from divsparse.domains import ExplicitOracle, GraphData
 from divsparse.instances import (
     matching_instance,
     spanning_tree_instance,
@@ -61,24 +58,16 @@ class TestMaxMin:
     def test_k1_feasible_iff_nonempty(self):
         fam = SetFamily.from_bits(4, [0b0011])
         spec = ProblemSpec("maxmin", 1, 7)
-        answer = solve(explicit_oracle(fam), spec, FAST_BUILDER)
+        answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
         assert answer.feasible and len(answer.witnesses) == 1
-        empty = solve(explicit_oracle(SetFamily.empty(4)), spec, FAST_BUILDER)
+        empty = solve(ExplicitOracle(SetFamily.empty(4)), spec, FAST_BUILDER)
         assert not empty.feasible
 
     def test_d0_feasible_iff_nonempty(self):
         fam = SetFamily.from_bits(3, [0b001])
         spec = ProblemSpec("maxmin", 3, 0)
-        answer = solve(explicit_oracle(fam), spec, FAST_BUILDER)
+        answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
         assert answer.feasible
-
-    def test_problem_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            solve_max_min(
-                explicit_oracle(SetFamily.empty(3)),
-                ProblemSpec("maxsum", 2, 1),
-                FAST_BUILDER,
-            )
 
 
 class TestMaxSum:
@@ -91,7 +80,7 @@ class TestMaxSum:
 
     def test_single_member_duplicate_tuple(self):
         fam = SetFamily.from_bits(3, [0b011])
-        oracle = explicit_oracle(fam)
+        oracle = ExplicitOracle(fam)
         assert not solve(oracle, ProblemSpec("maxsum", 2, 1), FAST_BUILDER).feasible
         assert solve(oracle, ProblemSpec("maxsum", 2, 0), FAST_BUILDER).feasible
 
@@ -99,15 +88,15 @@ class TestMaxSum:
 class TestMinClusterRadius:
     def test_self_cover(self):
         fam = SetFamily.from_bits(4, [0b0011, 0b1100])
-        got = min_cluster_radius([SubsetMask(4, 0b0011)], 2, explicit_oracle(fam))
-        assert got is not None and got[0] == 0 and got[1].bits == 0b0011
+        got = min_cluster_radius([0b0011], 2, ExplicitOracle(fam))
+        assert got is not None and got[0] == 0 and got[1] == 0b0011
 
     def test_two_singletons(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        cluster = [SubsetMask(2, 0b01), SubsetMask(2, 0b10)]
-        got = min_cluster_radius(cluster, 2, explicit_oracle(fam))
-        assert got is not None and got[0] == 2 and got[1].bits in (0b01, 0b10)
-        assert min_cluster_radius(cluster, 1, explicit_oracle(fam)) is None
+        cluster = [0b01, 0b10]
+        got = min_cluster_radius(cluster, 2, ExplicitOracle(fam))
+        assert got is not None and got[0] == 2 and got[1] in (0b01, 0b10)
+        assert min_cluster_radius(cluster, 1, ExplicitOracle(fam)) is None
 
     def test_matches_direct_minimum_on_random_instances(self):
         rng = random.Random(77)
@@ -117,8 +106,7 @@ class TestMinClusterRadius:
             size = rng.randint(1, min(4, len(bits)))
             cluster_bits = rng.sample(bits, size)
             d = rng.randint(0, 3)
-            cluster = [SubsetMask(domain.universe_size, b) for b in cluster_bits]
-            got = min_cluster_radius(cluster, d, instance.oracle())
+            got = min_cluster_radius(cluster_bits, d, instance.oracle())
             direct = min(
                 (
                     max((c ^ b).bit_count() for b in cluster_bits)
@@ -132,13 +120,16 @@ class TestMinClusterRadius:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            min_cluster_radius([], 1, explicit_oracle(SetFamily.empty(2)))
+            min_cluster_radius([], 1, ExplicitOracle(SetFamily.empty(2)))
+        for outside in (-1, 0b100):
+            with pytest.raises(ValueError):
+                min_cluster_radius([outside], 1, ExplicitOracle(SetFamily.empty(2)))
 
 
 class TestKCenter:
     def test_two_singletons_examples(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        oracle = explicit_oracle(fam)
+        oracle = ExplicitOracle(fam)
         yes = solve(oracle, ProblemSpec("kcenter", 2, 0), FAST_BUILDER)
         assert yes.feasible and yes.radii == (0, 0)
         assert not solve(oracle, ProblemSpec("kcenter", 1, 1), FAST_BUILDER).feasible
@@ -147,13 +138,13 @@ class TestKCenter:
 
     def test_sum_of_radii_examples(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        oracle = explicit_oracle(fam)
+        oracle = ExplicitOracle(fam)
         assert solve(oracle, ProblemSpec("ksumradii", 2, 0), FAST_BUILDER).feasible
         assert solve(oracle, ProblemSpec("ksumradii", 1, 2), FAST_BUILDER).feasible
         assert not solve(oracle, ProblemSpec("ksumradii", 1, 1), FAST_BUILDER).feasible
 
     def test_empty_domain_infeasible(self):
-        oracle = explicit_oracle(SetFamily.empty(3))
+        oracle = ExplicitOracle(SetFamily.empty(3))
         assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_BUILDER).feasible
 
 
@@ -191,7 +182,7 @@ class TestSolverOracleEquivalence:
             d = rng.randint(0, 2)
             spec = ProblemSpec(problem, k, d, modified=True)
             answer = solve(
-                explicit_oracle(fam), spec, limited_builder(seed=seed, trials=96)
+                ExplicitOracle(fam), spec, limited_builder(seed=seed, trials=96)
             )
             expected = brute_solve(fam, spec)
             assert answer.feasible == expected.feasible, (problem, k, d, seed)
@@ -207,7 +198,7 @@ class TestSolverOracleEquivalence:
             ell = max(len(m) for m in fam)
             problem = ("maxmin", "maxsum", "kcenter", "ksumradii")[seed % 4]
             spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 2), modified=True)
-            answer = solve(explicit_oracle(fam), spec, small_builder(ell))
+            answer = solve(ExplicitOracle(fam), spec, small_builder(ell))
             expected = brute_solve(fam, spec)
             assert answer.feasible == expected.feasible, (problem, seed)
             certify_answer(fam, spec, answer)
@@ -216,7 +207,7 @@ class TestSolverOracleEquivalence:
         fam = SetFamily.from_bits(2, [0b01, 0b11])  # not complement closed
         with pytest.raises(ValueError):
             solve(
-                explicit_oracle(fam),
+                ExplicitOracle(fam),
                 ProblemSpec("maxmin", 2, 1, modified=True),
                 FAST_BUILDER,
             )
@@ -323,8 +314,6 @@ class TestGloballyInfeasibleSignal:
         instance = st_mincut_instance(graph, 0, length)
         domain = enumerate_domain(instance)
         spec = ProblemSpec("kcenter", 1, 1)
-        answer = solve_k_center(
-            instance.oracle(), spec, limited_builder(seed=1, trials=64)
-        )
+        answer = solve(instance.oracle(), spec, limited_builder(seed=1, trials=64))
         expected = brute_solve(domain, spec)
         assert answer.feasible == expected.feasible == False

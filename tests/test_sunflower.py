@@ -25,7 +25,7 @@ from divsparse import (
     shifted_empty_extension,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
-from divsparse.domains import explicit_oracle
+from divsparse.domains import ExplicitOracle
 from divsparse.sunflower import _hitting_sets
 
 from helpers import (
@@ -168,7 +168,7 @@ def small_params(k, r, ell):
 class TestKSparsify:
     def test_five_singletons_keep_two(self):
         family = SetFamily.from_bits(5, [1 << i for i in range(5)])
-        report = k_sparsify(small_params(1, 1, 1), explicit_oracle(family))
+        report = k_sparsify(small_params(1, 1, 1), ExplicitOracle(family))
         assert len(report.family) == 2
         assert all(len(m) == 1 for m in report.family)
         scope = VerifyScope.versus_ball(
@@ -178,12 +178,12 @@ class TestKSparsify:
 
     def test_empty_set_domain(self):
         family = SetFamily.from_bits(3, [0])
-        report = k_sparsify(small_params(2, 3, 0), explicit_oracle(family))
+        report = k_sparsify(small_params(2, 3, 0), ExplicitOracle(family))
         assert report.family.bits_list() == [0]
 
     def test_three_disjoint_pairs(self):
         family = SetFamily.from_bits(6, [0b000011, 0b001100, 0b110000])
-        report = k_sparsify(small_params(1, 2, 2), explicit_oracle(family))
+        report = k_sparsify(small_params(1, 2, 2), ExplicitOracle(family))
         assert len(report.family) <= 3
         scope = VerifyScope.versus_ball(
             k=1, cap=None, center=SubsetMask.empty(6), radius=2
@@ -204,7 +204,7 @@ class TestKSparsify:
             k = rng.randint(1, 3)
             family = random_family(rng, n, 20, max_size=r)
             ell = max((len(m) for m in family), default=0)
-            report = k_sparsify(small_params(k, r, ell), explicit_oracle(family))
+            report = k_sparsify(small_params(k, r, ell), ExplicitOracle(family))
             bound = math.factorial(ell + 1) * (k * r + 1) ** ell
             assert len(report.family) <= bound
             for m in report.family:
@@ -224,7 +224,7 @@ class TestKSparsify:
             t = k * r + 2
             family = random_family(rng, n, 18, max_size=r)
             ell = max((len(m) for m in family), default=0)
-            report = k_sparsify(small_params(k, r, ell), explicit_oracle(family))
+            report = k_sparsify(small_params(k, r, ell), ExplicitOracle(family))
             members = list(report.family)
             if len(members) > 12:
                 continue
@@ -245,13 +245,13 @@ class TestKSparsify:
         # are left to meet the guard on the next pass
         family = SetFamily.from_bits(24, [1] + [0b11 << (2 * i + 1) for i in range(10)])
         with pytest.raises(GuardError):
-            k_sparsify(small_params(1, 9, 2), explicit_oracle(family))
+            k_sparsify(small_params(1, 9, 2), ExplicitOracle(family))
 
     def test_deterministic_and_call_counts_recorded(self):
         family = SetFamily.from_bits(6, [0b000111, 0b111000, 0b000110])
         params = small_params(2, 3, 3)
-        first = k_sparsify(params, explicit_oracle(family))
-        second = k_sparsify(params, explicit_oracle(family))
+        first = k_sparsify(params, ExplicitOracle(family))
+        second = k_sparsify(params, ExplicitOracle(family))
         assert first.family == second.family
         assert first.calls_extend == second.calls_extend > 0
         assert first.passes == len(first.family) + 1
@@ -279,13 +279,13 @@ class TestAgainstReference:
             ell = max(len(m) for m in family)
             r = rng.randint(ell, ell + 1)
             fewer += self._compare(
-                small_params(k, r, ell), lambda: explicit_oracle(family)
+                small_params(k, r, ell), lambda: ExplicitOracle(family)
             )
-            center = SubsetMask(n, rng.getrandbits(n))
-            shifted_ell = max((m.bits ^ center.bits).bit_count() for m in family)
+            center = rng.getrandbits(n)
+            shifted_ell = max((m.bits ^ center).bit_count() for m in family)
             fewer += self._compare(
                 small_params(k, shifted_ell, shifted_ell),
-                lambda: shifted_empty_extension(explicit_oracle(family), center, k, 1),
+                lambda: shifted_empty_extension(ExplicitOracle(family), center, k, 1),
             )
         assert fewer > 150  # the memo does save calls on most runs
 
@@ -294,14 +294,16 @@ _LYING_ORACLES = textwrap.dedent(
     """
     import sys
     from divsparse import (
-        DomainOracle, Found, NOT_FOUND, SmallSparsifyParams, SoundnessError,
-        SubsetMask, k_sparsify,
+        DomainOracle, ExtensionQuery, Found, NOT_FOUND, OracleContext,
+        SetFamily, SmallSparsifyParams, SoundnessError, TrivialSparsifier,
+        k_sparsify, min_cluster_radius,
     )
+    from divsparse.domains import UnionOracle
 
     N = 6
 
     class Liar(DomainOracle):
-        # members only of size 2; each lie breaks one witness property
+        # members only of size 2; each lie breaks one checked property
         def __init__(self, lie):
             self.lie = lie
 
@@ -310,28 +312,43 @@ _LYING_ORACLES = textwrap.dedent(
             return N
 
         def exact_extend(self, query, ctx=None):
-            raise NotImplementedError
+            if self.lie == "coverage":  # a center far from the cluster
+                return Found(query.center ^ ((1 << N) - 1))
+            # "count" / "spacing": a trivial sparsifier that is not one
+            bits = [0b01, 0b11] if self.lie == "spacing" else [0b01]
+            return TrivialSparsifier(SetFamily.from_bits(N, bits))
 
         def exact_empty_extend(self, r, forbidden, ctx=None):
             if r != 2:
                 return NOT_FOUND
             top = ((1 << r) - 1) << (N - r)
-            y = forbidden.bits
+            y = forbidden
             if self.lie == "universe":
-                return Found(SubsetMask(N + 1, top))
+                return Found(1 << N | 1)
             if self.lie == "size":
-                return Found(SubsetMask(N, (1 << (r + 1)) - 1))
+                return Found((1 << (r + 1)) - 1)
             if self.lie == "member" or y == 0:
-                return Found(SubsetMask(N, top))
+                return Found(top)
             # "blocker": a new set holding the lowest forbidden element
             low = y & -y
             free = ~y & ((1 << N) - 1)
-            return Found(SubsetMask(N, low | (free & -free)))
+            return Found(low | (free & -free))
+
+    def sparsify(lie):
+        return k_sparsify(SmallSparsifyParams(k=1, r=2, ell=2), Liar(lie))
+
+    def union_extend(lie):
+        ctx = OracleContext(k=1, d=1, p=3)
+        return UnionOracle([Liar(lie)]).exact_extend(ExtensionQuery(0, 1, 0, 0), ctx)
+
+    runs = {lie: sparsify for lie in ("universe", "size", "member", "blocker")}
+    runs["coverage"] = lambda lie: min_cluster_radius([0b11], 1, Liar(lie))
+    runs["count"] = runs["spacing"] = union_extend
 
     print("optimize", sys.flags.optimize)
-    for lie in ("universe", "size", "member", "blocker"):
+    for lie, run in runs.items():
         try:
-            k_sparsify(SmallSparsifyParams(k=1, r=2, ell=2), Liar(lie))
+            run(lie)
             print(lie, "accepted")
         except SoundnessError as exc:
             print(lie, "refused:", exc)
@@ -349,7 +366,10 @@ def test_lying_oracle_is_refused_under_optimize():
     lines = done.stdout.splitlines()
     assert lines[0] == "optimize 1"
     verdicts = dict(line.split(" ", 1) for line in lines[1:])
-    assert verdicts["universe"].startswith("refused: witness universe 7")
+    assert "outside a universe of size 6" in verdicts["universe"]
     assert "does not have size 2" in verdicts["size"]
     assert "already a member" in verdicts["member"]
     assert "meets the blocker" in verdicts["blocker"]
+    assert "cluster coverage certificate failed" in verdicts["coverage"]
+    assert "not k+1 = 2" in verdicts["count"]
+    assert "within 2d = 2" in verdicts["spacing"]

@@ -15,7 +15,6 @@ from .core import (
     ExtensionOutcome,
     ExtensionQuery,
     Found,
-    GroundSet,
     GuardError,
     MASK_WIDTH_LIMIT,
     NOT_FOUND,
@@ -69,7 +68,6 @@ __all__ = [
     "ExtensionQuery",
     "Found",
     "GloballyInfeasible",
-    "GroundSet",
     "GuardError",
     "LimitedSparsifyParams",
     "MASK_WIDTH_LIMIT",

@@ -81,10 +81,10 @@ class VerifyResult:
 def enumerate_domain(instance) -> SetFamily:
     """Materialize the domain of an instance by filtering all subsets.
 
-    ``instance`` needs ``ground.size`` and ``membership(bits) -> bool``
-    (every parsed instance provides both).
+    ``instance`` needs ``oracle()`` (for its ``universe_size``) and
+    ``membership(bits) -> bool``; every parsed instance provides both.
     """
-    n = instance.ground.size
+    n = instance.oracle().universe_size
     if n > ENUMERATION_GUARD:
         raise GuardError(
             f"universe of size {n} exceeds the enumeration guard "

@@ -83,11 +83,10 @@ def _pick_mode(mode: str, instance: DomainInstance) -> str:
 
 def _small_ell(instance: DomainInstance) -> int:
     """The member-size bound the small pipeline runs with."""
-    if not instance.supports_small:
+    if instance.size_bound is None:
         raise ValueError(
             f"domain {instance.kind} does not support the small pipeline"
         )
-    assert instance.size_bound is not None
     return instance.size_bound
 
 
@@ -157,7 +156,7 @@ def _run_enumerate(args, instance: DomainInstance) -> int:
     ordered = sorted(family.bits_list())
     print(f"size: {len(ordered)}")
     for bits in ordered:
-        print(_set_line(SubsetMask(instance.ground.size, bits)))
+        print(_set_line(SubsetMask(family.universe_size, bits)))
     return EXIT_OK
 
 
@@ -169,7 +168,7 @@ def _run_verify(args, instance: DomainInstance) -> int:
         scope = VerifyScope.versus_ball(
             k=args.k,
             cap=None,
-            center=SubsetMask.empty(instance.ground.size),
+            center=SubsetMask.empty(domain.universe_size),
             radius=report.r,
         )
     else:

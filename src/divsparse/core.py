@@ -43,6 +43,20 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def submasks(mask: int) -> Iterator[int]:
+    """Every subset of ``mask``, from 0 up to ``mask``.
+
+    Read as a binary counter over the set bits of ``mask`` (lowest bit
+    first), the subsets come in counting order.
+    """
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
 def _check_universe_size(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"universe size must be a positive integer, got {n!r}")
@@ -51,16 +65,6 @@ def _check_universe_size(n: int) -> None:
             f"universe size {n} exceeds the configured mask width limit "
             f"({MASK_WIDTH_LIMIT})"
         )
-
-
-@dataclass(frozen=True)
-class GroundSet:
-    """The finite universe whose subsets form solutions."""
-
-    size: int
-
-    def __post_init__(self) -> None:
-        _check_universe_size(self.size)
 
 
 @dataclass(frozen=True)

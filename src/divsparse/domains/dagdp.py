@@ -120,10 +120,6 @@ class DagDpOracle(DomainOracle):
     def path_length(self) -> int:
         return self._longest
 
-    @property
-    def size_bound(self) -> int:
-        return self._longest
-
     def member_bits(self) -> frozenset[int]:
         """All label sets of longest paths, by path enumeration."""
         if self._member_cache is not None:

@@ -41,10 +41,6 @@ class MatchingOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._graph.n_edges
 
-    @property
-    def size_bound(self) -> int:
-        return self._ell
-
     def _endpoints(self, bits: int) -> int | None:
         """Vertices covered by the edges in ``bits``, or None when two of
         them share a vertex (``bits`` is not a matching)."""

@@ -19,6 +19,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
+    SoundnessError,
     WeightVector,
     iter_bits,
 )
@@ -139,10 +140,6 @@ class MatroidBaseOracle(DomainOracle):
     def matroid(self) -> Matroid:
         return self._m
 
-    @property
-    def size_bound(self) -> int:
-        return self._m.rank
-
     def is_member_bits(self, bits: int) -> bool:
         return self._m.is_base_bits(bits)
 
@@ -197,7 +194,8 @@ class MatroidBaseOracle(DomainOracle):
         current = d_min
         while (current ^ c).bit_count() != r:
             moved = self._exchange_step(current, d_max)
-            assert moved is not None, "exchange walk stalled before reaching r"
+            if moved is None:
+                raise SoundnessError("exchange walk stalled before reaching r")
             before = (current ^ c).bit_count()
             current = moved
             after = (current ^ c).bit_count()
@@ -216,4 +214,4 @@ class MatroidBaseOracle(DomainOracle):
             cand = stripped | (1 << e2)
             if self._m.independent_bits(cand):
                 return cand
-        raise AssertionError("strong exchange property violated")
+        raise SoundnessError("strong exchange property violated")

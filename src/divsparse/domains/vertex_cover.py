@@ -18,7 +18,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    iter_bits,
+    submasks,
 )
 from .graphs import GraphData
 
@@ -76,10 +76,6 @@ class VertexCoverOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._graph.n_vertices
 
-    @property
-    def size_bound(self) -> int:
-        return self._ell
-
     def is_member_bits(self, bits: int) -> bool:
         if bits.bit_count() > self._ell:
             return False
@@ -132,13 +128,8 @@ class VertexCoverOracle(DomainOracle):
         y = query.forbidden
         if c == 0 and x == 0:
             return self.exact_empty_extend(query.radius, y, ctx)
-        c_members = list(iter_bits(c))
         # guess the overlap S = D & C among subsets of the center
-        for sub in range(1 << len(c_members)):
-            s = 0
-            for j, elem in enumerate(c_members):
-                if sub >> j & 1:
-                    s |= 1 << elem
+        for s in submasks(c):
             if x & c & ~s:  # forced-in center vertices must land in S
                 continue
             if s & y:

@@ -1,4 +1,4 @@
-"""Instance files: parsing and the bundle of oracle plus membership test.
+"""Instance files: parsing and the record of oracle plus membership test.
 
 The grammar is line oriented; ``#`` starts a comment line.  Element
 indexing is fixed by file order: edge i is the i-th edge line, vertices
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import DomainOracle, GroundSet, SetFamily
+from .core import DomainOracle, SetFamily, _check_universe_size
 from .domains import (
     DagDpInstance,
     DagDpOracle,
@@ -18,6 +18,7 @@ from .domains import (
     GraphData,
     GraphicMatroid,
     MatchingOracle,
+    Matroid,
     MatroidBaseOracle,
     MinCutOracle,
     PartitionMatroid,
@@ -32,142 +33,82 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
+@dataclass(frozen=True)
 class DomainInstance:
-    """A parsed domain: its oracle plus the ingredients the ground-truth
-    engine needs (membership predicate, size bound, mode preference)."""
+    """A parsed domain: its oracle plus what the CLI and the ground-truth
+    engine need besides it.
+
+    * ``kind``: the domain kind named in the header;
+    * the oracle, returned by :meth:`oracle`; its ``universe_size`` is the
+      instance's, and construction enforces the mask width limit on it;
+    * ``membership(bits)``: whether a mask is a domain member;
+    * ``size_bound``: the member-size bound ell the small (sunflower)
+      pipeline runs with, or ``None`` where that pipeline does not apply;
+    * ``prefers_small``: mode ``auto`` picks the small pipeline.
+    """
 
     kind: str
-    ground: GroundSet
+    _oracle: DomainOracle = field(repr=False)
     membership: Callable[[int], bool]
     size_bound: int | None
-    #: the small (sunflower) pipeline applies: members have bounded size
-    #: and the adapter answers empty extensions with an empty center
-    supports_small: bool
-    #: mode "auto" picks the small pipeline for this domain
-    prefers_small: bool
-    graph: GraphData | None = None
-    _oracle_factory: Callable[[], DomainOracle] = field(repr=False, default=None)  # type: ignore[assignment]
-    _oracle: DomainOracle | None = field(default=None, repr=False)
+    prefers_small: bool = False
+
+    def __post_init__(self) -> None:
+        _check_universe_size(self._oracle.universe_size)
 
     def oracle(self) -> DomainOracle:
-        if self._oracle is None:
-            self._oracle = self._oracle_factory()
         return self._oracle
 
 
 def explicit_instance(family: SetFamily) -> DomainInstance:
+    size_bound = max((len(m) for m in family), default=0)
     return DomainInstance(
-        kind="explicit",
-        ground=GroundSet(family.universe_size),
-        membership=family.contains_bits,
-        size_bound=max((len(m) for m in family), default=0),
-        supports_small=True,
-        prefers_small=False,
-        _oracle_factory=lambda: ExplicitOracle(family),
+        "explicit", ExplicitOracle(family), family.contains_bits, size_bound
     )
 
 
 def vertex_cover_instance(graph: GraphData, ell: int) -> DomainInstance:
+    # no +-1 optimization, so the limited pipeline cannot run on it
     oracle = VertexCoverOracle(graph, ell)
     return DomainInstance(
-        kind="vertex_cover",
-        ground=GroundSet(graph.n_vertices),
-        membership=oracle.is_member_bits,
-        size_bound=ell,
-        supports_small=True,
-        prefers_small=True,
-        graph=graph,
-        _oracle_factory=lambda: oracle,
+        "vertex_cover", oracle, oracle.is_member_bits, ell, prefers_small=True
+    )
+
+
+def _matroid_instance(kind: str, matroid: Matroid) -> DomainInstance:
+    return DomainInstance(
+        kind, MatroidBaseOracle(matroid), matroid.is_base_bits, matroid.rank
     )
 
 
 def spanning_tree_instance(graph: GraphData) -> DomainInstance:
-    matroid = GraphicMatroid(graph)
-    oracle = MatroidBaseOracle(matroid)
-    return DomainInstance(
-        kind="spanning_tree",
-        ground=GroundSet(graph.n_edges),
-        membership=matroid.is_base_bits,
-        size_bound=matroid.rank,
-        supports_small=True,
-        prefers_small=False,
-        graph=graph,
-        _oracle_factory=lambda: oracle,
-    )
+    return _matroid_instance("spanning_tree", GraphicMatroid(graph))
 
 
 def uniform_matroid_instance(universe: int, rank: int) -> DomainInstance:
-    matroid = UniformMatroid(universe, rank)
-    oracle = MatroidBaseOracle(matroid)
-    return DomainInstance(
-        kind="uniform_matroid",
-        ground=GroundSet(universe),
-        membership=matroid.is_base_bits,
-        size_bound=rank,
-        supports_small=True,
-        prefers_small=False,
-        _oracle_factory=lambda: oracle,
-    )
+    return _matroid_instance("uniform_matroid", UniformMatroid(universe, rank))
 
 
 def partition_matroid_instance(
     universe: int, blocks: list[tuple[int, tuple[int, ...]]]
 ) -> DomainInstance:
-    matroid = PartitionMatroid(universe, blocks)
-    oracle = MatroidBaseOracle(matroid)
-    return DomainInstance(
-        kind="partition_matroid",
-        ground=GroundSet(universe),
-        membership=matroid.is_base_bits,
-        size_bound=matroid.rank,
-        supports_small=True,
-        prefers_small=False,
-        _oracle_factory=lambda: oracle,
-    )
+    return _matroid_instance("partition_matroid", PartitionMatroid(universe, blocks))
 
 
 def matching_instance(graph: GraphData, size_ell: int) -> DomainInstance:
     oracle = MatchingOracle(graph, size_ell)
-    return DomainInstance(
-        kind="matching",
-        ground=GroundSet(graph.n_edges),
-        membership=oracle.is_member_bits,
-        size_bound=size_ell,
-        supports_small=True,
-        prefers_small=False,
-        graph=graph,
-        _oracle_factory=lambda: oracle,
-    )
+    return DomainInstance("matching", oracle, oracle.is_member_bits, size_ell)
 
 
 def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
+    # extension queries need a domain member center, so no small pipeline
     oracle = MinCutOracle(graph, s, t)
-    return DomainInstance(
-        kind="st_mincut",
-        ground=GroundSet(graph.n_vertices),
-        membership=oracle.is_member_bits,
-        size_bound=None,  # extension queries need a domain member center
-        supports_small=False,
-        prefers_small=False,
-        graph=graph,
-        _oracle_factory=lambda: oracle,
-    )
+    return DomainInstance("st_mincut", oracle, oracle.is_member_bits, None)
 
 
 def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) -> DomainInstance:
-    inst = DagDpInstance(dag=graph, labels=labels, universe_size=universe)
-    oracle = DagDpOracle(inst)
-    return DomainInstance(
-        kind="dag_dp",
-        ground=GroundSet(universe),
-        membership=oracle.is_member_bits,
-        size_bound=oracle.path_length,
-        supports_small=True,
-        prefers_small=False,
-        graph=graph,
-        _oracle_factory=lambda: oracle,
-    )
+    oracle = DagDpOracle(DagDpInstance(dag=graph, labels=labels, universe_size=universe))
+    return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.path_length)
 
 
 def _tokenize(text: str) -> list[tuple[int, list[str]]]:

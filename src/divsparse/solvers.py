@@ -33,7 +33,7 @@ from .core import (
     SubsetMask,
     TrivialSparsifier,
     distance,
-    iter_bits,
+    submasks,
 )
 from .limited import LimitedSparsifyParams, dk_sparsify
 from .sunflower import SmallSparsifyParams, k_sparsify
@@ -213,7 +213,6 @@ def min_cluster_radius(
     bad = union_all & ~agreement_all
     if bad.bit_count() > d * len(masks):
         return None
-    bad_elems = list(iter_bits(bad))
     # a center within r of both endpoints of the widest pair needs 2r >= diam
     diam = max(
         ((a ^ b).bit_count() for a, b in combinations_with_replacement(masks, 2)),
@@ -221,11 +220,7 @@ def min_cluster_radius(
     )
     start = (diam + 1) // 2
     for radius in range(start, d + 1):
-        for guess in range(1 << len(bad_elems)):
-            trace = 0
-            for j, e in enumerate(bad_elems):
-                if guess >> j & 1:
-                    trace |= 1 << e
+        for trace in submasks(bad):
             # the farthest member only depends on the trace over bad elements
             far_idx = max(
                 range(len(masks)),

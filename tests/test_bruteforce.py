@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,8 +47,9 @@ class TestEnumerateDomain:
 
     def test_guard(self):
         class FakeInstance:
-            class ground:
-                size = 21
+            @staticmethod
+            def oracle():
+                return SimpleNamespace(universe_size=21)
 
             @staticmethod
             def membership(bits):

@@ -56,6 +56,29 @@ labels 0 1 2
 """
 
 
+def _graph(kind: str, n_vertices: int, edges: list[tuple[int, int]]) -> str:
+    lines = [f"graph {kind} {n_vertices} {len(edges)}"]
+    lines += [f"{u} {v}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
+#: one instance of every kind whose universe is one element too wide (65)
+_PATH_65_EDGES = _graph("undirected", 66, [(i, i + 1) for i in range(65)])
+OVERSIZED = {
+    "explicit": "domain explicit\nuniverse 65\n",
+    "vertex_cover": "domain vertex_cover ell=1\n"
+    + _graph("undirected", 65, [(0, 1)]),
+    "spanning_tree": "domain spanning_tree\n" + _PATH_65_EDGES,
+    "uniform_matroid": "domain uniform_matroid rank=1\nuniverse 65\n",
+    "partition_matroid": "domain partition_matroid\nuniverse 65\nblock 1 0 1\n",
+    "matching": "domain matching size=1\n" + _PATH_65_EDGES,
+    "st_mincut": "domain st_mincut s=0 t=1\n" + _graph("directed", 65, [(0, 1)]),
+    "dag_dp": "domain dag_dp universe=65\n"
+    + _graph("directed", 2, [(0, 1)])
+    + "labels 0 1\n",
+}
+
+
 def invoke(argv: list[str]) -> tuple[int, str]:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
@@ -76,11 +99,11 @@ def write(tmp_path):
 class TestParseInstance:
     def test_explicit(self):
         inst = parse_instance(EXPLICIT_TWO)
-        assert inst.kind == "explicit" and inst.ground.size == 2
+        assert inst.kind == "explicit" and inst.oracle().universe_size == 2
 
     def test_matching(self):
         inst = parse_instance(C4_MATCHING)
-        assert inst.kind == "matching" and inst.ground.size == 4
+        assert inst.kind == "matching" and inst.oracle().universe_size == 4
 
     def test_mincut(self):
         inst = parse_instance(DIAMOND)
@@ -107,7 +130,12 @@ class TestParseInstance:
     def test_comments_and_blanks_ignored(self):
         text = "# hi\n\ndomain explicit\n# mid\nuniverse 1\nset 0\n\n"
         inst = parse_instance(text)
-        assert inst.ground.size == 1
+        assert inst.oracle().universe_size == 1
+
+    @pytest.mark.parametrize("text", OVERSIZED.values(), ids=OVERSIZED.keys())
+    def test_universe_over_the_mask_width_limit(self, text):
+        with pytest.raises(ParseError, match="mask width limit"):
+            parse_instance(text)
 
 
 class TestSolveCommand:
@@ -269,6 +297,12 @@ class TestExitCodes:
         code, _ = invoke(["enumerate", "--instance", "/nonexistent/file.txt"])
         assert code == 2
 
+    def test_universe_over_the_mask_width_limit_is_2(self, write, capsys):
+        path = write(OVERSIZED["uniform_matroid"])
+        code, out = invoke(["enumerate", "--instance", path])
+        assert code == 2 and out == ""
+        assert "mask width limit" in capsys.readouterr().err
+
     def test_guard_is_3(self, write):
         big = "domain uniform_matroid rank=1\nuniverse 24\n"
         path = write(big)
@@ -286,7 +320,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             cli,
             "parse_instance",
-            lambda text: replace(parse_instance(text), _oracle_factory=Liar),
+            lambda text: replace(parse_instance(text), _oracle=Liar()),
         )
         path = write(EXPLICIT_TWO)
         code, out = invoke(

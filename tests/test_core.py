@@ -9,13 +9,13 @@ import pytest
 from divsparse import (
     ExtensionQuery,
     Found,
-    GroundSet,
     SetFamily,
     SplitMix64,
     SubsetMask,
     WeightVector,
     distance,
 )
+from divsparse.core import submasks
 from divsparse.domains import ExplicitOracle
 
 
@@ -51,9 +51,27 @@ class TestSubsetMask:
         with pytest.raises(ValueError):
             SubsetMask.empty(MASK_WIDTH_LIMIT + 1)
         with pytest.raises(ValueError):
-            GroundSet(MASK_WIDTH_LIMIT + 1)
-        with pytest.raises(ValueError):
-            GroundSet(0)
+            SubsetMask.empty(0)
+
+
+class TestSubmasks:
+    def test_counting_order_over_the_set_bits(self):
+        # the subset a binary counter picks out of the set bits, lowest
+        # bit first, for each counter value in turn
+        def by_counter(m):
+            elems = [i for i in range(m.bit_length()) if m >> i & 1]
+            return [
+                sum(1 << e for j, e in enumerate(elems) if guess >> j & 1)
+                for guess in range(1 << len(elems))
+            ]
+
+        rng = random.Random(5)
+        masks = [0, 1, 0b1011000, (1 << 10) - 1] + [
+            sum(1 << e for e in rng.sample(range(40), rng.randint(0, 10)))
+            for _ in range(300)
+        ]
+        for m in masks:
+            assert list(submasks(m)) == by_counter(m)
 
 
 class TestSetFamily:

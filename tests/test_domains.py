@@ -234,7 +234,7 @@ class TestMatching:
 
         for seed in range(4):
             instance, domain = generate_instance("matching", seed, 30)
-            graph = instance.graph
+            graph = instance.oracle()._graph
             ell = instance.size_bound
             nv = graph.n_vertices
             pads = nv - 2 * ell

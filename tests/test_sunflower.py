@@ -298,7 +298,7 @@ _LYING_ORACLES = textwrap.dedent(
         SetFamily, SmallSparsifyParams, SoundnessError, TrivialSparsifier,
         k_sparsify, min_cluster_radius,
     )
-    from divsparse.domains import UnionOracle
+    from divsparse.domains import Matroid, MatroidBaseOracle, UnionOracle
 
     N = 6
 
@@ -345,6 +345,18 @@ _LYING_ORACLES = textwrap.dedent(
     runs["coverage"] = lambda lie: min_cluster_radius([0b11], 1, Liar(lie))
     runs["count"] = runs["spacing"] = union_extend
 
+    class NotAMatroid(Matroid):
+        # independent iff inside {0,1} or inside {2,3}: no strong exchange
+        universe_size = 4
+        rank = 2
+
+        def independent_bits(self, bits):
+            return bits & ~0b0011 == 0 or bits & ~0b1100 == 0
+
+    runs["exchange"] = lambda lie: MatroidBaseOracle(NotAMatroid()).exact_extend(
+        ExtensionQuery(0b0011, 2, 0, 0)
+    )
+
     print("optimize", sys.flags.optimize)
     for lie, run in runs.items():
         try:
@@ -373,3 +385,4 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "cluster coverage certificate failed" in verdicts["coverage"]
     assert "not k+1 = 2" in verdicts["count"]
     assert "within 2d = 2" in verdicts["spacing"]
+    assert "strong exchange property violated" in verdicts["exchange"]

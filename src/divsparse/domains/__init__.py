@@ -1,6 +1,6 @@
 """Concrete domain adapters implementing the oracle contracts."""
 
-from .dagdp import DagDpInstance, DagDpOracle
+from .dagdp import DagDpOracle
 from .explicit import ExplicitOracle
 from .graphs import GraphData
 from .matching import MatchingOracle
@@ -16,7 +16,6 @@ from .union import UnionOracle
 from .vertex_cover import VertexCoverOracle
 
 __all__ = [
-    "DagDpInstance",
     "DagDpOracle",
     "ExplicitOracle",
     "GraphData",

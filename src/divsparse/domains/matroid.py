@@ -1,11 +1,15 @@
 """Matroid base domains: graphic, uniform, and partition matroids.
 
-Optimization is the classic greedy over descending weight (ties by element
-index).  The exact extension first greedily builds the bases nearest to and
-farthest from the center (among bases containing the forced set and
-avoiding the forbidden one), then walks between them by single-element
-exchanges; each step moves the center distance by -2, 0, or +2, so the
-walk passes through every feasible even distance.
+Both capabilities run one greedy: it takes the forced elements, then the
+preferred ones, then the rest, each group in index order.  Optimization
+prefers the +1 elements, which is the classic greedy over descending
+weight with ties by index.  The exact extension first greedily builds the
+bases nearest to and farthest from the center (among bases containing the
+forced set and avoiding the forbidden one), then walks between them by
+single-element exchanges; each step moves the center distance by -2, 0,
+or +2, so the walk passes through every feasible even distance.  A greedy
+that does not end at the rank, or a walk that stalls, means the
+independence test is not a matroid and raises ``SoundnessError``.
 """
 
 from __future__ import annotations
@@ -144,13 +148,9 @@ class MatroidBaseOracle(DomainOracle):
         return self._m.is_base_bits(bits)
 
     def opt_pm1(self, weights: WeightVector) -> int | None:
-        order = sorted(range(self.universe_size), key=lambda e: (-weights.weights[e], e))
-        base = 0
-        for e in order:
-            cand = base | (1 << e)
-            if self._m.independent_bits(cand):
-                base = cand
-        assert base.bit_count() == self._m.rank, "matroid rank not reached by greedy"
+        base = self._greedy_base(0, 0, prefer=weights.positive_bits)
+        if base is None:
+            raise SoundnessError("greedy optimization did not end at the rank")
         return base
 
     def _greedy_base(self, forced: int, blocked: int, prefer: int) -> int | None:
@@ -186,7 +186,8 @@ class MatroidBaseOracle(DomainOracle):
         if d_min is None:
             return NOT_FOUND
         d_max = self._greedy_base(x, y, prefer=~c)
-        assert d_max is not None
+        if d_max is None:  # d_min shows that such a base exists
+            raise SoundnessError("greedy farthest base did not end at the rank")
         lo = (d_min ^ c).bit_count()
         hi = (d_max ^ c).bit_count()
         if not lo <= r <= hi:

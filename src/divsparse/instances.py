@@ -12,7 +12,6 @@ from typing import Callable
 
 from .core import DomainOracle, SetFamily, _check_universe_size
 from .domains import (
-    DagDpInstance,
     DagDpOracle,
     ExplicitOracle,
     GraphData,
@@ -107,7 +106,7 @@ def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
 
 
 def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) -> DomainInstance:
-    oracle = DagDpOracle(DagDpInstance(dag=graph, labels=labels, universe_size=universe))
+    oracle = DagDpOracle(graph, labels, universe)
     return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.path_length)
 
 

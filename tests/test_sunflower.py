@@ -296,7 +296,7 @@ _LYING_ORACLES = textwrap.dedent(
     from divsparse import (
         DomainOracle, ExtensionQuery, Found, NOT_FOUND, OracleContext,
         SetFamily, SmallSparsifyParams, SoundnessError, TrivialSparsifier,
-        k_sparsify, min_cluster_radius,
+        WeightVector, k_sparsify, min_cluster_radius,
     )
     from divsparse.domains import Matroid, MatroidBaseOracle, UnionOracle
 
@@ -357,6 +357,24 @@ _LYING_ORACLES = textwrap.dedent(
         ExtensionQuery(0b0011, 2, 0, 0)
     )
 
+    class ShortGreedy(Matroid):
+        # independent iff inside {0,1} or inside {2,3,4}: greedy can stop
+        # below the rank, or pass it
+        universe_size = 5
+
+        def __init__(self, rank):
+            self.rank = rank
+
+        def independent_bits(self, bits):
+            return bits & ~0b00011 == 0 or bits & ~0b11100 == 0
+
+    runs["far_base"] = lambda lie: MatroidBaseOracle(ShortGreedy(2)).exact_extend(
+        ExtensionQuery(0b00011, 2, 0, 0)
+    )
+    runs["opt_base"] = lambda lie: MatroidBaseOracle(ShortGreedy(3)).opt_pm1(
+        WeightVector(5, (1,) * 5)
+    )
+
     print("optimize", sys.flags.optimize)
     for lie, run in runs.items():
         try:
@@ -386,3 +404,5 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "not k+1 = 2" in verdicts["count"]
     assert "within 2d = 2" in verdicts["spacing"]
     assert "strong exchange property violated" in verdicts["exchange"]
+    assert "farthest base did not end at the rank" in verdicts["far_base"]
+    assert "optimization did not end at the rank" in verdicts["opt_base"]

@@ -9,6 +9,15 @@ All four problems reduce to a small sparsifier of the domain:
   sparsifier into at most k clusters and asks the extension oracle for the
   cheapest center of each cluster, closest-string style: elements the
   cluster disagrees on are guessed, the rest is one exact-distance query.
+  The search skips every query whose answer is already implied: k+1
+  sparsifier members pairwise more than 2d apart answer NO at once (no
+  ball of radius d holds two of them; the modified distance is a
+  pseudometric too); a member within the radius of its cluster's current
+  center joins without a query, since radii never shrink as a cluster
+  grows; otherwise the grown cluster's radius search starts at the old
+  radius; and a trace guess whose cluster spread on the guessed elements
+  alone exceeds the radius is never asked.  The witnesses are recomputed
+  from the final clusters, so they do not depend on these shortcuts.
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
@@ -188,15 +197,23 @@ def min_cluster_radius(
     d: int,
     oracle: DomainOracle,
     ctx: OracleContext | None = None,
+    lo: int = 0,
 ) -> tuple[int, int] | None:
     """Least radius r <= d with a domain member covering the whole cluster.
 
-    Closest-string style: the cluster's disagreement elements are few or
-    the answer is already out of reach; guessing the center's trace on them
-    pins the farthest cluster member, leaving one exact-distance query per
-    guess.  Returns (radius, center) or None; a trivial-sparsifier outcome
-    aborts the whole clustering via :class:`GloballyInfeasible`.  A center
-    that does not cover the cluster raises :class:`SoundnessError`.
+    Closest-string style: the cluster's disagreement elements ``bad`` are
+    few or the answer is already out of reach; guessing the center's trace
+    T on them pins the farthest cluster member, leaving one exact-distance
+    query per guess.  Members agree off ``bad``, so any center with trace T
+    is exactly ``need(T) = max_i |(m_i & bad) ^ T|`` farther from the
+    farthest member than the common offset: a trace with ``need(T) > r``
+    cannot answer at radius r and is not asked.  The search starts at
+    ``lo``, a known lower bound on the least radius (such as the radius of
+    a subcluster); any ``lo`` up to the true least radius gives the same
+    answer as ``lo = 0``.  Returns (radius, center) or None; a
+    trivial-sparsifier outcome aborts the whole clustering via
+    :class:`GloballyInfeasible`.  A center that does not cover the cluster
+    raises :class:`SoundnessError`.
     """
     if not cluster:
         raise ValueError("cluster must be nonempty")
@@ -218,16 +235,24 @@ def min_cluster_radius(
         ((a ^ b).bit_count() for a, b in combinations_with_replacement(masks, 2)),
         default=0,
     )
-    start = (diam + 1) // 2
+    start = max(lo, (diam + 1) // 2)
+    if start > d:
+        return None
+    # per trace, in submasks order: the farthest member (lowest index on
+    # ties) and its distance on bad alone
+    on_bad = [m & bad for m in masks]
+    guesses = []
+    for trace in submasks(bad):
+        spread = [(b ^ trace).bit_count() for b in on_bad]
+        need = max(spread)
+        if need <= d:
+            guesses.append((trace, masks[spread.index(need)], need))
     for radius in range(start, d + 1):
-        for trace in submasks(bad):
-            # the farthest member only depends on the trace over bad elements
-            far_idx = max(
-                range(len(masks)),
-                key=lambda i: (((masks[i] & bad) ^ trace).bit_count(), -i),
-            )
+        for trace, farthest, need in guesses:
+            if need > radius:
+                continue
             query = ExtensionQuery(
-                center=masks[far_idx],
+                center=farthest,
                 radius=radius,
                 forced=trace,
                 forbidden=bad & ~trace,
@@ -282,19 +307,23 @@ class _ClusterCostCache:
         self._ctx = ctx
         self._memo: dict[frozenset[int], tuple[int, int] | None] = {}
 
-    def evaluate(self, member_bits: frozenset[int]) -> tuple[int, int] | None:
+    def evaluate(
+        self, member_bits: frozenset[int], lo: int = 0
+    ) -> tuple[int, int] | None:
+        """(radius, center) of the cluster, or None above d; ``lo`` is a
+        lower bound on the radius (see :func:`min_cluster_radius`)."""
         if member_bits in self._memo:
             return self._memo[member_bits]
         masks = sorted(member_bits)
         n = self._n
         result: tuple[int, int] | None = None
         if not self._modified:
-            result = min_cluster_radius(masks, self._d, self._oracle, self._ctx)
+            result = min_cluster_radius(masks, self._d, self._oracle, self._ctx, lo)
         else:
             for oriented in _oriented_variants(masks, n):
                 # only strictly better radii matter; diameters filter cheaply
                 cap = self._d if result is None else result[0] - 1
-                if cap < 0:
+                if cap < lo:
                     break
                 diam = max(
                     (
@@ -306,11 +335,9 @@ class _ClusterCostCache:
                 )
                 if diam > 2 * cap:
                     continue
-                got = min_cluster_radius(oriented, cap, self._oracle, self._ctx)
+                got = min_cluster_radius(oriented, cap, self._oracle, self._ctx, lo)
                 if got is not None and (result is None or got[0] < result[0]):
                     result = got
-                    if result[0] == 0:
-                        break
         self._memo[member_bits] = result
         return result
 
@@ -330,67 +357,75 @@ def _solve_clustering(
     if not members:
         return SolveAnswer(feasible=False)  # empty domain has no center tuple
     k = spec.k
+    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    if _pairwise_far(dist, k + 1, 2 * spec.d):
+        return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
     cache = _ClusterCostCache(oracle, spec.d, n, spec.modified, ctx)
 
-    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
-
     clusters: list[list[int]] = []
-
-    def cluster_cost(cluster: list[int]) -> int | None:
-        got = cache.evaluate(frozenset(members[i] for i in cluster))
-        return None if got is None else got[0]
+    # (radius, center) of each open cluster; the center may differ from the
+    # memoized one when a member joined within the radius without a query
+    covers: list[tuple[int, int]] = []
 
     def assign(idx: int, budget: int) -> bool:
         """Assign member idx; clusters are opened in canonical order."""
         if idx == len(members):
             return True
+        x = members[idx]
         for ci, cluster in enumerate(clusters):
             if any(dist[idx][j] > 2 * spec.d for j in cluster):
                 continue  # no center can cover both within d
-            before = cluster_cost(cluster)
-            assert before is not None  # cluster was feasible when formed
-            cluster.append(idx)
-            after = cluster_cost(cluster)
+            before = covers[ci]
+            if distance(before[1], x, n, spec.modified) <= before[0]:
+                after = before  # radii never shrink as a cluster grows
+            else:
+                grown = frozenset(members[i] for i in cluster) | {x}
+                after = cache.evaluate(grown, lo=before[0])
+            if after is None:
+                continue
             # budget tracks d minus the radius sum of all current clusters
-            ok = after is not None and (not sum_mode or after - before <= budget)
-            if ok:
-                spent = after - before if sum_mode else 0
+            spent = after[0] - before[0] if sum_mode else 0
+            if spent <= budget:
+                cluster.append(idx)
+                covers[ci] = after
                 if assign(idx + 1, budget - spent):
                     return True
-            cluster.pop()
+                cluster.pop()
+                covers[ci] = before
         if len(clusters) < k:
-            clusters.append([idx])
-            cost = cluster_cost(clusters[-1])
-            if cost is not None and (not sum_mode or cost <= budget):
-                if assign(idx + 1, budget - (cost if sum_mode else 0)):
+            cover = cache.evaluate(frozenset((x,)))
+            spent = 0 if cover is None or not sum_mode else cover[0]
+            if cover is not None and spent <= budget:
+                clusters.append([idx])
+                covers.append(cover)
+                if assign(idx + 1, budget - spent):
                     return True
-            clusters.pop()
+                clusters.pop()
+                covers.pop()
         return False
-
-    try:
-        feasible = assign(0, spec.d)
-    except GloballyInfeasible:
-        return SolveAnswer(feasible=False)
-
-    if not feasible:
-        return SolveAnswer(feasible=False)
 
     witnesses: list[SubsetMask] = []
     radii: list[int] = []
-    for cluster in clusters:
-        got = cache.evaluate(frozenset(members[i] for i in cluster))
-        assert got is not None
-        radius, center = got
-        witnesses.append(SubsetMask(n, center))
-        radii.append(radius)
+    try:
+        if not assign(0, spec.d):
+            return SolveAnswer(feasible=False)
+        for cluster, (radius, _) in zip(clusters, covers):
+            got = cache.evaluate(frozenset(members[i] for i in cluster), lo=radius)
+            if got is None or got[0] != radius:
+                raise SoundnessError(
+                    f"the search relied on cluster radius {radius}, "
+                    f"but the cluster now evaluates to {got}"
+                )
+            witnesses.append(SubsetMask(n, got[1]))
+            radii.append(radius)
+    except GloballyInfeasible:
+        return SolveAnswer(feasible=False)
     while len(witnesses) < k:  # unused slots: repeat a center at radius 0
         witnesses.append(witnesses[0])
         radii.append(0)
-    if sum_mode:
-        assert sum(radii) <= spec.d
-    else:
-        assert max(radii) <= spec.d
+    if (sum(radii) if sum_mode else max(radii)) > spec.d:
+        raise SoundnessError(f"cluster radii {radii} exceed the bound d = {spec.d}")
     objective = sum(radii) if sum_mode else None
     return SolveAnswer(
         feasible=True,
@@ -398,6 +433,24 @@ def _solve_clustering(
         radii=tuple(radii),
         objective=objective,
     )
+
+
+def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> bool:
+    """Whether ``size`` of the members are pairwise more than ``limit``
+    apart (backtracking over candidate cliques of the far graph)."""
+
+    def grow(need: int, candidates: list[int]) -> bool:
+        if need == 0:
+            return True
+        for pos, j in enumerate(candidates):
+            if len(candidates) - pos < need:
+                return False
+            rest = [c for c in candidates[pos + 1 :] if dist[j][c] > limit]
+            if grow(need - 1, rest):
+                return True
+        return False
+
+    return grow(size, list(range(len(dist))))
 
 
 _SOLVERS = {

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import random
-from itertools import product
+import time
+from functools import partial
+from itertools import combinations, product
 
 import pytest
 
 from divsparse import (
+    DomainOracle,
     LimitedSparsifyParams,
     ProblemSpec,
     SetFamily,
+    distance,
     dk_sparsify,
     limited_builder,
     min_cluster_radius,
@@ -18,11 +25,13 @@ from divsparse import (
     solve,
 )
 from divsparse.bruteforce import brute_solve, enumerate_domain
+from divsparse.cli import run
 from divsparse.domains import ExplicitOracle, GraphData
 from divsparse.instances import (
     matching_instance,
     spanning_tree_instance,
 )
+from divsparse.solvers import _ClusterCostCache, _pairwise_far
 
 from helpers import certify_answer, complement_closed_family, generate_instance
 
@@ -39,6 +48,32 @@ def c4_matchings():
 def triangle_trees():
     graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2), (2, 0)))
     return spanning_tree_instance(graph)
+
+
+class CountingExtensions(DomainOracle):
+    """Pass-through oracle that counts exact-extension calls."""
+
+    def __init__(self, inner: DomainOracle) -> None:
+        self._inner = inner
+        self.extend_calls = 0
+
+    @property
+    def universe_size(self) -> int:
+        return self._inner.universe_size
+
+    @property
+    def complement_closed(self) -> bool:
+        return self._inner.complement_closed
+
+    def opt_pm1(self, weights):
+        return self._inner.opt_pm1(weights)
+
+    def exact_extend(self, query, ctx=None):
+        self.extend_calls += 1
+        return self._inner.exact_extend(query, ctx)
+
+    def exact_empty_extend(self, r, forbidden, ctx=None):
+        return self._inner.exact_empty_extend(r, forbidden, ctx)
 
 
 class TestMaxMin:
@@ -98,7 +133,9 @@ class TestMinClusterRadius:
         assert got is not None and got[0] == 2 and got[1] in (0b01, 0b10)
         assert min_cluster_radius(cluster, 1, ExplicitOracle(fam)) is None
 
-    def test_matches_direct_minimum_on_random_instances(self):
+    @staticmethod
+    def random_clusters():
+        """(oracle, domain bits, cluster, d, least radius over the domain)."""
         rng = random.Random(77)
         for seed in range(30):
             instance, domain = generate_instance("explicit", seed, 14)
@@ -106,17 +143,45 @@ class TestMinClusterRadius:
             size = rng.randint(1, min(4, len(bits)))
             cluster_bits = rng.sample(bits, size)
             d = rng.randint(0, 3)
-            got = min_cluster_radius(cluster_bits, d, instance.oracle())
             direct = min(
                 (
                     max((c ^ b).bit_count() for b in cluster_bits)
                     for c in bits
                 ),
             )
+            yield instance.oracle(), cluster_bits, d, direct
+
+    def test_matches_direct_minimum_on_random_instances(self):
+        for oracle, cluster_bits, d, direct in self.random_clusters():
+            got = min_cluster_radius(cluster_bits, d, oracle)
             if direct <= d:
                 assert got is not None and got[0] == direct
             else:
                 assert got is None
+
+    def test_lower_bound_up_to_the_least_radius_keeps_the_answer(self):
+        for oracle, cluster_bits, d, direct in self.random_clusters():
+            want = min_cluster_radius(cluster_bits, d, oracle)
+            for lo in range(direct + 1):
+                assert min_cluster_radius(cluster_bits, d, oracle, lo=lo) == want
+
+    def test_lower_bound_under_the_modified_distance(self):
+        rng = random.Random(78)
+        for _ in range(40):
+            n = rng.randint(3, 6)
+            fam = complement_closed_family(rng, n, 10)
+            bits = fam.bits_list()
+            cluster = frozenset(rng.sample(bits, rng.randint(1, min(4, len(bits)))))
+            d = rng.randint(0, 3)
+            oracle = ExplicitOracle(fam)
+            want = _ClusterCostCache(oracle, d, n, True, None).evaluate(cluster)
+            least = min(
+                max(distance(c, b, n, modified=True) for b in cluster) for c in bits
+            )
+            assert (want is None) == (least > d)
+            for lo in range(least + 1):
+                cache = _ClusterCostCache(oracle, d, n, True, None)
+                assert cache.evaluate(cluster, lo=lo) == want
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
@@ -146,6 +211,60 @@ class TestKCenter:
     def test_empty_domain_infeasible(self):
         oracle = ExplicitOracle(SetFamily.empty(3))
         assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_BUILDER).feasible
+
+
+class TestEarlyNo:
+    def test_pairwise_far_matches_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            m = rng.randint(0, 8)
+            dist = [[0] * m for _ in range(m)]
+            for i, j in combinations(range(m), 2):
+                dist[i][j] = dist[j][i] = rng.randint(0, 6)
+            size = rng.randint(1, 4)
+            limit = rng.randint(0, 5)
+            brute = any(
+                all(dist[i][j] > limit for i, j in combinations(group, 2))
+                for group in combinations(range(m), size)
+            )
+            assert _pairwise_far(dist, size, limit) == brute, (dist, size, limit)
+
+    def test_far_members_answer_no_without_a_query(self):
+        # three members pairwise at least 3 > 2d apart: two balls of radius
+        # 1 cannot cover them
+        fam = SetFamily.from_bits(6, [0b000000, 0b111000, 0b000111])
+        for problem in ("kcenter", "ksumradii"):
+            oracle = CountingExtensions(ExplicitOracle(fam))
+            spec = ProblemSpec(problem, 2, 1)
+            answer = solve(oracle, spec, small_builder(3))
+            assert not answer.feasible and not brute_solve(fam, spec).feasible
+            assert oracle.extend_calls == 0
+
+    def test_k5_spanning_trees_limited_kcenter(self, tmp_path):
+        # the K5 case of the benchmark's anchors: limited mode timed out at
+        # 150 s before the clustering search skipped implied queries
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        graph = GraphData(directed=False, n_vertices=5, edges=tuple(edges))
+        domain = enumerate_domain(spanning_tree_instance(graph))
+        assert not brute_solve(domain, ProblemSpec("kcenter", 2, 2)).feasible
+        path = tmp_path / "k5.txt"
+        path.write_text(
+            "domain spanning_tree\ngraph undirected 5 10\n"
+            + "".join(f"{u} {v}\n" for u, v in edges)
+        )
+        outputs = {}
+        for mode in ("limited", "small"):
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                code = run(
+                    ["solve", "--problem", "kcenter", "--k", "2", "--d", "2",
+                     "--mode", mode, "--instance", str(path)]
+                )
+            assert code == 0
+            assert time.perf_counter() - start < 60, mode
+            outputs[mode] = out.getvalue()
+        assert outputs == {"limited": "NO\n", "small": "NO\n"}
 
 
 class TestSolverOracleEquivalence:
@@ -251,6 +370,63 @@ class TestSmallModeOnFixedSizeDomains:
             limited = solve(instance.oracle(), spec, FAST_BUILDER)
             expected = brute_solve(domain, spec)
             assert small.feasible == limited.feasible == expected.feasible
+
+
+def clustering_grid():
+    """Seeded (domain, oracle factory, spec, builder) cases: k-center and
+    k-sum-of-radii, plain and modified distance, small and limited builders."""
+    kinds = (
+        "explicit", "vertex_cover", "spanning_tree", "uniform_matroid", "matching", "st_mincut"
+    )
+    for seed in range(24):
+        rng = random.Random(90_000 + seed)
+        problem = ("kcenter", "ksumradii")[seed % 2]
+        instance, domain = generate_instance(kinds[seed % len(kinds)], seed, 24, min_domain=4)
+        spec = ProblemSpec(problem, rng.randint(1, 3), rng.randint(0, 4))
+        if instance.size_bound is not None:
+            yield domain, instance.oracle, spec, small_builder(instance.size_bound)
+        if not instance.prefers_small:  # vertex covers offer no +-1 optimization
+            yield domain, instance.oracle, spec, limited_builder(seed=seed, trials=96)
+        fam = complement_closed_family(rng, rng.randint(4, 7), 12)
+        spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 3), modified=True)
+        explicit = partial(ExplicitOracle, fam)
+        yield fam, explicit, spec, small_builder(max(len(m) for m in fam))
+        yield fam, explicit, spec, limited_builder(seed=seed, trials=96)
+
+
+def run_clustering_grid() -> tuple[str, int]:
+    """SHA-256 of every grid answer, and the exact-extension calls made."""
+    answers = hashlib.sha256()
+    calls = 0
+    for domain, make_oracle, spec, builder in clustering_grid():
+        oracle = CountingExtensions(make_oracle())
+        answer = solve(oracle, spec, builder)
+        calls += oracle.extend_calls
+        assert answer.feasible == brute_solve(domain, spec).feasible, spec
+        certify_answer(domain, spec, answer)
+        witnesses = tuple(w.bits for w in answer.witnesses)
+        answers.update(
+            f"{answer.feasible};{witnesses};{answer.radii};{answer.objective}|".encode()
+        )
+    return answers.hexdigest(), calls
+
+
+# The clustering answers on the grid above; a change of tie-breaking in
+# the clustering search changes the CLI's `set:` output, so it must show
+# here first.
+CLUSTERING_ANSWERS = "5aeafc1d10f5ee2766e7867a77e2fb64d4dec400a0e68fae0f06e0c561e36afb"
+# Exact-extension calls over the whole grid (sparsifier and search); the
+# count may only go down.  It was 15,794 before the search skipped the
+# queries whose answers are implied.
+CLUSTERING_EXTEND_CALLS = 1_998
+
+
+class TestClusteringGrid:
+    def test_answers_are_pinned(self):
+        assert run_clustering_grid()[0] == CLUSTERING_ANSWERS
+
+    def test_extension_calls_only_go_down(self):
+        assert run_clustering_grid()[1] <= CLUSTERING_EXTEND_CALLS
 
 
 class TestReplacementProperty:

@@ -375,6 +375,26 @@ _LYING_ORACLES = textwrap.dedent(
         WeightVector(5, (1,) * 5)
     )
 
+    from divsparse import ProblemSpec, SparsifierReport, solve
+    from divsparse.domains import ExplicitOracle
+
+    class Forgetful(ExplicitOracle):
+        # answers the clustering search's two queries, then finds nothing:
+        # the final cluster {000, 011, 001}, reached without a query since
+        # 001 is the center, no longer has the radius the search used
+        calls = 0
+
+        def exact_extend(self, query, ctx=None):
+            self.calls += 1
+            return super().exact_extend(query, ctx) if self.calls <= 2 else NOT_FOUND
+
+    def forgetful(lie):
+        fam = SetFamily.from_bits(3, [0b000, 0b011, 0b001])
+        report = SparsifierReport(family=fam, mode="small", k=1)
+        return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), lambda *a: report)
+
+    runs["radius"] = forgetful
+
     print("optimize", sys.flags.optimize)
     for lie, run in runs.items():
         try:
@@ -406,3 +426,4 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "strong exchange property violated" in verdicts["exchange"]
     assert "farthest base did not end at the rank" in verdicts["far_base"]
     assert "optimization did not end at the rank" in verdicts["opt_base"]
+    assert "relied on cluster radius 1" in verdicts["radius"]

@@ -185,32 +185,46 @@ class SetFamily:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightVector:
-    """Element weights in {-1, +1} for the optimization capability."""
+    """Element weights in {-1, +1} for the optimization capability.
+
+    Stored as ``positive_bits``, the mask of the +1 elements; every other
+    element weighs -1.  Adapters read the mask; ``weights`` spells it out.
+    """
 
     universe_size: int
-    weights: tuple[int, ...]
-    positive_bits: int = field(init=False, repr=False, compare=False, default=0)
+    positive_bits: int
 
-    def __post_init__(self) -> None:
-        _check_universe_size(self.universe_size)
-        if len(self.weights) != self.universe_size:
+    def __init__(self, universe_size: int, weights: tuple[int, ...]) -> None:
+        _check_universe_size(universe_size)
+        if len(weights) != universe_size:
             raise ValueError(
-                f"expected {self.universe_size} weights, got {len(self.weights)}"
+                f"expected {universe_size} weights, got {len(weights)}"
             )
         pos = 0
-        for i, w in enumerate(self.weights):
+        for i, w in enumerate(weights):
             if w == 1:
                 pos |= 1 << i
             elif w != -1:
                 raise ValueError(f"weight at index {i} must be -1 or +1, got {w!r}")
+        object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "positive_bits", pos)
 
     @classmethod
     def random(cls, universe_size: int, rng) -> "WeightVector":
-        """Draw uniformly from {-1,+1}^n, one generator step per element."""
-        return cls(universe_size, tuple(rng.pm1() for _ in range(universe_size)))
+        """Draw uniformly from {-1,+1}^n: one generator step per element in
+        index order, whose top bit marks a +1."""
+        _check_universe_size(universe_size)
+        w = object.__new__(cls)
+        object.__setattr__(w, "universe_size", universe_size)
+        object.__setattr__(w, "positive_bits", rng.top_bits(universe_size))
+        return w
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        pos = self.positive_bits
+        return tuple(1 if pos >> i & 1 else -1 for i in range(self.universe_size))
 
     def weight_of(self, bits: int) -> int:
         return 2 * (bits & self.positive_bits).bit_count() - bits.bit_count()

@@ -138,9 +138,11 @@ class DagDpOracle(DomainOracle):
 
     def opt_pm1(self, weights: WeightVector) -> int | None:
         labels = self._labels
+        pos = weights.positive_bits
+        gain = [2 * (pos >> q & 1) - 1 for q in labels]
         best: list[int] = [0] * len(labels)
         for v in self._order:
-            w = weights.weights[labels[v]]
+            w = gain[v]
             cand = None
             for u in self._preds[v]:
                 if self._len_end[u] == self._len_end[v] - 1:
@@ -158,7 +160,7 @@ class DagDpOracle(DomainOracle):
             for u in self._preds[v]:
                 if (
                     self._len_end[u] == self._len_end[v] - 1
-                    and best[u] == best[v] - weights.weights[labels[v]]
+                    and best[u] == best[v] - gain[v]
                 ):
                     v = u
                     break

@@ -1,7 +1,9 @@
 """Matroid base domains: graphic, uniform, and partition matroids.
 
-Both capabilities run one greedy: it takes the forced elements, then the
-preferred ones, then the rest, each group in index order.  Optimization
+Both capabilities run one greedy, ``Matroid.greedy_bits``: it takes the
+forced elements, then the preferred ones, then the rest, each group in
+index order.  The generic greedy tests every prefix for independence; the
+graphic matroid runs it with one incremental union-find.  Optimization
 prefers the +1 elements, which is the classic greedy over descending
 weight with ties by index.  The exact extension first greedily builds the
 bases nearest to and farthest from the center (among bases containing the
@@ -42,6 +44,22 @@ class Matroid(ABC):
     def is_base_bits(self, bits: int) -> bool:
         return bits.bit_count() == self.rank and self.independent_bits(bits)
 
+    def greedy_bits(self, forced: int, pools: tuple[int, ...]) -> int | None:
+        """Every ``forced`` element, then each pool's elements that keep
+        the set independent, each group in index order; None when
+        ``forced`` is dependent.  Subclasses may run it incrementally."""
+        out = 0
+        for e in iter_bits(forced):
+            out |= 1 << e
+            if not self.independent_bits(out):
+                return None
+        for pool in pools:
+            for e in iter_bits(pool):
+                cand = out | (1 << e)
+                if self.independent_bits(cand):
+                    out = cand
+        return out
+
 
 class GraphicMatroid(Matroid):
     """Edge sets of forests; bases are spanning forests."""
@@ -53,10 +71,16 @@ class GraphicMatroid(Matroid):
             raise ValueError("graphic matroid needs at least one edge")
         self.graph = graph
         self.universe_size = graph.n_edges
-        self.rank = graph.n_vertices - self._component_count((1 << graph.n_edges) - 1)
+        self.rank = self.greedy_bits(0, ((1 << graph.n_edges) - 1,)).bit_count()
 
-    def _component_count(self, edge_bits: int) -> int:
+    def independent_bits(self, bits: int) -> bool:
+        return self.greedy_bits(bits, ()) is not None
+
+    def greedy_bits(self, forced: int, pools: tuple[int, ...]) -> int | None:
+        # one union-find for the whole run: an edge keeps the forest
+        # acyclic iff it joins two components
         parent = list(range(self.graph.n_vertices))
+        edges = self.graph.edges
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -64,23 +88,26 @@ class GraphicMatroid(Matroid):
                 a = parent[a]
             return a
 
-        comps = self.graph.n_vertices
-        bits = edge_bits
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            u, v = self.graph.edges[low.bit_length() - 1]
+        out = 0
+        for e in iter_bits(forced):
+            u, v = edges[e]
             ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comps -= 1
-        return comps
-
-    def independent_bits(self, bits: int) -> bool:
-        # a forest: adding each edge must join two components
-        return (
-            self.graph.n_vertices - self._component_count(bits) == bits.bit_count()
-        )
+            if ru == rv:
+                return None
+            parent[ru] = rv
+            out |= 1 << e
+        left = self.graph.n_vertices - 1 - forced.bit_count()
+        for pool in pools:
+            for e in iter_bits(pool):
+                if left == 0:  # a spanning tree takes no further edge
+                    return out
+                u, v = edges[e]
+                ru, rv = find(u), find(v)
+                if ru != rv:
+                    parent[ru] = rv
+                    out |= 1 << e
+                    left -= 1
+        return out
 
 
 class UniformMatroid(Matroid):
@@ -156,20 +183,11 @@ class MatroidBaseOracle(DomainOracle):
     def _greedy_base(self, forced: int, blocked: int, prefer: int) -> int | None:
         """Greedy base containing ``forced``, avoiding ``blocked``, taking
         ``prefer`` elements first (then the rest), all in index order."""
-        full = (1 << self.universe_size) - 1
-        base = 0
-        for e in iter_bits(forced):
-            cand = base | (1 << e)
-            if not self._m.independent_bits(cand):
-                return None
-            base = cand
-        open_pool = full & ~forced & ~blocked
-        for pool in (open_pool & prefer, open_pool & ~prefer):
-            for e in iter_bits(pool):
-                cand = base | (1 << e)
-                if self._m.independent_bits(cand):
-                    base = cand
-        return base if base.bit_count() == self._m.rank else None
+        open_pool = ((1 << self.universe_size) - 1) & ~forced & ~blocked
+        base = self._m.greedy_bits(forced, (open_pool & prefer, open_pool & ~prefer))
+        if base is None or base.bit_count() != self._m.rank:
+            return None
+        return base
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
@@ -200,8 +218,12 @@ class MatroidBaseOracle(DomainOracle):
             before = (current ^ c).bit_count()
             current = moved
             after = (current ^ c).bit_count()
-            assert after - before in (-2, 0, 2)
-        assert query.admits_bits(current)
+            if after - before not in (-2, 0, 2):
+                raise SoundnessError(
+                    f"exchange step moved the distance by {after - before}"
+                )
+        if not query.admits_bits(current):
+            raise SoundnessError("exchange walk ended outside the query")
         return Found(current)
 
     def _exchange_step(self, d1: int, d2: int) -> int | None:

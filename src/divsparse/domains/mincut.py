@@ -8,11 +8,13 @@ ideals are in bijection with the minimum cuts: a cut is the fixed base
 block (everything residual-reachable from s) plus the blocks of a
 downward-closed node set.
 
-Optimization routes +-1 vertex weights through a gadget: original arcs get
-a weight large enough to dominate, +1 vertices hang off the source and -1
-vertices feed the sink with unit arcs, and the minimum-weight cut of the
-gadget maximizes the vertex weight among minimum cuts.  Ties resolve to
-the unique minimal optimum (the residual-reachable side of the source).
+Optimization is a max-weight closure over that poset (Picard 1976;
+Picard & Queyranne 1980): each node weighs the +-1 sum of its block's
+vertices, and a max flow on the closure network (gains from the source,
+losses into the sink, an infinite arc from every node to each node it
+covers, built once per oracle) picks the heaviest ideal.  Ties resolve to
+the unique minimal optimum, the residual-reachable side of the source,
+i.e. the intersection of all max-weight minimum cuts.
 
 The exact extension brute-forces ideals inside a sandwich around the
 center's ideal.  When the sandwich is too wide, a topological chain of
@@ -33,15 +35,17 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SetFamily,
+    SoundnessError,
     TrivialSparsifier,
     WeightVector,
+    iter_bits,
 )
 from .graphs import GraphData
 
 
-def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
-    """Edmonds-Karp.  Returns (flow value, to, cap, head arrays) where the
-    arc arrays encode the final residual network (arc 2i pairs with 2i+1)."""
+def _network(n: int, arcs: list[tuple[int, int, int]]):
+    """Residual arrays (to, cap, adj) of a flow network on ``n`` vertices:
+    arc 2i runs u -> v with capacity c and pairs with its reverse 2i+1."""
     to: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -52,7 +56,13 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
         adj[v].append(len(to))
         to.append(u)
         cap.append(0)
+    return to, cap, adj
 
+
+def _augment(to, cap, adj, s: int, t: int) -> int:
+    """Edmonds-Karp: push shortest augmenting paths until none is left.
+    ``cap`` ends as the final residual capacities; returns the flow value."""
+    n = len(adj)
     flow = 0
     while True:
         parent_arc = [-1] * n
@@ -68,7 +78,7 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
                     parent_arc[v] = idx
                     queue.append(v)
         if parent_arc[t] == -1:
-            break
+            return flow
         # trace the path, find the bottleneck, push
         bottleneck = None
         v = t
@@ -84,10 +94,9 @@ def _max_flow(n: int, arcs: list[tuple[int, int, int]], s: int, t: int):
             cap[idx ^ 1] += bottleneck
             v = to[idx ^ 1]
         flow += bottleneck
-    return flow, to, cap, adj
 
 
-def _residual_reachable(n: int, to, cap, adj, start: int, reverse: bool) -> int:
+def _residual_reachable(to, cap, adj, start: int, reverse: bool) -> int:
     seen = 1 << start
     queue = [start]
     qi = 0
@@ -126,21 +135,6 @@ class MinCutPoset:
     node_blocks: tuple[int, ...]
     pred_masks: tuple[int, ...]
     succ_masks: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        m = len(self.node_blocks)
-        for w in range(m):
-            # reflexive, antisymmetric, transitive by construction; verify
-            assert self.pred_masks[w] >> w & 1 and self.succ_masks[w] >> w & 1
-            for u in range(m):
-                below = bool(self.pred_masks[w] >> u & 1)
-                above = bool(self.succ_masks[u] >> w & 1)
-                assert below == above
-                if below and w != u:
-                    assert not self.pred_masks[u] >> w & 1, "order not antisymmetric"
-                    assert (
-                        self.pred_masks[u] & ~self.pred_masks[w] == 0
-                    ), "order not transitive"
 
     @property
     def n_nodes(self) -> int:
@@ -195,18 +189,18 @@ def build_mincut_poset(graph: GraphData, s: int, t: int) -> MinCutPoset:
     n = graph.n_vertices
     if not (0 <= s < n and 0 <= t < n) or s == t:
         raise ValueError("need distinct in-range source and sink")
-    arcs = [(u, v, 1) for u, v in graph.arcs()]
-    flow, to, cap, adj = _max_flow(n, arcs, s, t)
+    to, cap, adj = _network(n, [(u, v, 1) for u, v in graph.arcs()])
+    flow = _augment(to, cap, adj, s, t)
 
-    forced_in = _residual_reachable(n, to, cap, adj, s, reverse=False)
-    forced_out = _residual_reachable(n, to, cap, adj, t, reverse=True)
+    forced_in = _residual_reachable(to, cap, adj, s, reverse=False)
+    forced_out = _residual_reachable(to, cap, adj, t, reverse=True)
     assert not forced_in & forced_out, "source side reaches the sink residually"
 
     free = [v for v in range(n) if not (forced_in | forced_out) >> v & 1]
     # residual SCCs among the free vertices, via double reachability
     reach = {}
     for v in free:
-        reach[v] = _residual_reachable(n, to, cap, adj, v, reverse=False)
+        reach[v] = _residual_reachable(to, cap, adj, v, reverse=False)
     blocks: list[int] = []
     assigned = 0
     for v in free:
@@ -257,6 +251,23 @@ class MinCutOracle(DomainOracle):
         self._t = t
         self._poset = build_mincut_poset(graph, s, t)
         self._arcs = graph.arcs()
+        # max-weight closure network of the poset: arcs 4w and 4w + 2 run
+        # source -> w and w -> sink and carry node w's gain or loss per
+        # call; taking w takes every node it covers, through an arc no
+        # finite cut crosses
+        poset = self._poset
+        m = poset.n_nodes
+        arcs = []
+        for w in range(m):
+            arcs += [(m, w, 0), (w, m + 1, 0)]
+        for w in range(m):
+            strict = poset.pred_masks[w] & ~(1 << w)
+            below = 0
+            for u in iter_bits(strict):
+                below |= poset.pred_masks[u] & ~(1 << u)
+            for u in iter_bits(strict & ~below):
+                arcs.append((w, u, graph.n_vertices + 1))
+        self._closure = _network(m + 2, arcs)
 
     @property
     def universe_size(self) -> int:
@@ -279,20 +290,32 @@ class MinCutOracle(DomainOracle):
         return self.crossing_arcs_bits(bits) == self._poset.cut_value
 
     def opt_pm1(self, weights: WeightVector) -> int | None:
-        n = self._graph.n_vertices
-        heavy = 2 * n + 1
-        arcs = [(u, v, heavy) for u, v in self._arcs]
-        for v in range(n):
-            if v in (self._s, self._t):
-                continue
-            if weights.weights[v] == 1:
-                arcs.append((self._s, v, 1))
-            else:
-                arcs.append((v, self._t, 1))
-        _, to, cap, adj = _max_flow(n, arcs, self._s, self._t)
-        cut = _residual_reachable(n, to, cap, adj, self._s, reverse=False)
-        assert self.is_member_bits(cut)
-        return cut
+        """The unique minimal max-weight minimum cut.
+
+        A cut weighs the fixed base plus the +-1 sums of its ideal's
+        blocks, so this is a max-weight closure of the poset (Picard 1976):
+        the residual-reachable side of the source after one max flow on
+        the closure network, the intersection of all optimal ideals.
+        """
+        poset = self._poset
+        pos = weights.positive_bits
+        gains = [
+            2 * (block & pos).bit_count() - block.bit_count()
+            for block in poset.node_blocks
+        ]
+        if not any(g > 0 for g in gains):
+            return poset.base_bits  # the empty ideal is the least optimum
+        to, cap, adj = self._closure
+        cap = cap[:]
+        for w, g in enumerate(gains):
+            if g > 0:
+                cap[4 * w] = g
+            elif g < 0:
+                cap[4 * w + 2] = -g
+        m = len(gains)
+        _augment(to, cap, adj, m, m + 1)
+        taken = _residual_reachable(to, cap, adj, m, reverse=False)
+        return poset.cut_bits(taken & ((1 << m) - 1))
 
     def _sandwich(self, ideal: int, p_eff: int) -> tuple[list[int], list[int]]:
         """Poset nodes addable to / removable from ``ideal`` within p_eff
@@ -336,11 +359,13 @@ class MinCutOracle(DomainOracle):
                 taken = nodes[len(nodes) - i * stride :]
                 for w in taken:
                     node_set &= ~(1 << w)
-            assert poset.is_ideal(node_set), "chain prefix is not an ideal"
+            if not poset.is_ideal(node_set):
+                raise SoundnessError("chain prefix is not an ideal")
             cuts.append(poset.cut_bits(node_set))
         for i in range(len(cuts)):
             for j in range(i + 1, len(cuts)):
-                assert (cuts[i] ^ cuts[j]).bit_count() > 2 * d
+                if (cuts[i] ^ cuts[j]).bit_count() <= 2 * d:
+                    raise SoundnessError(f"chain cuts {i}, {j} within 2d = {2 * d}")
         return SetFamily.from_bits(self.universe_size, cuts)
 
     def exact_extend(

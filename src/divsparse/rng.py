@@ -27,6 +27,18 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def pm1(self) -> int:
-        """One +1/-1 draw (top bit of the next word)."""
-        return 1 if self.next_u64() >> 63 else -1
+    def top_bits(self, n: int) -> int:
+        """Step ``n`` times; bit i of the result is bit 63 of output i.
+
+        The same stream as ``n`` calls of ``next_u64``, inlined: the last
+        xor-shift of the output leaves its top bit alone, so it is skipped.
+        """
+        state = self._state
+        out = 0
+        for i in range(n):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            if ((z ^ (z >> 27)) * 0x94D049BB133111EB) >> 63 & 1:
+                out |= 1 << i
+        self._state = state
+        return out

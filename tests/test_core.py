@@ -147,9 +147,22 @@ class TestWeightVector:
     def test_random_draw_is_index_ordered(self):
         seed = 99
         gen = SplitMix64(seed)
-        draws = [gen.pm1() for _ in range(6)]
+        draws = [1 if gen.next_u64() >> 63 else -1 for _ in range(6)]
         w = WeightVector.random(6, SplitMix64(seed))
         assert list(w.weights) == draws
+
+    def test_random_mask_is_the_top_bit_of_each_step(self):
+        for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
+            gen = SplitMix64(seed)
+            drawn = SplitMix64(seed)
+            for n in range(1, 65):
+                want = 0
+                for i in range(n):
+                    want |= (gen.next_u64() >> 63) << i
+                w = WeightVector.random(n, drawn)
+                assert w.positive_bits == want, (seed, n)
+                assert w == WeightVector(n, w.weights)
+            assert drawn.next_u64() == gen.next_u64()  # the streams stay level
 
 
 class TestExtensionQuery:

@@ -23,6 +23,7 @@ from divsparse.domains import (
     GraphData,
     GraphicMatroid,
     MatchingOracle,
+    Matroid,
     MatroidBaseOracle,
     UniformMatroid,
     UnionOracle,
@@ -214,6 +215,63 @@ class TestMatroidBases:
                 instance, domain = generate_instance(kind, seed, 40)
                 digests.append(assert_oracle_matches_brute(instance, domain, max_ff=2))
         assert grid_digest(digests) == MATROID_WITNESSES
+
+    def test_graphic_greedy_matches_prefix_greedy(self):
+        # the one-union-find greedy against the generic greedy, which tests
+        # every prefix with a from-scratch forest check
+        rng = random.Random(11)
+        for _ in range(300):
+            nv = rng.randint(2, 7)
+            edges = []
+            for _ in range(rng.randint(1, 10)):  # parallel edges allowed
+                u, v = rng.sample(range(nv), 2)
+                edges.append((u, v))
+            graph = GraphData(directed=False, n_vertices=nv, edges=tuple(edges))
+            fast = GraphicMatroid(graph)
+            slow = DfsForests(graph)
+            assert fast.rank == slow.rank
+            m = graph.n_edges
+            for _ in range(10):
+                forced = rng.getrandbits(m) & rng.getrandbits(m)
+                blocked = rng.getrandbits(m) & ~forced
+                prefer = rng.getrandbits(m)
+                open_pool = ((1 << m) - 1) & ~forced & ~blocked
+                pools = (open_pool & prefer, open_pool & ~prefer)
+                want = Matroid.greedy_bits(slow, forced, pools)
+                assert fast.greedy_bits(forced, pools) == want
+                bits = rng.getrandbits(m)
+                assert fast.independent_bits(bits) == slow.independent_bits(bits)
+
+
+class DfsForests(Matroid):
+    """The graphic matroid, with a depth-first component count per test."""
+
+    def __init__(self, graph: GraphData) -> None:
+        self.graph = graph
+        self.universe_size = graph.n_edges
+        self.rank = graph.n_vertices - self._components((1 << graph.n_edges) - 1)
+
+    def _components(self, bits: int) -> int:
+        edges = [self.graph.edges[e] for e in range(self.universe_size) if bits >> e & 1]
+        seen = set()
+        count = 0
+        for start in range(self.graph.n_vertices):
+            if start in seen:
+                continue
+            count += 1
+            stack = [start]
+            seen.add(start)
+            while stack:
+                u = stack.pop()
+                for a, b in edges:
+                    for x, y in ((a, b), (b, a)):
+                        if x == u and y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+        return count
+
+    def independent_bits(self, bits: int) -> bool:
+        return self.graph.n_vertices - self._components(bits) == bits.bit_count()
 
 
 def c4() -> GraphData:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -27,6 +28,22 @@ def diamond() -> GraphData:
     return GraphData(
         directed=True, n_vertices=4, edges=((0, 1), (0, 2), (1, 3), (2, 3))
     )
+
+
+def assert_partial_order(poset) -> None:
+    """The stored order is reflexive, antisymmetric and transitive, and
+    ``pred_masks`` and ``succ_masks`` describe the same relation."""
+    m = poset.n_nodes
+    for w in range(m):
+        assert poset.pred_masks[w] >> w & 1 and poset.succ_masks[w] >> w & 1
+        for u in range(m):
+            below = bool(poset.pred_masks[w] >> u & 1)
+            assert below == bool(poset.succ_masks[u] >> w & 1)
+            if below and u != w:
+                assert not poset.pred_masks[u] >> w & 1, "not antisymmetric"
+                assert poset.pred_masks[u] & ~poset.pred_masks[w] == 0, (
+                    "not transitive"
+                )
 
 
 def brute_min_cuts(graph: GraphData, s: int, t: int) -> list[int]:
@@ -70,6 +87,7 @@ class TestPosetBijection:
             graph = random_digraph(rng, nv, rng.randint(nv, 3 * nv))
             s, t = 0, nv - 1
             oracle = MinCutOracle(graph, s, t)
+            assert_partial_order(oracle.poset)
             ideals = oracle.poset.all_ideals()
             cuts = sorted(oracle.poset.cut_bits(i) for i in ideals)
             assert len(set(cuts)) == len(cuts), "ideal map is not injective"
@@ -92,6 +110,34 @@ class TestPosetBijection:
         assert oracle.cut_value == 1
         cuts = sorted(oracle.poset.cut_bits(i) for i in oracle.poset.all_ideals())
         assert cuts == brute_min_cuts(graph, 0, 2)
+
+
+# The optimization witnesses on the tie-rule grid below, recorded with the
+# max-flow gadget that answered opt_pm1 before the closure over the poset.
+MINCUT_OPT_WITNESSES = "6890af82cda3cb174f6aae5b6232a1bf1d45364b9c2e429a9e0de23fa95f03af"
+
+
+class TestOptTieRule:
+    def test_opt_is_the_meet_of_the_heaviest_cuts(self):
+        # every max-weight minimum cut contains the answer, which is itself
+        # one of them: the unique minimal optimum
+        rng = random.Random(5)
+        answers = hashlib.sha256()
+        for _ in range(40):
+            nv = rng.randint(3, 7)
+            graph = random_digraph(rng, nv, rng.randint(nv - 1, 2 * nv))
+            oracle = MinCutOracle(graph, 0, nv - 1)
+            cuts = [oracle.poset.cut_bits(i) for i in oracle.poset.all_ideals()]
+            for w in all_weight_vectors(nv):
+                best = max(w.weight_of(c) for c in cuts)
+                meet = (1 << nv) - 1
+                for c in cuts:
+                    if w.weight_of(c) == best:
+                        meet &= c
+                got = oracle.opt_pm1(w)
+                assert got == meet, (graph, w)
+                answers.update(f"{got};".encode())
+        assert answers.hexdigest() == MINCUT_OPT_WITNESSES
 
 
 class TestEquivalence:

@@ -375,6 +375,22 @@ _LYING_ORACLES = textwrap.dedent(
         WeightVector(5, (1,) * 5)
     )
 
+    class DropsForced(Matroid):
+        # rank-2 uniform matroid whose greedy hook ignores the forced set:
+        # the exchange walk reaches the radius on a base without element 2
+        universe_size = 4
+        rank = 2
+
+        def independent_bits(self, bits):
+            return bits.bit_count() <= 2
+
+        def greedy_bits(self, forced, pools):
+            return Matroid.greedy_bits(self, 0, pools)
+
+    runs["walk_end"] = lambda lie: MatroidBaseOracle(DropsForced()).exact_extend(
+        ExtensionQuery(0b0011, 2, 0b0100, 0)
+    )
+
     from divsparse import ProblemSpec, SparsifierReport, solve
     from divsparse.domains import ExplicitOracle
 
@@ -426,4 +442,5 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "strong exchange property violated" in verdicts["exchange"]
     assert "farthest base did not end at the rank" in verdicts["far_base"]
     assert "optimization did not end at the rank" in verdicts["opt_base"]
+    assert "exchange walk ended outside the query" in verdicts["walk_end"]
     assert "relied on cluster radius 1" in verdicts["radius"]

@@ -36,7 +36,6 @@ from .limited import (
     default_cluster_radius,
     default_trials,
     dk_sparsify,
-    shifted_empty_extension,
 )
 from .rng import SplitMix64
 from .solvers import (
@@ -97,7 +96,6 @@ __all__ = [
     "k_sparsify",
     "limited_builder",
     "min_cluster_radius",
-    "shifted_empty_extension",
     "small_builder",
     "solve",
 ]

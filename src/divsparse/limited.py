@@ -34,6 +34,7 @@ from .core import (
     Found,
     OracleContext,
     SetFamily,
+    SoundnessError,
     SparsifierReport,
     WeightVector,
 )
@@ -118,7 +119,9 @@ def approx_far_set(
     Each trial optimizes a fresh uniform +-1 weight vector; a candidate is
     returned only after its distances to all centers are checked, so any
     returned set is certainly far.  ``None`` after all trials means every
-    member is within p of some center, up to the per-call error bound.
+    member is within p of some center, up to the per-call error bound.  An
+    optimum with elements outside the universe raises
+    :class:`SoundnessError`.
     """
     if p <= 2 * d:
         raise ValueError("p must exceed 2d")
@@ -133,23 +136,25 @@ def approx_far_set(
         best = oracle.opt_pm1(w)
         if best is None:
             return None  # empty domain
+        if best < 0 or best >> n:
+            raise SoundnessError(
+                f"optimum {best:#x} has elements outside a universe of size {n}"
+            )
         if all((best ^ c).bit_count() > threshold for c in centers):
             return best
     return None
 
 
 def cluster_or_trivial(
-    oracle: DomainOracle,
-    params: LimitedSparsifyParams,
-    rng: SplitMix64 | None = None,
+    oracle: DomainOracle, params: LimitedSparsifyParams
 ) -> ClusterResult:
     """Collect pairwise-far centers until the far-set search gives up.
 
-    Stops with ``trivial=True`` as soon as k+1 far members accumulate.
-    An empty domain yields zero centers.
+    The random weights are drawn from ``SplitMix64(params.seed)``.  Stops
+    with ``trivial=True`` as soon as k+1 far members accumulate.  An empty
+    domain yields zero centers.
     """
-    if rng is None:
-        rng = SplitMix64(params.seed)
+    rng = SplitMix64(params.seed)
     n = oracle.universe_size
     center_bits: list[int] = []
     while True:
@@ -207,15 +212,6 @@ class ShiftedEmptyExtension(DomainOracle):
         return out
 
 
-def shifted_empty_extension(
-    oracle: DomainOracle, center: int, k: int, d: int, p: int | None = None
-) -> ShiftedEmptyExtension:
-    """Build the shifted empty-extension view with its query context."""
-    if p is None:
-        p = default_cluster_radius(k, d)
-    return ShiftedEmptyExtension(oracle, center, OracleContext(k=k, d=d, p=p))
-
-
 def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> SparsifierReport:
     """Build a d-limited k-max-distance sparsifier w.r.t. all subsets.
 
@@ -227,7 +223,6 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     yields the empty family, which satisfies the definition vacuously.
     """
     counting = CountingOracle(oracle)
-    rng = SplitMix64(params.seed)
     n = oracle.universe_size
     assert params.p is not None
 
@@ -247,7 +242,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
             scattered=scattered,
         )
 
-    clusters = cluster_or_trivial(counting, params, rng)
+    clusters = cluster_or_trivial(counting, params)
     if clusters.trivial:
         return report(clusters.family, passes=0, shortcut=False, scattered=True)
 

@@ -2,8 +2,9 @@
 
 All four problems reduce to a small sparsifier of the domain:
 
-* max-min / max-sum diversification searches k-tuples (with repetition)
-  over a (k-1)-order sparsifier; capped pairwise distances transfer, so an
+* max-min / max-sum diversification is one search: it scans the k-tuples
+  (with repetition) of a (k-1)-order sparsifier against one table of
+  pairwise distances; capped pairwise distances transfer, so an
   achievable threshold on the domain is achievable on the sparsifier.
 * k-center / k-sum-of-radii clustering partitions a k-order, cap d+1
   sparsifier into at most k clusters and asks the extension oracle for the
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Protocol, Sequence
 
 from .core import (
@@ -134,61 +135,38 @@ def _require_modified_support(oracle: DomainOracle, spec: ProblemSpec) -> None:
         )
 
 
-def _diversification_family(
-    oracle: DomainOracle, spec: ProblemSpec, builder: SparsifierBuilder
-) -> SetFamily:
+def _diversify(
+    oracle: DomainOracle,
+    spec: ProblemSpec,
+    sparsifier_builder: SparsifierBuilder,
+    sum_mode: bool,
+) -> SolveAnswer:
+    """Is there a k-tuple with every pairwise distance at least d (max-min),
+    or with pairwise distance sum at least d (sum mode)?
+
+    Tuples allow repetition, so max-min with k = 1 or d = 0 reduces to
+    non-emptiness.  Sum mode also reports the best sum over the sparsifier
+    as the objective, witnessed by the first tuple reaching it.
+    """
     order = 2 * spec.k - 2 if spec.modified else spec.k - 1
-    rep = builder(oracle, max(1, order), spec.d, spec.modified)
-    return rep.family
-
-
-def _max_min(
-    oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
-) -> SolveAnswer:
-    """Is there a k-tuple with all pairwise distances at least d?
-
-    Tuples allow repetition, so k = 1 or d = 0 reduce to non-emptiness.
-    """
-    family = _diversification_family(oracle, spec, sparsifier_builder)
-    bits = family.bits_list()
-    n = family.universe_size
-    for combo in combinations_with_replacement(range(len(bits)), spec.k):
-        if all(
-            distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
-            >= spec.d
-            for i in range(spec.k)
-            for j in range(i + 1, spec.k)
-        ):
-            witnesses = tuple(SubsetMask(n, bits[i]) for i in combo)
-            return SolveAnswer(feasible=True, witnesses=witnesses)
-    return SolveAnswer(feasible=False)
-
-
-def _max_sum(
-    oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
-) -> SolveAnswer:
-    """Is there a k-tuple with pairwise distance sum at least d?
-
-    Also reports the best sum seen over the sparsifier as the objective.
-    """
-    family = _diversification_family(oracle, spec, sparsifier_builder)
-    bits = family.bits_list()
-    n = family.universe_size
+    rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
+    members = rep.family.bits_list()
+    n = rep.family.universe_size
+    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    pairs = list(combinations(range(spec.k), 2))
     best: int | None = None
-    best_combo: tuple[int, ...] | None = None
-    for combo in combinations_with_replacement(range(len(bits)), spec.k):
-        total = sum(
-            distance(bits[combo[i]], bits[combo[j]], n, spec.modified)
-            for i in range(spec.k)
-            for j in range(i + 1, spec.k)
-        )
-        if best is None or total > best:
-            best = total
-            best_combo = combo
-    if best is None or best < spec.d:
+    found: tuple[int, ...] = ()
+    for combo in combinations_with_replacement(range(len(members)), spec.k):
+        if sum_mode:
+            total = sum(dist[combo[i]][combo[j]] for i, j in pairs)
+            if best is None or total > best:
+                best, found = total, combo
+        elif all(dist[combo[i]][combo[j]] >= spec.d for i, j in pairs):
+            found = combo
+            break
+    if not found or (best is not None and best < spec.d):
         return SolveAnswer(feasible=False, objective=best)
-    assert best_combo is not None
-    witnesses = tuple(SubsetMask(n, bits[i]) for i in best_combo)
+    witnesses = tuple(SubsetMask(n, members[i]) for i in found)
     return SolveAnswer(feasible=True, witnesses=witnesses, objective=best)
 
 
@@ -212,15 +190,16 @@ def min_cluster_radius(
     a subcluster); any ``lo`` up to the true least radius gives the same
     answer as ``lo = 0``.  Returns (radius, center) or None; a
     trivial-sparsifier outcome aborts the whole clustering via
-    :class:`GloballyInfeasible`.  A center that does not cover the cluster
-    raises :class:`SoundnessError`.
+    :class:`GloballyInfeasible`.  A center outside the universe or one that
+    does not cover the cluster raises :class:`SoundnessError`.
     """
     if not cluster:
         raise ValueError("cluster must be nonempty")
     if d < 0:
         raise ValueError("d must be nonnegative")
+    n = oracle.universe_size
     masks = list(cluster)
-    if any(not 0 <= m < 1 << oracle.universe_size for m in masks):
+    if any(not 0 <= m < 1 << n for m in masks):
         raise ValueError("cluster member has elements outside the universe")
     agreement_all = masks[0]
     union_all = masks[0]
@@ -262,6 +241,10 @@ def min_cluster_radius(
                 raise GloballyInfeasible(out.family)
             if isinstance(out, Found):
                 center = out.witness
+                if center < 0 or center >> n:
+                    raise SoundnessError(
+                        f"center {center:#x} has elements outside a universe of size {n}"
+                    )
                 if any((center ^ m).bit_count() > radius for m in masks):
                     raise SoundnessError(
                         f"cluster coverage certificate failed: center {center:#x} "
@@ -315,26 +298,16 @@ class _ClusterCostCache:
         if member_bits in self._memo:
             return self._memo[member_bits]
         masks = sorted(member_bits)
-        n = self._n
         result: tuple[int, int] | None = None
         if not self._modified:
             result = min_cluster_radius(masks, self._d, self._oracle, self._ctx, lo)
         else:
-            for oriented in _oriented_variants(masks, n):
-                # only strictly better radii matter; diameters filter cheaply
+            for oriented in _oriented_variants(masks, self._n):
+                # only strictly better radii matter; an orientation whose
+                # diameter exceeds 2 * cap returns None before any query
                 cap = self._d if result is None else result[0] - 1
                 if cap < lo:
                     break
-                diam = max(
-                    (
-                        (oriented[i] ^ oriented[j]).bit_count()
-                        for i in range(len(oriented))
-                        for j in range(i + 1, len(oriented))
-                    ),
-                    default=0,
-                )
-                if diam > 2 * cap:
-                    continue
                 got = min_cluster_radius(oriented, cap, self._oracle, self._ctx, lo)
                 if got is not None and (result is None or got[0] < result[0]):
                     result = got
@@ -454,8 +427,8 @@ def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> bool:
 
 
 _SOLVERS = {
-    "maxmin": _max_min,
-    "maxsum": _max_sum,
+    "maxmin": partial(_diversify, sum_mode=False),
+    "maxsum": partial(_diversify, sum_mode=True),
     "kcenter": partial(_solve_clustering, sum_mode=False),
     "ksumradii": partial(_solve_clustering, sum_mode=True),
 }

@@ -13,25 +13,28 @@ the core of every sunflower of kr+1 equal-size members, which guarantees
 progress and keeps K sunflower-free enough for the classic sunflower bound
 (l+1)! (kr+1)^l to apply.
 
-Blockers are enumerated directly as hitting sets in (size, lex) order.  The
-search is incremental across passes: every blocker the oracle answered
-NotFound is remembered per cardinality, and no blocker containing one is
-asked again, since forbidding more elements can only remove members.  The
-output is the same as asking every blocker afresh; only the call count
-drops.
+Blockers are enumerated directly as hitting sets in (size, lex) order.  A
+cardinality class with no member yet has nothing to hit, so its first
+query is the empty blocker, which also tells whether the class has any
+member at all.  The search is incremental across passes: every blocker
+the oracle answered NotFound is remembered per cardinality, and no blocker
+containing one is asked again, since forbidding more elements can only
+remove members.  The output is the same as asking every blocker afresh;
+only the call count drops.  The calls are counted by one
+:class:`~divsparse.core.CountingOracle` around the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 
 from .core import (
+    CountingOracle,
     DomainOracle,
     Found,
     GuardError,
-    NotFound,
     SetFamily,
     SoundnessError,
     SparsifierReport,
@@ -236,13 +239,14 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     first witness the empty extension oracle produces, stopping when a full
     pass adds nothing.  Output size is bounded by (ell+1)! (kr+1)^ell.
 
-    Each cardinality class is first probed with an unconstrained query;
-    classes with no member at all are skipped.  Answers are remembered
-    across passes: a class is probed once, a blocker answered NotFound is
-    never asked again, nor is any blocker containing it, and a class with
-    no blocker left is not enumerated again until the member union or the
-    class changes.  This changes only the call count (``calls_extend``
-    counts the queries actually issued), never the output, the pass count
+    A class with no member yet has the empty blocker as its first query,
+    so a class with no member at all costs one NotFound and is never
+    enumerated again.  Answers are remembered across passes: a blocker
+    answered NotFound is never asked again, nor is any blocker containing
+    it, and a class with no blocker left is not enumerated again until the
+    member union or the class changes.  This changes only the call count
+    (``calls_extend`` counts the queries actually issued, through one
+    :class:`CountingOracle`), never the output, the pass count
     or when the blocker guard fires, provided the oracle honours the
     monotonicity in :class:`DomainOracle`.  If the oracle surfaces a
     trivial sparsifier, that family is returned at once with ``shortcut``
@@ -252,6 +256,7 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     l', disjoint from Y, not already a member); a violation raises
     :class:`SoundnessError`.
     """
+    counting = CountingOracle(oracle)
     n = oracle.universe_size
     t = params.k * params.r + 1
     ell_cap = min(params.ell, n)
@@ -260,17 +265,10 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     # per cardinality: blockers answered NotFound, keyed as _hitting_sets
     # reads them (the empty set when the class has no member at all)
     known_empty: list[dict[int, list[int]]] = [{} for _ in range(ell_cap + 1)]
-    inhabited: set[int] = set()  # cardinalities known to have a member
     # per cardinality: (union, class size) of the last pass in which no
     # blocker was left to ask
     drained: list[tuple[int, int] | None] = [None] * (ell_cap + 1)
-    calls = 0
     passes = 0
-
-    def query(r: int, y_bits: int):
-        nonlocal calls
-        calls += 1
-        return oracle.exact_empty_extend(r, y_bits)
 
     def report(family: SetFamily, shortcut: bool) -> SparsifierReport:
         return SparsifierReport(
@@ -279,7 +277,7 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
             k=params.k,
             r=params.r,
             ell=params.ell,
-            calls_extend=calls,
+            calls_extend=counting.calls_extend,
             passes=passes,
             shortcut=shortcut,
         )
@@ -317,30 +315,14 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
                 continue
             required = group + _sunflower_cores(group, t, n)
             blocked = known_empty[lp]
-            gen = _hitting_sets(union_bits, required, blocked)
-            first = next(gen, None)
-            if first is None:
-                drained[lp] = key
-                continue
-            if first != 0 and lp not in inhabited:
-                # cardinality probe: no size-lp member at all kills every Y
-                out = query(lp, 0)
-                if isinstance(out, TrivialSparsifier):
-                    return report(out.family, shortcut=True)
-                if isinstance(out, NotFound):
-                    blocked[0] = [0]
-                    continue
-                inhabited.add(lp)
-
-            for y in chain((first,), gen):
-                out = query(lp, y)
+            for y in _hitting_sets(union_bits, required, blocked):
+                out = counting.exact_empty_extend(lp, y)
                 if isinstance(out, TrivialSparsifier):
                     return report(out.family, shortcut=True)
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
                     members.append(out.witness)
                     member_set.add(out.witness)
-                    inhabited.add(lp)
                     added = True
                     break
                 blocked.setdefault(y.bit_length(), []).append(y)

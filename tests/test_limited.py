@@ -10,6 +10,7 @@ from divsparse import (
     Found,
     LimitedSparsifyParams,
     NotFound,
+    OracleContext,
     SetFamily,
     SplitMix64,
     approx_far_set,
@@ -18,10 +19,10 @@ from divsparse import (
     default_trials,
     dk_sparsify,
     distance,
-    shifted_empty_extension,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
+from divsparse.limited import ShiftedEmptyExtension
 
 from helpers import random_family
 
@@ -164,20 +165,22 @@ class TestClusterOrTrivial:
 
 
 class TestShiftedEmptyExtension:
+    CTX = OracleContext(k=1, d=1, p=default_cluster_radius(1, 1))
+
     def test_empty_center_is_identity(self):
         fam = SetFamily.from_bits(3, [0b011, 0b100])
         oracle = ExplicitOracle(fam)
-        view = shifted_empty_extension(oracle, 0, k=1, d=1)
+        view = ShiftedEmptyExtension(oracle, 0, self.CTX)
         got = view.exact_empty_extend(2, 0)
         assert isinstance(got, Found) and got.witness == 0b011
 
     def test_zero_radius_checks_center_membership(self):
         fam = SetFamily.from_bits(3, [0b011])
         oracle = ExplicitOracle(fam)
-        inside = shifted_empty_extension(oracle, 0b011, k=1, d=1)
+        inside = ShiftedEmptyExtension(oracle, 0b011, self.CTX)
         got = inside.exact_empty_extend(0, 0)
         assert isinstance(got, Found) and got.witness == 0
-        outside = shifted_empty_extension(oracle, 0b101, k=1, d=1)
+        outside = ShiftedEmptyExtension(oracle, 0b101, self.CTX)
         assert isinstance(outside.exact_empty_extend(0, 0), NotFound)
 
     def test_forbidden_splits_into_forced_and_avoided(self):
@@ -185,7 +188,7 @@ class TestShiftedEmptyExtension:
         # forced {0}, forbidden empty, and must return {0,1} shifted to {1}
         fam = SetFamily.from_bits(2, [0b01, 0b11])
         oracle = ExplicitOracle(fam)
-        view = shifted_empty_extension(oracle, 0b01, k=1, d=1)
+        view = ShiftedEmptyExtension(oracle, 0b01, self.CTX)
         got = view.exact_empty_extend(1, 0b01)
         assert isinstance(got, Found) and got.witness == 0b10
         # brute check: the only member at shifted distance 1 keeping

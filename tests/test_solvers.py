@@ -33,7 +33,12 @@ from divsparse.instances import (
 )
 from divsparse.solvers import _ClusterCostCache, _pairwise_far
 
-from helpers import certify_answer, complement_closed_family, generate_instance
+from helpers import (
+    certify_answer,
+    complement_closed_family,
+    generate_instance,
+    random_family,
+)
 
 FAST_BUILDER = limited_builder(seed=0, trials=96)
 
@@ -427,6 +432,70 @@ class TestClusteringGrid:
 
     def test_extension_calls_only_go_down(self):
         assert run_clustering_grid()[1] <= CLUSTERING_EXTEND_CALLS
+
+
+def diversification_grid():
+    """Seeded (domain, oracle factory, spec, builder) cases: max-min and
+    max-sum, k = 1..3, on explicit families (empty, one member, random, and
+    families whose tuples tie on their sums), generated adapter instances,
+    and complement-closed families under the modified distance; small and
+    limited builders."""
+    kinds = ("vertex_cover", "spanning_tree", "uniform_matroid", "matching")
+    tied = (
+        SetFamily.from_bits(4, [0b0001, 0b0010, 0b0100, 0b1000]),
+        SetFamily.from_bits(4, [b for b in range(16) if b.bit_count() == 2]),
+    )
+    for seed in range(36):
+        rng = random.Random(70_000 + seed)
+        problem = ("maxmin", "maxsum")[seed % 2]
+        n = rng.randint(3, 6)
+        fam = (
+            SetFamily.empty(n),
+            SetFamily.from_bits(n, [rng.getrandbits(n)]),
+            random_family(rng, n, 12),
+            tied[seed % 2],
+        )[seed % 4]
+        closed = complement_closed_family(rng, rng.randint(3, 6), 10)
+        instance, domain = generate_instance(kinds[seed % len(kinds)], seed, 16)
+        # (domain, oracle factory, modified, ell or None, limited builder too)
+        cases = [
+            (fam, partial(ExplicitOracle, fam), False, None, True),
+            (domain, instance.oracle, False, instance.size_bound, not instance.prefers_small),
+            (closed, partial(ExplicitOracle, closed), True, None, True),
+        ]
+        for domain, make_oracle, modified, ell, limited in cases:
+            if ell is None:
+                ell = max((len(m) for m in domain), default=0)
+            k = rng.randint(1, 3)
+            pairs = k * (k - 1) // 2 if problem == "maxsum" else 1
+            d = rng.randint(0, domain.universe_size * pairs)
+            spec = ProblemSpec(problem, k, d, modified=modified)
+            yield domain, make_oracle, spec, small_builder(ell)
+            if limited:
+                yield domain, make_oracle, spec, limited_builder(seed=seed, trials=96)
+
+
+def run_diversification_grid() -> str:
+    """SHA-256 of every diversification grid answer."""
+    answers = hashlib.sha256()
+    for domain, make_oracle, spec, builder in diversification_grid():
+        answer = solve(make_oracle(), spec, builder)
+        assert answer.feasible == brute_solve(domain, spec).feasible, spec
+        certify_answer(domain, spec, answer)
+        witnesses = tuple(w.bits for w in answer.witnesses)
+        answers.update(f"{answer.feasible};{witnesses};{answer.objective}|".encode())
+    return answers.hexdigest()
+
+
+# The max-min and max-sum answers on the grid above, witnesses and
+# objective included: the CLI prints them, so a change of scan order or
+# tie-breaking in the diversification search must show here first.
+DIVERSIFICATION_ANSWERS = "30bac9324ce00f2d6e91c7f339056e02bb6fabc9ecfeb4854c18cf457b40aeb2"
+
+
+class TestDiversificationGrid:
+    def test_answers_are_pinned(self):
+        assert run_diversification_grid() == DIVERSIFICATION_ANSWERS
 
 
 class TestReplacementProperty:

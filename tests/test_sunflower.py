@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -16,16 +18,18 @@ import pytest
 import divsparse
 from divsparse import (
     GuardError,
+    OracleContext,
     SetFamily,
     SmallSparsifyParams,
     SubsetMask,
     blocker_candidates,
+    default_cluster_radius,
     is_sunflower,
     k_sparsify,
-    shifted_empty_extension,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
+from divsparse.limited import ShiftedEmptyExtension
 from divsparse.sunflower import _hitting_sets
 
 from helpers import (
@@ -257,46 +261,63 @@ class TestKSparsify:
         assert first.passes == len(first.family) + 1
 
 
+def shifted_explicit(family, center, k):
+    ctx = OracleContext(k=k, d=1, p=default_cluster_radius(k, 1))
+    return ShiftedEmptyExtension(ExplicitOracle(family), center, ctx)
+
+
+def reference_grid():
+    """Seeded (params, oracle factory) cases: explicit families, plain and
+    shifted by a random center."""
+    rng = random.Random(2024)
+    for _ in range(150):
+        n = rng.randint(3, 6)
+        family = random_family(rng, n, 14)
+        k = rng.randint(1, 3)
+        ell = max(len(m) for m in family)
+        r = rng.randint(ell, ell + 1)
+        yield small_params(k, r, ell), partial(ExplicitOracle, family)
+        center = rng.getrandbits(n)
+        shifted_ell = max((m.bits ^ center).bit_count() for m in family)
+        yield (
+            small_params(k, shifted_ell, shifted_ell),
+            partial(shifted_explicit, family, center, k),
+        )
+
+
+# SHA-256 of (members, passes, calls_extend) of every k_sparsify run on the
+# grid above.  The output must not change, and neither may the call count
+# unless it goes down on purpose: a shortcut that skips a query whose
+# answer is not implied changes this digest.
+REFERENCE_GRID_RUNS = "76b30d35dd943202694740a31b214f05834e7eaa9acd09ce5fc93c49822c7790"
+
+
 class TestAgainstReference:
     """Remembered answers change the call count and nothing else."""
 
-    @staticmethod
-    def _compare(params, make_oracle):
-        report = k_sparsify(params, make_oracle())
-        members, passes, calls = reference_k_sparsify(params, make_oracle())
-        assert report.family.bits_list() == members
-        assert report.passes == passes
-        assert report.calls_extend <= calls
-        return report.calls_extend < calls
-
     def test_plain_and_shifted_explicit_families(self):
-        rng = random.Random(2024)
         fewer = 0
-        for _ in range(150):
-            n = rng.randint(3, 6)
-            family = random_family(rng, n, 14)
-            k = rng.randint(1, 3)
-            ell = max(len(m) for m in family)
-            r = rng.randint(ell, ell + 1)
-            fewer += self._compare(
-                small_params(k, r, ell), lambda: ExplicitOracle(family)
-            )
-            center = rng.getrandbits(n)
-            shifted_ell = max((m.bits ^ center).bit_count() for m in family)
-            fewer += self._compare(
-                small_params(k, shifted_ell, shifted_ell),
-                lambda: shifted_empty_extension(ExplicitOracle(family), center, k, 1),
-            )
+        runs = hashlib.sha256()
+        for params, make_oracle in reference_grid():
+            report = k_sparsify(params, make_oracle())
+            members, passes, calls = reference_k_sparsify(params, make_oracle())
+            assert report.family.bits_list() == members
+            assert report.passes == passes
+            assert report.calls_extend <= calls
+            fewer += report.calls_extend < calls
+            runs.update(f"{members};{passes};{report.calls_extend}|".encode())
         assert fewer > 150  # the memo does save calls on most runs
+        assert runs.hexdigest() == REFERENCE_GRID_RUNS
 
 
 _LYING_ORACLES = textwrap.dedent(
     """
     import sys
     from divsparse import (
-        DomainOracle, ExtensionQuery, Found, NOT_FOUND, OracleContext,
-        SetFamily, SmallSparsifyParams, SoundnessError, TrivialSparsifier,
-        WeightVector, k_sparsify, min_cluster_radius,
+        DomainOracle, ExtensionQuery, Found, LimitedSparsifyParams, NOT_FOUND,
+        OracleContext, SetFamily, SmallSparsifyParams, SoundnessError,
+        TrivialSparsifier, WeightVector, dk_sparsify, k_sparsify,
+        min_cluster_radius,
     )
     from divsparse.domains import Matroid, MatroidBaseOracle, UnionOracle
 
@@ -311,9 +332,14 @@ _LYING_ORACLES = textwrap.dedent(
         def universe_size(self):
             return N
 
+        def opt_pm1(self, weights):  # "optimum": outside the universe
+            return 1 << N | 1
+
         def exact_extend(self, query, ctx=None):
             if self.lie == "coverage":  # a center far from the cluster
                 return Found(query.center ^ ((1 << N) - 1))
+            if self.lie == "center":  # covers the cluster, outside the universe
+                return Found(query.center | 1 << N) if query.radius == 1 else NOT_FOUND
             # "count" / "spacing": a trivial sparsifier that is not one
             bits = [0b01, 0b11] if self.lie == "spacing" else [0b01]
             return TrivialSparsifier(SetFamily.from_bits(N, bits))
@@ -342,7 +368,12 @@ _LYING_ORACLES = textwrap.dedent(
         return UnionOracle([Liar(lie)]).exact_extend(ExtensionQuery(0, 1, 0, 0), ctx)
 
     runs = {lie: sparsify for lie in ("universe", "size", "member", "blocker")}
-    runs["coverage"] = lambda lie: min_cluster_radius([0b11], 1, Liar(lie))
+    runs["coverage"] = runs["center"] = lambda lie: min_cluster_radius(
+        [0b11], 1, Liar(lie)
+    )
+    runs["optimum"] = lambda lie: dk_sparsify(
+        Liar(lie), LimitedSparsifyParams(k=1, d=0, trials_override=2)
+    )
     runs["count"] = runs["spacing"] = union_extend
 
     class NotAMatroid(Matroid):
@@ -437,6 +468,8 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "already a member" in verdicts["member"]
     assert "meets the blocker" in verdicts["blocker"]
     assert "cluster coverage certificate failed" in verdicts["coverage"]
+    assert "center 0x43 has elements outside a universe of size 6" in verdicts["center"]
+    assert "optimum 0x41 has elements outside a universe of size 6" in verdicts["optimum"]
     assert "not k+1 = 2" in verdicts["count"]
     assert "within 2d = 2" in verdicts["spacing"]
     assert "strong exchange property violated" in verdicts["exchange"]

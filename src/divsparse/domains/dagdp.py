@@ -26,6 +26,7 @@ from ..core import (
     GuardError,
     NOT_FOUND,
     OracleContext,
+    SoundnessError,
     WeightVector,
     _check_universe_size,
 )
@@ -214,6 +215,7 @@ class DagDpOracle(DomainOracle):
                 continue
             got = table[v][nx][outside] if outside <= L else None
             if got is not None:
-                assert query.admits_bits(got)
+                if not query.admits_bits(got):
+                    raise SoundnessError(f"path table returned {got:#x} outside the query")
                 return Found(got)
         return NOT_FOUND

@@ -22,6 +22,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
+    SoundnessError,
     WeightVector,
 )
 from .graphs import GraphData
@@ -157,5 +158,6 @@ class MatchingOracle(DomainOracle):
         chosen = self._search(x, query.forbidden, ~c, blue_in_rest)
         if chosen is None:
             return NOT_FOUND
-        assert query.admits_bits(chosen) and self.is_member_bits(chosen)
+        if not query.admits_bits(chosen) or not self.is_member_bits(chosen):
+            raise SoundnessError(f"matching search returned {chosen:#x} outside the query")
         return Found(chosen)

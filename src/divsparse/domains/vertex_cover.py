@@ -18,6 +18,7 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
+    SoundnessError,
     submasks,
 )
 from .graphs import GraphData
@@ -143,6 +144,7 @@ class VertexCoverOracle(DomainOracle):
             got = self._solve_forced(forced, y | (c & ~s), size)
             if got is None:
                 continue
-            assert got & c == s and query.admits_bits(got)
+            if got & c != s or not query.admits_bits(got):
+                raise SoundnessError(f"cover search returned {got:#x} outside the query")
             return Found(got)
         return NOT_FOUND

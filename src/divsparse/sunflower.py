@@ -22,6 +22,12 @@ containing one is asked again, since forbidding more elements can only
 remove members.  The output is the same as asking every blocker afresh;
 only the call count drops.  The calls are counted by one
 :class:`~divsparse.core.CountingOracle` around the oracle.
+
+Sunflower cores are kept across passes as well, in one record per
+cardinality class: a new member can only complete sunflowers that use it,
+so only the candidate cores inside it are checked again, and a class that
+gains no member keeps its cores.  The hitting-set walk keeps the required
+sets a prefix still misses as one bit set over their indices.
 """
 
 from __future__ import annotations
@@ -97,37 +103,54 @@ def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
     return rec(0, 0, 0)
 
 
-def _sunflower_cores(group: list[int], t: int, universe_size: int) -> list[int]:
-    """Cores of all size-``t`` sunflowers within one equal-cardinality group.
+class _ClassCores:
+    """One cardinality class: its members in insertion order and the cores
+    of its size-``t`` sunflowers, kept up to date as members join.
 
-    For t >= 2 every core is the intersection of two petals, so candidates
-    are pairwise intersections; a candidate is confirmed when t petals
-    containing it have pairwise-disjoint remainders.  For t == 1 each member
-    is its own single-petal sunflower with itself as core.
+    For t >= 2 a core is the intersection of two petals, so each pairwise
+    intersection is a candidate, confirmed once t members containing it
+    have pairwise-disjoint remainders.  For t == 1 each member is its own
+    core.
     """
-    if t <= 0:
-        raise ValueError("sunflower size must be positive")
-    if t == 1:
-        return list(group)
-    if len(group) < t:
-        return []
-    # t pairwise-disjoint nonempty remainders cannot fit in the universe
-    if t > universe_size:
-        return []
-    cores: list[int] = []
-    seen: set[int] = set()
-    for a, b in combinations(group, 2):
-        cand = a & b
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if t == 2:
-            cores.append(cand)  # the generating pair is itself a witness
-            continue
-        diffs = [g ^ cand for g in group if g & cand == cand]
-        if len(diffs) >= t and _has_disjoint_subfamily(diffs, t):
-            cores.append(cand)
-    return cores
+
+    def __init__(self, t: int, universe_size: int) -> None:
+        self.t = t
+        self.universe_size = universe_size
+        self.members: list[int] = []
+        self.cores: list[int] = []
+        self._candidates: dict[int, bool] = {}  # candidate -> confirmed
+
+    def add(self, member: int) -> None:
+        """Append ``member`` and confirm the cores it completes.
+
+        A t-packing that is new must use ``member``, so only candidates
+        inside it are checked, and only for t - 1 older members whose
+        remainders also miss ``member``'s.
+        """
+        t = self.t
+        if t == 1:
+            self.cores.append(member)
+        # t pairwise-disjoint nonempty remainders cannot fit in the universe
+        elif t <= self.universe_size:
+            for b in self.members:
+                self._candidates.setdefault(member & b, False)
+            for cand, confirmed in self._candidates.items():
+                if confirmed or cand & ~member:
+                    continue
+                rest = member ^ cand
+                diffs = [
+                    g ^ cand
+                    for g in self.members
+                    if g & cand == cand and not (g ^ cand) & rest
+                ]
+                if len(diffs) >= t - 1 and _has_disjoint_subfamily(diffs, t - 1):
+                    self._candidates[cand] = True
+                    self.cores.append(cand)
+        self.members.append(member)
+
+    def required(self) -> list[int]:
+        """The sets a blocker for this class must intersect."""
+        return self.members + self.cores
 
 
 def _hitting_sets(
@@ -135,9 +158,10 @@ def _hitting_sets(
 ) -> Iterator[int]:
     """Subsets of the member union that intersect every required set.
 
-    Ordered by increasing size, then lexicographically by member indices.
-    Yields nothing when some required set is empty (nothing can hit it);
-    yields the empty set first when there is nothing to intersect.
+    Ordered by increasing size, then lexicographically by member indices;
+    the order of ``required`` and repeats in it do not matter.  Yields
+    nothing when some required set is empty (nothing can hit it); yields
+    the empty set first when there is nothing to intersect.
 
     Sets containing a known-empty set are skipped.  ``known_empty`` maps
     ``y.bit_length()`` (highest element + 1, or 0 for the empty set) to the
@@ -147,8 +171,9 @@ def _hitting_sets(
     Each size is a depth-first walk over index-ordered prefixes.  Elements
     join a prefix in increasing order, so a known-empty set becomes
     contained exactly when its highest element joins; that is the only
-    moment it is checked.  A prefix is also cut when some required set it
-    misses has no element left above the prefix's last index.
+    moment it is checked.  The required sets a prefix misses are one bit
+    set over their indices; a prefix is cut when one of them has no
+    element left above the prefix's last index.
     """
     if any(req == 0 for req in required):
         return
@@ -158,23 +183,33 @@ def _hitting_sets(
             f"blocker enumeration over {len(elems)} elements exceeds the "
             f"2^{BLOCKER_UNION_GUARD} guard"
         )
-    # above[i]: the union's elements with index greater than elems[i]
-    above = [union_bits >> (e + 1) << (e + 1) for e in elems]
+    # per element e: hits[e], the required sets containing e, and later[e],
+    # those with a union element above e (first filled with the sets whose
+    # highest union element is e)
+    hits = [0] * union_bits.bit_length()
+    later = [0] * union_bits.bit_length()
+    for j, req in enumerate(required):
+        inside = req & union_bits
+        for e in iter_bits(inside):
+            hits[e] |= 1 << j
+        if inside:
+            later[inside.bit_length() - 1] |= 1 << j
+    above = 0
+    for e in reversed(elems):
+        later[e], above = above, above | later[e]
 
-    def grow(y: int, start: int, left: int, missed: list[int]) -> Iterator[int]:
+    def grow(y: int, start: int, left: int, missed: int) -> Iterator[int]:
         for i in range(start, len(elems) - left + 1):
-            bit = 1 << elems[i]
-            z = y | bit
-            tops = known_empty.get(elems[i] + 1)
-            if tops and any(b & ~z == 0 for b in tops):
+            e = elems[i]
+            z = y | 1 << e
+            blocked = known_empty.get(e + 1)
+            if blocked and any(b & ~z == 0 for b in blocked):
                 continue
-            still = [req for req in missed if not req & bit]
-            rest = above[i] if left > 1 else 0
-            if any(not req & rest for req in still):
-                continue
+            still = missed & ~hits[e]
             if left == 1:
-                yield z
-            else:
+                if not still:
+                    yield z
+            elif not still & ~later[e]:
                 yield from grow(z, i + 1, left - 1, still)
 
     for size in range(len(elems) + 1):
@@ -184,7 +219,7 @@ def _hitting_sets(
             if not required:
                 yield 0
         else:
-            yield from grow(0, 0, size, required)
+            yield from grow(0, 0, size, (1 << len(required)) - 1)
 
 
 def blocker_candidates(
@@ -201,11 +236,13 @@ def blocker_candidates(
     if ell_prime < 0:
         raise ValueError("cardinality must be nonnegative")
     n = family.universe_size
-    group = [b for b in family.bits_list() if b.bit_count() == ell_prime]
-    required = group + _sunflower_cores(group, t, n)
+    group = _ClassCores(t, n)
+    for b in family.bits_list():
+        if b.bit_count() == ell_prime:
+            group.add(b)
     return [
         SubsetMask(n, y)
-        for y in _hitting_sets(family.union_bits(), required, {})
+        for y in _hitting_sets(family.union_bits(), group.required(), {})
     ]
 
 
@@ -248,7 +285,9 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     (``calls_extend`` counts the queries actually issued, through one
     :class:`CountingOracle`), never the output, the pass count
     or when the blocker guard fires, provided the oracle honours the
-    monotonicity in :class:`DomainOracle`.  If the oracle surfaces a
+    monotonicity in :class:`DomainOracle`.  Each class keeps its sunflower
+    cores across passes and updates them only when it gains a member, with
+    the checks that member can complete.  If the oracle surfaces a
     trivial sparsifier, that family is returned at once with ``shortcut``
     set.
 
@@ -262,6 +301,8 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     ell_cap = min(params.ell, n)
     members: list[int] = []
     member_set: set[int] = set()
+    union_bits = 0
+    classes = [_ClassCores(t, n) for _ in range(ell_cap + 1)]
     # per cardinality: blockers answered NotFound, keyed as _hitting_sets
     # reads them (the empty set when the class has no member at all)
     known_empty: list[dict[int, list[int]]] = [{} for _ in range(ell_cap + 1)]
@@ -302,20 +343,16 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
 
     while True:
         passes += 1
-        union_bits = 0
-        for b in members:
-            union_bits |= b
         added = False
         for lp in range(ell_cap + 1):
-            group = [b for b in members if b.bit_count() == lp]
+            group = classes[lp]
             # same union and class as a drained pass: the same blockers,
             # which are still all known empty, and the same guard outcome
-            key = (union_bits, len(group))
+            key = (union_bits, len(group.members))
             if drained[lp] == key:
                 continue
-            required = group + _sunflower_cores(group, t, n)
             blocked = known_empty[lp]
-            for y in _hitting_sets(union_bits, required, blocked):
+            for y in _hitting_sets(union_bits, group.required(), blocked):
                 out = counting.exact_empty_extend(lp, y)
                 if isinstance(out, TrivialSparsifier):
                     return report(out.family, shortcut=True)
@@ -323,6 +360,8 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
                     check_witness(out.witness, lp, y)
                     members.append(out.witness)
                     member_set.add(out.witness)
+                    union_bits |= out.witness
+                    group.add(out.witness)
                     added = True
                     break
                 blocked.setdefault(y.bit_length(), []).append(y)

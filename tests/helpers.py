@@ -212,10 +212,10 @@ def certify_answer(
             ), "a domain member is not covered"
 
 
-def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
-    """Sets a blocker must hit, straight from the definition: every member
-    of cardinality ``ell_prime`` and the core of every size-``t`` sunflower
-    among them."""
+def brute_cores(family: SetFamily, ell_prime: int, t: int) -> list[int]:
+    """The core of every size-``t`` sunflower among the members of
+    cardinality ``ell_prime``, straight from the definition (one entry per
+    sunflower, so a core can repeat)."""
     n = family.universe_size
     group = [m for m in family if len(m) == ell_prime]
     cores = []
@@ -223,7 +223,15 @@ def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
         got = is_sunflower(SetFamily.of(n, list(sub)))
         if got is not None:
             cores.append(got.core.bits)
-    return [m.bits for m in group] + cores
+    return cores
+
+
+def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
+    """Sets a blocker must hit, straight from the definition: every member
+    of cardinality ``ell_prime`` and the core of every size-``t`` sunflower
+    among them."""
+    group = [m.bits for m in family if len(m) == ell_prime]
+    return group + brute_cores(family, ell_prime, t)
 
 
 def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:

@@ -30,12 +30,15 @@ from divsparse import (
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
 from divsparse.limited import ShiftedEmptyExtension
-from divsparse.sunflower import _hitting_sets
+from divsparse.instances import uniform_matroid_instance, vertex_cover_instance
+from divsparse.sunflower import _ClassCores, _hitting_sets
 
 from helpers import (
     brute_blockers,
+    brute_cores,
     brute_required,
     random_family,
+    random_undirected_graph,
     reference_k_sparsify,
 )
 
@@ -124,6 +127,33 @@ class TestBlockerCandidates:
         assert blocker_candidates(family, 1, 12) == []
 
 
+class TestClassCores:
+    def test_matches_from_scratch_cores_after_every_insertion(self):
+        rng = random.Random(17)
+        confirmed = rejected = 0
+        for _ in range(150):
+            n = rng.randint(3, 8)
+            size = rng.randint(1, min(3, n - 1))
+            pool = [sum(1 << e for e in c) for c in combinations(range(n), size)]
+            group = rng.sample(pool, min(len(pool), rng.randint(2, 8)))
+            t = rng.randint(1, 5)
+            for _order in range(2):
+                rng.shuffle(group)
+                record = _ClassCores(t, n)
+                for i, member in enumerate(group):
+                    record.add(member)
+                    family = SetFamily.from_bits(n, group[: i + 1])
+                    want = set(brute_cores(family, size, t))
+                    assert record.members == group[: i + 1]
+                    assert sorted(record.cores) == sorted(want)
+                if t >= 3:
+                    candidates = {a & b for a, b in combinations(group, 2)}
+                    confirmed += len(want)
+                    rejected += len(candidates - want)
+        # the packing test really runs both ways
+        assert confirmed > 20 and rejected > 20
+
+
 def by_top(sets):
     """Known-empty sets keyed the way the enumerator reads them."""
     out: dict[int, list[int]] = {}
@@ -152,6 +182,19 @@ class TestHittingSetsWithKnownEmpty:
                 if not any(b & ~y == 0 for b in known_empty)
             ]
             assert got == want
+
+    def test_order_and_repeats_of_required_do_not_matter(self):
+        rng = random.Random(43)
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            family = random_family(rng, n, 6, max_size=3)
+            union = family.union_bits()
+            required = brute_required(family, rng.randint(0, 3), rng.randint(1, 4))
+            known_empty = by_top([rng.getrandbits(n) & union for _ in range(2)])
+            want = list(_hitting_sets(union, required, known_empty))
+            shuffled = required + rng.choices(required, k=len(required) // 2)
+            rng.shuffle(shuffled)
+            assert list(_hitting_sets(union, shuffled, known_empty)) == want
 
     def test_sets_appended_while_iterating_prune_the_rest(self):
         union = 0b1111
@@ -310,6 +353,44 @@ class TestAgainstReference:
         assert runs.hexdigest() == REFERENCE_GRID_RUNS
 
 
+def min_cover_size(nv, edges):
+    return min(
+        b.bit_count() for b in range(1 << nv)
+        if all(b >> u & 1 or b >> v & 1 for u, v in edges)
+    )
+
+
+def sunflower_grid():
+    """Seeded (k, instance) cases whose classes hold (kr+1)-petal
+    sunflowers: uniform matroids, and vertex covers of sparse graphs
+    with ell one or two above the minimum cover."""
+    for n, rank in ((8, 2), (9, 2), (10, 2), (11, 2), (8, 3), (9, 3), (10, 3)):
+        for k in (2, 3):
+            yield k, uniform_matroid_instance(n, rank)
+    rng = random.Random(9)
+    for _ in range(40):
+        nv = rng.randint(7, 9)
+        graph = random_undirected_graph(rng, nv, rng.randint(1, nv))
+        ell = min(nv, min_cover_size(nv, graph.edges) + rng.randint(1, 2))
+        yield rng.randint(2, 3), vertex_cover_instance(graph, ell)
+
+
+# SHA-256 of (members, passes, calls_extend) of every k_sparsify run on
+# sunflower_grid(), recorded before the sunflower cores were kept across
+# passes; like REFERENCE_GRID_RUNS it must not change.
+SUNFLOWER_GRID_RUNS = "3eb53389b567ba61b54de8fbfb884858f89580aba854684a3ae7ffd90099827c"
+
+
+def test_sunflower_grid_runs_are_pinned():
+    runs = hashlib.sha256()
+    for k, instance in sunflower_grid():
+        ell = instance.size_bound
+        report = k_sparsify(small_params(k, ell, ell), instance.oracle())
+        members = report.family.bits_list()
+        runs.update(f"{members};{report.passes};{report.calls_extend}|".encode())
+    assert runs.hexdigest() == SUNFLOWER_GRID_RUNS
+
+
 _LYING_ORACLES = textwrap.dedent(
     """
     import sys
@@ -442,6 +523,35 @@ _LYING_ORACLES = textwrap.dedent(
 
     runs["radius"] = forgetful
 
+    from divsparse.domains import DagDpOracle, GraphData, MatchingOracle, VertexCoverOracle
+
+    class CoverLiar(VertexCoverOracle):
+        # the forced subproblem answers with every vertex
+        def _solve_forced(self, forced, blocked, size):
+            return self._full
+
+    runs["cover"] = lambda lie: CoverLiar(
+        GraphData(False, 3, ((0, 1), (1, 2))), 2
+    ).exact_extend(ExtensionQuery(0b010, 1, 0, 0))
+
+    class MatchingLiar(MatchingOracle):
+        # the count DP answers with a forbidden edge
+        def _search(self, forced, forbidden, marked, want):
+            return forbidden
+
+    runs["matching"] = lambda lie: MatchingLiar(
+        GraphData(False, 4, ((0, 1), (1, 2), (2, 3))), 1
+    ).exact_extend(ExtensionQuery(0, 1, 0, 0b001))
+
+    class DagLiar(DagDpOracle):
+        # a labeling the constructor refuses, swapped in after its check:
+        # the longest path 0 -> 1 repeats label 0, so its label set is short
+        def __init__(self):
+            super().__init__(GraphData(True, 2, ((0, 1),)), (0, 1), 2)
+            self._labels = (0, 0)
+
+    runs["dag"] = lambda lie: DagLiar().exact_extend(ExtensionQuery(0, 2, 0, 0))
+
     print("optimize", sys.flags.optimize)
     for lie, run in runs.items():
         try:
@@ -477,3 +587,6 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "optimization did not end at the rank" in verdicts["opt_base"]
     assert "exchange walk ended outside the query" in verdicts["walk_end"]
     assert "relied on cluster radius 1" in verdicts["radius"]
+    assert "cover search returned 0x7 outside the query" in verdicts["cover"]
+    assert "matching search returned 0x1 outside the query" in verdicts["matching"]
+    assert "path table returned 0x1 outside the query" in verdicts["dag"]

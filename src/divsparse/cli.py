@@ -164,21 +164,19 @@ def _run_verify(args, instance: DomainInstance) -> int:
     report, mode = _sparsify_report(args, instance)
     domain = enumerate_domain(instance)
     if mode == "small":
-        assert report.r is not None
         scope = VerifyScope.versus_ball(
             k=args.k,
             cap=None,
             center=SubsetMask.empty(domain.universe_size),
-            radius=report.r,
+            radius=_small_ell(instance),
         )
     else:
         scope = VerifyScope.versus_all_subsets(k=args.k, cap=args.d)
     result = verify_sparsifier(domain, report.family, scope)
-    if result.ok:
+    if result.counterexample is None:
         print("OK")
         return EXIT_OK
     print("FAIL")
-    assert result.counterexample is not None
     reference_tuple, missed = result.counterexample
     for mask in reference_tuple:
         print(_set_line(mask))

@@ -194,7 +194,8 @@ def build_mincut_poset(graph: GraphData, s: int, t: int) -> MinCutPoset:
 
     forced_in = _residual_reachable(to, cap, adj, s, reverse=False)
     forced_out = _residual_reachable(to, cap, adj, t, reverse=True)
-    assert not forced_in & forced_out, "source side reaches the sink residually"
+    if forced_in & forced_out:
+        raise SoundnessError("max flow left the sink reachable from the source")
 
     free = [v for v in range(n) if not (forced_in | forced_out) >> v & 1]
     # residual SCCs among the free vertices, via double reachability

@@ -3,6 +3,19 @@
 The grammar is line oriented; ``#`` starts a comment line.  Element
 indexing is fixed by file order: edge i is the i-th edge line, vertices
 are the written ids.  See the README for the full grammar.
+
+One table, ``_KINDS``, maps each domain kind to its header options (each
+``name=<int>``, in a fixed order) and its body reader.  A check lives
+where the line it blames is known:
+
+* the parser checks what names a body line: token shapes and integers,
+  edge lines (endpoint range, self-loops), set lines (element range,
+  duplicates), block lines (element range) and the labels line (one
+  label per vertex);
+* the domain constructors check everything else, such as a graph's
+  orientation, the rank against the universe, the source and sink, the
+  universe size and the label range.  :func:`parse_instance` turns their
+  ``ValueError`` into a :class:`ParseError` on the header line.
 """
 
 from __future__ import annotations
@@ -110,16 +123,6 @@ def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) ->
     return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.path_length)
 
 
-def _tokenize(text: str) -> list[tuple[int, list[str]]]:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        out.append((line_no, stripped.split()))
-    return out
-
-
 def _parse_int(token: str, line_no: int, what: str) -> int:
     try:
         return int(token)
@@ -127,16 +130,13 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"expected an integer {what}, got {token!r}") from None
 
 
-def _parse_kv(token: str, key: str, line_no: int) -> int:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise ParseError(line_no, f"expected {key}=<int>, got {token!r}")
-    return _parse_int(token[len(prefix):], line_no, f"after {key}=")
-
-
 class _Cursor:
-    def __init__(self, lines: list[tuple[int, list[str]]]) -> None:
-        self._lines = lines
+    """The instance's nonblank, noncomment lines as ``(line_no, tokens)``."""
+
+    def __init__(self, text: str) -> None:
+        lines = enumerate((raw.split() for raw in text.splitlines()), start=1)
+        # blank lines and comment lines are skipped
+        self._lines = [(no, toks) for no, toks in lines if toks and toks[0][0] != "#"]
         self._idx = 0
 
     def peek(self) -> tuple[int, list[str]] | None:
@@ -187,19 +187,14 @@ def _parse_universe(cur: _Cursor) -> int:
     line_no, tokens = cur.take("'universe <n>'")
     if tokens[0] != "universe" or len(tokens) != 2:
         raise ParseError(line_no, "expected 'universe <n>'")
-    n = _parse_int(tokens[1], line_no, "universe size")
-    if n < 1:
-        raise ParseError(line_no, "universe size must be positive")
-    return n
+    return _parse_int(tokens[1], line_no, "universe size")
 
 
-def _parse_set_lines(cur: _Cursor, universe: int) -> SetFamily:
+def _parse_family(cur: _Cursor) -> SetFamily:
+    universe = _parse_universe(cur)
     members: list[int] = []
     seen: set[int] = set()
-    while True:
-        got = cur.peek()
-        if got is None or got[1][0] not in ("set", "set:"):
-            break
+    while (got := cur.peek()) is not None and got[1][0] in ("set", "set:"):
         line_no, tokens = cur.take("a set line")
         bits = 0
         for token in tokens[1:]:
@@ -214,115 +209,82 @@ def _parse_set_lines(cur: _Cursor, universe: int) -> SetFamily:
     return SetFamily.from_bits(universe, members)
 
 
+def _read_partition_matroid(cur: _Cursor) -> DomainInstance:
+    universe = _parse_universe(cur)
+    blocks: list[tuple[int, tuple[int, ...]]] = []
+    while (got := cur.peek()) is not None and got[1][0] == "block":
+        b_no, b_tokens = cur.take("a block line")
+        if len(b_tokens) < 2:
+            raise ParseError(b_no, "expected 'block <cap> <i> ...'")
+        cap = _parse_int(b_tokens[1], b_no, "capacity")
+        elems = tuple(_parse_int(tok, b_no, "element index") for tok in b_tokens[2:])
+        for e in elems:
+            if not 0 <= e < universe:
+                raise ParseError(b_no, f"element index {e} out of range")
+        blocks.append((cap, elems))
+    return partition_matroid_instance(universe, blocks)
+
+
+def _read_dag_dp(cur: _Cursor, universe: int) -> DomainInstance:
+    graph = _parse_graph_block(cur)
+    l_no, l_tokens = cur.take("a labels line")
+    if l_tokens[0] != "labels" or len(l_tokens) != graph.n_vertices + 1:
+        raise ParseError(l_no, f"expected 'labels' with {graph.n_vertices} entries")
+    labels = tuple(_parse_int(tok, l_no, "label") for tok in l_tokens[1:])
+    return dag_dp_instance(universe, graph, labels)
+
+
+def _then(read: Callable, build: Callable[..., DomainInstance]) -> Callable:
+    """The body reader that ``read``s one section, then ``build``s the
+    instance from it and the option values."""
+    return lambda cur, *options: build(read(cur), *options)
+
+
+#: kind -> (its header options, in order, each ``name=<int>``; its body
+#: reader, called with the cursor and the option values)
+_KINDS: dict[str, tuple[tuple[str, ...], Callable[..., DomainInstance]]] = {
+    "explicit": ((), _then(_parse_family, explicit_instance)),
+    "vertex_cover": (("ell",), _then(_parse_graph_block, vertex_cover_instance)),
+    "spanning_tree": ((), _then(_parse_graph_block, spanning_tree_instance)),
+    "uniform_matroid": (("rank",), _then(_parse_universe, uniform_matroid_instance)),
+    "partition_matroid": ((), _read_partition_matroid),
+    "matching": (("size",), _then(_parse_graph_block, matching_instance)),
+    "st_mincut": (("s", "t"), _then(_parse_graph_block, st_mincut_instance)),
+    "dag_dp": (("universe",), _read_dag_dp),
+}
+
+
+def _read_options(
+    line_no: int, kind: str, tokens: list[str], names: tuple[str, ...]
+) -> list[int]:
+    prefixes = [name + "=" for name in names]
+    if len(tokens) != len(names) or not all(map(str.startswith, tokens, prefixes)):
+        usage = "".join(f" {prefix}<int>" for prefix in prefixes)
+        raise ParseError(line_no, f"expected 'domain {kind}{usage}'")
+    return [
+        _parse_int(tok[len(prefix):], line_no, f"after {prefix}")
+        for tok, prefix in zip(tokens, prefixes)
+    ]
+
+
 def parse_instance(text: str) -> DomainInstance:
-    """Parse an instance file; errors carry the offending line number."""
-    lines = _tokenize(text)
-    cur = _Cursor(lines)
+    """Parse an instance file; errors carry the offending line number.
+
+    A constructor's :class:`ValueError` names the header line.
+    """
+    cur = _Cursor(text)
     line_no, tokens = cur.take("a 'domain <kind>' header")
     if tokens[0] != "domain" or len(tokens) < 2:
         raise ParseError(line_no, "expected 'domain <kind> [options]'")
-    kind = tokens[1]
-    options = tokens[2:]
-
-    def no_options() -> None:
-        if options:
-            raise ParseError(line_no, f"domain {kind} takes no options")
-
+    if tokens[1] not in _KINDS:
+        raise ParseError(line_no, f"unknown domain kind {tokens[1]!r}")
+    names, read_body = _KINDS[tokens[1]]
+    options = _read_options(line_no, tokens[1], tokens[2:], names)
     try:
-        if kind == "explicit":
-            no_options()
-            universe = _parse_universe(cur)
-            family = _parse_set_lines(cur, universe)
-            cur.done()
-            return explicit_instance(family)
-        if kind == "vertex_cover":
-            if len(options) != 1:
-                raise ParseError(line_no, "expected 'domain vertex_cover ell=<L>'")
-            ell = _parse_kv(options[0], "ell", line_no)
-            graph = _parse_graph_block(cur)
-            if graph.directed:
-                raise ParseError(line_no, "vertex_cover needs an undirected graph")
-            cur.done()
-            return vertex_cover_instance(graph, ell)
-        if kind == "spanning_tree":
-            no_options()
-            graph = _parse_graph_block(cur)
-            if graph.directed:
-                raise ParseError(line_no, "spanning_tree needs an undirected graph")
-            cur.done()
-            return spanning_tree_instance(graph)
-        if kind == "uniform_matroid":
-            if len(options) != 1:
-                raise ParseError(line_no, "expected 'domain uniform_matroid rank=<r>'")
-            rank = _parse_kv(options[0], "rank", line_no)
-            universe = _parse_universe(cur)
-            cur.done()
-            if rank > universe:
-                raise ParseError(line_no, "rank exceeds the universe size")
-            return uniform_matroid_instance(universe, rank)
-        if kind == "partition_matroid":
-            no_options()
-            universe = _parse_universe(cur)
-            blocks: list[tuple[int, tuple[int, ...]]] = []
-            while cur.peek() is not None and cur.peek()[1][0] == "block":
-                b_no, b_tokens = cur.take("a block line")
-                if len(b_tokens) < 2:
-                    raise ParseError(b_no, "expected 'block <cap> <i> ...'")
-                cap = _parse_int(b_tokens[1], b_no, "capacity")
-                elems = tuple(
-                    _parse_int(tok, b_no, "element index") for tok in b_tokens[2:]
-                )
-                for e in elems:
-                    if not 0 <= e < universe:
-                        raise ParseError(b_no, f"element index {e} out of range")
-                blocks.append((cap, elems))
-            cur.done()
-            return partition_matroid_instance(universe, blocks)
-        if kind == "matching":
-            if len(options) != 1:
-                raise ParseError(line_no, "expected 'domain matching size=<L>'")
-            size_ell = _parse_kv(options[0], "size", line_no)
-            graph = _parse_graph_block(cur)
-            if graph.directed:
-                raise ParseError(line_no, "matching needs an undirected graph")
-            cur.done()
-            return matching_instance(graph, size_ell)
-        if kind == "st_mincut":
-            if len(options) != 2:
-                raise ParseError(line_no, "expected 'domain st_mincut s=<v> t=<v>'")
-            s = _parse_kv(options[0], "s", line_no)
-            t = _parse_kv(options[1], "t", line_no)
-            graph = _parse_graph_block(cur)
-            cur.done()
-            if not (0 <= s < graph.n_vertices and 0 <= t < graph.n_vertices):
-                raise ParseError(line_no, "source or sink out of range")
-            if s == t:
-                raise ParseError(line_no, "source and sink must differ")
-            return st_mincut_instance(graph, s, t)
-        if kind == "dag_dp":
-            if len(options) != 1:
-                raise ParseError(line_no, "expected 'domain dag_dp universe=<n>'")
-            universe = _parse_kv(options[0], "universe", line_no)
-            if universe < 1:
-                raise ParseError(line_no, "universe size must be positive")
-            graph = _parse_graph_block(cur)
-            if not graph.directed:
-                raise ParseError(line_no, "dag_dp needs a directed graph")
-            l_no, l_tokens = cur.take("a labels line")
-            if l_tokens[0] != "labels" or len(l_tokens) != graph.n_vertices + 1:
-                raise ParseError(
-                    l_no, f"expected 'labels' with {graph.n_vertices} entries"
-                )
-            labels = tuple(
-                _parse_int(tok, l_no, "label") for tok in l_tokens[1:]
-            )
-            for q in labels:
-                if not 0 <= q < universe:
-                    raise ParseError(l_no, f"label {q} out of range")
-            cur.done()
-            return dag_dp_instance(universe, graph, labels)
+        instance = read_body(cur, *options)
     except ParseError:
         raise
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from None
-    raise ParseError(line_no, f"unknown domain kind {kind!r}")
+    cur.done()
+    return instance

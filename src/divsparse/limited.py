@@ -65,9 +65,10 @@ def default_trials(k: int, epsilon: float, n_centers: int) -> int:
 class LimitedSparsifyParams:
     """Parameters of the d-limited pipeline.
 
-    ``p`` defaults to the provable cluster radius; overriding it below that
-    bound voids the completeness guarantee (soundness stays) and is meant
-    for experiments, with ``verify`` available to detect invalid outputs.
+    ``p`` is the cluster radius, ``None`` for the provable one; setting it
+    below that bound voids the completeness guarantee (soundness stays)
+    and is meant for experiments, with ``verify`` available to detect
+    invalid outputs.
     """
 
     k: int
@@ -82,9 +83,7 @@ class LimitedSparsifyParams:
             raise ValueError("k must be at least 1")
         if self.d < 0:
             raise ValueError("d must be nonnegative")
-        if self.p is None:
-            object.__setattr__(self, "p", default_cluster_radius(self.k, self.d))
-        if self.p <= 2 * self.d:
+        if self.p is not None and self.p <= 2 * self.d:
             raise ValueError(f"cluster radius p ({self.p}) must exceed 2d ({2 * self.d})")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
@@ -110,7 +109,6 @@ def approx_far_set(
     oracle: DomainOracle,
     centers: Sequence[int],
     d: int,
-    p: int,
     trials: int,
     rng: SplitMix64,
 ) -> int | None:
@@ -119,12 +117,10 @@ def approx_far_set(
     Each trial optimizes a fresh uniform +-1 weight vector; a candidate is
     returned only after its distances to all centers are checked, so any
     returned set is certainly far.  ``None`` after all trials means every
-    member is within p of some center, up to the per-call error bound.  An
-    optimum with elements outside the universe raises
+    member is within the cluster radius of some center, up to the per-call
+    error bound.  An optimum with elements outside the universe raises
     :class:`SoundnessError`.
     """
-    if p <= 2 * d:
-        raise ValueError("p must exceed 2d")
     if trials < 1:
         raise ValueError("trials must be positive")
     n = oracle.universe_size
@@ -161,7 +157,7 @@ def cluster_or_trivial(
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far = approx_far_set(oracle, center_bits, params.d, params.p, trials, rng)
+        far = approx_far_set(oracle, center_bits, params.d, trials, rng)
         if far is None:
             return ClusterResult(SetFamily.from_bits(n, center_bits), trivial=False)
         center_bits.append(far)
@@ -224,7 +220,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     """
     counting = CountingOracle(oracle)
     n = oracle.universe_size
-    assert params.p is not None
+    p = default_cluster_radius(params.k, params.d) if params.p is None else params.p
 
     def report(family: SetFamily, passes: int, shortcut: bool, scattered: bool):
         return SparsifierReport(
@@ -232,7 +228,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
             mode="limited",
             k=params.k,
             d=params.d,
-            p=params.p,
+            p=p,
             epsilon=params.epsilon,
             seed=params.seed,
             calls_opt=counting.calls_opt,
@@ -246,15 +242,12 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     if clusters.trivial:
         return report(clusters.family, passes=0, shortcut=False, scattered=True)
 
-    ctx = OracleContext(k=params.k, d=params.d, p=params.p)
+    ctx = OracleContext(k=params.k, d=params.d, p=p)
     out_bits: list[int] = []
     passes = 0
     for center in clusters.family.bits_list():
         view = ShiftedEmptyExtension(counting, center, ctx)
-        sub = k_sparsify(
-            SmallSparsifyParams(k=params.k, r=params.p + params.d, ell=params.p),
-            view,
-        )
+        sub = k_sparsify(SmallSparsifyParams(k=params.k, r=p + params.d, ell=p), view)
         passes += sub.passes
         if sub.shortcut:
             return report(sub.family, passes=passes, shortcut=True, scattered=False)

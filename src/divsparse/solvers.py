@@ -37,7 +37,6 @@ from .core import (
     ExtensionQuery,
     Found,
     OracleContext,
-    SetFamily,
     SoundnessError,
     SparsifierReport,
     SubsetMask,
@@ -122,10 +121,6 @@ def limited_builder(
 
 class GloballyInfeasible(Exception):
     """Raised when an extension query proves no clustering can exist."""
-
-    def __init__(self, family: SetFamily) -> None:
-        super().__init__("trivial sparsifier rules out any clustering")
-        self.family = family
 
 
 def _require_modified_support(oracle: DomainOracle, spec: ProblemSpec) -> None:
@@ -238,7 +233,7 @@ def min_cluster_radius(
             )
             out = oracle.exact_extend(query, ctx)
             if isinstance(out, TrivialSparsifier):
-                raise GloballyInfeasible(out.family)
+                raise GloballyInfeasible("trivial sparsifier rules out any clustering")
             if isinstance(out, Found):
                 center = out.witness
                 if center < 0 or center >> n:

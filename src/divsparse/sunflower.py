@@ -85,14 +85,21 @@ def is_sunflower(family: SetFamily) -> Sunflower | None:
 
 
 def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
-    """Whether ``need`` pairwise-disjoint masks can be picked from ``diffs``."""
-    diffs = sorted(diffs, key=lambda b: b.bit_count())
+    """Whether ``need`` pairwise-disjoint masks can be picked from
+    ``diffs``, a nonempty list of masks of one size.
+
+    ``need`` disjoint masks of size s cover ``need * s`` elements, so a
+    smaller union of ``diffs`` refutes at once.
+    """
+    union = 0
+    for b in diffs:
+        union |= b
+    if need * diffs[0].bit_count() > union.bit_count():
+        return False
 
     def rec(idx: int, used: int, count: int) -> bool:
         if count >= need:
             return True
-        if count + (len(diffs) - idx) < need:
-            return False
         for j in range(idx, len(diffs)):
             if count + (len(diffs) - j) < need:
                 return False

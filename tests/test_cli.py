@@ -78,6 +78,27 @@ OVERSIZED = {
     + "labels 0 1\n",
 }
 
+_DIRECTED_PATH = _graph("directed", 3, [(0, 1), (1, 2)])
+_UNDIRECTED_PATH = _graph("undirected", 3, [(0, 1), (1, 2)])
+#: one instance per fault of its header line, every other line well formed
+HEADER_FAULTS = {
+    "vertex_cover_directed": "domain vertex_cover ell=1\n" + _DIRECTED_PATH,
+    "spanning_tree_directed": "domain spanning_tree\n" + _DIRECTED_PATH,
+    "matching_directed": "domain matching size=1\n" + _DIRECTED_PATH,
+    "dag_dp_undirected": "domain dag_dp universe=3\n"
+    + _UNDIRECTED_PATH
+    + "labels 0 1 2\n",
+    "rank_over_universe": "domain uniform_matroid rank=4\nuniverse 3\n",
+    "negative_rank": "domain uniform_matroid rank=-1\nuniverse 3\n",
+    "source_is_sink": "domain st_mincut s=1 t=1\n" + _DIRECTED_PATH,
+    "source_out_of_range": "domain st_mincut s=3 t=0\n" + _DIRECTED_PATH,
+    "universe_zero": "domain dag_dp universe=0\n" + _DIRECTED_PATH + "labels 0 1 2\n",
+    "missing_option": "domain matching\n" + _UNDIRECTED_PATH,
+    "extra_option": "domain spanning_tree ell=1\n" + _UNDIRECTED_PATH,
+    "misnamed_option": "domain vertex_cover size=1\n" + _UNDIRECTED_PATH,
+    "unknown_kind": "domain banana\n",
+}
+
 
 def invoke(argv: list[str]) -> tuple[int, str]:
     buffer = io.StringIO()
@@ -136,6 +157,15 @@ class TestParseInstance:
     def test_universe_over_the_mask_width_limit(self, text):
         with pytest.raises(ParseError, match="mask width limit"):
             parse_instance(text)
+
+    @pytest.mark.parametrize("name", HEADER_FAULTS)
+    def test_header_fault_names_the_header_line(self, name, write):
+        text = "# the header is line 2\n" + HEADER_FAULTS[name]
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert err.value.line_no == 2
+        if name in ("negative_rank", "source_is_sink"):
+            assert invoke(["enumerate", "--instance", write(text)]) == (2, "")
 
 
 class TestSolveCommand:

@@ -48,7 +48,7 @@ class TestApproxFarSet:
         fam = SetFamily.from_bits(4, [0b0101])
         oracle = ExplicitOracle(fam)
         got = approx_far_set(
-            oracle, fam.bits_list(), d=1, p=37, trials=64, rng=SplitMix64(3)
+            oracle, fam.bits_list(), d=1, trials=64, rng=SplitMix64(3)
         )
         assert got is None
 
@@ -60,7 +60,7 @@ class TestApproxFarSet:
         # frozen from the binomial tail: 386/1024 per trial
         assert single_trial_success_probability(n) == 386 / 1024
         got = approx_far_set(
-            oracle, centers, d=1, p=37, trials=512, rng=SplitMix64(0)
+            oracle, centers, d=1, trials=512, rng=SplitMix64(0)
         )
         assert got is not None and got.bit_count() == n
         assert distance(got, centers[0], n) == n > 2
@@ -77,7 +77,6 @@ class TestApproxFarSet:
                 ExplicitOracle(fam),
                 centers,
                 d=d,
-                p=2 * d + 5,
                 trials=16,
                 rng=SplitMix64(trial),
             )
@@ -86,17 +85,15 @@ class TestApproxFarSet:
 
     def test_empty_domain(self):
         oracle = ExplicitOracle(SetFamily.empty(4))
-        got = approx_far_set(oracle, [], d=1, p=37, trials=8, rng=SplitMix64(1))
+        got = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
         assert got is None
 
     def test_parameter_validation(self):
         oracle = ExplicitOracle(two_point_domain(4))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, [], 2, p=4, trials=8, rng=SplitMix64(0))
+            approx_far_set(oracle, [], 1, trials=0, rng=SplitMix64(0))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, [], 1, p=37, trials=0, rng=SplitMix64(0))
-        with pytest.raises(ValueError):
-            approx_far_set(oracle, [1 << 4], 1, p=37, trials=8, rng=SplitMix64(0))
+            approx_far_set(oracle, [1 << 4], 1, trials=8, rng=SplitMix64(0))
 
 
 class TestDefaults:

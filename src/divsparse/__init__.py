@@ -48,13 +48,7 @@ from .solvers import (
     small_builder,
     solve,
 )
-from .sunflower import (
-    SmallSparsifyParams,
-    Sunflower,
-    blocker_candidates,
-    is_sunflower,
-    k_sparsify,
-)
+from .sunflower import SmallSparsifyParams, k_sparsify
 
 __version__ = "0.1.0"
 
@@ -82,17 +76,14 @@ __all__ = [
     "SparsifierReport",
     "SplitMix64",
     "SubsetMask",
-    "Sunflower",
     "TrivialSparsifier",
     "WeightVector",
     "approx_far_set",
-    "blocker_candidates",
     "cluster_or_trivial",
     "default_cluster_radius",
     "default_trials",
     "distance",
     "dk_sparsify",
-    "is_sunflower",
     "k_sparsify",
     "limited_builder",
     "min_cluster_radius",

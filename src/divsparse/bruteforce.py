@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .core import GuardError, SetFamily, SubsetMask, distance
+from .core import GuardError, SetFamily, SoundnessError, SubsetMask, distance
 from .solvers import ProblemSpec, SolveAnswer
 
 ENUMERATION_GUARD = 20  # largest universe enumerate_domain will scan
@@ -198,7 +198,10 @@ def verify_sparsifier(
         if found is not None:
             fs = tuple(SubsetMask(n, groups[m]) for m in found)
             witness = (fs, SubsetMask(n, d_bits))
-            assert _is_genuine_counterexample(witness, cand_bits, cap)
+            if not _is_genuine_counterexample(witness, cand_bits, cap):
+                raise SoundnessError(
+                    "verify_sparsifier: a candidate dominates the counterexample found"
+                )
             return VerifyResult(ok=False, counterexample=witness, sampled=sampled)
     return VerifyResult(ok=True, sampled=sampled)
 
@@ -264,7 +267,8 @@ def brute_solve(domain: SetFamily, spec: ProblemSpec) -> SolveAnswer:
                     best_combo = combo
         if spec.problem == "maxmin":
             return SolveAnswer(feasible=False)
-        assert best_sum is not None and best_combo is not None
+        if best_sum is None or best_combo is None:
+            raise SoundnessError("brute_solve: the max-sum scan saw no tuple")
         if best_sum < spec.d:
             return SolveAnswer(feasible=False, objective=best_sum)
         return SolveAnswer(

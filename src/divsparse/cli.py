@@ -12,6 +12,7 @@ unsupported capability, 4 an oracle answer that broke its contract (a
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -39,7 +40,9 @@ def _set_line(mask: SubsetMask) -> str:
     return f"set: {inner}" if inner else "set:"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``run``, then reused: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="divsparse",
         description=(

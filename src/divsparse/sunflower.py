@@ -33,7 +33,6 @@ sets a prefix still misses as one bit set over their indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterator
 
 from .core import (
@@ -52,36 +51,6 @@ from .core import (
 #: Blocker sets are enumerated over subsets of the union of current members;
 #: refuse to enumerate more than 2^20 of them.
 BLOCKER_UNION_GUARD = 20
-
-
-@dataclass(frozen=True)
-class Sunflower:
-    """Equal-size sets whose pairwise intersections all equal one core."""
-
-    petals: SetFamily
-    core: SubsetMask
-
-
-def is_sunflower(family: SetFamily) -> Sunflower | None:
-    """Return the sunflower structure of ``family`` or None.
-
-    A single-petal family is a sunflower whose core is the petal itself;
-    a two-petal family is one with core equal to the intersection.
-    Mixed member cardinalities are a usage error.
-    """
-    if len(family) == 0:
-        raise ValueError("a sunflower has at least one petal")
-    sizes = {len(m) for m in family}
-    if len(sizes) > 1:
-        raise ValueError("sunflower petals must have equal cardinality")
-    if len(family) == 1:
-        return Sunflower(family, family.members[0])
-    bits = family.bits_list()
-    core = bits[0] & bits[1]
-    for a, b in combinations(bits, 2):
-        if a & b != core:
-            return None
-    return Sunflower(family, SubsetMask(family.universe_size, core))
 
 
 def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
@@ -227,30 +196,6 @@ def _hitting_sets(
                 yield 0
         else:
             yield from grow(0, 0, size, (1 << len(required)) - 1)
-
-
-def blocker_candidates(
-    family: SetFamily, ell_prime: int, t: int
-) -> list[SubsetMask]:
-    """All qualifying blocker sets for one cardinality class, in order.
-
-    Returns every Y inside the union of ``family`` that intersects every
-    member of cardinality ``ell_prime`` and the core of every size-``t``
-    sunflower among those members, ordered by (size, lexicographic).
-    """
-    if t < 1:
-        raise ValueError("sunflower size t must be positive")
-    if ell_prime < 0:
-        raise ValueError("cardinality must be nonnegative")
-    n = family.universe_size
-    group = _ClassCores(t, n)
-    for b in family.bits_list():
-        if b.bit_count() == ell_prime:
-            group.add(b)
-    return [
-        SubsetMask(n, y)
-        for y in _hitting_sets(family.union_bits(), group.required(), {})
-    ]
 
 
 @dataclass(frozen=True)

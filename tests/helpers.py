@@ -1,9 +1,11 @@
-"""Shared test utilities: deterministic instance generators and answer
-certification against enumerated domains."""
+"""Shared test utilities: deterministic instance generators, answer
+certification against enumerated domains, and the sunflower and blocker
+checks the tests use as references."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from divsparse import (
@@ -14,8 +16,8 @@ from divsparse import (
     SetFamily,
     SmallSparsifyParams,
     SolveAnswer,
+    SubsetMask,
     distance,
-    is_sunflower,
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.core import iter_bits
@@ -31,6 +33,7 @@ from divsparse.instances import (
     uniform_matroid_instance,
     vertex_cover_instance,
 )
+from divsparse.sunflower import _ClassCores, _hitting_sets
 
 ADAPTER_KINDS = (
     "explicit",
@@ -210,6 +213,60 @@ def certify_answer(
                 dist(member, c) <= r
                 for c, r in zip(answer.witnesses, answer.radii)
             ), "a domain member is not covered"
+
+
+@dataclass(frozen=True)
+class Sunflower:
+    """Equal-size sets whose pairwise intersections all equal one core."""
+
+    petals: SetFamily
+    core: SubsetMask
+
+
+def is_sunflower(family: SetFamily) -> Sunflower | None:
+    """Return the sunflower structure of ``family`` or None.
+
+    A single-petal family is a sunflower whose core is the petal itself;
+    a two-petal family is one with core equal to the intersection.
+    Mixed member cardinalities are a usage error.
+    """
+    if len(family) == 0:
+        raise ValueError("a sunflower has at least one petal")
+    sizes = {len(m) for m in family}
+    if len(sizes) > 1:
+        raise ValueError("sunflower petals must have equal cardinality")
+    if len(family) == 1:
+        return Sunflower(family, family.members[0])
+    bits = family.bits_list()
+    core = bits[0] & bits[1]
+    for a, b in combinations(bits, 2):
+        if a & b != core:
+            return None
+    return Sunflower(family, SubsetMask(family.universe_size, core))
+
+
+def blocker_candidates(
+    family: SetFamily, ell_prime: int, t: int
+) -> list[SubsetMask]:
+    """All qualifying blocker sets for one cardinality class, in order.
+
+    Returns every Y inside the union of ``family`` that intersects every
+    member of cardinality ``ell_prime`` and the core of every size-``t``
+    sunflower among those members, ordered by (size, lexicographic).
+    """
+    if t < 1:
+        raise ValueError("sunflower size t must be positive")
+    if ell_prime < 0:
+        raise ValueError("cardinality must be nonnegative")
+    n = family.universe_size
+    group = _ClassCores(t, n)
+    for b in family.bits_list():
+        if b.bit_count() == ell_prime:
+            group.add(b)
+    return [
+        SubsetMask(n, y)
+        for y in _hitting_sets(family.union_bits(), group.required(), {})
+    ]
 
 
 def brute_cores(family: SetFamily, ell_prime: int, t: int) -> list[int]:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from divsparse import GuardError, ProblemSpec, SetFamily
+from divsparse import GuardError, ProblemSpec, SetFamily, SoundnessError
+from divsparse import bruteforce
 from divsparse.bruteforce import (
     VerifyScope,
     brute_solve,
@@ -136,6 +137,16 @@ class TestVerifySparsifier:
                 assert not dominated
         assert seen_failures > 5
 
+    def test_counterexample_check_survives_optimize(self, monkeypatch):
+        # an explicit check, so it also holds under ``python -O``
+        fam = SetFamily.from_bits(2, [0b01, 0b10])
+        cand = SetFamily.from_bits(2, [0b01])
+        monkeypatch.setattr(
+            bruteforce, "_is_genuine_counterexample", lambda *args: False
+        )
+        with pytest.raises(SoundnessError, match="counterexample"):
+            verify_sparsifier(fam, cand, VerifyScope.versus_domain(1, None))
+
     def test_sampled_mode_above_reference_guard(self):
         n = 14
         fam = SetFamily.from_bits(n, [0, 1, (1 << n) - 1])
@@ -181,3 +192,11 @@ class TestBruteSolve:
         fam = SetFamily.from_bits(12, list(range(1, 400)))
         with pytest.raises(GuardError):
             brute_solve(fam, ProblemSpec("maxmin", 3, 1))
+
+    def test_max_sum_scan_check_survives_optimize(self, monkeypatch):
+        monkeypatch.setattr(
+            bruteforce, "combinations_with_replacement", lambda *args: iter(())
+        )
+        two = SetFamily.from_bits(2, [0b01, 0b10])
+        with pytest.raises(SoundnessError, match="max-sum scan"):
+            brute_solve(two, ProblemSpec("maxsum", 2, 1))

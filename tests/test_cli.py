@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
-import io
+import argparse
 import contextlib
+import io
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import divsparse
 import divsparse.cli as cli
 from divsparse import DomainOracle, Found
 from divsparse.cli import run
@@ -46,6 +53,21 @@ graph directed 4 4
 1 3
 2 3
 """
+
+#: closed under complements, so ``--modified`` applies; it changes the answer
+COMPLEMENT_CLOSED = """\
+domain explicit
+universe 4
+set
+set 0 1 2 3
+set 0 1
+set 2 3
+set 0
+set 1 2 3
+"""
+
+#: with ``--p 7 --trials 1 --seed 5`` the far-set search misses the full set
+SPREAD = "domain explicit\nuniverse 8\nset\nset 0 1 2 3 4 5 6 7\nset 0 1 2 3\n"
 
 DAG = """\
 domain dag_dp universe=3
@@ -105,6 +127,13 @@ def invoke(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(buffer):
         code = run(argv)
     return code, buffer.getvalue()
+
+
+def invoke_all(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -301,8 +330,7 @@ class TestVerifyCommand:
         # p forced just above 2d voids completeness: with one trial and this
         # seed the far-set search misses the full set, and the verifier
         # catches the invalid output (k reference lines, then the member)
-        spread = "domain explicit\nuniverse 8\nset\nset 0 1 2 3 4 5 6 7\nset 0 1 2 3\n"
-        path = write(spread)
+        path = write(SPREAD)
         code, out = invoke(
             ["verify", "--instance", path, "--k", "1", "--d", "3",
              "--p", "7", "--trials", "1", "--seed", "5"]
@@ -361,3 +389,95 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: witness {0,1}/2 does not have size 0\n"
         )
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process; no run may see what an
+    earlier one parsed."""
+
+    @staticmethod
+    def interleaved(tmp_path) -> list[list[str]]:
+        paths = {}
+        texts = {"cc": COMPLEMENT_CLOSED, "spread": SPREAD, "c4": C4_MATCHING}
+        for name, text in texts.items():
+            paths[name] = str(tmp_path / f"{name}.txt")
+            Path(paths[name]).write_text(text)
+        maxmin = ["--problem", "maxmin", "--k", "2", "--d", "2"]
+        spread = ["--instance", paths["spread"], "--k", "1", "--d", "3", "--seed", "5"]
+        knobs = ["--p", "7", "--trials", "1"]
+        return [
+            ["solve", "--instance", paths["cc"], *maxmin, "--modified"],
+            ["solve", "--instance", paths["cc"], *maxmin],
+            ["verify", *spread, *knobs],
+            ["verify", *spread],
+            ["sparsify", *spread, *knobs],
+            ["sparsify", *spread],
+            ["enumerate", "--instance", paths["c4"]],
+            ["solve", "--instance", paths["c4"], "--problem", "maxmin", "--d", "4"],
+            ["solve", "--instance", paths["c4"], "--problem", "maxmin", "--k", "2", "--d", "4"],
+            ["solve", "--instance", paths["cc"], *maxmin, "--modified"],
+            ["sparsify", *spread, *knobs],
+            ["--help"],
+        ]
+
+    def test_interleaved_runs_match_fresh_parsers(self, tmp_path, monkeypatch):
+        argvs = self.interleaved(tmp_path)
+        invoke_all(argvs[0])  # the parser exists from here on
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+            reused = [invoke_all(argv) for argv in argvs]
+        assert built == []
+        # each flag changes the output, so a leaked value would show
+        assert reused[0][1] != reused[1][1]
+        assert reused[2][1] != reused[3][1] and reused[4][1] != reused[5][1]
+        assert [r[0] for r in reused[6:9]] == [0, 2, 0]
+        assert "required: --k" in reused[7][2]
+        assert reused[8][1] == "YES\nset: 0 2\nset: 1 3\n"
+
+        # the same runs again, each with a parser of its own
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert reused == [invoke_all(argv) for argv in argvs]
+
+    def test_help_text_is_stable(self):
+        first = invoke_all(["--help"])
+        assert first[0] == 0 and first[1].startswith("usage: divsparse")
+        assert invoke_all(["--help"]) == first
+        solve_help = invoke_all(["solve", "--help"])
+        assert solve_help[0] == 0 and "--modified" in solve_help[1]
+        assert invoke_all(["solve", "--help"]) == solve_help
+
+
+_COUNT_PARSERS_ON_IMPORT = textwrap.dedent(
+    """
+    import argparse
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    argparse.ArgumentParser.__init__ = counting_init
+    import divsparse.cli
+    print("import", len(built))
+    divsparse.cli.run([])  # no subcommand: a usage error, exit 2
+    print("run", len(built) > 0)
+    """
+)
+
+
+def test_import_builds_no_parser():
+    src = str(Path(divsparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS_ON_IMPORT],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert done.stdout.splitlines() == ["import 0", "run True"]

@@ -22,9 +22,7 @@ from divsparse import (
     SetFamily,
     SmallSparsifyParams,
     SubsetMask,
-    blocker_candidates,
     default_cluster_radius,
-    is_sunflower,
     k_sparsify,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
@@ -34,9 +32,11 @@ from divsparse.instances import uniform_matroid_instance, vertex_cover_instance
 from divsparse.sunflower import _ClassCores, _hitting_sets
 
 from helpers import (
+    blocker_candidates,
     brute_blockers,
     brute_cores,
     brute_required,
+    is_sunflower,
     random_family,
     random_undirected_graph,
     reference_k_sparsify,

@@ -20,6 +20,7 @@ from ..core import (
     ExtensionOutcome,
     ExtensionQuery,
     Found,
+    iter_bits,
     NOT_FOUND,
     OracleContext,
     SoundnessError,
@@ -49,11 +50,8 @@ class MatchingOracle(DomainOracle):
         """Vertices covered by the edges in ``bits``, or None when two of
         them share a vertex (``bits`` is not a matching)."""
         used = 0
-        b = bits
-        while b:
-            low = b & -b
-            b ^= low
-            u, v = self._graph.edges[low.bit_length() - 1]
+        for e in iter_bits(bits):
+            u, v = self._graph.edges[e]
             if used >> u & 1 or used >> v & 1:
                 return None
             used |= (1 << u) | (1 << v)

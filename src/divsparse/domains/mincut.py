@@ -140,6 +140,8 @@ class MinCutPoset:
     def n_nodes(self) -> int:
         return len(self.node_blocks)
 
+    # hand-inlined bit loops: is_ideal and cut_bits run in the sandwich loop,
+    # where a core.iter_bits loop measured about twice as slow
     def is_ideal(self, node_set: int) -> bool:
         rest = node_set
         while rest:

@@ -16,6 +16,7 @@ from ..core import (
     ExtensionOutcome,
     ExtensionQuery,
     Found,
+    iter_bits,
     NOT_FOUND,
     OracleContext,
     SoundnessError,
@@ -51,15 +52,12 @@ def _min_cover(edges: list[tuple[int, int]], allowed: int, budget: int) -> int |
 def _pad_to_size(base: int, pool: int, want: int) -> int | None:
     """Add lowest-index vertices from ``pool`` until ``base`` has ``want``."""
     missing = want - base.bit_count()
-    if missing < 0:
+    free = list(iter_bits(pool & ~base))
+    if not 0 <= missing <= len(free):
         return None
-    bits = pool & ~base
-    while missing and bits:
-        low = bits & -bits
-        base |= low
-        bits ^= low
-        missing -= 1
-    return base if missing == 0 else None
+    for v in free[:missing]:
+        base |= 1 << v
+    return base
 
 
 class VertexCoverOracle(DomainOracle):

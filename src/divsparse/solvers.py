@@ -2,9 +2,9 @@
 
 All four problems reduce to a small sparsifier of the domain:
 
-* max-min / max-sum diversification is one search: it scans the k-tuples
-  (with repetition) of a (k-1)-order sparsifier against one table of
-  pairwise distances; capped pairwise distances transfer, so an
+* max-min diversification is a clique search for k members of a
+  (k-1)-order sparsifier pairwise at least d apart, max-sum a scan of its
+  k-tuples with repetition; capped pairwise distances transfer, so an
   achievable threshold on the domain is achievable on the sparsifier.
 * k-center / k-sum-of-radii clustering partitions a k-order, cap d+1
   sparsifier into at most k clusters and asks the extension oracle for the
@@ -123,13 +123,6 @@ class GloballyInfeasible(Exception):
     """Raised when an extension query proves no clustering can exist."""
 
 
-def _require_modified_support(oracle: DomainOracle, spec: ProblemSpec) -> None:
-    if spec.modified and not oracle.complement_closed:
-        raise ValueError(
-            "the modified Hamming distance needs a complement-closed domain"
-        )
-
-
 def _diversify(
     oracle: DomainOracle,
     spec: ProblemSpec,
@@ -139,27 +132,28 @@ def _diversify(
     """Is there a k-tuple with every pairwise distance at least d (max-min),
     or with pairwise distance sum at least d (sum mode)?
 
-    Tuples allow repetition, so max-min with k = 1 or d = 0 reduces to
-    non-emptiness.  Sum mode also reports the best sum over the sparsifier
-    as the objective, witnessed by the first tuple reaching it.
+    Tuples allow repetition, so max-min with d = 0 reduces to non-emptiness
+    (member 0, k times); for d >= 1 it is the clique search for k distinct
+    members pairwise at least d apart, whose first clique is the first hit
+    of a scan over the k-tuples.  Sum mode scans every k-tuple and reports
+    the best sum as the objective, witnessed by the first tuple reaching it.
     """
     order = 2 * spec.k - 2 if spec.modified else spec.k - 1
     rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
     members = rep.family.bits_list()
     n = rep.family.universe_size
     dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
-    pairs = list(combinations(range(spec.k), 2))
     best: int | None = None
-    found: tuple[int, ...] = ()
-    for combo in combinations_with_replacement(range(len(members)), spec.k):
-        if sum_mode:
+    found = (0,) * spec.k if members else None
+    if sum_mode:
+        pairs = list(combinations(range(spec.k), 2))
+        for combo in combinations_with_replacement(range(len(members)), spec.k):
             total = sum(dist[combo[i]][combo[j]] for i, j in pairs)
             if best is None or total > best:
                 best, found = total, combo
-        elif all(dist[combo[i]][combo[j]] >= spec.d for i, j in pairs):
-            found = combo
-            break
-    if not found or (best is not None and best < spec.d):
+    elif spec.d:
+        found = _pairwise_far(dist, spec.k, spec.d - 1)
+    if found is None or (best is not None and best < spec.d):
         return SolveAnswer(feasible=False, objective=best)
     witnesses = tuple(SubsetMask(n, members[i]) for i in found)
     return SolveAnswer(feasible=True, witnesses=witnesses, objective=best)
@@ -326,7 +320,7 @@ def _solve_clustering(
         return SolveAnswer(feasible=False)  # empty domain has no center tuple
     k = spec.k
     dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
-    if _pairwise_far(dist, k + 1, 2 * spec.d):
+    if _pairwise_far(dist, k + 1, 2 * spec.d) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
     cache = _ClusterCostCache(oracle, spec.d, n, spec.modified, ctx)
@@ -403,20 +397,21 @@ def _solve_clustering(
     )
 
 
-def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> bool:
-    """Whether ``size`` of the members are pairwise more than ``limit``
-    apart (backtracking over candidate cliques of the far graph)."""
+def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> tuple[int, ...] | None:
+    """The lexicographically first increasing tuple of ``size`` member
+    indices pairwise more than ``limit`` apart, or None (backtracking over
+    candidate cliques of the far graph in index order)."""
 
-    def grow(need: int, candidates: list[int]) -> bool:
+    def grow(need: int, candidates: list[int]) -> tuple[int, ...] | None:
         if need == 0:
-            return True
+            return ()
         for pos, j in enumerate(candidates):
             if len(candidates) - pos < need:
-                return False
+                return None
             rest = [c for c in candidates[pos + 1 :] if dist[j][c] > limit]
-            if grow(need - 1, rest):
-                return True
-        return False
+            if (tail := grow(need - 1, rest)) is not None:
+                return (j, *tail)
+        return None
 
     return grow(size, list(range(len(dist))))
 
@@ -434,5 +429,8 @@ def solve(
 ) -> SolveAnswer:
     """Answer ``spec`` on the domain behind ``oracle`` exactly, searching a
     sparsifier from ``sparsifier_builder``."""
-    _require_modified_support(oracle, spec)
+    if spec.modified and not oracle.complement_closed:
+        raise ValueError(
+            "the modified Hamming distance needs a complement-closed domain"
+        )
     return _SOLVERS[spec.problem](oracle, spec, sparsifier_builder)

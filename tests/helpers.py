@@ -1,12 +1,12 @@
 """Shared test utilities: deterministic instance generators, answer
-certification against enumerated domains, and the sunflower and blocker
-checks the tests use as references."""
+certification against enumerated domains, and the sunflower, blocker and
+max-min checks the tests use as references."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from divsparse import (
     DomainOracle,
@@ -343,3 +343,20 @@ def reference_k_sparsify(
                 break
         if not added:
             return members, passes, calls
+
+
+def reference_maxmin(members: list[int], n: int, spec: ProblemSpec) -> SolveAnswer:
+    """Max-min by scanning every k-tuple (with repetition) of ``members`` in
+    lexicographic order; the first tuple pairwise at least d apart is the
+    witness."""
+    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    pairs = list(combinations(range(spec.k), 2))
+    found: tuple[int, ...] = ()
+    for combo in combinations_with_replacement(range(len(members)), spec.k):
+        if all(dist[combo[i]][combo[j]] >= spec.d for i, j in pairs):
+            found = combo
+            break
+    if not found:
+        return SolveAnswer(feasible=False)
+    witnesses = tuple(SubsetMask(n, members[i]) for i in found)
+    return SolveAnswer(feasible=True, witnesses=witnesses)

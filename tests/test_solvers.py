@@ -17,6 +17,7 @@ from divsparse import (
     LimitedSparsifyParams,
     ProblemSpec,
     SetFamily,
+    SparsifierReport,
     distance,
     dk_sparsify,
     limited_builder,
@@ -38,6 +39,7 @@ from helpers import (
     complement_closed_family,
     generate_instance,
     random_family,
+    reference_maxmin,
 )
 
 FAST_BUILDER = limited_builder(seed=0, trials=96)
@@ -53,6 +55,24 @@ def c4_matchings():
 def triangle_trees():
     graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2), (2, 0)))
     return spanning_tree_instance(graph)
+
+
+K5_EDGES = tuple((u, v) for u in range(5) for v in range(u + 1, 5))
+
+
+def k5_solve(tmp_path, mode: str, *args: str) -> tuple[str, float]:
+    """Stdout and wall time of ``solve`` on the spanning trees of K5."""
+    path = tmp_path / "k5.txt"
+    path.write_text(
+        "domain spanning_tree\ngraph undirected 5 10\n"
+        + "".join(f"{u} {v}\n" for u, v in K5_EDGES)
+    )
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = run(["solve", *args, "--mode", mode, "--instance", str(path)])
+    assert code == 0
+    return out.getvalue(), time.perf_counter() - start
 
 
 class CountingExtensions(DomainOracle):
@@ -108,6 +128,29 @@ class TestMaxMin:
         spec = ProblemSpec("maxmin", 3, 0)
         answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
         assert answer.feasible
+
+    def test_clique_search_matches_the_tuple_scan(self):
+        # the builder hands the family back as the sparsifier, so only the
+        # search is under test; small universes give many qualifying groups
+        # at once (ties), so witnesses pin the lexicographically first one,
+        # and complements are distinct members at modified distance 0
+        rng = random.Random(12)
+        for trial in range(240):
+            n = rng.randint(2, 7)
+            modified = trial % 3 == 0
+            if modified:
+                fam = complement_closed_family(rng, n, 10)
+            else:
+                fam = random_family(rng, n, 12, nonempty=trial % 20 != 1)
+            members = fam.bits_list()
+
+            def builder(oracle, k, cap, modified, fam=fam):
+                return SparsifierReport(family=fam, mode="small", k=k)
+
+            for k in range(1, 5):
+                spec = ProblemSpec("maxmin", k, rng.randint(0, n), modified)
+                got = solve(ExplicitOracle(fam), spec, builder)
+                assert got == reference_maxmin(members, n, spec), (members, spec)
 
 
 class TestMaxSum:
@@ -228,9 +271,13 @@ class TestEarlyNo:
                 dist[i][j] = dist[j][i] = rng.randint(0, 6)
             size = rng.randint(1, 4)
             limit = rng.randint(0, 5)
-            brute = any(
-                all(dist[i][j] > limit for i, j in combinations(group, 2))
-                for group in combinations(range(m), size)
+            brute = next(
+                (
+                    group
+                    for group in combinations(range(m), size)
+                    if all(dist[i][j] > limit for i, j in combinations(group, 2))
+                ),
+                None,
             )
             assert _pairwise_far(dist, size, limit) == brute, (dist, size, limit)
 
@@ -248,28 +295,44 @@ class TestEarlyNo:
     def test_k5_spanning_trees_limited_kcenter(self, tmp_path):
         # the K5 case of the benchmark's anchors: limited mode timed out at
         # 150 s before the clustering search skipped implied queries
-        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)]
-        graph = GraphData(directed=False, n_vertices=5, edges=tuple(edges))
+        graph = GraphData(directed=False, n_vertices=5, edges=K5_EDGES)
         domain = enumerate_domain(spanning_tree_instance(graph))
         assert not brute_solve(domain, ProblemSpec("kcenter", 2, 2)).feasible
-        path = tmp_path / "k5.txt"
-        path.write_text(
-            "domain spanning_tree\ngraph undirected 5 10\n"
-            + "".join(f"{u} {v}\n" for u, v in edges)
-        )
         outputs = {}
         for mode in ("limited", "small"):
-            out = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(out):
-                code = run(
-                    ["solve", "--problem", "kcenter", "--k", "2", "--d", "2",
-                     "--mode", mode, "--instance", str(path)]
-                )
-            assert code == 0
-            assert time.perf_counter() - start < 60, mode
-            outputs[mode] = out.getvalue()
+            out, seconds = k5_solve(
+                tmp_path, mode, "--problem", "kcenter", "--k", "2", "--d", "2"
+            )
+            assert seconds < 60, mode
+            outputs[mode] = out
         assert outputs == {"limited": "NO\n", "small": "NO\n"}
+
+    def test_k5_spanning_trees_maxmin_k4_d7(self, tmp_path):
+        # two spanning trees of K5 (4 edges each) are 2 * (4 - shared edges)
+        # apart, an even distance, so d = 7 asks for 4 pairwise
+        # edge-disjoint trees: 16 edges out of 10.  brute_solve is over its
+        # tuple guard here (125^4 tuples); the 5 s bound catches a search
+        # that scans the sparsifier's k-tuples, which takes about 10 s.
+        for mode in ("limited", "small"):
+            out, seconds = k5_solve(
+                tmp_path, mode, "--problem", "maxmin", "--k", "4", "--d", "7"
+            )
+            assert out == "NO\n" and seconds < 5, (mode, seconds)
+
+    @pytest.mark.parametrize(
+        ("mode", "k", "d", "want"),
+        [
+            ("limited", 2, 8, ["YES", "set: 1 2 4 6", "set: 0 3 7 9"]),
+            ("limited", 3, 6, ["YES", "set: 0 1 5 6", "set: 1 2 4 9", "set: 0 3 7 9"]),
+            ("small", 2, 8, ["YES", "set: 1 2 3 4", "set: 0 5 6 7"]),
+            ("small", 3, 6, ["YES", "set: 0 1 2 3", "set: 3 4 5 6", "set: 2 6 7 8"]),
+        ],
+    )
+    def test_k5_spanning_trees_maxmin_witnesses(self, tmp_path, mode, k, d, want):
+        out, _ = k5_solve(
+            tmp_path, mode, "--problem", "maxmin", "--k", str(k), "--d", str(d)
+        )
+        assert out == "\n".join(want) + "\n"
 
 
 class TestSolverOracleEquivalence:

@@ -25,8 +25,8 @@ from .core import (
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
-    WeightVector,
     distance,
+    pm1_weight,
 )
 from .limited import (
     ClusterResult,
@@ -77,7 +77,6 @@ __all__ = [
     "SplitMix64",
     "SubsetMask",
     "TrivialSparsifier",
-    "WeightVector",
     "approx_far_set",
     "cluster_or_trivial",
     "default_cluster_radius",
@@ -87,6 +86,7 @@ __all__ = [
     "k_sparsify",
     "limited_builder",
     "min_cluster_radius",
+    "pm1_weight",
     "small_builder",
     "solve",
 ]

@@ -7,7 +7,8 @@ immutable after construction and safe to share across threads; every
 operation is a pure function.
 
 Oracles take and return raw ``int`` masks (bit i set means element i is
-in the set), and so do the constructions and solvers between them.
+in the set, or, for the +-1 weights of ``opt_pm1``, that element i weighs
++1), and so do the constructions and solvers between them.
 :class:`SubsetMask` is used only for results (families, answers, reports)
 and for CLI input and output.
 """
@@ -185,49 +186,10 @@ class SetFamily:
         return out
 
 
-@dataclass(frozen=True, init=False)
-class WeightVector:
-    """Element weights in {-1, +1} for the optimization capability.
-
-    Stored as ``positive_bits``, the mask of the +1 elements; every other
-    element weighs -1.  Adapters read the mask; ``weights`` spells it out.
-    """
-
-    universe_size: int
-    positive_bits: int
-
-    def __init__(self, universe_size: int, weights: tuple[int, ...]) -> None:
-        _check_universe_size(universe_size)
-        if len(weights) != universe_size:
-            raise ValueError(
-                f"expected {universe_size} weights, got {len(weights)}"
-            )
-        pos = 0
-        for i, w in enumerate(weights):
-            if w == 1:
-                pos |= 1 << i
-            elif w != -1:
-                raise ValueError(f"weight at index {i} must be -1 or +1, got {w!r}")
-        object.__setattr__(self, "universe_size", universe_size)
-        object.__setattr__(self, "positive_bits", pos)
-
-    @classmethod
-    def random(cls, universe_size: int, rng) -> "WeightVector":
-        """Draw uniformly from {-1,+1}^n: one generator step per element in
-        index order, whose top bit marks a +1."""
-        _check_universe_size(universe_size)
-        w = object.__new__(cls)
-        object.__setattr__(w, "universe_size", universe_size)
-        object.__setattr__(w, "positive_bits", rng.top_bits(universe_size))
-        return w
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        pos = self.positive_bits
-        return tuple(1 if pos >> i & 1 else -1 for i in range(self.universe_size))
-
-    def weight_of(self, bits: int) -> int:
-        return 2 * (bits & self.positive_bits).bit_count() - bits.bit_count()
+def pm1_weight(bits: int, positive: int) -> int:
+    """+-1 weight sum of ``bits`` when the elements of ``positive`` weigh +1
+    and every other element weighs -1."""
+    return 2 * (bits & positive).bit_count() - bits.bit_count()
 
 
 def distance(a: int, b: int, n: int, modified: bool = False) -> int:
@@ -310,6 +272,27 @@ class OracleContext:
     p: int
 
 
+def check_trivial_sparsifier(
+    out: TrivialSparsifier, ctx: OracleContext | None
+) -> None:
+    """Raise :class:`SoundnessError` unless ``out`` answers a query made
+    with a context and holds k+1 members pairwise more than 2d apart."""
+    if ctx is None:
+        raise SoundnessError("trivial sparsifier answered a query without context")
+    bits = out.family.bits_list()
+    if len(bits) != ctx.k + 1:
+        raise SoundnessError(
+            f"trivial sparsifier has {len(bits)} members, not k+1 = {ctx.k + 1}"
+        )
+    for i in range(len(bits)):
+        for j in range(i + 1, len(bits)):
+            if (bits[i] ^ bits[j]).bit_count() <= 2 * ctx.d:
+                raise SoundnessError(
+                    f"trivial sparsifier members {i} and {j} are within "
+                    f"2d = {2 * ctx.d} of each other"
+                )
+
+
 class DomainOracle(ABC):
     """Behavior contract of an implicitly represented solution domain.
 
@@ -317,9 +300,11 @@ class DomainOracle(ABC):
     :class:`CapabilityError`; every mask they take or return is a raw
     ``int``:
 
-    * ``opt_pm1(w)``: a domain member maximizing the +-1 weight sum, or
-      ``None`` when the domain is empty.  Ties are broken by the adapter's
-      documented deterministic internal order.
+    * ``opt_pm1(positive)``: a domain member maximizing the +-1 weight sum
+      in which the elements of ``positive`` weigh +1 and all others -1 (see
+      :func:`pm1_weight`), or ``None`` when the domain is empty.  Bits of
+      ``positive`` at or above ``universe_size`` are ignored.  Ties are
+      broken by the adapter's documented deterministic internal order.
     * ``exact_extend(query, ctx)``: a member at exact distance ``radius``
       from ``center`` containing ``forced`` and avoiding ``forbidden``.
     * ``exact_empty_extend(r, forbidden, ctx)``: the special case with empty
@@ -335,7 +320,7 @@ class DomainOracle(ABC):
     @abstractmethod
     def universe_size(self) -> int: ...
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         raise CapabilityError(
             f"{type(self).__name__} does not offer the +-1 optimization capability"
         )
@@ -369,9 +354,9 @@ class CountingOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._inner.universe_size
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         self.calls_opt += 1
-        return self._inner.opt_pm1(weights)
+        return self._inner.opt_pm1(positive)
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None

@@ -27,7 +27,6 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SoundnessError,
-    WeightVector,
     _check_universe_size,
 )
 from .graphs import GraphData
@@ -137,10 +136,9 @@ class DagDpOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return bits in self.member_bits()
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         labels = self._labels
-        pos = weights.positive_bits
-        gain = [2 * (pos >> q & 1) - 1 for q in labels]
+        gain = [2 * (positive >> q & 1) - 1 for q in labels]
         best: list[int] = [0] * len(labels)
         for v in self._order:
             w = gain[v]

@@ -14,7 +14,7 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SetFamily,
-    WeightVector,
+    pm1_weight,
 )
 
 
@@ -35,11 +35,11 @@ class ExplicitOracle(DomainOracle):
     def family(self) -> SetFamily:
         return self._family
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         best_bits = None
         best_weight = None
         for b in self._bits:
-            w = weights.weight_of(b)
+            w = pm1_weight(b, positive)
             if best_weight is None or w > best_weight:
                 best_weight = w
                 best_bits = b

@@ -24,7 +24,6 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SoundnessError,
-    WeightVector,
 )
 from .graphs import GraphData
 
@@ -135,10 +134,10 @@ class MatchingOracle(DomainOracle):
                 raise AssertionError("matching reconstruction failed")
         return chosen
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         # every member has ell edges, so its weight 2 |D & P| - ell grows
         # with its count of +1 edges P
-        return self._search(0, 0, weights.positive_bits, None)
+        return self._search(0, 0, positive, None)
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None

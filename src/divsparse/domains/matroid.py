@@ -26,7 +26,6 @@ from ..core import (
     NOT_FOUND,
     OracleContext,
     SoundnessError,
-    WeightVector,
     iter_bits,
 )
 from .graphs import GraphData
@@ -174,8 +173,8 @@ class MatroidBaseOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return self._m.is_base_bits(bits)
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
-        base = self._greedy_base(0, 0, prefer=weights.positive_bits)
+    def opt_pm1(self, positive: int) -> int | None:
+        base = self._greedy_base(0, 0, prefer=positive)
         if base is None:
             raise SoundnessError("greedy optimization did not end at the rank")
         return base

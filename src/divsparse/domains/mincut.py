@@ -37,8 +37,8 @@ from ..core import (
     SetFamily,
     SoundnessError,
     TrivialSparsifier,
-    WeightVector,
     iter_bits,
+    pm1_weight,
 )
 from .graphs import GraphData
 
@@ -179,13 +179,6 @@ class MinCutPoset:
             return None
         return node_set
 
-    def all_ideals(self) -> list[int]:
-        """Every ideal, ascending as node bitmasks (guarded, test use)."""
-        m = self.n_nodes
-        if m > 20:
-            raise CapabilityError(f"refusing to enumerate ideals of {m} nodes")
-        return [i for i in range(1 << m) if self.is_ideal(i)]
-
 
 def build_mincut_poset(graph: GraphData, s: int, t: int) -> MinCutPoset:
     n = graph.n_vertices
@@ -292,7 +285,7 @@ class MinCutOracle(DomainOracle):
             return False
         return self.crossing_arcs_bits(bits) == self._poset.cut_value
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         """The unique minimal max-weight minimum cut.
 
         A cut weighs the fixed base plus the +-1 sums of its ideal's
@@ -301,11 +294,7 @@ class MinCutOracle(DomainOracle):
         the closure network, the intersection of all optimal ideals.
         """
         poset = self._poset
-        pos = weights.positive_bits
-        gains = [
-            2 * (block & pos).bit_count() - block.bit_count()
-            for block in poset.node_blocks
-        ]
+        gains = [pm1_weight(block, positive) for block in poset.node_blocks]
         if not any(g > 0 for g in gains):
             return poset.base_bits  # the empty ideal is the least optimum
         to, cap, adj = self._closure

@@ -3,7 +3,7 @@
 Optimization takes the best answer over the parts; extension queries take
 the first witness in part order.  A trivial sparsifier surfaced by a part
 stays valid for the union (its members belong to the union and keep their
-pairwise distances), so it is re-validated and propagated.
+pairwise distances), so it is propagated; its consumer checks it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from ..core import (
     Found,
     NOT_FOUND,
     OracleContext,
-    SoundnessError,
     TrivialSparsifier,
-    WeightVector,
+    pm1_weight,
 )
 
 
@@ -36,45 +35,26 @@ class UnionOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._parts[0].universe_size
 
-    def opt_pm1(self, weights: WeightVector) -> int | None:
+    def opt_pm1(self, positive: int) -> int | None:
         best = None
         best_weight = None
         for part in self._parts:
-            got = part.opt_pm1(weights)
+            got = part.opt_pm1(positive)
             if got is None:
                 continue
-            w = weights.weight_of(got)
+            w = pm1_weight(got, positive)
             if best_weight is None or w > best_weight:
                 best_weight = w
                 best = got
         return best
-
-    @staticmethod
-    def _validated(out: TrivialSparsifier, ctx: OracleContext | None) -> TrivialSparsifier:
-        if ctx is not None:
-            bits = out.family.bits_list()
-            if len(bits) != ctx.k + 1:
-                raise SoundnessError(
-                    f"trivial sparsifier has {len(bits)} members, not k+1 = {ctx.k + 1}"
-                )
-            for i in range(len(bits)):
-                for j in range(i + 1, len(bits)):
-                    if (bits[i] ^ bits[j]).bit_count() <= 2 * ctx.d:
-                        raise SoundnessError(
-                            f"trivial sparsifier members {i} and {j} are within "
-                            f"2d = {2 * ctx.d} of each other"
-                        )
-        return out
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
         for part in self._parts:
             out = part.exact_extend(query, ctx)
-            if isinstance(out, Found):
+            if isinstance(out, (Found, TrivialSparsifier)):
                 return out
-            if isinstance(out, TrivialSparsifier):
-                return self._validated(out, ctx)
         return NOT_FOUND
 
     def exact_empty_extend(
@@ -82,10 +62,8 @@ class UnionOracle(DomainOracle):
     ) -> ExtensionOutcome:
         for part in self._parts:
             out = part.exact_empty_extend(r, forbidden, ctx)
-            if isinstance(out, Found):
+            if isinstance(out, (Found, TrivialSparsifier)):
                 return out
-            if isinstance(out, TrivialSparsifier):
-                return self._validated(out, ctx)
         return NOT_FOUND
 
     @property

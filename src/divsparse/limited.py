@@ -4,7 +4,8 @@ The pipeline works for domains with unbounded member cardinality, given the
 +-1 optimization and exact extension capabilities:
 
 1. Collect up to k cluster centers from the domain, each more than 2d from
-   the previous ones, by repeatedly optimizing random +-1 weights.  If k+1
+   the previous ones, by repeatedly optimizing random +-1 weights (each a
+   mask of the +1 elements, drawn as ``rng.top_bits(n)``).  If k+1
    such members turn up they already form a valid sparsifier (any reference
    set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
@@ -16,7 +17,9 @@ The pipeline works for domains with unbounded member cardinality, given the
 
 Soundness of step 1 is unconditional: a returned far set is re-verified to
 be more than 2d from every center.  Only completeness (finding a far set
-when one exists beyond radius p) is probabilistic.
+when one exists beyond radius p) is probabilistic.  A trivial sparsifier
+answered by an extension query in step 2 is checked (k+1 members pairwise
+more than 2d apart) before it is returned.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .core import (
     SetFamily,
     SoundnessError,
     SparsifierReport,
-    WeightVector,
+    TrivialSparsifier,
+    _check_universe_size,
+    check_trivial_sparsifier,
 )
 from .rng import SplitMix64
 from .sunflower import SmallSparsifyParams, k_sparsify
@@ -114,7 +119,8 @@ def approx_far_set(
 ) -> int | None:
     """Look for a member more than 2d from every center.
 
-    Each trial optimizes a fresh uniform +-1 weight vector; a candidate is
+    Each trial optimizes fresh uniform +-1 weights, the mask of the +1
+    elements drawn as ``rng.top_bits(n)``; a candidate is
     returned only after its distances to all centers are checked, so any
     returned set is certainly far.  ``None`` after all trials means every
     member is within the cluster radius of some center, up to the per-call
@@ -124,12 +130,12 @@ def approx_far_set(
     if trials < 1:
         raise ValueError("trials must be positive")
     n = oracle.universe_size
+    _check_universe_size(n)
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
     threshold = 2 * d
     for _ in range(trials):
-        w = WeightVector.random(n, rng)
-        best = oracle.opt_pm1(w)
+        best = oracle.opt_pm1(rng.top_bits(n))
         if best is None:
             return None  # empty domain
         if best < 0 or best >> n:
@@ -172,7 +178,8 @@ class ShiftedEmptyExtension(DomainOracle):
     an exact extension query on the original domain with center C, forced
     set Y intersect C, and forbidden set Y minus C; witnesses map back
     through the same shift.  Trivial-sparsifier outcomes pass through
-    untouched (their members live in original coordinates).
+    unshifted (their members live in original coordinates) once
+    :func:`check_trivial_sparsifier` accepts them.
     """
 
     def __init__(
@@ -205,6 +212,8 @@ class ShiftedEmptyExtension(DomainOracle):
         out = self._inner.exact_extend(query, self._ctx)
         if isinstance(out, Found):
             return Found(out.witness ^ self._center)
+        if isinstance(out, TrivialSparsifier):
+            check_trivial_sparsifier(out, self._ctx)
         return out
 
 

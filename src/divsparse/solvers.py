@@ -41,6 +41,7 @@ from .core import (
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
+    check_trivial_sparsifier,
     distance,
     submasks,
 )
@@ -178,9 +179,10 @@ def min_cluster_radius(
     ``lo``, a known lower bound on the least radius (such as the radius of
     a subcluster); any ``lo`` up to the true least radius gives the same
     answer as ``lo = 0``.  Returns (radius, center) or None; a
-    trivial-sparsifier outcome aborts the whole clustering via
-    :class:`GloballyInfeasible`.  A center outside the universe or one that
-    does not cover the cluster raises :class:`SoundnessError`.
+    trivial-sparsifier outcome that :func:`check_trivial_sparsifier`
+    accepts aborts the whole clustering via :class:`GloballyInfeasible`.
+    A center outside the universe or one that does not cover the cluster
+    raises :class:`SoundnessError`.
     """
     if not cluster:
         raise ValueError("cluster must be nonempty")
@@ -227,6 +229,7 @@ def min_cluster_radius(
             )
             out = oracle.exact_extend(query, ctx)
             if isinstance(out, TrivialSparsifier):
+                check_trivial_sparsifier(out, ctx)
                 raise GloballyInfeasible("trivial sparsifier rules out any clustering")
             if isinstance(out, Found):
                 center = out.witness

@@ -21,7 +21,7 @@ from divsparse import (
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.core import iter_bits
-from divsparse.domains import GraphData
+from divsparse.domains import GraphData, MinCutPoset
 from divsparse.instances import (
     DomainInstance,
     dag_dp_instance,
@@ -157,6 +157,14 @@ def _attempt_instance(kind: str, rng: random.Random) -> DomainInstance:
 
 
 _KIND_OFFSET = {kind: i for i, kind in enumerate(ADAPTER_KINDS)}
+
+
+def all_ideals(poset: MinCutPoset) -> list[int]:
+    """Every ideal of ``poset``, ascending as node bitmasks (guarded)."""
+    m = poset.n_nodes
+    if m > 20:
+        raise ValueError(f"refusing to enumerate ideals of {m} nodes")
+    return [i for i in range(1 << m) if poset.is_ideal(i)]
 
 
 def generate_instance(

@@ -16,8 +16,9 @@ import pytest
 
 import divsparse
 import divsparse.cli as cli
-from divsparse import DomainOracle, Found
+from divsparse import DomainOracle, Found, SetFamily, TrivialSparsifier
 from divsparse.cli import run
+from divsparse.domains import ExplicitOracle
 from divsparse.instances import ParseError, parse_instance
 
 C4_MATCHING = """\
@@ -389,6 +390,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: witness {0,1}/2 does not have size 0\n"
         )
+
+    def test_trivial_sparsifier_lie_is_4(self, write, monkeypatch, capsys):
+        class TrivialLiar(ExplicitOracle):
+            # a one-member "trivial sparsifier" for every query with a context
+            def exact_extend(self, query, ctx=None):
+                if ctx is None:
+                    return super().exact_extend(query, ctx)
+                return TrivialSparsifier(SetFamily.from_bits(4, [0b0001]))
+
+        def parse(text):
+            parsed = parse_instance(text)
+            return replace(parsed, _oracle=TrivialLiar(parsed.oracle().family))
+
+        monkeypatch.setattr(cli, "parse_instance", parse)
+        path = write("domain explicit\nuniverse 4\nset 0 1\nset 0 1 2\n")
+        for command in ("solve --problem kcenter", "sparsify"):
+            code, out = invoke(
+                [*command.split(), "--instance", path, "--k", "1", "--d", "1",
+                 "--mode", "limited"]
+            )
+            assert code == cli.EXIT_SOUNDNESS == 4, command
+            assert out == ""
+            assert capsys.readouterr().err == (
+                "error: trivial sparsifier has 1 members, not k+1 = 2\n"
+            )
 
 
 class TestParserReuse:

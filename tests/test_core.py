@@ -12,8 +12,8 @@ from divsparse import (
     SetFamily,
     SplitMix64,
     SubsetMask,
-    WeightVector,
     distance,
+    pm1_weight,
 )
 from divsparse.core import submasks
 from divsparse.domains import ExplicitOracle
@@ -131,38 +131,13 @@ class TestModifiedHamming:
             assert got <= n // 2
 
 
-class TestWeightVector:
+class TestPm1Weight:
     def test_weight_of(self):
-        w = WeightVector(4, (1, -1, 1, -1))
-        assert w.weight_of(0b0101) == 2
-        assert w.weight_of(0b1010) == -2
-        assert w.weight_of(0b0011) == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector(3, (1, -1))
-        with pytest.raises(ValueError):
-            WeightVector(2, (1, 0))
-
-    def test_random_draw_is_index_ordered(self):
-        seed = 99
-        gen = SplitMix64(seed)
-        draws = [1 if gen.next_u64() >> 63 else -1 for _ in range(6)]
-        w = WeightVector.random(6, SplitMix64(seed))
-        assert list(w.weights) == draws
-
-    def test_random_mask_is_the_top_bit_of_each_step(self):
-        for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
-            gen = SplitMix64(seed)
-            drawn = SplitMix64(seed)
-            for n in range(1, 65):
-                want = 0
-                for i in range(n):
-                    want |= (gen.next_u64() >> 63) << i
-                w = WeightVector.random(n, drawn)
-                assert w.positive_bits == want, (seed, n)
-                assert w == WeightVector(n, w.weights)
-            assert drawn.next_u64() == gen.next_u64()  # the streams stay level
+        positive = 0b0101  # weights (+1, -1, +1, -1)
+        assert pm1_weight(0b0101, positive) == 2
+        assert pm1_weight(0b1010, positive) == -2
+        assert pm1_weight(0b0011, positive) == 0
+        assert pm1_weight(0, positive) == 0
 
 
 class TestExtensionQuery:
@@ -182,8 +157,8 @@ class TestOraclePurity:
     def test_identical_calls_identical_results(self):
         fam = SetFamily.from_bits(5, [0b00111, 0b11000, 0b00001])
         oracle = ExplicitOracle(fam)
-        w = WeightVector(5, (1, 1, -1, -1, 1))
-        assert oracle.opt_pm1(w) == oracle.opt_pm1(w)
+        positive = 0b10011
+        assert oracle.opt_pm1(positive) == oracle.opt_pm1(positive)
         q = ExtensionQuery(0b00001, 2, 0, 0)
         first = oracle.exact_extend(q)
         second = oracle.exact_extend(q)
@@ -199,3 +174,14 @@ class TestSplitMix64:
         assert first != second
         again = SplitMix64(1234567)
         assert again.next_u64() == first and again.next_u64() == second
+
+    def test_top_bits_is_the_top_bit_of_each_step(self):
+        for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
+            gen = SplitMix64(seed)
+            drawn = SplitMix64(seed)
+            for n in range(1, 65):
+                want = 0
+                for i in range(n):
+                    want |= (gen.next_u64() >> 63) << i  # bit i: step i
+                assert drawn.top_bits(n) == want, (seed, n)
+            assert drawn.next_u64() == gen.next_u64()  # the streams stay level

@@ -14,8 +14,8 @@ from divsparse import (
     Found,
     NotFound,
     SetFamily,
-    WeightVector,
     distance,
+    pm1_weight,
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import (
@@ -34,13 +34,6 @@ from divsparse.instances import (
 )
 
 from helpers import generate_instance
-
-
-def all_weight_vectors(n):
-    for bits in range(1 << n):
-        yield WeightVector(
-            n, tuple(1 if bits >> i & 1 else -1 for i in range(n))
-        )
 
 
 def extension_queries(n, domain, max_forced_forbidden=4, radii=None):
@@ -71,16 +64,16 @@ def assert_oracle_matches_brute(instance, domain, max_ff=3, opt=True):
     reference = ExplicitOracle(domain)
     answers = hashlib.sha256()
     if opt:
-        for w in all_weight_vectors(n):
-            got = oracle.opt_pm1(w)
-            want = reference.opt_pm1(w)
+        for positive in range(1 << n):  # every +-1 weighting, by its +1 mask
+            got = oracle.opt_pm1(positive)
+            want = reference.opt_pm1(positive)
             answers.update(f"{got};".encode())
             if want is None:
                 assert got is None
             else:
                 assert got is not None
                 assert domain.contains_bits(got)
-                assert w.weight_of(got) == w.weight_of(want)
+                assert pm1_weight(got, positive) == pm1_weight(want, positive)
     for query in extension_queries(n, domain, max_ff):
         got = oracle.exact_extend(query)
         want = reference.exact_extend(query)
@@ -108,7 +101,7 @@ def grid_digest(digests):
 class TestExplicitOracle:
     def test_opt_scan(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
-        got = ExplicitOracle(fam).opt_pm1(WeightVector(2, (1, -1)))
+        got = ExplicitOracle(fam).opt_pm1(0b01)
         assert got is not None and got == 0b01
 
     def test_extend_scan(self):
@@ -123,9 +116,7 @@ class TestExplicitOracle:
         assert isinstance(ExplicitOracle(fam).exact_extend(q), NotFound)
 
     def test_empty_family_opt(self):
-        assert ExplicitOracle(SetFamily.empty(3)).opt_pm1(
-            WeightVector(3, (1, 1, 1))
-        ) is None
+        assert ExplicitOracle(SetFamily.empty(3)).opt_pm1(0b111) is None
 
     def test_complement_closure_detection(self):
         closed = SetFamily.from_bits(2, [0b01, 0b10])
@@ -153,7 +144,7 @@ class TestVertexCover:
 
     def test_opt_unsupported(self):
         with pytest.raises(CapabilityError):
-            VertexCoverOracle(p3(), 2).opt_pm1(WeightVector(3, (1, 1, 1)))
+            VertexCoverOracle(p3(), 2).opt_pm1(0b111)
 
     def test_matches_brute_on_random_instances(self):
         for seed in range(6):
@@ -165,7 +156,7 @@ class TestMatroidBases:
     def test_triangle_opt(self):
         graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2), (2, 0)))
         oracle = MatroidBaseOracle(GraphicMatroid(graph))
-        got = oracle.opt_pm1(WeightVector(3, (1, 1, -1)))
+        got = oracle.opt_pm1(0b011)
         assert got is not None and got == 0b011
 
     def test_triangle_extension_at_distance_two(self):
@@ -283,7 +274,7 @@ def c4() -> GraphData:
 class TestMatching:
     def test_c4_opt_ties(self):
         oracle = MatchingOracle(c4(), 2)
-        got = oracle.opt_pm1(WeightVector(4, (1, 1, 1, 1)))
+        got = oracle.opt_pm1(0b1111)
         assert got == 0b0101
 
     def test_c4_extension(self):
@@ -356,7 +347,7 @@ class TestMatching:
 
     def test_infeasible_size_gives_empty_domain(self):
         oracle = MatchingOracle(c4(), 3)  # C4 has no 3-edge matching
-        assert oracle.opt_pm1(WeightVector(4, (1, 1, 1, 1))) is None
+        assert oracle.opt_pm1(0b1111) is None
 
 
 class TestDagDp:
@@ -366,7 +357,7 @@ class TestDagDp:
         domain = enumerate_domain(instance)
         assert sorted(domain.bits_list()) == [0b101, 0b110]
         oracle = instance.oracle()
-        got = oracle.opt_pm1(WeightVector(3, (1, -1, 1)))
+        got = oracle.opt_pm1(0b101)
         assert got is not None and got == 0b101
         q = ExtensionQuery(0b101, 2, 0, 0)
         found = oracle.exact_extend(q)
@@ -404,7 +395,7 @@ class TestUnionOracle:
             ExplicitOracle(SetFamily.from_bits(2, [0b01])),
             ExplicitOracle(SetFamily.from_bits(2, [0b10])),
         ]
-        got = UnionOracle(parts).opt_pm1(WeightVector(2, (-1, 1)))
+        got = UnionOracle(parts).opt_pm1(0b10)
         assert got is not None and got == 0b10
 
     def test_extension_falls_through_blocked_parts(self):
@@ -422,7 +413,7 @@ class TestUnionOracle:
             ExplicitOracle(SetFamily.from_bits(2, [0b11])),
         ]
         union = UnionOracle(parts)
-        got = union.opt_pm1(WeightVector(2, (1, 1)))
+        got = union.opt_pm1(0b11)
         assert got is not None and got == 0b11
 
     def test_equivalent_to_merged_family(self):
@@ -440,12 +431,12 @@ class TestUnionOracle:
                 n, fam_a.bits_list() + fam_b.bits_list()
             )
             reference = ExplicitOracle(merged)
-            for w in all_weight_vectors(n):
-                got = union.opt_pm1(w)
-                want = reference.opt_pm1(w)
+            for positive in range(1 << n):
+                got = union.opt_pm1(positive)
+                want = reference.opt_pm1(positive)
                 assert (got is None) == (want is None)
                 if got is not None:
-                    assert w.weight_of(got) == w.weight_of(want)
+                    assert pm1_weight(got, positive) == pm1_weight(want, positive)
             for query in extension_queries(n, merged, 2):
                 got = union.exact_extend(query)
                 want = reference.exact_extend(query)

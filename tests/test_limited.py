@@ -7,6 +7,9 @@ import random
 from itertools import combinations
 
 from divsparse import (
+    MASK_WIDTH_LIMIT,
+    NOT_FOUND,
+    DomainOracle,
     Found,
     LimitedSparsifyParams,
     NotFound,
@@ -94,6 +97,25 @@ class TestApproxFarSet:
             approx_far_set(oracle, [], 1, trials=0, rng=SplitMix64(0))
         with pytest.raises(ValueError):
             approx_far_set(oracle, [1 << 4], 1, trials=8, rng=SplitMix64(0))
+
+    def test_universe_over_the_mask_width_limit_draws_nothing(self):
+        class Wide(DomainOracle):
+            universe_size = MASK_WIDTH_LIMIT + 1
+            calls = 0
+
+            def opt_pm1(self, positive):
+                self.calls += 1
+                return 0
+
+            def exact_extend(self, query, ctx=None):
+                return NOT_FOUND
+
+        oracle = Wide()
+        rng = SplitMix64(0)
+        with pytest.raises(ValueError, match="mask width limit"):
+            approx_far_set(oracle, [], 1, trials=8, rng=rng)
+        assert oracle.calls == 0
+        assert rng.next_u64() == SplitMix64(0).next_u64()  # no step was drawn
 
 
 class TestDefaults:

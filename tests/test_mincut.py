@@ -13,15 +13,15 @@ from divsparse import (
     Found,
     OracleContext,
     TrivialSparsifier,
-    WeightVector,
+    pm1_weight,
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import ExplicitOracle, GraphData, MinCutOracle
 from divsparse.instances import st_mincut_instance
 
-from helpers import random_digraph
+from helpers import all_ideals, random_digraph
 
-from test_domains import all_weight_vectors, extension_queries
+from test_domains import extension_queries
 
 
 def diamond() -> GraphData:
@@ -68,7 +68,7 @@ class TestDiamond:
 
     def test_opt(self):
         oracle = MinCutOracle(diamond(), 0, 3)
-        got = oracle.opt_pm1(WeightVector(4, (-1, 1, 1, -1)))
+        got = oracle.opt_pm1(0b0110)
         assert got is not None and got == 0b0111
 
     def test_extension(self):
@@ -88,7 +88,7 @@ class TestPosetBijection:
             s, t = 0, nv - 1
             oracle = MinCutOracle(graph, s, t)
             assert_partial_order(oracle.poset)
-            ideals = oracle.poset.all_ideals()
+            ideals = all_ideals(oracle.poset)
             cuts = sorted(oracle.poset.cut_bits(i) for i in ideals)
             assert len(set(cuts)) == len(cuts), "ideal map is not injective"
             assert cuts == brute_min_cuts(graph, s, t)
@@ -101,14 +101,14 @@ class TestPosetBijection:
         graph = GraphData(directed=True, n_vertices=3, edges=((2, 0),))
         oracle = MinCutOracle(graph, 0, 2)
         assert oracle.cut_value == 0
-        cuts = sorted(oracle.poset.cut_bits(i) for i in oracle.poset.all_ideals())
+        cuts = sorted(oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset))
         assert cuts == brute_min_cuts(graph, 0, 2)
 
     def test_undirected_edges_count_once(self):
         graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2)))
         oracle = MinCutOracle(graph, 0, 2)
         assert oracle.cut_value == 1
-        cuts = sorted(oracle.poset.cut_bits(i) for i in oracle.poset.all_ideals())
+        cuts = sorted(oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset))
         assert cuts == brute_min_cuts(graph, 0, 2)
 
 
@@ -127,15 +127,15 @@ class TestOptTieRule:
             nv = rng.randint(3, 7)
             graph = random_digraph(rng, nv, rng.randint(nv - 1, 2 * nv))
             oracle = MinCutOracle(graph, 0, nv - 1)
-            cuts = [oracle.poset.cut_bits(i) for i in oracle.poset.all_ideals()]
-            for w in all_weight_vectors(nv):
-                best = max(w.weight_of(c) for c in cuts)
+            cuts = [oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset)]
+            for positive in range(1 << nv):
+                best = max(pm1_weight(c, positive) for c in cuts)
                 meet = (1 << nv) - 1
                 for c in cuts:
-                    if w.weight_of(c) == best:
+                    if pm1_weight(c, positive) == best:
                         meet &= c
-                got = oracle.opt_pm1(w)
-                assert got == meet, (graph, w)
+                got = oracle.opt_pm1(positive)
+                assert got == meet, (graph, positive)
                 answers.update(f"{got};".encode())
         assert answers.hexdigest() == MINCUT_OPT_WITNESSES
 
@@ -151,11 +151,11 @@ class TestEquivalence:
             oracle = instance.oracle()
             ctx = OracleContext(k=2, d=nv, p=nv)  # wide enough: no shortcut
             reference = ExplicitOracle(domain)
-            for w in all_weight_vectors(nv):
-                got = oracle.opt_pm1(w)
-                want = reference.opt_pm1(w)
+            for positive in range(1 << nv):
+                got = oracle.opt_pm1(positive)
+                want = reference.opt_pm1(positive)
                 assert got is not None and want is not None
-                assert w.weight_of(got) == w.weight_of(want)
+                assert pm1_weight(got, positive) == pm1_weight(want, positive)
             for query in extension_queries(nv, domain, 2):
                 got = oracle.exact_extend(query, ctx)
                 want = reference.exact_extend(query)

@@ -90,8 +90,8 @@ class CountingExtensions(DomainOracle):
     def complement_closed(self) -> bool:
         return self._inner.complement_closed
 
-    def opt_pm1(self, weights):
-        return self._inner.opt_pm1(weights)
+    def opt_pm1(self, positive):
+        return self._inner.opt_pm1(positive)
 
     def exact_extend(self, query, ctx=None):
         self.extend_calls += 1

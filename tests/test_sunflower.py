@@ -397,10 +397,9 @@ _LYING_ORACLES = textwrap.dedent(
     from divsparse import (
         DomainOracle, ExtensionQuery, Found, LimitedSparsifyParams, NOT_FOUND,
         OracleContext, SetFamily, SmallSparsifyParams, SoundnessError,
-        TrivialSparsifier, WeightVector, dk_sparsify, k_sparsify,
-        min_cluster_radius,
+        TrivialSparsifier, dk_sparsify, k_sparsify, min_cluster_radius,
     )
-    from divsparse.domains import Matroid, MatroidBaseOracle, UnionOracle
+    from divsparse.domains import Matroid, MatroidBaseOracle
 
     N = 6
 
@@ -413,8 +412,10 @@ _LYING_ORACLES = textwrap.dedent(
         def universe_size(self):
             return N
 
-        def opt_pm1(self, weights):  # "optimum": outside the universe
-            return 1 << N | 1
+        def opt_pm1(self, positive):
+            if self.lie == "optimum":  # outside the universe
+                return 1 << N | 1
+            return 0b11
 
         def exact_extend(self, query, ctx=None):
             if self.lie == "coverage":  # a center far from the cluster
@@ -444,10 +445,6 @@ _LYING_ORACLES = textwrap.dedent(
     def sparsify(lie):
         return k_sparsify(SmallSparsifyParams(k=1, r=2, ell=2), Liar(lie))
 
-    def union_extend(lie):
-        ctx = OracleContext(k=1, d=1, p=3)
-        return UnionOracle([Liar(lie)]).exact_extend(ExtensionQuery(0, 1, 0, 0), ctx)
-
     runs = {lie: sparsify for lie in ("universe", "size", "member", "blocker")}
     runs["coverage"] = runs["center"] = lambda lie: min_cluster_radius(
         [0b11], 1, Liar(lie)
@@ -455,7 +452,15 @@ _LYING_ORACLES = textwrap.dedent(
     runs["optimum"] = lambda lie: dk_sparsify(
         Liar(lie), LimitedSparsifyParams(k=1, d=0, trials_override=2)
     )
-    runs["count"] = runs["spacing"] = union_extend
+    # "count" / "spacing": where the clustering search and the limited
+    # pipeline consume a trivial sparsifier
+    for lie in ("count", "spacing"):
+        runs[lie + "_cluster"] = lambda _, lie=lie: min_cluster_radius(
+            [0b11], 1, Liar(lie), OracleContext(k=1, d=1, p=1)
+        )
+        runs[lie + "_limited"] = lambda _, lie=lie: dk_sparsify(
+            Liar(lie), LimitedSparsifyParams(k=1, d=1, trials_override=2)
+        )
 
     class NotAMatroid(Matroid):
         # independent iff inside {0,1} or inside {2,3}: no strong exchange
@@ -483,9 +488,7 @@ _LYING_ORACLES = textwrap.dedent(
     runs["far_base"] = lambda lie: MatroidBaseOracle(ShortGreedy(2)).exact_extend(
         ExtensionQuery(0b00011, 2, 0, 0)
     )
-    runs["opt_base"] = lambda lie: MatroidBaseOracle(ShortGreedy(3)).opt_pm1(
-        WeightVector(5, (1,) * 5)
-    )
+    runs["opt_base"] = lambda lie: MatroidBaseOracle(ShortGreedy(3)).opt_pm1(0b11111)
 
     class DropsForced(Matroid):
         # rank-2 uniform matroid whose greedy hook ignores the forced set:
@@ -503,7 +506,7 @@ _LYING_ORACLES = textwrap.dedent(
         ExtensionQuery(0b0011, 2, 0b0100, 0)
     )
 
-    from divsparse import ProblemSpec, SparsifierReport, solve
+    from divsparse import ProblemSpec, SparsifierReport, limited_builder, solve
     from divsparse.domains import ExplicitOracle
 
     class Forgetful(ExplicitOracle):
@@ -522,6 +525,21 @@ _LYING_ORACLES = textwrap.dedent(
         return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), lambda *a: report)
 
     runs["radius"] = forgetful
+
+    class TrivialLiar(ExplicitOracle):
+        # a one-member "trivial sparsifier" for every query with a context
+        def exact_extend(self, query, ctx=None):
+            if ctx is None:
+                return super().exact_extend(query, ctx)
+            return TrivialSparsifier(SetFamily.from_bits(4, [0b0001]))
+
+    trivial_liar = TrivialLiar(SetFamily.from_bits(4, [0b0011, 0b0111]))
+    runs["trivial_solve"] = lambda lie: solve(
+        trivial_liar, ProblemSpec("kcenter", 1, 1), limited_builder()
+    )
+    runs["trivial_sparsify"] = lambda lie: dk_sparsify(
+        trivial_liar, LimitedSparsifyParams(k=1, d=1)
+    )
 
     from divsparse.domains import DagDpOracle, GraphData, MatchingOracle, VertexCoverOracle
 
@@ -580,8 +598,11 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "cluster coverage certificate failed" in verdicts["coverage"]
     assert "center 0x43 has elements outside a universe of size 6" in verdicts["center"]
     assert "optimum 0x41 has elements outside a universe of size 6" in verdicts["optimum"]
-    assert "not k+1 = 2" in verdicts["count"]
-    assert "within 2d = 2" in verdicts["spacing"]
+    for where in ("cluster", "limited"):
+        assert "not k+1 = 2" in verdicts["count_" + where]
+        assert "within 2d = 2" in verdicts["spacing_" + where]
+    assert "1 members, not k+1 = 2" in verdicts["trivial_solve"]
+    assert "1 members, not k+1 = 2" in verdicts["trivial_sparsify"]
     assert "strong exchange property violated" in verdicts["exchange"]
     assert "farthest base did not end at the rank" in verdicts["far_base"]
     assert "optimization did not end at the rank" in verdicts["opt_base"]

@@ -140,6 +140,30 @@ class TestPm1Weight:
         assert pm1_weight(0, positive) == 0
 
 
+class TestWeightVector:
+    """The random +-1 weight vector of a far-set trial is the mask of its +1
+    elements, drawn as ``rng.top_bits(n)``."""
+
+    def test_random_draw_is_index_ordered(self):
+        seed = 99
+        gen = SplitMix64(seed)
+        draws = [1 if gen.next_u64() >> 63 else -1 for _ in range(6)]
+        positive = SplitMix64(seed).top_bits(6)
+        assert [1 if positive >> i & 1 else -1 for i in range(6)] == draws
+        assert pm1_weight((1 << 6) - 1, positive) == sum(draws)
+
+    def test_random_mask_is_the_top_bit_of_each_step(self):
+        for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
+            gen = SplitMix64(seed)
+            drawn = SplitMix64(seed)
+            for n in range(1, 65):
+                want = 0
+                for i in range(n):
+                    want |= (gen.next_u64() >> 63) << i  # bit i: step i
+                assert drawn.top_bits(n) == want, (seed, n)
+            assert drawn.next_u64() == gen.next_u64()  # the streams stay level
+
+
 class TestExtensionQuery:
     def test_forced_forbidden_disjoint(self):
         with pytest.raises(ValueError):
@@ -174,14 +198,3 @@ class TestSplitMix64:
         assert first != second
         again = SplitMix64(1234567)
         assert again.next_u64() == first and again.next_u64() == second
-
-    def test_top_bits_is_the_top_bit_of_each_step(self):
-        for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
-            gen = SplitMix64(seed)
-            drawn = SplitMix64(seed)
-            for n in range(1, 65):
-                want = 0
-                for i in range(n):
-                    want |= (gen.next_u64() >> 63) << i  # bit i: step i
-                assert drawn.top_bits(n) == want, (seed, n)
-            assert drawn.next_u64() == gen.next_u64()  # the streams stay level

@@ -10,7 +10,6 @@ validates every component on small instances.
 
 from .core import (
     CapabilityError,
-    CountingOracle,
     DomainOracle,
     ExtensionOutcome,
     ExtensionQuery,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapabilityError",
     "ClusterResult",
-    "CountingOracle",
     "DomainOracle",
     "ExtensionOutcome",
     "ExtensionQuery",

@@ -342,39 +342,6 @@ class DomainOracle(ABC):
         return False
 
 
-class CountingOracle(DomainOracle):
-    """Pass-through wrapper that counts capability calls for reports."""
-
-    def __init__(self, inner: DomainOracle) -> None:
-        self._inner = inner
-        self.calls_opt = 0
-        self.calls_extend = 0
-
-    @property
-    def universe_size(self) -> int:
-        return self._inner.universe_size
-
-    def opt_pm1(self, positive: int) -> int | None:
-        self.calls_opt += 1
-        return self._inner.opt_pm1(positive)
-
-    def exact_extend(
-        self, query: ExtensionQuery, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        self.calls_extend += 1
-        return self._inner.exact_extend(query, ctx)
-
-    def exact_empty_extend(
-        self, r: int, forbidden: int, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        self.calls_extend += 1
-        return self._inner.exact_empty_extend(r, forbidden, ctx)
-
-    @property
-    def complement_closed(self) -> bool:
-        return self._inner.complement_closed
-
-
 @dataclass(frozen=True)
 class SparsifierReport:
     """Sparsifier output plus the provenance needed to reproduce it."""

@@ -30,7 +30,6 @@ from typing import Sequence
 
 from .core import (
     CapabilityError,
-    CountingOracle,
     DomainOracle,
     ExtensionOutcome,
     ExtensionQuery,
@@ -39,9 +38,7 @@ from .core import (
     SetFamily,
     SoundnessError,
     SparsifierReport,
-    TrivialSparsifier,
     _check_universe_size,
-    check_trivial_sparsifier,
 )
 from .rng import SplitMix64
 from .sunflower import SmallSparsifyParams, k_sparsify
@@ -103,11 +100,13 @@ class ClusterResult:
     ``trivial`` False: ``family`` holds at most k centers and, with high
     probability, every member is within p of one of them.  ``trivial``
     True: ``family`` holds k+1 members pairwise more than 2d apart, itself
-    a valid d-limited k-max-distance sparsifier.
+    a valid d-limited k-max-distance sparsifier.  ``trials`` is the
+    phase's total number of +-1 optimization calls.
     """
 
     family: SetFamily
     trivial: bool
+    trials: int
 
 
 def approx_far_set(
@@ -116,8 +115,12 @@ def approx_far_set(
     d: int,
     trials: int,
     rng: SplitMix64,
-) -> int | None:
+) -> tuple[int | None, int]:
     """Look for a member more than 2d from every center.
+
+    Returns the far member or ``None``, and the number of trials run
+    (one +-1 optimization call each): ``i`` when trial ``i`` finds a far
+    member, ``trials`` when it gives up, ``1`` for an empty domain.
 
     Each trial optimizes fresh uniform +-1 weights, the mask of the +1
     elements drawn as ``rng.top_bits(n)``; a candidate is
@@ -134,17 +137,17 @@ def approx_far_set(
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
     threshold = 2 * d
-    for _ in range(trials):
+    for i in range(1, trials + 1):
         best = oracle.opt_pm1(rng.top_bits(n))
         if best is None:
-            return None  # empty domain
+            return None, i  # empty domain
         if best < 0 or best >> n:
             raise SoundnessError(
                 f"optimum {best:#x} has elements outside a universe of size {n}"
             )
         if all((best ^ c).bit_count() > threshold for c in centers):
-            return best
-    return None
+            return best, i
+    return None, trials
 
 
 def cluster_or_trivial(
@@ -159,16 +162,18 @@ def cluster_or_trivial(
     rng = SplitMix64(params.seed)
     n = oracle.universe_size
     center_bits: list[int] = []
+    total = 0
     while True:
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far = approx_far_set(oracle, center_bits, params.d, trials, rng)
+        far, used = approx_far_set(oracle, center_bits, params.d, trials, rng)
+        total += used
         if far is None:
-            return ClusterResult(SetFamily.from_bits(n, center_bits), trivial=False)
+            return ClusterResult(SetFamily.from_bits(n, center_bits), False, total)
         center_bits.append(far)
         if len(center_bits) == params.k + 1:
-            return ClusterResult(SetFamily.from_bits(n, center_bits), trivial=True)
+            return ClusterResult(SetFamily.from_bits(n, center_bits), True, total)
 
 
 class ShiftedEmptyExtension(DomainOracle):
@@ -177,19 +182,16 @@ class ShiftedEmptyExtension(DomainOracle):
     A query for a shifted member of cardinality ``r`` avoiding ``Y`` maps to
     an exact extension query on the original domain with center C, forced
     set Y intersect C, and forbidden set Y minus C; witnesses map back
-    through the same shift.  Trivial-sparsifier outcomes pass through
-    unshifted (their members live in original coordinates) once
-    :func:`check_trivial_sparsifier` accepts them.
+    through the same shift.  The query's context is forwarded, and
+    trivial-sparsifier outcomes pass through unshifted (their members live
+    in original coordinates) for the caller to check.
     """
 
-    def __init__(
-        self, inner: DomainOracle, center: int, ctx: OracleContext | None
-    ) -> None:
+    def __init__(self, inner: DomainOracle, center: int) -> None:
         if not 0 <= center < 1 << inner.universe_size:
             raise ValueError("center has elements outside the universe")
         self._inner = inner
         self._center = center
-        self._ctx = ctx
 
     @property
     def universe_size(self) -> int:
@@ -209,11 +211,9 @@ class ShiftedEmptyExtension(DomainOracle):
             forced=forbidden & self._center,
             forbidden=forbidden & ~self._center,
         )
-        out = self._inner.exact_extend(query, self._ctx)
+        out = self._inner.exact_extend(query, ctx)
         if isinstance(out, Found):
             return Found(out.witness ^ self._center)
-        if isinstance(out, TrivialSparsifier):
-            check_trivial_sparsifier(out, self._ctx)
         return out
 
 
@@ -226,12 +226,13 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     anywhere is returned at once (``scattered`` for the clustering branch,
     ``shortcut`` for one produced by an extension query).  An empty domain
     yields the empty family, which satisfies the definition vacuously.
+    ``calls_opt`` is the clustering phase's trial count and
+    ``calls_extend`` the sum of the per-center runs' query counts.
     """
-    counting = CountingOracle(oracle)
     n = oracle.universe_size
     p = default_cluster_radius(params.k, params.d) if params.p is None else params.p
 
-    def report(family: SetFamily, passes: int, shortcut: bool, scattered: bool):
+    def report(family: SetFamily, shortcut: bool, scattered: bool):
         return SparsifierReport(
             family=family,
             mode="limited",
@@ -240,27 +241,28 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
             p=p,
             epsilon=params.epsilon,
             seed=params.seed,
-            calls_opt=counting.calls_opt,
-            calls_extend=counting.calls_extend,
+            calls_opt=clusters.trials,
+            calls_extend=calls_extend,
             passes=passes,
             shortcut=shortcut,
             scattered=scattered,
         )
 
-    clusters = cluster_or_trivial(counting, params)
+    clusters = cluster_or_trivial(oracle, params)
+    passes = calls_extend = 0
     if clusters.trivial:
-        return report(clusters.family, passes=0, shortcut=False, scattered=True)
+        return report(clusters.family, shortcut=False, scattered=True)
 
     ctx = OracleContext(k=params.k, d=params.d, p=p)
+    small = SmallSparsifyParams(k=params.k, r=p + params.d, ell=p)
     out_bits: list[int] = []
-    passes = 0
     for center in clusters.family.bits_list():
-        view = ShiftedEmptyExtension(counting, center, ctx)
-        sub = k_sparsify(SmallSparsifyParams(k=params.k, r=p + params.d, ell=p), view)
+        sub = k_sparsify(small, ShiftedEmptyExtension(oracle, center), ctx)
         passes += sub.passes
+        calls_extend += sub.calls_extend
         if sub.shortcut:
-            return report(sub.family, passes=passes, shortcut=True, scattered=False)
+            return report(sub.family, shortcut=True, scattered=False)
         out_bits.extend(b ^ center for b in sub.family.bits_list())
 
     family = SetFamily.dedup_from_bits(n, out_bits)
-    return report(family, passes=passes, shortcut=False, scattered=False)
+    return report(family, shortcut=False, scattered=False)

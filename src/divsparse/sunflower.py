@@ -20,8 +20,7 @@ member at all.  The search is incremental across passes: every blocker
 the oracle answered NotFound is remembered per cardinality, and no blocker
 containing one is asked again, since forbidding more elements can only
 remove members.  The output is the same as asking every blocker afresh;
-only the call count drops.  The calls are counted by one
-:class:`~divsparse.core.CountingOracle` around the oracle.
+only the call count drops, and it is counted where each query is issued.
 
 Sunflower cores are kept across passes as well, in one record per
 cardinality class: a new member can only complete sunflowers that use it,
@@ -36,15 +35,16 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import (
-    CountingOracle,
     DomainOracle,
     Found,
     GuardError,
+    OracleContext,
     SetFamily,
     SoundnessError,
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
+    check_trivial_sparsifier,
     iter_bits,
 )
 
@@ -220,7 +220,9 @@ class SmallSparsifyParams:
             raise ValueError(f"ell ({self.ell}) must not exceed r ({self.r})")
 
 
-def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierReport:
+def k_sparsify(
+    params: SmallSparsifyParams, oracle: DomainOracle, ctx: OracleContext | None = None
+) -> SparsifierReport:
     """Build a k-max-distance sparsifier w.r.t. B(empty, r).
 
     Grows the output one member per pass: for each cardinality l' it
@@ -234,20 +236,21 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     answered NotFound is never asked again, nor is any blocker containing
     it, and a class with no blocker left is not enumerated again until the
     member union or the class changes.  This changes only the call count
-    (``calls_extend`` counts the queries actually issued, through one
-    :class:`CountingOracle`), never the output, the pass count
-    or when the blocker guard fires, provided the oracle honours the
-    monotonicity in :class:`DomainOracle`.  Each class keeps its sunflower
-    cores across passes and updates them only when it gains a member, with
-    the checks that member can complete.  If the oracle surfaces a
-    trivial sparsifier, that family is returned at once with ``shortcut``
-    set.
+    (``calls_extend`` counts the queries actually issued), never the
+    output, the pass count or when the blocker guard fires, provided the
+    oracle honours the monotonicity in :class:`DomainOracle`.  Each class
+    keeps its sunflower cores across passes and updates them only when it
+    gains a member, with the checks that member can complete.
+
+    Every query carries ``ctx``.  If the oracle surfaces a trivial
+    sparsifier, that family is returned at once with ``shortcut`` set,
+    once :func:`check_trivial_sparsifier` accepts it under ``ctx``; with
+    no context it is refused.
 
     Every witness is checked (no element outside the universe, cardinality
     l', disjoint from Y, not already a member); a violation raises
     :class:`SoundnessError`.
     """
-    counting = CountingOracle(oracle)
     n = oracle.universe_size
     t = params.k * params.r + 1
     ell_cap = min(params.ell, n)
@@ -261,7 +264,7 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
     # per cardinality: (union, class size) of the last pass in which no
     # blocker was left to ask
     drained: list[tuple[int, int] | None] = [None] * (ell_cap + 1)
-    passes = 0
+    passes = calls = 0
 
     def report(family: SetFamily, shortcut: bool) -> SparsifierReport:
         return SparsifierReport(
@@ -270,7 +273,7 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
             k=params.k,
             r=params.r,
             ell=params.ell,
-            calls_extend=counting.calls_extend,
+            calls_extend=calls,
             passes=passes,
             shortcut=shortcut,
         )
@@ -305,8 +308,10 @@ def k_sparsify(params: SmallSparsifyParams, oracle: DomainOracle) -> SparsifierR
                 continue
             blocked = known_empty[lp]
             for y in _hitting_sets(union_bits, group.required(), blocked):
-                out = counting.exact_empty_extend(lp, y)
+                out = oracle.exact_empty_extend(lp, y, ctx)
+                calls += 1
                 if isinstance(out, TrivialSparsifier):
+                    check_trivial_sparsifier(out, ctx)
                     return report(out.family, shortcut=True)
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)

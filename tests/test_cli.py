@@ -416,6 +416,27 @@ class TestExitCodes:
                 "error: trivial sparsifier has 1 members, not k+1 = 2\n"
             )
 
+    def test_small_mode_trivial_sparsifier_is_4(self, write, monkeypatch, capsys):
+        class EmptyTrivialLiar(ExplicitOracle):
+            # small mode asks every query without a context
+            def exact_empty_extend(self, r, forbidden, ctx=None):
+                return TrivialSparsifier(SetFamily.from_bits(4, [0b0001]))
+
+        def parse(text):
+            parsed = parse_instance(text)
+            return replace(parsed, _oracle=EmptyTrivialLiar(parsed.oracle().family))
+
+        monkeypatch.setattr(cli, "parse_instance", parse)
+        path = write("domain explicit\nuniverse 4\nset 0 1\nset 0 1 2\n")
+        code, out = invoke(
+            ["sparsify", "--instance", path, "--k", "1", "--d", "1", "--mode", "small"]
+        )
+        assert code == cli.EXIT_SOUNDNESS == 4
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "error: trivial sparsifier answered a query without context\n"
+        )
+
 
 class TestParserReuse:
     """``run`` builds its parser once per process; no run may see what an

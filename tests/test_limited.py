@@ -16,6 +16,7 @@ from divsparse import (
     OracleContext,
     SetFamily,
     SplitMix64,
+    TrivialSparsifier,
     approx_far_set,
     cluster_or_trivial,
     default_cluster_radius,
@@ -36,6 +37,23 @@ def two_point_domain(n: int) -> SetFamily:
     return SetFamily.from_bits(n, [0, (1 << n) - 1])
 
 
+class Counted(ExplicitOracle):
+    """Explicit oracle that counts its own capability calls."""
+
+    def __init__(self, family: SetFamily) -> None:
+        super().__init__(family)
+        self.opts = 0
+        self.extends = 0
+
+    def opt_pm1(self, positive):
+        self.opts += 1
+        return super().opt_pm1(positive)
+
+    def exact_extend(self, query, ctx=None):
+        self.extends += 1
+        return super().exact_extend(query, ctx)
+
+
 def single_trial_success_probability(n: int) -> float:
     """Chance one random +-1 draw makes the full set beat the empty set.
 
@@ -50,7 +68,7 @@ class TestApproxFarSet:
     def test_only_member_is_never_far(self):
         fam = SetFamily.from_bits(4, [0b0101])
         oracle = ExplicitOracle(fam)
-        got = approx_far_set(
+        got, _ = approx_far_set(
             oracle, fam.bits_list(), d=1, trials=64, rng=SplitMix64(3)
         )
         assert got is None
@@ -62,7 +80,7 @@ class TestApproxFarSet:
         centers = [0]
         # frozen from the binomial tail: 386/1024 per trial
         assert single_trial_success_probability(n) == 386 / 1024
-        got = approx_far_set(
+        got, _ = approx_far_set(
             oracle, centers, d=1, trials=512, rng=SplitMix64(0)
         )
         assert got is not None and got.bit_count() == n
@@ -76,7 +94,7 @@ class TestApproxFarSet:
             centers_count = rng.randint(0, min(3, len(fam)))
             centers = fam.bits_list()[:centers_count]
             d = rng.randint(0, 2)
-            got = approx_far_set(
+            got, _ = approx_far_set(
                 ExplicitOracle(fam),
                 centers,
                 d=d,
@@ -88,8 +106,36 @@ class TestApproxFarSet:
 
     def test_empty_domain(self):
         oracle = ExplicitOracle(SetFamily.empty(4))
-        got = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
+        got, _ = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
         assert got is None
+
+    def test_trial_count_of_a_find(self):
+        # the full set wins trial i exactly when draw i has more +1s than
+        # -1s (the scan oracle keeps the empty set on ties)
+        n = 10
+        late = 0
+        for seed in range(12):
+            replay = SplitMix64(seed)
+            want = next(
+                i for i in range(1, 65) if replay.top_bits(n).bit_count() > n // 2
+            )
+            oracle = Counted(two_point_domain(n))
+            got = approx_far_set(oracle, [0], d=1, trials=64, rng=SplitMix64(seed))
+            assert got == ((1 << n) - 1, want)
+            assert oracle.opts == want
+            late += want > 1
+        assert late > 0
+
+    def test_trial_count_of_a_give_up(self):
+        fam = SetFamily.from_bits(4, [0b0101])
+        oracle = Counted(fam)
+        got = approx_far_set(oracle, [0b0101], d=1, trials=37, rng=SplitMix64(3))
+        assert got == (None, 37) and oracle.opts == 37
+
+    def test_trial_count_of_an_empty_domain(self):
+        oracle = Counted(SetFamily.empty(4))
+        got = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
+        assert got == (None, 1) and oracle.opts == 1
 
     def test_parameter_validation(self):
         oracle = ExplicitOracle(two_point_domain(4))
@@ -163,6 +209,17 @@ class TestClusterOrTrivial:
         )
         assert not got.trivial and len(got.family) == 0
 
+    def test_trials_count_every_optimization(self):
+        oracle = Counted(two_point_domain(10))
+        got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=1, d=1, seed=0))
+        assert got.trivial and got.trials == oracle.opts > 0
+        # one trial finds the only member, then the search for a second
+        # center runs its full default count
+        oracle = Counted(SetFamily.from_bits(3, [0]))
+        got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=2, d=1, seed=5))
+        assert not got.trivial
+        assert got.trials == oracle.opts == 1 + default_trials(2, 0.01, 1)
+
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)
         seen_trivial = 0
@@ -184,30 +241,42 @@ class TestClusterOrTrivial:
 
 
 class TestShiftedEmptyExtension:
-    CTX = OracleContext(k=1, d=1, p=default_cluster_radius(1, 1))
-
     def test_empty_center_is_identity(self):
         fam = SetFamily.from_bits(3, [0b011, 0b100])
         oracle = ExplicitOracle(fam)
-        view = ShiftedEmptyExtension(oracle, 0, self.CTX)
+        view = ShiftedEmptyExtension(oracle, 0)
         got = view.exact_empty_extend(2, 0)
         assert isinstance(got, Found) and got.witness == 0b011
 
     def test_zero_radius_checks_center_membership(self):
         fam = SetFamily.from_bits(3, [0b011])
         oracle = ExplicitOracle(fam)
-        inside = ShiftedEmptyExtension(oracle, 0b011, self.CTX)
+        inside = ShiftedEmptyExtension(oracle, 0b011)
         got = inside.exact_empty_extend(0, 0)
         assert isinstance(got, Found) and got.witness == 0
-        outside = ShiftedEmptyExtension(oracle, 0b101, self.CTX)
+        outside = ShiftedEmptyExtension(oracle, 0b101)
         assert isinstance(outside.exact_empty_extend(0, 0), NotFound)
+
+    def test_forwards_the_query_context(self):
+        seen = []
+
+        class Recording(ExplicitOracle):
+            def exact_extend(self, query, ctx=None):
+                seen.append(ctx)
+                return super().exact_extend(query, ctx)
+
+        view = ShiftedEmptyExtension(Recording(SetFamily.from_bits(2, [0b01])), 0b01)
+        ctx = OracleContext(k=1, d=1, p=3)
+        view.exact_empty_extend(0, 0, ctx)
+        view.exact_empty_extend(0, 0)
+        assert seen == [ctx, None]
 
     def test_forbidden_splits_into_forced_and_avoided(self):
         # members {0} and {0,1}; center {0}: query (r=1, Y*={0}) maps to
         # forced {0}, forbidden empty, and must return {0,1} shifted to {1}
         fam = SetFamily.from_bits(2, [0b01, 0b11])
         oracle = ExplicitOracle(fam)
-        view = ShiftedEmptyExtension(oracle, 0b01, self.CTX)
+        view = ShiftedEmptyExtension(oracle, 0b01)
         got = view.exact_empty_extend(1, 0b01)
         assert isinstance(got, Found) and got.witness == 0b10
         # brute check: the only member at shifted distance 1 keeping
@@ -293,6 +362,42 @@ class TestDkSparsify:
         assert first.family == second.family
         assert first.calls_opt == second.calls_opt
         assert first.calls_extend == second.calls_extend
+
+    def test_call_counts_match_the_oracle(self):
+        rng = random.Random(52)
+        for trial in range(25):
+            n = rng.randint(3, 7)
+            fam = random_family(rng, n, 14)
+            oracle = Counted(fam)
+            report = dk_sparsify(
+                oracle,
+                LimitedSparsifyParams(
+                    k=rng.randint(1, 2), d=rng.randint(0, 2), seed=trial,
+                    trials_override=rng.choice([None, 32]),
+                ),
+            )
+            assert report.calls_opt == oracle.opts > 0
+            assert report.calls_extend == oracle.extends
+
+    def test_shortcut_keeps_the_earlier_centers_calls(self):
+        class ShortcutOnSecondCenter(Counted):
+            # a valid trivial sparsifier for every query around a center
+            # other than the first one asked about
+            first = None
+
+            def exact_extend(self, query, ctx=None):
+                if self.first is None:
+                    self.first = query.center
+                if query.center == self.first:
+                    return super().exact_extend(query, ctx)
+                self.extends += 1
+                return TrivialSparsifier(SetFamily.from_bits(3, [1, 2, 4]))
+
+        oracle = ShortcutOnSecondCenter(SetFamily.from_bits(3, [0b000, 0b111]))
+        report = dk_sparsify(oracle, LimitedSparsifyParams(k=2, d=0, seed=4))
+        assert report.shortcut and report.family.bits_list() == [1, 2, 4]
+        assert report.calls_opt == oracle.opts
+        assert report.calls_extend == oracle.extends > 1
 
     def test_report_provenance(self):
         fam = SetFamily.from_bits(4, [0b0001, 0b0010])

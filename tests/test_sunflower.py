@@ -21,8 +21,9 @@ from divsparse import (
     OracleContext,
     SetFamily,
     SmallSparsifyParams,
+    SoundnessError,
     SubsetMask,
-    default_cluster_radius,
+    TrivialSparsifier,
     k_sparsify,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
@@ -303,10 +304,41 @@ class TestKSparsify:
         assert first.calls_extend == second.calls_extend > 0
         assert first.passes == len(first.family) + 1
 
+    def test_calls_extend_counts_every_query(self):
+        class Counted(ExplicitOracle):
+            calls = 0
 
-def shifted_explicit(family, center, k):
-    ctx = OracleContext(k=k, d=1, p=default_cluster_radius(k, 1))
-    return ShiftedEmptyExtension(ExplicitOracle(family), center, ctx)
+            def exact_empty_extend(self, r, forbidden, ctx=None):
+                self.calls += 1
+                return super().exact_empty_extend(r, forbidden, ctx)
+
+        rng = random.Random(88)
+        for _ in range(20):
+            n = rng.randint(3, 6)
+            family = random_family(rng, n, 12)
+            ell = max(len(m) for m in family)
+            oracle = Counted(family)
+            report = k_sparsify(small_params(rng.randint(1, 3), ell, ell), oracle)
+            assert report.calls_extend == oracle.calls > 0
+
+    def test_trivial_sparsifier_is_checked_against_the_context(self):
+        class Trivial(ExplicitOracle):
+            def exact_empty_extend(self, r, forbidden, ctx=None):
+                return TrivialSparsifier(SetFamily.from_bits(4, [0b0000, 0b1111]))
+
+        oracle = Trivial(SetFamily.from_bits(4, [0b0011, 0b0111]))
+        params = small_params(1, 3, 3)
+        report = k_sparsify(params, oracle, OracleContext(k=1, d=1, p=3))
+        assert report.shortcut and report.calls_extend == 1
+        assert report.family.bits_list() == [0b0000, 0b1111]
+        with pytest.raises(SoundnessError, match="not k\\+1 = 3"):
+            k_sparsify(params, oracle, OracleContext(k=2, d=1, p=3))
+        with pytest.raises(SoundnessError, match="without context"):
+            k_sparsify(params, oracle)
+
+
+def shifted_explicit(family, center):
+    return ShiftedEmptyExtension(ExplicitOracle(family), center)
 
 
 def reference_grid():
@@ -324,7 +356,7 @@ def reference_grid():
         shifted_ell = max((m.bits ^ center).bit_count() for m in family)
         yield (
             small_params(k, shifted_ell, shifted_ell),
-            partial(shifted_explicit, family, center, k),
+            partial(shifted_explicit, family, center),
         )
 
 
@@ -541,6 +573,17 @@ _LYING_ORACLES = textwrap.dedent(
         trivial_liar, LimitedSparsifyParams(k=1, d=1)
     )
 
+    class EmptyTrivialLiar(ExplicitOracle):
+        # a one-member "trivial sparsifier" for every empty extension,
+        # consumed by the small pipeline, which asks without a context
+        def exact_empty_extend(self, r, forbidden, ctx=None):
+            return TrivialSparsifier(SetFamily.from_bits(4, [0b0001]))
+
+    runs["trivial_small"] = lambda lie: k_sparsify(
+        SmallSparsifyParams(k=1, r=3, ell=3),
+        EmptyTrivialLiar(SetFamily.from_bits(4, [0b0011, 0b0111])),
+    )
+
     from divsparse.domains import DagDpOracle, GraphData, MatchingOracle, VertexCoverOracle
 
     class CoverLiar(VertexCoverOracle):
@@ -603,6 +646,7 @@ def test_lying_oracle_is_refused_under_optimize():
         assert "within 2d = 2" in verdicts["spacing_" + where]
     assert "1 members, not k+1 = 2" in verdicts["trivial_solve"]
     assert "1 members, not k+1 = 2" in verdicts["trivial_sparsify"]
+    assert "answered a query without context" in verdicts["trivial_small"]
     assert "strong exchange property violated" in verdicts["exchange"]
     assert "farthest base did not end at the rank" in verdicts["far_base"]
     assert "optimization did not end at the rank" in verdicts["opt_base"]

@@ -177,7 +177,7 @@ def _run_verify(args, instance: DomainInstance) -> int:
         scope = VerifyScope.versus_all_subsets(k=args.k, cap=args.d)
     result = verify_sparsifier(domain, report.family, scope)
     if result.counterexample is None:
-        print("OK")
+        print("OK (sampled)" if result.sampled else "OK")
         return EXIT_OK
     print("FAIL")
     reference_tuple, missed = result.counterexample

@@ -6,14 +6,22 @@ maximum-vertex-count paths.  This encodes dynamic-programming solution
 spaces; interval scheduling, for instance, maps intervals to vertices with
 an arc whenever one interval ends before the other starts.
 
-The oracle is built straight from the DAG and its labeling.  It checks
-them once and keeps what every capability reads: the successor and
-predecessor lists (both in index order), one topological order and the
-length of the longest path ending at each vertex.  Optimization keeps, per
-vertex, the best label-weight sum over longest paths ending there.  The
-exact extension adds two counters to the table: labels from the forced
-set and labels outside the center.  Ties resolve to the lowest-index
-terminal vertex and predecessors.
+The oracle checks the DAG and its labeling once and keeps one topological
+order, the tight predecessors of each vertex (those whose longest path
+ending there is one vertex shorter; index order, parallel arcs repeated)
+and the ends (where the longest paths, of L vertices, end; index order).
+
+Both capabilities run one search.  Each vertex gets an integer weight; per
+vertex the search keeps the bit set of weight sums over the longest paths
+that end there and avoid the forbidden labels.  The path with the wanted
+sum (or the highest) is rebuilt from the lowest-index end that reaches
+it, then from the lowest-index tight predecessor that keeps the rest
+reachable.  Optimization weighs a label 1 if it is positive, else 0, and
+asks for the highest sum.  The exact extension weighs a label L + 1 if it
+is forced, plus 1 if it is outside the center, and asks for |X| (L + 1)
+plus the outside count the radius pins.  Membership of a set of size L is
+a linear pass over the tight predecessors, restricted to its labels, that
+must reach an end.
 """
 
 from __future__ import annotations
@@ -23,16 +31,12 @@ from ..core import (
     ExtensionOutcome,
     ExtensionQuery,
     Found,
-    GuardError,
     NOT_FOUND,
     OracleContext,
     SoundnessError,
     _check_universe_size,
 )
 from .graphs import GraphData
-
-#: Longest paths are enumerated for the membership predicate; cap the count.
-PATH_ENUMERATION_GUARD = 1_000_000
 
 
 def _topological_order(succs: list[list[int]], preds: list[list[int]]) -> list[int]:
@@ -71,16 +75,16 @@ class DagDpOracle(DomainOracle):
         n = dag.n_vertices
         self._labels = labels
         self._universe_size = universe_size
-        self._succs: list[list[int]] = [[] for _ in range(n)]
-        self._preds: list[list[int]] = [[] for _ in range(n)]
+        succs: list[list[int]] = [[] for _ in range(n)]
+        preds: list[list[int]] = [[] for _ in range(n)]
         for u, v in sorted(dag.edges):  # both lists in index order
-            self._succs[u].append(v)
-            self._preds[v].append(u)
-        self._order = _topological_order(self._succs, self._preds)
+            succs[u].append(v)
+            preds[v].append(u)
+        self._order = _topological_order(succs, preds)
         # reachability closure; a path through equal labels is forbidden
         reach = [0] * n
         for u in reversed(self._order):
-            for v in self._succs[u]:
+            for v in succs[u]:
                 reach[u] |= (1 << v) | reach[v]
         for u in range(n):
             for v in range(n):
@@ -88,12 +92,13 @@ class DagDpOracle(DomainOracle):
                     raise ValueError(
                         f"label {labels[u]} repeats along a path ({u} reaches {v})"
                     )
-        self._len_end = [1] * n
+        len_end = [1] * n  # vertices on the longest path ending at v
         for v in self._order:
-            for u in self._preds[v]:
-                self._len_end[v] = max(self._len_end[v], self._len_end[u] + 1)
-        self._longest = max(self._len_end)
-        self._member_cache: frozenset[int] | None = None
+            for u in preds[v]:
+                len_end[v] = max(len_end[v], len_end[u] + 1)
+        self._longest = max(len_end)
+        self._tight = [[u for u in preds[v] if len_end[u] == len_end[v] - 1] for v in range(n)]
+        self._ends = [v for v in range(n) if len_end[v] == self._longest]
 
     @property
     def universe_size(self) -> int:
@@ -103,117 +108,73 @@ class DagDpOracle(DomainOracle):
     def path_length(self) -> int:
         return self._longest
 
-    def member_bits(self) -> frozenset[int]:
-        """All label sets of longest paths, by path enumeration."""
-        if self._member_cache is not None:
-            return self._member_cache
-        labels = self._labels
-        len_from = [1] * len(labels)
-        for u in reversed(self._order):
-            for v in self._succs[u]:
-                len_from[u] = max(len_from[u], len_from[v] + 1)
-        out: set[int] = set()
-        budget = PATH_ENUMERATION_GUARD
-
-        def walk(v: int, depth: int, labels_bits: int) -> None:
-            nonlocal budget
-            budget -= 1
-            if budget < 0:
-                raise GuardError("longest-path enumeration over the guard")
-            if depth == self._longest:
-                out.add(labels_bits)
-                return
-            for u in self._succs[v]:
-                if self._len_end[u] == depth + 1 and len_from[u] == self._longest - depth:
-                    walk(u, depth + 1, labels_bits | (1 << labels[u]))
-
-        for v in range(len(labels)):
-            if self._len_end[v] == 1 and len_from[v] == self._longest:
-                walk(v, 1, 1 << labels[v])
-        self._member_cache = frozenset(out)
-        return self._member_cache
-
     def is_member_bits(self, bits: int) -> bool:
-        return bits in self.member_bits()
-
-    def opt_pm1(self, positive: int) -> int | None:
+        # a path repeats no label, so L vertices labeled in bits cover bits
+        if bits.bit_count() != self._longest:
+            return False
         labels = self._labels
-        gain = [2 * (positive >> q & 1) - 1 for q in labels]
-        best: list[int] = [0] * len(labels)
+        ok = [False] * len(labels)
         for v in self._order:
-            w = gain[v]
-            cand = None
-            for u in self._preds[v]:
-                if self._len_end[u] == self._len_end[v] - 1:
-                    if cand is None or best[u] > cand:
-                        cand = best[u]
-            best[v] = w if cand is None else cand + w
-        # reconstruct from the best terminal of a longest path
-        ends = [v for v in range(len(labels)) if self._len_end[v] == self._longest]
-        v = max(ends, key=best.__getitem__)
+            if bits >> labels[v] & 1:
+                ok[v] = not self._tight[v] or any(ok[u] for u in self._tight[v])
+        return any(ok[v] for v in self._ends)
+
+    def _search(self, weight: list[int], forbidden: int, want: int | None) -> int | None:
+        """The label bits of a longest path that avoids ``forbidden`` and
+        whose vertex weights sum to ``want`` (``None``: as much as
+        possible), or None when there is none."""
+        labels = self._labels
+        # sums[v]: bit set of the weight sums over longest paths ending at v
+        sums = [0] * len(labels)
+        for v in self._order:
+            if not forbidden >> labels[v] & 1:
+                reach = 0 if self._tight[v] else 1
+                for u in self._tight[v]:
+                    reach |= sums[u]
+                sums[v] = reach << weight[v]
+        if want is None:  # the highest sum, or 0 if no end is reached
+            want = max(max(sums[v].bit_length() for v in self._ends) - 1, 0)
+        for v in self._ends:
+            if sums[v] >> want & 1:
+                break
+        else:
+            return None
         bits = 0
         while True:
             bits |= 1 << labels[v]
-            if self._len_end[v] == 1:
-                break
-            for u in self._preds[v]:
-                if (
-                    self._len_end[u] == self._len_end[v] - 1
-                    and best[u] == best[v] - gain[v]
-                ):
+            want -= weight[v]
+            if not self._tight[v]:
+                return bits
+            for u in self._tight[v]:
+                if sums[u] >> want & 1:
                     v = u
                     break
             else:
                 raise AssertionError("longest-path reconstruction failed")
-        return bits
+
+    def opt_pm1(self, positive: int) -> int | None:
+        # every member has L labels, so its weight 2 |D & P| - L grows with
+        # its count of +1 labels
+        return self._search([positive >> q & 1 for q in self._labels], 0, None)
 
     def exact_extend(
         self, query: ExtensionQuery, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        labels = self._labels
         c = query.center
         x = query.forced
-        y = query.forbidden
         L = self._longest
         # |D| = L for every member; |D ^ C| = r pins |D \ C|
         doubled = query.radius - c.bit_count() + L
         if doubled % 2 or doubled < 0:
             return NOT_FOUND
         outside = doubled // 2
-        nx = x.bit_count()
         if outside > L or outside > query.radius:
             return NOT_FOUND
-
-        # table[v][a][b]: label bits of some longest path ending at v with a
-        # forced labels and b labels outside the center, else None
-        table: list[list[list[int | None]]] = [
-            [[None] * (L + 1) for _ in range(nx + 1)] for _ in labels
-        ]
-        for v in self._order:
-            q = labels[v]
-            if y >> q & 1:
-                continue
-            da = 1 if x >> q & 1 else 0
-            db = 0 if c >> q & 1 else 1
-            if self._len_end[v] == 1:
-                if da <= nx and db <= L:
-                    table[v][da][db] = 1 << q
-                continue
-            for u in self._preds[v]:
-                if self._len_end[u] != self._len_end[v] - 1:
-                    continue
-                tu = table[u]
-                for a in range(nx - da + 1):
-                    for b in range(L - db + 1):
-                        got = tu[a][b]
-                        if got is not None and table[v][a + da][b + db] is None:
-                            table[v][a + da][b + db] = got | (1 << q)
-        for v in range(len(labels)):
-            if self._len_end[v] != L:
-                continue
-            got = table[v][nx][outside] if outside <= L else None
-            if got is not None:
-                if not query.admits_bits(got):
-                    raise SoundnessError(f"path table returned {got:#x} outside the query")
-                return Found(got)
-        return NOT_FOUND
+        # a path repeats no label: it holds X iff it holds |X| forced labels
+        weight = [(L + 1) * (x >> q & 1) + 1 - (c >> q & 1) for q in self._labels]
+        got = self._search(weight, query.forbidden, x.bit_count() * (L + 1) + outside)
+        if got is None:
+            return NOT_FOUND
+        if not query.admits_bits(got):
+            raise SoundnessError(f"path table returned {got:#x} outside the query")
+        return Found(got)

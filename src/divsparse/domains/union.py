@@ -57,15 +57,6 @@ class UnionOracle(DomainOracle):
                 return out
         return NOT_FOUND
 
-    def exact_empty_extend(
-        self, r: int, forbidden: int, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        for part in self._parts:
-            out = part.exact_empty_extend(r, forbidden, ctx)
-            if isinstance(out, (Found, TrivialSparsifier)):
-                return out
-        return NOT_FOUND
-
     @property
     def complement_closed(self) -> bool:
         return all(p.complement_closed for p in self._parts)

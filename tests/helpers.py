@@ -116,6 +116,48 @@ def random_dag(rng: random.Random, nv: int, n_edges: int) -> GraphData:
     return GraphData(directed=True, n_vertices=nv, edges=tuple(chosen))
 
 
+def interval_dag(
+    rng: random.Random, n: int, parallel: int = 0
+) -> tuple[GraphData, tuple[int, ...]]:
+    """Interval scheduling as a labeled DAG, shaped like the benchmark's
+    ``dag`` jobs: ``n`` intervals, an arc whenever one interval ends before
+    another starts (transitive arcs included), vertices permuted, vertex v
+    labeled v.  ``parallel`` arcs are drawn again as parallel copies."""
+    spans = sorted(
+        (start, start + rng.randint(1, 4))
+        for start in [rng.randint(0, 11) for _ in range(n)]
+    )
+    perm = list(range(n))
+    rng.shuffle(perm)
+    arcs = [
+        (perm[u], perm[v]) for u in range(n) for v in range(n)
+        if u != v and spans[u][1] <= spans[v][0]
+    ]
+    if arcs:
+        arcs += [rng.choice(arcs) for _ in range(parallel)]
+    rng.shuffle(arcs)
+    return GraphData(directed=True, n_vertices=n, edges=tuple(arcs)), tuple(range(n))
+
+
+def longest_path_label_sets(graph: GraphData, labels: tuple[int, ...]) -> set[int]:
+    """The label sets of the paths with the most vertices, by a DFS over
+    every path (a reference for the DAG adapter's membership test)."""
+    succs: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for u, v in graph.edges:
+        succs[u].append(v)
+    paths: list[tuple[int, int]] = []  # (vertex count, label bits)
+
+    def walk(v: int, count: int, bits: int) -> None:
+        paths.append((count, bits))
+        for u in succs[v]:
+            walk(u, count + 1, bits | (1 << labels[u]))
+
+    for v in range(graph.n_vertices):
+        walk(v, 1, 1 << labels[v])
+    most = max(count for count, _ in paths)
+    return {bits for count, bits in paths if count == most}
+
+
 def _attempt_instance(kind: str, rng: random.Random) -> DomainInstance:
     if kind == "explicit":
         n = rng.randint(3, 7)

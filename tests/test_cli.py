@@ -345,6 +345,14 @@ class TestVerifyCommand:
         )
         assert code == 0 and out.splitlines()[0] == "OK"
 
+    def test_sampled_verification_says_so(self, write):
+        # a universe of 13 is past the materialized-reference guard
+        path = write("domain uniform_matroid rank=1\nuniverse 13\n")
+        code, out = invoke(
+            ["verify", "--instance", path, "--k", "1", "--d", "1", "--mode", "limited"]
+        )
+        assert code == 0 and out == "OK (sampled)\n"
+
 
 class TestExitCodes:
     def test_parse_error_is_2(self, write):

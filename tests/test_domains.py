@@ -14,11 +14,14 @@ from divsparse import (
     Found,
     NotFound,
     SetFamily,
+    SmallSparsifyParams,
     distance,
+    k_sparsify,
     pm1_weight,
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import (
+    DagDpOracle,
     ExplicitOracle,
     GraphData,
     GraphicMatroid,
@@ -33,7 +36,13 @@ from divsparse.instances import (
     dag_dp_instance,
 )
 
-from helpers import generate_instance
+from helpers import (
+    generate_instance,
+    interval_dag,
+    longest_path_label_sets,
+    random_dag,
+    random_family,
+)
 
 
 def extension_queries(n, domain, max_forced_forbidden=4, radii=None):
@@ -92,6 +101,7 @@ def assert_oracle_matches_brute(instance, domain, max_ff=3, opt=True):
 MATROID_WITNESSES = "119988029e325b0bf8f96298921235b0da93029e676822893765f60194509b3a"
 MATCHING_WITNESSES = "4d20988dad95247616cc27332a436249999afffb6e7962e83ffa6a49bb4db029"
 DAG_WITNESSES = "ac2c7801b38feed49d8b166d948eb7befc05a3f1eaa5fc58b1172450ca2a2289"
+INTERVAL_DAG_WITNESSES = "c996415b8cfad27517f1d72bb885f84a3368489e947e0e1a457eb0891d28ccf2"
 
 
 def grid_digest(digests):
@@ -388,6 +398,51 @@ class TestDagDp:
         ]
         assert grid_digest(digests) == DAG_WITNESSES
 
+    def test_interval_witnesses(self):
+        # 7 to 10 intervals with every transitive arc, as in the benchmark
+        digests = []
+        for seed in range(12):
+            n = 7 + seed % 4
+            instance = dag_dp_instance(n, *interval_dag(random.Random(seed), n))
+            domain = enumerate_domain(instance)
+            digests.append(assert_oracle_matches_brute(instance, domain, max_ff=2))
+        assert grid_digest(digests) == INTERVAL_DAG_WITNESSES
+
+    def test_membership_matches_path_enumeration(self):
+        rng = random.Random(15)
+        checked = 0
+        while checked < 240:
+            if checked % 2:
+                n = rng.randint(4, 9)
+                graph, labels = interval_dag(rng, n, parallel=rng.randint(1, 4))
+                universe = n
+            else:
+                nv = rng.randint(2, 7)
+                graph = random_dag(rng, nv, rng.randint(0, nv + 3))
+                universe = rng.randint(2, min(7, nv + 1))
+                labels = tuple(rng.randrange(universe) for _ in range(nv))
+            try:
+                oracle = DagDpOracle(graph, labels, universe)
+            except ValueError:
+                continue  # a label repeats along a path
+            members = longest_path_label_sets(graph, labels)
+            for bits in range(1 << universe):
+                assert oracle.is_member_bits(bits) == (bits in members), (graph, labels, bits)
+            checked += 1
+
+    def test_ladder_with_one_member(self):
+        # 2^20 longest paths, all with the label set {0, ..., 19}
+        layers = 20
+        edges = tuple(
+            (2 * i + a, 2 * i + 2 + b)
+            for i in range(layers - 1) for a in (0, 1) for b in (0, 1)
+        )
+        graph = GraphData(directed=True, n_vertices=2 * layers, edges=edges)
+        instance = dag_dp_instance(layers, graph, tuple(v // 2 for v in range(2 * layers)))
+        full = (1 << layers) - 1
+        assert instance.membership(full)
+        assert enumerate_domain(instance).bits_list() == [full]
+
 
 class TestUnionOracle:
     def test_opt_takes_best_part(self):
@@ -444,6 +499,22 @@ class TestUnionOracle:
                 if isinstance(got, Found):
                     assert query.admits_bits(got.witness)
                     assert merged.contains_bits(got.witness)
+
+    def test_small_sparsifier_equals_merged_family(self):
+        # the union's empty extension asks its parts in order, as a scan of
+        # the merged family does
+        rng = random.Random(52)
+        for _ in range(30):
+            n = rng.randint(2, 6)
+            ell = rng.randint(1, min(3, n))
+            fam_a = random_family(rng, n, 6, max_size=ell)
+            fam_b = random_family(rng, n, 6, max_size=ell)
+            merged = SetFamily.dedup_from_bits(n, fam_a.bits_list() + fam_b.bits_list())
+            params = SmallSparsifyParams(k=rng.randint(1, 2), r=ell, ell=ell)
+            got = k_sparsify(params, UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)]))
+            want = k_sparsify(params, ExplicitOracle(merged))
+            assert got.family.bits_list() == want.family.bits_list()
+            assert (got.passes, got.calls_extend) == (want.passes, want.calls_extend)
 
     def test_mismatched_universes_rejected(self):
         with pytest.raises(ValueError):

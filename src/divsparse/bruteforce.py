@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Sequence
 
 from .core import GuardError, SetFamily, SoundnessError, SubsetMask, distance
 from .solvers import ProblemSpec, SolveAnswer
@@ -96,10 +97,10 @@ def enumerate_domain(instance) -> SetFamily:
 
 def _reference_bits(
     scope: VerifyScope, domain: SetFamily, rng: random.Random
-) -> tuple[list[int], bool]:
+) -> tuple[Sequence[int], bool]:
     n = domain.universe_size
     if scope.reference == "domain":
-        return domain.bits_list(), False
+        return domain.bits, False
     if n <= REFERENCE_GUARD:
         if scope.reference == "all":
             return list(range(1 << n)), False
@@ -155,13 +156,13 @@ def verify_sparsifier(
             raise ValueError(f"candidate member {m!r} is not in the domain")
     cap = scope.cap if scope.cap is not None else n
     reference, sampled = _reference_bits(scope, domain, rng)
-    cand_bits = cand.bits_list()
+    cand_bits = cand.bits
 
     if len(domain) == 0:
         return VerifyResult(ok=True, sampled=sampled)
     if len(cand) == 0:
         some_f = SubsetMask(n, reference[0]) if reference else SubsetMask.empty(n)
-        witness = (tuple([some_f] * scope.k), domain.members[0])
+        witness = (tuple([some_f] * scope.k), SubsetMask(n, domain.bits[0]))
         return VerifyResult(ok=False, counterexample=witness, sampled=sampled)
 
     # survivors[f][t] = bitmask over candidates with capped distance >= t
@@ -178,7 +179,7 @@ def verify_sparsifier(
         survivors.append(row)
 
     full_cand = (1 << len(cand_bits)) - 1
-    for d_bits in domain.bits_list():
+    for d_bits in domain.bits:
         if cand.contains_bits(d_bits):
             continue  # dominated by itself
         groups: dict[int, int] = {}  # survivor mask -> representative f
@@ -219,7 +220,7 @@ def _empty_intersection(masks: list[int], k: int) -> tuple[int, ...] | None:
 
 def _is_genuine_counterexample(
     witness: tuple[tuple[SubsetMask, ...], SubsetMask],
-    cand_bits: list[int],
+    cand_bits: Sequence[int],
     cap: int,
 ) -> bool:
     fs, d = witness
@@ -235,7 +236,7 @@ def _is_genuine_counterexample(
 def brute_solve(domain: SetFamily, spec: ProblemSpec) -> SolveAnswer:
     """Exhaustive reference answer for all four problems."""
     n = domain.universe_size
-    members = domain.bits_list()
+    members = domain.bits
     if len(members) ** spec.k > TUPLE_GUARD:
         raise GuardError(
             f"{len(members)}^{spec.k} tuples exceed the exhaustive-solve guard"

@@ -125,13 +125,12 @@ def _run_solve(args, instance: DomainInstance) -> int:
     return EXIT_OK
 
 
-def _sparsify_report(args, instance: DomainInstance) -> tuple[SparsifierReport, str]:
-    mode = _pick_mode(args.mode, instance)
-    if mode == "small":
+def _sparsify_report(args, instance: DomainInstance) -> SparsifierReport:
+    if _pick_mode(args.mode, instance) == "small":
         ell = _small_ell(instance)
         # a full sparsifier w.r.t. the radius-ell ball; --d plays no role here
         params = SmallSparsifyParams(k=args.k, r=ell, ell=ell)
-        return k_sparsify(params, instance.oracle()), mode
+        return k_sparsify(params, instance.oracle())
     params = LimitedSparsifyParams(
         k=args.k,
         d=args.d,
@@ -140,11 +139,11 @@ def _sparsify_report(args, instance: DomainInstance) -> tuple[SparsifierReport, 
         trials_override=args.trials,
         seed=args.seed,
     )
-    return dk_sparsify(instance.oracle(), params), mode
+    return dk_sparsify(instance.oracle(), params)
 
 
 def _run_sparsify(args, instance: DomainInstance) -> int:
-    report, _ = _sparsify_report(args, instance)
+    report = _sparsify_report(args, instance)
     print(f"size: {len(report.family)}")
     for mask in report.family:
         print(_set_line(mask))
@@ -156,7 +155,7 @@ def _run_sparsify(args, instance: DomainInstance) -> int:
 
 def _run_enumerate(args, instance: DomainInstance) -> int:
     family = enumerate_domain(instance)
-    ordered = sorted(family.bits_list())
+    ordered = sorted(family.bits)
     print(f"size: {len(ordered)}")
     for bits in ordered:
         print(_set_line(SubsetMask(family.universe_size, bits)))
@@ -164,17 +163,18 @@ def _run_enumerate(args, instance: DomainInstance) -> int:
 
 
 def _run_verify(args, instance: DomainInstance) -> int:
-    report, mode = _sparsify_report(args, instance)
+    report = _sparsify_report(args, instance)
     domain = enumerate_domain(instance)
-    if mode == "small":
+    params = report.params
+    if isinstance(params, SmallSparsifyParams):
         scope = VerifyScope.versus_ball(
-            k=args.k,
+            k=params.k,
             cap=None,
             center=SubsetMask.empty(domain.universe_size),
-            radius=_small_ell(instance),
+            radius=params.r,
         )
     else:
-        scope = VerifyScope.versus_all_subsets(k=args.k, cap=args.d)
+        scope = VerifyScope.versus_all_subsets(k=params.k, cap=params.d)
     result = verify_sparsifier(domain, report.family, scope)
     if result.counterexample is None:
         print("OK (sampled)" if result.sampled else "OK")

@@ -6,18 +6,24 @@ and families have a canonical on-disk form.  All types in this module are
 immutable after construction and safe to share across threads; every
 operation is a pure function.
 
-Oracles take and return raw ``int`` masks (bit i set means element i is
-in the set, or, for the +-1 weights of ``opt_pm1``, that element i weighs
-+1), and so do the constructions and solvers between them.
-:class:`SubsetMask` is used only for results (families, answers, reports)
-and for CLI input and output.
+Every mask that moves between layers is a raw ``int`` (bit i set means
+element i is in the set, or, for the +-1 weights of ``opt_pm1``, that
+element i weighs +1): oracle arguments and answers, the constructions and
+solvers between them, and the members of a :class:`SetFamily`, which a
+:class:`SparsifierReport` hands from one layer to the next.
+:class:`SubsetMask` is a checked view of one such mask for the public
+boundary: solver answers, verification objects, and CLI input and output.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .limited import LimitedSparsifyParams
+    from .sunflower import SmallSparsifyParams
 
 #: Cap on representable universe sizes.  Masks are arbitrary-precision ints,
 #: so this is a policy guard, not a storage limit; raise it if you need to.
@@ -117,55 +123,53 @@ class SubsetMask:
 
 @dataclass(frozen=True)
 class SetFamily:
-    """A duplicate-free, insertion-ordered list of subsets of one universe."""
+    """A duplicate-free, insertion-ordered list of subsets of one universe.
+
+    ``bits`` holds the members as raw masks, each checked to lie inside the
+    universe; layers read and build families through it.  Iterating the
+    family, or reading ``members``, gives :class:`SubsetMask` views made on
+    demand.
+    """
 
     universe_size: int
-    members: tuple[SubsetMask, ...]
+    bits: tuple[int, ...]
     _member_bits: frozenset[int] = field(
         init=False, repr=False, compare=False, hash=False, default=frozenset()
     )
 
     def __post_init__(self) -> None:
-        _check_universe_size(self.universe_size)
-        seen: set[int] = set()
-        for m in self.members:
-            if m.universe_size != self.universe_size:
-                raise ValueError("family member universe mismatch")
-            if m.bits in seen:
-                raise ValueError(f"duplicate family member {m!r}")
-            seen.add(m.bits)
-        object.__setattr__(self, "_member_bits", frozenset(seen))
+        n = self.universe_size
+        _check_universe_size(n)
+        member_bits = frozenset(self.bits)
+        if len(member_bits) != len(self.bits):
+            raise ValueError("family has a duplicate member")
+        if any(b < 0 or b >> n for b in member_bits):
+            raise ValueError(f"family member outside a universe of size {n}")
+        object.__setattr__(self, "_member_bits", member_bits)
 
     @classmethod
     def empty(cls, universe_size: int) -> "SetFamily":
         return cls(universe_size, ())
 
     @classmethod
-    def of(cls, universe_size: int, masks: Iterable[SubsetMask]) -> "SetFamily":
-        return cls(universe_size, tuple(masks))
-
-    @classmethod
     def from_bits(cls, universe_size: int, bits: Iterable[int]) -> "SetFamily":
-        return cls(
-            universe_size, tuple(SubsetMask(universe_size, b) for b in bits)
-        )
+        return cls(universe_size, tuple(bits))
 
     @classmethod
     def dedup_from_bits(cls, universe_size: int, bits: Iterable[int]) -> "SetFamily":
         """Build a family keeping the first occurrence of each member."""
-        seen: set[int] = set()
-        kept: list[int] = []
-        for b in bits:
-            if b not in seen:
-                seen.add(b)
-                kept.append(b)
-        return cls.from_bits(universe_size, kept)
+        return cls(universe_size, tuple(dict.fromkeys(bits)))
+
+    @property
+    def members(self) -> tuple[SubsetMask, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.bits)
 
     def __iter__(self) -> Iterator[SubsetMask]:
-        return iter(self.members)
+        n = self.universe_size
+        return (SubsetMask(n, b) for b in self.bits)
 
     def __contains__(self, mask: SubsetMask) -> bool:
         return (
@@ -177,13 +181,7 @@ class SetFamily:
         return bits in self._member_bits
 
     def bits_list(self) -> list[int]:
-        return [m.bits for m in self.members]
-
-    def union_bits(self) -> int:
-        out = 0
-        for m in self.members:
-            out |= m.bits
-        return out
+        return list(self.bits)
 
 
 def pm1_weight(bits: int, positive: int) -> int:
@@ -279,7 +277,7 @@ def check_trivial_sparsifier(
     with a context and holds k+1 members pairwise more than 2d apart."""
     if ctx is None:
         raise SoundnessError("trivial sparsifier answered a query without context")
-    bits = out.family.bits_list()
+    bits = out.family.bits
     if len(bits) != ctx.k + 1:
         raise SoundnessError(
             f"trivial sparsifier has {len(bits)} members, not k+1 = {ctx.k + 1}"
@@ -344,17 +342,15 @@ class DomainOracle(ABC):
 
 @dataclass(frozen=True)
 class SparsifierReport:
-    """Sparsifier output plus the provenance needed to reproduce it."""
+    """A sparsifier, the parameters that reproduce it, and how it was built.
+
+    ``params`` are the small or limited parameters the construction ran
+    with (a limited run's ``p`` resolved): building again from them on the
+    same oracle gives an equal report.
+    """
 
     family: SetFamily
-    mode: str  # "small" | "limited"
-    k: int
-    r: int | None = None  # small mode: target ball radius
-    ell: int | None = None  # small mode: max member cardinality
-    d: int | None = None  # limited mode: distance cap
-    p: int | None = None  # limited mode: cluster radius
-    epsilon: float | None = None
-    seed: int | None = None
+    params: SmallSparsifyParams | LimitedSparsifyParams
     calls_opt: int = 0
     calls_extend: int = 0
     passes: int = 0

@@ -12,7 +12,6 @@ from .matroid import (
     UniformMatroid,
 )
 from .mincut import MinCutOracle, MinCutPoset, build_mincut_poset
-from .union import UnionOracle
 from .vertex_cover import VertexCoverOracle
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "MinCutPoset",
     "PartitionMatroid",
     "UniformMatroid",
-    "UnionOracle",
     "VertexCoverOracle",
     "build_mincut_poset",
 ]

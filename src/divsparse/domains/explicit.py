@@ -21,7 +21,7 @@ from ..core import (
 class ExplicitOracle(DomainOracle):
     def __init__(self, family: SetFamily) -> None:
         self._family = family
-        self._bits = family.bits_list()
+        self._bits = family.bits
         full = (1 << family.universe_size) - 1
         self._complement_closed = all(
             family.contains_bits(full ^ b) for b in self._bits

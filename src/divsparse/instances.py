@@ -73,7 +73,7 @@ class DomainInstance:
 
 
 def explicit_instance(family: SetFamily) -> DomainInstance:
-    size_bound = max((len(m) for m in family), default=0)
+    size_bound = max((b.bit_count() for b in family.bits), default=0)
     return DomainInstance(
         "explicit", ExplicitOracle(family), family.contains_bits, size_bound
     )

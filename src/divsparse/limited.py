@@ -25,7 +25,7 @@ more than 2d apart) before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import (
@@ -227,42 +227,34 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     ``shortcut`` for one produced by an extension query).  An empty domain
     yields the empty family, which satisfies the definition vacuously.
     ``calls_opt`` is the clustering phase's trial count and
-    ``calls_extend`` the sum of the per-center runs' query counts.
+    ``calls_extend`` the sum of the per-center runs' query counts.  The
+    report's ``params`` are ``params`` with ``p`` resolved to
+    :func:`default_cluster_radius` when it was ``None``.
     """
-    n = oracle.universe_size
     p = default_cluster_radius(params.k, params.d) if params.p is None else params.p
-
-    def report(family: SetFamily, shortcut: bool, scattered: bool):
-        return SparsifierReport(
-            family=family,
-            mode="limited",
-            k=params.k,
-            d=params.d,
-            p=p,
-            epsilon=params.epsilon,
-            seed=params.seed,
-            calls_opt=clusters.trials,
-            calls_extend=calls_extend,
-            passes=passes,
-            shortcut=shortcut,
-            scattered=scattered,
-        )
-
+    params = replace(params, p=p)
     clusters = cluster_or_trivial(oracle, params)
-    passes = calls_extend = 0
     if clusters.trivial:
-        return report(clusters.family, shortcut=False, scattered=True)
+        return SparsifierReport(
+            clusters.family, params, calls_opt=clusters.trials, scattered=True
+        )
 
     ctx = OracleContext(k=params.k, d=params.d, p=p)
     small = SmallSparsifyParams(k=params.k, r=p + params.d, ell=p)
+    passes = calls_extend = 0
     out_bits: list[int] = []
-    for center in clusters.family.bits_list():
+    for center in clusters.family.bits:
         sub = k_sparsify(small, ShiftedEmptyExtension(oracle, center), ctx)
         passes += sub.passes
         calls_extend += sub.calls_extend
         if sub.shortcut:
-            return report(sub.family, shortcut=True, scattered=False)
-        out_bits.extend(b ^ center for b in sub.family.bits_list())
+            return SparsifierReport(
+                sub.family, params, calls_opt=clusters.trials,
+                calls_extend=calls_extend, passes=passes, shortcut=True,
+            )
+        out_bits.extend(b ^ center for b in sub.family.bits)
 
-    family = SetFamily.dedup_from_bits(n, out_bits)
-    return report(family, shortcut=False, scattered=False)
+    return SparsifierReport(
+        SetFamily.dedup_from_bits(oracle.universe_size, out_bits), params,
+        calls_opt=clusters.trials, calls_extend=calls_extend, passes=passes,
+    )

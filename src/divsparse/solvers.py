@@ -141,7 +141,7 @@ def _diversify(
     """
     order = 2 * spec.k - 2 if spec.modified else spec.k - 1
     rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
-    members = rep.family.bits_list()
+    members = rep.family.bits
     n = rep.family.universe_size
     dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
     best: int | None = None
@@ -317,7 +317,7 @@ def _solve_clustering(
     radius at most d (k-center) or the radius sum at most d (sum mode)?"""
     order = 2 * spec.k if spec.modified else spec.k
     rep = sparsifier_builder(oracle, order, spec.d + 1, spec.modified)
-    members = rep.family.bits_list()
+    members = rep.family.bits
     n = rep.family.universe_size
     if not members:
         return SolveAnswer(feasible=False)  # empty domain has no center tuple

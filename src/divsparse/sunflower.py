@@ -266,18 +266,6 @@ def k_sparsify(
     drained: list[tuple[int, int] | None] = [None] * (ell_cap + 1)
     passes = calls = 0
 
-    def report(family: SetFamily, shortcut: bool) -> SparsifierReport:
-        return SparsifierReport(
-            family=family,
-            mode="small",
-            k=params.k,
-            r=params.r,
-            ell=params.ell,
-            calls_extend=calls,
-            passes=passes,
-            shortcut=shortcut,
-        )
-
     def check_witness(got: int, lp: int, y: int) -> None:
         if got < 0 or got >> n:
             raise SoundnessError(
@@ -312,7 +300,10 @@ def k_sparsify(
                 calls += 1
                 if isinstance(out, TrivialSparsifier):
                     check_trivial_sparsifier(out, ctx)
-                    return report(out.family, shortcut=True)
+                    return SparsifierReport(
+                        out.family, params, calls_extend=calls, passes=passes,
+                        shortcut=True,
+                    )
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
                     members.append(out.witness)
@@ -328,4 +319,6 @@ def k_sparsify(
         if not added:
             break
 
-    return report(SetFamily.from_bits(n, members), shortcut=False)
+    return SparsifierReport(
+        SetFamily.from_bits(n, members), params, calls_extend=calls, passes=passes
+    )

@@ -265,6 +265,14 @@ def certify_answer(
             ), "a domain member is not covered"
 
 
+def union_of(family: SetFamily) -> int:
+    """The union of the members of ``family``, as a mask."""
+    out = 0
+    for b in family.bits:
+        out |= b
+    return out
+
+
 @dataclass(frozen=True)
 class Sunflower:
     """Equal-size sets whose pairwise intersections all equal one core."""
@@ -315,7 +323,7 @@ def blocker_candidates(
             group.add(b)
     return [
         SubsetMask(n, y)
-        for y in _hitting_sets(family.union_bits(), group.required(), {})
+        for y in _hitting_sets(union_of(family), group.required(), {})
     ]
 
 
@@ -327,7 +335,7 @@ def brute_cores(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     group = [m for m in family if len(m) == ell_prime]
     cores = []
     for sub in combinations(group, t):
-        got = is_sunflower(SetFamily.of(n, list(sub)))
+        got = is_sunflower(SetFamily.from_bits(n, [m.bits for m in sub]))
         if got is not None:
             cores.append(got.core.bits)
     return cores
@@ -344,7 +352,7 @@ def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
 def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     """Direct enumeration from the definition, for cross-checking."""
     required = brute_required(family, ell_prime, t)
-    elems = list(iter_bits(family.union_bits()))
+    elems = list(iter_bits(union_of(family)))
     out = []
     for size in range(len(elems) + 1):
         for combo in combinations(elems, size):

@@ -41,8 +41,11 @@ class TestSubsetMask:
             SubsetMask.from_indices(3, [3])
 
     def test_universe_mismatch_rejected(self):
+        # a family member is checked against the family's universe
+        with pytest.raises(ValueError, match="outside a universe of size 3"):
+            SetFamily.from_bits(3, [0b001, 0b1000])
         with pytest.raises(ValueError):
-            SetFamily.of(3, [mask(3, 0), mask(4, 0)])
+            SetFamily.from_bits(3, [-1])
 
     def test_mask_width_limit(self):
         from divsparse import MASK_WIDTH_LIMIT
@@ -81,7 +84,15 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             SetFamily.from_bits(3, [0b001, 0b001])
         deduped = SetFamily.dedup_from_bits(3, [0b001, 0b001, 0b110])
-        assert deduped.bits_list() == [0b001, 0b110]
+        assert deduped.bits == (0b001, 0b110)
+        assert deduped == fam
+
+    def test_members_are_views_of_the_raw_masks(self):
+        fam = SetFamily.from_bits(4, [0b1001, 0b0110])
+        assert fam.bits == (0b1001, 0b0110) and len(fam) == 2
+        assert fam.members == (mask(4, 0, 3), mask(4, 1, 2))
+        assert list(fam) == list(fam.members)
+        assert fam.bits_list() == [0b1001, 0b0110]
 
     def test_contains(self):
         fam = SetFamily.from_bits(3, [0b011])

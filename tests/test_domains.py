@@ -14,9 +14,7 @@ from divsparse import (
     Found,
     NotFound,
     SetFamily,
-    SmallSparsifyParams,
     distance,
-    k_sparsify,
     pm1_weight,
 )
 from divsparse.bruteforce import enumerate_domain
@@ -29,7 +27,6 @@ from divsparse.domains import (
     Matroid,
     MatroidBaseOracle,
     UniformMatroid,
-    UnionOracle,
     VertexCoverOracle,
 )
 from divsparse.instances import (
@@ -41,7 +38,6 @@ from helpers import (
     interval_dag,
     longest_path_label_sets,
     random_dag,
-    random_family,
 )
 
 
@@ -442,114 +438,6 @@ class TestDagDp:
         full = (1 << layers) - 1
         assert instance.membership(full)
         assert enumerate_domain(instance).bits_list() == [full]
-
-
-class TestUnionOracle:
-    def test_opt_takes_best_part(self):
-        parts = [
-            ExplicitOracle(SetFamily.from_bits(2, [0b01])),
-            ExplicitOracle(SetFamily.from_bits(2, [0b10])),
-        ]
-        got = UnionOracle(parts).opt_pm1(0b10)
-        assert got is not None and got == 0b10
-
-    def test_extension_falls_through_blocked_parts(self):
-        parts = [
-            ExplicitOracle(SetFamily.from_bits(2, [0b10])),
-            ExplicitOracle(SetFamily.from_bits(2, [0b01])),
-        ]
-        q = ExtensionQuery(0, 1, 0, 0b10)
-        got = UnionOracle(parts).exact_extend(q)
-        assert isinstance(got, Found) and got.witness == 0b01
-
-    def test_empty_part_is_transparent(self):
-        parts = [
-            ExplicitOracle(SetFamily.empty(2)),
-            ExplicitOracle(SetFamily.from_bits(2, [0b11])),
-        ]
-        union = UnionOracle(parts)
-        got = union.opt_pm1(0b11)
-        assert got is not None and got == 0b11
-
-    def test_equivalent_to_merged_family(self):
-        rng = random.Random(51)
-        for _ in range(10):
-            n = rng.randint(2, 5)
-            fam_a = SetFamily.from_bits(
-                n, list({rng.getrandbits(n) for _ in range(3)})
-            )
-            fam_b = SetFamily.from_bits(
-                n, list({rng.getrandbits(n) for _ in range(3)})
-            )
-            union = UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)])
-            merged = SetFamily.dedup_from_bits(
-                n, fam_a.bits_list() + fam_b.bits_list()
-            )
-            reference = ExplicitOracle(merged)
-            for positive in range(1 << n):
-                got = union.opt_pm1(positive)
-                want = reference.opt_pm1(positive)
-                assert (got is None) == (want is None)
-                if got is not None:
-                    assert pm1_weight(got, positive) == pm1_weight(want, positive)
-            for query in extension_queries(n, merged, 2):
-                got = union.exact_extend(query)
-                want = reference.exact_extend(query)
-                assert isinstance(got, Found) == isinstance(want, Found)
-                if isinstance(got, Found):
-                    assert query.admits_bits(got.witness)
-                    assert merged.contains_bits(got.witness)
-
-    def test_small_sparsifier_equals_merged_family(self):
-        # the union's empty extension asks its parts in order, as a scan of
-        # the merged family does
-        rng = random.Random(52)
-        for _ in range(30):
-            n = rng.randint(2, 6)
-            ell = rng.randint(1, min(3, n))
-            fam_a = random_family(rng, n, 6, max_size=ell)
-            fam_b = random_family(rng, n, 6, max_size=ell)
-            merged = SetFamily.dedup_from_bits(n, fam_a.bits_list() + fam_b.bits_list())
-            params = SmallSparsifyParams(k=rng.randint(1, 2), r=ell, ell=ell)
-            got = k_sparsify(params, UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)]))
-            want = k_sparsify(params, ExplicitOracle(merged))
-            assert got.family.bits_list() == want.family.bits_list()
-            assert (got.passes, got.calls_extend) == (want.passes, want.calls_extend)
-
-    def test_mismatched_universes_rejected(self):
-        with pytest.raises(ValueError):
-            UnionOracle(
-                [
-                    ExplicitOracle(SetFamily.empty(2)),
-                    ExplicitOracle(SetFamily.empty(3)),
-                ]
-            )
-
-    def test_limited_pipeline_over_a_union(self):
-        from divsparse import LimitedSparsifyParams, dk_sparsify
-        from divsparse.bruteforce import VerifyScope, verify_sparsifier
-
-        rng = random.Random(0)
-        for seed in range(8):
-            n = rng.randint(3, 6)
-            fam_a = SetFamily.from_bits(
-                n, list({rng.getrandbits(n) for _ in range(4)})
-            )
-            fam_b = SetFamily.from_bits(
-                n, list({rng.getrandbits(n) for _ in range(4)})
-            )
-            union = UnionOracle([ExplicitOracle(fam_a), ExplicitOracle(fam_b)])
-            merged = SetFamily.dedup_from_bits(
-                n, fam_a.bits_list() + fam_b.bits_list()
-            )
-            k, d = rng.randint(1, 2), rng.randint(0, 2)
-            report = dk_sparsify(
-                union,
-                LimitedSparsifyParams(k=k, d=d, seed=seed, trials_override=96),
-            )
-            assert all(merged.contains_bits(m.bits) for m in report.family)
-            scope = VerifyScope.versus_all_subsets(k, d)
-            assert verify_sparsifier(merged, report.family, scope).ok
 
 
 class TestExplicitEquivalence:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from itertools import combinations
 
 from divsparse import (
@@ -15,7 +16,9 @@ from divsparse import (
     NotFound,
     OracleContext,
     SetFamily,
+    SmallSparsifyParams,
     SplitMix64,
+    SubsetMask,
     TrivialSparsifier,
     approx_far_set,
     cluster_or_trivial,
@@ -23,6 +26,7 @@ from divsparse import (
     default_trials,
     dk_sparsify,
     distance,
+    k_sparsify,
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
@@ -400,9 +404,75 @@ class TestDkSparsify:
         assert report.calls_extend == oracle.extends > 1
 
     def test_report_provenance(self):
-        fam = SetFamily.from_bits(4, [0b0001, 0b0010])
-        params = LimitedSparsifyParams(k=1, d=0, seed=11)
-        report = dk_sparsify(ExplicitOracle(fam), params)
-        assert report.mode == "limited"
-        assert report.seed == 11 and report.p == default_cluster_radius(1, 0)
-        assert report.calls_opt > 0
+        # report.params rebuilds the report in either mode; a limited run
+        # stores the cluster radius it used
+        rng = random.Random(61)
+        kinds = set()
+        for trial in range(60):
+            n = rng.randint(2, 6)
+            oracle = ExplicitOracle(random_family(rng, n, 10))
+            k, d = rng.randint(1, 2), rng.randint(0, 2)
+            p = rng.choice([None, 2 * d + 1])
+            params = LimitedSparsifyParams(
+                k=k, d=d, p=p, seed=trial, trials_override=rng.choice([None, 16])
+            )
+            limited = dk_sparsify(oracle, params)
+            want_p = default_cluster_radius(k, d) if p is None else p
+            assert limited.params == replace(params, p=want_p)
+            kinds.add((limited.scattered, limited.passes > 0))
+            ell = rng.randint(0, n)
+            small = k_sparsify(SmallSparsifyParams(k=k, r=ell, ell=ell), oracle)
+            assert small.params == SmallSparsifyParams(k=k, r=ell, ell=ell)
+            for rep, again in (
+                (limited, dk_sparsify(oracle, limited.params)),
+                (small, k_sparsify(small.params, oracle)),
+            ):
+                # same family, calls_*, passes and flags
+                assert again == rep
+        # both the clustering branch and the per-center runs were reproduced
+        assert {(True, False), (False, True)} <= kinds
+
+
+class TestRawMasks:
+    """The constructions hand families on as raw masks: no SubsetMask is
+    made inside them, on any branch."""
+
+    def test_no_subset_mask_inside_the_constructions(self, monkeypatch):
+        made: list[int] = []
+        validate = SubsetMask.__post_init__
+
+        def counted(mask):
+            made.append(mask.bits)
+            validate(mask)
+
+        monkeypatch.setattr(SubsetMask, "__post_init__", counted)
+
+        class ShortcutEverywhere(ExplicitOracle):
+            def exact_extend(self, query, ctx=None):
+                return TrivialSparsifier(SetFamily.from_bits(3, [1, 2, 4]))
+
+        rng = random.Random(62)
+        branches = set()
+        for trial in range(40):
+            n = rng.randint(2, 6)
+            fam = random_family(rng, n, 10)
+            oracle = ExplicitOracle(fam)
+            params = LimitedSparsifyParams(
+                k=rng.randint(1, 2), d=rng.randint(0, 2), seed=trial
+            )
+            clusters = cluster_or_trivial(oracle, params)
+            report = dk_sparsify(oracle, params)
+            branches.add("scattered" if report.scattered else "per-center")
+            ell = max(b.bit_count() for b in fam.bits_list())
+            k_sparsify(SmallSparsifyParams(k=params.k, r=ell, ell=ell), oracle)
+            assert made == [], (trial, clusters, report)
+        assert branches == {"scattered", "per-center"}
+        shortcut = dk_sparsify(
+            ShortcutEverywhere(SetFamily.from_bits(3, [0b000, 0b111])),
+            LimitedSparsifyParams(k=2, d=0, seed=4),
+        )
+        assert shortcut.shortcut and shortcut.family.bits_list() == [1, 2, 4]
+        assert made == []
+        # the views are made at the boundary, when the family is read
+        assert list(shortcut.family) == [SubsetMask(3, b) for b in (1, 2, 4)]
+        assert made == [1, 2, 4] * 2

@@ -17,6 +17,7 @@ from divsparse import (
     LimitedSparsifyParams,
     ProblemSpec,
     SetFamily,
+    SmallSparsifyParams,
     SparsifierReport,
     distance,
     dk_sparsify,
@@ -145,7 +146,9 @@ class TestMaxMin:
             members = fam.bits_list()
 
             def builder(oracle, k, cap, modified, fam=fam):
-                return SparsifierReport(family=fam, mode="small", k=k)
+                # the whole family: a sparsifier of any order and radius
+                n = fam.universe_size
+                return SparsifierReport(fam, SmallSparsifyParams(k=k, r=n, ell=n))
 
             for k in range(1, 5):
                 spec = ProblemSpec("maxmin", k, rng.randint(0, n), modified)

@@ -41,12 +41,13 @@ from helpers import (
     random_family,
     random_undirected_graph,
     reference_k_sparsify,
+    union_of,
 )
 
 
 def fam(n, *bit_lists):
-    return SetFamily.of(
-        n, [SubsetMask.from_indices(n, bits) for bits in bit_lists]
+    return SetFamily.from_bits(
+        n, [SubsetMask.from_indices(n, bits).bits for bits in bit_lists]
     )
 
 
@@ -118,7 +119,7 @@ class TestBlockerCandidates:
         for known_empty in ([0b11], [0]):
             with pytest.raises(GuardError):
                 next(_hitting_sets(
-                    family.union_bits(), family.bits_list(), by_top(known_empty)
+                    union_of(family), family.bits_list(), by_top(known_empty)
                 ))
 
     def test_empty_core_blocks_without_enumerating(self):
@@ -171,7 +172,7 @@ class TestHittingSetsWithKnownEmpty:
             family = random_family(rng, n, 6, max_size=3)
             ell_prime = rng.randint(0, 3)
             t = rng.randint(1, 4)
-            union = family.union_bits()
+            union = union_of(family)
             known_empty = [
                 rng.getrandbits(n) & union for _ in range(rng.randint(1, 3))
             ]
@@ -189,7 +190,7 @@ class TestHittingSetsWithKnownEmpty:
         for _ in range(150):
             n = rng.randint(2, 6)
             family = random_family(rng, n, 6, max_size=3)
-            union = family.union_bits()
+            union = union_of(family)
             required = brute_required(family, rng.randint(0, 3), rng.randint(1, 4))
             known_empty = by_top([rng.getrandbits(n) & union for _ in range(2)])
             want = list(_hitting_sets(union, required, known_empty))
@@ -283,7 +284,9 @@ class TestKSparsify:
             for group in by_size.values():
                 for sub in combinations(group, min(t, len(group))):
                     if len(sub) == t:
-                        assert is_sunflower(SetFamily.of(n, list(sub))) is None
+                        assert is_sunflower(
+                            SetFamily.from_bits(n, [m.bits for m in sub])
+                        ) is None
         assert checked > 10
 
     def test_guard_fires_for_a_class_with_no_blocker_left(self):
@@ -553,7 +556,7 @@ _LYING_ORACLES = textwrap.dedent(
 
     def forgetful(lie):
         fam = SetFamily.from_bits(3, [0b000, 0b011, 0b001])
-        report = SparsifierReport(family=fam, mode="small", k=1)
+        report = SparsifierReport(fam, SmallSparsifyParams(k=1, r=2, ell=2))
         return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), lambda *a: report)
 
     runs["radius"] = forgetful

@@ -151,9 +151,11 @@ def verify_sparsifier(
     n = domain.universe_size
     if cand.universe_size != n:
         raise ValueError("candidate family universe mismatch")
-    for m in cand:
-        if m not in domain:
-            raise ValueError(f"candidate member {m!r} is not in the domain")
+    for b in cand.bits:
+        if not domain.contains_bits(b):
+            raise ValueError(
+                f"candidate member {SubsetMask(n, b)!r} is not in the domain"
+            )
     cap = scope.cap if scope.cap is not None else n
     reference, sampled = _reference_bits(scope, domain, rng)
     cand_bits = cand.bits

@@ -23,6 +23,7 @@ from .core import (
     SoundnessError,
     SparsifierReport,
     SubsetMask,
+    iter_bits,
 )
 from .instances import DomainInstance, ParseError, parse_instance
 from .limited import LimitedSparsifyParams, dk_sparsify
@@ -35,8 +36,8 @@ EXIT_GUARD = 3
 EXIT_SOUNDNESS = 4
 
 
-def _set_line(mask: SubsetMask) -> str:
-    inner = " ".join(str(i) for i in mask.members())
+def _set_line(bits: int) -> str:
+    inner = " ".join(map(str, iter_bits(bits)))
     return f"set: {inner}" if inner else "set:"
 
 
@@ -116,7 +117,7 @@ def _run_solve(args, instance: DomainInstance) -> int:
         range(len(answer.witnesses)), key=lambda i: answer.witnesses[i].bits
     )
     for i in order:
-        print(_set_line(answer.witnesses[i]))
+        print(_set_line(answer.witnesses[i].bits))
     if answer.radii is not None:
         for i in order:
             print(f"radius: {answer.radii[i]}")
@@ -145,8 +146,8 @@ def _sparsify_report(args, instance: DomainInstance) -> SparsifierReport:
 def _run_sparsify(args, instance: DomainInstance) -> int:
     report = _sparsify_report(args, instance)
     print(f"size: {len(report.family)}")
-    for mask in report.family:
-        print(_set_line(mask))
+    for bits in report.family.bits:
+        print(_set_line(bits))
     print(f"calls_opt: {report.calls_opt}")
     print(f"calls_extend: {report.calls_extend}")
     print(f"seed: {args.seed}")
@@ -154,11 +155,10 @@ def _run_sparsify(args, instance: DomainInstance) -> int:
 
 
 def _run_enumerate(args, instance: DomainInstance) -> int:
-    family = enumerate_domain(instance)
-    ordered = sorted(family.bits)
+    ordered = sorted(enumerate_domain(instance).bits)
     print(f"size: {len(ordered)}")
     for bits in ordered:
-        print(_set_line(SubsetMask(family.universe_size, bits)))
+        print(_set_line(bits))
     return EXIT_OK
 
 
@@ -182,8 +182,8 @@ def _run_verify(args, instance: DomainInstance) -> int:
     print("FAIL")
     reference_tuple, missed = result.counterexample
     for mask in reference_tuple:
-        print(_set_line(mask))
-    print(_set_line(missed))
+        print(_set_line(mask.bits))
+    print(_set_line(missed.bits))
     return EXIT_OK
 
 

@@ -10,9 +10,10 @@ Every mask that moves between layers is a raw ``int`` (bit i set means
 element i is in the set, or, for the +-1 weights of ``opt_pm1``, that
 element i weighs +1): oracle arguments and answers, the constructions and
 solvers between them, and the members of a :class:`SetFamily`, which a
-:class:`SparsifierReport` hands from one layer to the next.
-:class:`SubsetMask` is a checked view of one such mask for the public
-boundary: solver answers, verification objects, and CLI input and output.
+:class:`SparsifierReport` hands from one layer to the next and which is
+read only through its ``bits``.  :class:`SubsetMask` is a checked mask for
+the public boundary alone: solver answers, verification objects, and CLI
+input and output.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ class SetFamily:
     """A duplicate-free, insertion-ordered list of subsets of one universe.
 
     ``bits`` holds the members as raw masks, each checked to lie inside the
-    universe; layers read and build families through it.  Iterating the
-    family, or reading ``members``, gives :class:`SubsetMask` views made on
-    demand.
+    universe; it is the family's only view.  An empty family is
+    ``SetFamily.from_bits(n, ())``.
     """
 
     universe_size: int
@@ -148,10 +148,6 @@ class SetFamily:
         object.__setattr__(self, "_member_bits", member_bits)
 
     @classmethod
-    def empty(cls, universe_size: int) -> "SetFamily":
-        return cls(universe_size, ())
-
-    @classmethod
     def from_bits(cls, universe_size: int, bits: Iterable[int]) -> "SetFamily":
         return cls(universe_size, tuple(bits))
 
@@ -160,22 +156,8 @@ class SetFamily:
         """Build a family keeping the first occurrence of each member."""
         return cls(universe_size, tuple(dict.fromkeys(bits)))
 
-    @property
-    def members(self) -> tuple[SubsetMask, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return len(self.bits)
-
-    def __iter__(self) -> Iterator[SubsetMask]:
-        n = self.universe_size
-        return (SubsetMask(n, b) for b in self.bits)
-
-    def __contains__(self, mask: SubsetMask) -> bool:
-        return (
-            mask.universe_size == self.universe_size
-            and mask.bits in self._member_bits
-        )
 
     def contains_bits(self, bits: int) -> bool:
         return bits in self._member_bits

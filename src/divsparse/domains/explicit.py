@@ -31,10 +31,6 @@ class ExplicitOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._family.universe_size
 
-    @property
-    def family(self) -> SetFamily:
-        return self._family
-
     def opt_pm1(self, positive: int) -> int | None:
         best_bits = None
         best_weight = None

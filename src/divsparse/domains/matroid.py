@@ -166,10 +166,6 @@ class MatroidBaseOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._m.universe_size
 
-    @property
-    def matroid(self) -> Matroid:
-        return self._m
-
     def is_member_bits(self, bits: int) -> bool:
         return self._m.is_base_bits(bits)
 

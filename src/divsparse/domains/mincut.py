@@ -96,7 +96,7 @@ def _augment(to, cap, adj, s: int, t: int) -> int:
         flow += bottleneck
 
 
-def _residual_reachable(to, cap, adj, start: int, reverse: bool) -> int:
+def _residual_reachable(to, cap, adj, start: int) -> int:
     seen = 1 << start
     queue = [start]
     qi = 0
@@ -104,15 +104,8 @@ def _residual_reachable(to, cap, adj, start: int, reverse: bool) -> int:
         u = queue[qi]
         qi += 1
         for idx in adj[u]:
-            if reverse:
-                # traverse arcs into u with residual capacity: the paired
-                # arc idx^1 runs to[idx] -> u and has capacity cap[idx^1]
-                v = to[idx]
-                has = cap[idx ^ 1] > 0
-            else:
-                v = to[idx]
-                has = cap[idx] > 0
-            if has and not seen >> v & 1:
+            v = to[idx]
+            if cap[idx] > 0 and not seen >> v & 1:
                 seen |= 1 << v
                 queue.append(v)
     return seen
@@ -129,7 +122,6 @@ class MinCutPoset:
     cut is ``base_bits`` plus the blocks of any downward-closed node set.
     """
 
-    universe_size: int
     cut_value: int
     base_bits: int
     node_blocks: tuple[int, ...]
@@ -187,16 +179,13 @@ def build_mincut_poset(graph: GraphData, s: int, t: int) -> MinCutPoset:
     to, cap, adj = _network(n, [(u, v, 1) for u, v in graph.arcs()])
     flow = _augment(to, cap, adj, s, t)
 
-    forced_in = _residual_reachable(to, cap, adj, s, reverse=False)
-    forced_out = _residual_reachable(to, cap, adj, t, reverse=True)
-    if forced_in & forced_out:
+    reach = [_residual_reachable(to, cap, adj, v) for v in range(n)]
+    forced_in = reach[s]
+    if forced_in >> t & 1:
         raise SoundnessError("max flow left the sink reachable from the source")
-
-    free = [v for v in range(n) if not (forced_in | forced_out) >> v & 1]
-    # residual SCCs among the free vertices, via double reachability
-    reach = {}
-    for v in free:
-        reach[v] = _residual_reachable(to, cap, adj, v, reverse=False)
+    # free: neither reachable from s nor reaching t; their residual SCCs,
+    # via double reachability, are the poset's nodes
+    free = [v for v in range(n) if not forced_in >> v & 1 and not reach[v] >> t & 1]
     blocks: list[int] = []
     assigned = 0
     for v in free:
@@ -227,7 +216,6 @@ def build_mincut_poset(graph: GraphData, s: int, t: int) -> MinCutPoset:
             if pred[w] >> u & 1:
                 succ[u] |= 1 << w
     return MinCutPoset(
-        universe_size=n,
         cut_value=flow,
         base_bits=forced_in,
         node_blocks=tuple(blocks),
@@ -269,21 +257,13 @@ class MinCutOracle(DomainOracle):
     def universe_size(self) -> int:
         return self._graph.n_vertices
 
-    @property
-    def poset(self) -> MinCutPoset:
-        return self._poset
-
-    @property
-    def cut_value(self) -> int:
-        return self._poset.cut_value
-
-    def crossing_arcs_bits(self, cut: int) -> int:
-        return sum(1 for u, v in self._arcs if cut >> u & 1 and not cut >> v & 1)
-
     def is_member_bits(self, bits: int) -> bool:
         if not bits >> self._s & 1 or bits >> self._t & 1:
             return False
-        return self.crossing_arcs_bits(bits) == self._poset.cut_value
+        crossing = sum(
+            1 for u, v in self._arcs if bits >> u & 1 and not bits >> v & 1
+        )
+        return crossing == self._poset.cut_value
 
     def opt_pm1(self, positive: int) -> int | None:
         """The unique minimal max-weight minimum cut.
@@ -306,7 +286,7 @@ class MinCutOracle(DomainOracle):
                 cap[4 * w + 2] = -g
         m = len(gains)
         _augment(to, cap, adj, m, m + 1)
-        taken = _residual_reachable(to, cap, adj, m, reverse=False)
+        taken = _residual_reachable(to, cap, adj, m)
         return poset.cut_bits(taken & ((1 << m) - 1))
 
     def _sandwich(self, ideal: int, p_eff: int) -> tuple[list[int], list[int]]:

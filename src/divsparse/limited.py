@@ -34,6 +34,7 @@ from .core import (
     ExtensionOutcome,
     ExtensionQuery,
     Found,
+    GuardError,
     OracleContext,
     SetFamily,
     SoundnessError,
@@ -55,12 +56,19 @@ def default_trials(k: int, epsilon: float, n_centers: int) -> int:
     The success probability of one random-weight trial, when a member
     beyond the cluster radius exists, is at least
     2^(-2^c) * 4^(-c) for c current centers; inverting gives the count.
+    From c = 10 on the count is too large for a float, which raises
+    :class:`GuardError`.
     """
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
     c = n_centers
     q_inverse = (2 ** (2**c)) * (4**c)
-    return max(1, math.ceil(math.log((k + 1) / epsilon) * q_inverse))
+    try:
+        return max(1, math.ceil(math.log((k + 1) / epsilon) * q_inverse))
+    except OverflowError:
+        raise GuardError(
+            f"default far-set trial count for {c} centers is too large to represent"
+        ) from None
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,9 @@ def certify_answer(
             assert all(r <= spec.d for r in answer.radii)
         else:
             assert sum(answer.radii) <= spec.d
-        for member in domain:
+        for member in domain.bits:
             assert any(
-                dist(member, c) <= r
+                distance(member, c.bits, n, spec.modified) <= r
                 for c, r in zip(answer.witnesses, answer.radii)
             ), "a domain member is not covered"
 
@@ -290,12 +290,11 @@ def is_sunflower(family: SetFamily) -> Sunflower | None:
     """
     if len(family) == 0:
         raise ValueError("a sunflower has at least one petal")
-    sizes = {len(m) for m in family}
-    if len(sizes) > 1:
+    bits = family.bits
+    if len({b.bit_count() for b in bits}) > 1:
         raise ValueError("sunflower petals must have equal cardinality")
-    if len(family) == 1:
-        return Sunflower(family, family.members[0])
-    bits = family.bits_list()
+    if len(bits) == 1:
+        return Sunflower(family, SubsetMask(family.universe_size, bits[0]))
     core = bits[0] & bits[1]
     for a, b in combinations(bits, 2):
         if a & b != core:
@@ -332,10 +331,10 @@ def brute_cores(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     cardinality ``ell_prime``, straight from the definition (one entry per
     sunflower, so a core can repeat)."""
     n = family.universe_size
-    group = [m for m in family if len(m) == ell_prime]
+    group = [b for b in family.bits if b.bit_count() == ell_prime]
     cores = []
     for sub in combinations(group, t):
-        got = is_sunflower(SetFamily.from_bits(n, [m.bits for m in sub]))
+        got = is_sunflower(SetFamily.from_bits(n, sub))
         if got is not None:
             cores.append(got.core.bits)
     return cores
@@ -345,7 +344,7 @@ def brute_required(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     """Sets a blocker must hit, straight from the definition: every member
     of cardinality ``ell_prime`` and the core of every size-``t`` sunflower
     among them."""
-    group = [m.bits for m in family if len(m) == ell_prime]
+    group = [b for b in family.bits if b.bit_count() == ell_prime]
     return group + brute_cores(family, ell_prime, t)
 
 

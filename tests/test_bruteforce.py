@@ -108,7 +108,7 @@ class TestVerifySparsifier:
     def test_empty_candidate_fails_on_nonempty_domain(self):
         fam = SetFamily.from_bits(2, [0b01])
         got = verify_sparsifier(
-            fam, SetFamily.empty(2), VerifyScope.versus_domain(1, 0)
+            fam, SetFamily.from_bits(2, ()), VerifyScope.versus_domain(1, 0)
         )
         assert not got.ok
 

@@ -17,6 +17,7 @@ import pytest
 import divsparse
 import divsparse.cli as cli
 from divsparse import DomainOracle, Found, SetFamily, TrivialSparsifier
+from divsparse.bruteforce import enumerate_domain
 from divsparse.cli import run
 from divsparse.domains import ExplicitOracle
 from divsparse.instances import ParseError, parse_instance
@@ -376,6 +377,20 @@ class TestExitCodes:
         code, _ = invoke(["enumerate", "--instance", path])
         assert code == 3
 
+    def test_unrepresentable_trial_count_is_3(self, write):
+        # ten distinct centers turn up at once; the eleventh would need
+        # ln(1100) * 2^1024 * 4^10 default trials, beyond the float range
+        path = write("domain uniform_matroid rank=4\nuniverse 12\n")
+        code, out, err = invoke_all(
+            ["sparsify", "--instance", path, "--k", "10", "--d", "0",
+             "--mode", "limited"]
+        )
+        assert code == cli.EXIT_GUARD == 3 and out == ""
+        assert err == (
+            "error: default far-set trial count for 10 centers is too large "
+            "to represent\n"
+        )
+
     def test_soundness_error_is_4(self, write, monkeypatch, capsys):
         class Liar(DomainOracle):
             # answers every query with {0,1}, whatever size was asked for
@@ -409,7 +424,7 @@ class TestExitCodes:
 
         def parse(text):
             parsed = parse_instance(text)
-            return replace(parsed, _oracle=TrivialLiar(parsed.oracle().family))
+            return replace(parsed, _oracle=TrivialLiar(enumerate_domain(parsed)))
 
         monkeypatch.setattr(cli, "parse_instance", parse)
         path = write("domain explicit\nuniverse 4\nset 0 1\nset 0 1 2\n")
@@ -432,7 +447,7 @@ class TestExitCodes:
 
         def parse(text):
             parsed = parse_instance(text)
-            return replace(parsed, _oracle=EmptyTrivialLiar(parsed.oracle().family))
+            return replace(parsed, _oracle=EmptyTrivialLiar(enumerate_domain(parsed)))
 
         monkeypatch.setattr(cli, "parse_instance", parse)
         path = write("domain explicit\nuniverse 4\nset 0 1\nset 0 1 2\n")

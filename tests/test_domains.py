@@ -122,7 +122,7 @@ class TestExplicitOracle:
         assert isinstance(ExplicitOracle(fam).exact_extend(q), NotFound)
 
     def test_empty_family_opt(self):
-        assert ExplicitOracle(SetFamily.empty(3)).opt_pm1(0b111) is None
+        assert ExplicitOracle(SetFamily.from_bits(3, ())).opt_pm1(0b111) is None
 
     def test_complement_closure_detection(self):
         closed = SetFamily.from_bits(2, [0b01, 0b10])
@@ -190,7 +190,6 @@ class TestMatroidBases:
             kind = ("spanning_tree", "uniform_matroid", "partition_matroid")[seed % 3]
             instance, domain = generate_instance(kind, seed, 40)
             oracle = instance.oracle()
-            matroid = oracle.matroid
             bits = domain.bits_list()
             if len(bits) < 2:
                 continue
@@ -199,11 +198,11 @@ class TestMatroidBases:
             while d1 != d2:
                 moved = oracle._exchange_step(d1, d2)
                 assert moved is not None
-                assert matroid.is_base_bits(moved)
+                assert oracle.is_member_bits(moved)
                 assert (moved ^ d2).bit_count() == (d1 ^ d2).bit_count() - 2
                 d1 = moved
                 steps += 1
-                assert steps <= len(domain.members[0])
+                assert steps <= domain.bits[0].bit_count()
 
     def test_matches_brute_on_random_instances(self):
         digests = []

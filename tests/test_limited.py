@@ -12,6 +12,7 @@ from divsparse import (
     NOT_FOUND,
     DomainOracle,
     Found,
+    GuardError,
     LimitedSparsifyParams,
     NotFound,
     OracleContext,
@@ -28,6 +29,7 @@ from divsparse import (
     distance,
     k_sparsify,
 )
+import divsparse.cli as cli
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
 from divsparse.limited import ShiftedEmptyExtension
@@ -109,7 +111,7 @@ class TestApproxFarSet:
                 assert all(distance(got, c, n) > 2 * d for c in centers)
 
     def test_empty_domain(self):
-        oracle = ExplicitOracle(SetFamily.empty(4))
+        oracle = ExplicitOracle(SetFamily.from_bits(4, ()))
         got, _ = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
         assert got is None
 
@@ -137,7 +139,7 @@ class TestApproxFarSet:
         assert got == (None, 37) and oracle.opts == 37
 
     def test_trial_count_of_an_empty_domain(self):
-        oracle = Counted(SetFamily.empty(4))
+        oracle = Counted(SetFamily.from_bits(4, ()))
         got = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
         assert got == (None, 1) and oracle.opts == 1
 
@@ -179,6 +181,14 @@ class TestDefaults:
         assert default_trials(1, 0.01, 0) == math.ceil(math.log(200) * 2)
         assert default_trials(2, 0.01, 1) == math.ceil(math.log(300) * 16)
 
+    def test_default_trials_too_large_to_represent(self):
+        # 2^(2^10) * 4^10 exceeds the largest float
+        assert default_trials(10, 0.01, 9) == math.ceil(
+            math.log(1100) * (2 ** 512 * 4 ** 9)
+        )
+        with pytest.raises(GuardError, match="for 10 centers"):
+            default_trials(10, 0.01, 10)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             LimitedSparsifyParams(k=0, d=1)
@@ -208,7 +218,7 @@ class TestClusterOrTrivial:
 
     def test_empty_domain(self):
         got = cluster_or_trivial(
-            ExplicitOracle(SetFamily.empty(4)),
+            ExplicitOracle(SetFamily.from_bits(4, ())),
             LimitedSparsifyParams(k=2, d=1, seed=9),
         )
         assert not got.trivial and len(got.family) == 0
@@ -338,7 +348,7 @@ class TestDkSparsify:
 
     def test_empty_domain_returns_empty_family(self):
         report = dk_sparsify(
-            ExplicitOracle(SetFamily.empty(5)), LimitedSparsifyParams(k=2, d=1, seed=3)
+            ExplicitOracle(SetFamily.from_bits(5, ())), LimitedSparsifyParams(k=2, d=1, seed=3)
         )
         assert len(report.family) == 0
 
@@ -353,8 +363,8 @@ class TestDkSparsify:
                 ExplicitOracle(fam),
                 LimitedSparsifyParams(k=k, d=d, seed=trial, trials_override=128),
             )
-            for m in report.family:
-                assert m in fam
+            for b in report.family.bits:
+                assert fam.contains_bits(b)
             scope = VerifyScope.versus_all_subsets(k=k, cap=d)
             assert verify_sparsifier(fam, report.family, scope).ok
 
@@ -434,10 +444,12 @@ class TestDkSparsify:
 
 
 class TestRawMasks:
-    """The constructions hand families on as raw masks: no SubsetMask is
-    made inside them, on any branch."""
+    """The constructions hand families on as raw masks, and the CLI prints
+    them from there: no SubsetMask is made inside them, on any branch."""
 
-    def test_no_subset_mask_inside_the_constructions(self, monkeypatch):
+    def test_no_subset_mask_inside_the_constructions(
+        self, monkeypatch, tmp_path, capsys
+    ):
         made: list[int] = []
         validate = SubsetMask.__post_init__
 
@@ -473,6 +485,13 @@ class TestRawMasks:
         )
         assert shortcut.shortcut and shortcut.family.bits_list() == [1, 2, 4]
         assert made == []
-        # the views are made at the boundary, when the family is read
-        assert list(shortcut.family) == [SubsetMask(3, b) for b in (1, 2, 4)]
-        assert made == [1, 2, 4] * 2
+        path = tmp_path / "instance.txt"
+        path.write_text("domain uniform_matroid rank=2\nuniverse 5\n")
+        for argv in (
+            "sparsify --k 2 --d 1 --mode small",
+            "sparsify --k 2 --d 1 --mode limited",
+            "enumerate",
+        ):
+            assert cli.run([*argv.split(), "--instance", str(path)]) == 0
+            assert "set: 0 1" in capsys.readouterr().out, argv
+            assert made == [], argv

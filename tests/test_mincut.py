@@ -16,7 +16,12 @@ from divsparse import (
     pm1_weight,
 )
 from divsparse.bruteforce import enumerate_domain
-from divsparse.domains import ExplicitOracle, GraphData, MinCutOracle
+from divsparse.domains import (
+    ExplicitOracle,
+    GraphData,
+    MinCutOracle,
+    build_mincut_poset,
+)
 from divsparse.instances import st_mincut_instance
 
 from helpers import all_ideals, random_digraph
@@ -86,29 +91,28 @@ class TestPosetBijection:
             nv = rng.randint(3, 8)
             graph = random_digraph(rng, nv, rng.randint(nv, 3 * nv))
             s, t = 0, nv - 1
-            oracle = MinCutOracle(graph, s, t)
-            assert_partial_order(oracle.poset)
-            ideals = all_ideals(oracle.poset)
-            cuts = sorted(oracle.poset.cut_bits(i) for i in ideals)
+            poset = build_mincut_poset(graph, s, t)
+            assert_partial_order(poset)
+            cuts = sorted(poset.cut_bits(i) for i in all_ideals(poset))
             assert len(set(cuts)) == len(cuts), "ideal map is not injective"
             assert cuts == brute_min_cuts(graph, s, t)
             for cut in cuts:
-                ideal = oracle.poset.ideal_bits(cut)
-                assert ideal is not None and oracle.poset.cut_bits(ideal) == cut
+                ideal = poset.ideal_bits(cut)
+                assert ideal is not None and poset.cut_bits(ideal) == cut
             done += 1
 
     def test_unreachable_sink_is_uniform(self):
         graph = GraphData(directed=True, n_vertices=3, edges=((2, 0),))
-        oracle = MinCutOracle(graph, 0, 2)
-        assert oracle.cut_value == 0
-        cuts = sorted(oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset))
+        poset = build_mincut_poset(graph, 0, 2)
+        assert poset.cut_value == 0
+        cuts = sorted(poset.cut_bits(i) for i in all_ideals(poset))
         assert cuts == brute_min_cuts(graph, 0, 2)
 
     def test_undirected_edges_count_once(self):
         graph = GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2)))
-        oracle = MinCutOracle(graph, 0, 2)
-        assert oracle.cut_value == 1
-        cuts = sorted(oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset))
+        poset = build_mincut_poset(graph, 0, 2)
+        assert poset.cut_value == 1
+        cuts = sorted(poset.cut_bits(i) for i in all_ideals(poset))
         assert cuts == brute_min_cuts(graph, 0, 2)
 
 
@@ -127,7 +131,8 @@ class TestOptTieRule:
             nv = rng.randint(3, 7)
             graph = random_digraph(rng, nv, rng.randint(nv - 1, 2 * nv))
             oracle = MinCutOracle(graph, 0, nv - 1)
-            cuts = [oracle.poset.cut_bits(i) for i in all_ideals(oracle.poset)]
+            poset = build_mincut_poset(graph, 0, nv - 1)
+            cuts = [poset.cut_bits(i) for i in all_ideals(poset)]
             for positive in range(1 << nv):
                 best = max(pm1_weight(c, positive) for c in cuts)
                 meet = (1 << nv) - 1
@@ -181,13 +186,13 @@ class TestTrivialShortcut:
         q = ExtensionQuery(center, 2, 0, 0)
         got = oracle.exact_extend(q, ctx)
         assert isinstance(got, TrivialSparsifier)
-        family = got.family
+        family = got.family.bits
         assert len(family) == k + 1
         for a, b in combinations(family, 2):
-            assert (a.bits ^ b.bits).bit_count() > 2 * d
+            assert (a ^ b).bit_count() > 2 * d
         domain = enumerate_domain(st_mincut_instance(path_graph(length), 0, length))
         for member in family:
-            assert domain.contains_bits(member.bits)
+            assert domain.contains_bits(member)
 
     def test_downward_chain(self):
         # center near the top of the chain: the removable side is the wide one
@@ -200,8 +205,8 @@ class TestTrivialShortcut:
         got = oracle.exact_extend(q, ctx)
         assert isinstance(got, TrivialSparsifier)
         assert len(got.family) == k + 1
-        for a, b in combinations(got.family, 2):
-            assert (a.bits ^ b.bits).bit_count() > 2 * d
+        for a, b in combinations(got.family.bits, 2):
+            assert (a ^ b).bit_count() > 2 * d
 
     def test_no_context_narrow_sandwich_still_answers(self):
         oracle = MinCutOracle(diamond(), 0, 3)

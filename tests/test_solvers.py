@@ -121,7 +121,7 @@ class TestMaxMin:
         spec = ProblemSpec("maxmin", 1, 7)
         answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
         assert answer.feasible and len(answer.witnesses) == 1
-        empty = solve(ExplicitOracle(SetFamily.empty(4)), spec, FAST_BUILDER)
+        empty = solve(ExplicitOracle(SetFamily.from_bits(4, ())), spec, FAST_BUILDER)
         assert not empty.feasible
 
     def test_d0_feasible_iff_nonempty(self):
@@ -236,10 +236,10 @@ class TestMinClusterRadius:
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
-            min_cluster_radius([], 1, ExplicitOracle(SetFamily.empty(2)))
+            min_cluster_radius([], 1, ExplicitOracle(SetFamily.from_bits(2, ())))
         for outside in (-1, 0b100):
             with pytest.raises(ValueError):
-                min_cluster_radius([outside], 1, ExplicitOracle(SetFamily.empty(2)))
+                min_cluster_radius([outside], 1, ExplicitOracle(SetFamily.from_bits(2, ())))
 
 
 class TestKCenter:
@@ -260,7 +260,7 @@ class TestKCenter:
         assert not solve(oracle, ProblemSpec("ksumradii", 1, 1), FAST_BUILDER).feasible
 
     def test_empty_domain_infeasible(self):
-        oracle = ExplicitOracle(SetFamily.empty(3))
+        oracle = ExplicitOracle(SetFamily.from_bits(3, ()))
         assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_BUILDER).feasible
 
 
@@ -385,7 +385,7 @@ class TestSolverOracleEquivalence:
         for seed in range(6):
             n = rng.randint(3, 6)
             fam = complement_closed_family(rng, n, 8)
-            ell = max(len(m) for m in fam)
+            ell = max(b.bit_count() for b in fam.bits)
             problem = ("maxmin", "maxsum", "kcenter", "ksumradii")[seed % 4]
             spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 2), modified=True)
             answer = solve(ExplicitOracle(fam), spec, small_builder(ell))
@@ -461,7 +461,7 @@ def clustering_grid():
         fam = complement_closed_family(rng, rng.randint(4, 7), 12)
         spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 3), modified=True)
         explicit = partial(ExplicitOracle, fam)
-        yield fam, explicit, spec, small_builder(max(len(m) for m in fam))
+        yield fam, explicit, spec, small_builder(max(b.bit_count() for b in fam.bits))
         yield fam, explicit, spec, limited_builder(seed=seed, trials=96)
 
 
@@ -516,7 +516,7 @@ def diversification_grid():
         problem = ("maxmin", "maxsum")[seed % 2]
         n = rng.randint(3, 6)
         fam = (
-            SetFamily.empty(n),
+            SetFamily.from_bits(n, ()),
             SetFamily.from_bits(n, [rng.getrandbits(n)]),
             random_family(rng, n, 12),
             tied[seed % 2],
@@ -531,7 +531,7 @@ def diversification_grid():
         ]
         for domain, make_oracle, modified, ell, limited in cases:
             if ell is None:
-                ell = max((len(m) for m in domain), default=0)
+                ell = max((b.bit_count() for b in domain.bits), default=0)
             k = rng.randint(1, 3)
             pairs = k * (k - 1) // 2 if problem == "maxsum" else 1
             d = rng.randint(0, domain.universe_size * pairs)

@@ -73,12 +73,12 @@ class TestIsSunflower:
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
-            is_sunflower(SetFamily.empty(3))
+            is_sunflower(SetFamily.from_bits(3, ()))
 
 
 class TestBlockerCandidates:
     def test_empty_family_yields_empty_blocker(self):
-        got = blocker_candidates(SetFamily.empty(4), 1, 2)
+        got = blocker_candidates(SetFamily.from_bits(4, ()), 1, 2)
         assert [m.bits for m in got] == [0]
 
     def test_single_singleton(self):
@@ -219,7 +219,7 @@ class TestKSparsify:
         family = SetFamily.from_bits(5, [1 << i for i in range(5)])
         report = k_sparsify(small_params(1, 1, 1), ExplicitOracle(family))
         assert len(report.family) == 2
-        assert all(len(m) == 1 for m in report.family)
+        assert all(b.bit_count() == 1 for b in report.family.bits)
         scope = VerifyScope.versus_ball(
             k=1, cap=None, center=SubsetMask.empty(5), radius=1
         )
@@ -252,12 +252,12 @@ class TestKSparsify:
             r = rng.randint(1, 4)
             k = rng.randint(1, 3)
             family = random_family(rng, n, 20, max_size=r)
-            ell = max((len(m) for m in family), default=0)
+            ell = max((b.bit_count() for b in family.bits), default=0)
             report = k_sparsify(small_params(k, r, ell), ExplicitOracle(family))
             bound = math.factorial(ell + 1) * (k * r + 1) ** ell
             assert len(report.family) <= bound
-            for m in report.family:
-                assert m in family
+            for b in report.family.bits:
+                assert family.contains_bits(b)
             scope = VerifyScope.versus_ball(
                 k=k, cap=None, center=SubsetMask.empty(n), radius=r
             )
@@ -272,21 +272,19 @@ class TestKSparsify:
             k = rng.randint(1, 2)
             t = k * r + 2
             family = random_family(rng, n, 18, max_size=r)
-            ell = max((len(m) for m in family), default=0)
+            ell = max((b.bit_count() for b in family.bits), default=0)
             report = k_sparsify(small_params(k, r, ell), ExplicitOracle(family))
-            members = list(report.family)
+            members = report.family.bits
             if len(members) > 12:
                 continue
             checked += 1
-            by_size: dict[int, list[SubsetMask]] = {}
-            for m in members:
-                by_size.setdefault(len(m), []).append(m)
+            by_size: dict[int, list[int]] = {}
+            for b in members:
+                by_size.setdefault(b.bit_count(), []).append(b)
             for group in by_size.values():
                 for sub in combinations(group, min(t, len(group))):
                     if len(sub) == t:
-                        assert is_sunflower(
-                            SetFamily.from_bits(n, [m.bits for m in sub])
-                        ) is None
+                        assert is_sunflower(SetFamily.from_bits(n, sub)) is None
         assert checked > 10
 
     def test_guard_fires_for_a_class_with_no_blocker_left(self):
@@ -319,7 +317,7 @@ class TestKSparsify:
         for _ in range(20):
             n = rng.randint(3, 6)
             family = random_family(rng, n, 12)
-            ell = max(len(m) for m in family)
+            ell = max(b.bit_count() for b in family.bits)
             oracle = Counted(family)
             report = k_sparsify(small_params(rng.randint(1, 3), ell, ell), oracle)
             assert report.calls_extend == oracle.calls > 0
@@ -352,11 +350,11 @@ def reference_grid():
         n = rng.randint(3, 6)
         family = random_family(rng, n, 14)
         k = rng.randint(1, 3)
-        ell = max(len(m) for m in family)
+        ell = max(b.bit_count() for b in family.bits)
         r = rng.randint(ell, ell + 1)
         yield small_params(k, r, ell), partial(ExplicitOracle, family)
         center = rng.getrandbits(n)
-        shifted_ell = max((m.bits ^ center).bit_count() for m in family)
+        shifted_ell = max((b ^ center).bit_count() for b in family.bits)
         yield (
             small_params(k, shifted_ell, shifted_ell),
             partial(shifted_explicit, family, center),

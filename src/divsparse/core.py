@@ -333,6 +333,8 @@ class SparsifierReport:
 
     family: SetFamily
     params: SmallSparsifyParams | LimitedSparsifyParams
+    #: +-1 optimizations the far-set phase issued; a weight mask drawn
+    #: again in the phase is answered from its memo and not counted
     calls_opt: int = 0
     calls_extend: int = 0
     passes: int = 0

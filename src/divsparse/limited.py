@@ -5,7 +5,8 @@ The pipeline works for domains with unbounded member cardinality, given the
 
 1. Collect up to k cluster centers from the domain, each more than 2d from
    the previous ones, by repeatedly optimizing random +-1 weights (each a
-   mask of the +1 elements, drawn as ``rng.top_bits(n)``).  If k+1
+   mask of the +1 elements, drawn as ``rng.top_bits(n)``; a mask drawn
+   before in the phase is answered from the phase's memo).  If k+1
    such members turn up they already form a valid sparsifier (any reference
    set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
@@ -43,6 +44,9 @@ from .core import (
 )
 from .rng import SplitMix64
 from .sunflower import SmallSparsifyParams, k_sparsify
+
+
+FARSET_MEMO_GUARD = 16  # largest universe whose far-set phase keeps a mask memo
 
 
 def default_cluster_radius(k: int, d: int) -> int:
@@ -108,13 +112,15 @@ class ClusterResult:
     ``trivial`` False: ``family`` holds at most k centers and, with high
     probability, every member is within p of one of them.  ``trivial``
     True: ``family`` holds k+1 members pairwise more than 2d apart, itself
-    a valid d-limited k-max-distance sparsifier.  ``trials`` is the
-    phase's total number of +-1 optimization calls.
+    a valid d-limited k-max-distance sparsifier.  ``calls`` is the number
+    of +-1 optimization calls the phase issued: a trial whose mask was
+    drawn before in the phase is answered from the phase's memo and calls
+    nothing.
     """
 
     family: SetFamily
     trivial: bool
-    trials: int
+    calls: int
 
 
 def approx_far_set(
@@ -123,12 +129,14 @@ def approx_far_set(
     d: int,
     trials: int,
     rng: SplitMix64,
+    memo: dict[int, int] | None = None,
 ) -> tuple[int | None, int]:
     """Look for a member more than 2d from every center.
 
-    Returns the far member or ``None``, and the number of trials run
-    (one +-1 optimization call each): ``i`` when trial ``i`` finds a far
-    member, ``trials`` when it gives up, ``1`` for an empty domain.
+    Returns the far member or ``None``, and the number of +-1 optimization
+    calls issued.  Without a memo that is one per trial run: ``i`` when
+    trial ``i`` finds a far member, ``trials`` when it gives up, ``1`` for
+    an empty domain.
 
     Each trial optimizes fresh uniform +-1 weights, the mask of the +1
     elements drawn as ``rng.top_bits(n)``; a candidate is
@@ -137,6 +145,18 @@ def approx_far_set(
     member is within the cluster radius of some center, up to the per-call
     error bound.  An optimum with elements outside the universe raises
     :class:`SoundnessError`.
+
+    ``memo`` maps +1 masks to their optima.  A trial whose mask is in it
+    reads the optimum there and calls nothing; a new optimum is range
+    checked once and stored.  The oracle is pure, so the outcome of every
+    trial is the one it would have without the memo.  Once the memo holds
+    all 2^n masks and none of its optima is far, the call gives up at
+    once, at entry or after the trial that filled it: every further trial
+    would repeat a known outcome.  Pass the same dict to every call of one
+    phase, with the phase's growing center list.  After a give-up the
+    generator's state is unspecified (with a memo, fewer masks may have
+    been drawn than ``trials``); a call that finds a far member leaves it
+    exactly as without the memo.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -145,17 +165,36 @@ def approx_far_set(
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
     threshold = 2 * d
-    for i in range(1, trials + 1):
-        best = oracle.opt_pm1(rng.top_bits(n))
-        if best is None:
-            return None, i  # empty domain
-        if best < 0 or best >> n:
-            raise SoundnessError(
-                f"optimum {best:#x} has elements outside a universe of size {n}"
-            )
-        if all((best ^ c).bit_count() > threshold for c in centers):
-            return best, i
-    return None, trials
+
+    def far(member: int) -> bool:
+        return all((member ^ c).bit_count() > threshold for c in centers)
+
+    def covered() -> bool:
+        return len(memo) == 1 << n and not any(map(far, memo.values()))
+
+    if memo is not None and covered():
+        return None, 0
+    calls = 0
+    for _ in range(trials):
+        positive = rng.top_bits(n)
+        best = None if memo is None else memo.get(positive)
+        fresh = best is None
+        if fresh:
+            best = oracle.opt_pm1(positive)
+            calls += 1
+            if best is None:
+                return None, calls  # empty domain
+            if best < 0 or best >> n:
+                raise SoundnessError(
+                    f"optimum {best:#x} has elements outside a universe of size {n}"
+                )
+            if memo is not None:
+                memo[positive] = best
+        if far(best):
+            return best, calls
+        if fresh and memo is not None and covered():
+            return None, calls
+    return None, calls
 
 
 def cluster_or_trivial(
@@ -165,17 +204,22 @@ def cluster_or_trivial(
 
     The random weights are drawn from ``SplitMix64(params.seed)``.  Stops
     with ``trivial=True`` as soon as k+1 far members accumulate.  An empty
-    domain yields zero centers.
+    domain yields zero centers.  On a universe of at most
+    ``FARSET_MEMO_GUARD`` elements the phase keeps one memo from +1 masks
+    to optima (at most 2^16 entries) and passes it to every
+    :func:`approx_far_set` call; on a larger one every trial calls the
+    oracle.  The centers are the same either way.
     """
     rng = SplitMix64(params.seed)
     n = oracle.universe_size
+    memo: dict[int, int] | None = {} if n <= FARSET_MEMO_GUARD else None
     center_bits: list[int] = []
     total = 0
     while True:
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far, used = approx_far_set(oracle, center_bits, params.d, trials, rng)
+        far, used = approx_far_set(oracle, center_bits, params.d, trials, rng, memo)
         total += used
         if far is None:
             return ClusterResult(SetFamily.from_bits(n, center_bits), False, total)
@@ -234,7 +278,8 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     anywhere is returned at once (``scattered`` for the clustering branch,
     ``shortcut`` for one produced by an extension query).  An empty domain
     yields the empty family, which satisfies the definition vacuously.
-    ``calls_opt`` is the clustering phase's trial count and
+    ``calls_opt`` is the number of +-1 optimizations the clustering phase
+    issued (repeated weight masks are answered from its memo) and
     ``calls_extend`` the sum of the per-center runs' query counts.  The
     report's ``params`` are ``params`` with ``p`` resolved to
     :func:`default_cluster_radius` when it was ``None``.
@@ -244,7 +289,7 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     clusters = cluster_or_trivial(oracle, params)
     if clusters.trivial:
         return SparsifierReport(
-            clusters.family, params, calls_opt=clusters.trials, scattered=True
+            clusters.family, params, calls_opt=clusters.calls, scattered=True
         )
 
     ctx = OracleContext(k=params.k, d=params.d, p=p)
@@ -257,12 +302,12 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
         calls_extend += sub.calls_extend
         if sub.shortcut:
             return SparsifierReport(
-                sub.family, params, calls_opt=clusters.trials,
+                sub.family, params, calls_opt=clusters.calls,
                 calls_extend=calls_extend, passes=passes, shortcut=True,
             )
         out_bits.extend(b ^ center for b in sub.family.bits)
 
     return SparsifierReport(
         SetFamily.dedup_from_bits(oracle.universe_size, out_bits), params,
-        calls_opt=clusters.trials, calls_extend=calls_extend, passes=passes,
+        calls_opt=clusters.calls, calls_extend=calls_extend, passes=passes,
     )

@@ -1,6 +1,6 @@
 """Shared test utilities: deterministic instance generators, answer
-certification against enumerated domains, and the sunflower, blocker and
-max-min checks the tests use as references."""
+certification against enumerated domains, and the sunflower, blocker,
+far-set and max-min checks the tests use as references."""
 
 from __future__ import annotations
 
@@ -11,12 +11,15 @@ from itertools import combinations, combinations_with_replacement
 from divsparse import (
     DomainOracle,
     Found,
+    LimitedSparsifyParams,
     NotFound,
     ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
     SolveAnswer,
+    SplitMix64,
     SubsetMask,
+    default_trials,
     distance,
 )
 from divsparse.bruteforce import enumerate_domain
@@ -400,6 +403,38 @@ def reference_k_sparsify(
                 break
         if not added:
             return members, passes, calls
+
+
+def reference_cluster_or_trivial(
+    oracle: DomainOracle, params: LimitedSparsifyParams
+) -> tuple[list[int], bool, int]:
+    """The far-set clustering phase without a memo.
+
+    Every trial optimizes its weights afresh, and a call gives up only
+    after its full trial count.  Returns (center bits, trivial, trials run).
+    """
+    rng = SplitMix64(params.seed)
+    n = oracle.universe_size
+    centers: list[int] = []
+    total = 0
+    while True:
+        trials = params.trials_override
+        if trials is None:
+            trials = default_trials(params.k, params.epsilon, len(centers))
+        far = None
+        for _ in range(trials):
+            total += 1
+            best = oracle.opt_pm1(rng.top_bits(n))
+            if best is None:
+                break  # empty domain
+            if all((best ^ c).bit_count() > 2 * params.d for c in centers):
+                far = best
+                break
+        if far is None:
+            return centers, False, total
+        centers.append(far)
+        if len(centers) == params.k + 1:
+            return centers, True, total
 
 
 def reference_maxmin(members: list[int], n: int, spec: ProblemSpec) -> SolveAnswer:

@@ -314,6 +314,22 @@ class TestSparsifyCommand:
         assert "calls_opt: 0" in out  # the small pipeline never optimizes
 
 
+    def test_far_set_phase_ends_once_every_mask_is_known(self, write):
+        # the six singletons turn up as six centers; a seventh would take
+        # about 4.9e23 default trials, but the phase memo knows all 2^6
+        # weight masks by then and none of their optima is far
+        path = write("domain uniform_matroid rank=1\nuniverse 6\n")
+        code, out = invoke(
+            ["sparsify", "--instance", path, "--k", "6", "--d", "0",
+             "--mode", "limited"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "size: 6"
+        calls_opt = int(lines[-3].removeprefix("calls_opt: "))
+        assert 6 <= calls_opt <= 2**6
+
+
 class TestVerifyCommand:
     def test_ok(self, write):
         path = write(C4_MATCHING)

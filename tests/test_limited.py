@@ -30,11 +30,12 @@ from divsparse import (
     k_sparsify,
 )
 import divsparse.cli as cli
+import divsparse.limited as limited
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
-from divsparse.limited import ShiftedEmptyExtension
+from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
 
-from helpers import random_family
+from helpers import random_family, reference_cluster_or_trivial
 
 import pytest
 
@@ -133,10 +134,45 @@ class TestApproxFarSet:
         assert late > 0
 
     def test_trial_count_of_a_give_up(self):
-        fam = SetFamily.from_bits(4, [0b0101])
+        # without a memo every trial calls the oracle; with one, a give-up
+        # calls once per distinct mask drawn, at most min(trials, 2^n)
+        n = 4
+        fam = SetFamily.from_bits(n, [0b0101])
         oracle = Counted(fam)
         got = approx_far_set(oracle, [0b0101], d=1, trials=37, rng=SplitMix64(3))
         assert got == (None, 37) and oracle.opts == 37
+        for trials in (5, 37, 200):
+            replay = SplitMix64(3)
+            drawn: set[int] = set()
+            for _ in range(trials):
+                drawn.add(replay.top_bits(n))
+                if len(drawn) == 1 << n:
+                    break  # every mask is known: the call stops here
+            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
+            got = approx_far_set(
+                oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo
+            )
+            assert got == (None, oracle.opts)
+            assert oracle.opts == len(drawn) == len(memo) <= min(trials, 1 << n)
+            assert set(memo) == drawn
+            assert rng.next_u64() == replay.next_u64()  # no draw after the stop
+        assert len(memo) == 1 << n  # 200 draws covered all 16 masks
+        # a call that starts with every mask known draws and calls nothing
+        rng = SplitMix64(7)
+        got = approx_far_set(oracle, [0b0101], d=1, trials=8, rng=rng, memo=memo)
+        assert got == (None, 0) and oracle.opts == len(drawn)
+        assert rng.next_u64() == SplitMix64(7).next_u64()
+
+    def test_a_full_memo_with_a_far_optimum_keeps_drawing(self):
+        # the coverage stop needs every known optimum within 2d of a center;
+        # a memo from other centers does not stop the call
+        n = 2
+        fam = SetFamily.from_bits(n, [0b00, 0b11])
+        memo = {mask: ExplicitOracle(fam).opt_pm1(mask) for mask in range(1 << n)}
+        assert 0b11 in memo.values()
+        oracle = Counted(fam)
+        got = approx_far_set(oracle, [0b00], d=0, trials=64, rng=SplitMix64(1), memo=memo)
+        assert got[0] == 0b11 and got[1] == oracle.opts == 0
 
     def test_trial_count_of_an_empty_domain(self):
         oracle = Counted(SetFamily.from_bits(4, ()))
@@ -226,13 +262,63 @@ class TestClusterOrTrivial:
     def test_trials_count_every_optimization(self):
         oracle = Counted(two_point_domain(10))
         got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=1, d=1, seed=0))
-        assert got.trivial and got.trials == oracle.opts > 0
-        # one trial finds the only member, then the search for a second
-        # center runs its full default count
+        assert got.trivial and got.calls == oracle.opts > 0
+        # one trial finds the only member; the search for a second center
+        # then calls once per new mask and stops once all 2^3 are known,
+        # far below its default trial count
         oracle = Counted(SetFamily.from_bits(3, [0]))
         got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=2, d=1, seed=5))
         assert not got.trivial
-        assert got.trials == oracle.opts == 1 + default_trials(2, 0.01, 1)
+        assert got.calls == oracle.opts == 2**3 < 1 + default_trials(2, 0.01, 1)
+
+    def test_matches_the_phase_without_a_memo(self):
+        # the memo and the coverage stop change only the calls issued: the
+        # same centers, the same flag, and never more calls than trials
+        rng = random.Random(71)
+        stopped = 0
+        for trial in range(150):
+            n = rng.randint(1, 8)
+            fam = random_family(rng, n, 20, nonempty=False)
+            params = LimitedSparsifyParams(
+                k=rng.randint(1, 3), d=rng.randint(0, 2), seed=trial,
+                trials_override=rng.choice([None, 1, 8, 64]),
+            )
+            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
+                ExplicitOracle(fam), params
+            )
+            oracle = Counted(fam)
+            got = cluster_or_trivial(oracle, params)
+            assert got.family.bits == tuple(want_bits), trial
+            assert got.trivial == want_trivial, trial
+            assert got.calls == oracle.opts <= want_trials, trial
+            stopped += got.calls < want_trials
+        assert stopped > 50
+
+    def test_memo_only_within_the_guard(self, monkeypatch):
+        sizes: list[int | None] = []
+        real = limited.approx_far_set
+
+        def spy(oracle, centers, d, trials, rng, memo=None):
+            got = real(oracle, centers, d, trials, rng, memo)
+            sizes.append(None if memo is None else len(memo))
+            return got
+
+        monkeypatch.setattr(limited, "approx_far_set", spy)
+        # above the guard the phase keeps no memo: every trial calls
+        n = FARSET_MEMO_GUARD + 1
+        oracle = Counted(SetFamily.from_bits(n, [0]))
+        params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=40)
+        got = cluster_or_trivial(oracle, params)
+        assert sizes == [None, None]
+        assert got.calls == oracle.opts == 1 + 40
+        # within it the memo never holds more than 2^n masks
+        for n, trials in ((1, None), (3, None), (FARSET_MEMO_GUARD, 40)):
+            sizes.clear()
+            oracle = Counted(SetFamily.from_bits(n, [0]))
+            got = cluster_or_trivial(oracle, replace(params, trials_override=trials))
+            assert len(sizes) == 2 and all(0 < s <= 2**n for s in sizes)
+            assert got.calls == oracle.opts == sizes[-1]
+        assert sizes[-1] <= 41  # n = 16: one find, then at most 40 new masks
 
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)

@@ -101,30 +101,25 @@ def _reference_bits(
     n = domain.universe_size
     if scope.reference == "domain":
         return domain.bits, False
+    # all subsets are the ball of radius n around the empty set; a ball
+    # scope always has its center and radius (VerifyScope checks)
+    whole = scope.reference == "all"
+    center = 0 if whole else scope.ball_center.bits
+    radius = n if whole else scope.ball_radius
     if n <= REFERENCE_GUARD:
-        if scope.reference == "all":
-            return list(range(1 << n)), False
-        center = scope.ball_center
-        radius = scope.ball_radius
-        assert center is not None and radius is not None
-        return [
-            b for b in range(1 << n) if (b ^ center.bits).bit_count() <= radius
-        ], False
+        return [b for b in range(1 << n) if (b ^ center).bit_count() <= radius], False
     # sampled verification: random reference sets instead of all of them
     samples: set[int] = set()
-    if scope.reference == "all":
+    if whole:
         while len(samples) < min(SAMPLE_COUNT, 1 << n):
             samples.add(rng.getrandbits(n))
     else:
-        center = scope.ball_center
-        radius = scope.ball_radius
-        assert center is not None and radius is not None
         for _ in range(SAMPLE_COUNT):
             flips = rng.randint(0, radius)
             flip_bits = 0
             for e in rng.sample(range(n), min(flips, n)):
                 flip_bits |= 1 << e
-            samples.add(center.bits ^ flip_bits)
+            samples.add(center ^ flip_bits)
     return sorted(samples), True
 
 

@@ -46,7 +46,7 @@ from .rng import SplitMix64
 from .sunflower import SmallSparsifyParams, k_sparsify
 
 
-FARSET_MEMO_GUARD = 16  # largest universe whose far-set phase keeps a mask memo
+FARSET_MEMO_GUARD = 16  # log2 of the most weight masks one far-set phase remembers
 
 
 def default_cluster_radius(k: int, d: int) -> int:
@@ -113,9 +113,8 @@ class ClusterResult:
     probability, every member is within p of one of them.  ``trivial``
     True: ``family`` holds k+1 members pairwise more than 2d apart, itself
     a valid d-limited k-max-distance sparsifier.  ``calls`` is the number
-    of +-1 optimization calls the phase issued: a trial whose mask was
-    drawn before in the phase is answered from the phase's memo and calls
-    nothing.
+    of +-1 optimization calls the phase issued: a trial whose mask is in
+    the phase's memo is answered from it and calls nothing.
     """
 
     family: SetFamily
@@ -134,8 +133,7 @@ def approx_far_set(
     """Look for a member more than 2d from every center.
 
     Returns the far member or ``None``, and the number of +-1 optimization
-    calls issued.  Without a memo that is one per trial run: ``i`` when
-    trial ``i`` finds a far member, ``trials`` when it gives up, ``1`` for
+    calls issued: one per weight mask that is new to the memo, ``1`` for
     an empty domain.
 
     Each trial optimizes fresh uniform +-1 weights, the mask of the +1
@@ -146,17 +144,19 @@ def approx_far_set(
     error bound.  An optimum with elements outside the universe raises
     :class:`SoundnessError`.
 
-    ``memo`` maps +1 masks to their optima.  A trial whose mask is in it
-    reads the optimum there and calls nothing; a new optimum is range
-    checked once and stored.  The oracle is pure, so the outcome of every
-    trial is the one it would have without the memo.  Once the memo holds
-    all 2^n masks and none of its optima is far, the call gives up at
-    once, at entry or after the trial that filled it: every further trial
-    would repeat a known outcome.  Pass the same dict to every call of one
-    phase, with the phase's growing center list.  After a give-up the
-    generator's state is unspecified (with a memo, fewer masks may have
-    been drawn than ``trials``); a call that finds a far member leaves it
-    exactly as without the memo.
+    ``memo`` maps +1 masks to their optima; without one the call makes a
+    local dict.  A trial whose mask is in it reads the optimum there and
+    calls nothing; a new optimum is range checked once and stored while
+    the memo holds fewer than 2^``FARSET_MEMO_GUARD`` masks.  The oracle
+    is pure, so the outcome of every trial is the one it would have
+    without the memo.  Once the memo holds all 2^n masks and none of its
+    optima is far, the call gives up at once, at entry or after the trial
+    that filled it: every further trial would repeat a known outcome.
+    Pass the same dict to every call of one phase, with the phase's
+    growing center list.  After a give-up the generator's state is
+    unspecified (fewer masks may have been drawn than ``trials``); a call
+    that finds a far member has drawn one mask per trial run, as a call
+    optimizing every trial afresh would.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -165,6 +165,8 @@ def approx_far_set(
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
     threshold = 2 * d
+    if memo is None:
+        memo = {}
 
     def far(member: int) -> bool:
         return all((member ^ c).bit_count() > threshold for c in centers)
@@ -172,12 +174,12 @@ def approx_far_set(
     def covered() -> bool:
         return len(memo) == 1 << n and not any(map(far, memo.values()))
 
-    if memo is not None and covered():
+    if covered():
         return None, 0
     calls = 0
     for _ in range(trials):
         positive = rng.top_bits(n)
-        best = None if memo is None else memo.get(positive)
+        best = memo.get(positive)
         fresh = best is None
         if fresh:
             best = oracle.opt_pm1(positive)
@@ -188,11 +190,11 @@ def approx_far_set(
                 raise SoundnessError(
                     f"optimum {best:#x} has elements outside a universe of size {n}"
                 )
-            if memo is not None:
+            if len(memo) < 1 << FARSET_MEMO_GUARD:
                 memo[positive] = best
         if far(best):
             return best, calls
-        if fresh and memo is not None and covered():
+        if fresh and covered():
             return None, calls
     return None, calls
 
@@ -204,15 +206,14 @@ def cluster_or_trivial(
 
     The random weights are drawn from ``SplitMix64(params.seed)``.  Stops
     with ``trivial=True`` as soon as k+1 far members accumulate.  An empty
-    domain yields zero centers.  On a universe of at most
-    ``FARSET_MEMO_GUARD`` elements the phase keeps one memo from +1 masks
-    to optima (at most 2^16 entries) and passes it to every
-    :func:`approx_far_set` call; on a larger one every trial calls the
-    oracle.  The centers are the same either way.
+    domain yields zero centers.  The phase keeps one memo from +1 masks
+    to optima, at most 2^``FARSET_MEMO_GUARD`` entries, and passes it to
+    every :func:`approx_far_set` call.  The centers are those that every
+    trial optimizing afresh would pick.
     """
     rng = SplitMix64(params.seed)
     n = oracle.universe_size
-    memo: dict[int, int] | None = {} if n <= FARSET_MEMO_GUARD else None
+    memo: dict[int, int] = {}
     center_bits: list[int] = []
     total = 0
     while True:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .core import (
     DomainOracle,
@@ -138,6 +138,10 @@ def _diversify(
     members pairwise at least d apart, whose first clique is the first hit
     of a scan over the k-tuples.  Sum mode scans every k-tuple and reports
     the best sum as the objective, witnessed by the first tuple reaching it.
+    That is the best pairwise sum over the sparsifier searched, at least d
+    on YES: the domain's maximum for a full sparsifier (small mode), and
+    anywhere in [d, maximum] for a d-limited one, which keeps distances
+    only up to the cap.
     """
     order = 2 * spec.k - 2 if spec.modified else spec.k - 1
     rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
@@ -264,47 +268,37 @@ def _oriented_variants(masks: list[int], n: int) -> list[list[int]]:
     return out
 
 
-class _ClusterCostCache:
-    """Memoized per-cluster minimum radius, plain or modified."""
+def _cluster_cost(
+    oracle: DomainOracle, d: int, n: int, modified: bool, ctx: OracleContext | None
+) -> Callable[..., tuple[int, int] | None]:
+    """Memoized per-cluster minimum radius, plain or modified.
 
-    def __init__(
-        self,
-        oracle: DomainOracle,
-        d: int,
-        n: int,
-        modified: bool,
-        ctx: OracleContext | None,
-    ) -> None:
-        self._oracle = oracle
-        self._d = d
-        self._n = n
-        self._modified = modified
-        self._ctx = ctx
-        self._memo: dict[frozenset[int], tuple[int, int] | None] = {}
+    Returns ``evaluate(member_bits, lo=0)``: the (radius, center) of the
+    cluster, a frozenset of masks, or None above d; ``lo`` is a lower
+    bound on the radius (see :func:`min_cluster_radius`).  Each
+    orientation guess is one :func:`min_cluster_radius` call; the plain
+    distance has the single orientation ``(masks,)``.
+    """
+    memo: dict[frozenset[int], tuple[int, int] | None] = {}
 
-    def evaluate(
-        self, member_bits: frozenset[int], lo: int = 0
-    ) -> tuple[int, int] | None:
-        """(radius, center) of the cluster, or None above d; ``lo`` is a
-        lower bound on the radius (see :func:`min_cluster_radius`)."""
-        if member_bits in self._memo:
-            return self._memo[member_bits]
+    def evaluate(member_bits: frozenset[int], lo: int = 0) -> tuple[int, int] | None:
+        if member_bits in memo:
+            return memo[member_bits]
         masks = sorted(member_bits)
         result: tuple[int, int] | None = None
-        if not self._modified:
-            result = min_cluster_radius(masks, self._d, self._oracle, self._ctx, lo)
-        else:
-            for oriented in _oriented_variants(masks, self._n):
-                # only strictly better radii matter; an orientation whose
-                # diameter exceeds 2 * cap returns None before any query
-                cap = self._d if result is None else result[0] - 1
-                if cap < lo:
-                    break
-                got = min_cluster_radius(oriented, cap, self._oracle, self._ctx, lo)
-                if got is not None and (result is None or got[0] < result[0]):
-                    result = got
-        self._memo[member_bits] = result
+        for oriented in _oriented_variants(masks, n) if modified else (masks,):
+            # only strictly better radii matter; an orientation whose
+            # diameter exceeds 2 * cap returns None before any query
+            cap = d if result is None else result[0] - 1
+            if cap < lo:
+                break
+            got = min_cluster_radius(oriented, cap, oracle, ctx, lo)
+            if got is not None:
+                result = got  # a radius of at most cap is strictly better
+        memo[member_bits] = result
         return result
+
+    return evaluate
 
 
 def _solve_clustering(
@@ -326,7 +320,7 @@ def _solve_clustering(
     if _pairwise_far(dist, k + 1, 2 * spec.d) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
-    cache = _ClusterCostCache(oracle, spec.d, n, spec.modified, ctx)
+    evaluate = _cluster_cost(oracle, spec.d, n, spec.modified, ctx)
 
     clusters: list[list[int]] = []
     # (radius, center) of each open cluster; the center may differ from the
@@ -346,7 +340,7 @@ def _solve_clustering(
                 after = before  # radii never shrink as a cluster grows
             else:
                 grown = frozenset(members[i] for i in cluster) | {x}
-                after = cache.evaluate(grown, lo=before[0])
+                after = evaluate(grown, lo=before[0])
             if after is None:
                 continue
             # budget tracks d minus the radius sum of all current clusters
@@ -359,7 +353,7 @@ def _solve_clustering(
                 cluster.pop()
                 covers[ci] = before
         if len(clusters) < k:
-            cover = cache.evaluate(frozenset((x,)))
+            cover = evaluate(frozenset((x,)))
             spent = 0 if cover is None or not sum_mode else cover[0]
             if cover is not None and spent <= budget:
                 clusters.append([idx])
@@ -376,7 +370,7 @@ def _solve_clustering(
         if not assign(0, spec.d):
             return SolveAnswer(feasible=False)
         for cluster, (radius, _) in zip(clusters, covers):
-            got = cache.evaluate(frozenset(members[i] for i in cluster), lo=radius)
+            got = evaluate(frozenset(members[i] for i in cluster), lo=radius)
             if got is None or got[0] != radius:
                 raise SoundnessError(
                     f"the search relied on cluster radius {radius}, "

@@ -80,13 +80,19 @@ def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
 
 
 class _ClassCores:
-    """One cardinality class: its members in insertion order and the cores
-    of its size-``t`` sunflowers, kept up to date as members join.
+    """One cardinality class: its members in insertion order, the cores of
+    its size-``t`` sunflowers, kept up to date as members join, and what
+    the blocker search knows of it.
 
     For t >= 2 a core is the intersection of two petals, so each pairwise
     intersection is a candidate, confirmed once t members containing it
     have pairwise-disjoint remainders.  For t == 1 each member is its own
     core.
+
+    ``known_empty`` holds the blockers answered NotFound, keyed as
+    :func:`_hitting_sets` reads them (the empty set when the class has no
+    member at all); ``drained`` is the (member union, class size) of the
+    last pass in which no blocker was left to ask, or None.
     """
 
     def __init__(self, t: int, universe_size: int) -> None:
@@ -95,6 +101,8 @@ class _ClassCores:
         self.members: list[int] = []
         self.cores: list[int] = []
         self._candidates: dict[int, bool] = {}  # candidate -> confirmed
+        self.known_empty: dict[int, list[int]] = {}
+        self.drained: tuple[int, int] | None = None
 
     def add(self, member: int) -> None:
         """Append ``member`` and confirm the cores it completes.
@@ -239,8 +247,8 @@ def k_sparsify(
     (``calls_extend`` counts the queries actually issued), never the
     output, the pass count or when the blocker guard fires, provided the
     oracle honours the monotonicity in :class:`DomainOracle`.  Each class
-    keeps its sunflower cores across passes and updates them only when it
-    gains a member, with the checks that member can complete.
+    keeps one :class:`_ClassCores` record across passes, whose cores are
+    updated only when it gains a member, with the checks it can complete.
 
     Every query carries ``ctx``.  If the oracle surfaces a trivial
     sparsifier, that family is returned at once with ``shortcut`` set,
@@ -255,15 +263,8 @@ def k_sparsify(
     t = params.k * params.r + 1
     ell_cap = min(params.ell, n)
     members: list[int] = []
-    member_set: set[int] = set()
     union_bits = 0
     classes = [_ClassCores(t, n) for _ in range(ell_cap + 1)]
-    # per cardinality: blockers answered NotFound, keyed as _hitting_sets
-    # reads them (the empty set when the class has no member at all)
-    known_empty: list[dict[int, list[int]]] = [{} for _ in range(ell_cap + 1)]
-    # per cardinality: (union, class size) of the last pass in which no
-    # blocker was left to ask
-    drained: list[tuple[int, int] | None] = [None] * (ell_cap + 1)
     passes = calls = 0
 
     def check_witness(got: int, lp: int, y: int) -> None:
@@ -276,8 +277,9 @@ def k_sparsify(
                 f"witness {SubsetMask(n, got)!r} does not have size {lp}"
             )
         # before the blocker check: Y meets every member of size l', so a
-        # repeated member would otherwise be reported as meeting Y
-        if got in member_set:
+        # repeated member would otherwise be reported as meeting Y; after
+        # the size check, so only class l' can hold it
+        if got in classes[lp].members:
             raise SoundnessError(f"witness {SubsetMask(n, got)!r} is already a member")
         if got & y:
             raise SoundnessError(
@@ -287,15 +289,13 @@ def k_sparsify(
     while True:
         passes += 1
         added = False
-        for lp in range(ell_cap + 1):
-            group = classes[lp]
+        for lp, group in enumerate(classes):
             # same union and class as a drained pass: the same blockers,
             # which are still all known empty, and the same guard outcome
             key = (union_bits, len(group.members))
-            if drained[lp] == key:
+            if group.drained == key:
                 continue
-            blocked = known_empty[lp]
-            for y in _hitting_sets(union_bits, group.required(), blocked):
+            for y in _hitting_sets(union_bits, group.required(), group.known_empty):
                 out = oracle.exact_empty_extend(lp, y, ctx)
                 calls += 1
                 if isinstance(out, TrivialSparsifier):
@@ -307,15 +307,14 @@ def k_sparsify(
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
                     members.append(out.witness)
-                    member_set.add(out.witness)
                     union_bits |= out.witness
                     group.add(out.witness)
                     added = True
                     break
-                blocked.setdefault(y.bit_length(), []).append(y)
+                group.known_empty.setdefault(y.bit_length(), []).append(y)
             if added:
                 break
-            drained[lp] = key
+            group.drained = key
         if not added:
             break
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from divsparse import GuardError, ProblemSpec, SetFamily, SoundnessError
+from divsparse import GuardError, ProblemSpec, SetFamily, SoundnessError, SubsetMask
 from divsparse import bruteforce
 from divsparse.bruteforce import (
     VerifyScope,
@@ -135,6 +135,23 @@ class TestVerifySparsifier:
                     for f in refs
                 )
                 assert not dominated
+        assert seen_failures > 5
+
+    def test_all_subsets_is_the_ball_of_radius_n(self):
+        rng = random.Random(23)
+        seen_failures = 0
+        for _ in range(40):
+            n = rng.randint(1, 12)
+            fam = random_family(rng, n, 10)
+            cand = SetFamily.from_bits(n, fam.bits_list()[: rng.randint(1, len(fam))])
+            k = rng.randint(1, 2)
+            cap = rng.choice([None, rng.randint(0, 4)])
+            want = verify_sparsifier(fam, cand, VerifyScope.versus_all_subsets(k, cap))
+            ball = VerifyScope.versus_ball(k, cap, SubsetMask.empty(n), n)
+            got = verify_sparsifier(fam, cand, ball)
+            assert (got.ok, got.counterexample) == (want.ok, want.counterexample)
+            assert not got.sampled and not want.sampled
+            seen_failures += not got.ok
         assert seen_failures > 5
 
     def test_counterexample_check_survives_optimize(self, monkeypatch):

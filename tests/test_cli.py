@@ -239,6 +239,18 @@ class TestSolveCommand:
         assert out.splitlines()[0] == "YES"
         assert out.splitlines()[-1] == "objective: 6"
 
+    def test_maxsum_objective_is_over_the_sparsifier_searched(self, write):
+        # the domain's best pairwise sum is 6 (two disjoint 3-sets); a
+        # d-limited sparsifier keeps distances only up to the cap, so the
+        # limited search may report any value in [d, 6] on YES
+        path = write("domain uniform_matroid rank=3\nuniverse 6\n")
+        argv = ["solve", "--instance", path, "--problem", "maxsum",
+                "--k", "2", "--d", "0"]
+        _, limited = invoke(argv + ["--mode", "limited"])
+        _, small = invoke(argv + ["--mode", "small"])
+        assert limited == "YES\nset: 0 1 3\nset: 1 3 5\nobjective: 2\n"
+        assert small == "YES\nset: 0 1 2\nset: 3 4 5\nobjective: 6\n"
+
     def test_byte_identical_reruns(self, write):
         path = write(C4_MATCHING)
         argv = ["solve", "--instance", path, "--problem", "maxmin",

@@ -134,13 +134,10 @@ class TestApproxFarSet:
         assert late > 0
 
     def test_trial_count_of_a_give_up(self):
-        # without a memo every trial calls the oracle; with one, a give-up
-        # calls once per distinct mask drawn, at most min(trials, 2^n)
+        # with a memo passed in or without one (the call keeps its own), a
+        # give-up calls once per distinct mask drawn, at most min(trials, 2^n)
         n = 4
         fam = SetFamily.from_bits(n, [0b0101])
-        oracle = Counted(fam)
-        got = approx_far_set(oracle, [0b0101], d=1, trials=37, rng=SplitMix64(3))
-        assert got == (None, 37) and oracle.opts == 37
         for trials in (5, 37, 200):
             replay = SplitMix64(3)
             drawn: set[int] = set()
@@ -148,6 +145,11 @@ class TestApproxFarSet:
                 drawn.add(replay.top_bits(n))
                 if len(drawn) == 1 << n:
                     break  # every mask is known: the call stops here
+            oracle = Counted(fam)
+            got = approx_far_set(
+                oracle, [0b0101], d=1, trials=trials, rng=SplitMix64(3)
+            )
+            assert got == (None, len(drawn)) and oracle.opts == len(drawn)
             oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
             got = approx_far_set(
                 oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo
@@ -294,31 +296,53 @@ class TestClusterOrTrivial:
             stopped += got.calls < want_trials
         assert stopped > 50
 
-    def test_memo_only_within_the_guard(self, monkeypatch):
-        sizes: list[int | None] = []
+    def test_memo_bounded_by_the_guard(self, monkeypatch):
+        # with the guard at 2 the memo stops growing at 4 masks; lookups
+        # still run, and the centers are those of the phase without a memo
+        monkeypatch.setattr(limited, "FARSET_MEMO_GUARD", 2)
+        memos: list[dict[int, int]] = []
         real = limited.approx_far_set
 
         def spy(oracle, centers, d, trials, rng, memo=None):
             got = real(oracle, centers, d, trials, rng, memo)
-            sizes.append(None if memo is None else len(memo))
+            memos.append(memo)
+            assert memo is memos[0] and len(memo) <= 4
             return got
 
         monkeypatch.setattr(limited, "approx_far_set", spy)
-        # above the guard the phase keeps no memo: every trial calls
+        rng = random.Random(83)
+        full = 0
+        for trial in range(60):
+            memos.clear()
+            n = rng.randint(3, 7)
+            fam = random_family(rng, n, 20)
+            params = LimitedSparsifyParams(
+                k=rng.randint(1, 3), d=rng.randint(0, 2), seed=trial,
+                trials_override=rng.choice([1, 8, 64]),
+            )
+            want_bits, want_trivial, _ = reference_cluster_or_trivial(
+                ExplicitOracle(fam), params
+            )
+            oracle = Counted(fam)
+            got = cluster_or_trivial(oracle, params)
+            assert memos, trial
+            assert got.calls == oracle.opts, trial
+            assert got.family.bits == tuple(want_bits), trial
+            assert got.trivial == want_trivial, trial
+            full += len(memos[0]) == 4
+        assert full > 20
+
+    def test_repeated_masks_above_the_guard(self):
+        # a universe past the guard still answers a repeated mask from the
+        # memo: one find, then one call per distinct mask of the give-up
         n = FARSET_MEMO_GUARD + 1
+        replay = SplitMix64(5)
+        drawn = {replay.top_bits(n) for _ in range(1 + 3000)}
         oracle = Counted(SetFamily.from_bits(n, [0]))
-        params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=40)
+        params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=3000)
         got = cluster_or_trivial(oracle, params)
-        assert sizes == [None, None]
-        assert got.calls == oracle.opts == 1 + 40
-        # within it the memo never holds more than 2^n masks
-        for n, trials in ((1, None), (3, None), (FARSET_MEMO_GUARD, 40)):
-            sizes.clear()
-            oracle = Counted(SetFamily.from_bits(n, [0]))
-            got = cluster_or_trivial(oracle, replace(params, trials_override=trials))
-            assert len(sizes) == 2 and all(0 < s <= 2**n for s in sizes)
-            assert got.calls == oracle.opts == sizes[-1]
-        assert sizes[-1] <= 41  # n = 16: one find, then at most 40 new masks
+        assert not got.trivial and got.family.bits == (0,)
+        assert got.calls == oracle.opts == len(drawn) < 1 + 3000
 
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)

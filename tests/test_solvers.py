@@ -33,7 +33,7 @@ from divsparse.instances import (
     matching_instance,
     spanning_tree_instance,
 )
-from divsparse.solvers import _ClusterCostCache, _pairwise_far
+from divsparse.solvers import _cluster_cost, _pairwise_far
 
 from helpers import (
     certify_answer,
@@ -216,23 +216,31 @@ class TestMinClusterRadius:
             for lo in range(direct + 1):
                 assert min_cluster_radius(cluster_bits, d, oracle, lo=lo) == want
 
-    def test_lower_bound_under_the_modified_distance(self):
-        rng = random.Random(78)
-        for _ in range(40):
-            n = rng.randint(3, 6)
-            fam = complement_closed_family(rng, n, 10)
-            bits = fam.bits_list()
-            cluster = frozenset(rng.sample(bits, rng.randint(1, min(4, len(bits)))))
-            d = rng.randint(0, 3)
-            oracle = ExplicitOracle(fam)
-            want = _ClusterCostCache(oracle, d, n, True, None).evaluate(cluster)
-            least = min(
-                max(distance(c, b, n, modified=True) for b in cluster) for c in bits
-            )
-            assert (want is None) == (least > d)
-            for lo in range(least + 1):
-                cache = _ClusterCostCache(oracle, d, n, True, None)
-                assert cache.evaluate(cluster, lo=lo) == want
+    def test_lower_bound_under_either_distance(self):
+        # the plain distance runs the cost loop with its one orientation,
+        # so it is exactly one min_cluster_radius call on the sorted cluster
+        for modified in (True, False):
+            rng = random.Random(78)
+            for _ in range(40):
+                n = rng.randint(3, 6)
+                if modified:
+                    fam = complement_closed_family(rng, n, 10)
+                else:
+                    fam = random_family(rng, n, 10)
+                bits = fam.bits_list()
+                cluster = frozenset(rng.sample(bits, rng.randint(1, min(4, len(bits)))))
+                d = rng.randint(0, 3)
+                oracle = ExplicitOracle(fam)
+                want = _cluster_cost(oracle, d, n, modified, None)(cluster)
+                least = min(
+                    max(distance(c, b, n, modified) for b in cluster) for c in bits
+                )
+                assert (want is None) == (least > d)
+                if not modified:
+                    assert want == min_cluster_radius(sorted(cluster), d, oracle)
+                for lo in range(least + 1):
+                    evaluate = _cluster_cost(oracle, d, n, modified, None)
+                    assert evaluate(cluster, lo=lo) == want
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):

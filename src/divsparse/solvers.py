@@ -16,9 +16,12 @@ All four problems reduce to a small sparsifier of the domain:
   pseudometric too); a member within the radius of its cluster's current
   center joins without a query, since radii never shrink as a cluster
   grows; otherwise the grown cluster's radius search starts at the old
-  radius; and a trace guess whose cluster spread on the guessed elements
-  alone exceeds the radius is never asked.  The witnesses are recomputed
-  from the final clusters, so they do not depend on these shortcuts.
+  radius; a grown cluster that contains a cluster no center covers
+  within d is not evaluated, since a center of the larger cluster would
+  cover the smaller one; and a trace guess whose cluster spread on the
+  guessed elements alone exceeds the radius is never asked.  The
+  witnesses are recomputed from the final clusters, so they do not depend
+  on these shortcuts.
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 from .core import (
     DomainOracle,
@@ -43,6 +46,7 @@ from .core import (
     TrivialSparsifier,
     check_trivial_sparsifier,
     distance,
+    iter_bits,
     submasks,
 )
 from .limited import LimitedSparsifyParams, dk_sparsify
@@ -182,7 +186,10 @@ def min_cluster_radius(
     cannot answer at radius r and is not asked.  The search starts at
     ``lo``, a known lower bound on the least radius (such as the radius of
     a subcluster); any ``lo`` up to the true least radius gives the same
-    answer as ``lo = 0``.  Returns (radius, center) or None; a
+    answer as ``lo = 0``.  The first radius computes each trace's guess as
+    it walks the traces and stops at the first center found, so a cluster
+    answered there never pays for the traces after it; larger radii reuse
+    the guesses it stored.  Returns (radius, center) or None; a
     trivial-sparsifier outcome that :func:`check_trivial_sparsifier`
     accepts aborts the whole clustering via :class:`GloballyInfeasible`.
     A center outside the universe or one that does not cover the cluster
@@ -215,14 +222,19 @@ def min_cluster_radius(
     # per trace, in submasks order: the farthest member (lowest index on
     # ties) and its distance on bad alone
     on_bad = [m & bad for m in masks]
-    guesses = []
-    for trace in submasks(bad):
-        spread = [(b ^ trace).bit_count() for b in on_bad]
-        need = max(spread)
-        if need <= d:
-            guesses.append((trace, masks[spread.index(need)], need))
+    guesses: list[tuple[int, int, int]] = []
+
+    def first_walk() -> Iterator[tuple[int, int, int]]:
+        for trace in submasks(bad):
+            spread = [(b ^ trace).bit_count() for b in on_bad]
+            need = max(spread)
+            if need <= d:
+                guess = (trace, masks[spread.index(need)], need)
+                guesses.append(guess)
+                yield guess
+
     for radius in range(start, d + 1):
-        for trace, farthest, need in guesses:
+        for trace, farthest, need in first_walk() if radius == start else guesses:
             if need > radius:
                 continue
             query = ExtensionQuery(
@@ -322,41 +334,55 @@ def _solve_clustering(
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
     evaluate = _cluster_cost(oracle, spec.d, n, spec.modified, ctx)
 
-    clusters: list[list[int]] = []
+    # member-index bitmasks: far[i] holds the members more than 2d from
+    # member i, and no center covers both; clusters[ci] holds cluster ci
+    far = [sum(1 << j for j, v in enumerate(row) if v > 2 * spec.d) for row in dist]
+    clusters: list[int] = []
     # (radius, center) of each open cluster; the center may differ from the
     # memoized one when a member joined within the radius without a query
     covers: list[tuple[int, int]] = []
+    # grown clusters that no center covers within d, filed under the member
+    # that grew them.  Members join in index order and a cluster before its
+    # grow has a cover, so a filed cluster inside a cluster grown by idx
+    # contains idx as its largest member: one list holds every candidate
+    uncovered: list[list[int]] = [[] for _ in members]
+
+    def cluster_bits(held: int) -> frozenset[int]:
+        return frozenset(members[i] for i in iter_bits(held))
 
     def assign(idx: int, budget: int) -> bool:
         """Assign member idx; clusters are opened in canonical order."""
         if idx == len(members):
             return True
         x = members[idx]
-        for ci, cluster in enumerate(clusters):
-            if any(dist[idx][j] > 2 * spec.d for j in cluster):
+        for ci, held in enumerate(clusters):
+            if far[idx] & held:
                 continue  # no center can cover both within d
             before = covers[ci]
+            grown = held | 1 << idx
             if distance(before[1], x, n, spec.modified) <= before[0]:
                 after = before  # radii never shrink as a cluster grows
+            elif any(f & grown == f for f in uncovered[idx]):
+                continue  # a center of grown would cover the filed cluster
             else:
-                grown = frozenset(members[i] for i in cluster) | {x}
-                after = evaluate(grown, lo=before[0])
-            if after is None:
-                continue
+                after = evaluate(cluster_bits(grown), lo=before[0])
+                if after is None:
+                    uncovered[idx].append(grown)
+                    continue
             # budget tracks d minus the radius sum of all current clusters
             spent = after[0] - before[0] if sum_mode else 0
             if spent <= budget:
-                cluster.append(idx)
+                clusters[ci] = grown
                 covers[ci] = after
                 if assign(idx + 1, budget - spent):
                     return True
-                cluster.pop()
+                clusters[ci] = held
                 covers[ci] = before
         if len(clusters) < k:
             cover = evaluate(frozenset((x,)))
             spent = 0 if cover is None or not sum_mode else cover[0]
             if cover is not None and spent <= budget:
-                clusters.append([idx])
+                clusters.append(1 << idx)
                 covers.append(cover)
                 if assign(idx + 1, budget - spent):
                     return True
@@ -370,7 +396,7 @@ def _solve_clustering(
         if not assign(0, spec.d):
             return SolveAnswer(feasible=False)
         for cluster, (radius, _) in zip(clusters, covers):
-            got = evaluate(frozenset(members[i] for i in cluster), lo=radius)
+            got = evaluate(cluster_bits(cluster), lo=radius)
             if got is None or got[0] != radius:
                 raise SoundnessError(
                     f"the search relied on cluster radius {radius}, "

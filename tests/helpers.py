@@ -10,20 +10,24 @@ from itertools import combinations, combinations_with_replacement
 
 from divsparse import (
     DomainOracle,
+    ExtensionQuery,
     Found,
+    GloballyInfeasible,
     LimitedSparsifyParams,
     NotFound,
     ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
     SolveAnswer,
+    SoundnessError,
     SplitMix64,
     SubsetMask,
+    TrivialSparsifier,
     default_trials,
     distance,
 )
 from divsparse.bruteforce import enumerate_domain
-from divsparse.core import iter_bits
+from divsparse.core import check_trivial_sparsifier, iter_bits, submasks
 from divsparse.domains import GraphData, MinCutPoset
 from divsparse.instances import (
     DomainInstance,
@@ -452,3 +456,59 @@ def reference_maxmin(members: list[int], n: int, spec: ProblemSpec) -> SolveAnsw
         return SolveAnswer(feasible=False)
     witnesses = tuple(SubsetMask(n, members[i]) for i in found)
     return SolveAnswer(feasible=True, witnesses=witnesses)
+
+
+def reference_min_cluster_radius(
+    cluster: list[int],
+    d: int,
+    oracle: DomainOracle,
+    ctx=None,
+    lo: int = 0,
+) -> tuple[int, int] | None:
+    """``min_cluster_radius`` with every trace guess computed before the
+    first query: the same queries in the same order, the same answer and
+    the same errors."""
+    n = oracle.universe_size
+    masks = list(cluster)
+    agreement_all = union_all = masks[0]
+    for b in masks[1:]:
+        agreement_all &= b
+        union_all |= b
+    bad = union_all & ~agreement_all
+    if bad.bit_count() > d * len(masks):
+        return None
+    diam = max((a ^ b).bit_count() for a, b in combinations_with_replacement(masks, 2))
+    start = max(lo, (diam + 1) // 2)
+    if start > d:
+        return None
+    on_bad = [m & bad for m in masks]
+    guesses = []
+    for trace in submasks(bad):
+        spread = [(b ^ trace).bit_count() for b in on_bad]
+        need = max(spread)
+        if need <= d:
+            guesses.append((trace, masks[spread.index(need)], need))
+    for radius in range(start, d + 1):
+        for trace, farthest, need in guesses:
+            if need > radius:
+                continue
+            query = ExtensionQuery(
+                center=farthest, radius=radius, forced=trace, forbidden=bad & ~trace
+            )
+            out = oracle.exact_extend(query, ctx)
+            if isinstance(out, TrivialSparsifier):
+                check_trivial_sparsifier(out, ctx)
+                raise GloballyInfeasible("trivial sparsifier rules out any clustering")
+            if isinstance(out, Found):
+                center = out.witness
+                if center < 0 or center >> n:
+                    raise SoundnessError(
+                        f"center {center:#x} has elements outside a universe of size {n}"
+                    )
+                if any((center ^ m).bit_count() > radius for m in masks):
+                    raise SoundnessError(
+                        f"cluster coverage certificate failed: center {center:#x} "
+                        f"is farther than {radius} from a cluster member"
+                    )
+                return radius, center
+    return None

@@ -14,11 +14,16 @@ import pytest
 
 from divsparse import (
     DomainOracle,
+    Found,
+    GloballyInfeasible,
     LimitedSparsifyParams,
+    OracleContext,
     ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
+    SoundnessError,
     SparsifierReport,
+    TrivialSparsifier,
     distance,
     dk_sparsify,
     limited_builder,
@@ -33,6 +38,7 @@ from divsparse.instances import (
     matching_instance,
     spanning_tree_instance,
 )
+from divsparse import solvers
 from divsparse.solvers import _cluster_cost, _pairwise_far
 
 from helpers import (
@@ -41,6 +47,7 @@ from helpers import (
     generate_instance,
     random_family,
     reference_maxmin,
+    reference_min_cluster_radius,
 )
 
 FAST_BUILDER = limited_builder(seed=0, trials=96)
@@ -100,6 +107,23 @@ class CountingExtensions(DomainOracle):
 
     def exact_empty_extend(self, r, forbidden, ctx=None):
         return self._inner.exact_empty_extend(r, forbidden, ctx)
+
+
+class ScriptedExtensions(CountingExtensions):
+    """Records every exact-extension query; the query numbered ``fault_at``
+    gets ``fault`` instead of the inner oracle's answer."""
+
+    def __init__(self, inner: DomainOracle, fault_at: int, fault) -> None:
+        super().__init__(inner)
+        self.queries = []
+        self.fault_at = fault_at
+        self.fault = fault
+
+    def exact_extend(self, query, ctx=None):
+        self.queries.append(query)
+        if len(self.queries) == self.fault_at:
+            return self.fault
+        return super().exact_extend(query, ctx)
 
 
 class TestMaxMin:
@@ -242,6 +266,41 @@ class TestMinClusterRadius:
                     evaluate = _cluster_cost(oracle, d, n, modified, None)
                     assert evaluate(cluster, lo=lo) == want
 
+    def test_lazy_guesses_ask_the_queries_of_the_eager_reference(self):
+        # faults: a trivial sparsifier that passes its check (the clustering
+        # is infeasible), one with too few members, a center outside the
+        # universe, and a center that is some other domain member
+        rng = random.Random(4242)
+        seen = set()
+        for _ in range(600):
+            n = rng.randint(2, 7)
+            full = (1 << n) - 1
+            fam = random_family(rng, n, 14)
+            cluster = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
+            d = rng.randint(0, 4)
+            lo = rng.randint(0, d + 1)
+            ctx = rng.choice((None, OracleContext(k=1, d=0, p=0)))
+            fault = rng.choice((
+                None,
+                TrivialSparsifier(SetFamily.from_bits(n, [0, full])),
+                TrivialSparsifier(SetFamily.from_bits(n, [0])),
+                Found(1 << n),
+                Found(rng.choice(fam.bits)),
+            ))
+            fault_at = rng.randint(1, 6) if fault is not None else 0
+            runs = []
+            for search in (min_cluster_radius, reference_min_cluster_radius):
+                oracle = ScriptedExtensions(ExplicitOracle(fam), fault_at, fault)
+                try:
+                    got = search(cluster, d, oracle, ctx, lo)
+                except (SoundnessError, GloballyInfeasible) as err:
+                    got = (type(err), str(err))
+                runs.append((got, oracle.queries))
+            assert runs[0] == runs[1], (fam.bits, cluster, d, lo, ctx, fault, fault_at)
+            got = runs[0][0]
+            seen.add(got[0] if got and isinstance(got[0], type) else type(got))
+        assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             min_cluster_radius([], 1, ExplicitOracle(SetFamily.from_bits(2, ())))
@@ -317,6 +376,19 @@ class TestEarlyNo:
             assert seconds < 60, mode
             outputs[mode] = out
         assert outputs == {"limited": "NO\n", "small": "NO\n"}
+
+    def test_k5_spanning_trees_kcenter_d3(self, tmp_path):
+        # both modes build the same 125 members in different orders; the
+        # limited order took 138.6 s while the search evaluated every
+        # superset of a cluster with no center within d
+        graph = GraphData(directed=False, n_vertices=5, edges=K5_EDGES)
+        domain = enumerate_domain(spanning_tree_instance(graph))
+        assert not brute_solve(domain, ProblemSpec("kcenter", 2, 3)).feasible
+        for mode in ("limited", "small"):
+            out, seconds = k5_solve(
+                tmp_path, mode, "--problem", "kcenter", "--k", "2", "--d", "3"
+            )
+            assert out == "NO\n" and seconds < 30, (mode, seconds)
 
     def test_k5_spanning_trees_maxmin_k4_d7(self, tmp_path):
         # two spanning trees of K5 (4 edges each) are 2 * (4 - shared edges)
@@ -506,6 +578,94 @@ class TestClusteringGrid:
 
     def test_extension_calls_only_go_down(self):
         assert run_clustering_grid()[1] <= CLUSTERING_EXTEND_CALLS
+
+
+def uncovered_cluster_cases():
+    """Seeded k = 2 clustering cases whose searches meet grown clusters
+    with no center within d: vertex covers (small builder), random explicit
+    families under the plain distance and complement-closed ones under the
+    modified distance (both builders)."""
+    for seed in range(90):
+        rng = random.Random(40_000 + seed)
+        problem = ("kcenter", "ksumradii")[seed % 2]
+        spec = ProblemSpec(problem, 2, rng.randint(1, 2), modified=seed % 3 == 2)
+        if seed % 3 == 0:
+            instance, domain = generate_instance("vertex_cover", seed, 24, min_domain=6)
+            yield domain, instance.oracle, spec, small_builder(instance.size_bound)
+            continue
+        draw = complement_closed_family if spec.modified else random_family
+        # closed families stay small: a sum-mode search over 18 members
+        # under the modified distance takes seconds
+        fam = draw(rng, rng.randint(5, 7), 10 if spec.modified else 16)
+        explicit = partial(ExplicitOracle, fam)
+        yield fam, explicit, spec, small_builder(max(b.bit_count() for b in fam.bits))
+        yield fam, explicit, spec, limited_builder(seed=seed, trials=96)
+
+
+class TestClusteringSearch:
+    def test_no_superset_of_an_uncovered_cluster_is_evaluated(self, monkeypatch):
+        # a center within d of every member of a cluster is within d of
+        # every member of its subclusters, so once a cluster evaluates to
+        # None every superset would too and must not be evaluated
+        failed: list[frozenset[int]] = []
+        current: list[frozenset[int]] = []
+        supersets = []
+        real_cost, real_radius = solvers._cluster_cost, solvers.min_cluster_radius
+
+        def cost(*args):
+            failed.clear()  # one memo, and one search, per solve
+            evaluate = real_cost(*args)
+
+            def spied(member_bits, lo=0):
+                current[:] = [member_bits]
+                got = evaluate(member_bits, lo)
+                if got is None:
+                    failed.append(member_bits)
+                return got
+
+            return spied
+
+        def radius(cluster, *args):
+            if any(f <= current[0] for f in failed):
+                supersets.append(current[0])
+            return real_radius(cluster, *args)
+
+        monkeypatch.setattr(solvers, "_cluster_cost", cost)
+        monkeypatch.setattr(solvers, "min_cluster_radius", radius)
+        met = set()
+        for domain, make_oracle, spec, builder in uncovered_cluster_cases():
+            answer = solve(make_oracle(), spec, builder)
+            assert answer.feasible == brute_solve(domain, spec).feasible, spec
+            certify_answer(domain, spec, answer)
+            if failed:
+                met.add((spec.problem, spec.modified))
+        assert supersets == []
+        assert met == set(product(("kcenter", "ksumradii"), (False, True)))
+
+    def test_answers_do_not_depend_on_member_order(self):
+        # the search assigns sparsifier members in the order the builder
+        # returns them, which follows the adapter's member order
+        rng = random.Random(2024)
+        feasible = set()
+        for seed in range(30):
+            modified = seed % 2 == 1
+            n = rng.randint(4, 6)
+            draw = complement_closed_family if modified else random_family
+            fam = draw(rng, n, 12)
+            ell = max(b.bit_count() for b in fam.bits)
+            for problem in ("kcenter", "ksumradii"):
+                spec = ProblemSpec(problem, rng.randint(1, 3), rng.randint(0, 3), modified)
+                want = brute_solve(fam, spec).feasible
+                feasible.add(want)
+                for _ in range(3):
+                    order = fam.bits_list()
+                    rng.shuffle(order)
+                    shuffled = SetFamily.from_bits(n, order)
+                    for builder in (small_builder(ell), limited_builder(seed=seed, trials=96)):
+                        answer = solve(ExplicitOracle(shuffled), spec, builder)
+                        assert answer.feasible == want, (order, spec)
+                        certify_answer(fam, spec, answer)
+        assert feasible == {False, True}
 
 
 def diversification_grid():

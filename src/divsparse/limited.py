@@ -5,10 +5,11 @@ The pipeline works for domains with unbounded member cardinality, given the
 
 1. Collect up to k cluster centers from the domain, each more than 2d from
    the previous ones, by repeatedly optimizing random +-1 weights (each a
-   mask of the +1 elements, drawn as ``rng.top_bits(n)``; a mask drawn
-   before in the phase is answered from the phase's memo).  If k+1
-   such members turn up they already form a valid sparsifier (any reference
-   set is within distance d of at most one of them) and we stop.
+   mask of the +1 elements, n generator steps drawn lane-parallel in blocks
+   by ``rng.masks(n)``; a mask drawn before in the phase is answered from
+   the phase's memo, and one already found near in the call is skipped).
+   If k+1 such members turn up they already form a valid sparsifier (any
+   reference set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
    (with probability at least 1 - epsilon).  For each center C, the members
    near C shifted by C form a family of small sets, so the sunflower
@@ -137,7 +138,8 @@ def approx_far_set(
     an empty domain.
 
     Each trial optimizes fresh uniform +-1 weights, the mask of the +1
-    elements drawn as ``rng.top_bits(n)``; a candidate is
+    elements taken from ``rng.masks(n)``, which computes masks in blocks
+    but leaves the generator n steps per mask drawn; a candidate is
     returned only after its distances to all centers are checked, so any
     returned set is certainly far.  ``None`` after all trials means every
     member is within the cluster radius of some center, up to the per-call
@@ -149,14 +151,16 @@ def approx_far_set(
     calls nothing; a new optimum is range checked once and stored while
     the memo holds fewer than 2^``FARSET_MEMO_GUARD`` masks.  The oracle
     is pure, so the outcome of every trial is the one it would have
-    without the memo.  Once the memo holds all 2^n masks and none of its
-    optima is far, the call gives up at once, at entry or after the trial
-    that filled it: every further trial would repeat a known outcome.
+    without the memo.  A mask whose optimum the call found within 2d of a
+    center is kept in a per-call set (bounded like the memo), and a
+    repeat of it is skipped: the centers do not change during a call.
+    Once the memo holds all 2^n masks and none of its optima is far, the
+    call gives up at once, at entry or after the trial that filled it:
+    every further trial would repeat a known outcome.
     Pass the same dict to every call of one phase, with the phase's
-    growing center list.  After a give-up the generator's state is
-    unspecified (fewer masks may have been drawn than ``trials``); a call
-    that finds a far member has drawn one mask per trial run, as a call
-    optimizing every trial afresh would.
+    growing center list.  The call leaves the generator one mask per
+    trial run past where it started, whether it finds a far member or
+    gives up (a give-up may run fewer than ``trials`` trials).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -177,8 +181,12 @@ def approx_far_set(
     if covered():
         return None, 0
     calls = 0
+    near: set[int] = set()
+    masks = rng.masks(n)
     for _ in range(trials):
-        positive = rng.top_bits(n)
+        positive = next(masks)
+        if positive in near:
+            continue
         best = memo.get(positive)
         fresh = best is None
         if fresh:
@@ -194,6 +202,8 @@ def approx_far_set(
                 memo[positive] = best
         if far(best):
             return best, calls
+        if len(near) < 1 << FARSET_MEMO_GUARD:
+            near.add(positive)
         if fresh and covered():
             return None, calls
     return None, calls

@@ -409,6 +409,55 @@ def reference_k_sparsify(
             return members, passes, calls
 
 
+def reference_top_bits(rng: SplitMix64, n: int) -> int:
+    """The per-element weight draw: ``n`` calls of ``rng.next_u64``, bit i
+    of the result the top bit of output i."""
+    out = 0
+    for i in range(n):
+        out |= (rng.next_u64() >> 63) << i
+    return out
+
+
+def reference_approx_far_set(
+    oracle: DomainOracle,
+    centers: list[int],
+    d: int,
+    trials: int,
+    rng: SplitMix64,
+    memo: dict[int, int],
+) -> tuple[int | None, int]:
+    """The far-set call with its memo (unbounded) and coverage stop,
+    drawing each mask with :func:`reference_top_bits` and checking every
+    trial's optimum against the centers.  Returns (far member or None,
+    calls issued)."""
+    n = oracle.universe_size
+
+    def far(member: int) -> bool:
+        return all((member ^ c).bit_count() > 2 * d for c in centers)
+
+    def covered() -> bool:
+        return len(memo) == 1 << n and not any(map(far, memo.values()))
+
+    if covered():
+        return None, 0
+    calls = 0
+    for _ in range(trials):
+        positive = reference_top_bits(rng, n)
+        best = memo.get(positive)
+        fresh = best is None
+        if fresh:
+            best = oracle.opt_pm1(positive)
+            calls += 1
+            if best is None:
+                return None, calls
+            memo[positive] = best
+        if far(best):
+            return best, calls
+        if fresh and covered():
+            return None, calls
+    return None, calls
+
+
 def reference_cluster_or_trivial(
     oracle: DomainOracle, params: LimitedSparsifyParams
 ) -> tuple[list[int], bool, int]:
@@ -428,7 +477,7 @@ def reference_cluster_or_trivial(
         far = None
         for _ in range(trials):
             total += 1
-            best = oracle.opt_pm1(rng.top_bits(n))
+            best = oracle.opt_pm1(reference_top_bits(rng, n))
             if best is None:
                 break  # empty domain
             if all((best ^ c).bit_count() > 2 * params.d for c in centers):

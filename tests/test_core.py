@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from copy import copy
 
 import pytest
 
@@ -17,6 +18,8 @@ from divsparse import (
 )
 from divsparse.core import submasks
 from divsparse.domains import ExplicitOracle
+
+from helpers import reference_top_bits
 
 
 def mask(n, *indices):
@@ -147,26 +150,32 @@ class TestPm1Weight:
 
 class TestWeightVector:
     """The random +-1 weight vector of a far-set trial is the mask of its +1
-    elements, drawn as ``rng.top_bits(n)``."""
+    elements, drawn from ``rng.masks(n)``."""
 
     def test_random_draw_is_index_ordered(self):
         seed = 99
         gen = SplitMix64(seed)
         draws = [1 if gen.next_u64() >> 63 else -1 for _ in range(6)]
-        positive = SplitMix64(seed).top_bits(6)
+        positive = next(SplitMix64(seed).masks(6))
         assert [1 if positive >> i & 1 else -1 for i in range(6)] == draws
         assert pm1_weight((1 << 6) - 1, positive) == sum(draws)
 
     def test_random_mask_is_the_top_bit_of_each_step(self):
+        # 200 masks span the lane-parallel blocks of 1, 2, 4, ..., 64 masks
+        # and two more blocks of 64; after every mask the generator stands
+        # where n steps per mask leave it
         for seed in (0, 1, 99, 2**63 + 5, 2**64 - 1):
-            gen = SplitMix64(seed)
-            drawn = SplitMix64(seed)
             for n in range(1, 65):
-                want = 0
-                for i in range(n):
-                    want |= (gen.next_u64() >> 63) << i  # bit i: step i
-                assert drawn.top_bits(n) == want, (seed, n)
-            assert drawn.next_u64() == gen.next_u64()  # the streams stay level
+                gen = SplitMix64(seed)
+                drawn = SplitMix64(seed)
+                masks = drawn.masks(n)
+                for j in range(200):
+                    assert next(masks) == reference_top_bits(gen, n), (seed, n, j)
+                    assert copy(drawn).next_u64() == copy(gen).next_u64(), (seed, n, j)
+
+    def test_mask_width_must_be_positive(self):
+        with pytest.raises(ValueError):
+            next(SplitMix64(0).masks(0))
 
 
 class TestExtensionQuery:

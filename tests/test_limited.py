@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from copy import copy
 from dataclasses import replace
 from itertools import combinations
 
@@ -35,7 +36,12 @@ from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
 from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
 
-from helpers import random_family, reference_cluster_or_trivial
+from helpers import (
+    random_family,
+    reference_approx_far_set,
+    reference_cluster_or_trivial,
+    reference_top_bits,
+)
 
 import pytest
 
@@ -124,7 +130,8 @@ class TestApproxFarSet:
         for seed in range(12):
             replay = SplitMix64(seed)
             want = next(
-                i for i in range(1, 65) if replay.top_bits(n).bit_count() > n // 2
+                i for i in range(1, 65)
+                if reference_top_bits(replay, n).bit_count() > n // 2
             )
             oracle = Counted(two_point_domain(n))
             got = approx_far_set(oracle, [0], d=1, trials=64, rng=SplitMix64(seed))
@@ -142,7 +149,7 @@ class TestApproxFarSet:
             replay = SplitMix64(3)
             drawn: set[int] = set()
             for _ in range(trials):
-                drawn.add(replay.top_bits(n))
+                drawn.add(reference_top_bits(replay, n))
                 if len(drawn) == 1 << n:
                     break  # every mask is known: the call stops here
             oracle = Counted(fam)
@@ -164,6 +171,22 @@ class TestApproxFarSet:
         got = approx_far_set(oracle, [0b0101], d=1, trials=8, rng=rng, memo=memo)
         assert got == (None, 0) and oracle.opts == len(drawn)
         assert rng.next_u64() == SplitMix64(7).next_u64()
+
+    def test_trial_count_beyond_sys_maxsize_ends_at_the_coverage_stop(self):
+        # 2^80 trials: the call still ends once all 16 masks of a 4-element
+        # universe are known, having drawn exactly the masks up to that one
+        n = 4
+        oracle = Counted(SetFamily.from_bits(n, [0b0101]))
+        memo, rng = {}, SplitMix64(11)
+        got = approx_far_set(
+            oracle, [0b0101], d=1, trials=2**80, rng=rng, memo=memo
+        )
+        assert got == (None, oracle.opts) and oracle.opts == len(memo) == 1 << n
+        replay = SplitMix64(11)
+        drawn: set[int] = set()
+        while len(drawn) < 1 << n:
+            drawn.add(reference_top_bits(replay, n))
+        assert rng.next_u64() == replay.next_u64()
 
     def test_a_full_memo_with_a_far_optimum_keeps_drawing(self):
         # the coverage stop needs every known optimum within 2d of a center;
@@ -296,6 +319,45 @@ class TestClusterOrTrivial:
             stopped += got.calls < want_trials
         assert stopped > 50
 
+    def test_matches_the_reference_call_by_call(self):
+        # each far-set call against the per-element draw with a far check
+        # on every trial: the same result, calls, memo and generator state
+        # after the call, from random start centers and pre-filled memos
+        rng = random.Random(97)
+        covered = 0
+        for trial in range(120):
+            n = rng.randint(1, 8)
+            fam = random_family(rng, n, 20, nonempty=False)
+            k, d = rng.randint(1, 3), rng.randint(0, 2)
+            trials = rng.choice([None, 1, 8, 64, 2**80])
+            centers = [rng.getrandbits(n) for _ in range(rng.randint(0, 2))]
+            memo: dict[int, int] = {}
+            if fam.bits and rng.random() < 0.5:
+                known = rng.sample(range(1 << n), 1 << n >> 1)
+                memo = {m: ExplicitOracle(fam).opt_pm1(m) for m in known}
+            want_memo = dict(memo)
+            gen, ref = SplitMix64(trial), SplitMix64(trial)
+            oracle = Counted(fam)
+            while True:
+                count = trials or default_trials(k, 0.01, len(centers))
+                before = oracle.opts
+                got = approx_far_set(oracle, centers, d, count, gen, memo)
+                want = reference_approx_far_set(
+                    ExplicitOracle(fam), centers, d, count, ref, want_memo
+                )
+                assert got == want, trial
+                assert got[1] == oracle.opts - before, trial
+                assert memo == want_memo, trial
+                assert copy(gen).next_u64() == copy(ref).next_u64(), trial
+                if got[0] is None:
+                    break
+                centers.append(got[0])
+                if len(centers) > k:
+                    break
+            # a phase ending at the coverage stop drew repeated near masks
+            covered += len(memo) == 1 << n
+        assert covered > 30
+
     def test_memo_bounded_by_the_guard(self, monkeypatch):
         # with the guard at 2 the memo stops growing at 4 masks; lookups
         # still run, and the centers are those of the phase without a memo
@@ -337,7 +399,7 @@ class TestClusterOrTrivial:
         # memo: one find, then one call per distinct mask of the give-up
         n = FARSET_MEMO_GUARD + 1
         replay = SplitMix64(5)
-        drawn = {replay.top_bits(n) for _ in range(1 + 3000)}
+        drawn = {reference_top_bits(replay, n) for _ in range(1 + 3000)}
         oracle = Counted(SetFamily.from_bits(n, [0]))
         params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=3000)
         got = cluster_or_trivial(oracle, params)

@@ -22,11 +22,19 @@ containing one is asked again, since forbidding more elements can only
 remove members.  The output is the same as asking every blocker afresh;
 only the call count drops, and it is counted where each query is issued.
 
-Sunflower cores are kept across passes as well, in one record per
-cardinality class: a new member can only complete sunflowers that use it,
-so only the candidate cores inside it are checked again, and a class that
-gains no member keeps its cores.  The hitting-set walk keeps the required
-sets a prefix still misses as one bit set over their indices.
+Each class keeps one record across passes: its sunflower cores (a new
+member can only complete sunflowers that use it, so only the candidate
+cores inside it are checked again), the hit tables of the sets a blocker
+must intersect, and where its last walk stopped.  The next walk resumes
+there.  After a walk over the member union U that found a member through
+the blocker y*, it starts at size |y*| with the subsets of U after y*;
+after a walk over U that ran dry, nothing is left to walk, however the
+union grows.  This is exact: required sets and known-empty sets are only
+ever added, and the required sets of that walk lie inside U, so a blocker
+y hitting them all now has y & U hitting them too.  If y & U came before
+y*, that walk passed it: it held a set then known empty, or was asked and
+answered NotFound, so y holds a known-empty set now.  y* itself misses the
+member it found.
 """
 
 from __future__ import annotations
@@ -82,17 +90,26 @@ def _has_disjoint_subfamily(diffs: list[int], need: int) -> bool:
 class _ClassCores:
     """One cardinality class: its members in insertion order, the cores of
     its size-``t`` sunflowers, kept up to date as members join, and what
-    the blocker search knows of it.
+    the blocker walk knows of it.
 
     For t >= 2 a core is the intersection of two petals, so each pairwise
     intersection is a candidate, confirmed once t members containing it
     have pairwise-disjoint remainders.  For t == 1 each member is its own
     core.
 
-    ``known_empty`` holds the blockers answered NotFound, keyed as
-    :func:`_hitting_sets` reads them (the empty set when the class has no
-    member at all); ``drained`` is the (member union, class size) of the
-    last pass in which no blocker was left to ask, or None.
+    The members and cores are the required sets a blocker must intersect.
+    ``hits[e]`` holds (as bit j) the required sets j that contain element
+    e, and ``later[e]`` those with an element above e; both are updated as
+    required sets join, and ``full`` has the bits of all of them.  Every
+    required set lies inside the member union, so the tables do not depend
+    on it.  ``dead`` is set once an empty required set joins: nothing can
+    intersect it.
+
+    ``known_empty`` holds the blockers answered NotFound, keyed by
+    ``y.bit_length()`` (highest element + 1, or 0 for the empty set).
+    ``resume`` is (member union, blocker) of the last walk, the blocker
+    being the one answered Found, or None when the walk ran dry; it is
+    None before the first walk.  The caller sets it.
     """
 
     def __init__(self, t: int, universe_size: int) -> None:
@@ -102,7 +119,22 @@ class _ClassCores:
         self.cores: list[int] = []
         self._candidates: dict[int, bool] = {}  # candidate -> confirmed
         self.known_empty: dict[int, list[int]] = {}
-        self.drained: tuple[int, int] | None = None
+        self.resume: tuple[int, int | None] | None = None
+        self.dead = False
+        self.hits = [0] * universe_size
+        self.later = [0] * universe_size
+        self.full = 0  # the bits of every required set
+
+    def _require(self, req: int) -> None:
+        if not req:
+            self.dead = True
+            return
+        bit = self.full + 1  # full is 2^j - 1 after j sets
+        self.full |= bit
+        for e in iter_bits(req):
+            self.hits[e] |= bit
+        for e in range(req.bit_length() - 1):
+            self.later[e] |= bit
 
     def add(self, member: int) -> None:
         """Append ``member`` and confirm the cores it completes.
@@ -113,7 +145,7 @@ class _ClassCores:
         """
         t = self.t
         if t == 1:
-            self.cores.append(member)
+            self.cores.append(member)  # required once, as a member
         # t pairwise-disjoint nonempty remainders cannot fit in the universe
         elif t <= self.universe_size:
             for b in self.members:
@@ -130,80 +162,85 @@ class _ClassCores:
                 if len(diffs) >= t - 1 and _has_disjoint_subfamily(diffs, t - 1):
                     self._candidates[cand] = True
                     self.cores.append(cand)
+                    self._require(cand)
         self.members.append(member)
+        self._require(member)
 
-    def required(self) -> list[int]:
-        """The sets a blocker for this class must intersect."""
-        return self.members + self.cores
+    def blockers(self, union_bits: int) -> Iterator[int]:
+        """Subsets of the member union that intersect every required set
+        and contain no known-empty set, in order of increasing size, then
+        lexicographically by element indices, resumed after ``resume``.
 
+        Yields nothing when the class is dead; yields the empty set first
+        when there is nothing to intersect.  ``known_empty`` is read live,
+        so sets the caller adds while iterating prune what follows.  The
+        union guard is checked at the start of every walk of a class that
+        is not dead, also of one that resumes with nothing left.
 
-def _hitting_sets(
-    union_bits: int, required: list[int], known_empty: dict[int, list[int]]
-) -> Iterator[int]:
-    """Subsets of the member union that intersect every required set.
+        Resuming from (old union U, blocker y*) skips every blocker whose
+        part inside U comes before y* (see the module docstring): the
+        walk starts at size |y*| with the subsets of U after y*, and
+        walks every larger size in full.  Resuming from (U, None) yields
+        nothing.
 
-    Ordered by increasing size, then lexicographically by member indices;
-    the order of ``required`` and repeats in it do not matter.  Yields
-    nothing when some required set is empty (nothing can hit it); yields
-    the empty set first when there is nothing to intersect.
-
-    Sets containing a known-empty set are skipped.  ``known_empty`` maps
-    ``y.bit_length()`` (highest element + 1, or 0 for the empty set) to the
-    known-empty sets ``y``; it is read live, so sets the caller adds while
-    iterating prune what follows.
-
-    Each size is a depth-first walk over index-ordered prefixes.  Elements
-    join a prefix in increasing order, so a known-empty set becomes
-    contained exactly when its highest element joins; that is the only
-    moment it is checked.  The required sets a prefix misses are one bit
-    set over their indices; a prefix is cut when one of them has no
-    element left above the prefix's last index.
-    """
-    if any(req == 0 for req in required):
-        return
-    elems = list(iter_bits(union_bits))
-    if len(elems) > BLOCKER_UNION_GUARD:
-        raise GuardError(
-            f"blocker enumeration over {len(elems)} elements exceeds the "
-            f"2^{BLOCKER_UNION_GUARD} guard"
-        )
-    # per element e: hits[e], the required sets containing e, and later[e],
-    # those with a union element above e (first filled with the sets whose
-    # highest union element is e)
-    hits = [0] * union_bits.bit_length()
-    later = [0] * union_bits.bit_length()
-    for j, req in enumerate(required):
-        inside = req & union_bits
-        for e in iter_bits(inside):
-            hits[e] |= 1 << j
-        if inside:
-            later[inside.bit_length() - 1] |= 1 << j
-    above = 0
-    for e in reversed(elems):
-        later[e], above = above, above | later[e]
-
-    def grow(y: int, start: int, left: int, missed: int) -> Iterator[int]:
-        for i in range(start, len(elems) - left + 1):
-            e = elems[i]
-            z = y | 1 << e
-            blocked = known_empty.get(e + 1)
-            if blocked and any(b & ~z == 0 for b in blocked):
-                continue
-            still = missed & ~hits[e]
-            if left == 1:
-                if not still:
-                    yield z
-            elif not still & ~later[e]:
-                yield from grow(z, i + 1, left - 1, still)
-
-    for size in range(len(elems) + 1):
-        if 0 in known_empty:
+        Each size is a depth-first walk over index-ordered prefixes.
+        Elements join a prefix in increasing order, so a known-empty set
+        becomes contained exactly when its highest element joins; that is
+        the only moment it is checked.  The required sets a prefix misses
+        are one bit set; a prefix is cut when one of them has no element
+        left above the prefix's last one.
+        """
+        if self.dead:
             return
-        if size == 0:
-            if not required:
-                yield 0
-        else:
-            yield from grow(0, 0, size, (1 << len(required)) - 1)
+        if union_bits.bit_count() > BLOCKER_UNION_GUARD:
+            raise GuardError(
+                f"blocker enumeration over {union_bits.bit_count()} elements "
+                f"exceeds the 2^{BLOCKER_UNION_GUARD} guard"
+            )
+        old_elems: list[int] = []
+        at: list[int] = []  # where y*'s elements sit in old_elems
+        if self.resume is not None:
+            old, last = self.resume
+            if last is None:
+                return
+            old_elems = list(iter_bits(old))
+            at = [old_elems.index(e) for e in iter_bits(last)]
+        elems = list(iter_bits(union_bits))
+        known_empty, hits, later = self.known_empty, self.hits, self.later
+
+        def grow(
+            pool: list[int], y: int, start: int, left: int, missed: int, tight: bool
+        ) -> Iterator[int]:
+            # tight: y holds the first |y*| - left elements of y*, taken
+            # from the old union, and the next one may not come before y*'s
+            if tight:
+                start = at[-left]
+            for i in range(start, len(pool) - left + 1):
+                e = pool[i]
+                z = y | 1 << e
+                blocked = known_empty.get(e + 1)
+                if blocked and any(b & ~z == 0 for b in blocked):
+                    continue
+                still = missed & ~hits[e]
+                if left == 1:
+                    # never y* itself: it misses the member it found
+                    if not still:
+                        yield z
+                elif not still & ~later[e]:
+                    yield from grow(
+                        pool, z, i + 1, left - 1, still, tight and i == start
+                    )
+
+        for size in range(len(at), len(elems) + 1):
+            if 0 in known_empty:
+                return
+            if size == 0:
+                if not self.full:
+                    yield 0
+            elif size == len(at):
+                yield from grow(old_elems, 0, 0, size, self.full, True)
+            else:
+                yield from grow(elems, 0, 0, size, self.full, False)
 
 
 @dataclass(frozen=True)
@@ -242,13 +279,21 @@ def k_sparsify(
     so a class with no member at all costs one NotFound and is never
     enumerated again.  Answers are remembered across passes: a blocker
     answered NotFound is never asked again, nor is any blocker containing
-    it, and a class with no blocker left is not enumerated again until the
-    member union or the class changes.  This changes only the call count
-    (``calls_extend`` counts the queries actually issued), never the
-    output, the pass count or when the blocker guard fires, provided the
-    oracle honours the monotonicity in :class:`DomainOracle`.  Each class
-    keeps one :class:`_ClassCores` record across passes, whose cores are
-    updated only when it gains a member, with the checks it can complete.
+    it.  This changes only the call count (``calls_extend`` counts the
+    queries actually issued), never the output, the pass count or when the
+    blocker guard fires, provided the oracle honours the monotonicity in
+    :class:`DomainOracle`.
+
+    Each class keeps one :class:`_ClassCores` record across passes.  Its
+    cores and hit tables are updated only when it gains a member, and its
+    walk resumes where the last one stopped instead of restarting: after
+    the blocker y* found a member over the union U, no blocker whose part
+    inside U comes before y* in (size, lex) order is left, and after a walk
+    over U ran dry, none at all, because such a blocker holds a set known
+    empty (see the module docstring).  Resuming skips only blockers the
+    restarted walk would skip, so the queries and their order stay those
+    of walking afresh; the union guard is still checked at the start of
+    every walk.
 
     Every query carries ``ctx``.  If the oracle surfaces a trivial
     sparsifier, that family is returned at once with ``shortcut`` set,
@@ -290,12 +335,7 @@ def k_sparsify(
         passes += 1
         added = False
         for lp, group in enumerate(classes):
-            # same union and class as a drained pass: the same blockers,
-            # which are still all known empty, and the same guard outcome
-            key = (union_bits, len(group.members))
-            if group.drained == key:
-                continue
-            for y in _hitting_sets(union_bits, group.required(), group.known_empty):
+            for y in group.blockers(union_bits):
                 out = oracle.exact_empty_extend(lp, y, ctx)
                 calls += 1
                 if isinstance(out, TrivialSparsifier):
@@ -306,6 +346,7 @@ def k_sparsify(
                     )
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
+                    group.resume = (union_bits, y)
                     members.append(out.witness)
                     union_bits |= out.witness
                     group.add(out.witness)
@@ -314,7 +355,7 @@ def k_sparsify(
                 group.known_empty.setdefault(y.bit_length(), []).append(y)
             if added:
                 break
-            group.drained = key
+            group.resume = (union_bits, None)
         if not added:
             break
 

@@ -7,12 +7,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from typing import Iterator
 
 from divsparse import (
     DomainOracle,
     ExtensionQuery,
     Found,
     GloballyInfeasible,
+    GuardError,
     LimitedSparsifyParams,
     NotFound,
     ProblemSpec,
@@ -40,7 +42,7 @@ from divsparse.instances import (
     uniform_matroid_instance,
     vertex_cover_instance,
 )
-from divsparse.sunflower import _ClassCores, _hitting_sets
+from divsparse.sunflower import BLOCKER_UNION_GUARD, _ClassCores
 
 ADAPTER_KINDS = (
     "explicit",
@@ -329,8 +331,119 @@ def blocker_candidates(
             group.add(b)
     return [
         SubsetMask(n, y)
-        for y in _hitting_sets(union_of(family), group.required(), {})
+        for y in reference_hitting_sets(union_of(family), class_required(group), {})
     ]
+
+
+def class_required(group: _ClassCores) -> list[int]:
+    """The sets a blocker for the class of ``group`` must intersect."""
+    return group.members + group.cores
+
+
+def reference_hitting_sets(
+    union_bits: int, required: list[int], known_empty: dict[int, list[int]]
+) -> Iterator[int]:
+    """The blocker walk from scratch: subsets of the member union that
+    intersect every required set, with no resume.
+
+    Ordered by increasing size, then lexicographically by member indices;
+    the order of ``required`` and repeats in it do not matter.  Yields
+    nothing when some required set is empty (nothing can hit it); yields
+    the empty set first when there is nothing to intersect.
+
+    Sets containing a known-empty set are skipped.  ``known_empty`` maps
+    ``y.bit_length()`` (highest element + 1, or 0 for the empty set) to the
+    known-empty sets ``y``; it is read live, so sets the caller adds while
+    iterating prune what follows.  The tables of required sets are built
+    afresh on every call.
+    """
+    if any(req == 0 for req in required):
+        return
+    elems = list(iter_bits(union_bits))
+    if len(elems) > BLOCKER_UNION_GUARD:
+        raise GuardError(
+            f"blocker enumeration over {len(elems)} elements exceeds the "
+            f"2^{BLOCKER_UNION_GUARD} guard"
+        )
+    # per element e: hits[e], the required sets containing e, and later[e],
+    # those with a union element above e (first filled with the sets whose
+    # highest union element is e)
+    hits = [0] * union_bits.bit_length()
+    later = [0] * union_bits.bit_length()
+    for j, req in enumerate(required):
+        inside = req & union_bits
+        for e in iter_bits(inside):
+            hits[e] |= 1 << j
+        if inside:
+            later[inside.bit_length() - 1] |= 1 << j
+    above = 0
+    for e in reversed(elems):
+        later[e], above = above, above | later[e]
+
+    def grow(y: int, start: int, left: int, missed: int) -> Iterator[int]:
+        for i in range(start, len(elems) - left + 1):
+            e = elems[i]
+            z = y | 1 << e
+            blocked = known_empty.get(e + 1)
+            if blocked and any(b & ~z == 0 for b in blocked):
+                continue
+            still = missed & ~hits[e]
+            if left == 1:
+                if not still:
+                    yield z
+            elif not still & ~later[e]:
+                yield from grow(z, i + 1, left - 1, still)
+
+    for size in range(len(elems) + 1):
+        if 0 in known_empty:
+            return
+        if size == 0:
+            if not required:
+                yield 0
+        else:
+            yield from grow(0, 0, size, (1 << len(required)) - 1)
+
+
+def restart_k_sparsify(
+    params: SmallSparsifyParams, oracle: DomainOracle
+) -> tuple[list[int], int, int]:
+    """The small construction with remembered answers, restarting every
+    blocker walk with :func:`reference_hitting_sets`.
+
+    A class is skipped while its (member union, class size) equals that of
+    the last pass in which it ran dry.  Returns (member bits in insertion
+    order, passes, extension calls).  Trivial-sparsifier outcomes are not
+    handled and witnesses are not checked: use it with honest oracles.
+    """
+    n = oracle.universe_size
+    t = params.k * params.r + 1
+    classes = [_ClassCores(t, n) for _ in range(min(params.ell, n) + 1)]
+    drained: list[tuple[int, int] | None] = [None] * len(classes)
+    members: list[int] = []
+    union_bits = passes = calls = 0
+    while True:
+        passes += 1
+        added = False
+        for lp, group in enumerate(classes):
+            key = (union_bits, len(group.members))
+            if drained[lp] == key:
+                continue
+            required = class_required(group)
+            for y in reference_hitting_sets(union_bits, required, group.known_empty):
+                out = oracle.exact_empty_extend(lp, y)
+                calls += 1
+                if isinstance(out, Found):
+                    members.append(out.witness)
+                    union_bits |= out.witness
+                    group.add(out.witness)
+                    added = True
+                    break
+                group.known_empty.setdefault(y.bit_length(), []).append(y)
+            if added:
+                break
+            drained[lp] = key
+        if not added:
+            return members, passes, calls
 
 
 def brute_cores(family: SetFamily, ell_prime: int, t: int) -> list[int]:

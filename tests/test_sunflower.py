@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from functools import partial
 from itertools import combinations
 from pathlib import Path
@@ -30,17 +31,20 @@ from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
 from divsparse.limited import ShiftedEmptyExtension
 from divsparse.instances import uniform_matroid_instance, vertex_cover_instance
-from divsparse.sunflower import _ClassCores, _hitting_sets
+from divsparse.sunflower import _ClassCores
 
 from helpers import (
     blocker_candidates,
     brute_blockers,
     brute_cores,
     brute_required,
+    class_required,
     is_sunflower,
     random_family,
     random_undirected_graph,
+    reference_hitting_sets,
     reference_k_sparsify,
+    restart_k_sparsify,
     union_of,
 )
 
@@ -116,11 +120,20 @@ class TestBlockerCandidates:
             blocker_candidates(family, 1, 23)
         # remembered answers never get to skip the guard, not even the
         # empty set, which rules out every candidate
+        record = _ClassCores(23, 24)
+        for b in family.bits_list():
+            record.add(b)
         for known_empty in ([0b11], [0]):
             with pytest.raises(GuardError):
-                next(_hitting_sets(
+                next(reference_hitting_sets(
                     union_of(family), family.bits_list(), by_top(known_empty)
                 ))
+            # nor does a resumed walk
+            record.known_empty = by_top(known_empty)
+            for resume in (None, (0b11, None), (0b11, 0b1)):
+                record.resume = resume
+                with pytest.raises(GuardError):
+                    next(record.blockers(union_of(family)))
 
     def test_empty_core_blocks_without_enumerating(self):
         # 22 singletons do hold a 12-sunflower with empty core: nothing can
@@ -176,7 +189,7 @@ class TestHittingSetsWithKnownEmpty:
             known_empty = [
                 rng.getrandbits(n) & union for _ in range(rng.randint(1, 3))
             ]
-            got = list(_hitting_sets(
+            got = list(reference_hitting_sets(
                 union, brute_required(family, ell_prime, t), by_top(known_empty)
             ))
             want = [
@@ -193,21 +206,90 @@ class TestHittingSetsWithKnownEmpty:
             union = union_of(family)
             required = brute_required(family, rng.randint(0, 3), rng.randint(1, 4))
             known_empty = by_top([rng.getrandbits(n) & union for _ in range(2)])
-            want = list(_hitting_sets(union, required, known_empty))
+            want = list(reference_hitting_sets(union, required, known_empty))
             shuffled = required + rng.choices(required, k=len(required) // 2)
             rng.shuffle(shuffled)
-            assert list(_hitting_sets(union, shuffled, known_empty)) == want
+            assert list(reference_hitting_sets(union, shuffled, known_empty)) == want
 
     def test_sets_appended_while_iterating_prune_the_rest(self):
         union = 0b1111
         known_empty: dict[int, list[int]] = {}
         seen = []
-        for y in _hitting_sets(union, [], known_empty):
+        for y in reference_hitting_sets(union, [], known_empty):
             seen.append(y)
             if y in (0b0001, 0b0110):
                 known_empty.setdefault(y.bit_length(), []).append(y)
         # nothing above {0} follows it, and {1,2,3} is cut by {1,2}
         assert seen == [0, 0b0001, 0b0010, 0b0100, 0b1000, 0b0110, 0b1010, 0b1100]
+
+
+def replay_class(rng, n, size, t, kinds):
+    """Walks of one class over a random member sequence, each in lockstep
+    with the walk from scratch; returns the number of blockers compared.
+
+    Between walks, members of other classes grow the union and other
+    answers grow ``known_empty``; in a walk, each blocker is answered
+    NotFound or, at random, Found with a new member it misses.
+    """
+    record = _ClassCores(t, n)
+    pool = [sum(1 << e for e in c) for c in combinations(range(n), size)]
+    union = compared = 0
+    for _ in range(rng.randint(2, 16)):
+        if rng.random() < 0.5:
+            union |= rng.getrandbits(n) & rng.getrandbits(n)
+        other = rng.getrandbits(n) & union
+        if other and rng.random() < 0.2:
+            record.known_empty.setdefault(other.bit_length(), []).append(other)
+        want = reference_hitting_sets(union, class_required(record), record.known_empty)
+        if record.resume is None:
+            kind = "first"
+        else:
+            kind = "ran dry" if record.resume[1] is None else "after a find"
+        kinds[kind] += 1
+        found = None
+        for y in record.blockers(union):
+            assert y == next(want)
+            compared += 1
+            fresh = [m for m in pool if not m & y and m not in record.members]
+            if fresh and rng.random() < (0.9 if y == 0 else 0.3):
+                found = rng.choice(fresh)
+                break
+            record.known_empty.setdefault(y.bit_length(), []).append(y)
+        if found is None:
+            assert next(want, None) is None
+            record.resume = (union, None)
+        else:
+            record.resume = (union, y)
+            union |= found
+            record.add(found)
+    kinds["dead"] += record.dead
+    return compared
+
+
+class TestResumedWalk:
+    """The resumed walk yields the blockers of the walk from scratch."""
+
+    @pytest.mark.parametrize("t_range", [(1, 1), (2, 4)])
+    def test_replays_match_the_walk_from_scratch(self, t_range):
+        rng = random.Random(61 + t_range[0])
+        kinds: Counter[str] = Counter()
+        compared = 0
+        for _ in range(250):
+            n = rng.randint(2, 9)
+            size = rng.randint(0, min(3, n))
+            t = rng.randint(*t_range)
+            compared += replay_class(rng, n, size, t, kinds)
+        assert min(kinds[k] for k in ("first", "after a find", "ran dry")) >= 200
+        assert kinds["dead"] >= 20  # empty members or empty cores
+        assert compared > 500
+
+    def test_an_empty_core_ends_the_class_before_the_guard(self):
+        # two disjoint members form a 2-sunflower with empty core
+        record = _ClassCores(2, 24)
+        for member in (0b0011, 0b1100):
+            record.add(member)
+        assert record.dead and 0 in record.cores
+        assert list(record.blockers((1 << 24) - 1)) == []
 
 
 def small_params(k, r, ell):
@@ -422,6 +504,54 @@ def test_sunflower_grid_runs_are_pinned():
         members = report.family.bits_list()
         runs.update(f"{members};{report.passes};{report.calls_extend}|".encode())
     assert runs.hexdigest() == SUNFLOWER_GRID_RUNS
+
+
+class Recording:
+    """Forwards empty extensions to ``inner`` and records each (l', Y)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.universe_size = inner.universe_size
+        self.queries = []
+
+    def exact_empty_extend(self, r, forbidden, ctx=None):
+        self.queries.append((r, forbidden))
+        return self.inner.exact_empty_extend(r, forbidden, ctx)
+
+
+class TestAgainstRestart:
+    """Resuming the walks asks the queries of restarting them."""
+
+    def test_same_queries_in_the_same_order(self):
+        cases = list(reference_grid()) + [
+            (small_params(k, inst.size_bound, inst.size_bound), inst.oracle)
+            for k, inst in sunflower_grid()
+        ]
+        for params, make_oracle in cases:
+            got, want = Recording(make_oracle()), Recording(make_oracle())
+            report = k_sparsify(params, got)
+            members, passes, calls = restart_k_sparsify(params, want)
+            assert got.queries == want.queries
+            assert report.family.bits_list() == members
+            assert (report.passes, report.calls_extend) == (passes, calls)
+
+    def test_guard_fires_after_the_same_queries(self):
+        # the union outgrows the guard once in a drained class (the
+        # disjoint pairs, see test_guard_fires_for_a_class_with_no_blocker_left)
+        # and once where the growing class is u24's rank-3 sets
+        pairs = SetFamily.from_bits(24, [1] + [0b11 << (2 * i + 1) for i in range(10)])
+        cases = [
+            (small_params(1, 9, 2), partial(ExplicitOracle, pairs)),
+            (small_params(2, 3, 3), uniform_matroid_instance(24, 3).oracle),
+        ]
+        for params, make_oracle in cases:
+            got, want = Recording(make_oracle()), Recording(make_oracle())
+            with pytest.raises(GuardError, match="2\\^20 guard"):
+                k_sparsify(params, got)
+            with pytest.raises(GuardError, match="2\\^20 guard"):
+                restart_k_sparsify(params, want)
+            assert got.queries == want.queries
+            assert len(got.queries) > 10
 
 
 _LYING_ORACLES = textwrap.dedent(

@@ -1,15 +1,16 @@
 """Matchings of a fixed size.
 
-Both capabilities run one perfect-matching bitmask DP on an expanded graph:
-pad vertices joined to every original vertex absorb the unmatched ones, so
-a size-ell matching corresponds to a perfect matching of the expansion.
-The DP keeps, per vertex mask, the set of achievable counts of *marked*
-edges over the completions of that mask.  The exact extension marks the
-edges outside the center and asks for one count, which the radius fixes.
-Optimization marks the +1 edges and asks for the highest count: every
-member has ell edges, so its weight is 2 * count - ell.  Ties resolve to
-the first choice in adjacency order (edges by input position, pads last)
-that keeps the count reachable; the DP is capped at 22 expanded vertices.
+Both capabilities run one bitmask DP on the graph itself.  A state is the
+mask of settled vertices (at first the forced edges' endpoints) and how
+many open vertices may still stay unmatched; it keeps the set of
+achievable counts of *marked* edges over the completions of that state.
+The exact extension marks the edges outside the center and asks for one
+count, which the radius fixes.  Optimization marks the +1 edges and asks
+for the highest count: every member has ell edges, so its weight is
+2 * count - ell.  At the lowest open vertex, ties resolve to the first
+choice that keeps the count reachable: its edges by input position, then
+leaving it unmatched.  The DP is capped at 22 vertices, counting the
+open vertices plus the ones it must leave unmatched.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..core import (
 )
 from .graphs import GraphData
 
-EXPANDED_VERTEX_CAP = 22
+VERTEX_CAP = 22
 
 
 class MatchingOracle(DomainOracle):
@@ -59,13 +60,6 @@ class MatchingOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return bits.bit_count() == self._ell and self._endpoints(bits) is not None
 
-    def _check_cap(self, n_expanded: int) -> None:
-        if n_expanded > EXPANDED_VERTEX_CAP:
-            raise CapabilityError(
-                f"expanded matching graph has {n_expanded} vertices, over the "
-                f"{EXPANDED_VERTEX_CAP}-vertex DP cap"
-            )
-
     def _search(
         self, forced: int, forbidden: int, marked: int, want: int | None
     ) -> int | None:
@@ -78,60 +72,62 @@ class MatchingOracle(DomainOracle):
             return None
         if need == 0:
             return None if want else forced
-        live = [v for v in range(self._graph.n_vertices) if not used >> v & 1]
-        if 2 * need > len(live):
+        n = self._graph.n_vertices
+        live = n - used.bit_count()
+        if 2 * need > live:
             return None
-        pads = len(live) - 2 * need
-        total = len(live) + pads
-        self._check_cap(total)
-        pos = {v: i for i, v in enumerate(live)}
-        # adjacency in tie-break order: (other slot, edge bit or 0 for a
-        # pad, 1 if the edge is marked)
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
+        unmatched = live - 2 * need
+        if live + unmatched > VERTEX_CAP:
+            raise CapabilityError(
+                f"matching DP counts {live} open + {unmatched} unmatched vertices, "
+                f"over the {VERTEX_CAP}-vertex DP cap"
+            )
+        # adjacency in tie-break order: (other end, edge bit, 1 if marked)
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for idx, (u, v) in enumerate(self._graph.edges):
-            if (forced | forbidden) >> idx & 1 or u not in pos or v not in pos:
-                continue
-            adj[pos[u]].append((pos[v], 1 << idx, marked >> idx & 1))
-            adj[pos[v]].append((pos[u], 1 << idx, marked >> idx & 1))
-        for p in range(len(live), total):
-            for slot in range(len(live)):
-                adj[slot].append((p, 0, 0))
-                adj[p].append((slot, 0, 0))
+            if not forbidden >> idx & 1:
+                adj[u].append((v, 1 << idx, marked >> idx & 1))
+                adj[v].append((u, 1 << idx, marked >> idx & 1))
 
-        full = (1 << total) - 1
-        memo = {full: 1}
+        full = (1 << n) - 1
+        memo = {left << n | full: int(left == 0) for left in range(unmatched + 1)}
 
-        def counts(mask: int) -> int:
-            """Bit set of the marked-edge counts over the perfect matchings
-            of the vertices outside ``mask``."""
-            got = memo.get(mask)
+        def counts(mask: int, left: int) -> int:
+            """Bit set of the marked-edge counts over the matchings of the
+            vertices outside ``mask`` that leave ``left`` of them unmatched."""
+            key = left << n | mask
+            got = memo.get(key)
             if got is None:
                 u = (~mask & (mask + 1)).bit_length() - 1
-                got = 0
+                got = counts(mask | 1 << u, left - 1) if left else 0
                 for v, _bit, m in adj[u]:
                     if not mask >> v & 1:
-                        got |= counts(mask | (1 << u) | (1 << v)) << m
-                memo[mask] = got
+                        got |= counts(mask | (1 << u) | (1 << v), left) << m
+                memo[key] = got
             return got
 
-        reachable = counts(0)
+        reachable = counts(used, unmatched)
         if want is None:
             want = reachable.bit_length() - 1
         if want < 0 or not reachable >> want & 1:
             return None
-        mask = 0
+        mask = used
         chosen = forced
         while mask != full:
             u = (~mask & (mask + 1)).bit_length() - 1
             for v, bit, m in adj[u]:
                 step = mask | (1 << u) | (1 << v)
-                if not mask >> v & 1 and counts(step) << m >> want & 1:
+                if not mask >> v & 1 and counts(step, unmatched) << m >> want & 1:
                     mask = step
                     want -= m
                     chosen |= bit
                     break
             else:
-                raise AssertionError("matching reconstruction failed")
+                # no edge keeps ``want`` reachable, so leaving u unmatched must
+                mask |= 1 << u
+                unmatched -= 1
+                if unmatched < 0 or not counts(mask, unmatched) >> want & 1:
+                    raise AssertionError("matching reconstruction failed")
         return chosen
 
     def opt_pm1(self, positive: int) -> int | None:

@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterator
 
 from divsparse import (
+    CapabilityError,
     DomainOracle,
     ExtensionQuery,
     Found,
@@ -30,7 +31,7 @@ from divsparse import (
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.core import check_trivial_sparsifier, iter_bits, submasks
-from divsparse.domains import GraphData, MinCutPoset
+from divsparse.domains import GraphData, MatchingOracle, MinCutPoset
 from divsparse.instances import (
     DomainInstance,
     dag_dp_instance,
@@ -674,3 +675,74 @@ def reference_min_cluster_radius(
                     )
                 return radius, center
     return None
+
+
+def reference_matching_search(
+    oracle: MatchingOracle, forced: int, forbidden: int, marked: int, want: int | None
+) -> int | None:
+    """``MatchingOracle._search`` as a perfect-matching DP on an expanded
+    graph: live - 2 * need pad vertices, each joined to every live vertex
+    after its edges, absorb the unmatched vertices.  Pads are told apart by
+    the mask, so each state is stored once per subset of used pads.  The DP
+    refuses expansions of more than 22 vertices."""
+    graph = oracle._graph
+    used = oracle._endpoints(forced)
+    need = oracle._ell - forced.bit_count()
+    if used is None or need < 0:
+        return None
+    if need == 0:
+        return None if want else forced
+    live = [v for v in range(graph.n_vertices) if not used >> v & 1]
+    if 2 * need > len(live):
+        return None
+    pads = len(live) - 2 * need
+    total = len(live) + pads
+    if total > 22:
+        raise CapabilityError(f"expanded matching graph has {total} vertices")
+    pos = {v: i for i, v in enumerate(live)}
+    # adjacency in tie-break order: (other slot, edge bit or 0 for a pad,
+    # 1 if the edge is marked)
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
+    for idx, (u, v) in enumerate(graph.edges):
+        if (forced | forbidden) >> idx & 1 or u not in pos or v not in pos:
+            continue
+        adj[pos[u]].append((pos[v], 1 << idx, marked >> idx & 1))
+        adj[pos[v]].append((pos[u], 1 << idx, marked >> idx & 1))
+    for p in range(len(live), total):
+        for slot in range(len(live)):
+            adj[slot].append((p, 0, 0))
+            adj[p].append((slot, 0, 0))
+
+    full = (1 << total) - 1
+    memo = {full: 1}
+
+    def counts(mask: int) -> int:
+        got = memo.get(mask)
+        if got is None:
+            u = (~mask & (mask + 1)).bit_length() - 1
+            got = 0
+            for v, _bit, m in adj[u]:
+                if not mask >> v & 1:
+                    got |= counts(mask | (1 << u) | (1 << v)) << m
+            memo[mask] = got
+        return got
+
+    reachable = counts(0)
+    if want is None:
+        want = reachable.bit_length() - 1
+    if want < 0 or not reachable >> want & 1:
+        return None
+    mask = 0
+    chosen = forced
+    while mask != full:
+        u = (~mask & (mask + 1)).bit_length() - 1
+        for v, bit, m in adj[u]:
+            step = mask | (1 << u) | (1 << v)
+            if not mask >> v & 1 and counts(step) << m >> want & 1:
+                mask = step
+                want -= m
+                chosen |= bit
+                break
+        else:
+            raise AssertionError("reference matching reconstruction failed")
+    return chosen

@@ -38,6 +38,7 @@ from helpers import (
     interval_dag,
     longest_path_label_sets,
     random_dag,
+    reference_matching_search,
 )
 
 
@@ -290,7 +291,7 @@ class TestMatching:
         q2 = ExtensionQuery(0b0101, 2, 0, 0)
         assert isinstance(oracle.exact_extend(q2), NotFound)
 
-    def test_expansion_matches_enumeration(self):
+    def test_membership_matches_enumeration(self):
         # every size-ell matching must be reachable and nothing else
         for seed in range(6):
             instance, domain = generate_instance("matching", seed, 30)
@@ -300,48 +301,50 @@ class TestMatching:
                 member = domain.contains_bits(bits)
                 assert member == oracle.is_member_bits(bits)
 
-    def test_pad_expansion_restricts_and_extends(self):
-        # brute-force perfect matchings of the padded graph restrict to
-        # size-ell matchings of the original, and every size-ell matching
-        # extends to a perfect matching of the padded graph
-        from itertools import combinations
+    def test_search_matches_padded_reference(self):
+        # the DP on the graph itself against the pad-expansion DP: the same
+        # witness (or None) on every call, for the best count and every
+        # exact count, with parallel edges and masks that are no matching
+        rng = random.Random(23)
+        for _ in range(600):
+            nv = rng.randint(2, 12)
+            edges = tuple(
+                tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(1, 20))
+            )
+            ell = rng.randint(0, 6)
+            oracle = MatchingOracle(GraphData(False, nv, edges), ell)
+            m = len(edges)
+            forced = 0
+            for e in rng.sample(range(m), rng.randint(0, min(2, m))):
+                forced |= 1 << e
+            forbidden = rng.getrandbits(m) & rng.getrandbits(m) & ~forced
+            marked = rng.getrandbits(m)
+            for want in (None, *range(ell + 1)):
+                args = (forced, forbidden, marked, want)
+                want_out = reference_matching_search(oracle, *args)
+                assert oracle._search(*args) == want_out, (edges, ell, args)
 
-        for seed in range(4):
-            instance, domain = generate_instance("matching", seed, 30)
-            graph = instance.oracle()._graph
-            ell = instance.size_bound
-            nv = graph.n_vertices
-            pads = nv - 2 * ell
-            if pads < 0:
-                continue
-            total = nv + pads
-            pad_edges = [
-                (v, nv + p) for p in range(pads) for v in range(nv)
-            ]
-            all_edges = list(graph.edges) + pad_edges
-            restricted: set[int] = set()
-            for size in range(total // 2 + 1):
-                if 2 * size != total:
-                    continue
-                for combo in combinations(range(len(all_edges)), size):
-                    used = 0
-                    ok = True
-                    for idx in combo:
-                        u, v = all_edges[idx]
-                        if used >> u & 1 or used >> v & 1:
-                            ok = False
-                            break
-                        used |= (1 << u) | (1 << v)
-                    if not ok:
-                        continue
-                    core = 0
-                    for idx in combo:
-                        if idx < graph.n_edges:
-                            core |= 1 << idx
-                    assert domain.contains_bits(core)  # restriction direction
-                    restricted.add(core)
-            # extension direction: every member shows up as a restriction
-            assert restricted == set(domain.bits_list())
+    @pytest.mark.parametrize(
+        "nv, ell, refused", [(12, 1, False), (13, 2, False), (13, 1, True)]
+    )
+    def test_cap_refuses_the_calls_the_padded_dp_refused(self, nv, ell, refused):
+        # live + (live - 2 need) vertices on a path: 22 is answered, 24 is
+        # refused; a forced edge leaves fewer live vertices
+        path = GraphData(False, nv, tuple((i, i + 1) for i in range(nv - 1)))
+        oracle = MatchingOracle(path, ell)
+        rng = random.Random(nv * 10 + ell)
+        for forced in (0, *(1 << rng.randrange(nv - 1) for _ in range(3))):
+            marked = rng.getrandbits(nv - 1)
+            for want in (None, *range(ell + 1)):
+                args = (forced, 0, marked, want)
+                if refused and not forced:
+                    with pytest.raises(CapabilityError):
+                        reference_matching_search(oracle, *args)
+                    with pytest.raises(CapabilityError, match="22-vertex DP cap"):
+                        oracle._search(*args)
+                else:
+                    want_out = reference_matching_search(oracle, *args)
+                    assert oracle._search(*args) == want_out
 
     def test_matches_brute_on_random_instances(self):
         digests = [

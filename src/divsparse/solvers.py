@@ -3,8 +3,9 @@
 All four problems reduce to a small sparsifier of the domain:
 
 * max-min diversification is a clique search for k members of a
-  (k-1)-order sparsifier pairwise at least d apart, max-sum a scan of its
-  k-tuples with repetition; capped pairwise distances transfer, so an
+  (k-1)-order sparsifier pairwise at least d apart, max-sum a depth-first
+  search over its k-tuples with repetition that cuts every branch unable
+  to beat the best sum; capped pairwise distances transfer, so an
   achievable threshold on the domain is achievable on the sparsifier.
 * k-center / k-sum-of-radii clustering partitions a k-order, cap d+1
   sparsifier into at most k clusters and asks the extension oracle for the
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from operator import add
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .core import (
@@ -140,7 +142,9 @@ def _diversify(
     Tuples allow repetition, so max-min with d = 0 reduces to non-emptiness
     (member 0, k times); for d >= 1 it is the clique search for k distinct
     members pairwise at least d apart, whose first clique is the first hit
-    of a scan over the k-tuples.  Sum mode scans every k-tuple and reports
+    of a scan over the k-tuples.  Sum mode walks the k-tuples in the same
+    lexicographic order, depth first, and cuts every branch whose bound
+    cannot beat the best sum strictly (:func:`_max_sum_tuple`); it reports
     the best sum as the objective, witnessed by the first tuple reaching it.
     That is the best pairwise sum over the sparsifier searched, at least d
     on YES: the domain's maximum for a full sparsifier (small mode), and
@@ -151,15 +155,11 @@ def _diversify(
     rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
     members = rep.family.bits
     n = rep.family.universe_size
-    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    dist = _distance_rows(members, n, spec.modified)
     best: int | None = None
     found = (0,) * spec.k if members else None
     if sum_mode:
-        pairs = list(combinations(range(spec.k), 2))
-        for combo in combinations_with_replacement(range(len(members)), spec.k):
-            total = sum(dist[combo[i]][combo[j]] for i, j in pairs)
-            if best is None or total > best:
-                best, found = total, combo
+        best, found = _max_sum_tuple(dist, spec.k)
     elif spec.d:
         found = _pairwise_far(dist, spec.k, spec.d - 1)
     if found is None or (best is not None and best < spec.d):
@@ -328,7 +328,7 @@ def _solve_clustering(
     if not members:
         return SolveAnswer(feasible=False)  # empty domain has no center tuple
     k = spec.k
-    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    dist = _distance_rows(members, n, spec.modified)
     if _pairwise_far(dist, k + 1, 2 * spec.d) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
@@ -437,6 +437,64 @@ def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> tuple[int, ..
         return None
 
     return grow(size, list(range(len(dist))))
+
+
+def _max_sum_tuple(
+    dist: list[list[int]], k: int
+) -> tuple[int | None, tuple[int, ...] | None]:
+    """The largest pairwise distance sum of a nondecreasing ``k``-tuple of
+    member indices and the lexicographically first tuple reaching it, or
+    (None, None) without members.
+
+    Depth-first over the tuples in lexicographic order; ``acc[l]`` is the
+    distance sum from the picks so far to member l.  With ``need`` picks
+    left, all from index j on, each adds at most ``max(acc[j:])`` towards
+    the earlier picks and each pair of them at most the largest distance
+    ``top``.  A pick j whose bound cannot beat the best sum strictly is cut,
+    and so is every later one, since that bound only falls as j grows; one
+    whose own gain ``acc[j]`` and largest distance ``far[j]`` to the later
+    picks leave it no chance is skipped.  Only a strictly better sum
+    replaces the best, so the first tuple reaching the optimum wins."""
+    if not dist:
+        return None, None
+    far = list(map(max, dist))
+    top = max(far)
+    best, found = -1, ()
+
+    def grow(
+        start: int, need: int, partial: int, acc: list[int], picks: tuple[int, ...]
+    ) -> None:
+        nonlocal best, found
+        if need == 1:
+            gain = max(acc[start:])
+            if partial + gain > best:
+                best, found = partial + gain, (*picks, acc.index(gain, start))
+            return
+        pairs = need * (need - 1) // 2 * top  # the pairs of new picks
+        later = pairs - (need - 1) * top  # the pairs after pick j
+        ceilings = list(accumulate(reversed(acc[start:]), max))
+        for j in range(start, len(acc)):
+            ceiling = ceilings[len(acc) - 1 - j]  # max(acc[j:])
+            if partial + need * ceiling + pairs <= best:
+                return
+            if partial + acc[j] + (need - 1) * (ceiling + far[j]) + later <= best:
+                continue
+            grow(j, need - 1, partial + acc[j], list(map(add, acc, dist[j])), (*picks, j))
+
+    grow(0, k, 0, [0] * len(dist), ())
+    return best, found
+
+
+def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[int]]:
+    """The members' pairwise distance matrix, plain or modified (see
+    :func:`~divsparse.core.distance`); each unordered pair is computed once."""
+    upper = [[(a ^ b).bit_count() for b in members[i + 1 :]] for i, a in enumerate(members)]
+    if modified:
+        upper = [[min(plain, n - plain) for plain in row] for row in upper]
+    return [
+        [upper[j][i - j - 1] for j in range(i)] + [0] + upper[i]
+        for i in range(len(members))
+    ]
 
 
 _SOLVERS = {

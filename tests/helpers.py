@@ -621,6 +621,23 @@ def reference_maxmin(members: list[int], n: int, spec: ProblemSpec) -> SolveAnsw
     return SolveAnswer(feasible=True, witnesses=witnesses)
 
 
+def reference_maxsum(
+    members: list[int], n: int, spec: ProblemSpec
+) -> tuple[int | None, tuple[int, ...] | None]:
+    """Max-sum by scanning every k-tuple (with repetition) of ``members`` in
+    lexicographic order: the best pairwise distance sum and the first tuple
+    reaching it, or (None, None) without members."""
+    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
+    best: int | None = None
+    found = (0,) * spec.k if members else None
+    pairs = list(combinations(range(spec.k), 2))
+    for combo in combinations_with_replacement(range(len(members)), spec.k):
+        total = sum(dist[combo[i]][combo[j]] for i, j in pairs)
+        if best is None or total > best:
+            best, found = total, combo
+    return best, found
+
+
 def reference_min_cluster_radius(
     cluster: list[int],
     d: int,

@@ -21,6 +21,7 @@ from divsparse import (
     ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
+    SolveAnswer,
     SoundnessError,
     SparsifierReport,
     TrivialSparsifier,
@@ -39,7 +40,12 @@ from divsparse.instances import (
     spanning_tree_instance,
 )
 from divsparse import solvers
-from divsparse.solvers import _cluster_cost, _pairwise_far
+from divsparse.solvers import (
+    _cluster_cost,
+    _distance_rows,
+    _max_sum_tuple,
+    _pairwise_far,
+)
 
 from helpers import (
     certify_answer,
@@ -47,6 +53,7 @@ from helpers import (
     generate_instance,
     random_family,
     reference_maxmin,
+    reference_maxsum,
     reference_min_cluster_radius,
 )
 
@@ -193,6 +200,33 @@ class TestMaxSum:
         oracle = ExplicitOracle(fam)
         assert not solve(oracle, ProblemSpec("maxsum", 2, 1), FAST_BUILDER).feasible
         assert solve(oracle, ProblemSpec("maxsum", 2, 0), FAST_BUILDER).feasible
+
+    def test_empty_sparsifier_has_no_objective(self):
+        def builder(oracle, k, cap, modified):
+            return SparsifierReport(
+                SetFamily.from_bits(4, ()), SmallSparsifyParams(k=k, r=4, ell=4)
+            )
+
+        for k, d in ((1, 0), (2, 0), (3, 5)):
+            oracle = ExplicitOracle(SetFamily.from_bits(4, ()))
+            answer = solve(oracle, ProblemSpec("maxsum", k, d), builder)
+            assert answer == SolveAnswer(feasible=False, objective=None)
+
+    def test_search_matches_the_tuple_scan(self):
+        # tiny universes and drawn-with-repetition members give duplicate
+        # members and many tuples tied on their sums, so the tuple pins the
+        # lexicographically first one; complements tie at modified distance 0
+        rng = random.Random(24)
+        for m, k, modified, _ in product(range(15), range(1, 6), (False, True), range(2)):
+            n = rng.randint(1, 6)
+            members = [rng.getrandbits(n) for _ in range(m)]
+            spec = ProblemSpec("maxsum", k, 0, modified)
+            dist = _distance_rows(members, n, modified)
+            assert dist == [
+                [distance(a, b, n, modified) for b in members] for a in members
+            ]
+            want = reference_maxsum(members, n, spec)
+            assert _max_sum_tuple(dist, k) == want, (members, n, spec)
 
 
 class TestMinClusterRadius:

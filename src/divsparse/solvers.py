@@ -20,21 +20,24 @@ All four problems reduce to a small sparsifier of the domain:
   radius; a grown cluster that contains a cluster no center covers
   within d is not evaluated, since a center of the larger cluster would
   cover the smaller one; and a trace guess whose cluster spread on the
-  guessed elements alone exceeds the radius is never asked.  The
-  witnesses are recomputed from the final clusters, so they do not depend
-  on these shortcuts.
+  guessed elements alone exceeds the radius is never asked.  The guesses
+  within the radius of every member are found by intersecting the
+  members' balls as bit sets over guess indices, not by walking every
+  guess.  The witnesses are recomputed from the final clusters, so they
+  do not depend on these shortcuts.
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
-member; it requires a complement-closed domain.
+member; it requires a complement-closed domain.  An orientation with two
+members more than 2d apart has no center within d and is never asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import accumulate, combinations_with_replacement
-from operator import add
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, combinations, starmap
+from operator import add, and_, or_, xor
 from typing import Callable, Iterator, Protocol, Sequence
 
 from .core import (
@@ -168,6 +171,34 @@ def _diversify(
     return SolveAnswer(feasible=True, witnesses=witnesses, objective=best)
 
 
+#: a trace table covers at most 2**TRACE_TABLE_BITS traces, 512 bytes as a
+#: bit set; a cluster disagreeing on more elements loops over the rest
+TRACE_TABLE_BITS = 12
+
+
+@lru_cache(maxsize=256)
+def _index_ball(width: int, r: int) -> int:
+    """Bit set of the indices t < 2**width with at most r set bits."""
+    if r < 0:
+        return 0
+    if r >= width:
+        return (1 << (1 << width)) - 1
+    low = _index_ball(width - 1, r)
+    return low | _index_ball(width - 1, r - 1) << (1 << (width - 1))
+
+
+@lru_cache(maxsize=16)
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """Per index bit j < width: the shift 2**j and the bit set of the
+    indices t < 2**width with bit j clear, for a block swap."""
+    full = (1 << (1 << width)) - 1
+    out = []
+    for j in range(width):
+        block = (1 << (1 << j)) - 1
+        out.append((1 << j, full // (block << (1 << j) | block) * block))
+    return tuple(out)
+
+
 def min_cluster_radius(
     cluster: Sequence[int],
     d: int,
@@ -186,14 +217,22 @@ def min_cluster_radius(
     cannot answer at radius r and is not asked.  The search starts at
     ``lo``, a known lower bound on the least radius (such as the radius of
     a subcluster); any ``lo`` up to the true least radius gives the same
-    answer as ``lo = 0``.  The first radius computes each trace's guess as
-    it walks the traces and stops at the first center found, so a cluster
-    answered there never pays for the traces after it; larger radii reuse
-    the guesses it stored.  Returns (radius, center) or None; a
-    trivial-sparsifier outcome that :func:`check_trivial_sparsifier`
-    accepts aborts the whole clustering via :class:`GloballyInfeasible`.
-    A center outside the universe or one that does not cover the cluster
-    raises :class:`SoundnessError`.
+    answer as ``lo = 0``.
+
+    At radius r the traces asked are those within r of every member on
+    ``bad``, in :func:`~divsparse.core.submasks` order.  They are found as
+    bit sets over trace indices, not by walking every trace: the ball of
+    radius r around a member is the table of indices with at most r set
+    bits, XOR-translated to the member's trace by block swaps, and the
+    traces asked are the set bits of the members' intersection, in
+    increasing order.  A table covers the lowest ``TRACE_TABLE_BITS``
+    elements of ``bad``; the traces of the others are looped over in
+    counting order, each member's ball shrinking by its distance there.
+    Only the traces asked get their farthest member (lowest index on ties).
+    Returns (radius, center) or None; a trivial-sparsifier outcome that
+    :func:`check_trivial_sparsifier` accepts aborts the whole clustering
+    via :class:`GloballyInfeasible`.  A center outside the universe or one
+    that does not cover the cluster raises :class:`SoundnessError`.
     """
     if not cluster:
         raise ValueError("cluster must be nonempty")
@@ -201,83 +240,101 @@ def min_cluster_radius(
         raise ValueError("d must be nonnegative")
     n = oracle.universe_size
     masks = list(cluster)
-    if any(not 0 <= m < 1 << n for m in masks):
+    if min(masks) < 0 or max(masks) >> n:
         raise ValueError("cluster member has elements outside the universe")
-    agreement_all = masks[0]
-    union_all = masks[0]
-    for b in masks[1:]:
-        agreement_all &= b
-        union_all |= b
-    bad = union_all & ~agreement_all
+    bad = reduce(or_, masks) & ~reduce(and_, masks)
     if bad.bit_count() > d * len(masks):
         return None
     # a center within r of both endpoints of the widest pair needs 2r >= diam
-    diam = max(
-        ((a ^ b).bit_count() for a, b in combinations_with_replacement(masks, 2)),
-        default=0,
-    )
+    diam = max(map(int.bit_count, starmap(xor, combinations(masks, 2))), default=0)
     start = max(lo, (diam + 1) // 2)
     if start > d:
         return None
-    # per trace, in submasks order: the farthest member (lowest index on
-    # ties) and its distance on bad alone
     on_bad = [m & bad for m in masks]
-    guesses: list[tuple[int, int, int]] = []
-
-    def first_walk() -> Iterator[tuple[int, int, int]]:
-        for trace in submasks(bad):
-            spread = [(b ^ trace).bit_count() for b in on_bad]
-            need = max(spread)
-            if need <= d:
-                guess = (trace, masks[spread.index(need)], need)
-                guesses.append(guess)
-                yield guess
-
+    # trace index bit j stands for the j-th lowest element of bad; the
+    # elements above the table are looped over
+    table: list[int] = []
+    high = bad
+    while high and len(table) < TRACE_TABLE_BITS:
+        table.append(high & -high)
+        high ^= table[-1]
+    width = len(table)
+    full = _index_ball(width, width)
+    swap_masks = _swap_masks(width)
+    # per member: its trace above the table and the block swaps that move
+    # a ball centred on index 0 to its trace in the table
+    lanes = [
+        (m & high, [sm for sm, e in zip(swap_masks, table) if m & e]) for m in masks
+    ]
     for radius in range(start, d + 1):
-        for trace, farthest, need in first_walk() if radius == start else guesses:
-            if need > radius:
-                continue
-            query = ExtensionQuery(
-                center=farthest,
-                radius=radius,
-                forced=trace,
-                forbidden=bad & ~trace,
-            )
-            out = oracle.exact_extend(query, ctx)
-            if isinstance(out, TrivialSparsifier):
-                check_trivial_sparsifier(out, ctx)
-                raise GloballyInfeasible("trivial sparsifier rules out any clustering")
-            if isinstance(out, Found):
-                center = out.witness
-                if center < 0 or center >> n:
-                    raise SoundnessError(
-                        f"center {center:#x} has elements outside a universe of size {n}"
-                    )
-                if any((center ^ m).bit_count() > radius for m in masks):
-                    raise SoundnessError(
-                        f"cluster coverage certificate failed: center {center:#x} "
-                        f"is farther than {radius} from a cluster member"
-                    )
-                return radius, center
+        for high_trace in submasks(high):
+            chosen = full
+            for m_high, swaps in lanes:
+                budget = radius - (m_high ^ high_trace).bit_count()
+                if budget < 0:
+                    chosen = 0
+                    break
+                if budget >= width:
+                    continue
+                ball = _index_ball(width, budget)
+                for step, keep in swaps:
+                    ball = (ball & keep) << step | (ball >> step) & keep
+                chosen &= ball
+                if not chosen:
+                    break
+            for index in iter_bits(chosen):
+                trace = high_trace | sum(e for j, e in enumerate(table) if index >> j & 1)
+                spread = [(b ^ trace).bit_count() for b in on_bad]
+                query = ExtensionQuery(
+                    center=masks[spread.index(max(spread))],
+                    radius=radius,
+                    forced=trace,
+                    forbidden=bad & ~trace,
+                )
+                out = oracle.exact_extend(query, ctx)
+                if isinstance(out, TrivialSparsifier):
+                    check_trivial_sparsifier(out, ctx)
+                    raise GloballyInfeasible("trivial sparsifier rules out any clustering")
+                if isinstance(out, Found):
+                    center = out.witness
+                    if center < 0 or center >> n:
+                        raise SoundnessError(
+                            f"center {center:#x} has elements outside a universe of size {n}"
+                        )
+                    if any((center ^ m).bit_count() > radius for m in masks):
+                        raise SoundnessError(
+                            f"cluster coverage certificate failed: center {center:#x} "
+                            f"is farther than {radius} from a cluster member"
+                        )
+                    return radius, center
     return None
 
 
-def _oriented_variants(masks: list[int], n: int) -> list[list[int]]:
-    """Orientation guesses for the modified distance, first member fixed.
+def _oriented_variants(masks: list[int], n: int, d: int) -> Iterator[list[int]]:
+    """Orientation guesses for the modified distance, first member fixed,
+    in counting order (bit j of the guess complements member j + 1).
 
     Complement closure makes the fully flipped assignment equivalent, so
-    fixing the first member halves the guesses.
+    fixing the first member halves the guesses.  A guess whose plain
+    diameter exceeds ``2 * d`` is skipped: no center lies within d of both
+    ends of its widest pair, so :func:`min_cluster_radius` would return
+    None without a query.  The guesses are built lazily, highest member
+    first, and a partial guess with a pair farther apart than ``2 * d``
+    drops every completion at once.
     """
     full = (1 << n) - 1
-    out: list[list[int]] = []
-    rest = len(masks) - 1
-    for guess in range(1 << rest):
-        oriented = [masks[0]]
-        for j in range(rest):
-            b = masks[j + 1]
-            oriented.append(b ^ full if guess >> j & 1 else b)
-        out.append(oriented)
-    return out
+    oriented = list(masks)
+
+    def grow(j: int) -> Iterator[list[int]]:
+        if not j:
+            yield list(oriented)
+            return
+        for b in (masks[j], masks[j] ^ full):
+            if all((b ^ c).bit_count() <= 2 * d for c in (masks[0], *oriented[j + 1:])):
+                oriented[j] = b
+                yield from grow(j - 1)
+
+    return grow(len(masks) - 1)
 
 
 def _cluster_cost(
@@ -287,8 +344,10 @@ def _cluster_cost(
 
     Returns ``evaluate(member_bits, lo=0)``: the (radius, center) of the
     cluster, a frozenset of masks, or None above d; ``lo`` is a lower
-    bound on the radius (see :func:`min_cluster_radius`).  Each
-    orientation guess is one :func:`min_cluster_radius` call; the plain
+    bound on the radius (see :func:`min_cluster_radius`).  The modified
+    distance asks one :func:`min_cluster_radius` call per orientation guess
+    of :func:`_oriented_variants` while a strictly smaller radius is still
+    possible; guesses wider than ``2 * d`` are never asked.  The plain
     distance has the single orientation ``(masks,)``.
     """
     memo: dict[frozenset[int], tuple[int, int] | None] = {}
@@ -298,7 +357,7 @@ def _cluster_cost(
             return memo[member_bits]
         masks = sorted(member_bits)
         result: tuple[int, int] | None = None
-        for oriented in _oriented_variants(masks, n) if modified else (masks,):
+        for oriented in _oriented_variants(masks, n, d) if modified else (masks,):
             # only strictly better radii matter; an orientation whose
             # diameter exceeds 2 * cap returns None before any query
             cap = d if result is None else result[0] - 1

@@ -694,6 +694,35 @@ def reference_min_cluster_radius(
     return None
 
 
+def reference_oriented_radius(
+    cluster: list[int],
+    d: int,
+    oracle: DomainOracle,
+    ctx=None,
+    lo: int = 0,
+) -> tuple[int, int] | None:
+    """The modified-distance cluster cost over every orientation guess:
+    the first member fixed, bit j of the guess complementing member j + 1,
+    all 2^(c-1) guesses built before the first call, each asked while a
+    strictly smaller radius is still possible."""
+    n = oracle.universe_size
+    full = (1 << n) - 1
+    masks = sorted(cluster)
+    variants = [
+        [masks[0]] + [b ^ full if guess >> j & 1 else b for j, b in enumerate(masks[1:])]
+        for guess in range(1 << len(masks) - 1)
+    ]
+    result = None
+    for oriented in variants:
+        cap = d if result is None else result[0] - 1
+        if cap < lo:
+            break
+        got = reference_min_cluster_radius(oriented, cap, oracle, ctx, lo)
+        if got is not None:
+            result = got
+    return result
+
+
 def reference_matching_search(
     oracle: MatchingOracle, forced: int, forbidden: int, marked: int, want: int | None
 ) -> int | None:

@@ -55,6 +55,7 @@ from helpers import (
     reference_maxmin,
     reference_maxsum,
     reference_min_cluster_radius,
+    reference_oriented_radius,
 )
 
 FAST_BUILDER = limited_builder(seed=0, trials=96)
@@ -131,6 +132,43 @@ class ScriptedExtensions(CountingExtensions):
         if len(self.queries) == self.fault_at:
             return self.fault
         return super().exact_extend(query, ctx)
+
+
+def compare_cluster_searches(search, reference, rng, trials, draw) -> set:
+    """Run ``search`` and ``reference`` as ``(cluster, d, oracle, ctx, lo)``
+    on ``trials`` cases from ``draw(rng) -> (family, cluster, d)``, each
+    against its own scripted copy of the family with the same fault: a
+    trivial sparsifier that passes its check (the clustering is
+    infeasible), one with too few members, a center outside the universe,
+    or a center that is some other domain member.  Answers, error types
+    and texts, and query lists must agree; returns the outcome kinds seen."""
+    seen = set()
+    for _ in range(trials):
+        fam, cluster, d = draw(rng)
+        n = fam.universe_size
+        full = (1 << n) - 1
+        lo = rng.randint(0, d + 1)
+        ctx = rng.choice((None, OracleContext(k=1, d=0, p=0)))
+        fault = rng.choice((
+            None,
+            TrivialSparsifier(SetFamily.from_bits(n, [0, full])),
+            TrivialSparsifier(SetFamily.from_bits(n, [0])),
+            Found(1 << n),
+            Found(rng.choice(fam.bits)),
+        ))
+        fault_at = rng.randint(1, 6) if fault is not None else 0
+        runs = []
+        for run_search in (search, reference):
+            oracle = ScriptedExtensions(ExplicitOracle(fam), fault_at, fault)
+            try:
+                got = run_search(cluster, d, oracle, ctx, lo)
+            except (SoundnessError, GloballyInfeasible) as err:
+                got = (type(err), str(err))
+            runs.append((got, oracle.queries))
+        assert runs[0] == runs[1], (fam.bits, cluster, d, lo, ctx, fault, fault_at)
+        got = runs[0][0]
+        seen.add(got[0] if got and isinstance(got[0], type) else type(got))
+    return seen
 
 
 class TestMaxMin:
@@ -300,40 +338,88 @@ class TestMinClusterRadius:
                     evaluate = _cluster_cost(oracle, d, n, modified, None)
                     assert evaluate(cluster, lo=lo) == want
 
-    def test_lazy_guesses_ask_the_queries_of_the_eager_reference(self):
-        # faults: a trivial sparsifier that passes its check (the clustering
-        # is infeasible), one with too few members, a center outside the
-        # universe, and a center that is some other domain member
-        rng = random.Random(4242)
-        seen = set()
-        for _ in range(600):
+    def test_orientations_ask_the_queries_of_every_guess(self):
+        # orientations wider than 2d are skipped without a call; the cost
+        # and the queries are those of a loop over every orientation
+        def draw(rng):
             n = rng.randint(2, 7)
-            full = (1 << n) - 1
+            fam = complement_closed_family(rng, n, 12)
+            cluster = rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n)))
+            return fam, cluster, rng.randint(0, 4)
+
+        def oriented_cost(cluster, d, oracle, ctx, lo):
+            evaluate = _cluster_cost(oracle, d, oracle.universe_size, True, ctx)
+            return evaluate(frozenset(cluster), lo)
+
+        seen = compare_cluster_searches(
+            oriented_cost, reference_oriented_radius, random.Random(4244), 400, draw
+        )
+        assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+
+    def test_lazy_guesses_ask_the_queries_of_the_eager_reference(self):
+        def draw(rng):
+            n = rng.randint(2, 7)
             fam = random_family(rng, n, 14)
             cluster = [rng.getrandbits(n) for _ in range(rng.randint(1, 4))]
-            d = rng.randint(0, 4)
-            lo = rng.randint(0, d + 1)
-            ctx = rng.choice((None, OracleContext(k=1, d=0, p=0)))
-            fault = rng.choice((
-                None,
-                TrivialSparsifier(SetFamily.from_bits(n, [0, full])),
-                TrivialSparsifier(SetFamily.from_bits(n, [0])),
-                Found(1 << n),
-                Found(rng.choice(fam.bits)),
-            ))
-            fault_at = rng.randint(1, 6) if fault is not None else 0
-            runs = []
-            for search in (min_cluster_radius, reference_min_cluster_radius):
-                oracle = ScriptedExtensions(ExplicitOracle(fam), fault_at, fault)
-                try:
-                    got = search(cluster, d, oracle, ctx, lo)
-                except (SoundnessError, GloballyInfeasible) as err:
-                    got = (type(err), str(err))
-                runs.append((got, oracle.queries))
-            assert runs[0] == runs[1], (fam.bits, cluster, d, lo, ctx, fault, fault_at)
-            got = runs[0][0]
-            seen.add(got[0] if got and isinstance(got[0], type) else type(got))
+            return fam, cluster, rng.randint(0, 4)
+
+        seen = compare_cluster_searches(
+            min_cluster_radius, reference_min_cluster_radius, random.Random(4242), 600, draw
+        )
         assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+
+    def test_guesses_beyond_one_table_ask_the_queries_of_the_eager_reference(self):
+        # clusters disagreeing on more elements than a trace table covers:
+        # the traces above the table are looped over in counting order
+        wide = 0
+
+        def draw(rng):
+            nonlocal wide
+            n = rng.randint(13, 16)
+            base = rng.getrandbits(n)
+
+            def near(least, most):
+                flips = rng.sample(range(n), rng.randint(least, most))
+                return base ^ sum(1 << e for e in flips)
+
+            cluster = [near(3, 5) for _ in range(rng.randint(5, 8))]
+            fam = SetFamily.from_bits(n, list(dict.fromkeys(near(0, 4) for _ in range(10))))
+            union = agreement = cluster[0]
+            for b in cluster:
+                union, agreement = union | b, agreement & b
+            wide += (union & ~agreement).bit_count() > solvers.TRACE_TABLE_BITS
+            return fam, cluster, rng.randint(4, 7)
+
+        seen = compare_cluster_searches(
+            min_cluster_radius, reference_min_cluster_radius, random.Random(4243), 60, draw
+        )
+        assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+        assert wide >= 20
+
+    @pytest.mark.parametrize("table_bits", [1, 2, 3])
+    def test_narrow_tables_ask_the_queries_of_the_eager_reference(self, monkeypatch, table_bits):
+        # the same loop over the elements above the table, with many of them
+        monkeypatch.setattr(solvers, "TRACE_TABLE_BITS", table_bits)
+
+        def draw(rng):
+            n = rng.randint(2, 9)
+            fam = random_family(rng, n, 14)
+            cluster = [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
+            return fam, cluster, rng.randint(0, 4)
+
+        seen = compare_cluster_searches(
+            min_cluster_radius, reference_min_cluster_radius, random.Random(table_bits), 300, draw
+        )
+        assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+
+    def test_wide_cluster_answers_with_one_query(self):
+        # 40 disagreement elements: a table over every trace would need 2^40
+        # bits; the first trace in counting order, the empty one, answers
+        n = 40
+        a, b = (1 << 20) - 1, ((1 << 20) - 1) << 20
+        oracle = CountingExtensions(ExplicitOracle(SetFamily.from_bits(n, [0, a, b])))
+        assert min_cluster_radius([0, a, b], 20, oracle) == (20, 0)
+        assert oracle.extend_calls == 1
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):

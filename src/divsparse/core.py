@@ -285,6 +285,8 @@ class DomainOracle(ABC):
       :func:`pm1_weight`), or ``None`` when the domain is empty.  Bits of
       ``positive`` at or above ``universe_size`` are ignored.  Ties are
       broken by the adapter's documented deterministic internal order.
+      The maximum must be exact: ``opt_pm1(~c)`` is then a member
+      farthest from c, on which the far-set phase ends its search.
     * ``exact_extend(query, ctx)``: a member at exact distance ``radius``
       from ``center`` containing ``forced`` and avoiding ``forbidden``.
     * ``exact_empty_extend(r, forbidden, ctx)``: the special case with empty

@@ -8,6 +8,9 @@ The pipeline works for domains with unbounded member cardinality, given the
    mask of the +1 elements, n generator steps drawn lane-parallel in blocks
    by ``rng.masks(n)``; a mask drawn before in the phase is answered from
    the phase's memo, and one already found near in the call is skipped).
+   The search for a second center first optimizes +1 exactly off the first
+   one, which yields a member farthest from it; when that member is within
+   2d, no trial can succeed and the phase ends without drawing a mask.
    If k+1 such members turn up they already form a valid sparsifier (any
    reference set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
@@ -146,8 +149,18 @@ def approx_far_set(
     error bound.  An optimum with elements outside the universe raises
     :class:`SoundnessError`.
 
+    With exactly one center c the call first asks the +1 mask ``~c``: a
+    member m then weighs ``|m ^ c| - |c|``, so the optimum is a member
+    farthest from c.  If it is within 2d of c, so is every member, and
+    the call gives up before any trial, without a draw: the give-up is
+    certain, not probable.  Otherwise the trials run as they would without
+    it; its optimum is never returned, because the trials pick the center.
+    With two or more centers nothing is asked first: in a phase each
+    center lies more than 2d from another, so a member farthest from one
+    center is never within 2d of it.
+
     ``memo`` maps +1 masks to their optima; without one the call makes a
-    local dict.  A trial whose mask is in it reads the optimum there and
+    local dict.  A mask in it (the first one's too) is answered there and
     calls nothing; a new optimum is range checked once and stored while
     the memo holds fewer than 2^``FARSET_MEMO_GUARD`` masks.  The oracle
     is pure, so the outcome of every trial is the one it would have
@@ -160,7 +173,8 @@ def approx_far_set(
     Pass the same dict to every call of one phase, with the phase's
     growing center list.  The call leaves the generator one mask per
     trial run past where it started, whether it finds a far member or
-    gives up (a give-up may run fewer than ``trials`` trials).
+    gives up (a give-up may run fewer than ``trials`` trials, and none
+    when the first mask proves it).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -178,9 +192,30 @@ def approx_far_set(
     def covered() -> bool:
         return len(memo) == 1 << n and not any(map(far, memo.values()))
 
+    def ask(positive: int) -> int | None:
+        nonlocal calls
+        best = oracle.opt_pm1(positive)
+        calls += 1
+        if best is None:
+            return None  # empty domain
+        if best < 0 or best >> n:
+            raise SoundnessError(
+                f"optimum {best:#x} has elements outside a universe of size {n}"
+            )
+        if len(memo) < 1 << FARSET_MEMO_GUARD:
+            memo[positive] = best
+        return best
+
     if covered():
         return None, 0
     calls = 0
+    if len(centers) == 1:
+        mask = ~centers[0] & ((1 << n) - 1)
+        farthest = memo.get(mask)
+        if farthest is None:
+            farthest = ask(mask)
+        if farthest is None or not far(farthest):
+            return None, calls
     near: set[int] = set()
     masks = rng.masks(n)
     for _ in range(trials):
@@ -190,16 +225,9 @@ def approx_far_set(
         best = memo.get(positive)
         fresh = best is None
         if fresh:
-            best = oracle.opt_pm1(positive)
-            calls += 1
+            best = ask(positive)
             if best is None:
-                return None, calls  # empty domain
-            if best < 0 or best >> n:
-                raise SoundnessError(
-                    f"optimum {best:#x} has elements outside a universe of size {n}"
-                )
-            if len(memo) < 1 << FARSET_MEMO_GUARD:
-                memo[positive] = best
+                return None, calls
         if far(best):
             return best, calls
         if len(near) < 1 << FARSET_MEMO_GUARD:

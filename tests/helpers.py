@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from divsparse import (
     CapabilityError,
@@ -30,7 +30,12 @@ from divsparse import (
     distance,
 )
 from divsparse.bruteforce import enumerate_domain
-from divsparse.core import check_trivial_sparsifier, iter_bits, submasks
+from divsparse.core import (
+    _check_universe_size,
+    check_trivial_sparsifier,
+    iter_bits,
+    submasks,
+)
 from divsparse.domains import GraphData, MatchingOracle, MinCutPoset
 from divsparse.instances import (
     DomainInstance,
@@ -43,6 +48,7 @@ from divsparse.instances import (
     uniform_matroid_instance,
     vertex_cover_instance,
 )
+from divsparse.limited import FARSET_MEMO_GUARD
 from divsparse.sunflower import BLOCKER_UNION_GUARD, _ClassCores
 
 ADAPTER_KINDS = (
@@ -534,20 +540,27 @@ def reference_top_bits(rng: SplitMix64, n: int) -> int:
 
 def reference_approx_far_set(
     oracle: DomainOracle,
-    centers: list[int],
+    centers: Sequence[int],
     d: int,
     trials: int,
     rng: SplitMix64,
-    memo: dict[int, int],
+    memo: dict[int, int] | None = None,
 ) -> tuple[int | None, int]:
-    """The far-set call with its memo (unbounded) and coverage stop,
-    drawing each mask with :func:`reference_top_bits` and checking every
-    trial's optimum against the centers.  Returns (far member or None,
-    calls issued)."""
+    """The far-set call before the one-center first mask: the trials with
+    the phase memo, the per-call near set and the coverage stop, and
+    nothing else.  Returns (far member or None, calls issued)."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     n = oracle.universe_size
+    _check_universe_size(n)
+    if any(not 0 <= c < 1 << n for c in centers):
+        raise ValueError("center has elements outside the universe")
+    threshold = 2 * d
+    if memo is None:
+        memo = {}
 
     def far(member: int) -> bool:
-        return all((member ^ c).bit_count() > 2 * d for c in centers)
+        return all((member ^ c).bit_count() > threshold for c in centers)
 
     def covered() -> bool:
         return len(memo) == 1 << n and not any(map(far, memo.values()))
@@ -555,16 +568,78 @@ def reference_approx_far_set(
     if covered():
         return None, 0
     calls = 0
+    near: set[int] = set()
+    masks = rng.masks(n)
     for _ in range(trials):
-        positive = reference_top_bits(rng, n)
+        positive = next(masks)
+        if positive in near:
+            continue
         best = memo.get(positive)
         fresh = best is None
         if fresh:
             best = oracle.opt_pm1(positive)
             calls += 1
             if best is None:
-                return None, calls
+                return None, calls  # empty domain
+            if best < 0 or best >> n:
+                raise SoundnessError(
+                    f"optimum {best:#x} has elements outside a universe of size {n}"
+                )
+            if len(memo) < 1 << FARSET_MEMO_GUARD:
+                memo[positive] = best
+        if far(best):
+            return best, calls
+        if len(near) < 1 << FARSET_MEMO_GUARD:
+            near.add(positive)
+        if fresh and covered():
+            return None, calls
+    return None, calls
+
+
+def plain_approx_far_set(
+    oracle: DomainOracle,
+    centers: list[int],
+    d: int,
+    trials: int,
+    rng: SplitMix64,
+    memo: dict[int, int],
+) -> tuple[int | None, int]:
+    """The far-set call written plainly: with one center, the mask ``~c``
+    first (a give-up when its optimum is within 2d of c), then trials with
+    the memo (unbounded) and the coverage stop, drawing each mask with
+    :func:`reference_top_bits` and checking every trial's optimum against
+    the centers.  Returns (far member or None, calls issued)."""
+    n = oracle.universe_size
+    calls = 0
+
+    def far(member: int) -> bool:
+        return all((member ^ c).bit_count() > 2 * d for c in centers)
+
+    def covered() -> bool:
+        return len(memo) == 1 << n and not any(map(far, memo.values()))
+
+    def optimum(positive: int) -> int | None:
+        nonlocal calls
+        if positive not in memo:
+            best = oracle.opt_pm1(positive)
+            calls += 1
+            if best is None:
+                return None
             memo[positive] = best
+        return memo[positive]
+
+    if covered():
+        return None, 0
+    if len(centers) == 1:
+        farthest = optimum(~centers[0] & ((1 << n) - 1))
+        if farthest is None or not far(farthest):
+            return None, calls
+    for _ in range(trials):
+        positive = reference_top_bits(rng, n)
+        fresh = positive not in memo
+        best = optimum(positive)
+        if best is None:
+            return None, calls
         if far(best):
             return best, calls
         if fresh and covered():

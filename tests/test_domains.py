@@ -442,6 +442,26 @@ class TestDagDp:
         assert enumerate_domain(instance).bits_list() == [full]
 
 
+class TestFarthestMember:
+    """+1 exactly off a member c makes a member weigh ``|m ^ c| - |c|``, so
+    ``opt_pm1(~c & full)`` must be a member farthest from c: the far-set
+    phase gives up on it alone when it is within 2d of c."""
+
+    @pytest.mark.parametrize("kind", [
+        "explicit", "spanning_tree", "uniform_matroid", "partition_matroid",
+        "matching", "st_mincut", "dag_dp",
+    ])
+    def test_opt_off_a_member_is_farthest_from_it(self, kind):
+        for seed in range(4):
+            instance, domain = generate_instance(kind, seed, 40)
+            oracle, n = instance.oracle(), domain.universe_size
+            for c in domain.bits:
+                got = oracle.opt_pm1(~c & ((1 << n) - 1))
+                assert got is not None and domain.contains_bits(got), (seed, c)
+                want = max(distance(m, c, n) for m in domain.bits)
+                assert distance(got, c, n) == want, (seed, c)
+
+
 class TestExplicitEquivalence:
     def test_matches_brute_on_random_instances(self):
         for seed in range(4):

@@ -19,6 +19,7 @@ from divsparse import (
     OracleContext,
     SetFamily,
     SmallSparsifyParams,
+    SoundnessError,
     SplitMix64,
     SubsetMask,
     TrivialSparsifier,
@@ -33,10 +34,11 @@ from divsparse import (
 import divsparse.cli as cli
 import divsparse.limited as limited
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
-from divsparse.domains import ExplicitOracle
+from divsparse.domains import ExplicitOracle, MatroidBaseOracle, UniformMatroid
 from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
 
 from helpers import (
+    plain_approx_far_set,
     random_family,
     reference_approx_far_set,
     reference_cluster_or_trivial,
@@ -124,27 +126,51 @@ class TestApproxFarSet:
 
     def test_trial_count_of_a_find(self):
         # the full set wins trial i exactly when draw i has more +1s than
-        # -1s (the scan oracle keeps the empty set on ties)
+        # -1s (the scan oracle keeps the empty set on ties); the call first
+        # asks the all-+1 mask, whose optimum (the full set) is far from the
+        # center, so one call more than the distinct masks drawn, and a draw
+        # of the all-+1 mask itself is answered by the memo
         n = 10
+        full = (1 << n) - 1
         late = 0
         for seed in range(12):
             replay = SplitMix64(seed)
-            want = next(
-                i for i in range(1, 65)
-                if reference_top_bits(replay, n).bit_count() > n // 2
-            )
+            drawn: set[int] = set()
+            while True:
+                positive = reference_top_bits(replay, n)
+                drawn.add(positive)
+                if positive.bit_count() > n // 2:
+                    break
             oracle = Counted(two_point_domain(n))
-            got = approx_far_set(oracle, [0], d=1, trials=64, rng=SplitMix64(seed))
-            assert got == ((1 << n) - 1, want)
-            assert oracle.opts == want
-            late += want > 1
+            rng = SplitMix64(seed)
+            got = approx_far_set(oracle, [0], d=1, trials=64, rng=rng)
+            assert got == (full, 1 + len(drawn - {full}))
+            assert oracle.opts == got[1]
+            assert rng.next_u64() == replay.next_u64()
+            late += len(drawn) > 1
         assert late > 0
 
     def test_trial_count_of_a_give_up(self):
-        # with a memo passed in or without one (the call keeps its own), a
-        # give-up calls once per distinct mask drawn, at most min(trials, 2^n)
+        # with one center the call asks the mask off it first: here its
+        # optimum is the center itself, so the call gives up after that one
+        # call, whatever the trial count, and draws nothing
         n = 4
         fam = SetFamily.from_bits(n, [0b0101])
+        for trials in (1, 37, 2**80):
+            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
+            got = approx_far_set(
+                oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo
+            )
+            assert got == (None, 1) and oracle.opts == 1
+            assert memo == {0b1010: 0b0101}
+            assert rng.next_u64() == SplitMix64(3).next_u64()
+            # asked again with the same memo, it costs no call either
+            got = approx_far_set(oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo)
+            assert got == (None, 0) and oracle.opts == 1
+        # with two centers nothing is asked first: with a memo passed in or
+        # without one (the call keeps its own), a give-up calls once per
+        # distinct mask drawn, at most min(trials, 2^n)
+        centers = [0b0101, 0b1010]
         for trials in (5, 37, 200):
             replay = SplitMix64(3)
             drawn: set[int] = set()
@@ -154,12 +180,12 @@ class TestApproxFarSet:
                     break  # every mask is known: the call stops here
             oracle = Counted(fam)
             got = approx_far_set(
-                oracle, [0b0101], d=1, trials=trials, rng=SplitMix64(3)
+                oracle, centers, d=1, trials=trials, rng=SplitMix64(3)
             )
             assert got == (None, len(drawn)) and oracle.opts == len(drawn)
             oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
             got = approx_far_set(
-                oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo
+                oracle, centers, d=1, trials=trials, rng=rng, memo=memo
             )
             assert got == (None, oracle.opts)
             assert oracle.opts == len(drawn) == len(memo) <= min(trials, 1 << n)
@@ -168,18 +194,19 @@ class TestApproxFarSet:
         assert len(memo) == 1 << n  # 200 draws covered all 16 masks
         # a call that starts with every mask known draws and calls nothing
         rng = SplitMix64(7)
-        got = approx_far_set(oracle, [0b0101], d=1, trials=8, rng=rng, memo=memo)
+        got = approx_far_set(oracle, centers, d=1, trials=8, rng=rng, memo=memo)
         assert got == (None, 0) and oracle.opts == len(drawn)
         assert rng.next_u64() == SplitMix64(7).next_u64()
 
     def test_trial_count_beyond_sys_maxsize_ends_at_the_coverage_stop(self):
-        # 2^80 trials: the call still ends once all 16 masks of a 4-element
+        # 2^80 trials with two centers (one center would give up at its
+        # first mask): the call still ends once all 16 masks of a 4-element
         # universe are known, having drawn exactly the masks up to that one
         n = 4
         oracle = Counted(SetFamily.from_bits(n, [0b0101]))
         memo, rng = {}, SplitMix64(11)
         got = approx_far_set(
-            oracle, [0b0101], d=1, trials=2**80, rng=rng, memo=memo
+            oracle, [0b0101, 0b1010], d=1, trials=2**80, rng=rng, memo=memo
         )
         assert got == (None, oracle.opts) and oracle.opts == len(memo) == 1 << n
         replay = SplitMix64(11)
@@ -187,6 +214,47 @@ class TestApproxFarSet:
         while len(drawn) < 1 << n:
             drawn.add(reference_top_bits(replay, n))
         assert rng.next_u64() == replay.next_u64()
+
+    def test_matches_the_trials_alone(self):
+        # against the call without its one-center first mask: the same
+        # answer on every call; the same calls with 0 or 2+ centers; with
+        # one center a give-up that drew no mask costs at most that one
+        # call, and any other call at most one call more.  One memo serves
+        # every call on a family; the reference starts from a copy of it.
+        rng = random.Random(131)
+        certified = extra = 0
+        for trial in range(150):
+            n = rng.randint(3, 10)
+            fam = random_family(rng, n, 16)
+            k = rng.randint(1, 3)
+            memo: dict[int, int] = {}
+            for call in range(4):
+                centers = [
+                    rng.choice(fam.bits) if rng.random() < 0.5 else rng.getrandbits(n)
+                    for _ in range(rng.randint(0, 3))
+                ]
+                d = rng.randint(0, 3)
+                count = rng.choice([1, 8, 64, None])
+                if count is None:
+                    count = default_trials(k, 0.01, len(centers))
+                seed = 1000 * trial + call
+                want_memo, gen = dict(memo), SplitMix64(seed)
+                want = reference_approx_far_set(
+                    ExplicitOracle(fam), centers, d, count, SplitMix64(seed), want_memo
+                )
+                oracle = Counted(fam)
+                got = approx_far_set(oracle, centers, d, count, gen, memo)
+                assert got[0] == want[0], (trial, call)
+                assert got[1] == oracle.opts, (trial, call)
+                if len(centers) != 1:
+                    assert got[1] == want[1], (trial, call)
+                elif got[0] is None and gen.next_u64() == SplitMix64(seed).next_u64():
+                    assert got[1] <= 1, (trial, call)
+                    certified += 1
+                else:
+                    assert got[1] <= want[1] + 1, (trial, call)
+                    extra += got[1] == want[1] + 1
+        assert certified > 40 and extra > 40
 
     def test_a_full_memo_with_a_far_optimum_keeps_drawing(self):
         # the coverage stop needs every known optimum within 2d of a center;
@@ -210,6 +278,31 @@ class TestApproxFarSet:
             approx_far_set(oracle, [], 1, trials=0, rng=SplitMix64(0))
         with pytest.raises(ValueError):
             approx_far_set(oracle, [1 << 4], 1, trials=8, rng=SplitMix64(0))
+
+    def test_optimum_outside_the_universe_is_refused(self):
+        # the one-center first mask is range checked like a trial's optimum
+        # (and raises before any draw); an oracle answering a set beyond
+        # the universe for it, or for a trial, is unsound
+        n = 4
+
+        class Beyond(Counted):
+            def __init__(self, bad_mask):
+                super().__init__(two_point_domain(n))
+                self.bad_mask = bad_mask
+
+            def opt_pm1(self, positive):
+                got = super().opt_pm1(positive)
+                return 1 << n if positive == self.bad_mask else got
+
+        oracle, rng = Beyond(0b1111), SplitMix64(2)
+        with pytest.raises(SoundnessError, match="outside a universe of size 4"):
+            approx_far_set(oracle, [0], d=1, trials=8, rng=rng)
+        assert oracle.opts == 1
+        assert rng.next_u64() == SplitMix64(2).next_u64()
+        oracle = Beyond(next(SplitMix64(2).masks(n)))
+        with pytest.raises(SoundnessError, match="outside a universe of size 4"):
+            approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(2))
+        assert oracle.opts == 1
 
     def test_universe_over_the_mask_width_limit_draws_nothing(self):
         class Wide(DomainOracle):
@@ -289,16 +382,28 @@ class TestClusterOrTrivial:
         got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=1, d=1, seed=0))
         assert got.trivial and got.calls == oracle.opts > 0
         # one trial finds the only member; the search for a second center
-        # then calls once per new mask and stops once all 2^3 are known,
-        # far below its default trial count
+        # then asks the mask off it, finds its optimum within 2d and stops,
+        # where the trials alone called once per new mask up to all 2^3
         oracle = Counted(SetFamily.from_bits(3, [0]))
         got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=2, d=1, seed=5))
         assert not got.trivial
-        assert got.calls == oracle.opts == 2**3 < 1 + default_trials(2, 0.01, 1)
+        assert got.calls == oracle.opts == 2
+
+    def test_one_call_proves_a_rank_one_matroid_has_one_center(self):
+        # every member of a rank-1 uniform matroid on 40 elements is within
+        # 2 of every other: the first trial picks one, and the mask off it
+        # proves no second center exists (the trials alone made 93 calls
+        # before their give-up)
+        oracle = MatroidBaseOracle(UniformMatroid(40, 1))
+        got = cluster_or_trivial(oracle, LimitedSparsifyParams(k=2, d=1))
+        assert got.family.bits == (1,) and not got.trivial
+        assert got.calls == 2
 
     def test_matches_the_phase_without_a_memo(self):
-        # the memo and the coverage stop change only the calls issued: the
-        # same centers, the same flag, and never more calls than trials
+        # the memo, the coverage stop and the first mask of the one-center
+        # call change only the calls issued: the same centers, the same
+        # flag, and never more calls than trials plus that first mask (asked
+        # once a center is found, since k + 1 >= 2 centers end the phase)
         rng = random.Random(71)
         stopped = 0
         for trial in range(150):
@@ -315,17 +420,19 @@ class TestClusterOrTrivial:
             got = cluster_or_trivial(oracle, params)
             assert got.family.bits == tuple(want_bits), trial
             assert got.trivial == want_trivial, trial
-            assert got.calls == oracle.opts <= want_trials, trial
+            first = len(want_bits) >= 1
+            assert got.calls == oracle.opts <= want_trials + first, trial
             stopped += got.calls < want_trials
         assert stopped > 50
 
     def test_matches_the_reference_call_by_call(self):
         # each far-set call against the per-element draw with a far check
-        # on every trial: the same result, calls, memo and generator state
-        # after the call, from random start centers and pre-filled memos
+        # on every trial, after the one-center first mask: the same result,
+        # calls, memo and generator state after the call, from random start
+        # centers and pre-filled memos
         rng = random.Random(97)
-        covered = 0
-        for trial in range(120):
+        covered = certified = 0
+        for trial in range(200):
             n = rng.randint(1, 8)
             fam = random_family(rng, n, 20, nonempty=False)
             k, d = rng.randint(1, 3), rng.randint(0, 2)
@@ -340,9 +447,9 @@ class TestClusterOrTrivial:
             oracle = Counted(fam)
             while True:
                 count = trials or default_trials(k, 0.01, len(centers))
-                before = oracle.opts
+                before, start = oracle.opts, copy(gen)
                 got = approx_far_set(oracle, centers, d, count, gen, memo)
-                want = reference_approx_far_set(
+                want = plain_approx_far_set(
                     ExplicitOracle(fam), centers, d, count, ref, want_memo
                 )
                 assert got == want, trial
@@ -350,13 +457,17 @@ class TestClusterOrTrivial:
                 assert memo == want_memo, trial
                 assert copy(gen).next_u64() == copy(ref).next_u64(), trial
                 if got[0] is None:
+                    # a one-center give-up that drew no mask
+                    certified += len(centers) == 1 and (
+                        copy(gen).next_u64() == start.next_u64()
+                    )
                     break
                 centers.append(got[0])
                 if len(centers) > k:
                     break
             # a phase ending at the coverage stop drew repeated near masks
             covered += len(memo) == 1 << n
-        assert covered > 30
+        assert covered > 30 and certified > 30
 
     def test_memo_bounded_by_the_guard(self, monkeypatch):
         # with the guard at 2 the memo stops growing at 4 masks; lookups
@@ -396,15 +507,30 @@ class TestClusterOrTrivial:
 
     def test_repeated_masks_above_the_guard(self):
         # a universe past the guard still answers a repeated mask from the
-        # memo: one find, then one call per distinct mask of the give-up
+        # memo, over the whole phase: the first draw finds one of the two
+        # members; the second call asks the mask off it (the other member,
+        # far) and draws until a mask picks that member; the two-center
+        # give-up then runs all 3000 trials.  One call per distinct mask.
         n = FARSET_MEMO_GUARD + 1
+        full = (1 << n) - 1
+
+        def picks_full(positive: int) -> bool:
+            return positive.bit_count() > n // 2
+
         replay = SplitMix64(5)
-        drawn = {reference_top_bits(replay, n) for _ in range(1 + 3000)}
-        oracle = Counted(SetFamily.from_bits(n, [0]))
+        draws = [reference_top_bits(replay, n)]
+        while True:
+            draws.append(reference_top_bits(replay, n))
+            if picks_full(draws[-1]) != picks_full(draws[0]):
+                break
+        draws += [reference_top_bits(replay, n) for _ in range(3000)]
+        first = full if picks_full(draws[0]) else 0
+        asked = set(draws) | {~first & full}
+        oracle = Counted(two_point_domain(n))
         params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=3000)
         got = cluster_or_trivial(oracle, params)
-        assert not got.trivial and got.family.bits == (0,)
-        assert got.calls == oracle.opts == len(drawn) < 1 + 3000
+        assert not got.trivial and got.family.bits == (first, first ^ full)
+        assert got.calls == oracle.opts == len(asked) < 1 + len(draws)
 
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)

@@ -3,8 +3,11 @@
 The empty extension is solved directly: forbidden vertices force their
 neighborhoods into the cover, the rest is a bounded-depth branch on
 uncovered edges plus padding to the exact size.  The full extension query
-additionally guesses the overlap with the center among subsets of the
-center, reducing to the same forced/forbidden exact-size subproblem.
+additionally guesses the overlap with the center, reducing to the same
+forced/forbidden exact-size subproblem.  Only overlaps consistent with the
+query are guessed: each holds the forced center vertices and no forbidden
+one, so the guesses are the subsets of the center's free vertices, each
+joined with its forced ones.
 The +-1 optimization capability is not offered; the small-parameter
 framework never needs it.
 """
@@ -127,12 +130,12 @@ class VertexCoverOracle(DomainOracle):
         y = query.forbidden
         if c == 0 and x == 0:
             return self.exact_empty_extend(query.radius, y, ctx)
-        # guess the overlap S = D & C among subsets of the center
-        for s in submasks(c):
-            if x & c & ~s:  # forced-in center vertices must land in S
-                continue
-            if s & y:
-                continue
+        # guess the overlap S = D & C among the subsets of the center that
+        # hold its forced vertices and none of its forbidden ones; S runs
+        # in increasing order, as over every subset of the center
+        fixed = x & c
+        for t in submasks(c & ~x & ~y):
+            s = fixed | t
             # |D \ C| follows from |D ^ C| = |C \ S| + |D \ C|
             outside = query.radius - (c & ~s).bit_count()
             if outside < 0:

@@ -23,8 +23,11 @@ All four problems reduce to a small sparsifier of the domain:
   guessed elements alone exceeds the radius is never asked.  The guesses
   within the radius of every member are found by intersecting the
   members' balls as bit sets over guess indices, not by walking every
-  guess.  The witnesses are recomputed from the final clusters, so they
-  do not depend on these shortcuts.
+  guess; each ball is built once and cached.  Within one solve each
+  distinct query reaches the oracle once: later asks are answered from a
+  per-solve query memo.  The witnesses are recomputed from the final
+  clusters, so they do not depend on these shortcuts, and that recheck
+  asks the oracle again, past the query memo.
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
@@ -44,6 +47,7 @@ from .core import (
     DomainOracle,
     ExtensionQuery,
     Found,
+    NotFound,
     OracleContext,
     SoundnessError,
     SparsifierReport,
@@ -199,12 +203,27 @@ def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+# at most 1024 balls of at most 2**TRACE_TABLE_BITS bits (512 bytes) each,
+# under 1 MB in all
+@lru_cache(maxsize=1024)
+def _ball_at(width: int, index: int, r: int) -> int:
+    """Bit set of the indices t < 2**width within r of ``index``, that is
+    with ``(t ^ index).bit_count() <= r``: the ball around index 0, moved
+    to ``index`` by one block swap per set bit of ``index``."""
+    ball = _index_ball(width, r)
+    for j, (step, keep) in enumerate(_swap_masks(width)):
+        if index >> j & 1:
+            ball = (ball & keep) << step | (ball >> step) & keep
+    return ball
+
+
 def min_cluster_radius(
     cluster: Sequence[int],
     d: int,
     oracle: DomainOracle,
     ctx: OracleContext | None = None,
     lo: int = 0,
+    memo: dict[tuple[int, int, int, int], Found | NotFound] | None = None,
 ) -> tuple[int, int] | None:
     """Least radius r <= d with a domain member covering the whole cluster.
 
@@ -222,13 +241,21 @@ def min_cluster_radius(
     At radius r the traces asked are those within r of every member on
     ``bad``, in :func:`~divsparse.core.submasks` order.  They are found as
     bit sets over trace indices, not by walking every trace: the ball of
-    radius r around a member is the table of indices with at most r set
-    bits, XOR-translated to the member's trace by block swaps, and the
-    traces asked are the set bits of the members' intersection, in
-    increasing order.  A table covers the lowest ``TRACE_TABLE_BITS``
-    elements of ``bad``; the traces of the others are looped over in
-    counting order, each member's ball shrinking by its distance there.
-    Only the traces asked get their farthest member (lowest index on ties).
+    radius r around a member's trace index (:func:`_ball_at`, cached) is
+    the table of indices with at most r set bits, XOR-translated to that
+    index by block swaps, and the traces asked are the set bits of the
+    members' intersection, in increasing order.  A table covers the lowest
+    ``TRACE_TABLE_BITS`` elements of ``bad``; the traces of the others are
+    looped over in counting order, each member's ball shrinking by its
+    distance there.  Only the traces asked get their farthest member
+    (lowest index on ties).
+
+    ``memo``, when given, maps (farthest member, radius, trace, ``bad``),
+    which fixes the query, to an earlier Found or NotFound answer; a key
+    found there is answered from it without calling the oracle, and every
+    new Found or NotFound answer is stored.  Oracles promise identical
+    answers to identical queries, so the result is the same with or
+    without it.  Found answers from the memo pass the same checks.
     Returns (radius, center) or None; a trivial-sparsifier outcome that
     :func:`check_trivial_sparsifier` accepts aborts the whole clustering
     via :class:`GloballyInfeasible`.  A center outside the universe or one
@@ -260,41 +287,41 @@ def min_cluster_radius(
         high ^= table[-1]
     width = len(table)
     full = _index_ball(width, width)
-    swap_masks = _swap_masks(width)
-    # per member: its trace above the table and the block swaps that move
-    # a ball centred on index 0 to its trace in the table
+    # per member: its trace above the table and its trace index in the table
     lanes = [
-        (m & high, [sm for sm, e in zip(swap_masks, table) if m & e]) for m in masks
+        (m & high, sum(1 << j for j, e in enumerate(table) if m & e)) for m in masks
     ]
     for radius in range(start, d + 1):
         for high_trace in submasks(high):
             chosen = full
-            for m_high, swaps in lanes:
+            for m_high, m_index in lanes:
                 budget = radius - (m_high ^ high_trace).bit_count()
                 if budget < 0:
                     chosen = 0
                     break
                 if budget >= width:
                     continue
-                ball = _index_ball(width, budget)
-                for step, keep in swaps:
-                    ball = (ball & keep) << step | (ball >> step) & keep
-                chosen &= ball
+                chosen &= _ball_at(width, m_index, budget)
                 if not chosen:
                     break
             for index in iter_bits(chosen):
-                trace = high_trace | sum(e for j, e in enumerate(table) if index >> j & 1)
+                trace = high_trace
+                for j in iter_bits(index):
+                    trace |= table[j]
                 spread = [(b ^ trace).bit_count() for b in on_bad]
-                query = ExtensionQuery(
-                    center=masks[spread.index(max(spread))],
-                    radius=radius,
-                    forced=trace,
-                    forbidden=bad & ~trace,
-                )
-                out = oracle.exact_extend(query, ctx)
-                if isinstance(out, TrivialSparsifier):
-                    check_trivial_sparsifier(out, ctx)
-                    raise GloballyInfeasible("trivial sparsifier rules out any clustering")
+                farthest = masks[spread.index(max(spread))]
+                key = (farthest, radius, trace, bad)
+                out = None if memo is None else memo.get(key)
+                if out is None:
+                    query = ExtensionQuery(
+                        center=farthest, radius=radius, forced=trace, forbidden=bad & ~trace
+                    )
+                    out = oracle.exact_extend(query, ctx)
+                    if isinstance(out, TrivialSparsifier):
+                        check_trivial_sparsifier(out, ctx)
+                        raise GloballyInfeasible("trivial sparsifier rules out any clustering")
+                    if memo is not None:
+                        memo[key] = out
                 if isinstance(out, Found):
                     center = out.witness
                     if center < 0 or center >> n:
@@ -342,17 +369,28 @@ def _cluster_cost(
 ) -> Callable[..., tuple[int, int] | None]:
     """Memoized per-cluster minimum radius, plain or modified.
 
-    Returns ``evaluate(member_bits, lo=0)``: the (radius, center) of the
-    cluster, a frozenset of masks, or None above d; ``lo`` is a lower
-    bound on the radius (see :func:`min_cluster_radius`).  The modified
-    distance asks one :func:`min_cluster_radius` call per orientation guess
-    of :func:`_oriented_variants` while a strictly smaller radius is still
-    possible; guesses wider than ``2 * d`` are never asked.  The plain
-    distance has the single orientation ``(masks,)``.
+    Returns ``evaluate(member_bits, lo=0, requery=False)``: the (radius,
+    center) of the cluster, a frozenset of masks, or None above d; ``lo``
+    is a lower bound on the radius (see :func:`min_cluster_radius`).  The
+    modified distance asks one :func:`min_cluster_radius` call per
+    orientation guess of :func:`_oriented_variants` while a strictly
+    smaller radius is still possible; guesses wider than ``2 * d`` are
+    never asked.  The plain distance has the single orientation
+    ``(masks,)``.
+
+    Besides the cluster memo, every call shares one query memo (see
+    :func:`min_cluster_radius`), so a query the oracle answered once is
+    not sent again.  ``requery=True`` sends every query of the call to the
+    oracle again instead, past the query memo; the final recheck of a
+    solve uses it, so that it does not take the search's own answers on
+    trust.
     """
     memo: dict[frozenset[int], tuple[int, int] | None] = {}
+    answers: dict[tuple[int, int, int, int], Found | NotFound] = {}
 
-    def evaluate(member_bits: frozenset[int], lo: int = 0) -> tuple[int, int] | None:
+    def evaluate(
+        member_bits: frozenset[int], lo: int = 0, requery: bool = False
+    ) -> tuple[int, int] | None:
         if member_bits in memo:
             return memo[member_bits]
         masks = sorted(member_bits)
@@ -363,7 +401,9 @@ def _cluster_cost(
             cap = d if result is None else result[0] - 1
             if cap < lo:
                 break
-            got = min_cluster_radius(oriented, cap, oracle, ctx, lo)
+            got = min_cluster_radius(
+                oriented, cap, oracle, ctx, lo, None if requery else answers
+            )
             if got is not None:
                 result = got  # a radius of at most cap is strictly better
         memo[member_bits] = result
@@ -455,7 +495,7 @@ def _solve_clustering(
         if not assign(0, spec.d):
             return SolveAnswer(feasible=False)
         for cluster, (radius, _) in zip(clusters, covers):
-            got = evaluate(cluster_bits(cluster), lo=radius)
+            got = evaluate(cluster_bits(cluster), lo=radius, requery=True)
             if got is None or got[0] != radius:
                 raise SoundnessError(
                     f"the search relied on cluster radius {radius}, "

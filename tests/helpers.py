@@ -31,12 +31,13 @@ from divsparse import (
 )
 from divsparse.bruteforce import enumerate_domain
 from divsparse.core import (
+    NOT_FOUND,
     _check_universe_size,
     check_trivial_sparsifier,
     iter_bits,
     submasks,
 )
-from divsparse.domains import GraphData, MatchingOracle, MinCutPoset
+from divsparse.domains import GraphData, MatchingOracle, MinCutPoset, VertexCoverOracle
 from divsparse.instances import (
     DomainInstance,
     dag_dp_instance,
@@ -796,6 +797,38 @@ def reference_oriented_radius(
         if got is not None:
             result = got
     return result
+
+
+def reference_vertex_cover_extend(
+    oracle: VertexCoverOracle, query: ExtensionQuery, ctx=None
+):
+    """``VertexCoverOracle.exact_extend`` walking every subset of the
+    center as the overlap guess and skipping those that contradict the
+    forced or forbidden vertices."""
+    c = query.center
+    x = query.forced
+    y = query.forbidden
+    if c == 0 and x == 0:
+        return oracle.exact_empty_extend(query.radius, y, ctx)
+    # guess the overlap S = D & C among subsets of the center
+    for s in submasks(c):
+        if x & c & ~s:  # forced-in center vertices must land in S
+            continue
+        if s & y:
+            continue
+        # |D \ C| follows from |D ^ C| = |C \ S| + |D \ C|
+        outside = query.radius - (c & ~s).bit_count()
+        if outside < 0:
+            continue
+        size = s.bit_count() + outside
+        forced = s | (x & ~c)
+        got = oracle._solve_forced(forced, y | (c & ~s), size)
+        if got is None:
+            continue
+        if got & c != s or not query.admits_bits(got):
+            raise SoundnessError(f"cover search returned {got:#x} outside the query")
+        return Found(got)
+    return NOT_FOUND
 
 
 def reference_matching_search(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -39,6 +39,7 @@ from helpers import (
     longest_path_label_sets,
     random_dag,
     reference_matching_search,
+    reference_vertex_cover_extend,
 )
 
 
@@ -157,6 +158,30 @@ class TestVertexCover:
         for seed in range(6):
             instance, domain = generate_instance("vertex_cover", seed, 40)
             assert_oracle_matches_brute(instance, domain, opt=False)
+
+    def test_overlap_guesses_match_the_filtered_walk(self):
+        # only the overlaps consistent with forced and forbidden are walked;
+        # the walk over every subset of the center that skips the others
+        # must give the same outcome and the same witness on every query
+        rng = random.Random(31)
+        kinds = set()
+        for _ in range(1500):
+            nv = rng.randint(1, 8)
+            edges = tuple(
+                tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, 10))
+            ) if nv > 1 else ()
+            oracle = VertexCoverOracle(GraphData(False, nv, edges), rng.randint(0, nv))
+            center = rng.getrandbits(nv) if rng.random() < 0.8 else 0
+            forced = rng.getrandbits(nv) & rng.getrandbits(nv)
+            forbidden = rng.getrandbits(nv) & rng.getrandbits(nv) & ~forced
+            query = ExtensionQuery(center, rng.randint(0, nv), forced, forbidden)
+            got = oracle.exact_extend(query)
+            assert got == reference_vertex_cover_extend(oracle, query), (edges, query)
+            kinds.add((type(got), center == 0, bool(forced & center), bool(forbidden & center)))
+        assert {kind[0] for kind in kinds} == {Found, NotFound}
+        assert {kind[1:] for kind in kinds} == {
+            (True, False, False), *product((False,), (False, True), (False, True))
+        }
 
 
 class TestMatroidBases:

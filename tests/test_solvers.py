@@ -134,6 +134,24 @@ class ScriptedExtensions(CountingExtensions):
         return super().exact_extend(query, ctx)
 
 
+class MemoizedExtensions(CountingExtensions):
+    """Sends each distinct exact-extension query to the inner oracle once
+    and answers a repeat from the first Found or NotFound answer, as the
+    query memo of one solve does."""
+
+    def __init__(self, inner: DomainOracle) -> None:
+        super().__init__(inner)
+        self.answers = {}
+
+    def exact_extend(self, query, ctx=None):
+        if query in self.answers:
+            return self.answers[query]
+        out = super().exact_extend(query, ctx)
+        if not isinstance(out, TrivialSparsifier):
+            self.answers[query] = out
+        return out
+
+
 def compare_cluster_searches(search, reference, rng, trials, draw) -> set:
     """Run ``search`` and ``reference`` as ``(cluster, d, oracle, ctx, lo)``
     on ``trials`` cases from ``draw(rng) -> (family, cluster, d)``, each
@@ -351,8 +369,13 @@ class TestMinClusterRadius:
             evaluate = _cluster_cost(oracle, d, oracle.universe_size, True, ctx)
             return evaluate(frozenset(cluster), lo)
 
+        def reference(cluster, d, oracle, ctx, lo):
+            # one query memo per cost, so both sides send the same distinct
+            # queries to the scripted oracle and number its faults alike
+            return reference_oriented_radius(cluster, d, MemoizedExtensions(oracle), ctx, lo)
+
         seen = compare_cluster_searches(
-            oriented_cost, reference_oriented_radius, random.Random(4244), 400, draw
+            oriented_cost, reference, random.Random(4244), 400, draw
         )
         assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
 
@@ -411,6 +434,18 @@ class TestMinClusterRadius:
             min_cluster_radius, reference_min_cluster_radius, random.Random(table_bits), 300, draw
         )
         assert seen == {SoundnessError, GloballyInfeasible, tuple, type(None)}
+
+    def test_translated_balls_match_the_brute_force_sets(self):
+        for width in range(9):
+            for index in range(1 << width):
+                for r in range(-1, width + 2):
+                    want = sum(
+                        1 << t for t in range(1 << width) if (t ^ index).bit_count() <= r
+                    )
+                    assert solvers._ball_at(width, index, r) == want, (width, index, r)
+        # at most 1024 cached balls of at most 2**TRACE_TABLE_BITS bits each
+        maxsize = solvers._ball_at.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1024
 
     def test_wide_cluster_answers_with_one_query(self):
         # 40 disagreement elements: a table over every trace would need 2^40
@@ -688,8 +723,9 @@ def run_clustering_grid() -> tuple[str, int]:
 CLUSTERING_ANSWERS = "5aeafc1d10f5ee2766e7867a77e2fb64d4dec400a0e68fae0f06e0c561e36afb"
 # Exact-extension calls over the whole grid (sparsifier and search); the
 # count may only go down.  It was 15,794 before the search skipped the
-# queries whose answers are implied.
-CLUSTERING_EXTEND_CALLS = 1_998
+# queries whose answers are implied, and 1,998 before one solve asked each
+# distinct query once.
+CLUSTERING_EXTEND_CALLS = 1_975
 
 
 class TestClusteringGrid:
@@ -736,19 +772,19 @@ class TestClusteringSearch:
             failed.clear()  # one memo, and one search, per solve
             evaluate = real_cost(*args)
 
-            def spied(member_bits, lo=0):
+            def spied(member_bits, lo=0, requery=False):
                 current[:] = [member_bits]
-                got = evaluate(member_bits, lo)
+                got = evaluate(member_bits, lo, requery)
                 if got is None:
                     failed.append(member_bits)
                 return got
 
             return spied
 
-        def radius(cluster, *args):
+        def radius(cluster, *args, **kwargs):
             if any(f <= current[0] for f in failed):
                 supersets.append(current[0])
-            return real_radius(cluster, *args)
+            return real_radius(cluster, *args, **kwargs)
 
         monkeypatch.setattr(solvers, "_cluster_cost", cost)
         monkeypatch.setattr(solvers, "min_cluster_radius", radius)
@@ -761,6 +797,47 @@ class TestClusteringSearch:
                 met.add((spec.problem, spec.modified))
         assert supersets == []
         assert met == set(product(("kcenter", "ksumradii"), (False, True)))
+
+    def test_no_query_reaches_the_oracle_twice_in_one_search(self, monkeypatch):
+        # every cluster evaluation of a solve shares one query memo; only the
+        # final recheck, which passes requery=True, may ask a query again
+        real_cost = solvers._cluster_cost
+        phase: list[str] = []
+
+        def cost(*args):
+            evaluate = real_cost(*args)
+
+            def spied(member_bits, lo=0, requery=False):
+                phase[:] = ["recheck" if requery else "search"]
+                try:
+                    return evaluate(member_bits, lo, requery)
+                finally:
+                    phase.clear()
+
+            return spied
+
+        class Recording(CountingExtensions):
+            def __init__(self, inner):
+                super().__init__(inner)
+                self.asked = {"search": [], "recheck": []}
+
+            def exact_extend(self, query, ctx=None):
+                if phase:
+                    self.asked[phase[0]].append(query)
+                return super().exact_extend(query, ctx)
+
+        monkeypatch.setattr(solvers, "_cluster_cost", cost)
+        searched = repeated = 0
+        for domain, make_oracle, spec, builder in (*clustering_grid(), *uncovered_cluster_cases()):
+            oracle = Recording(make_oracle())
+            answer = solve(oracle, spec, builder)
+            certify_answer(domain, spec, answer)
+            search = oracle.asked["search"]
+            assert len(set(search)) == len(search), spec
+            searched += len(search)
+            repeated += len(set(search) & set(oracle.asked["recheck"]))
+        assert searched > 0
+        assert repeated > 0  # the recheck asks the oracle again
 
     def test_answers_do_not_depend_on_member_order(self):
         # the search assigns sparsifier members in the order the builder

@@ -339,6 +339,7 @@ class SparsifierReport:
     #: again in the phase is answered from its memo and not counted
     calls_opt: int = 0
     calls_extend: int = 0
+    #: the members a sunflower run added + 1, summed over a limited run's centers
     passes: int = 0
     #: an extension query surfaced a trivial sparsifier (min-cut shortcut)
     shortcut: bool = False

@@ -150,7 +150,7 @@ class DagDpOracle(DomainOracle):
                     v = u
                     break
             else:
-                raise AssertionError("longest-path reconstruction failed")
+                raise SoundnessError("longest-path reconstruction failed")
 
     def opt_pm1(self, positive: int) -> int | None:
         # every member has L labels, so its weight 2 |D & P| - L grows with

@@ -127,7 +127,7 @@ class MatchingOracle(DomainOracle):
                 mask |= 1 << u
                 unmatched -= 1
                 if unmatched < 0 or not counts(mask, unmatched) >> want & 1:
-                    raise AssertionError("matching reconstruction failed")
+                    raise SoundnessError("matching reconstruction failed")
         return chosen
 
     def opt_pm1(self, positive: int) -> int | None:

@@ -7,34 +7,36 @@ they are achievable within D.  This module builds one with respect to the
 ball B(empty, r) for domains whose members have cardinality at most
 ell <= r, using only the exact empty extension capability.
 
-The construction grows K one member per pass.  A new member of size l' must
-avoid a blocker set Y that intersects every current member of size l' and
-the core of every sunflower of kr+1 equal-size members, which guarantees
-progress and keeps K sunflower-free enough for the classic sunflower bound
-(l+1)! (kr+1)^l to apply.
+The construction grows K one member at a time.  A new member of size l'
+must avoid a blocker set Y that intersects every current member of size l'
+and the core of every sunflower of kr+1 equal-size members, which
+guarantees progress and keeps K sunflower-free enough for the classic
+sunflower bound (l+1)! (kr+1)^l to apply.
 
 Blockers are enumerated directly as hitting sets in (size, lex) order.  A
 cardinality class with no member yet has nothing to hit, so its first
 query is the empty blocker, which also tells whether the class has any
-member at all.  The search is incremental across passes: every blocker
-the oracle answered NotFound is remembered per cardinality, and no blocker
-containing one is asked again, since forbidding more elements can only
-remove members.  The output is the same as asking every blocker afresh;
-only the call count drops, and it is counted where each query is issued.
+member at all.  Every blocker the oracle answered NotFound is remembered
+per cardinality, and no blocker containing one is asked again, since
+forbidding more elements can only remove members.  The output is the same
+as asking every blocker afresh; only the call count drops, and it is
+counted where each query is issued.
 
-Each class keeps one record across passes: its sunflower cores (a new
-member can only complete sunflowers that use it, so only the candidate
-cores inside it are checked again), the hit tables of the sets a blocker
-must intersect, and where its last walk stopped.  The next walk resumes
-there.  After a walk over the member union U that found a member through
-the blocker y*, it starts at size |y*| with the subsets of U after y*;
-after a walk over U that ran dry, nothing is left to walk, however the
-union grows.  This is exact: required sets and known-empty sets are only
-ever added, and the required sets of that walk lie inside U, so a blocker
-y hitting them all now has y & U hitting them too.  If y & U came before
-y*, that walk passed it: it held a set then known empty, or was asked and
-answered NotFound, so y holds a known-empty set now.  y* itself misses the
-member it found.
+The classes are taken one at a time, in order of size.  A class walks its
+blockers until a walk ends without a find; each find adds a member, and
+the next walk resumes after the blocker y* that found it.  The class
+record keeps its sunflower cores (a new member can only complete
+sunflowers that use it, so only the candidate cores inside it are checked
+again) and the hit tables of the sets a blocker must intersect.
+
+Resuming is exact, and a class whose walk ran dry stays dry however the
+union grows, so no earlier class is walked again.  Required sets and
+known-empty sets are only ever added, and the required sets of a walk
+over the member union U lie inside U, so a blocker y hitting them all
+later has y & U hitting them too.  If that walk passed y & U (all of U
+when it ran dry, everything before y* when it found through y*), then
+y & U held a set then known empty, or was asked and answered NotFound, so
+y holds a known-empty set now.  y* itself misses the member it found.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from .core import (
 )
 
 #: Blocker sets are enumerated over subsets of the union of current members;
-#: refuse to enumerate more than 2^20 of them.
+#: refuse a union of more than 20 elements while some class is not dead.
 BLOCKER_UNION_GUARD = 20
 
 
@@ -107,9 +109,6 @@ class _ClassCores:
 
     ``known_empty`` holds the blockers answered NotFound, keyed by
     ``y.bit_length()`` (highest element + 1, or 0 for the empty set).
-    ``resume`` is (member union, blocker) of the last walk, the blocker
-    being the one answered Found, or None when the walk ran dry; it is
-    None before the first walk.  The caller sets it.
     """
 
     def __init__(self, t: int, universe_size: int) -> None:
@@ -119,7 +118,6 @@ class _ClassCores:
         self.cores: list[int] = []
         self._candidates: dict[int, bool] = {}  # candidate -> confirmed
         self.known_empty: dict[int, list[int]] = {}
-        self.resume: tuple[int, int | None] | None = None
         self.dead = False
         self.hits = [0] * universe_size
         self.later = [0] * universe_size
@@ -166,22 +164,21 @@ class _ClassCores:
         self.members.append(member)
         self._require(member)
 
-    def blockers(self, union_bits: int) -> Iterator[int]:
+    def blockers(self, union_bits: int, after: tuple[int, int] | None) -> Iterator[int]:
         """Subsets of the member union that intersect every required set
         and contain no known-empty set, in order of increasing size, then
-        lexicographically by element indices, resumed after ``resume``.
+        lexicographically by element indices, from the start or resumed
+        ``after`` a find.
 
         Yields nothing when the class is dead; yields the empty set first
         when there is nothing to intersect.  ``known_empty`` is read live,
-        so sets the caller adds while iterating prune what follows.  The
-        union guard is checked at the start of every walk of a class that
-        is not dead, also of one that resumes with nothing left.
+        so sets the caller adds while iterating prune what follows.
 
-        Resuming from (old union U, blocker y*) skips every blocker whose
-        part inside U comes before y* (see the module docstring): the
-        walk starts at size |y*| with the subsets of U after y*, and
-        walks every larger size in full.  Resuming from (U, None) yields
-        nothing.
+        ``after`` is (old union U, blocker y*) of the walk that found the
+        last member.  Resuming skips every blocker whose part inside U
+        comes before y* (see the module docstring): the walk starts at
+        size |y*| with the subsets of U after y*, and walks every larger
+        size in full.
 
         Each size is a depth-first walk over index-ordered prefixes.
         Elements join a prefix in increasing order, so a known-empty set
@@ -192,17 +189,10 @@ class _ClassCores:
         """
         if self.dead:
             return
-        if union_bits.bit_count() > BLOCKER_UNION_GUARD:
-            raise GuardError(
-                f"blocker enumeration over {union_bits.bit_count()} elements "
-                f"exceeds the 2^{BLOCKER_UNION_GUARD} guard"
-            )
         old_elems: list[int] = []
         at: list[int] = []  # where y*'s elements sit in old_elems
-        if self.resume is not None:
-            old, last = self.resume
-            if last is None:
-                return
+        if after is not None:
+            old, last = after
             old_elems = list(iter_bits(old))
             at = [old_elems.index(e) for e in iter_bits(last)]
         elems = list(iter_bits(union_bits))
@@ -270,30 +260,31 @@ def k_sparsify(
 ) -> SparsifierReport:
     """Build a k-max-distance sparsifier w.r.t. B(empty, r).
 
-    Grows the output one member per pass: for each cardinality l' it
-    enumerates qualifying blocker sets Y in deterministic order and adds the
-    first witness the empty extension oracle produces, stopping when a full
-    pass adds nothing.  Output size is bounded by (ell+1)! (kr+1)^ell.
+    Takes the cardinalities l' in increasing order.  Each class enumerates
+    qualifying blocker sets Y in deterministic order and adds the first
+    witness the empty extension oracle produces, then walks again, until a
+    walk adds nothing.  Output size is bounded by (ell+1)! (kr+1)^ell.
 
     A class with no member yet has the empty blocker as its first query,
-    so a class with no member at all costs one NotFound and is never
-    enumerated again.  Answers are remembered across passes: a blocker
+    so a class with no member at all costs one NotFound.  A blocker
     answered NotFound is never asked again, nor is any blocker containing
     it.  This changes only the call count (``calls_extend`` counts the
-    queries actually issued), never the output, the pass count or when the
-    blocker guard fires, provided the oracle honours the monotonicity in
+    queries actually issued), never the output or when the blocker guard
+    fires, provided the oracle honours the monotonicity in
     :class:`DomainOracle`.
 
-    Each class keeps one :class:`_ClassCores` record across passes.  Its
-    cores and hit tables are updated only when it gains a member, and its
-    walk resumes where the last one stopped instead of restarting: after
-    the blocker y* found a member over the union U, no blocker whose part
-    inside U comes before y* in (size, lex) order is left, and after a walk
-    over U ran dry, none at all, because such a blocker holds a set known
-    empty (see the module docstring).  Resuming skips only blockers the
-    restarted walk would skip, so the queries and their order stay those
-    of walking afresh; the union guard is still checked at the start of
-    every walk.
+    Each class keeps one :class:`_ClassCores` record.  Its cores and hit
+    tables are updated only when it gains a member, and its next walk
+    resumes after the blocker y* that found it: no blocker whose part
+    inside the old union comes before y* in (size, lex) order is left,
+    and a class that ran dry has none left at all, because such a blocker
+    holds a set known empty (see the module docstring).  So the queries
+    and their order are those of restarting at the smallest class after
+    every find, and ``passes``, the passes such a restart would make, is
+    the member count + 1.  The union guard is checked where the union
+    grows: past 20 elements it raises while any class, dry or not, is not
+    dead (has no empty required set), as that restart would on its next
+    pass.
 
     Every query carries ``ctx``.  If the oracle surfaces a trivial
     sparsifier, that family is returned at once with ``shortcut`` set,
@@ -310,7 +301,7 @@ def k_sparsify(
     members: list[int] = []
     union_bits = 0
     classes = [_ClassCores(t, n) for _ in range(ell_cap + 1)]
-    passes = calls = 0
+    calls = 0
 
     def check_witness(got: int, lp: int, y: int) -> None:
         if got < 0 or got >> n:
@@ -331,34 +322,34 @@ def k_sparsify(
                 f"witness {SubsetMask(n, got)!r} meets the blocker {SubsetMask(n, y)!r}"
             )
 
-    while True:
-        passes += 1
-        added = False
-        for lp, group in enumerate(classes):
-            for y in group.blockers(union_bits):
+    for lp, group in enumerate(classes):
+        after: tuple[int, int] | None = None  # (union, blocker) of the last find
+        while True:
+            for y in group.blockers(union_bits, after):
                 out = oracle.exact_empty_extend(lp, y, ctx)
                 calls += 1
                 if isinstance(out, TrivialSparsifier):
                     check_trivial_sparsifier(out, ctx)
                     return SparsifierReport(
-                        out.family, params, calls_extend=calls, passes=passes,
-                        shortcut=True,
+                        out.family, params, calls_extend=calls,
+                        passes=len(members) + 1, shortcut=True,
                     )
                 if isinstance(out, Found):
                     check_witness(out.witness, lp, y)
-                    group.resume = (union_bits, y)
+                    after = (union_bits, y)
                     members.append(out.witness)
                     union_bits |= out.witness
                     group.add(out.witness)
-                    added = True
+                    size = union_bits.bit_count()
+                    if size > BLOCKER_UNION_GUARD and not all(c.dead for c in classes):
+                        raise GuardError(
+                            f"blocker enumeration over {size} elements exceeds "
+                            f"the 2^{BLOCKER_UNION_GUARD} guard"
+                        )
                     break
                 group.known_empty.setdefault(y.bit_length(), []).append(y)
-            if added:
-                break
-            group.resume = (union_bits, None)
-        if not added:
-            break
+            else:
+                break  # a walk without a find: the class has run dry
 
-    return SparsifierReport(
-        SetFamily.from_bits(n, members), params, calls_extend=calls, passes=passes
-    )
+    family = SetFamily.from_bits(n, members)
+    return SparsifierReport(family, params, calls_extend=calls, passes=len(members) + 1)

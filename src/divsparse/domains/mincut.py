@@ -16,10 +16,15 @@ covers, built once per oracle) picks the heaviest ideal.  Ties resolve to
 the unique minimal optimum, the residual-reachable side of the source,
 i.e. the intersection of all max-weight minimum cuts.
 
-The exact extension brute-forces ideals inside a sandwich around the
-center's ideal.  When the sandwich is too wide, a topological chain of
-cuts spaced more than 2d apart is returned as a trivial sparsifier
-instead; the framework context supplies k and d.
+The exact extension searches the ideals inside a sandwich around the
+center's ideal: nodes that can leave it or join it within the radius.  A
+depth-first search meets those ideals in the order of a counter over the
+sandwich, and cuts every branch whose moved blocks hold more vertices than
+the radius, too few to reach it, or a forced or forbidden vertex on the
+wrong side; so it returns the counter scan's first admitted cut without
+visiting the non-ideals.  When the sandwich is too wide, a topological
+chain of cuts spaced more than 2d apart is returned as a trivial
+sparsifier instead; the framework context supplies k and d.
 """
 
 from __future__ import annotations
@@ -132,8 +137,9 @@ class MinCutPoset:
     def n_nodes(self) -> int:
         return len(self.node_blocks)
 
-    # hand-inlined bit loops: is_ideal and cut_bits run in the sandwich loop,
-    # where a core.iter_bits loop measured about twice as slow
+    # hand-inlined bit loops: is_ideal runs once per extension (through
+    # ideal_bits) and cut_bits once per optimization, where a core.iter_bits
+    # loop measured about twice as slow
     def is_ideal(self, node_set: int) -> bool:
         rest = node_set
         while rest:
@@ -235,11 +241,26 @@ class MinCutOracle(DomainOracle):
         self._t = t
         self._poset = build_mincut_poset(graph, s, t)
         self._arcs = graph.arcs()
+        poset = self._poset
+        # a topological order of the nodes (by predecessor count, then
+        # index) and each node's block size, read by every extension
+        self._order = tuple(
+            sorted(
+                range(poset.n_nodes),
+                key=lambda w: (poset.pred_masks[w].bit_count(), w),
+            )
+        )
+        self._sizes = tuple(block.bit_count() for block in poset.node_blocks)
+        # the vertices of each node's predecessors, itself included (blocks
+        # are disjoint, so their sum is their union)
+        self._below = tuple(
+            sum(poset.node_blocks[u] for u in iter_bits(pred))
+            for pred in poset.pred_masks
+        )
         # max-weight closure network of the poset: arcs 4w and 4w + 2 run
         # source -> w and w -> sink and carry node w's gain or loss per
         # call; taking w takes every node it covers, through an arc no
         # finite cut crosses
-        poset = self._poset
         m = poset.n_nodes
         arcs = []
         for w in range(m):
@@ -291,24 +312,22 @@ class MinCutOracle(DomainOracle):
 
     def _sandwich(self, ideal: int, p_eff: int) -> tuple[list[int], list[int]]:
         """Poset nodes addable to / removable from ``ideal`` within p_eff
-        blocks, in topological order (by predecessor count, then index)."""
-        poset = self._poset
-        up = [
-            w
-            for w in range(poset.n_nodes)
-            if not ideal >> w & 1
-            and (poset.pred_masks[w] & ~ideal).bit_count() <= p_eff
-        ]
-        down = [
-            w
-            for w in range(poset.n_nodes)
-            if ideal >> w & 1
-            and (poset.succ_masks[w] & ideal).bit_count() <= p_eff
-        ]
-        def key(w: int) -> tuple[int, int]:
-            return (poset.pred_masks[w].bit_count(), w)
+        blocks, each list in the oracle's topological order.
 
-        return sorted(up, key=key), sorted(down, key=key)
+        A node is addable when at most p_eff of its predecessors (itself
+        included) lie outside ``ideal``, removable when at most p_eff of
+        its successors lie inside; so ``up`` holds every predecessor outside
+        ``ideal`` of its nodes and ``down`` every successor inside."""
+        poset = self._poset
+        up: list[int] = []
+        down: list[int] = []
+        for w in self._order:
+            if ideal >> w & 1:
+                if (poset.succ_masks[w] & ideal).bit_count() <= p_eff:
+                    down.append(w)
+            elif (poset.pred_masks[w] & ~ideal).bit_count() <= p_eff:
+                up.append(w)
+        return up, down
 
     def _chain_family(
         self, ideal: int, nodes: list[int], k: int, d: int, upward: bool
@@ -363,21 +382,84 @@ class MinCutOracle(DomainOracle):
             raise CapabilityError(
                 "extension sandwich too wide without framework context"
             )
-        for sub_down in range(1 << len(down)):
-            removed = 0
-            for j in range(len(down)):
-                if sub_down >> j & 1:
-                    removed |= 1 << down[j]
-            base_ideal = ideal & ~removed
-            for sub_up in range(1 << len(up)):
-                added = 0
-                for j in range(len(up)):
-                    if sub_up >> j & 1:
-                        added |= 1 << up[j]
-                cand = base_ideal | added
-                if not poset.is_ideal(cand):
-                    continue
-                cut = poset.cut_bits(cand)
-                if query.admits_bits(cut):
-                    return Found(cut)
-        return NOT_FOUND
+        return self._first_ideal(query, ideal, up, down)
+
+    def _first_ideal(
+        self, query: ExtensionQuery, ideal: int, up: list[int], down: list[int]
+    ) -> ExtensionOutcome:
+        """The first admitted cut in the order of a counter over ``down``
+        (outer) and ``up`` (inner): the ideal ``ideal`` minus some of
+        ``down`` plus some of ``up``.
+
+        A depth-first search decides the counter bits high to low, keep
+        before move, so it meets the ideals in counter order.  Both lists
+        are topological, so a node's successors are decided before it: a
+        node is removed only once every successor in ``ideal`` is, and
+        adding a node makes its predecessors outside ``ideal`` required, so
+        every leaf is an ideal.  A block meeting ``forbidden`` is never
+        added, nor one meeting ``forced`` removed.  The moved vertices (the
+        removed and added blocks, required ones counted ahead of their
+        turn) are the leaf's difference from the center, so a branch stops
+        once they number more than ``radius`` or the nodes still open
+        cannot make up the rest.
+        """
+        poset = self._poset
+        blocks, preds, succs = poset.node_blocks, poset.pred_masks, poset.succ_masks
+        below, sizes = self._below, self._sizes
+        center, radius = query.center, query.radius
+        forced, forbidden = query.forced, query.forbidden
+        # the vertices any leaf may hold / every leaf holds, and the most
+        # the nodes still open before each position can move
+        reach = fixed = center
+        up_room = [0]
+        for w in up:
+            reach |= blocks[w]
+            up_room.append(up_room[-1] + sizes[w])
+        down_room = [up_room[-1]]
+        for w in down:
+            fixed &= ~blocks[w]
+            down_room.append(down_room[-1] + sizes[w])
+        if forced & ~reach or forbidden & fixed:
+            return NOT_FOUND
+
+        def add(j: int, removed: int, required: int, moved: int) -> int | None:
+            if moved.bit_count() + up_room[j + 1] < radius:
+                return None
+            if j < 0:
+                return center ^ moved
+            w = up[j]
+            if required >> w & 1:  # moved already, with a successor
+                return add(j - 1, removed, required, moved)
+            if not blocks[w] & forced:
+                cut = add(j - 1, removed, required, moved)
+                if cut is not None:
+                    return cut
+            # adding w keeps every predecessor; those outside the center
+            # join the cut with w
+            if preds[w] & removed or below[w] & forbidden:
+                return None
+            moved |= below[w] & ~center
+            if moved.bit_count() > radius:
+                return None
+            return add(j - 1, removed, required | preds[w] & ~ideal, moved)
+
+        def remove(i: int, removed: int, moved: int) -> int | None:
+            if moved.bit_count() + down_room[i + 1] < radius:
+                return None
+            if i < 0:
+                return add(len(up) - 1, removed, 0, moved)
+            w = down[i]
+            if not below[w] & forbidden:
+                cut = remove(i - 1, removed, moved)
+                if cut is not None:
+                    return cut
+            bit = 1 << w
+            if blocks[w] & forced or succs[w] & ideal & ~removed != bit:
+                return None
+            moved |= blocks[w]
+            if moved.bit_count() > radius:
+                return None
+            return remove(i - 1, removed | bit, moved)
+
+        cut = remove(len(down) - 1, 0, 0)
+        return NOT_FOUND if cut is None else Found(cut)

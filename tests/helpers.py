@@ -37,7 +37,14 @@ from divsparse.core import (
     iter_bits,
     submasks,
 )
-from divsparse.domains import GraphData, MatchingOracle, MinCutPoset, VertexCoverOracle
+from divsparse.domains import (
+    GraphData,
+    MatchingOracle,
+    MinCutOracle,
+    MinCutPoset,
+    VertexCoverOracle,
+)
+from divsparse.domains.mincut import SANDWICH_GUARD
 from divsparse.instances import (
     DomainInstance,
     dag_dp_instance,
@@ -828,6 +835,70 @@ def reference_vertex_cover_extend(
         if got & c != s or not query.admits_bits(got):
             raise SoundnessError(f"cover search returned {got:#x} outside the query")
         return Found(got)
+    return NOT_FOUND
+
+
+def reference_mincut_extend(
+    oracle: MinCutOracle, query: ExtensionQuery, ctx=None
+):
+    """``MinCutOracle.exact_extend`` as a counter scan over the sandwich:
+    every subset of the removable nodes (outer counter) and of the addable
+    nodes (inner counter), skipping the non-ideals, first admitted cut
+    wins."""
+    poset = oracle._poset
+    ideal = poset.ideal_bits(query.center)
+    if ideal is None:
+        raise ValueError("extension center is not a minimum s,t-cut")
+    p_eff = query.radius if ctx is None else max(ctx.p, query.radius)
+    up = [
+        w
+        for w in range(poset.n_nodes)
+        if not ideal >> w & 1
+        and (poset.pred_masks[w] & ~ideal).bit_count() <= p_eff
+    ]
+    down = [
+        w
+        for w in range(poset.n_nodes)
+        if ideal >> w & 1
+        and (poset.succ_masks[w] & ideal).bit_count() <= p_eff
+    ]
+
+    def key(w: int) -> tuple[int, int]:
+        return (poset.pred_masks[w].bit_count(), w)
+
+    up.sort(key=key)
+    down.sort(key=key)
+    if ctx is not None:
+        limit = ctx.k * (2 * ctx.d + 1)
+        if len(up) > limit:
+            return TrivialSparsifier(
+                oracle._chain_family(ideal, up, ctx.k, ctx.d, upward=True)
+            )
+        if len(down) > limit:
+            return TrivialSparsifier(
+                oracle._chain_family(ideal, down, ctx.k, ctx.d, upward=False)
+            )
+    elif len(up) + len(down) > SANDWICH_GUARD:
+        raise CapabilityError(
+            "extension sandwich too wide without framework context"
+        )
+    for sub_down in range(1 << len(down)):
+        removed = 0
+        for j in range(len(down)):
+            if sub_down >> j & 1:
+                removed |= 1 << down[j]
+        base_ideal = ideal & ~removed
+        for sub_up in range(1 << len(up)):
+            added = 0
+            for j in range(len(up)):
+                if sub_up >> j & 1:
+                    added |= 1 << up[j]
+            cand = base_ideal | added
+            if not poset.is_ideal(cand):
+                continue
+            cut = poset.cut_bits(cand)
+            if query.admits_bits(cut):
+                return Found(cut)
     return NOT_FOUND
 
 

@@ -9,9 +9,13 @@ from itertools import combinations
 import pytest
 
 from divsparse import (
+    CapabilityError,
     ExtensionQuery,
     Found,
+    NotFound,
     OracleContext,
+    SetFamily,
+    SoundnessError,
     TrivialSparsifier,
     pm1_weight,
 )
@@ -24,7 +28,7 @@ from divsparse.domains import (
 )
 from divsparse.instances import st_mincut_instance
 
-from helpers import all_ideals, random_digraph
+from helpers import all_ideals, random_digraph, reference_mincut_extend
 
 from test_domains import extension_queries
 
@@ -220,3 +224,104 @@ class TestTrivialShortcut:
         q = ExtensionQuery(0b0010, 1, 0, 0)
         with pytest.raises(ValueError):
             oracle.exact_extend(q)
+
+
+def multipath_graph(lengths: tuple[int, ...]) -> GraphData:
+    """Internally disjoint undirected s-t paths with ``lengths[i]`` inner
+    vertices on path i; s = 0 and t is the last vertex."""
+    t = sum(lengths) + 1
+    edges = []
+    nxt = 1
+    for length in lengths:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+        edges.append((prev, t))
+    return GraphData(directed=False, n_vertices=t + 1, edges=tuple(edges))
+
+
+def extend_outcome(extend, query, ctx) -> str:
+    """One extension answer as text: the witness, ``-`` for NotFound, the
+    shortcut family, or the name of the exception raised."""
+    try:
+        got = extend(query, ctx)
+    except (ValueError, CapabilityError, SoundnessError) as exc:
+        return type(exc).__name__
+    if isinstance(got, Found):
+        return str(got.witness)
+    if isinstance(got, NotFound):
+        return "-"
+    return "T" + ",".join(map(str, got.family.bits))
+
+
+# The extension witnesses on the grid below, recorded with the counter scan
+# over the sandwich (tests/helpers.py::reference_mincut_extend): any other
+# search must find the scan's first admitted cut.
+MINCUT_EXTEND_WITNESSES = "f1204c3fea7c97be3f15f0c6e48a25fd804adc68233fc3067e0d96df76b07ba5"
+
+
+class TestExtendWitnesses:
+    def test_grid_digest(self):
+        rng = random.Random(13)
+        graphs = []
+        for _ in range(10):
+            nv = rng.randint(3, 6)
+            graphs.append((random_digraph(rng, nv, rng.randint(nv, 2 * nv)), 2))
+        for lengths in [(2, 2), (1, 3), (3, 2, 1), (2, 2, 2)]:
+            graphs.append((multipath_graph(lengths), 1))
+        contexts = [None, OracleContext(k=1, d=1, p=2)]
+        answers = hashlib.sha256()
+        for graph, max_ff in graphs:
+            n = graph.n_vertices
+            oracle = MinCutOracle(graph, 0, n - 1)
+            poset = build_mincut_poset(graph, 0, n - 1)
+            domain = SetFamily.from_bits(
+                n, sorted(poset.cut_bits(i) for i in all_ideals(poset))
+            )
+            for query in extension_queries(n, domain, max_ff):
+                for ctx in contexts:
+                    got = extend_outcome(oracle.exact_extend, query, ctx)
+                    answers.update(f"{got};".encode())
+        assert answers.hexdigest() == MINCUT_EXTEND_WITNESSES
+
+
+class TestAgainstScan:
+    def test_seeded_differential(self):
+        # outcome, witness, shortcut family and exception must all match the
+        # counter scan, on random radii, forced / forbidden sets and contexts
+        rng = random.Random(29)
+        for _ in range(60):
+            if rng.random() < 0.5:
+                nv = rng.randint(3, 8)
+                graph = random_digraph(rng, nv, rng.randint(nv, 3 * nv))
+            else:
+                paths = rng.randint(2, 3)
+                graph = multipath_graph(
+                    tuple(rng.randint(1, 3) for _ in range(paths))
+                )
+            n = graph.n_vertices
+            oracle = MinCutOracle(graph, 0, n - 1)
+            poset = build_mincut_poset(graph, 0, n - 1)
+            cuts = [poset.cut_bits(i) for i in all_ideals(poset)]
+            for _ in range(60):
+                center = rng.choice(cuts) if rng.random() < 0.95 else rng.getrandbits(n)
+                forced = forbidden = 0
+                for v in range(n):
+                    roll = rng.random()
+                    if roll < 0.1:
+                        forced |= 1 << v
+                    elif roll < 0.2:
+                        forbidden |= 1 << v
+                query = ExtensionQuery(center, rng.randint(0, n), forced, forbidden)
+                ctx = None
+                if rng.random() < 0.5:
+                    ctx = OracleContext(
+                        k=rng.randint(1, 3), d=rng.randint(0, 3), p=rng.randint(0, n)
+                    )
+                got = extend_outcome(oracle.exact_extend, query, ctx)
+                want = extend_outcome(
+                    lambda q, c: reference_mincut_extend(oracle, q, c), query, ctx
+                )
+                assert got == want, (graph, query, ctx)

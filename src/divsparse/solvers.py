@@ -217,6 +217,28 @@ def _ball_at(width: int, index: int, r: int) -> int:
     return ball
 
 
+# a pass over the benchmark's cluster jobs meets about 1,000-1,300 keys
+# per helper: 4096 keeps them all and keeps the caches bounded
+@lru_cache(maxsize=4096)
+def _trace_index(low: int, trace: int) -> int:
+    """The trace index of ``trace``, a subset of ``low``: bit j is set when
+    the j-th lowest element of ``low`` is in ``trace``."""
+    index = 0
+    for j, e in enumerate(iter_bits(low)):
+        index |= (trace >> e & 1) << j
+    return index
+
+
+@lru_cache(maxsize=4096)
+def _index_trace(low: int, index: int) -> int:
+    """The trace of trace index ``index`` over ``low``: the inverse of
+    :func:`_trace_index`."""
+    trace = 0
+    for j, e in enumerate(iter_bits(low)):
+        trace |= (index >> j & 1) << e
+    return trace
+
+
 def min_cluster_radius(
     cluster: Sequence[int],
     d: int,
@@ -244,11 +266,14 @@ def min_cluster_radius(
     radius r around a member's trace index (:func:`_ball_at`, cached) is
     the table of indices with at most r set bits, XOR-translated to that
     index by block swaps, and the traces asked are the set bits of the
-    members' intersection, in increasing order.  A table covers the lowest
-    ``TRACE_TABLE_BITS`` elements of ``bad``; the traces of the others are
-    looped over in counting order, each member's ball shrinking by its
-    distance there.  Only the traces asked get their farthest member
-    (lowest index on ties).
+    members' intersection, in increasing order.  A table covers ``low``,
+    the lowest ``TRACE_TABLE_BITS`` elements of ``bad``; the traces of the
+    others, ``high``, are looped over in counting order, each member's
+    ball shrinking by its distance there.  Bit j of a trace index stands
+    for the j-th lowest element of ``low``: :func:`_trace_index` maps a
+    member's trace on ``low`` to its index and :func:`_index_trace` maps an
+    index asked back to its trace, both cached over ints.  Only the traces
+    asked get their farthest member (lowest index on ties).
 
     ``memo``, when given, maps (farthest member, radius, trace, ``bad``),
     which fixes the query, to an earlier Found or NotFound answer; a key
@@ -278,19 +303,15 @@ def min_cluster_radius(
     if start > d:
         return None
     on_bad = [m & bad for m in masks]
-    # trace index bit j stands for the j-th lowest element of bad; the
-    # elements above the table are looped over
-    table: list[int] = []
+    # low: the table's elements, the lowest of bad; high: the rest
+    width = min(bad.bit_count(), TRACE_TABLE_BITS)
     high = bad
-    while high and len(table) < TRACE_TABLE_BITS:
-        table.append(high & -high)
-        high ^= table[-1]
-    width = len(table)
+    for _ in range(width):
+        high &= high - 1
+    low = bad ^ high
     full = _index_ball(width, width)
     # per member: its trace above the table and its trace index in the table
-    lanes = [
-        (m & high, sum(1 << j for j, e in enumerate(table) if m & e)) for m in masks
-    ]
+    lanes = [(m & high, _trace_index(low, m & low)) for m in masks]
     for radius in range(start, d + 1):
         for high_trace in submasks(high):
             chosen = full
@@ -305,9 +326,7 @@ def min_cluster_radius(
                 if not chosen:
                     break
             for index in iter_bits(chosen):
-                trace = high_trace
-                for j in iter_bits(index):
-                    trace |= table[j]
+                trace = high_trace | _index_trace(low, index)
                 spread = [(b ^ trace).bit_count() for b in on_bad]
                 farthest = masks[spread.index(max(spread))]
                 key = (farthest, radius, trace, bad)
@@ -365,18 +384,25 @@ def _oriented_variants(masks: list[int], n: int, d: int) -> Iterator[list[int]]:
 
 
 def _cluster_cost(
-    oracle: DomainOracle, d: int, n: int, modified: bool, ctx: OracleContext | None
+    oracle: DomainOracle,
+    members: Sequence[int],
+    d: int,
+    n: int,
+    modified: bool,
+    ctx: OracleContext | None,
 ) -> Callable[..., tuple[int, int] | None]:
     """Memoized per-cluster minimum radius, plain or modified.
 
-    Returns ``evaluate(member_bits, lo=0, requery=False)``: the (radius,
-    center) of the cluster, a frozenset of masks, or None above d; ``lo``
-    is a lower bound on the radius (see :func:`min_cluster_radius`).  The
-    modified distance asks one :func:`min_cluster_radius` call per
-    orientation guess of :func:`_oriented_variants` while a strictly
-    smaller radius is still possible; guesses wider than ``2 * d`` are
-    never asked.  The plain distance has the single orientation
-    ``(masks,)``.
+    Returns ``evaluate(held, lo=0, requery=False)``: the (radius, center)
+    of the cluster whose members are ``members[i]`` for the set bits i of
+    the member-index bitmask ``held``, or None above d; ``lo`` is a lower
+    bound on the radius (see :func:`min_cluster_radius`).  The cluster
+    memo is keyed by ``held``.  The modified distance asks one
+    :func:`min_cluster_radius` call per orientation guess of
+    :func:`_oriented_variants` on the cluster's masks in increasing order,
+    while a strictly smaller radius is still possible; guesses wider than
+    ``2 * d`` are never asked.  The plain distance has the single
+    orientation, the sorted masks.
 
     Besides the cluster memo, every call shares one query memo (see
     :func:`min_cluster_radius`), so a query the oracle answered once is
@@ -385,15 +411,13 @@ def _cluster_cost(
     solve uses it, so that it does not take the search's own answers on
     trust.
     """
-    memo: dict[frozenset[int], tuple[int, int] | None] = {}
+    memo: dict[int, tuple[int, int] | None] = {}
     answers: dict[tuple[int, int, int, int], Found | NotFound] = {}
 
-    def evaluate(
-        member_bits: frozenset[int], lo: int = 0, requery: bool = False
-    ) -> tuple[int, int] | None:
-        if member_bits in memo:
-            return memo[member_bits]
-        masks = sorted(member_bits)
+    def evaluate(held: int, lo: int = 0, requery: bool = False) -> tuple[int, int] | None:
+        if held in memo:
+            return memo[held]
+        masks = sorted(members[i] for i in iter_bits(held))
         result: tuple[int, int] | None = None
         for oriented in _oriented_variants(masks, n, d) if modified else (masks,):
             # only strictly better radii matter; an orientation whose
@@ -406,7 +430,7 @@ def _cluster_cost(
             )
             if got is not None:
                 result = got  # a radius of at most cap is strictly better
-        memo[member_bits] = result
+        memo[held] = result
         return result
 
     return evaluate
@@ -431,7 +455,7 @@ def _solve_clustering(
     if _pairwise_far(dist, k + 1, 2 * spec.d) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
-    evaluate = _cluster_cost(oracle, spec.d, n, spec.modified, ctx)
+    evaluate = _cluster_cost(oracle, members, spec.d, n, spec.modified, ctx)
 
     # member-index bitmasks: far[i] holds the members more than 2d from
     # member i, and no center covers both; clusters[ci] holds cluster ci
@@ -445,9 +469,6 @@ def _solve_clustering(
     # grow has a cover, so a filed cluster inside a cluster grown by idx
     # contains idx as its largest member: one list holds every candidate
     uncovered: list[list[int]] = [[] for _ in members]
-
-    def cluster_bits(held: int) -> frozenset[int]:
-        return frozenset(members[i] for i in iter_bits(held))
 
     def assign(idx: int, budget: int) -> bool:
         """Assign member idx; clusters are opened in canonical order."""
@@ -464,7 +485,7 @@ def _solve_clustering(
             elif any(f & grown == f for f in uncovered[idx]):
                 continue  # a center of grown would cover the filed cluster
             else:
-                after = evaluate(cluster_bits(grown), lo=before[0])
+                after = evaluate(grown, lo=before[0])
                 if after is None:
                     uncovered[idx].append(grown)
                     continue
@@ -478,7 +499,7 @@ def _solve_clustering(
                 clusters[ci] = held
                 covers[ci] = before
         if len(clusters) < k:
-            cover = evaluate(frozenset((x,)))
+            cover = evaluate(1 << idx)
             spent = 0 if cover is None or not sum_mode else cover[0]
             if cover is not None and spent <= budget:
                 clusters.append(1 << idx)
@@ -495,7 +516,7 @@ def _solve_clustering(
         if not assign(0, spec.d):
             return SolveAnswer(feasible=False)
         for cluster, (radius, _) in zip(clusters, covers):
-            got = evaluate(cluster_bits(cluster), lo=radius, requery=True)
+            got = evaluate(cluster, lo=radius, requery=True)
             if got is None or got[0] != radius:
                 raise SoundnessError(
                     f"the search relied on cluster radius {radius}, "

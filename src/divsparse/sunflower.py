@@ -180,12 +180,15 @@ class _ClassCores:
         size |y*| with the subsets of U after y*, and walks every larger
         size in full.
 
-        Each size is a depth-first walk over index-ordered prefixes.
-        Elements join a prefix in increasing order, so a known-empty set
-        becomes contained exactly when its highest element joins; that is
-        the only moment it is checked.  The required sets a prefix misses
-        are one bit set; a prefix is cut when one of them has no element
-        left above the prefix's last one.
+        Each size is a depth-first walk over index-ordered prefixes, one
+        loop over an explicit stack: per depth, the prefix, the required
+        sets it misses, the next position to try and whether the prefix
+        is y*'s own start, in arrays made once per walk.  The required
+        sets a prefix misses are one bit set; a prefix is cut when one of
+        them has no element left above the prefix's last one.  Elements
+        join a prefix in increasing order, so a known-empty set becomes
+        contained exactly when its highest element joins; that is the only
+        moment it is checked, and only for a prefix the first cut kept.
         """
         if self.dead:
             return
@@ -197,40 +200,47 @@ class _ClassCores:
             at = [old_elems.index(e) for e in iter_bits(last)]
         elems = list(iter_bits(union_bits))
         known_empty, hits, later = self.known_empty, self.hits, self.later
-
-        def grow(
-            pool: list[int], y: int, start: int, left: int, missed: int, tight: bool
-        ) -> Iterator[int]:
-            # tight: y holds the first |y*| - left elements of y*, taken
-            # from the old union, and the next one may not come before y*'s
-            if tight:
-                start = at[-left]
-            for i in range(start, len(pool) - left + 1):
-                e = pool[i]
-                z = y | 1 << e
-                blocked = known_empty.get(e + 1)
-                if blocked and any(b & ~z == 0 for b in blocked):
-                    continue
-                still = missed & ~hits[e]
-                if left == 1:
-                    # never y* itself: it misses the member it found
-                    if not still:
-                        yield z
-                elif not still & ~later[e]:
-                    yield from grow(
-                        pool, z, i + 1, left - 1, still, tight and i == start
-                    )
-
+        ys = [0] * len(elems)
+        miss = [0] * len(elems)
+        nxt = [0] * len(elems)
+        tight = [False] * len(elems)
         for size in range(len(at), len(elems) + 1):
             if 0 in known_empty:
                 return
             if size == 0:
                 if not self.full:
                     yield 0
-            elif size == len(at):
-                yield from grow(old_elems, 0, 0, size, self.full, True)
-            else:
-                yield from grow(elems, 0, 0, size, self.full, False)
+                continue
+            tight[0] = size == len(at)
+            pool = old_elems if tight[0] else elems
+            nxt[0] = at[0] if tight[0] else 0
+            miss[0] = self.full
+            last = size - 1
+            span = len(pool) - last  # depth j stops at position span + j
+            depth = 0
+            while depth >= 0:
+                i = nxt[depth]
+                if i >= span + depth:
+                    depth -= 1
+                    continue
+                nxt[depth] = i + 1
+                e = pool[i]
+                still = miss[depth] & ~hits[e]
+                if still & ~later[e] if depth < last else still:
+                    continue
+                z = ys[depth] | 1 << e
+                blocked = known_empty.get(e + 1)
+                if blocked and any(b & ~z == 0 for b in blocked):
+                    continue
+                if depth == last:
+                    # never y* itself: it misses the member it found
+                    yield z
+                    continue
+                depth += 1
+                tight[depth] = tight[depth - 1] and i == at[depth - 1]
+                nxt[depth] = at[depth] if tight[depth] else i + 1
+                ys[depth] = z
+                miss[depth] = still
 
 
 @dataclass(frozen=True)

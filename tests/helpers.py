@@ -419,6 +419,59 @@ def reference_hitting_sets(
             yield from grow(0, 0, size, (1 << len(required)) - 1)
 
 
+def reference_blockers(
+    record: _ClassCores, union_bits: int, after: tuple[int, int] | None
+) -> Iterator[int]:
+    """The resumed blocker walk of ``record`` as nested generators, one
+    frame per prefix depth: :meth:`_ClassCores.blockers` before its walk
+    became one explicit-stack loop per size, with the same arguments and
+    the same live reads of ``record.known_empty``."""
+    if record.dead:
+        return
+    old_elems: list[int] = []
+    at: list[int] = []  # where y*'s elements sit in old_elems
+    if after is not None:
+        old, last = after
+        old_elems = list(iter_bits(old))
+        at = [old_elems.index(e) for e in iter_bits(last)]
+    elems = list(iter_bits(union_bits))
+    known_empty, hits, later = record.known_empty, record.hits, record.later
+
+    def grow(
+        pool: list[int], y: int, start: int, left: int, missed: int, tight: bool
+    ) -> Iterator[int]:
+        # tight: y holds the first |y*| - left elements of y*, taken
+        # from the old union, and the next one may not come before y*'s
+        if tight:
+            start = at[-left]
+        for i in range(start, len(pool) - left + 1):
+            e = pool[i]
+            z = y | 1 << e
+            blocked = known_empty.get(e + 1)
+            if blocked and any(b & ~z == 0 for b in blocked):
+                continue
+            still = missed & ~hits[e]
+            if left == 1:
+                # never y* itself: it misses the member it found
+                if not still:
+                    yield z
+            elif not still & ~later[e]:
+                yield from grow(
+                    pool, z, i + 1, left - 1, still, tight and i == start
+                )
+
+    for size in range(len(at), len(elems) + 1):
+        if 0 in known_empty:
+            return
+        if size == 0:
+            if not record.full:
+                yield 0
+        elif size == len(at):
+            yield from grow(old_elems, 0, 0, size, record.full, True)
+        else:
+            yield from grow(elems, 0, 0, size, record.full, False)
+
+
 def restart_k_sparsify(
     params: SmallSparsifyParams, oracle: DomainOracle
 ) -> tuple[list[int], int, int]:

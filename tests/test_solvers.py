@@ -342,10 +342,12 @@ class TestMinClusterRadius:
                 else:
                     fam = random_family(rng, n, 10)
                 bits = fam.bits_list()
-                cluster = frozenset(rng.sample(bits, rng.randint(1, min(4, len(bits)))))
+                picked = rng.sample(range(len(bits)), rng.randint(1, min(4, len(bits))))
+                held = sum(1 << i for i in picked)
+                cluster = [bits[i] for i in picked]
                 d = rng.randint(0, 3)
                 oracle = ExplicitOracle(fam)
-                want = _cluster_cost(oracle, d, n, modified, None)(cluster)
+                want = _cluster_cost(oracle, bits, d, n, modified, None)(held)
                 least = min(
                     max(distance(c, b, n, modified) for b in cluster) for c in bits
                 )
@@ -353,8 +355,8 @@ class TestMinClusterRadius:
                 if not modified:
                     assert want == min_cluster_radius(sorted(cluster), d, oracle)
                 for lo in range(least + 1):
-                    evaluate = _cluster_cost(oracle, d, n, modified, None)
-                    assert evaluate(cluster, lo=lo) == want
+                    evaluate = _cluster_cost(oracle, bits, d, n, modified, None)
+                    assert evaluate(held, lo=lo) == want
 
     def test_orientations_ask_the_queries_of_every_guess(self):
         # orientations wider than 2d are skipped without a call; the cost
@@ -366,8 +368,9 @@ class TestMinClusterRadius:
             return fam, cluster, rng.randint(0, 4)
 
         def oriented_cost(cluster, d, oracle, ctx, lo):
-            evaluate = _cluster_cost(oracle, d, oracle.universe_size, True, ctx)
-            return evaluate(frozenset(cluster), lo)
+            # the members are distinct: every index is in the cluster
+            evaluate = _cluster_cost(oracle, cluster, d, oracle.universe_size, True, ctx)
+            return evaluate((1 << len(cluster)) - 1, lo)
 
         def reference(cluster, d, oracle, ctx, lo):
             # one query memo per cost, so both sides send the same distinct
@@ -446,6 +449,19 @@ class TestMinClusterRadius:
         # at most 1024 cached balls of at most 2**TRACE_TABLE_BITS bits each
         maxsize = solvers._ball_at.cache_info().maxsize
         assert maxsize is not None and maxsize <= 1024
+
+    def test_trace_indices_match_the_brute_force_bits(self):
+        for low in range(1 << 9):
+            elements = [e for e in range(9) if low >> e & 1]
+            for index in range(1 << len(elements)):
+                trace = sum(1 << e for j, e in enumerate(elements) if index >> j & 1)
+                assert solvers._index_trace(low, index) == trace, (low, index)
+                assert solvers._trace_index(low, trace) == index, (low, trace)
+                assert solvers._trace_index(low, solvers._index_trace(low, index)) == index
+                assert solvers._index_trace(low, solvers._trace_index(low, trace)) == trace
+        for cached in (solvers._trace_index, solvers._index_trace):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 4096
 
     def test_wide_cluster_answers_with_one_query(self):
         # 40 disagreement elements: a table over every trace would need 2^40
@@ -763,8 +779,9 @@ class TestClusteringSearch:
         # a center within d of every member of a cluster is within d of
         # every member of its subclusters, so once a cluster evaluates to
         # None every superset would too and must not be evaluated
-        failed: list[frozenset[int]] = []
-        current: list[frozenset[int]] = []
+        # clusters as member-index bitmasks
+        failed: list[int] = []
+        current: list[int] = []
         supersets = []
         real_cost, real_radius = solvers._cluster_cost, solvers.min_cluster_radius
 
@@ -782,7 +799,7 @@ class TestClusteringSearch:
             return spied
 
         def radius(cluster, *args, **kwargs):
-            if any(f <= current[0] for f in failed):
+            if any(f & current[0] == f for f in failed):
                 supersets.append(current[0])
             return real_radius(cluster, *args, **kwargs)
 

@@ -42,6 +42,7 @@ from helpers import (
     is_sunflower,
     random_family,
     random_undirected_graph,
+    reference_blockers,
     reference_hitting_sets,
     reference_k_sparsify,
     restart_k_sparsify,
@@ -285,6 +286,48 @@ class TestResumedWalk:
             record.add(member)
         assert record.dead and 0 in record.cores
         assert list(record.blockers((1 << 24) - 1, None)) == []
+
+
+class TestWalkAgainstNestedGenerators:
+    """The explicit-stack walk yields what the nested-generator walk
+    yields, blocker for blocker, on the same record and arguments."""
+
+    def test_same_blockers_in_the_same_order(self):
+        rng = random.Random(73)
+        kinds: Counter[str] = Counter()
+        compared = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            record = _ClassCores(rng.randint(1, 4), n)
+            size = rng.randint(0, min(3, n))
+            pool = [sum(1 << e for e in c) for c in combinations(range(n), size)]
+            for member in rng.sample(pool, rng.randint(0, min(5, len(pool)))):
+                record.add(member)
+            # members of other classes widen the union
+            union = rng.getrandbits(n) & rng.getrandbits(n)
+            for member in record.members:
+                union |= member
+            for _ in range(rng.randint(0, 3)):
+                if y := rng.getrandbits(n) & rng.getrandbits(n) & union:
+                    record.known_empty.setdefault(y.bit_length(), []).append(y)
+            after = None
+            if rng.random() < 0.5:
+                old = union & rng.getrandbits(n)
+                after = (old, old & rng.getrandbits(n))
+            kinds["resumed" if after else "fresh"] += 1
+            kinds["dead"] += record.dead
+            # both walks read the one known_empty dict live
+            want = reference_blockers(record, union, after)
+            for y in record.blockers(union, after):
+                assert y == next(want)
+                compared += 1
+                if rng.random() < 0.3:
+                    record.known_empty.setdefault(y.bit_length(), []).append(y)
+                    kinds["appended"] += 1
+            assert next(want, None) is None
+        assert min(kinds[k] for k in ("fresh", "resumed", "appended")) >= 200
+        assert kinds["dead"] >= 50
+        assert compared > 1000
 
 
 def small_params(k, r, ell):

@@ -51,10 +51,6 @@ class VerifyScope:
             raise ValueError("ball reference needs a center and radius")
 
     @classmethod
-    def versus_domain(cls, k: int, cap: int | None) -> "VerifyScope":
-        return cls(k=k, cap=cap, reference="domain")
-
-    @classmethod
     def versus_all_subsets(cls, k: int, cap: int | None) -> "VerifyScope":
         return cls(k=k, cap=cap, reference="all")
 

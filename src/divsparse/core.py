@@ -94,17 +94,6 @@ class SubsetMask:
     def empty(cls, universe_size: int) -> "SubsetMask":
         return cls(universe_size, 0)
 
-    @classmethod
-    def from_indices(cls, universe_size: int, indices: Iterable[int]) -> "SubsetMask":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < universe_size:
-                raise ValueError(
-                    f"element index {i} out of range for universe size {universe_size}"
-                )
-            bits |= 1 << i
-        return cls(universe_size, bits)
-
     def members(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.bits))
 

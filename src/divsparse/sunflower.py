@@ -22,21 +22,29 @@ forbidding more elements can only remove members.  The output is the same
 as asking every blocker afresh; only the call count drops, and it is
 counted where each query is issued.
 
-The classes are taken one at a time, in order of size.  A class walks its
-blockers until a walk ends without a find; each find adds a member, and
-the next walk resumes after the blocker y* that found it.  The class
-record keeps its sunflower cores (a new member can only complete
-sunflowers that use it, so only the candidate cores inside it are checked
-again) and the hit tables of the sets a blocker must intersect.
+The classes are taken one at a time, in order of size, each by one walk
+from its first query to its last.  A find adds a member and the walk goes
+on in place: it finishes the current size over the union it started that
+size with, then takes each larger size over the grown union.  The class
+record keeps its sunflower cores and the hit tables of the sets a blocker
+must intersect.  A new member can only complete sunflowers that use it, so
+only the candidate cores inside it are checked again, and a pair
+intersection of c elements is a candidate only when t = kr+1 disjoint
+petals fit around it in the universe: c + t (l' - c) <= n.
 
-Resuming is exact, and a class whose walk ran dry stays dry however the
-union grows, so no earlier class is walked again.  Required sets and
-known-empty sets are only ever added, and the required sets of a walk
-over the member union U lie inside U, so a blocker y hitting them all
-later has y & U hitting them too.  If that walk passed y & U (all of U
-when it ran dry, everything before y* when it found through y*), then
-y & U held a set then known empty, or was asked and answered NotFound, so
-y holds a known-empty set now.  y* itself misses the member it found.
+Going on in place asks the queries of restarting from the smallest class
+after every find.  Required sets and known-empty sets are only ever added,
+and every required set lies inside the member union.  Invariant: when the
+walk starts size s, every subset of the union with fewer than s elements
+that hits all current required sets holds a known-empty set.  The walk of
+its size passed it, or, if a find during that size added one of its
+elements, passed its part inside the union that size started with, which
+is smaller still and hits the required sets of that time.  So a blocker
+of size s that a restart would reach and the walk skips, because a find
+during size s added one of its elements, holds a known-empty set: its
+part inside the union the size started with has fewer than s elements.
+A class that ran dry passed every subset of its union, so it stays dry as
+the union grows, and no earlier class is walked again.
 """
 
 from __future__ import annotations
@@ -94,8 +102,9 @@ class _ClassCores:
     its size-``t`` sunflowers, kept up to date as members join, and what
     the blocker walk knows of it.
 
-    For t >= 2 a core is the intersection of two petals, so each pairwise
-    intersection is a candidate, confirmed once t members containing it
+    For t >= 2 a core is the intersection of two petals, so a pairwise
+    intersection c is a candidate when t disjoint petals fit around it,
+    |c| + t (l' - |c|) <= n, and is confirmed once t members containing it
     have pairwise-disjoint remainders.  For t == 1 each member is its own
     core.
 
@@ -105,7 +114,8 @@ class _ClassCores:
     required sets join, and ``full`` has the bits of all of them.  Every
     required set lies inside the member union, so the tables do not depend
     on it.  ``dead`` is set once an empty required set joins: nothing can
-    intersect it.
+    intersect it.  ``union`` is the member union the walk grows into: the
+    union it was started with and every member added since.
 
     ``known_empty`` holds the blockers answered NotFound, keyed by
     ``y.bit_length()`` (highest element + 1, or 0 for the empty set).
@@ -122,6 +132,7 @@ class _ClassCores:
         self.hits = [0] * universe_size
         self.later = [0] * universe_size
         self.full = 0  # the bits of every required set
+        self.union = 0
 
     def _require(self, req: int) -> None:
         if not req:
@@ -144,10 +155,13 @@ class _ClassCores:
         t = self.t
         if t == 1:
             self.cores.append(member)  # required once, as a member
-        # t pairwise-disjoint nonempty remainders cannot fit in the universe
-        elif t <= self.universe_size:
+        else:
+            lp, n = member.bit_count(), self.universe_size
             for b in self.members:
-                self._candidates.setdefault(member & b, False)
+                cand = member & b
+                c = cand.bit_count()
+                if c + t * (lp - c) <= n:  # room for t disjoint petals
+                    self._candidates.setdefault(cand, False)
             for cand, confirmed in self._candidates.items():
                 if confirmed or cand & ~member:
                     continue
@@ -162,59 +176,51 @@ class _ClassCores:
                     self.cores.append(cand)
                     self._require(cand)
         self.members.append(member)
+        self.union |= member
         self._require(member)
 
-    def blockers(self, union_bits: int, after: tuple[int, int] | None) -> Iterator[int]:
+    def blockers(self, union_bits: int) -> Iterator[int]:
         """Subsets of the member union that intersect every required set
         and contain no known-empty set, in order of increasing size, then
-        lexicographically by element indices, from the start or resumed
-        ``after`` a find.
+        lexicographically by element indices: the class's one walk, from
+        its first query to its last.
 
         Yields nothing when the class is dead; yields the empty set first
         when there is nothing to intersect.  ``known_empty`` is read live,
-        so sets the caller adds while iterating prune what follows.
-
-        ``after`` is (old union U, blocker y*) of the walk that found the
-        last member.  Resuming skips every blocker whose part inside U
-        comes before y* (see the module docstring): the walk starts at
-        size |y*| with the subsets of U after y*, and walks every larger
-        size in full.
+        so sets the caller adds while iterating prune what follows.  The
+        walk starts over ``union_bits``; members the caller adds while
+        iterating grow ``union``.  After a yield the walk returns if the
+        class is now dead.  If ``full`` has changed, a member was added:
+        the walk updates the sets its current prefixes miss, finishes the
+        current size over the union that size started with, and takes
+        each larger size over the grown union.  No blocker of the grown
+        union that this skips is left (see the module docstring).
 
         Each size is a depth-first walk over index-ordered prefixes, one
         loop over an explicit stack: per depth, the prefix, the required
-        sets it misses, the next position to try and whether the prefix
-        is y*'s own start, in arrays made once per walk.  The required
-        sets a prefix misses are one bit set; a prefix is cut when one of
-        them has no element left above the prefix's last one.  Elements
-        join a prefix in increasing order, so a known-empty set becomes
-        contained exactly when its highest element joins; that is the only
-        moment it is checked, and only for a prefix the first cut kept.
+        sets it misses and the next position to try.  The required sets a
+        prefix misses are one bit set; a prefix is cut when one of them
+        has no element left above the prefix's last one.  Elements join a
+        prefix in increasing order, so a known-empty set becomes contained
+        exactly when its highest element joins; that is the only moment it
+        is checked, and only for a prefix the first cut kept.
         """
-        if self.dead:
-            return
-        old_elems: list[int] = []
-        at: list[int] = []  # where y*'s elements sit in old_elems
-        if after is not None:
-            old, last = after
-            old_elems = list(iter_bits(old))
-            at = [old_elems.index(e) for e in iter_bits(last)]
-        elems = list(iter_bits(union_bits))
+        self.union |= union_bits
         known_empty, hits, later = self.known_empty, self.hits, self.later
-        ys = [0] * len(elems)
-        miss = [0] * len(elems)
-        nxt = [0] * len(elems)
-        tight = [False] * len(elems)
-        for size in range(len(at), len(elems) + 1):
+        size = 0
+        while not self.dead and size <= self.union.bit_count():
             if 0 in known_empty:
                 return
             if size == 0:
                 if not self.full:
                     yield 0
+                size = 1
                 continue
-            tight[0] = size == len(at)
-            pool = old_elems if tight[0] else elems
-            nxt[0] = at[0] if tight[0] else 0
-            miss[0] = self.full
+            pool = list(iter_bits(self.union))
+            ys = [0] * size
+            nxt = [0] * size
+            miss = [0] * size
+            seen = miss[0] = self.full
             last = size - 1
             span = len(pool) - last  # depth j stops at position span + j
             depth = 0
@@ -229,18 +235,24 @@ class _ClassCores:
                 if still & ~later[e] if depth < last else still:
                     continue
                 z = ys[depth] | 1 << e
-                blocked = known_empty.get(e + 1)
-                if blocked and any(b & ~z == 0 for b in blocked):
-                    continue
-                if depth == last:
-                    # never y* itself: it misses the member it found
+                for b in known_empty.get(e + 1, ()):
+                    if not b & ~z:
+                        break
+                else:
+                    if depth < last:
+                        depth += 1
+                        nxt[depth] = i + 1
+                        ys[depth] = z
+                        miss[depth] = still
+                        continue
                     yield z
-                    continue
-                depth += 1
-                tight[depth] = tight[depth - 1] and i == at[depth - 1]
-                nxt[depth] = at[depth] if tight[depth] else i + 1
-                ys[depth] = z
-                miss[depth] = still
+                    if self.dead:
+                        return
+                    if self.full != seen:  # z found a member
+                        seen = miss[0] = self.full
+                        for j in range(last):
+                            miss[j + 1] = miss[j] & ~hits[pool[nxt[j] - 1]]
+            size += 1
 
 
 @dataclass(frozen=True)
@@ -271,9 +283,9 @@ def k_sparsify(
     """Build a k-max-distance sparsifier w.r.t. B(empty, r).
 
     Takes the cardinalities l' in increasing order.  Each class enumerates
-    qualifying blocker sets Y in deterministic order and adds the first
-    witness the empty extension oracle produces, then walks again, until a
-    walk adds nothing.  Output size is bounded by (ell+1)! (kr+1)^ell.
+    qualifying blocker sets Y in deterministic order and adds the witness
+    the empty extension oracle produces for each Y that finds one, until
+    its walk runs out.  Output size is bounded by (ell+1)! (kr+1)^ell.
 
     A class with no member yet has the empty blocker as its first query,
     so a class with no member at all costs one NotFound.  A blocker
@@ -283,18 +295,15 @@ def k_sparsify(
     fires, provided the oracle honours the monotonicity in
     :class:`DomainOracle`.
 
-    Each class keeps one :class:`_ClassCores` record.  Its cores and hit
-    tables are updated only when it gains a member, and its next walk
-    resumes after the blocker y* that found it: no blocker whose part
-    inside the old union comes before y* in (size, lex) order is left,
-    and a class that ran dry has none left at all, because such a blocker
-    holds a set known empty (see the module docstring).  So the queries
-    and their order are those of restarting at the smallest class after
-    every find, and ``passes``, the passes such a restart would make, is
-    the member count + 1.  The union guard is checked where the union
-    grows: past 20 elements it raises while any class, dry or not, is not
-    dead (has no empty required set), as that restart would on its next
-    pass.
+    Each class keeps one :class:`_ClassCores` record and is walked by one
+    :meth:`_ClassCores.blockers` generator.  A find adds the member, which
+    updates the record's cores and hit tables, and the walk goes on in
+    place.  The queries and their order are those of restarting at the
+    smallest class after every find (see the module docstring), and
+    ``passes``, the passes such a restart would make, is the member
+    count + 1.  The union guard is checked where the union grows: past
+    20 elements it raises while any class, dry or not, is not dead (has
+    no empty required set), as that restart would on its next pass.
 
     Every query carries ``ctx``.  If the oracle surfaces a trivial
     sparsifier, that family is returned at once with ``shortcut`` set,
@@ -333,33 +342,28 @@ def k_sparsify(
             )
 
     for lp, group in enumerate(classes):
-        after: tuple[int, int] | None = None  # (union, blocker) of the last find
-        while True:
-            for y in group.blockers(union_bits, after):
-                out = oracle.exact_empty_extend(lp, y, ctx)
-                calls += 1
-                if isinstance(out, TrivialSparsifier):
-                    check_trivial_sparsifier(out, ctx)
-                    return SparsifierReport(
-                        out.family, params, calls_extend=calls,
-                        passes=len(members) + 1, shortcut=True,
+        for y in group.blockers(union_bits):
+            out = oracle.exact_empty_extend(lp, y, ctx)
+            calls += 1
+            if isinstance(out, TrivialSparsifier):
+                check_trivial_sparsifier(out, ctx)
+                return SparsifierReport(
+                    out.family, params, calls_extend=calls,
+                    passes=len(members) + 1, shortcut=True,
+                )
+            if isinstance(out, Found):
+                check_witness(out.witness, lp, y)
+                members.append(out.witness)
+                group.add(out.witness)
+                size = group.union.bit_count()
+                if size > BLOCKER_UNION_GUARD and not all(c.dead for c in classes):
+                    raise GuardError(
+                        f"blocker enumeration over {size} elements exceeds "
+                        f"the 2^{BLOCKER_UNION_GUARD} guard"
                     )
-                if isinstance(out, Found):
-                    check_witness(out.witness, lp, y)
-                    after = (union_bits, y)
-                    members.append(out.witness)
-                    union_bits |= out.witness
-                    group.add(out.witness)
-                    size = union_bits.bit_count()
-                    if size > BLOCKER_UNION_GUARD and not all(c.dead for c in classes):
-                        raise GuardError(
-                            f"blocker enumeration over {size} elements exceeds "
-                            f"the 2^{BLOCKER_UNION_GUARD} guard"
-                        )
-                    break
-                group.known_empty.setdefault(y.bit_length(), []).append(y)
             else:
-                break  # a walk without a find: the class has run dry
+                group.known_empty.setdefault(y.bit_length(), []).append(y)
+        union_bits = group.union
 
     family = SetFamily.from_bits(n, members)
     return SparsifierReport(family, params, calls_extend=calls, passes=len(members) + 1)

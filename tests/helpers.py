@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from divsparse import (
     CapabilityError,
@@ -29,7 +29,7 @@ from divsparse import (
     default_trials,
     distance,
 )
-from divsparse.bruteforce import enumerate_domain
+from divsparse.bruteforce import VerifyScope, enumerate_domain
 from divsparse.core import (
     NOT_FOUND,
     _check_universe_size,
@@ -289,6 +289,24 @@ def certify_answer(
             ), "a domain member is not covered"
 
 
+def mask_from_indices(universe_size: int, indices: Iterable[int]) -> SubsetMask:
+    """The subset holding ``indices``; an index outside the universe is a
+    ValueError naming it."""
+    bits = 0
+    for i in indices:
+        if not 0 <= i < universe_size:
+            raise ValueError(
+                f"element index {i} out of range for universe size {universe_size}"
+            )
+        bits |= 1 << i
+    return SubsetMask(universe_size, bits)
+
+
+def versus_domain(k: int, cap: int | None) -> VerifyScope:
+    """A scope whose reference family is the domain itself."""
+    return VerifyScope(k=k, cap=cap, reference="domain")
+
+
 def union_of(family: SetFamily) -> int:
     """The union of the members of ``family``, as a mask."""
     out = 0
@@ -419,57 +437,38 @@ def reference_hitting_sets(
             yield from grow(0, 0, size, (1 << len(required)) - 1)
 
 
-def reference_blockers(
-    record: _ClassCores, union_bits: int, after: tuple[int, int] | None
-) -> Iterator[int]:
-    """The resumed blocker walk of ``record`` as nested generators, one
-    frame per prefix depth: :meth:`_ClassCores.blockers` before its walk
-    became one explicit-stack loop per size, with the same arguments and
-    the same live reads of ``record.known_empty``."""
+def reference_blockers(record: _ClassCores, union_bits: int) -> Iterator[int]:
+    """The blocker walk of ``record`` as nested generators, one frame per
+    prefix depth, with the same live reads of ``record.known_empty``:
+    :meth:`_ClassCores.blockers` before its walk became one explicit-stack
+    loop per size, on a walk that finds nothing."""
     if record.dead:
         return
-    old_elems: list[int] = []
-    at: list[int] = []  # where y*'s elements sit in old_elems
-    if after is not None:
-        old, last = after
-        old_elems = list(iter_bits(old))
-        at = [old_elems.index(e) for e in iter_bits(last)]
     elems = list(iter_bits(union_bits))
     known_empty, hits, later = record.known_empty, record.hits, record.later
 
-    def grow(
-        pool: list[int], y: int, start: int, left: int, missed: int, tight: bool
-    ) -> Iterator[int]:
-        # tight: y holds the first |y*| - left elements of y*, taken
-        # from the old union, and the next one may not come before y*'s
-        if tight:
-            start = at[-left]
-        for i in range(start, len(pool) - left + 1):
-            e = pool[i]
+    def grow(y: int, start: int, left: int, missed: int) -> Iterator[int]:
+        for i in range(start, len(elems) - left + 1):
+            e = elems[i]
             z = y | 1 << e
             blocked = known_empty.get(e + 1)
             if blocked and any(b & ~z == 0 for b in blocked):
                 continue
             still = missed & ~hits[e]
             if left == 1:
-                # never y* itself: it misses the member it found
                 if not still:
                     yield z
             elif not still & ~later[e]:
-                yield from grow(
-                    pool, z, i + 1, left - 1, still, tight and i == start
-                )
+                yield from grow(z, i + 1, left - 1, still)
 
-    for size in range(len(at), len(elems) + 1):
+    for size in range(len(elems) + 1):
         if 0 in known_empty:
             return
         if size == 0:
             if not record.full:
                 yield 0
-        elif size == len(at):
-            yield from grow(old_elems, 0, 0, size, record.full, True)
         else:
-            yield from grow(elems, 0, 0, size, record.full, False)
+            yield from grow(0, 0, size, record.full)
 
 
 def restart_k_sparsify(

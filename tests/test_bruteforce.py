@@ -22,7 +22,7 @@ from divsparse.instances import (
     st_mincut_instance,
 )
 
-from helpers import generate_instance, random_family
+from helpers import generate_instance, random_family, versus_domain
 
 
 class TestEnumerateDomain:
@@ -76,7 +76,7 @@ class TestVerifySparsifier:
             n = rng.randint(2, 7)
             fam = random_family(rng, n, 10, nonempty=False)
             for scope in (
-                VerifyScope.versus_domain(2, None),
+                versus_domain(2, None),
                 VerifyScope.versus_all_subsets(2, 2),
             ):
                 assert verify_sparsifier(fam, fam, scope).ok
@@ -86,7 +86,7 @@ class TestVerifySparsifier:
         # from {0} but the candidate only reaches 0
         fam = SetFamily.from_bits(2, [0b01, 0b10])
         cand = SetFamily.from_bits(2, [0b01])
-        scope = VerifyScope.versus_domain(1, None)
+        scope = versus_domain(1, None)
         got = verify_sparsifier(fam, cand, scope)
         assert not got.ok
         assert got.counterexample is not None
@@ -96,19 +96,19 @@ class TestVerifySparsifier:
     def test_cap_zero_accepts_anything_nonempty(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
         cand = SetFamily.from_bits(2, [0b01])
-        scope = VerifyScope.versus_domain(1, 0)
+        scope = versus_domain(1, 0)
         assert verify_sparsifier(fam, cand, scope).ok
 
     def test_candidate_outside_domain_rejected(self):
         fam = SetFamily.from_bits(2, [0b01])
         cand = SetFamily.from_bits(2, [0b10])
         with pytest.raises(ValueError):
-            verify_sparsifier(fam, cand, VerifyScope.versus_domain(1, None))
+            verify_sparsifier(fam, cand, versus_domain(1, None))
 
     def test_empty_candidate_fails_on_nonempty_domain(self):
         fam = SetFamily.from_bits(2, [0b01])
         got = verify_sparsifier(
-            fam, SetFamily.from_bits(2, ()), VerifyScope.versus_domain(1, 0)
+            fam, SetFamily.from_bits(2, ()), versus_domain(1, 0)
         )
         assert not got.ok
 
@@ -162,7 +162,7 @@ class TestVerifySparsifier:
             bruteforce, "_is_genuine_counterexample", lambda *args: False
         )
         with pytest.raises(SoundnessError, match="counterexample"):
-            verify_sparsifier(fam, cand, VerifyScope.versus_domain(1, None))
+            verify_sparsifier(fam, cand, versus_domain(1, None))
 
     def test_sampled_mode_above_reference_guard(self):
         n = 14

@@ -29,7 +29,12 @@ from divsparse import (
 )
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle
-from divsparse.limited import ShiftedEmptyExtension
+from divsparse.limited import (
+    LimitedSparsifyParams,
+    ShiftedEmptyExtension,
+    cluster_or_trivial,
+    default_cluster_radius,
+)
 from divsparse.instances import uniform_matroid_instance, vertex_cover_instance
 from divsparse.sunflower import _ClassCores
 
@@ -39,7 +44,9 @@ from helpers import (
     brute_cores,
     brute_required,
     class_required,
+    generate_instance,
     is_sunflower,
+    mask_from_indices,
     random_family,
     random_undirected_graph,
     reference_blockers,
@@ -52,7 +59,7 @@ from helpers import (
 
 def fam(n, *bit_lists):
     return SetFamily.from_bits(
-        n, [SubsetMask.from_indices(n, bits).bits for bits in bit_lists]
+        n, [mask_from_indices(n, bits).bits for bits in bit_lists]
     )
 
 
@@ -153,6 +160,11 @@ class TestClassCores:
                     want = set(brute_cores(family, size, t))
                     assert record.members == group[: i + 1]
                     assert sorted(record.cores) == sorted(want)
+                    # only cores with room for t disjoint petals are kept
+                    assert all(
+                        c.bit_count() + t * (size - c.bit_count()) <= n
+                        for c in record._candidates
+                    )
                 if t >= 3:
                     candidates = {a & b for a, b in combinations(group, 2)}
                     confirmed += len(want)
@@ -216,54 +228,52 @@ class TestHittingSetsWithKnownEmpty:
 
 
 def replay_class(rng, n, size, t, kinds):
-    """Walks of one class over a random member sequence, each in lockstep
-    with the walk from scratch, until one runs dry; after that, the walk
-    from scratch must stay empty.  Returns the number of blockers compared.
+    """One class's walk over a random member sequence, in lockstep with
+    the walk from scratch: from its start, and again over the grown union
+    after each find.  Once it ends, the walk from scratch stays empty, also
+    over a union other classes grow.  Returns the number of blockers
+    compared.
 
-    Between walks, members of other classes grow the union and other
-    answers grow ``known_empty``; in a walk, each blocker is answered
-    NotFound or, at random, Found with a new member it misses.
+    The walk starts over a union that members of other classes may have
+    grown, with some sets known empty; each blocker is answered NotFound
+    or, at random, Found with a new member it misses.
     """
     record = _ClassCores(t, n)
     pool = [sum(1 << e for e in c) for c in combinations(range(n), size)]
-    union = compared = 0
-    after = None  # (union, blocker) of the last find
-    dry = False
-    for _ in range(rng.randint(2, 16)):
-        if rng.random() < 0.5:
-            union |= rng.getrandbits(n) & rng.getrandbits(n)
-        other = rng.getrandbits(n) & union
-        if other and rng.random() < 0.2:
+    union = rng.getrandbits(n) & rng.getrandbits(n)
+    for _ in range(rng.randint(0, 2)):
+        if other := rng.getrandbits(n) & union:
             record.known_empty.setdefault(other.bit_length(), []).append(other)
-        want = reference_hitting_sets(union, class_required(record), record.known_empty)
-        if dry:
-            # a class that ran dry is not walked again: it stays dry
-            kinds["ran dry"] += 1
-            assert next(want, None) is None
-            continue
-        kinds["first" if after is None else "after a find"] += 1
-        found = None
-        for y in record.blockers(union, after):
-            assert y == next(want)
-            compared += 1
-            fresh = [m for m in pool if not m & y and m not in record.members]
-            if fresh and rng.random() < (0.9 if y == 0 else 0.3):
-                found = rng.choice(fresh)
-                break
-            record.known_empty.setdefault(y.bit_length(), []).append(y)
-        if found is None:
-            assert next(want, None) is None
-            dry = True
-        else:
-            after = (union, y)
+    kinds["first"] += 1
+    want = reference_hitting_sets(union, class_required(record), record.known_empty)
+    compared = 0
+    for y in record.blockers(union):
+        assert y == next(want)
+        compared += 1
+        fresh = [m for m in pool if not m & y and m not in record.members]
+        if fresh and rng.random() < (0.9 if y == 0 else 0.3):
+            found = rng.choice(fresh)
             union |= found
             record.add(found)
+            kinds["after a find"] += 1
+            want = reference_hitting_sets(
+                union, class_required(record), record.known_empty
+            )
+        else:
+            record.known_empty.setdefault(y.bit_length(), []).append(y)
+    assert next(want, None) is None
+    assert record.union == union
+    kinds["ran dry"] += 1
+    union |= rng.getrandbits(n)
+    again = reference_hitting_sets(union, class_required(record), record.known_empty)
+    assert next(again, None) is None
     kinds["dead"] += record.dead
     return compared
 
 
 class TestResumedWalk:
-    """The resumed walk yields the blockers of the walk from scratch."""
+    """The walk, resumed in place after each find, yields the blockers of
+    the walk from scratch over the grown union."""
 
     @pytest.mark.parametrize("t_range", [(1, 1), (2, 4)])
     def test_replays_match_the_walk_from_scratch(self, t_range):
@@ -285,12 +295,12 @@ class TestResumedWalk:
         for member in (0b0011, 0b1100):
             record.add(member)
         assert record.dead and 0 in record.cores
-        assert list(record.blockers((1 << 24) - 1, None)) == []
+        assert list(record.blockers((1 << 24) - 1)) == []
 
 
 class TestWalkAgainstNestedGenerators:
     """The explicit-stack walk yields what the nested-generator walk
-    yields, blocker for blocker, on the same record and arguments."""
+    yields, blocker for blocker, on the same record and union."""
 
     def test_same_blockers_in_the_same_order(self):
         rng = random.Random(73)
@@ -310,22 +320,18 @@ class TestWalkAgainstNestedGenerators:
             for _ in range(rng.randint(0, 3)):
                 if y := rng.getrandbits(n) & rng.getrandbits(n) & union:
                     record.known_empty.setdefault(y.bit_length(), []).append(y)
-            after = None
-            if rng.random() < 0.5:
-                old = union & rng.getrandbits(n)
-                after = (old, old & rng.getrandbits(n))
-            kinds["resumed" if after else "fresh"] += 1
+            kinds["fresh"] += 1
             kinds["dead"] += record.dead
             # both walks read the one known_empty dict live
-            want = reference_blockers(record, union, after)
-            for y in record.blockers(union, after):
+            want = reference_blockers(record, union)
+            for y in record.blockers(union):
                 assert y == next(want)
                 compared += 1
                 if rng.random() < 0.3:
                     record.known_empty.setdefault(y.bit_length(), []).append(y)
                     kinds["appended"] += 1
             assert next(want, None) is None
-        assert min(kinds[k] for k in ("fresh", "resumed", "appended")) >= 200
+        assert min(kinds[k] for k in ("fresh", "appended")) >= 200
         assert kinds["dead"] >= 50
         assert compared > 1000
 
@@ -458,8 +464,8 @@ class TestKSparsify:
             k_sparsify(params, oracle)
 
 
-def shifted_explicit(family, center):
-    return ShiftedEmptyExtension(ExplicitOracle(family), center)
+def shifted_view(make_oracle, center):
+    return ShiftedEmptyExtension(make_oracle(), center)
 
 
 def reference_grid():
@@ -477,7 +483,7 @@ def reference_grid():
         shifted_ell = max((b ^ center).bit_count() for b in family.bits)
         yield (
             small_params(k, shifted_ell, shifted_ell),
-            partial(shifted_explicit, family, center),
+            partial(shifted_view, partial(ExplicitOracle, family), center),
         )
 
 
@@ -544,6 +550,27 @@ def test_sunflower_grid_runs_are_pinned():
     assert runs.hexdigest() == SUNFLOWER_GRID_RUNS
 
 
+def test_one_walk_per_class(monkeypatch):
+    walks: Counter[int] = Counter()
+    walk = _ClassCores.blockers
+
+    def counted(record, *args):
+        walks[id(record)] += 1
+        return walk(record, *args)
+
+    monkeypatch.setattr(_ClassCores, "blockers", counted)
+    cases = list(reference_grid()) + [
+        (small_params(k, inst.size_bound, inst.size_bound), inst.oracle)
+        for k, inst in sunflower_grid()
+    ]
+    members = 0
+    for params, make_oracle in cases:
+        walks.clear()
+        members += len(k_sparsify(params, make_oracle()).family)
+        assert walks and max(walks.values()) == 1
+    assert members > len(cases)  # walks do go on past finds
+
+
 class Recording:
     """Forwards empty extensions to ``inner`` and records each (l', Y)."""
 
@@ -557,6 +584,27 @@ class Recording:
         return self.inner.exact_empty_extend(r, forbidden, ctx)
 
 
+def limited_grid():
+    """Seeded (params, oracle factory) cases of the limited pipeline's
+    per-center runs: ``SmallSparsifyParams(k, p + d, p)`` over the shifted
+    view of each far-set center of spanning-tree, matching and min-cut
+    instances.  t = k (p + d) + 1 exceeds the universe, so no class has a
+    core, and the adapters answer queries with forced and forbidden sets."""
+    for kind in ("spanning_tree", "matching", "st_mincut"):
+        for seed in range(10):
+            instance, _ = generate_instance(kind, seed, 40, min_domain=3)
+            params = LimitedSparsifyParams(k=2, d=1 + seed % 2, seed=seed)
+            clusters = cluster_or_trivial(instance.oracle(), params)
+            if clusters.trivial:
+                continue  # k + 1 far members: no per-center runs
+            p = default_cluster_radius(params.k, params.d)
+            for center in clusters.family.bits:
+                yield (
+                    small_params(params.k, p + params.d, p),
+                    partial(shifted_view, instance.oracle, center),
+                )
+
+
 class TestAgainstRestart:
     """Resuming the walks asks the queries of restarting them."""
 
@@ -565,6 +613,9 @@ class TestAgainstRestart:
             (small_params(k, inst.size_bound, inst.size_bound), inst.oracle)
             for k, inst in sunflower_grid()
         ]
+        limited = list(limited_grid())
+        assert len(limited) >= 20
+        cases += limited
         for params, make_oracle in cases:
             got, want = Recording(make_oracle()), Recording(make_oracle())
             report = k_sparsify(params, got)

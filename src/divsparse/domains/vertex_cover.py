@@ -1,13 +1,17 @@
 """Vertex covers of size at most ell.
 
-The empty extension is solved directly: forbidden vertices force their
-neighborhoods into the cover, the rest is a bounded-depth branch on
-uncovered edges plus padding to the exact size.  The full extension query
-additionally guesses the overlap with the center, reducing to the same
-forced/forbidden exact-size subproblem.  Only overlaps consistent with the
-query are guessed: each holds the forced center vertices and no forbidden
-one, so the guesses are the subsets of the center's free vertices, each
-joined with its forced ones.
+The empty extension is solved directly.  Forbidden vertices force their
+neighborhood, an OR of neighbor masks built once, into the cover; one that
+meets the forbidden set marks an edge no cover covers.  The rest is a
+bounded search tree walked in place over the edge list: each branch scans
+on from its parent's edge to the first edge with neither end taken and
+tries both ends, so the edge order fixes which cover is found.  Padding to
+the exact size takes the lowest-index allowed vertices.  The full
+extension query additionally guesses the overlap with the center, reducing
+to the same forced/forbidden exact-size subproblem.  Only overlaps
+consistent with the query are guessed: each holds the forced center
+vertices and no forbidden one, so the guesses are the subsets of the
+center's free vertices, each joined with its forced ones.
 The +-1 optimization capability is not offered; the small-parameter
 framework never needs it.
 """
@@ -28,39 +32,28 @@ from ..core import (
 from .graphs import GraphData
 
 
-def _min_cover(edges: list[tuple[int, int]], allowed: int, budget: int) -> int | None:
-    """Smallest cover of ``edges`` using only ``allowed`` vertices, searched
-    by branching on the first uncovered edge with depth cap ``budget``.
-    Returns its bitmask, or None when no cover of size <= budget exists."""
+def _min_cover(
+    edges: list[tuple[int, int]], start: int, taken: int, allowed: int, budget: int
+) -> int | None:
+    """Smallest set of ``allowed`` vertices that, with ``taken``, covers
+    ``edges[start:]``, searched by branching on the first edge with
+    neither end taken (u first; v only if strictly smaller) with depth cap
+    ``budget``.  Returns its bitmask, or None when no such set of size
+    <= budget exists."""
     if budget < 0:
         return None
-    for u, v in edges:
-        bit_u = 1 << u
-        bit_v = 1 << v
+    for i in range(start, len(edges)):
+        u, v = edges[i]
+        if taken >> u & 1 or taken >> v & 1:
+            continue
         best = None
-        if allowed & bit_u:
-            rest = [e for e in edges if u not in e]
-            sub = _min_cover(rest, allowed & ~bit_u, budget - 1)
-            if sub is not None:
-                best = sub | bit_u
-        if allowed & bit_v:
-            rest = [e for e in edges if v not in e]
-            sub = _min_cover(rest, allowed & ~bit_v, budget - 1)
-            if sub is not None and (best is None or sub.bit_count() + 1 < best.bit_count()):
-                best = sub | bit_v
+        for w in (u, v):
+            if allowed >> w & 1:
+                sub = _min_cover(edges, i + 1, taken | 1 << w, allowed, budget - 1)
+                if sub is not None and (best is None or sub.bit_count() + 1 < best.bit_count()):
+                    best = sub | 1 << w
         return best  # branch on exactly one edge
     return 0  # nothing left to cover
-
-
-def _pad_to_size(base: int, pool: int, want: int) -> int | None:
-    """Add lowest-index vertices from ``pool`` until ``base`` has ``want``."""
-    missing = want - base.bit_count()
-    free = list(iter_bits(pool & ~base))
-    if not 0 <= missing <= len(free):
-        return None
-    for v in free[:missing]:
-        base |= 1 << v
-    return base
 
 
 class VertexCoverOracle(DomainOracle):
@@ -73,6 +66,10 @@ class VertexCoverOracle(DomainOracle):
         self._ell = ell
         self._edges = list(graph.edges)
         self._full = (1 << graph.n_vertices) - 1
+        self._nbr = [0] * graph.n_vertices  # neighbor mask of each vertex
+        for u, v in self._edges:
+            self._nbr[u] |= 1 << v
+            self._nbr[v] |= 1 << u
 
     @property
     def universe_size(self) -> int:
@@ -85,39 +82,32 @@ class VertexCoverOracle(DomainOracle):
 
     def _solve_forced(self, forced: int, blocked: int, size: int) -> int | None:
         """A cover of exactly ``size`` vertices containing ``forced`` and
-        avoiding ``blocked``; None if there is none."""
-        if forced & blocked:
-            return None
+        avoiding ``blocked``; None if there is none.  ``forced`` and
+        ``blocked`` must be disjoint."""
         if size > self._ell or forced.bit_count() > size:
             return None
         allowed = self._full & ~blocked & ~forced
-        open_edges = [
-            (u, v)
-            for u, v in self._edges
-            if not (forced >> u & 1 or forced >> v & 1)
-        ]
         budget = size - forced.bit_count()
         if allowed.bit_count() < budget:
             return None  # not enough vertices to pad to the exact size
-        cover = _min_cover(open_edges, allowed, budget)
+        cover = _min_cover(self._edges, 0, forced, allowed, budget)
         if cover is None:
             return None
-        return _pad_to_size(forced | cover, allowed, size)
+        free = allowed & ~cover
+        for _ in range(budget - cover.bit_count()):
+            cover |= free & -free  # pad with the lowest-index free vertex
+            free &= free - 1
+        return forced | cover
 
     def exact_empty_extend(
         self, r: int, forbidden: int, ctx: OracleContext | None = None
     ) -> ExtensionOutcome:
-        y = forbidden
-        # an edge inside the forbidden set can never be covered
-        if any(y >> u & 1 and y >> v & 1 for u, v in self._edges):
-            return NOT_FOUND
         neighborhood = 0
-        for u, v in self._edges:
-            if y >> u & 1:
-                neighborhood |= 1 << v
-            if y >> v & 1:
-                neighborhood |= 1 << u
-        got = self._solve_forced(neighborhood, y, r)
+        for u in iter_bits(forbidden & self._full):
+            neighborhood |= self._nbr[u]
+        if neighborhood & forbidden:
+            return NOT_FOUND  # an edge inside the forbidden set is never covered
+        got = self._solve_forced(neighborhood, forbidden, r)
         if got is None:
             return NOT_FOUND
         return Found(got)

@@ -26,8 +26,9 @@ All four problems reduce to a small sparsifier of the domain:
   guess; each ball is built once and cached.  Within one solve each
   distinct query reaches the oracle once: later asks are answered from a
   per-solve query memo.  The witnesses are recomputed from the final
-  clusters, so they do not depend on these shortcuts, and that recheck
-  asks the oracle again, past the query memo.
+  clusters: a cluster the search evaluated is answered from the cluster
+  memo, and one whose last member joined without a query is evaluated
+  then, asking the oracle past the query memo.
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
@@ -406,10 +407,11 @@ def _cluster_cost(
 
     Besides the cluster memo, every call shares one query memo (see
     :func:`min_cluster_radius`), so a query the oracle answered once is
-    not sent again.  ``requery=True`` sends every query of the call to the
-    oracle again instead, past the query memo; the final recheck of a
-    solve uses it, so that it does not take the search's own answers on
-    trust.
+    not sent again.  The cluster memo answers first, whatever
+    ``requery`` says; for a cluster not in it, ``requery=True`` sends every
+    query of the call to the oracle again instead, past the query memo.
+    The final recheck of a solve uses it, so a final cluster whose last
+    member joined without a query is not taken on trust.
     """
     memo: dict[int, tuple[int, int] | None] = {}
     answers: dict[tuple[int, int, int, int], Found | NotFound] = {}

@@ -890,6 +890,73 @@ def reference_vertex_cover_extend(
     return NOT_FOUND
 
 
+def reference_cover_search(
+    oracle: VertexCoverOracle, forced: int, blocked: int, size: int
+) -> int | None:
+    """``VertexCoverOracle._solve_forced`` as a search that copies the
+    edge list left open at every branch: a cover of exactly ``size``
+    vertices containing ``forced`` and avoiding ``blocked``, padded with
+    the lowest-index allowed vertices, or None."""
+
+    def min_cover(edges, allowed, budget):
+        if budget < 0:
+            return None
+        for u, v in edges:
+            best = None
+            if allowed >> u & 1:
+                rest = [e for e in edges if u not in e]
+                sub = min_cover(rest, allowed & ~(1 << u), budget - 1)
+                if sub is not None:
+                    best = sub | 1 << u
+            if allowed >> v & 1:
+                rest = [e for e in edges if v not in e]
+                sub = min_cover(rest, allowed & ~(1 << v), budget - 1)
+                if sub is not None and (best is None or sub.bit_count() + 1 < best.bit_count()):
+                    best = sub | 1 << v
+            return best  # branch on exactly one edge
+        return 0  # nothing left to cover
+
+    if forced & blocked:
+        return None
+    if size > oracle._ell or forced.bit_count() > size:
+        return None
+    allowed = oracle._full & ~blocked & ~forced
+    open_edges = [
+        (u, v) for u, v in oracle._edges if not (forced >> u & 1 or forced >> v & 1)
+    ]
+    budget = size - forced.bit_count()
+    if allowed.bit_count() < budget:
+        return None
+    cover = min_cover(open_edges, allowed, budget)
+    if cover is None:
+        return None
+    base = forced | cover
+    free = list(iter_bits(allowed & ~base))
+    missing = size - base.bit_count()
+    if not 0 <= missing <= len(free):
+        return None
+    for v in free[:missing]:
+        base |= 1 << v
+    return base
+
+
+def reference_vertex_cover_empty_extend(oracle: VertexCoverOracle, r: int, forbidden: int):
+    """``VertexCoverOracle.exact_empty_extend`` by a scan of the edge list:
+    NotFound for an edge inside the forbidden set, else the neighborhood
+    of the forbidden set forced into :func:`reference_cover_search`."""
+    y = forbidden
+    if any(y >> u & 1 and y >> v & 1 for u, v in oracle._edges):
+        return NOT_FOUND
+    neighborhood = 0
+    for u, v in oracle._edges:
+        if y >> u & 1:
+            neighborhood |= 1 << v
+        if y >> v & 1:
+            neighborhood |= 1 << u
+    got = reference_cover_search(oracle, neighborhood, y, r)
+    return NOT_FOUND if got is None else Found(got)
+
+
 def reference_mincut_extend(
     oracle: MinCutOracle, query: ExtensionQuery, ctx=None
 ):

@@ -375,12 +375,14 @@ class TestVerifyCommand:
         assert code == 0 and out.splitlines()[0] == "OK"
 
     def test_sampled_verification_says_so(self, write):
-        # a universe of 13 is past the materialized-reference guard
+        # a universe of 13 is past the materialized-reference guard: limited
+        # mode samples the whole cube, small mode the ball around the empty set
         path = write("domain uniform_matroid rank=1\nuniverse 13\n")
-        code, out = invoke(
-            ["verify", "--instance", path, "--k", "1", "--d", "1", "--mode", "limited"]
-        )
-        assert code == 0 and out == "OK (sampled)\n"
+        for mode in ("limited", "small"):
+            code, out = invoke(
+                ["verify", "--instance", path, "--k", "1", "--d", "1", "--mode", mode]
+            )
+            assert code == 0 and out == "OK (sampled)\n", mode
 
 
 class TestExitCodes:
@@ -398,6 +400,17 @@ class TestExitCodes:
         code, out = invoke(["enumerate", "--instance", path])
         assert code == 2 and out == ""
         assert "mask width limit" in capsys.readouterr().err
+
+    def test_modified_distance_on_a_family_not_complement_closed_is_2(self, write):
+        # spanning trees of K5 keep the oracle's default: not complement-closed
+        k5 = "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5))
+        path = write("domain spanning_tree\ngraph undirected 5 10\n" + k5)
+        code, out, err = invoke_all(
+            ["solve", "--instance", path, "--problem", "kcenter", "--k", "2",
+             "--d", "3", "--modified"]
+        )
+        assert code == cli.EXIT_USAGE == 2 and out == ""
+        assert "needs a complement-closed domain" in err
 
     def test_guard_is_3(self, write):
         big = "domain uniform_matroid rank=1\nuniverse 24\n"

@@ -38,7 +38,9 @@ from helpers import (
     interval_dag,
     longest_path_label_sets,
     random_dag,
+    reference_cover_search,
     reference_matching_search,
+    reference_vertex_cover_empty_extend,
     reference_vertex_cover_extend,
 )
 
@@ -181,6 +183,41 @@ class TestVertexCover:
         assert {kind[0] for kind in kinds} == {Found, NotFound}
         assert {kind[1:] for kind in kinds} == {
             (True, False, False), *product((False,), (False, True), (False, True))
+        }
+
+    def test_cover_search_matches_the_copying_search(self):
+        # the in-place search must find the very cover of the search that
+        # copies the open edges at every branch, not merely a valid one:
+        # multigraphs with parallel edges, disjoint forced and blocked
+        # sets, every size up to ell + 1, forbidden bits at or above n
+        rng = random.Random(32)
+        seen = set()
+        for _ in range(300):
+            nv = rng.randint(1, 12)
+            edges = tuple(
+                tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, 16))
+            ) if nv > 1 else ()
+            if edges and rng.random() < 0.5:
+                edges += tuple(rng.choices(edges, k=rng.randint(1, 4)))  # parallels
+            ell = rng.randint(0, nv)
+            oracle = VertexCoverOracle(GraphData(False, nv, edges), ell)
+            for _ in range(3):
+                forced = rng.getrandbits(nv) & rng.getrandbits(nv)
+                blocked = rng.getrandbits(nv) & rng.getrandbits(nv) & ~forced
+                forbidden = rng.getrandbits(nv + 3) & rng.getrandbits(nv + 3)
+                for size in range(ell + 2):
+                    got = oracle._solve_forced(forced, blocked, size)
+                    assert got == reference_cover_search(oracle, forced, blocked, size), (
+                        edges, ell, forced, blocked, size
+                    )
+                    seen.add(("forced", got is not None))
+                    got = oracle.exact_empty_extend(size, forbidden)
+                    assert got == reference_vertex_cover_empty_extend(
+                        oracle, size, forbidden
+                    ), (edges, ell, forbidden, size)
+                    seen.add((type(got), forbidden >> nv != 0))
+        assert seen == {
+            ("forced", False), ("forced", True), *product((Found, NotFound), (False, True))
         }
 
 

@@ -26,6 +26,7 @@ from divsparse.domains import (
     MinCutOracle,
     build_mincut_poset,
 )
+from divsparse.domains.mincut import SANDWICH_GUARD
 from divsparse.instances import st_mincut_instance
 
 from helpers import all_ideals, random_digraph, reference_mincut_extend
@@ -218,6 +219,21 @@ class TestTrivialShortcut:
         got = oracle.exact_extend(q)  # no context: plain sandwich search
         assert isinstance(got, Found)
         assert got.witness == 0b0111
+
+    @pytest.mark.parametrize("paths", [26, 27])
+    def test_no_context_refuses_a_sandwich_past_the_guard(self, paths):
+        # s-v-t paths are incomparable poset nodes: at radius >= 1 around
+        # the cut {s} every inner vertex is addable, so the sandwich holds
+        # them all; one more than SANDWICH_GUARD is refused, not searched
+        oracle = MinCutOracle(multipath_graph((1,) * paths), 0, paths + 1)
+        for radius in (1, 2):
+            q = ExtensionQuery(0b1, radius, 0, 0)
+            if paths > SANDWICH_GUARD:
+                with pytest.raises(CapabilityError, match="sandwich too wide"):
+                    oracle.exact_extend(q)
+            else:
+                got = oracle.exact_extend(q)
+                assert isinstance(got, Found) and q.admits_bits(got.witness)
 
     def test_center_not_in_domain_rejected(self):
         oracle = MinCutOracle(diamond(), 0, 3)

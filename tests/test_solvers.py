@@ -856,6 +856,41 @@ class TestClusteringSearch:
         assert searched > 0
         assert repeated > 0  # the recheck asks the oracle again
 
+    def test_recheck_asks_only_for_clusters_the_search_did_not_evaluate(self, monkeypatch):
+        # the cluster memo answers before requery is looked at: a final
+        # cluster the search evaluated is rechecked from that memo, with no
+        # query; one whose last member joined without a query was never
+        # evaluated, so its recheck asks the oracle, past the query memo
+        real_cost = solvers._cluster_cost
+        evaluated: set[int] = set()
+        # (evaluated by the search, queries the recheck asked), per recheck
+        rechecks: list[tuple[bool, int]] = []
+
+        def cost(oracle, *args):
+            evaluated.clear()  # one memo per solve
+            evaluate = real_cost(oracle, *args)
+
+            def spied(member_bits, lo=0, requery=False):
+                if not requery:
+                    evaluated.add(member_bits)
+                    return evaluate(member_bits, lo, requery)
+                before = oracle.extend_calls
+                got = evaluate(member_bits, lo, requery)
+                rechecks.append((member_bits in evaluated, oracle.extend_calls - before))
+                return got
+
+            return spied
+
+        monkeypatch.setattr(solvers, "_cluster_cost", cost)
+        for domain, make_oracle, spec, builder in (*clustering_grid(), *uncovered_cluster_cases()):
+            oracle = CountingExtensions(make_oracle())
+            certify_answer(domain, spec, solve(oracle, spec, builder))
+        from_memo = [n for seen, n in rechecks if seen]
+        fresh = [n for seen, n in rechecks if not seen]
+        assert from_memo and fresh
+        assert set(from_memo) == {0}
+        assert min(fresh) > 0
+
     def test_answers_do_not_depend_on_member_order(self):
         # the search assigns sparsifier members in the order the builder
         # returns them, which follows the adapter's member order

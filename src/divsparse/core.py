@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -170,6 +171,47 @@ def distance(a: int, b: int, n: int, modified: bool = False) -> int:
     """
     plain = (a ^ b).bit_count()
     return min(plain, n - plain) if modified else plain
+
+
+@lru_cache(maxsize=256)
+def _index_ball(width: int, r: int) -> int:
+    """Bit set of the points t < 2**width with at most r set bits."""
+    if r < 0:
+        return 0
+    if r >= width:
+        return (1 << (1 << width)) - 1
+    low = _index_ball(width - 1, r)
+    return low | _index_ball(width - 1, r - 1) << (1 << (width - 1))
+
+
+# one entry per width; the callers ask for widths up to 16
+@lru_cache(maxsize=32)
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """Per point bit j < width: the shift 2**j and the bit set of the
+    points t < 2**width with bit j clear, for a block swap.  Each set is
+    its first block of 2**j ones repeated by doubling, with no division
+    of a 2**width-bit number."""
+    out = []
+    for j in range(width):
+        step = 1 << j
+        keep, period = (1 << step) - 1, 2 * step
+        while period < 1 << width:
+            keep |= keep << period
+            period *= 2
+        out.append((step, keep))
+    return tuple(out)
+
+
+def ball_bits(width: int, center: int, r: int) -> int:
+    """Bit set of the points t < 2**width within Hamming distance r of
+    ``center``, that is with ``(t ^ center).bit_count() <= r``: the ball
+    around 0, moved to ``center`` by one block swap per set bit of
+    ``center``.  Not cached: callers that repeat arguments cache it."""
+    ball = _index_ball(width, r)
+    for j, (step, keep) in enumerate(_swap_masks(width)):
+        if center >> j & 1:
+            ball = (ball & keep) << step | (ball >> step) & keep
+    return ball
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 Both capabilities run one greedy, ``Matroid.greedy_bits``: it takes the
 forced elements, then the preferred ones, then the rest, each group in
 index order.  The generic greedy tests every prefix for independence; the
-graphic matroid runs it with one incremental union-find.  Optimization
-prefers the +1 elements, which is the classic greedy over descending
-weight with ties by index.  The exact extension first greedily builds the
+graphic matroid runs it with one incremental union-find, and the uniform
+matroid takes the lowest-index elements up to the rank at once.
+Optimization prefers the +1 elements, which is the classic greedy over
+descending weight with ties by index.  The exact extension first greedily builds the
 bases nearest to and farthest from the center (among bases containing the
 forced set and avoiding the forbidden one), then walks between them by
 single-element exchanges; each step moves the center distance by -2, 0,
@@ -120,6 +121,26 @@ class UniformMatroid(Matroid):
 
     def independent_bits(self, bits: int) -> bool:
         return bits.bit_count() <= self.rank
+
+    def greedy_bits(self, forced: int, pools: tuple[int, ...]) -> int | None:
+        # the generic greedy in closed form: the forced set, then the
+        # lowest-index new elements of each pool in turn up to the rank
+        left = self.rank - forced.bit_count()
+        if left < 0:
+            return None
+        out = forced
+        for pool in pools:
+            new = pool & ~out
+            if new.bit_count() <= left:
+                out |= new
+                left -= new.bit_count()
+                continue
+            for _ in range(left):
+                low = new & -new
+                out |= low
+                new ^= low
+            return out
+        return out
 
 
 class PartitionMatroid(Matroid):

@@ -7,10 +7,14 @@ The pipeline works for domains with unbounded member cardinality, given the
    the previous ones, by repeatedly optimizing random +-1 weights (each a
    mask of the +1 elements, n generator steps drawn lane-parallel in blocks
    by ``rng.masks(n)``; a mask drawn before in the phase is answered from
-   the phase's memo, and one already found near in the call is skipped).
-   The search for a second center first optimizes +1 exactly off the first
-   one, which yields a member farthest from it; when that member is within
-   2d, no trial can succeed and the phase ends without drawing a mask.
+   the phase's memo).  The search for a second center first optimizes +1
+   exactly off the first one, which yields a member farthest from it; when
+   that member is within 2d, no trial can succeed and the phase ends
+   without drawing a mask.  Every optimum is a member nearest its weight
+   mask, so it proves a ball around the mask empty; on universes of at
+   most ``FARSET_MEMO_GUARD`` elements the phase keeps the union of those
+   balls, and a search ends as soon as it covers every point more than 2d
+   from the centers.  Neither stop changes the centers.
    If k+1 such members turn up they already form a valid sparsifier (any
    reference set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
@@ -22,7 +26,8 @@ The pipeline works for domains with unbounded member cardinality, given the
 
 Soundness of step 1 is unconditional: a returned far set is re-verified to
 be more than 2d from every center.  Only completeness (finding a far set
-when one exists beyond radius p) is probabilistic.  A trivial sparsifier
+when one exists beyond radius p) is probabilistic, except where a stop
+above proves that none exists.  A trivial sparsifier
 answered by an extension query in step 2 is checked (k+1 members pairwise
 more than 2d apart) before it is returned.
 """
@@ -31,6 +36,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .core import (
@@ -45,6 +52,7 @@ from .core import (
     SoundnessError,
     SparsifierReport,
     _check_universe_size,
+    ball_bits,
 )
 from .rng import SplitMix64
 from .sunflower import SmallSparsifyParams, k_sparsify
@@ -126,6 +134,43 @@ class ClusterResult:
     calls: int
 
 
+class EmptyRegion:
+    """The points of one oracle's universe that no member can be.
+
+    Every +-1 optimization proves a ball empty: ``opt_pm1(w)`` maximizes
+    ``2|m & w| - |m| = |w| - |m ^ w|``, so its optimum m* is a member
+    nearest to w, and no member lies within ``|w ^ m*| - 1`` of w.
+    ``bits`` is the union of those balls over the optimizations of
+    ``memo`` (+1 masks to optima), one bit per point of the 2^n (bit x:
+    the set x), or ``None`` on a universe of more than
+    ``FARSET_MEMO_GUARD`` elements, which keeps no region.  It starts from
+    the entries ``memo`` holds and grows with each optimum
+    :func:`approx_far_set` stores there; an entry stored otherwise only
+    leaves the region smaller.  :func:`cluster_or_trivial` makes one per
+    phase, next to its memo; a region is refused with any other oracle
+    or memo.
+    """
+
+    __slots__ = ("oracle", "memo", "bits")
+
+    def __init__(self, oracle: DomainOracle, memo: dict[int, int]) -> None:
+        self.oracle = oracle
+        self.memo = memo
+        self.bits: int | None = None
+        if oracle.universe_size <= FARSET_MEMO_GUARD:
+            self.bits = 0
+            for positive, best in memo.items():
+                self.add(positive, best)
+
+    def add(self, positive: int, best: int) -> int:
+        """Record the optimum ``best`` of the +1 mask ``positive`` (both
+        within the universe); returns the ball it proves empty."""
+        n = self.oracle.universe_size
+        empty = ball_bits(n, positive, (positive ^ best).bit_count() - 1)
+        self.bits |= empty
+        return empty
+
+
 def approx_far_set(
     oracle: DomainOracle,
     centers: Sequence[int],
@@ -133,6 +178,7 @@ def approx_far_set(
     trials: int,
     rng: SplitMix64,
     memo: dict[int, int] | None = None,
+    region: EmptyRegion | None = None,
 ) -> tuple[int | None, int]:
     """Look for a member more than 2d from every center.
 
@@ -155,26 +201,30 @@ def approx_far_set(
     the call gives up before any trial, without a draw: the give-up is
     certain, not probable.  Otherwise the trials run as they would without
     it; its optimum is never returned, because the trials pick the center.
-    With two or more centers nothing is asked first: in a phase each
-    center lies more than 2d from another, so a member farthest from one
-    center is never within 2d of it.
 
-    ``memo`` maps +1 masks to their optima; without one the call makes a
-    local dict.  A mask in it (the first one's too) is answered there and
-    calls nothing; a new optimum is range checked once and stored while
-    the memo holds fewer than 2^``FARSET_MEMO_GUARD`` masks.  The oracle
+    On a universe of at most ``FARSET_MEMO_GUARD`` elements the call
+    keeps ``region``, an :class:`EmptyRegion` of this oracle and memo
+    (without one it builds one from the memo's entries), and every new
+    optimum adds its empty ball to it.  The far region is the set of
+    points more than 2d from every center.  Once the empty region covers
+    it, no member is far, and the call gives up: at entry, before any call
+    or draw, or right after the new optimum that covers it.  This give-up
+    is certain too and costs no oracle call.  A memo holding all 2^n masks
+    with no far optimum covers the far region, since every member is the
+    optimum of its own mask.
+
+    ``memo`` maps +1 masks to their optima; without one the call uses the
+    region's, or a local dict.  A mask in it (the first one's too) is
+    answered there and calls nothing; a new optimum is range checked once
+    and stored while the memo holds fewer than 2^``FARSET_MEMO_GUARD``
+    masks.  The oracle
     is pure, so the outcome of every trial is the one it would have
-    without the memo.  A mask whose optimum the call found within 2d of a
-    center is kept in a per-call set (bounded like the memo), and a
-    repeat of it is skipped: the centers do not change during a call.
-    Once the memo holds all 2^n masks and none of its optima is far, the
-    call gives up at once, at entry or after the trial that filled it:
-    every further trial would repeat a known outcome.
-    Pass the same dict to every call of one phase, with the phase's
-    growing center list.  The call leaves the generator one mask per
-    trial run past where it started, whether it finds a far member or
-    gives up (a give-up may run fewer than ``trials`` trials, and none
-    when the first mask proves it).
+    without the memo.  Pass the same memo and region to every call of one
+    phase, with the phase's growing center list.  The call leaves the
+    generator one mask per trial run past where it started, whether it
+    finds a far member or gives up (a give-up may run fewer than
+    ``trials`` trials, and none when the region or the first mask proves
+    it).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -182,18 +232,27 @@ def approx_far_set(
     _check_universe_size(n)
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
+    if region is None:
+        region = EmptyRegion(oracle, {} if memo is None else memo)
+    elif region.oracle is not oracle or memo is not None and memo is not region.memo:
+        raise ValueError("the empty region belongs to another oracle or memo")
+    memo = region.memo
     threshold = 2 * d
-    if memo is None:
-        memo = {}
 
     def far(member: int) -> bool:
         return all((member ^ c).bit_count() > threshold for c in centers)
 
-    def covered() -> bool:
-        return len(memo) == 1 << n and not any(map(far, memo.values()))
+    # the far points the region does not cover yet; -1 without a region,
+    # which never becomes 0
+    uncovered = -1
+    if region.bits is not None:
+        close = reduce(or_, (ball_bits(n, c, threshold) for c in centers), 0)
+        uncovered = ((1 << (1 << n)) - 1) ^ (close | region.bits)
+        if not uncovered:
+            return None, 0
 
     def ask(positive: int) -> int | None:
-        nonlocal calls
+        nonlocal calls, uncovered
         best = oracle.opt_pm1(positive)
         calls += 1
         if best is None:
@@ -204,10 +263,10 @@ def approx_far_set(
             )
         if len(memo) < 1 << FARSET_MEMO_GUARD:
             memo[positive] = best
+        if region.bits is not None:
+            uncovered ^= uncovered & region.add(positive, best)
         return best
 
-    if covered():
-        return None, 0
     calls = 0
     if len(centers) == 1:
         mask = ~centers[0] & ((1 << n) - 1)
@@ -216,23 +275,17 @@ def approx_far_set(
             farthest = ask(mask)
         if farthest is None or not far(farthest):
             return None, calls
-    near: set[int] = set()
     masks = rng.masks(n)
     for _ in range(trials):
         positive = next(masks)
-        if positive in near:
-            continue
         best = memo.get(positive)
-        fresh = best is None
-        if fresh:
+        if best is None:
             best = ask(positive)
             if best is None:
                 return None, calls
         if far(best):
             return best, calls
-        if len(near) < 1 << FARSET_MEMO_GUARD:
-            near.add(positive)
-        if fresh and covered():
+        if not uncovered:
             return None, calls
     return None, calls
 
@@ -245,20 +298,26 @@ def cluster_or_trivial(
     The random weights are drawn from ``SplitMix64(params.seed)``.  Stops
     with ``trivial=True`` as soon as k+1 far members accumulate.  An empty
     domain yields zero centers.  The phase keeps one memo from +1 masks
-    to optima, at most 2^``FARSET_MEMO_GUARD`` entries, and passes it to
-    every :func:`approx_far_set` call.  The centers are those that every
-    trial optimizing afresh would pick.
+    to optima, at most 2^``FARSET_MEMO_GUARD`` entries, and one
+    :class:`EmptyRegion`, and passes both to every :func:`approx_far_set`
+    call, so a call gives up as soon as the phase's optimizations prove
+    that no member is far.  The centers are those that every trial
+    optimizing afresh would pick: a give-up ends the phase, and the
+    generator is never read after it.
     """
     rng = SplitMix64(params.seed)
     n = oracle.universe_size
     memo: dict[int, int] = {}
+    region = EmptyRegion(oracle, memo)
     center_bits: list[int] = []
     total = 0
     while True:
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far, used = approx_far_set(oracle, center_bits, params.d, trials, rng, memo)
+        far, used = approx_far_set(
+            oracle, center_bits, params.d, trials, rng, memo, region
+        )
         total += used
         if far is None:
             return ClusterResult(SetFamily.from_bits(n, center_bits), False, total)

@@ -54,6 +54,7 @@ from .core import (
     SparsifierReport,
     SubsetMask,
     TrivialSparsifier,
+    ball_bits,
     check_trivial_sparsifier,
     distance,
     iter_bits,
@@ -181,41 +182,9 @@ def _diversify(
 TRACE_TABLE_BITS = 12
 
 
-@lru_cache(maxsize=256)
-def _index_ball(width: int, r: int) -> int:
-    """Bit set of the indices t < 2**width with at most r set bits."""
-    if r < 0:
-        return 0
-    if r >= width:
-        return (1 << (1 << width)) - 1
-    low = _index_ball(width - 1, r)
-    return low | _index_ball(width - 1, r - 1) << (1 << (width - 1))
-
-
-@lru_cache(maxsize=16)
-def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
-    """Per index bit j < width: the shift 2**j and the bit set of the
-    indices t < 2**width with bit j clear, for a block swap."""
-    full = (1 << (1 << width)) - 1
-    out = []
-    for j in range(width):
-        block = (1 << (1 << j)) - 1
-        out.append((1 << j, full // (block << (1 << j) | block) * block))
-    return tuple(out)
-
-
 # at most 1024 balls of at most 2**TRACE_TABLE_BITS bits (512 bytes) each,
 # under 1 MB in all
-@lru_cache(maxsize=1024)
-def _ball_at(width: int, index: int, r: int) -> int:
-    """Bit set of the indices t < 2**width within r of ``index``, that is
-    with ``(t ^ index).bit_count() <= r``: the ball around index 0, moved
-    to ``index`` by one block swap per set bit of ``index``."""
-    ball = _index_ball(width, r)
-    for j, (step, keep) in enumerate(_swap_masks(width)):
-        if index >> j & 1:
-            ball = (ball & keep) << step | (ball >> step) & keep
-    return ball
+_ball_at = lru_cache(maxsize=1024)(ball_bits)
 
 
 # a pass over the benchmark's cluster jobs meets about 1,000-1,300 keys
@@ -310,7 +279,7 @@ def min_cluster_radius(
     for _ in range(width):
         high &= high - 1
     low = bad ^ high
-    full = _index_ball(width, width)
+    full = (1 << (1 << width)) - 1
     # per member: its trace above the table and its trace index in the table
     lanes = [(m & high, _trace_index(low, m & low)) for m in masks]
     for radius in range(start, d + 1):

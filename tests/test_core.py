@@ -16,7 +16,7 @@ from divsparse import (
     distance,
     pm1_weight,
 )
-from divsparse.core import submasks
+from divsparse.core import ball_bits, submasks
 from divsparse.domains import ExplicitOracle
 
 from helpers import mask_from_indices, reference_top_bits
@@ -119,6 +119,21 @@ class TestHamming:
             n = rng.randint(1, 32)
             a, b, c = (rng.getrandbits(n) for _ in range(3))
             assert distance(a, c, n) <= distance(a, b, n) + distance(b, c, n)
+
+
+class TestHammingBalls:
+    def test_wide_balls_match_the_brute_force_sets(self):
+        # widths above the trace tables' 12 bits, up to the far-set
+        # region's widest universe, 16 elements; tests/test_solvers.py
+        # checks every ball up to 8 bits through the trace tables' cache
+        rng = random.Random(5)
+        for width in range(13, 17):
+            for _ in range(3):
+                center, r = rng.getrandbits(width), rng.randint(-1, width + 1)
+                want = sum(
+                    1 << t for t in range(1 << width) if (t ^ center).bit_count() <= r
+                )
+                assert ball_bits(width, center, r) == want, (width, center, r)
 
 
 class TestModifiedHamming:

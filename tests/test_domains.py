@@ -301,6 +301,18 @@ class TestMatroidBases:
                 bits = rng.getrandbits(m)
                 assert fast.independent_bits(bits) == slow.independent_bits(bits)
 
+    def test_uniform_greedy_matches_prefix_greedy(self):
+        # the closed form against the generic greedy on random forced sets
+        # and pools, overlapping ones and forced sets above the rank too
+        rng = random.Random(23)
+        for _ in range(2000):
+            n = rng.randint(1, 12)
+            fast = UniformMatroid(n, rng.randint(0, n))
+            forced = rng.getrandbits(n) & rng.getrandbits(n)
+            pools = tuple(rng.getrandbits(n) for _ in range(rng.randint(0, 3)))
+            want = Matroid.greedy_bits(fast, forced, pools)
+            assert fast.greedy_bits(forced, pools) == want, (n, fast.rank, forced, pools)
+
 
 class DfsForests(Matroid):
     """The graphic matroid, with a depth-first component count per test."""

@@ -35,7 +35,7 @@ import divsparse.cli as cli
 import divsparse.limited as limited
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle, MatroidBaseOracle, UniformMatroid
-from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
+from divsparse.limited import FARSET_MEMO_GUARD, EmptyRegion, ShiftedEmptyExtension
 
 from helpers import (
     plain_approx_far_set,
@@ -67,6 +67,31 @@ class Counted(ExplicitOracle):
     def exact_extend(self, query, ctx=None):
         self.extends += 1
         return super().exact_extend(query, ctx)
+
+
+def far_from(centers, d):
+    """Test: is a set more than 2d from every center?"""
+    return lambda member: all((member ^ c).bit_count() > 2 * d for c in centers)
+
+
+def replay_until(rng: SplitMix64, n: int, masks) -> SplitMix64:
+    """``rng`` after per-element draws up to the first point where every
+    mask of ``masks`` has been drawn."""
+    left = set(masks)
+    while left:
+        left.discard(reference_top_bits(rng, n))
+    return rng
+
+
+def masks_drawn(start: SplitMix64, gen: SplitMix64, n: int, limit: int) -> int:
+    """How many per-element mask draws take ``start`` to the state of
+    ``gen``: at most ``limit``, or ``limit + 1`` when none of those do."""
+    replay = copy(start)
+    for drawn in range(min(limit, 1 << 16) + 1):
+        if copy(replay).next_u64() == copy(gen).next_u64():
+            return drawn
+        reference_top_bits(replay, n)
+    return limit + 1
 
 
 def single_trial_success_probability(n: int) -> float:
@@ -167,67 +192,76 @@ class TestApproxFarSet:
             # asked again with the same memo, it costs no call either
             got = approx_far_set(oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo)
             assert got == (None, 0) and oracle.opts == 1
-        # with two centers nothing is asked first: with a memo passed in or
-        # without one (the call keeps its own), a give-up calls once per
-        # distinct mask drawn, at most min(trials, 2^n)
-        centers = [0b0101, 0b1010]
-        for trials in (5, 37, 200):
-            replay = SplitMix64(3)
-            drawn: set[int] = set()
-            for _ in range(trials):
-                drawn.add(reference_top_bits(replay, n))
-                if len(drawn) == 1 << n:
-                    break  # every mask is known: the call stops here
+        # with two centers nothing is asked first.  On {0, 63} with centers 0
+        # and 63 the far points are the 20 sets of size 3, and no member is
+        # one: the call gives up once the empty balls of its optima cover
+        # them.  With a memo passed in or without one (the call keeps its
+        # own), it calls once per distinct mask drawn, stops right after a
+        # new one, and calls no more than the trials alone, which stop only
+        # once all 64 masks are known
+        n, centers = 6, [0, 63]
+        fam = SetFamily.from_bits(n, centers)
+        for trials in (37, 200, 2**80):
+            want_memo: dict[int, int] = {}
+            want = reference_approx_far_set(
+                ExplicitOracle(fam), centers, 1, trials, SplitMix64(3), want_memo
+            )
             oracle = Counted(fam)
-            got = approx_far_set(
-                oracle, centers, d=1, trials=trials, rng=SplitMix64(3)
-            )
-            assert got == (None, len(drawn)) and oracle.opts == len(drawn)
-            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
-            got = approx_far_set(
-                oracle, centers, d=1, trials=trials, rng=rng, memo=memo
-            )
+            got = approx_far_set(oracle, centers, d=1, trials=trials, rng=SplitMix64(3))
             assert got == (None, oracle.opts)
-            assert oracle.opts == len(drawn) == len(memo) <= min(trials, 1 << n)
-            assert set(memo) == drawn
-            assert rng.next_u64() == replay.next_u64()  # no draw after the stop
-        assert len(memo) == 1 << n  # 200 draws covered all 16 masks
-        # a call that starts with every mask known draws and calls nothing
-        rng = SplitMix64(7)
-        got = approx_far_set(oracle, centers, d=1, trials=8, rng=rng, memo=memo)
-        assert got == (None, 0) and oracle.opts == len(drawn)
-        assert rng.next_u64() == SplitMix64(7).next_u64()
+            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
+            got = approx_far_set(oracle, centers, d=1, trials=trials, rng=rng, memo=memo)
+            assert got == (None, oracle.opts) and oracle.opts == len(memo)
+            assert memo.items() <= want_memo.items()
+            assert got[1] <= want[1]
+            # no draw after the stop: the generator is where the trials
+            # alone were when they had drawn the masks the call asked
+            assert rng.next_u64() == replay_until(SplitMix64(3), n, memo).next_u64()
+        assert got[1] == 11 and want[1] == 64
+        # a later call with the same memo, or with the region made next to
+        # it, starts covered: it draws and calls nothing
+        region = EmptyRegion(oracle, memo)
+        for kwargs in ({"memo": memo}, {"region": region}):
+            rng = SplitMix64(7)
+            got = approx_far_set(oracle, centers, d=1, trials=8, rng=rng, **kwargs)
+            assert got == (None, 0) and oracle.opts == 11
+            assert rng.next_u64() == SplitMix64(7).next_u64()
+        with pytest.raises(ValueError, match="another oracle or memo"):
+            approx_far_set(Counted(fam), centers, 1, 8, SplitMix64(7), region=region)
+        with pytest.raises(ValueError, match="another oracle or memo"):
+            approx_far_set(oracle, centers, 1, 8, SplitMix64(7), dict(memo), region)
 
     def test_trial_count_beyond_sys_maxsize_ends_at_the_coverage_stop(self):
         # 2^80 trials with two centers (one center would give up at its
-        # first mask): the call still ends once all 16 masks of a 4-element
-        # universe are known, having drawn exactly the masks up to that one
-        n = 4
-        oracle = Counted(SetFamily.from_bits(n, [0b0101]))
+        # first mask): the call still ends, once the empty balls of its
+        # optima cover the far points (the 20 sets of size 3), having drawn
+        # exactly the masks up to the one that covered them, before all 64
+        # masks are known
+        n = 6
+        oracle = Counted(SetFamily.from_bits(n, [0, 1, 62, 63]))
         memo, rng = {}, SplitMix64(11)
-        got = approx_far_set(
-            oracle, [0b0101, 0b1010], d=1, trials=2**80, rng=rng, memo=memo
-        )
-        assert got == (None, oracle.opts) and oracle.opts == len(memo) == 1 << n
-        replay = SplitMix64(11)
-        drawn: set[int] = set()
-        while len(drawn) < 1 << n:
-            drawn.add(reference_top_bits(replay, n))
-        assert rng.next_u64() == replay.next_u64()
+        got = approx_far_set(oracle, [0, 63], d=1, trials=2**80, rng=rng, memo=memo)
+        assert got == (None, oracle.opts) and oracle.opts == len(memo) < 1 << n
+        assert rng.next_u64() == replay_until(SplitMix64(11), n, memo).next_u64()
+        region = EmptyRegion(oracle, memo)
+        assert not sum(1 << x for x in range(1 << n) if x.bit_count() == 3) & ~region.bits
 
     def test_matches_the_trials_alone(self):
-        # against the call without its one-center first mask: the same
-        # answer on every call; the same calls with 0 or 2+ centers; with
-        # one center a give-up that drew no mask costs at most that one
-        # call, and any other call at most one call more.  One memo serves
-        # every call on a family; the reference starts from a copy of it.
+        # against the call without its one-center first mask or its region:
+        # the same answer on every call; with 0 or 2+ centers no more calls,
+        # and the same calls, memo and generator state on a find; with one
+        # center a give-up that drew no mask costs at most that one call,
+        # and any other call at most one call more.  Every early give-up is
+        # right: no member is far.  One memo serves every call on a family,
+        # with or without its region; the reference starts from a copy.
         rng = random.Random(131)
-        certified = extra = 0
+        certified = fewer = 0
         for trial in range(150):
             n = rng.randint(3, 10)
             fam = random_family(rng, n, 16)
             k = rng.randint(1, 3)
-            memo: dict[int, int] = {}
+            oracle, memo = Counted(fam), {}
+            region = EmptyRegion(oracle, memo) if rng.random() < 0.5 else None
             for call in range(4):
                 centers = [
                     rng.choice(fam.bits) if rng.random() < 0.5 else rng.getrandbits(n)
@@ -239,22 +273,77 @@ class TestApproxFarSet:
                     count = default_trials(k, 0.01, len(centers))
                 seed = 1000 * trial + call
                 want_memo, gen = dict(memo), SplitMix64(seed)
+                ref = SplitMix64(seed)
                 want = reference_approx_far_set(
-                    ExplicitOracle(fam), centers, d, count, SplitMix64(seed), want_memo
+                    ExplicitOracle(fam), centers, d, count, ref, want_memo
                 )
-                oracle = Counted(fam)
-                got = approx_far_set(oracle, centers, d, count, gen, memo)
+                before = oracle.opts
+                got = approx_far_set(oracle, centers, d, count, gen, memo, region)
                 assert got[0] == want[0], (trial, call)
-                assert got[1] == oracle.opts, (trial, call)
+                assert got[1] == oracle.opts - before, (trial, call)
+                if got[0] is not None:
+                    assert got[1] <= want[1] + (len(centers) == 1), (trial, call)
+                    assert copy(gen).next_u64() == copy(ref).next_u64(), (trial, call)
+                    continue
+                if masks_drawn(SplitMix64(seed), gen, n, count) < count:
+                    # an early give-up: certain, so no member is far
+                    assert not any(map(far_from(centers, d), fam.bits)), (trial, call)
                 if len(centers) != 1:
-                    assert got[1] == want[1], (trial, call)
-                elif got[0] is None and gen.next_u64() == SplitMix64(seed).next_u64():
+                    assert got[1] <= want[1], (trial, call)
+                    assert memo.items() <= want_memo.items(), (trial, call)
+                    fewer += got[1] < want[1]
+                elif gen.next_u64() == SplitMix64(seed).next_u64():
                     assert got[1] <= 1, (trial, call)
                     certified += 1
                 else:
                     assert got[1] <= want[1] + 1, (trial, call)
-                    extra += got[1] == want[1] + 1
-        assert certified > 40 and extra > 40
+        assert certified > 40 and fewer > 40
+
+    def test_every_early_give_up_is_right(self):
+        # seeded random families of 1 to 10 elements.  Far-set calls with 0
+        # to 3 centers share one memo and region per family; a call that
+        # gives up before its last trial must be right: brute force finds no
+        # member more than 2d from every center.  A member returned is far.
+        # The phase on the same family picks the centers and the flag of the
+        # phase that optimizes every trial afresh.
+        rng = random.Random(2027)
+        early = two = 0
+        for trial in range(200):
+            n = rng.randint(1, 10)
+            fam = random_family(rng, n, 24, nonempty=False)
+            oracle, memo = ExplicitOracle(fam), {}
+            region = EmptyRegion(oracle, memo)
+            for call in range(3):
+                centers = [
+                    rng.choice(fam.bits) if fam.bits and rng.random() < 0.5
+                    else rng.getrandbits(n)
+                    for _ in range(rng.randint(0, 3))
+                ]
+                d = rng.randint(0, 3)
+                count = rng.choice([1, 8, 64, 2**80])
+                seed = 100 * trial + call
+                gen = SplitMix64(seed)
+                got, _ = approx_far_set(oracle, centers, d, count, gen, memo, region)
+                far = list(filter(far_from(centers, d), fam.bits))
+                if got is not None:
+                    assert got in far, (trial, call)
+                elif masks_drawn(SplitMix64(seed), gen, n, count) < count:
+                    assert not far, (trial, call)
+                    early += 1
+            params = LimitedSparsifyParams(
+                k=rng.randint(1, 2), d=rng.randint(0, 2), seed=trial,
+                trials_override=rng.choice([None, 8, 64]),
+            )
+            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
+                ExplicitOracle(fam), params
+            )
+            got = cluster_or_trivial(ExplicitOracle(fam), params)
+            assert got.family.bits == tuple(want_bits), trial
+            assert got.trivial == want_trivial, trial
+            assert got.calls <= want_trials + 1, trial
+            # a two-center give-up, which only the region ends early
+            two += not got.trivial and len(want_bits) == 2 and got.calls < want_trials
+        assert early > 200 and two > 5
 
     def test_a_full_memo_with_a_far_optimum_keeps_drawing(self):
         # the coverage stop needs every known optimum within 2d of a center;
@@ -427,11 +516,13 @@ class TestClusterOrTrivial:
 
     def test_matches_the_reference_call_by_call(self):
         # each far-set call against the per-element draw with a far check
-        # on every trial, after the one-center first mask: the same result,
-        # calls, memo and generator state after the call, from random start
-        # centers and pre-filled memos
+        # on every trial, after the one-center first mask: the same result;
+        # on a find also the same calls, memo and generator state after the
+        # call; on a give-up no more calls, a memo inside the reference's
+        # and the generator at or before the reference's.  From random start
+        # centers and pre-filled memos, one region per phase built from them
         rng = random.Random(97)
-        covered = certified = 0
+        early = certified = 0
         for trial in range(200):
             n = rng.randint(1, 8)
             fam = random_family(rng, n, 20, nonempty=False)
@@ -445,29 +536,33 @@ class TestClusterOrTrivial:
             want_memo = dict(memo)
             gen, ref = SplitMix64(trial), SplitMix64(trial)
             oracle = Counted(fam)
+            region = EmptyRegion(oracle, memo)
             while True:
                 count = trials or default_trials(k, 0.01, len(centers))
                 before, start = oracle.opts, copy(gen)
-                got = approx_far_set(oracle, centers, d, count, gen, memo)
+                got = approx_far_set(oracle, centers, d, count, gen, memo, region)
                 want = plain_approx_far_set(
                     ExplicitOracle(fam), centers, d, count, ref, want_memo
                 )
-                assert got == want, trial
+                assert got[0] == want[0], trial
                 assert got[1] == oracle.opts - before, trial
+                if got[0] is None:
+                    assert got[1] <= want[1], trial
+                    assert memo.items() <= want_memo.items(), trial
+                    # the generator is at most as far on as the reference's
+                    drawn = masks_drawn(start, gen, n, count)
+                    assert drawn <= masks_drawn(start, ref, n, count) <= count, trial
+                    early += got[1] < want[1]
+                    # a one-center give-up that drew no mask
+                    certified += len(centers) == 1 and drawn == 0
+                    break
+                assert got == want, trial
                 assert memo == want_memo, trial
                 assert copy(gen).next_u64() == copy(ref).next_u64(), trial
-                if got[0] is None:
-                    # a one-center give-up that drew no mask
-                    certified += len(centers) == 1 and (
-                        copy(gen).next_u64() == start.next_u64()
-                    )
-                    break
                 centers.append(got[0])
                 if len(centers) > k:
                     break
-            # a phase ending at the coverage stop drew repeated near masks
-            covered += len(memo) == 1 << n
-        assert covered > 30 and certified > 30
+        assert early > 30 and certified > 30
 
     def test_memo_bounded_by_the_guard(self, monkeypatch):
         # with the guard at 2 the memo stops growing at 4 masks; lookups
@@ -476,8 +571,8 @@ class TestClusterOrTrivial:
         memos: list[dict[int, int]] = []
         real = limited.approx_far_set
 
-        def spy(oracle, centers, d, trials, rng, memo=None):
-            got = real(oracle, centers, d, trials, rng, memo)
+        def spy(oracle, centers, d, trials, rng, memo=None, region=None):
+            got = real(oracle, centers, d, trials, rng, memo, region)
             memos.append(memo)
             assert memo is memos[0] and len(memo) <= 4
             return got
@@ -531,6 +626,21 @@ class TestClusterOrTrivial:
         got = cluster_or_trivial(oracle, params)
         assert not got.trivial and got.family.bits == (first, first ^ full)
         assert got.calls == oracle.opts == len(asked) < 1 + len(draws)
+
+    def test_region_at_the_guard(self):
+        # the case above one element narrower: at n = FARSET_MEMO_GUARD the
+        # phase keeps a region, and the two-center call gives up once the
+        # empty balls of its optima cover the far points, long before its
+        # 3000 trials; the centers are those of the trials alone
+        n = FARSET_MEMO_GUARD
+        oracle = Counted(two_point_domain(n))
+        params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=3000)
+        want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
+            ExplicitOracle(two_point_domain(n)), params
+        )
+        got = cluster_or_trivial(oracle, params)
+        assert got.family.bits == tuple(want_bits) and not got.trivial and not want_trivial
+        assert got.calls == oracle.opts == 66 and want_trials == 3005
 
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)

@@ -29,6 +29,7 @@ from .core import (
 )
 from .limited import (
     ClusterResult,
+    FarSetMemo,
     LimitedSparsifyParams,
     approx_far_set,
     cluster_or_trivial,
@@ -57,6 +58,7 @@ __all__ = [
     "DomainOracle",
     "ExtensionOutcome",
     "ExtensionQuery",
+    "FarSetMemo",
     "Found",
     "GloballyInfeasible",
     "GuardError",

@@ -128,8 +128,11 @@ def _run_solve(args, instance: DomainInstance) -> int:
 
 def _sparsify_report(args, instance: DomainInstance) -> SparsifierReport:
     if _pick_mode(args.mode, instance) == "small":
+        # a full sparsifier w.r.t. the radius-ell ball; --d plays no role
+        # here, but a negative one is refused as in limited mode
+        if args.d < 0:
+            raise ValueError("d must be nonnegative")
         ell = _small_ell(instance)
-        # a full sparsifier w.r.t. the radius-ell ball; --d plays no role here
         params = SmallSparsifyParams(k=args.k, r=ell, ell=ell)
         return k_sparsify(params, instance.oracle())
     params = LimitedSparsifyParams(

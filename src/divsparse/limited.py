@@ -6,15 +6,16 @@ The pipeline works for domains with unbounded member cardinality, given the
 1. Collect up to k cluster centers from the domain, each more than 2d from
    the previous ones, by repeatedly optimizing random +-1 weights (each a
    mask of the +1 elements, n generator steps drawn lane-parallel in blocks
-   by ``rng.masks(n)``; a mask drawn before in the phase is answered from
-   the phase's memo).  The search for a second center first optimizes +1
-   exactly off the first one, which yields a member farthest from it; when
-   that member is within 2d, no trial can succeed and the phase ends
-   without drawing a mask.  Every optimum is a member nearest its weight
-   mask, so it proves a ball around the mask empty; on universes of at
-   most ``FARSET_MEMO_GUARD`` elements the phase keeps the union of those
-   balls, and a search ends as soon as it covers every point more than 2d
-   from the centers.  Neither stop changes the centers.
+   by ``rng.masks(n)``).  One :class:`FarSetMemo` per phase answers a
+   mask drawn before and counts the optimizations issued.  The search for
+   a second center first optimizes +1 exactly off the first one, which
+   yields a member farthest from it; when that member is within 2d, no
+   trial can succeed and the phase ends without drawing a mask.  Every
+   optimum is a member nearest its weight mask, so it proves a ball
+   around the mask empty; on universes of at most ``FARSET_MEMO_GUARD``
+   elements the memo keeps the union of those balls, and a search ends as
+   soon as it covers every point more than 2d from the centers.  Neither
+   stop changes the centers.
    If k+1 such members turn up they already form a valid sparsifier (any
    reference set is within distance d of at most one of them) and we stop.
 2. Otherwise every member lies within the cluster radius p of some center
@@ -124,9 +125,9 @@ class ClusterResult:
     ``trivial`` False: ``family`` holds at most k centers and, with high
     probability, every member is within p of one of them.  ``trivial``
     True: ``family`` holds k+1 members pairwise more than 2d apart, itself
-    a valid d-limited k-max-distance sparsifier.  ``calls`` is the number
-    of +-1 optimization calls the phase issued: a trial whose mask is in
-    the phase's memo is answered from it and calls nothing.
+    a valid d-limited k-max-distance sparsifier.  ``calls`` is the phase
+    memo's :attr:`FarSetMemo.calls`, the +-1 optimizations the phase
+    issued: a mask the memo knows is answered from it and calls nothing.
     """
 
     family: SetFamily
@@ -134,57 +135,72 @@ class ClusterResult:
     calls: int
 
 
-class EmptyRegion:
-    """The points of one oracle's universe that no member can be.
+class FarSetMemo:
+    """What one far-set phase knows of one oracle's +-1 optima.
 
-    Every +-1 optimization proves a ball empty: ``opt_pm1(w)`` maximizes
+    ``optima`` maps +1 masks to their optima; it stores at most
+    2^``FARSET_MEMO_GUARD`` masks.  ``calls`` counts the optimizations
+    issued.  ``empty`` is the set of points no member can be, one bit per
+    point of the 2^n (bit x: the set x), or ``None`` on a universe of more
+    than ``FARSET_MEMO_GUARD`` elements, which keeps none.  Every
+    optimization proves a ball empty: ``opt_pm1(w)`` maximizes
     ``2|m & w| - |m| = |w| - |m ^ w|``, so its optimum m* is a member
     nearest to w, and no member lies within ``|w ^ m*| - 1`` of w.
-    ``bits`` is the union of those balls over the optimizations of
-    ``memo`` (+1 masks to optima), one bit per point of the 2^n (bit x:
-    the set x), or ``None`` on a universe of more than
-    ``FARSET_MEMO_GUARD`` elements, which keeps no region.  It starts from
-    the entries ``memo`` holds and grows with each optimum
-    :func:`approx_far_set` stores there; an entry stored otherwise only
-    leaves the region smaller.  :func:`cluster_or_trivial` makes one per
-    phase, next to its memo; a region is refused with any other oracle
-    or memo.
+    ``empty`` is the union of those balls.  A universe over the mask width
+    limit raises :class:`ValueError` here, before any call.
     """
 
-    __slots__ = ("oracle", "memo", "bits")
+    __slots__ = ("oracle", "optima", "empty", "calls")
 
-    def __init__(self, oracle: DomainOracle, memo: dict[int, int]) -> None:
+    def __init__(self, oracle: DomainOracle) -> None:
+        n = oracle.universe_size
+        _check_universe_size(n)
         self.oracle = oracle
-        self.memo = memo
-        self.bits: int | None = None
-        if oracle.universe_size <= FARSET_MEMO_GUARD:
-            self.bits = 0
-            for positive, best in memo.items():
-                self.add(positive, best)
+        self.optima: dict[int, int] = {}
+        self.empty: int | None = 0 if n <= FARSET_MEMO_GUARD else None
+        self.calls = 0
 
-    def add(self, positive: int, best: int) -> int:
-        """Record the optimum ``best`` of the +1 mask ``positive`` (both
-        within the universe); returns the ball it proves empty."""
+    def optimum(self, positive: int) -> int | None:
+        """The optimum of the +1 mask ``positive``, ``None`` for an empty
+        domain.  A mask in ``optima`` is answered there; otherwise one
+        oracle call, whose optimum is range checked (one with elements
+        outside the universe raises :class:`SoundnessError` and is not
+        kept), stored while ``optima`` has room, and its ball added to
+        ``empty``."""
+        best = self.optima.get(positive)
+        if best is not None:
+            return best
         n = self.oracle.universe_size
-        empty = ball_bits(n, positive, (positive ^ best).bit_count() - 1)
-        self.bits |= empty
-        return empty
+        best = self.oracle.opt_pm1(positive)
+        self.calls += 1
+        if best is None:
+            return None
+        if best < 0 or best >> n:
+            raise SoundnessError(
+                f"optimum {best:#x} has elements outside a universe of size {n}"
+            )
+        if len(self.optima) < 1 << FARSET_MEMO_GUARD:
+            self.optima[positive] = best
+        if self.empty is not None:
+            self.empty |= ball_bits(n, positive, (positive ^ best).bit_count() - 1)
+        return best
 
 
 def approx_far_set(
-    oracle: DomainOracle,
+    memo: FarSetMemo,
     centers: Sequence[int],
     d: int,
     trials: int,
     rng: SplitMix64,
-    memo: dict[int, int] | None = None,
-    region: EmptyRegion | None = None,
-) -> tuple[int | None, int]:
+) -> int | None:
     """Look for a member more than 2d from every center.
 
-    Returns the far member or ``None``, and the number of +-1 optimization
-    calls issued: one per weight mask that is new to the memo, ``1`` for
-    an empty domain.
+    Returns the far member or ``None``.  Every optimum comes from
+    ``memo.optimum``, so a mask the memo knows costs no call, and
+    ``memo.calls`` counts the ones issued (``1`` for an empty domain).
+    The oracle is pure, so the outcome of every trial is the one it would
+    have without the memo.  Pass one memo to every call of one phase,
+    with the phase's growing center list.
 
     Each trial optimizes fresh uniform +-1 weights, the mask of the +1
     elements taken from ``rng.masks(n)``, which computes masks in blocks
@@ -192,8 +208,7 @@ def approx_far_set(
     returned only after its distances to all centers are checked, so any
     returned set is certainly far.  ``None`` after all trials means every
     member is within the cluster radius of some center, up to the per-call
-    error bound.  An optimum with elements outside the universe raises
-    :class:`SoundnessError`.
+    error bound.
 
     With exactly one center c the call first asks the +1 mask ``~c``: a
     member m then weighs ``|m ^ c| - |c|``, so the optimum is a member
@@ -202,92 +217,47 @@ def approx_far_set(
     certain, not probable.  Otherwise the trials run as they would without
     it; its optimum is never returned, because the trials pick the center.
 
-    On a universe of at most ``FARSET_MEMO_GUARD`` elements the call
-    keeps ``region``, an :class:`EmptyRegion` of this oracle and memo
-    (without one it builds one from the memo's entries), and every new
-    optimum adds its empty ball to it.  The far region is the set of
-    points more than 2d from every center.  Once the empty region covers
-    it, no member is far, and the call gives up: at entry, before any call
-    or draw, or right after the new optimum that covers it.  This give-up
-    is certain too and costs no oracle call.  A memo holding all 2^n masks
-    with no far optimum covers the far region, since every member is the
-    optimum of its own mask.
-
-    ``memo`` maps +1 masks to their optima; without one the call uses the
-    region's, or a local dict.  A mask in it (the first one's too) is
-    answered there and calls nothing; a new optimum is range checked once
-    and stored while the memo holds fewer than 2^``FARSET_MEMO_GUARD``
-    masks.  The oracle
-    is pure, so the outcome of every trial is the one it would have
-    without the memo.  Pass the same memo and region to every call of one
-    phase, with the phase's growing center list.  The call leaves the
-    generator one mask per trial run past where it started, whether it
-    finds a far member or gives up (a give-up may run fewer than
-    ``trials`` trials, and none when the region or the first mask proves
-    it).
+    When the memo keeps an empty region, the call gives up once it covers
+    every point more than 2d from every center, since then no member is
+    far: at entry, before any call or draw, or right after the new
+    optimum that covers them.  This give-up is certain too and costs no
+    oracle call.  A memo holding all 2^n masks with no far optimum covers
+    those points, since every member is the optimum of its own mask.  The
+    call leaves the generator one mask per trial run past where it
+    started, whether it finds a far member or gives up (a give-up may run
+    fewer than ``trials`` trials, and none when the region or the first
+    mask proves it).
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    n = oracle.universe_size
-    _check_universe_size(n)
+    n = memo.oracle.universe_size
     if any(not 0 <= c < 1 << n for c in centers):
         raise ValueError("center has elements outside the universe")
-    if region is None:
-        region = EmptyRegion(oracle, {} if memo is None else memo)
-    elif region.oracle is not oracle or memo is not None and memo is not region.memo:
-        raise ValueError("the empty region belongs to another oracle or memo")
-    memo = region.memo
     threshold = 2 * d
 
     def far(member: int) -> bool:
         return all((member ^ c).bit_count() > threshold for c in centers)
 
-    # the far points the region does not cover yet; -1 without a region,
-    # which never becomes 0
-    uncovered = -1
-    if region.bits is not None:
+    # the points more than 2d from every center; None without a region
+    outside = None
+    if memo.empty is not None:
         close = reduce(or_, (ball_bits(n, c, threshold) for c in centers), 0)
-        uncovered = ((1 << (1 << n)) - 1) ^ (close | region.bits)
-        if not uncovered:
-            return None, 0
+        outside = ((1 << (1 << n)) - 1) ^ close
+        if outside & memo.empty == outside:
+            return None
 
-    def ask(positive: int) -> int | None:
-        nonlocal calls, uncovered
-        best = oracle.opt_pm1(positive)
-        calls += 1
-        if best is None:
-            return None  # empty domain
-        if best < 0 or best >> n:
-            raise SoundnessError(
-                f"optimum {best:#x} has elements outside a universe of size {n}"
-            )
-        if len(memo) < 1 << FARSET_MEMO_GUARD:
-            memo[positive] = best
-        if region.bits is not None:
-            uncovered ^= uncovered & region.add(positive, best)
-        return best
-
-    calls = 0
     if len(centers) == 1:
-        mask = ~centers[0] & ((1 << n) - 1)
-        farthest = memo.get(mask)
-        if farthest is None:
-            farthest = ask(mask)
+        farthest = memo.optimum(~centers[0] & ((1 << n) - 1))
         if farthest is None or not far(farthest):
-            return None, calls
+            return None
     masks = rng.masks(n)
     for _ in range(trials):
-        positive = next(masks)
-        best = memo.get(positive)
-        if best is None:
-            best = ask(positive)
-            if best is None:
-                return None, calls
-        if far(best):
-            return best, calls
-        if not uncovered:
-            return None, calls
-    return None, calls
+        best = memo.optimum(next(masks))
+        if best is None or far(best):
+            return best
+        if outside is not None and outside & memo.empty == outside:
+            return None
+    return None
 
 
 def cluster_or_trivial(
@@ -297,33 +267,26 @@ def cluster_or_trivial(
 
     The random weights are drawn from ``SplitMix64(params.seed)``.  Stops
     with ``trivial=True`` as soon as k+1 far members accumulate.  An empty
-    domain yields zero centers.  The phase keeps one memo from +1 masks
-    to optima, at most 2^``FARSET_MEMO_GUARD`` entries, and one
-    :class:`EmptyRegion`, and passes both to every :func:`approx_far_set`
-    call, so a call gives up as soon as the phase's optimizations prove
-    that no member is far.  The centers are those that every trial
+    domain yields zero centers.  The phase keeps one :class:`FarSetMemo`
+    and passes it to every :func:`approx_far_set` call, so a repeated mask
+    costs no call and a call gives up as soon as the phase's optimizations
+    prove that no member is far.  The centers are those that every trial
     optimizing afresh would pick: a give-up ends the phase, and the
     generator is never read after it.
     """
     rng = SplitMix64(params.seed)
-    n = oracle.universe_size
-    memo: dict[int, int] = {}
-    region = EmptyRegion(oracle, memo)
+    memo = FarSetMemo(oracle)
     center_bits: list[int] = []
-    total = 0
     while True:
         trials = params.trials_override
         if trials is None:
             trials = default_trials(params.k, params.epsilon, len(center_bits))
-        far, used = approx_far_set(
-            oracle, center_bits, params.d, trials, rng, memo, region
-        )
-        total += used
-        if far is None:
-            return ClusterResult(SetFamily.from_bits(n, center_bits), False, total)
-        center_bits.append(far)
-        if len(center_bits) == params.k + 1:
-            return ClusterResult(SetFamily.from_bits(n, center_bits), True, total)
+        far = approx_far_set(memo, center_bits, params.d, trials, rng)
+        if far is not None:
+            center_bits.append(far)
+        if far is None or len(center_bits) == params.k + 1:
+            family = SetFamily.from_bits(oracle.universe_size, center_bits)
+            return ClusterResult(family, far is not None, memo.calls)
 
 
 class ShiftedEmptyExtension(DomainOracle):
@@ -376,8 +339,8 @@ def dk_sparsify(oracle: DomainOracle, params: LimitedSparsifyParams) -> Sparsifi
     anywhere is returned at once (``scattered`` for the clustering branch,
     ``shortcut`` for one produced by an extension query).  An empty domain
     yields the empty family, which satisfies the definition vacuously.
-    ``calls_opt`` is the number of +-1 optimizations the clustering phase
-    issued (repeated weight masks are answered from its memo) and
+    ``calls_opt`` is the clustering phase's ``ClusterResult.calls``, the
+    +-1 optimizations its :class:`FarSetMemo` issued, and
     ``calls_extend`` the sum of the per-center runs' query counts.  The
     report's ``params`` are ``params`` with ``p`` resolved to
     :func:`default_cluster_radius` when it was ``None``.

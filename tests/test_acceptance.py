@@ -14,6 +14,7 @@ import divsparse as ds
 import divsparse.bruteforce as bf
 from divsparse import (
     ExtensionQuery,
+    FarSetMemo,
     Found,
     LimitedSparsifyParams,
     OracleContext,
@@ -102,8 +103,8 @@ def test_criterion_2_limited_sparsifier_suite():
         # independent far-set soundness probe on the same domain
         oracle = ExplicitOracle(family)
         centers = family.bits_list()[: min(2, len(family))]
-        got, _ = approx_far_set(
-            oracle, centers, d=d, trials=16, rng=SplitMix64(run)
+        got = approx_far_set(
+            FarSetMemo(oracle), centers, d=d, trials=16, rng=SplitMix64(run)
         )
         far_calls += 1
         if got is not None:
@@ -373,8 +374,8 @@ def test_criterion_6_far_set_completeness_calibration():
     oracle = ExplicitOracle(family)
     hits = 0
     for seed in range(100):
-        got, _ = approx_far_set(
-            oracle, [0], d=1, trials=512, rng=SplitMix64(seed)
+        got = approx_far_set(
+            FarSetMemo(oracle), [0], d=1, trials=512, rng=SplitMix64(seed)
         )
         if got is not None and got == (1 << n) - 1:
             hits += 1

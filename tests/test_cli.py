@@ -412,6 +412,25 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE == 2 and out == ""
         assert "needs a complement-closed domain" in err
 
+    @pytest.mark.parametrize("command", ["sparsify", "verify"])
+    @pytest.mark.parametrize(
+        "mode, text",
+        [
+            ("small", "domain uniform_matroid rank=2\nuniverse 4\n"),
+            ("limited", "domain uniform_matroid rank=2\nuniverse 4\n"),
+            # auto picks small mode on vertex covers
+            ("auto", "domain vertex_cover ell=2\ngraph undirected 3 2\n0 1\n1 2\n"),
+        ],
+        ids=["small", "limited", "auto"],
+    )
+    def test_negative_d_is_2_in_every_mode(self, write, command, mode, text):
+        path = write(text)
+        code, out, err = invoke_all(
+            [command, "--instance", path, "--k", "1", "--d", "-3", "--mode", mode]
+        )
+        assert code == cli.EXIT_USAGE == 2 and out == ""
+        assert err == "error: d must be nonnegative\n"
+
     def test_guard_is_3(self, write):
         big = "domain uniform_matroid rank=1\nuniverse 24\n"
         path = write(big)

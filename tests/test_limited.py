@@ -12,6 +12,7 @@ from divsparse import (
     MASK_WIDTH_LIMIT,
     NOT_FOUND,
     DomainOracle,
+    FarSetMemo,
     Found,
     GuardError,
     LimitedSparsifyParams,
@@ -35,7 +36,7 @@ import divsparse.cli as cli
 import divsparse.limited as limited
 from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle, MatroidBaseOracle, UniformMatroid
-from divsparse.limited import FARSET_MEMO_GUARD, EmptyRegion, ShiftedEmptyExtension
+from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
 
 from helpers import (
     plain_approx_far_set,
@@ -107,22 +108,20 @@ def single_trial_success_probability(n: int) -> float:
 class TestApproxFarSet:
     def test_only_member_is_never_far(self):
         fam = SetFamily.from_bits(4, [0b0101])
-        oracle = ExplicitOracle(fam)
-        got, _ = approx_far_set(
-            oracle, fam.bits_list(), d=1, trials=64, rng=SplitMix64(3)
+        got = approx_far_set(
+            FarSetMemo(ExplicitOracle(fam)), fam.bits_list(), d=1, trials=64,
+            rng=SplitMix64(3),
         )
         assert got is None
 
     def test_two_point_domain_finds_far_set(self):
         n = 10
         fam = two_point_domain(n)
-        oracle = ExplicitOracle(fam)
+        memo = FarSetMemo(ExplicitOracle(fam))
         centers = [0]
         # frozen from the binomial tail: 386/1024 per trial
         assert single_trial_success_probability(n) == 386 / 1024
-        got, _ = approx_far_set(
-            oracle, centers, d=1, trials=512, rng=SplitMix64(0)
-        )
+        got = approx_far_set(memo, centers, d=1, trials=512, rng=SplitMix64(0))
         assert got is not None and got.bit_count() == n
         assert distance(got, centers[0], n) == n > 2
 
@@ -134,8 +133,8 @@ class TestApproxFarSet:
             centers_count = rng.randint(0, min(3, len(fam)))
             centers = fam.bits_list()[:centers_count]
             d = rng.randint(0, 2)
-            got, _ = approx_far_set(
-                ExplicitOracle(fam),
+            got = approx_far_set(
+                FarSetMemo(ExplicitOracle(fam)),
                 centers,
                 d=d,
                 trials=16,
@@ -145,9 +144,8 @@ class TestApproxFarSet:
                 assert all(distance(got, c, n) > 2 * d for c in centers)
 
     def test_empty_domain(self):
-        oracle = ExplicitOracle(SetFamily.from_bits(4, ()))
-        got, _ = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
-        assert got is None
+        memo = FarSetMemo(ExplicitOracle(SetFamily.from_bits(4, ())))
+        assert approx_far_set(memo, [], d=1, trials=8, rng=SplitMix64(1)) is None
 
     def test_trial_count_of_a_find(self):
         # the full set wins trial i exactly when draw i has more +1s than
@@ -167,10 +165,10 @@ class TestApproxFarSet:
                 if positive.bit_count() > n // 2:
                     break
             oracle = Counted(two_point_domain(n))
-            rng = SplitMix64(seed)
-            got = approx_far_set(oracle, [0], d=1, trials=64, rng=rng)
-            assert got == (full, 1 + len(drawn - {full}))
-            assert oracle.opts == got[1]
+            memo, rng = FarSetMemo(oracle), SplitMix64(seed)
+            got = approx_far_set(memo, [0], d=1, trials=64, rng=rng)
+            assert got == full
+            assert memo.calls == oracle.opts == 1 + len(drawn - {full})
             assert rng.next_u64() == replay.next_u64()
             late += len(drawn) > 1
         assert late > 0
@@ -182,21 +180,19 @@ class TestApproxFarSet:
         n = 4
         fam = SetFamily.from_bits(n, [0b0101])
         for trials in (1, 37, 2**80):
-            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
-            got = approx_far_set(
-                oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo
-            )
-            assert got == (None, 1) and oracle.opts == 1
-            assert memo == {0b1010: 0b0101}
+            oracle, rng = Counted(fam), SplitMix64(3)
+            memo = FarSetMemo(oracle)
+            got = approx_far_set(memo, [0b0101], d=1, trials=trials, rng=rng)
+            assert got is None and memo.calls == oracle.opts == 1
+            assert memo.optima == {0b1010: 0b0101}
             assert rng.next_u64() == SplitMix64(3).next_u64()
             # asked again with the same memo, it costs no call either
-            got = approx_far_set(oracle, [0b0101], d=1, trials=trials, rng=rng, memo=memo)
-            assert got == (None, 0) and oracle.opts == 1
+            got = approx_far_set(memo, [0b0101], d=1, trials=trials, rng=rng)
+            assert got is None and memo.calls == oracle.opts == 1
         # with two centers nothing is asked first.  On {0, 63} with centers 0
         # and 63 the far points are the 20 sets of size 3, and no member is
         # one: the call gives up once the empty balls of its optima cover
-        # them.  With a memo passed in or without one (the call keeps its
-        # own), it calls once per distinct mask drawn, stops right after a
+        # them.  It calls once per distinct mask drawn, stops right after a
         # new one, and calls no more than the trials alone, which stop only
         # once all 64 masks are known
         n, centers = 6, [0, 63]
@@ -206,30 +202,22 @@ class TestApproxFarSet:
             want = reference_approx_far_set(
                 ExplicitOracle(fam), centers, 1, trials, SplitMix64(3), want_memo
             )
-            oracle = Counted(fam)
-            got = approx_far_set(oracle, centers, d=1, trials=trials, rng=SplitMix64(3))
-            assert got == (None, oracle.opts)
-            oracle, memo, rng = Counted(fam), {}, SplitMix64(3)
-            got = approx_far_set(oracle, centers, d=1, trials=trials, rng=rng, memo=memo)
-            assert got == (None, oracle.opts) and oracle.opts == len(memo)
-            assert memo.items() <= want_memo.items()
-            assert got[1] <= want[1]
+            oracle, rng = Counted(fam), SplitMix64(3)
+            memo = FarSetMemo(oracle)
+            got = approx_far_set(memo, centers, d=1, trials=trials, rng=rng)
+            assert got is None
+            assert memo.calls == oracle.opts == len(memo.optima) <= want[1]
+            assert memo.optima.items() <= want_memo.items()
             # no draw after the stop: the generator is where the trials
             # alone were when they had drawn the masks the call asked
-            assert rng.next_u64() == replay_until(SplitMix64(3), n, memo).next_u64()
-        assert got[1] == 11 and want[1] == 64
-        # a later call with the same memo, or with the region made next to
-        # it, starts covered: it draws and calls nothing
-        region = EmptyRegion(oracle, memo)
-        for kwargs in ({"memo": memo}, {"region": region}):
-            rng = SplitMix64(7)
-            got = approx_far_set(oracle, centers, d=1, trials=8, rng=rng, **kwargs)
-            assert got == (None, 0) and oracle.opts == 11
-            assert rng.next_u64() == SplitMix64(7).next_u64()
-        with pytest.raises(ValueError, match="another oracle or memo"):
-            approx_far_set(Counted(fam), centers, 1, 8, SplitMix64(7), region=region)
-        with pytest.raises(ValueError, match="another oracle or memo"):
-            approx_far_set(oracle, centers, 1, 8, SplitMix64(7), dict(memo), region)
+            assert rng.next_u64() == replay_until(SplitMix64(3), n, memo.optima).next_u64()
+        assert memo.calls == 11 and want[1] == 64
+        # a later call with the same memo starts covered: it draws and
+        # calls nothing
+        rng = SplitMix64(7)
+        assert approx_far_set(memo, centers, d=1, trials=8, rng=rng) is None
+        assert memo.calls == oracle.opts == 11
+        assert rng.next_u64() == SplitMix64(7).next_u64()
 
     def test_trial_count_beyond_sys_maxsize_ends_at_the_coverage_stop(self):
         # 2^80 trials with two centers (one center would give up at its
@@ -239,12 +227,12 @@ class TestApproxFarSet:
         # masks are known
         n = 6
         oracle = Counted(SetFamily.from_bits(n, [0, 1, 62, 63]))
-        memo, rng = {}, SplitMix64(11)
-        got = approx_far_set(oracle, [0, 63], d=1, trials=2**80, rng=rng, memo=memo)
-        assert got == (None, oracle.opts) and oracle.opts == len(memo) < 1 << n
-        assert rng.next_u64() == replay_until(SplitMix64(11), n, memo).next_u64()
-        region = EmptyRegion(oracle, memo)
-        assert not sum(1 << x for x in range(1 << n) if x.bit_count() == 3) & ~region.bits
+        memo, rng = FarSetMemo(oracle), SplitMix64(11)
+        got = approx_far_set(memo, [0, 63], d=1, trials=2**80, rng=rng)
+        assert got is None
+        assert memo.calls == oracle.opts == len(memo.optima) < 1 << n
+        assert rng.next_u64() == replay_until(SplitMix64(11), n, memo.optima).next_u64()
+        assert not sum(1 << x for x in range(1 << n) if x.bit_count() == 3) & ~memo.empty
 
     def test_matches_the_trials_alone(self):
         # against the call without its one-center first mask or its region:
@@ -252,16 +240,16 @@ class TestApproxFarSet:
         # and the same calls, memo and generator state on a find; with one
         # center a give-up that drew no mask costs at most that one call,
         # and any other call at most one call more.  Every early give-up is
-        # right: no member is far.  One memo serves every call on a family,
-        # with or without its region; the reference starts from a copy.
+        # right: no member is far.  One memo serves every call on a family;
+        # the reference starts from a copy of its optima.
         rng = random.Random(131)
         certified = fewer = 0
         for trial in range(150):
             n = rng.randint(3, 10)
             fam = random_family(rng, n, 16)
             k = rng.randint(1, 3)
-            oracle, memo = Counted(fam), {}
-            region = EmptyRegion(oracle, memo) if rng.random() < 0.5 else None
+            oracle = Counted(fam)
+            memo = FarSetMemo(oracle)
             for call in range(4):
                 centers = [
                     rng.choice(fam.bits) if rng.random() < 0.5 else rng.getrandbits(n)
@@ -272,36 +260,37 @@ class TestApproxFarSet:
                 if count is None:
                     count = default_trials(k, 0.01, len(centers))
                 seed = 1000 * trial + call
-                want_memo, gen = dict(memo), SplitMix64(seed)
+                want_memo, gen = dict(memo.optima), SplitMix64(seed)
                 ref = SplitMix64(seed)
-                want = reference_approx_far_set(
+                want, want_calls = reference_approx_far_set(
                     ExplicitOracle(fam), centers, d, count, ref, want_memo
                 )
-                before = oracle.opts
-                got = approx_far_set(oracle, centers, d, count, gen, memo, region)
-                assert got[0] == want[0], (trial, call)
-                assert got[1] == oracle.opts - before, (trial, call)
-                if got[0] is not None:
-                    assert got[1] <= want[1] + (len(centers) == 1), (trial, call)
+                before = memo.calls
+                got = approx_far_set(memo, centers, d, count, gen)
+                calls = memo.calls - before
+                assert got == want, (trial, call)
+                assert memo.calls == oracle.opts, (trial, call)
+                if got is not None:
+                    assert calls <= want_calls + (len(centers) == 1), (trial, call)
                     assert copy(gen).next_u64() == copy(ref).next_u64(), (trial, call)
                     continue
                 if masks_drawn(SplitMix64(seed), gen, n, count) < count:
                     # an early give-up: certain, so no member is far
                     assert not any(map(far_from(centers, d), fam.bits)), (trial, call)
                 if len(centers) != 1:
-                    assert got[1] <= want[1], (trial, call)
-                    assert memo.items() <= want_memo.items(), (trial, call)
-                    fewer += got[1] < want[1]
+                    assert calls <= want_calls, (trial, call)
+                    assert memo.optima.items() <= want_memo.items(), (trial, call)
+                    fewer += calls < want_calls
                 elif gen.next_u64() == SplitMix64(seed).next_u64():
-                    assert got[1] <= 1, (trial, call)
+                    assert calls <= 1, (trial, call)
                     certified += 1
                 else:
-                    assert got[1] <= want[1] + 1, (trial, call)
+                    assert calls <= want_calls + 1, (trial, call)
         assert certified > 40 and fewer > 40
 
     def test_every_early_give_up_is_right(self):
         # seeded random families of 1 to 10 elements.  Far-set calls with 0
-        # to 3 centers share one memo and region per family; a call that
+        # to 3 centers share one memo per family; a call that
         # gives up before its last trial must be right: brute force finds no
         # member more than 2d from every center.  A member returned is far.
         # The phase on the same family picks the centers and the flag of the
@@ -311,8 +300,7 @@ class TestApproxFarSet:
         for trial in range(200):
             n = rng.randint(1, 10)
             fam = random_family(rng, n, 24, nonempty=False)
-            oracle, memo = ExplicitOracle(fam), {}
-            region = EmptyRegion(oracle, memo)
+            memo = FarSetMemo(ExplicitOracle(fam))
             for call in range(3):
                 centers = [
                     rng.choice(fam.bits) if fam.bits and rng.random() < 0.5
@@ -323,7 +311,7 @@ class TestApproxFarSet:
                 count = rng.choice([1, 8, 64, 2**80])
                 seed = 100 * trial + call
                 gen = SplitMix64(seed)
-                got, _ = approx_far_set(oracle, centers, d, count, gen, memo, region)
+                got = approx_far_set(memo, centers, d, count, gen)
                 far = list(filter(far_from(centers, d), fam.bits))
                 if got is not None:
                     assert got in far, (trial, call)
@@ -349,29 +337,30 @@ class TestApproxFarSet:
         # the coverage stop needs every known optimum within 2d of a center;
         # a memo from other centers does not stop the call
         n = 2
-        fam = SetFamily.from_bits(n, [0b00, 0b11])
-        memo = {mask: ExplicitOracle(fam).opt_pm1(mask) for mask in range(1 << n)}
-        assert 0b11 in memo.values()
-        oracle = Counted(fam)
-        got = approx_far_set(oracle, [0b00], d=0, trials=64, rng=SplitMix64(1), memo=memo)
-        assert got[0] == 0b11 and got[1] == oracle.opts == 0
+        oracle = Counted(SetFamily.from_bits(n, [0b00, 0b11]))
+        memo = FarSetMemo(oracle)
+        assert 0b11 in map(memo.optimum, range(1 << n))
+        got = approx_far_set(memo, [0b00], d=0, trials=64, rng=SplitMix64(1))
+        assert got == 0b11 and memo.calls == oracle.opts == 1 << n
 
     def test_trial_count_of_an_empty_domain(self):
         oracle = Counted(SetFamily.from_bits(4, ()))
-        got = approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(1))
-        assert got == (None, 1) and oracle.opts == 1
+        memo = FarSetMemo(oracle)
+        assert approx_far_set(memo, [], d=1, trials=8, rng=SplitMix64(1)) is None
+        assert memo.calls == oracle.opts == 1
 
     def test_parameter_validation(self):
-        oracle = ExplicitOracle(two_point_domain(4))
+        memo = FarSetMemo(ExplicitOracle(two_point_domain(4)))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, [], 1, trials=0, rng=SplitMix64(0))
+            approx_far_set(memo, [], 1, trials=0, rng=SplitMix64(0))
         with pytest.raises(ValueError):
-            approx_far_set(oracle, [1 << 4], 1, trials=8, rng=SplitMix64(0))
+            approx_far_set(memo, [1 << 4], 1, trials=8, rng=SplitMix64(0))
 
     def test_optimum_outside_the_universe_is_refused(self):
         # the one-center first mask is range checked like a trial's optimum
         # (and raises before any draw); an oracle answering a set beyond
-        # the universe for it, or for a trial, is unsound
+        # the universe for it, or for a trial, is unsound.  The refused
+        # optimum is counted as a call but neither stored nor made a ball
         n = 4
 
         class Beyond(Counted):
@@ -384,14 +373,18 @@ class TestApproxFarSet:
                 return 1 << n if positive == self.bad_mask else got
 
         oracle, rng = Beyond(0b1111), SplitMix64(2)
+        memo = FarSetMemo(oracle)
         with pytest.raises(SoundnessError, match="outside a universe of size 4"):
-            approx_far_set(oracle, [0], d=1, trials=8, rng=rng)
-        assert oracle.opts == 1
+            approx_far_set(memo, [0], d=1, trials=8, rng=rng)
+        assert memo.calls == oracle.opts == 1
+        assert memo.optima == {} and memo.empty == 0
         assert rng.next_u64() == SplitMix64(2).next_u64()
         oracle = Beyond(next(SplitMix64(2).masks(n)))
+        memo = FarSetMemo(oracle)
         with pytest.raises(SoundnessError, match="outside a universe of size 4"):
-            approx_far_set(oracle, [], d=1, trials=8, rng=SplitMix64(2))
-        assert oracle.opts == 1
+            approx_far_set(memo, [], d=1, trials=8, rng=SplitMix64(2))
+        assert memo.calls == oracle.opts == 1
+        assert memo.optima == {} and memo.empty == 0
 
     def test_universe_over_the_mask_width_limit_draws_nothing(self):
         class Wide(DomainOracle):
@@ -405,10 +398,11 @@ class TestApproxFarSet:
             def exact_extend(self, query, ctx=None):
                 return NOT_FOUND
 
+        # the memo refuses the universe when it is made, before any call
         oracle = Wide()
         rng = SplitMix64(0)
         with pytest.raises(ValueError, match="mask width limit"):
-            approx_far_set(oracle, [], 1, trials=8, rng=rng)
+            approx_far_set(FarSetMemo(oracle), [], 1, trials=8, rng=rng)
         assert oracle.calls == 0
         assert rng.next_u64() == SplitMix64(0).next_u64()  # no step was drawn
 
@@ -520,7 +514,7 @@ class TestClusterOrTrivial:
         # on a find also the same calls, memo and generator state after the
         # call; on a give-up no more calls, a memo inside the reference's
         # and the generator at or before the reference's.  From random start
-        # centers and pre-filled memos, one region per phase built from them
+        # centers and memos pre-filled with half the masks, one per phase
         rng = random.Random(97)
         early = certified = 0
         for trial in range(200):
@@ -529,37 +523,37 @@ class TestClusterOrTrivial:
             k, d = rng.randint(1, 3), rng.randint(0, 2)
             trials = rng.choice([None, 1, 8, 64, 2**80])
             centers = [rng.getrandbits(n) for _ in range(rng.randint(0, 2))]
-            memo: dict[int, int] = {}
-            if fam.bits and rng.random() < 0.5:
-                known = rng.sample(range(1 << n), 1 << n >> 1)
-                memo = {m: ExplicitOracle(fam).opt_pm1(m) for m in known}
-            want_memo = dict(memo)
-            gen, ref = SplitMix64(trial), SplitMix64(trial)
             oracle = Counted(fam)
-            region = EmptyRegion(oracle, memo)
+            memo = FarSetMemo(oracle)
+            if fam.bits and rng.random() < 0.5:
+                for mask in rng.sample(range(1 << n), 1 << n >> 1):
+                    memo.optimum(mask)
+            want_memo = dict(memo.optima)
+            gen, ref = SplitMix64(trial), SplitMix64(trial)
             while True:
                 count = trials or default_trials(k, 0.01, len(centers))
-                before, start = oracle.opts, copy(gen)
-                got = approx_far_set(oracle, centers, d, count, gen, memo, region)
-                want = plain_approx_far_set(
+                before, start = memo.calls, copy(gen)
+                got = approx_far_set(memo, centers, d, count, gen)
+                want, want_calls = plain_approx_far_set(
                     ExplicitOracle(fam), centers, d, count, ref, want_memo
                 )
-                assert got[0] == want[0], trial
-                assert got[1] == oracle.opts - before, trial
-                if got[0] is None:
-                    assert got[1] <= want[1], trial
-                    assert memo.items() <= want_memo.items(), trial
+                calls = memo.calls - before
+                assert got == want, trial
+                assert memo.calls == oracle.opts, trial
+                if got is None:
+                    assert calls <= want_calls, trial
+                    assert memo.optima.items() <= want_memo.items(), trial
                     # the generator is at most as far on as the reference's
                     drawn = masks_drawn(start, gen, n, count)
                     assert drawn <= masks_drawn(start, ref, n, count) <= count, trial
-                    early += got[1] < want[1]
+                    early += calls < want_calls
                     # a one-center give-up that drew no mask
                     certified += len(centers) == 1 and drawn == 0
                     break
-                assert got == want, trial
-                assert memo == want_memo, trial
+                assert calls == want_calls, trial
+                assert memo.optima == want_memo, trial
                 assert copy(gen).next_u64() == copy(ref).next_u64(), trial
-                centers.append(got[0])
+                centers.append(got)
                 if len(centers) > k:
                     break
         assert early > 30 and certified > 30
@@ -568,13 +562,13 @@ class TestClusterOrTrivial:
         # with the guard at 2 the memo stops growing at 4 masks; lookups
         # still run, and the centers are those of the phase without a memo
         monkeypatch.setattr(limited, "FARSET_MEMO_GUARD", 2)
-        memos: list[dict[int, int]] = []
+        memos: list[FarSetMemo] = []
         real = limited.approx_far_set
 
-        def spy(oracle, centers, d, trials, rng, memo=None, region=None):
-            got = real(oracle, centers, d, trials, rng, memo, region)
+        def spy(memo, centers, d, trials, rng):
+            got = real(memo, centers, d, trials, rng)
             memos.append(memo)
-            assert memo is memos[0] and len(memo) <= 4
+            assert memo is memos[0] and len(memo.optima) <= 4
             return got
 
         monkeypatch.setattr(limited, "approx_far_set", spy)
@@ -597,7 +591,7 @@ class TestClusterOrTrivial:
             assert got.calls == oracle.opts, trial
             assert got.family.bits == tuple(want_bits), trial
             assert got.trivial == want_trivial, trial
-            full += len(memos[0]) == 4
+            full += len(memos[0].optima) == 4
         assert full > 20
 
     def test_repeated_masks_above_the_guard(self):
@@ -641,6 +635,46 @@ class TestClusterOrTrivial:
         got = cluster_or_trivial(oracle, params)
         assert got.family.bits == tuple(want_bits) and not got.trivial and not want_trivial
         assert got.calls == oracle.opts == 66 and want_trials == 3005
+
+    def test_matches_the_phase_without_a_memo_at_the_region_boundary(self):
+        # explicit families of one to three clusters (random centers, members
+        # at most d flips from one, so within 2d of each other) on 15, 16
+        # and 17 elements: the memo keeps a region up to the guard, at its
+        # widest at 16, and none at 17.  The phase picks the centers and the
+        # flag of the trials alone, with no more calls than their trials
+        # plus the one-center first mask, and below the boundary the region
+        # ends give-ups with two or more centers early
+        rng = random.Random(1517)
+        early = dict.fromkeys((15, 16, 17), 0)
+        for trial in range(45):
+            n = 15 + trial % 3
+            assert (FarSetMemo(ExplicitOracle(two_point_domain(n))).empty is None) == (
+                n > FARSET_MEMO_GUARD
+            )
+            d = rng.randint(0, 2)
+            members = set()
+            for _ in range(rng.choice([1, 2, 2, 3])):
+                center = rng.getrandbits(n)
+                for _ in range(rng.randint(1, 12)):
+                    flips = rng.sample(range(n), rng.randint(0, d))
+                    members.add(center ^ sum(1 << i for i in flips))
+            fam = SetFamily.from_bits(n, sorted(members))
+            params = LimitedSparsifyParams(
+                k=rng.randint(1, 3), d=d, seed=trial,
+                trials_override=rng.choice([64, 256, 2048]),
+            )
+            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
+                ExplicitOracle(fam), params
+            )
+            oracle = Counted(fam)
+            got = cluster_or_trivial(oracle, params)
+            assert got.family.bits == tuple(want_bits), trial
+            assert got.trivial == want_trivial, trial
+            assert got.calls == oracle.opts <= want_trials + 1, trial
+            early[n] += not got.trivial and len(want_bits) >= 2 and (
+                got.calls < want_trials - params.trials_override // 2
+            )
+        assert early[15] > 2 and early[16] > 2 and early[17] == 0
 
     def test_trivial_members_pairwise_far(self):
         rng = random.Random(29)

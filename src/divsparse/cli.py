@@ -199,7 +199,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         with open(args.instance, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read instance: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

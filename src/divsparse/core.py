@@ -355,6 +355,51 @@ class DomainOracle(ABC):
         return False
 
 
+class FixedSizeOracle(DomainOracle):
+    """A domain whose members all have ``member_size`` elements.
+
+    Both capabilities reduce to one exact-count search, ``_search(forced,
+    forbidden, marked, want)``: a member that contains ``forced``, avoids
+    ``forbidden`` and has exactly ``want`` elements of ``marked`` outside
+    ``forced``, or None when there is none; ``want=None``, which only
+    ``opt_pm1`` asks, with nothing forced or forbidden, means as many as
+    possible.
+
+    A member's +-1 weight is ``2 |D & P| - member_size``, so the optimum
+    is the member with the most +1 elements.  Its distance to a center C
+    is ``|D ^ C| = 2 |D \\ C| + |C| - member_size``, so a radius pins how
+    many of its elements lie outside C, the marked ones of the search.
+    """
+
+    member_size: int
+
+    @abstractmethod
+    def _search(
+        self, forced: int, forbidden: int, marked: int, want: int | None
+    ) -> int | None: ...
+
+    def opt_pm1(self, positive: int) -> int | None:
+        return self._search(0, 0, positive, None)
+
+    def exact_extend(
+        self, query: ExtensionQuery, ctx: OracleContext | None = None
+    ) -> ExtensionOutcome:
+        c, r, size = query.center, query.radius, self.member_size
+        doubled = r + size - c.bit_count()
+        outside = doubled // 2
+        forced_outside = (query.forced & ~c).bit_count()
+        if doubled % 2 or not forced_outside <= outside <= size or outside > r:
+            return NOT_FOUND
+        got = self._search(query.forced, query.forbidden, ~c, outside - forced_outside)
+        if got is None:
+            return NOT_FOUND
+        if not query.admits_bits(got):
+            raise SoundnessError(
+                f"fixed-size search returned {got:#x} outside the query"
+            )
+        return Found(got)
+
+
 @dataclass(frozen=True)
 class SparsifierReport:
     """A sparsifier, the parameters that reproduce it, and how it was built.

@@ -11,31 +11,19 @@ order, the tight predecessors of each vertex (those whose longest path
 ending there is one vertex shorter; index order, parallel arcs repeated)
 and the ends (where the longest paths, of L vertices, end; index order).
 
-Both capabilities run one search.  Each vertex gets an integer weight; per
-vertex the search keeps the bit set of weight sums over the longest paths
-that end there and avoid the forbidden labels.  The path with the wanted
-sum (or the highest) is rebuilt from the lowest-index end that reaches
-it, then from the lowest-index tight predecessor that keeps the rest
-reachable.  Optimization weighs a label 1 if it is positive, else 0, and
-asks for the highest sum.  The exact extension weighs a label L + 1 if it
-is forced, plus 1 if it is outside the center, and asks for |X| (L + 1)
-plus the outside count the radius pins.  Membership of a set of size L is
-a linear pass over the tight predecessors, restricted to its labels, that
-must reach an end.
+The count search weighs a label L + 1 if it is forced, else 1 if it is
+marked, else 0; per vertex it keeps the bit set of weight sums over the
+longest paths that end there and avoid the forbidden labels.  The path
+with the wanted sum (|X| (L + 1) plus the wanted count, or the highest)
+is rebuilt from the lowest-index end that reaches it, then from the
+lowest-index tight predecessor that keeps the rest reachable.  Membership
+of a set of size L is a linear pass over the tight predecessors,
+restricted to its labels, that must reach an end.
 """
 
 from __future__ import annotations
 
-from ..core import (
-    DomainOracle,
-    ExtensionOutcome,
-    ExtensionQuery,
-    Found,
-    NOT_FOUND,
-    OracleContext,
-    SoundnessError,
-    _check_universe_size,
-)
+from ..core import FixedSizeOracle, SoundnessError, _check_universe_size
 from .graphs import GraphData
 
 
@@ -52,7 +40,7 @@ def _topological_order(succs: list[list[int]], preds: list[list[int]]) -> list[i
     return order
 
 
-class DagDpOracle(DomainOracle):
+class DagDpOracle(FixedSizeOracle):
     """The label sets of the longest paths of ``dag``, whose vertex v
     carries the ground-set element ``labels[v]``.
 
@@ -96,21 +84,17 @@ class DagDpOracle(DomainOracle):
         for v in self._order:
             for u in preds[v]:
                 len_end[v] = max(len_end[v], len_end[u] + 1)
-        self._longest = max(len_end)
+        self.member_size = max(len_end)
         self._tight = [[u for u in preds[v] if len_end[u] == len_end[v] - 1] for v in range(n)]
-        self._ends = [v for v in range(n) if len_end[v] == self._longest]
+        self._ends = [v for v in range(n) if len_end[v] == self.member_size]
 
     @property
     def universe_size(self) -> int:
         return self._universe_size
 
-    @property
-    def path_length(self) -> int:
-        return self._longest
-
     def is_member_bits(self, bits: int) -> bool:
         # a path repeats no label, so L vertices labeled in bits cover bits
-        if bits.bit_count() != self._longest:
+        if bits.bit_count() != self.member_size:
             return False
         labels = self._labels
         ok = [False] * len(labels)
@@ -119,11 +103,17 @@ class DagDpOracle(DomainOracle):
                 ok[v] = not self._tight[v] or any(ok[u] for u in self._tight[v])
         return any(ok[v] for v in self._ends)
 
-    def _search(self, weight: list[int], forbidden: int, want: int | None) -> int | None:
-        """The label bits of a longest path that avoids ``forbidden`` and
-        whose vertex weights sum to ``want`` (``None``: as much as
-        possible), or None when there is none."""
+    def _search(
+        self, forced: int, forbidden: int, marked: int, want: int | None
+    ) -> int | None:
+        # a forced label outweighs a whole path of marked ones, and a path
+        # repeats no label: a sum of |forced| (L + 1) + want holds every
+        # forced label and want marked ones besides
         labels = self._labels
+        heavy = self.member_size + 1
+        weight = [heavy if forced >> q & 1 else marked >> q & 1 for q in labels]
+        if want is not None:
+            want += forced.bit_count() * heavy
         # sums[v]: bit set of the weight sums over longest paths ending at v
         sums = [0] * len(labels)
         for v in self._order:
@@ -151,30 +141,3 @@ class DagDpOracle(DomainOracle):
                     break
             else:
                 raise SoundnessError("longest-path reconstruction failed")
-
-    def opt_pm1(self, positive: int) -> int | None:
-        # every member has L labels, so its weight 2 |D & P| - L grows with
-        # its count of +1 labels
-        return self._search([positive >> q & 1 for q in self._labels], 0, None)
-
-    def exact_extend(
-        self, query: ExtensionQuery, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        c = query.center
-        x = query.forced
-        L = self._longest
-        # |D| = L for every member; |D ^ C| = r pins |D \ C|
-        doubled = query.radius - c.bit_count() + L
-        if doubled % 2 or doubled < 0:
-            return NOT_FOUND
-        outside = doubled // 2
-        if outside > L or outside > query.radius:
-            return NOT_FOUND
-        # a path repeats no label: it holds X iff it holds |X| forced labels
-        weight = [(L + 1) * (x >> q & 1) + 1 - (c >> q & 1) for q in self._labels]
-        got = self._search(weight, query.forbidden, x.bit_count() * (L + 1) + outside)
-        if got is None:
-            return NOT_FOUND
-        if not query.admits_bits(got):
-            raise SoundnessError(f"path table returned {got:#x} outside the query")
-        return Found(got)

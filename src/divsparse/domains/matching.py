@@ -1,37 +1,24 @@
 """Matchings of a fixed size.
 
-Both capabilities run one bitmask DP on the graph itself.  A state is the
+The count search is one bitmask DP on the graph itself.  A state is the
 mask of settled vertices (at first the forced edges' endpoints) and how
 many open vertices may still stay unmatched; it keeps the set of
 achievable counts of *marked* edges over the completions of that state.
-The exact extension marks the edges outside the center and asks for one
-count, which the radius fixes.  Optimization marks the +1 edges and asks
-for the highest count: every member has ell edges, so its weight is
-2 * count - ell.  At the lowest open vertex, ties resolve to the first
-choice that keeps the count reachable: its edges by input position, then
-leaving it unmatched.  The DP is capped at 22 vertices, counting the
-open vertices plus the ones it must leave unmatched.
+At the lowest open vertex, ties resolve to the first choice that keeps
+the wanted count reachable: its edges by input position, then leaving it
+unmatched.  The DP is capped at 22 vertices, counting the open vertices
+plus the ones it must leave unmatched.
 """
 
 from __future__ import annotations
 
-from ..core import (
-    CapabilityError,
-    DomainOracle,
-    ExtensionOutcome,
-    ExtensionQuery,
-    Found,
-    iter_bits,
-    NOT_FOUND,
-    OracleContext,
-    SoundnessError,
-)
+from ..core import CapabilityError, FixedSizeOracle, SoundnessError, iter_bits
 from .graphs import GraphData
 
 VERTEX_CAP = 22
 
 
-class MatchingOracle(DomainOracle):
+class MatchingOracle(FixedSizeOracle):
     def __init__(self, graph: GraphData, size_ell: int) -> None:
         if graph.directed:
             raise ValueError("matchings are defined on undirected graphs")
@@ -40,7 +27,8 @@ class MatchingOracle(DomainOracle):
         if graph.n_edges < 1:
             raise ValueError("matching domain needs at least one edge")
         self._graph = graph
-        self._ell = size_ell
+        self._edge_masks = tuple(1 << u | 1 << v for u, v in graph.edges)
+        self.member_size = size_ell
 
     @property
     def universe_size(self) -> int:
@@ -51,23 +39,22 @@ class MatchingOracle(DomainOracle):
         them share a vertex (``bits`` is not a matching)."""
         used = 0
         for e in iter_bits(bits):
-            u, v = self._graph.edges[e]
-            if used >> u & 1 or used >> v & 1:
+            ends = self._edge_masks[e]
+            if used & ends:
                 return None
-            used |= (1 << u) | (1 << v)
+            used |= ends
         return used
 
     def is_member_bits(self, bits: int) -> bool:
-        return bits.bit_count() == self._ell and self._endpoints(bits) is not None
+        return (
+            bits.bit_count() == self.member_size and self._endpoints(bits) is not None
+        )
 
     def _search(
         self, forced: int, forbidden: int, marked: int, want: int | None
     ) -> int | None:
-        """A size-ell matching that contains ``forced``, avoids ``forbidden``
-        and has exactly ``want`` ``marked`` edges outside ``forced`` (``None``:
-        as many as possible), or None when there is none."""
         used = self._endpoints(forced)
-        need = self._ell - forced.bit_count()
+        need = self.member_size - forced.bit_count()
         if used is None or need < 0:
             return None
         if need == 0:
@@ -128,29 +115,6 @@ class MatchingOracle(DomainOracle):
                 unmatched -= 1
                 if unmatched < 0 or not counts(mask, unmatched) >> want & 1:
                     raise SoundnessError("matching reconstruction failed")
+        if not self.is_member_bits(chosen):
+            raise SoundnessError(f"matching search returned {chosen:#x}, not a member")
         return chosen
-
-    def opt_pm1(self, positive: int) -> int | None:
-        # every member has ell edges, so its weight 2 |D & P| - ell grows
-        # with its count of +1 edges P
-        return self._search(0, 0, positive, None)
-
-    def exact_extend(
-        self, query: ExtensionQuery, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        c = query.center
-        x = query.forced
-        # |D & C| is fixed by |D ^ C| = |D| + |C| - 2 |D & C|
-        doubled_overlap = self._ell + c.bit_count() - query.radius
-        if doubled_overlap % 2 or doubled_overlap < 0:
-            return NOT_FOUND
-        overlap = doubled_overlap // 2
-        blue_in_rest = (self._ell - x.bit_count()) - (overlap - (x & c).bit_count())
-        if blue_in_rest < 0:
-            return NOT_FOUND
-        chosen = self._search(x, query.forbidden, ~c, blue_in_rest)
-        if chosen is None:
-            return NOT_FOUND
-        if not query.admits_bits(chosen) or not self.is_member_bits(chosen):
-            raise SoundnessError(f"matching search returned {chosen:#x} outside the query")
-        return Found(chosen)

@@ -1,34 +1,26 @@
 """Matroid base domains: graphic, uniform, and partition matroids.
 
-Both capabilities run one greedy, ``Matroid.greedy_bits``: it takes the
+The count search runs one greedy, ``Matroid.greedy_bits``: it takes the
 forced elements, then the preferred ones, then the rest, each group in
 index order.  The generic greedy tests every prefix for independence; the
 graphic matroid runs it with one incremental union-find, and the uniform
-matroid takes the lowest-index elements up to the rank at once.
-Optimization prefers the +1 elements, which is the classic greedy over
-descending weight with ties by index.  The exact extension first greedily builds the
-bases nearest to and farthest from the center (among bases containing the
-forced set and avoiding the forbidden one), then walks between them by
-single-element exchanges; each step moves the center distance by -2, 0,
-or +2, so the walk passes through every feasible even distance.  A greedy
-that does not end at the rank, or a walk that stalls, means the
-independence test is not a matroid and raises ``SoundnessError``.
+matroid takes the lowest-index elements up to the rank at once.  The
+base with the most marked elements prefers the marked ones, which is the
+classic greedy over descending weight with ties by index.  For an exact
+count the search builds the bases with the fewest and with the most
+marked elements (among bases containing the forced set and avoiding the
+forbidden one), then walks from the first toward the second by
+single-element exchanges; each step changes the count by -1, 0 or +1, so
+the walk passes through every count between them.  A greedy that does
+not end at the rank, or a walk that stalls, means the independence test
+is not a matroid and raises ``SoundnessError``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from ..core import (
-    DomainOracle,
-    ExtensionOutcome,
-    ExtensionQuery,
-    Found,
-    NOT_FOUND,
-    OracleContext,
-    SoundnessError,
-    iter_bits,
-)
+from ..core import FixedSizeOracle, SoundnessError, iter_bits
 from .graphs import GraphData
 
 
@@ -179,9 +171,10 @@ class PartitionMatroid(Matroid):
         )
 
 
-class MatroidBaseOracle(DomainOracle):
+class MatroidBaseOracle(FixedSizeOracle):
     def __init__(self, matroid: Matroid) -> None:
         self._m = matroid
+        self.member_size = matroid.rank
 
     @property
     def universe_size(self) -> int:
@@ -190,57 +183,38 @@ class MatroidBaseOracle(DomainOracle):
     def is_member_bits(self, bits: int) -> bool:
         return self._m.is_base_bits(bits)
 
-    def opt_pm1(self, positive: int) -> int | None:
-        base = self._greedy_base(0, 0, prefer=positive)
-        if base is None:
-            raise SoundnessError("greedy optimization did not end at the rank")
-        return base
-
-    def _greedy_base(self, forced: int, blocked: int, prefer: int) -> int | None:
-        """Greedy base containing ``forced``, avoiding ``blocked``, taking
+    def _greedy_base(self, forced: int, forbidden: int, prefer: int) -> int | None:
+        """Greedy base containing ``forced``, avoiding ``forbidden``, taking
         ``prefer`` elements first (then the rest), all in index order."""
-        open_pool = ((1 << self.universe_size) - 1) & ~forced & ~blocked
+        open_pool = ((1 << self.universe_size) - 1) & ~forced & ~forbidden
         base = self._m.greedy_bits(forced, (open_pool & prefer, open_pool & ~prefer))
         if base is None or base.bit_count() != self._m.rank:
             return None
         return base
 
-    def exact_extend(
-        self, query: ExtensionQuery, ctx: OracleContext | None = None
-    ) -> ExtensionOutcome:
-        c = query.center
-        x = query.forced
-        y = query.forbidden
-        r = query.radius
-        # |D ^ C| = rank + |C| - 2 |D & C| pins the distance parity; the
-        # center need not be a base itself (empty-center queries are not)
-        if (r + self._m.rank + c.bit_count()) % 2 == 1:
-            return NOT_FOUND
-        d_min = self._greedy_base(x, y, prefer=c)
-        if d_min is None:
-            return NOT_FOUND
-        d_max = self._greedy_base(x, y, prefer=~c)
-        if d_max is None:  # d_min shows that such a base exists
+    def _search(
+        self, forced: int, forbidden: int, marked: int, want: int | None
+    ) -> int | None:
+        if want is None:
+            most = self._greedy_base(forced, forbidden, prefer=marked)
+            if most is None:
+                raise SoundnessError("greedy optimization did not end at the rank")
+            return most
+        fewest = self._greedy_base(forced, forbidden, prefer=~marked)
+        if fewest is None:
+            return None
+        most = self._greedy_base(forced, forbidden, prefer=marked)
+        if most is None:  # fewest shows that such a base exists
             raise SoundnessError("greedy farthest base did not end at the rank")
-        lo = (d_min ^ c).bit_count()
-        hi = (d_max ^ c).bit_count()
-        if not lo <= r <= hi:
-            return NOT_FOUND
-        current = d_min
-        while (current ^ c).bit_count() != r:
-            moved = self._exchange_step(current, d_max)
-            if moved is None:
-                raise SoundnessError("exchange walk stalled before reaching r")
-            before = (current ^ c).bit_count()
-            current = moved
-            after = (current ^ c).bit_count()
-            if after - before not in (-2, 0, 2):
-                raise SoundnessError(
-                    f"exchange step moved the distance by {after - before}"
-                )
-        if not query.admits_bits(current):
-            raise SoundnessError("exchange walk ended outside the query")
-        return Found(current)
+        marked &= ~forced
+        if not (fewest & marked).bit_count() <= want <= (most & marked).bit_count():
+            return None
+        current = fewest
+        while (current & marked).bit_count() != want:
+            current = self._exchange_step(current, most)
+            if current is None:
+                raise SoundnessError("exchange walk stalled before reaching the count")
+        return current
 
     def _exchange_step(self, d1: int, d2: int) -> int | None:
         """One strong-exchange move of d1 toward d2 (lowest-index choices)."""

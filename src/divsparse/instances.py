@@ -109,7 +109,7 @@ def partition_matroid_instance(
 
 def matching_instance(graph: GraphData, size_ell: int) -> DomainInstance:
     oracle = MatchingOracle(graph, size_ell)
-    return DomainInstance("matching", oracle, oracle.is_member_bits, size_ell)
+    return DomainInstance("matching", oracle, oracle.is_member_bits, oracle.member_size)
 
 
 def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
@@ -120,7 +120,7 @@ def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
 
 def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) -> DomainInstance:
     oracle = DagDpOracle(graph, labels, universe)
-    return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.path_length)
+    return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.member_size)
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:

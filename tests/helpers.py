@@ -1,6 +1,6 @@
 """Shared test utilities: deterministic instance generators, answer
 certification against enumerated domains, and the sunflower, blocker,
-far-set and max-min checks the tests use as references."""
+far-set and max-sum checks the tests use as references."""
 
 from __future__ import annotations
 
@@ -739,23 +739,6 @@ def reference_cluster_or_trivial(
             return centers, True, total
 
 
-def reference_maxmin(members: list[int], n: int, spec: ProblemSpec) -> SolveAnswer:
-    """Max-min by scanning every k-tuple (with repetition) of ``members`` in
-    lexicographic order; the first tuple pairwise at least d apart is the
-    witness."""
-    dist = [[distance(a, b, n, spec.modified) for b in members] for a in members]
-    pairs = list(combinations(range(spec.k), 2))
-    found: tuple[int, ...] = ()
-    for combo in combinations_with_replacement(range(len(members)), spec.k):
-        if all(dist[combo[i]][combo[j]] >= spec.d for i, j in pairs):
-            found = combo
-            break
-    if not found:
-        return SolveAnswer(feasible=False)
-    witnesses = tuple(SubsetMask(n, members[i]) for i in found)
-    return SolveAnswer(feasible=True, witnesses=witnesses)
-
-
 def reference_maxsum(
     members: list[int], n: int, spec: ProblemSpec
 ) -> tuple[int | None, tuple[int, ...] | None]:
@@ -1031,7 +1014,7 @@ def reference_matching_search(
     refuses expansions of more than 22 vertices."""
     graph = oracle._graph
     used = oracle._endpoints(forced)
-    need = oracle._ell - forced.bit_count()
+    need = oracle.member_size - forced.bit_count()
     if used is None or need < 0:
         return None
     if need == 0:

@@ -395,6 +395,14 @@ class TestExitCodes:
         code, _ = invoke(["enumerate", "--instance", "/nonexistent/file.txt"])
         assert code == 2
 
+    def test_file_that_is_not_utf8_is_2(self, tmp_path):
+        path = tmp_path / "instance.txt"
+        path.write_bytes(b"domain explicit\nuniverse 2\nset 0 \xff\n")
+        code, out, err = invoke_all(["enumerate", "--instance", str(path)])
+        assert code == cli.EXIT_USAGE == 2 and out == ""
+        assert err.startswith("error: cannot read instance: ")
+        assert "can't decode byte 0xff" in err
+
     def test_universe_over_the_mask_width_limit_is_2(self, write, capsys):
         path = write(OVERSIZED["uniform_matroid"])
         code, out = invoke(["enumerate", "--instance", path])

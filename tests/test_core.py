@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from copy import copy
+from pathlib import Path
 
 import pytest
 
+import divsparse
 from divsparse import (
     ExtensionQuery,
     Found,
@@ -227,3 +230,16 @@ class TestSplitMix64:
         assert first != second
         again = SplitMix64(1234567)
         assert again.next_u64() == first and again.next_u64() == second
+
+
+def test_no_assert_statement_in_the_package():
+    # soundness checks must raise explicitly: python -O strips asserts
+    root = Path(divsparse.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(root.rglob("*.py"))) >= 10
+    assert found == []

@@ -536,6 +536,97 @@ class TestFarthestMember:
                 assert distance(got, c, n) == want, (seed, c)
 
 
+FIXED_SIZE_KINDS = (
+    "spanning_tree", "uniform_matroid", "partition_matroid", "matching", "dag_dp"
+)
+
+
+def fixed_size_answers() -> str:
+    """SHA-256 of the fixed-size adapters' answers on a seeded grid, each
+    checked against the enumerated domain: ``opt_pm1`` on random masks, and
+    ``exact_extend`` from member and non-member centers at every radius
+    0..n+1, with forced and forbidden sets drawn around a member (often
+    satisfiable) or at random (mostly not)."""
+    answers = hashlib.sha256()
+    for kind in FIXED_SIZE_KINDS:
+        for seed in range(6):
+            instance, domain = generate_instance(kind, seed, 30)
+            oracle, reference = instance.oracle(), ExplicitOracle(domain)
+            n = domain.universe_size
+            rng = random.Random(70_000 + seed * 10 + FIXED_SIZE_KINDS.index(kind))
+            for _ in range(24):
+                positive = rng.getrandbits(n)
+                got = oracle.opt_pm1(positive)
+                want = reference.opt_pm1(positive)
+                assert pm1_weight(got, positive) == pm1_weight(want, positive)
+                answers.update(f"{got};".encode())
+            members = domain.bits_list()
+            centers = rng.sample(members, min(3, len(members)))
+            centers += [rng.getrandbits(n) for _ in range(3)]
+            for center in centers:
+                for r in range(n + 2):
+                    around = rng.choice(members)
+                    if rng.random() < 0.5:
+                        forced = around & rng.getrandbits(n) & rng.getrandbits(n)
+                        forbidden = ~around & rng.getrandbits(n) & rng.getrandbits(n)
+                    else:
+                        forced = rng.getrandbits(n) & rng.getrandbits(n)
+                        forbidden = rng.getrandbits(n) & rng.getrandbits(n)
+                    forbidden &= ((1 << n) - 1) & ~forced
+                    query = ExtensionQuery(center, r, forced, forbidden)
+                    got = oracle.exact_extend(query)
+                    want = reference.exact_extend(query)
+                    assert isinstance(got, Found) == isinstance(want, Found), (kind, query)
+                    if isinstance(got, Found):
+                        assert query.admits_bits(got.witness)
+                        assert domain.contains_bits(got.witness)
+                    answers.update(
+                        f"{got.witness if isinstance(got, Found) else '-'};".encode()
+                    )
+    return answers.hexdigest()
+
+
+# The fixed-size adapters' answers on the grid above, as recorded before
+# the size-to-count reduction moved into one base class.
+FIXED_SIZE_ANSWERS = "ede7c6521674fad61086c1a4b5e1c5ebe6c96b239a26ce7b6b34ee4b23f7ae6f"
+
+
+class TestFixedSizeAnswers:
+    def test_answers_are_pinned(self):
+        assert fixed_size_answers() == FIXED_SIZE_ANSWERS
+
+    @pytest.mark.parametrize("make_oracle", [
+        lambda: MatroidBaseOracle(UniformMatroid(6, 2)),
+        lambda: MatchingOracle(
+            GraphData(False, 6, tuple((i, (i + 1) % 6) for i in range(6))), 2
+        ),
+        lambda: DagDpOracle(GraphData(True, 2, ((0, 1),)), (0, 1), 4),
+    ], ids=["matroid", "matching", "dag"])
+    def test_radius_that_pins_no_count_skips_the_search(self, make_oracle):
+        # every member has 2 elements: a distance from a member is even, a
+        # member has 0..2 elements outside the center and at most r of them,
+        # and it holds every forced element
+        oracle = make_oracle()
+        assert oracle.member_size == 2
+        full = (1 << oracle.universe_size) - 1
+        member = oracle.opt_pm1(0)
+        outside = 1 << (~member & full).bit_length() - 1
+        calls = []
+        search = oracle._search
+        oracle._search = lambda *args: calls.append(args) or search(*args)
+        for query in (
+            ExtensionQuery(member, 1, 0, 0),  # half a count
+            ExtensionQuery(0, 6, 0, 0),  # 4 outside the empty center
+            ExtensionQuery(0, 0, 0, 0),  # 1 outside, more than r = 0
+            ExtensionQuery(full, 0, 0, 0),  # fewer than 0 outside
+            ExtensionQuery(member, 0, outside, 0),  # a forced element outside
+        ):
+            assert oracle.exact_extend(query) == NotFound(), query
+        assert calls == []
+        assert oracle.exact_extend(ExtensionQuery(member, 0, 0, 0)) == Found(member)
+        assert len(calls) == 1
+
+
 class TestExplicitEquivalence:
     def test_matches_brute_on_random_instances(self):
         for seed in range(4):

@@ -871,8 +871,8 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "strong exchange property violated" in verdicts["exchange"]
     assert "farthest base did not end at the rank" in verdicts["far_base"]
     assert "optimization did not end at the rank" in verdicts["opt_base"]
-    assert "exchange walk ended outside the query" in verdicts["walk_end"]
+    assert "fixed-size search returned 0x3 outside the query" in verdicts["walk_end"]
     assert "relied on cluster radius 1" in verdicts["radius"]
     assert "cover search returned 0x7 outside the query" in verdicts["cover"]
-    assert "matching search returned 0x1 outside the query" in verdicts["matching"]
-    assert "path table returned 0x1 outside the query" in verdicts["dag"]
+    assert "fixed-size search returned 0x1 outside the query" in verdicts["matching"]
+    assert "fixed-size search returned 0x1 outside the query" in verdicts["dag"]

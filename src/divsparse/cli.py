@@ -7,6 +7,12 @@ identical runs are byte-identical.  Exit codes: 0 the command ran (NO
 answers included), 2 parse or usage errors, 3 a desk-scale guard or an
 unsupported capability, 4 an oracle answer that broke its contract (a
 :class:`~divsparse.core.SoundnessError`).
+
+A run loads only the code its command and instance need: parsing the
+instance imports the one adapter module of the kind it names (see
+:mod:`divsparse.instances`), and the brute-force engine
+(:mod:`divsparse.bruteforce`) is imported by ``enumerate`` and ``verify``
+alone.  The sparsifier pipelines and the solvers load with this module.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import functools
 import sys
 from typing import Sequence
 
-from .bruteforce import VerifyScope, enumerate_domain, verify_sparsifier
 from .core import (
     CapabilityError,
     GuardError,
@@ -158,6 +163,8 @@ def _run_sparsify(args, instance: DomainInstance) -> int:
 
 
 def _run_enumerate(args, instance: DomainInstance) -> int:
+    from .bruteforce import enumerate_domain
+
     ordered = sorted(enumerate_domain(instance).bits)
     print(f"size: {len(ordered)}")
     for bits in ordered:
@@ -166,6 +173,8 @@ def _run_enumerate(args, instance: DomainInstance) -> int:
 
 
 def _run_verify(args, instance: DomainInstance) -> int:
+    from .bruteforce import VerifyScope, enumerate_domain, verify_sparsifier
+
     report = _sparsify_report(args, instance)
     domain = enumerate_domain(instance)
     params = report.params

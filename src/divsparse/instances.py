@@ -5,8 +5,12 @@ indexing is fixed by file order: edge i is the i-th edge line, vertices
 are the written ids.  See the README for the full grammar.
 
 One table, ``_KINDS``, maps each domain kind to its header options (each
-``name=<int>``, in a fixed order) and its body reader.  A check lives
-where the line it blames is known:
+``name=<int>``, in a fixed order) and its body reader.  A body reader
+reaches its adapter as ``domains.<Name>`` when it builds the instance, so
+parsing imports the adapter module of the kind the file names and no
+other (the graph kinds also import ``domains.graphs``);
+``divsparse.domains`` maps each name to its module.  A check lives where
+the line it blames is known:
 
 * the parser checks what names a body line: token shapes and integers,
   edge lines (endpoint range, self-loops), set lines (element range,
@@ -21,22 +25,14 @@ where the line it blames is known:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
+from . import domains
 from .core import DomainOracle, SetFamily, _check_universe_size
-from .domains import (
-    DagDpOracle,
-    ExplicitOracle,
-    GraphData,
-    GraphicMatroid,
-    MatchingOracle,
-    Matroid,
-    MatroidBaseOracle,
-    MinCutOracle,
-    PartitionMatroid,
-    UniformMatroid,
-    VertexCoverOracle,
-)
+
+if TYPE_CHECKING:
+    from .domains.graphs import GraphData
+    from .domains.matroid import Matroid
 
 
 class ParseError(ValueError):
@@ -75,13 +71,13 @@ class DomainInstance:
 def explicit_instance(family: SetFamily) -> DomainInstance:
     size_bound = max((b.bit_count() for b in family.bits), default=0)
     return DomainInstance(
-        "explicit", ExplicitOracle(family), family.contains_bits, size_bound
+        "explicit", domains.ExplicitOracle(family), family.contains_bits, size_bound
     )
 
 
 def vertex_cover_instance(graph: GraphData, ell: int) -> DomainInstance:
     # no +-1 optimization, so the limited pipeline cannot run on it
-    oracle = VertexCoverOracle(graph, ell)
+    oracle = domains.VertexCoverOracle(graph, ell)
     return DomainInstance(
         "vertex_cover", oracle, oracle.is_member_bits, ell, prefers_small=True
     )
@@ -89,37 +85,39 @@ def vertex_cover_instance(graph: GraphData, ell: int) -> DomainInstance:
 
 def _matroid_instance(kind: str, matroid: Matroid) -> DomainInstance:
     return DomainInstance(
-        kind, MatroidBaseOracle(matroid), matroid.is_base_bits, matroid.rank
+        kind, domains.MatroidBaseOracle(matroid), matroid.is_base_bits, matroid.rank
     )
 
 
 def spanning_tree_instance(graph: GraphData) -> DomainInstance:
-    return _matroid_instance("spanning_tree", GraphicMatroid(graph))
+    return _matroid_instance("spanning_tree", domains.GraphicMatroid(graph))
 
 
 def uniform_matroid_instance(universe: int, rank: int) -> DomainInstance:
-    return _matroid_instance("uniform_matroid", UniformMatroid(universe, rank))
+    return _matroid_instance("uniform_matroid", domains.UniformMatroid(universe, rank))
 
 
 def partition_matroid_instance(
     universe: int, blocks: list[tuple[int, tuple[int, ...]]]
 ) -> DomainInstance:
-    return _matroid_instance("partition_matroid", PartitionMatroid(universe, blocks))
+    return _matroid_instance(
+        "partition_matroid", domains.PartitionMatroid(universe, blocks)
+    )
 
 
 def matching_instance(graph: GraphData, size_ell: int) -> DomainInstance:
-    oracle = MatchingOracle(graph, size_ell)
+    oracle = domains.MatchingOracle(graph, size_ell)
     return DomainInstance("matching", oracle, oracle.is_member_bits, oracle.member_size)
 
 
 def st_mincut_instance(graph: GraphData, s: int, t: int) -> DomainInstance:
     # extension queries need a domain member center, so no small pipeline
-    oracle = MinCutOracle(graph, s, t)
+    oracle = domains.MinCutOracle(graph, s, t)
     return DomainInstance("st_mincut", oracle, oracle.is_member_bits, None)
 
 
 def dag_dp_instance(universe: int, graph: GraphData, labels: tuple[int, ...]) -> DomainInstance:
-    oracle = DagDpOracle(graph, labels, universe)
+    oracle = domains.DagDpOracle(graph, labels, universe)
     return DomainInstance("dag_dp", oracle, oracle.is_member_bits, oracle.member_size)
 
 
@@ -178,7 +176,7 @@ def _parse_graph_block(cur: _Cursor) -> GraphData:
             raise ParseError(e_no, f"self-loops are not allowed (vertex {u})")
         edges.append((u, v))
     try:
-        return GraphData(directed=directed, n_vertices=nv, edges=tuple(edges))
+        return domains.GraphData(directed=directed, n_vertices=nv, edges=tuple(edges))
     except ValueError as exc:
         raise ParseError(line_no, str(exc)) from None
 

@@ -48,6 +48,7 @@ from .core import (
     DomainOracle,
     ExtensionQuery,
     Found,
+    GuardError,
     NotFound,
     OracleContext,
     SoundnessError,
@@ -576,9 +577,25 @@ def _max_sum_tuple(
     return best, found
 
 
+#: most sparsifier members the solvers search: they hold all m^2 pairwise
+#: distances as one list of rows.  The rank-6 uniform matroid on 16
+#: elements (8,008 members, its whole domain) peaks at 828 MB in
+#: small-mode k-center on CPython 3.11; rank 9 on 18 elements (48,620
+#: members) would need 48,620^2 row pointers, about 19 GB.
+DISTANCE_MATRIX_GUARD = 10_000
+
+
 def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[int]]:
     """The members' pairwise distance matrix, plain or modified (see
-    :func:`~divsparse.core.distance`); each unordered pair is computed once."""
+    :func:`~divsparse.core.distance`); each unordered pair is computed once.
+
+    More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
+    """
+    if len(members) > DISTANCE_MATRIX_GUARD:
+        raise GuardError(
+            f"{len(members)} sparsifier members exceed the distance-matrix "
+            f"guard (DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
+        )
     upper = [[(a ^ b).bit_count() for b in members[i + 1 :]] for i, a in enumerate(members)]
     if modified:
         upper = [[min(plain, n - plain) for plain in row] for row in upper]

@@ -16,7 +16,7 @@ import pytest
 
 import divsparse
 import divsparse.cli as cli
-from divsparse import DomainOracle, Found, SetFamily, TrivialSparsifier
+from divsparse import DomainOracle, Found, SetFamily, TrivialSparsifier, solvers
 from divsparse.bruteforce import enumerate_domain
 from divsparse.cli import run
 from divsparse.domains import ExplicitOracle
@@ -445,6 +445,15 @@ class TestExitCodes:
         code, _ = invoke(["enumerate", "--instance", path])
         assert code == 3
 
+    def test_distance_matrix_guard_is_3(self, write, monkeypatch):
+        monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", 1)
+        path = write(EXPLICIT_TWO)
+        code, out, err = invoke_all(
+            ["solve", "--instance", path, "--problem", "kcenter", "--k", "1", "--d", "0"]
+        )
+        assert code == cli.EXIT_GUARD == 3 and out == ""
+        assert "DISTANCE_MATRIX_GUARD" in err
+
     def test_unrepresentable_trial_count_is_3(self, write):
         # ten distinct centers turn up at once; the eleventh would need
         # ln(1100) * 2^1024 * 4^10 default trials, beyond the float range
@@ -619,3 +628,45 @@ def test_import_builds_no_parser():
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
     assert done.stdout.splitlines() == ["import 0", "run True"]
+
+
+#: one small instance of every kind, with the adapter module it needs
+ONE_OF_EACH_KIND = {
+    "explicit": (EXPLICIT_TWO, "explicit"),
+    "vertex_cover": ("domain vertex_cover ell=2\n" + _UNDIRECTED_PATH, "vertex_cover"),
+    "spanning_tree": (TRIANGLE_TREES, "matroid"),
+    "uniform_matroid": ("domain uniform_matroid rank=1\nuniverse 3\n", "matroid"),
+    "partition_matroid": (
+        "domain partition_matroid\nuniverse 4\nblock 1 0 1\nblock 1 2 3\n",
+        "matroid",
+    ),
+    "matching": (C4_MATCHING, "matching"),
+    "st_mincut": (DIAMOND, "mincut"),
+    "dag_dp": (DAG, "dagdp"),
+}
+ADAPTER_MODULES = {adapter for _, adapter in ONE_OF_EACH_KIND.values()}
+
+_SPARSIFY_AND_LIST_MODULES = textwrap.dedent(
+    """
+    import sys
+    import divsparse.cli
+    code = divsparse.cli.run(["sparsify", "--instance", sys.argv[1], "--k", "1", "--d", "1"])
+    print(code, *sorted(m for m in sys.modules if m.startswith("divsparse")))
+    """
+)
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_OF_EACH_KIND))
+def test_sparsify_loads_only_its_adapter(kind, write):
+    text, adapter = ONE_OF_EACH_KIND[kind]
+    src = str(Path(divsparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _SPARSIFY_AND_LIST_MODULES, write(text)],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    code, *loaded = done.stdout.splitlines()[-1].split()  # after sparsify's own lines
+    assert code == "0"
+    assert "divsparse.bruteforce" not in loaded
+    adapters = {m.rpartition(".")[2] for m in loaded} & ADAPTER_MODULES
+    assert adapters == {adapter}

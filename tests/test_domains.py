@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 from itertools import combinations, product
 
 import pytest
@@ -17,6 +18,7 @@ from divsparse import (
     distance,
     pm1_weight,
 )
+from divsparse import domains
 from divsparse.bruteforce import enumerate_domain
 from divsparse.domains import (
     DagDpOracle,
@@ -632,3 +634,26 @@ class TestExplicitEquivalence:
         for seed in range(4):
             instance, domain = generate_instance("explicit", seed, 20)
             assert_oracle_matches_brute(instance, domain, max_ff=2)
+
+
+class TestLazyExports:
+    """``divsparse.domains`` imports an adapter module on first access to
+    one of its names; the names are the ones the submodules define."""
+
+    def test_every_name_is_its_submodule_object(self):
+        for name in domains.__all__:
+            obj = getattr(domains, name)
+            assert obj.__module__.startswith("divsparse.domains."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+            domains.Nope
+        assert not hasattr(domains, "enumerate_domain")
+
+    def test_star_import_binds_all_names(self):
+        namespace: dict = {}
+        exec("from divsparse.domains import *", namespace)
+        assert {name: namespace[name] for name in domains.__all__} == {
+            name: getattr(domains, name) for name in domains.__all__
+        }

@@ -16,6 +16,7 @@ from divsparse import (
     DomainOracle,
     Found,
     GloballyInfeasible,
+    GuardError,
     LimitedSparsifyParams,
     OracleContext,
     ProblemSpec,
@@ -498,6 +499,26 @@ class TestKCenter:
     def test_empty_domain_infeasible(self):
         oracle = ExplicitOracle(SetFamily.from_bits(3, ()))
         assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_BUILDER).feasible
+
+
+class TestDistanceMatrixGuard:
+    """Past ``DISTANCE_MATRIX_GUARD`` sparsifier members both solver
+    families stop with a :class:`GuardError` naming m and the guard."""
+
+    FAMILY = SetFamily.from_bits(3, [0b001, 0b010, 0b100, 0b111])
+
+    @pytest.mark.parametrize("problem", ["maxmin", "maxsum", "kcenter", "ksumradii"])
+    def test_guard_raises_above_the_constant(self, problem, monkeypatch):
+        oracle = ExplicitOracle(self.FAMILY)
+        spec = ProblemSpec(problem, 2, 1)
+        m = len(self.FAMILY)  # the small-mode sparsifier keeps all four
+        monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", m)
+        solve(oracle, spec, small_builder(3))
+        monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", m - 1)
+        with pytest.raises(GuardError) as caught:
+            solve(oracle, spec, small_builder(3))
+        assert f"{m} sparsifier members" in str(caught.value)
+        assert f"DISTANCE_MATRIX_GUARD = {m - 1}" in str(caught.value)
 
 
 class TestEarlyNo:

@@ -42,10 +42,7 @@ from .solvers import (
     GloballyInfeasible,
     ProblemSpec,
     SolveAnswer,
-    SparsifierBuilder,
-    limited_builder,
     min_cluster_radius,
-    small_builder,
     solve,
 )
 from .sunflower import SmallSparsifyParams, k_sparsify
@@ -72,7 +69,6 @@ __all__ = [
     "SmallSparsifyParams",
     "SolveAnswer",
     "SoundnessError",
-    "SparsifierBuilder",
     "SparsifierReport",
     "SplitMix64",
     "SubsetMask",
@@ -84,9 +80,7 @@ __all__ = [
     "distance",
     "dk_sparsify",
     "k_sparsify",
-    "limited_builder",
     "min_cluster_radius",
     "pm1_weight",
-    "small_builder",
     "solve",
 ]

@@ -8,6 +8,12 @@ answers included), 2 parse or usage errors, 3 a desk-scale guard or an
 unsupported capability, 4 an oracle answer that broke its contract (a
 :class:`~divsparse.core.SoundnessError`).
 
+``--mode`` and the pipeline flags become one params object per run
+(:class:`~divsparse.sunflower.SmallSparsifyParams` or
+:class:`~divsparse.limited.LimitedSparsifyParams`): ``sparsify`` and
+``verify`` build from it as given, and ``solve`` hands it to
+:func:`~divsparse.solvers.solve`, which sets each problem's order and cap.
+
 A run loads only the code its command and instance need: parsing the
 instance imports the one adapter module of the kind it names (see
 :mod:`divsparse.instances`), and the brute-force engine
@@ -32,7 +38,7 @@ from .core import (
 )
 from .instances import DomainInstance, ParseError, parse_instance
 from .limited import LimitedSparsifyParams, dk_sparsify
-from .solvers import ProblemSpec, limited_builder, small_builder, solve
+from .solvers import ProblemSpec, solve
 from .sunflower import SmallSparsifyParams, k_sparsify
 
 EXIT_OK = 0
@@ -84,26 +90,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick_mode(mode: str, instance: DomainInstance) -> str:
+def _params(args, instance: DomainInstance) -> SmallSparsifyParams | LimitedSparsifyParams:
+    """The pipeline the flags choose, with its settings; ``solve`` sets
+    the order and cap of each problem's sparsifier from them."""
+    mode = args.mode
     if mode == "auto":
-        return "small" if instance.prefers_small else "limited"
-    return mode
-
-
-def _small_ell(instance: DomainInstance) -> int:
-    """The member-size bound the small pipeline runs with."""
-    if instance.size_bound is None:
-        raise ValueError(
-            f"domain {instance.kind} does not support the small pipeline"
-        )
-    return instance.size_bound
-
-
-def _make_builder(args, mode: str, instance: DomainInstance):
+        mode = "small" if instance.prefers_small else "limited"
     if mode == "small":
-        return small_builder(_small_ell(instance))
-    return limited_builder(
-        seed=args.seed, epsilon=args.epsilon, p=args.p, trials=args.trials
+        # a full sparsifier w.r.t. the radius-ell ball; --d plays no role
+        # here, but a negative one is refused as in limited mode
+        if args.d < 0:
+            raise ValueError("d must be nonnegative")
+        ell = instance.size_bound
+        if ell is None:
+            raise ValueError(
+                f"domain {instance.kind} does not support the small pipeline"
+            )
+        return SmallSparsifyParams(k=args.k, r=ell, ell=ell)
+    return LimitedSparsifyParams(
+        k=args.k,
+        d=args.d,
+        p=args.p,
+        epsilon=args.epsilon,
+        trials_override=args.trials,
+        seed=args.seed,
     )
 
 
@@ -111,9 +121,7 @@ def _run_solve(args, instance: DomainInstance) -> int:
     spec = ProblemSpec(
         problem=args.problem, k=args.k, d=args.d, modified=args.modified
     )
-    mode = _pick_mode(args.mode, instance)
-    builder = _make_builder(args, mode, instance)
-    answer = solve(instance.oracle(), spec, builder)
+    answer = solve(instance.oracle(), spec, _params(args, instance))
     if not answer.feasible:
         print("NO")
         return EXIT_OK
@@ -132,22 +140,10 @@ def _run_solve(args, instance: DomainInstance) -> int:
 
 
 def _sparsify_report(args, instance: DomainInstance) -> SparsifierReport:
-    if _pick_mode(args.mode, instance) == "small":
-        # a full sparsifier w.r.t. the radius-ell ball; --d plays no role
-        # here, but a negative one is refused as in limited mode
-        if args.d < 0:
-            raise ValueError("d must be nonnegative")
-        ell = _small_ell(instance)
-        params = SmallSparsifyParams(k=args.k, r=ell, ell=ell)
+    params = _params(args, instance)
+    # called through this module's names, which the benchmark's tracer rebinds
+    if isinstance(params, SmallSparsifyParams):
         return k_sparsify(params, instance.oracle())
-    params = LimitedSparsifyParams(
-        k=args.k,
-        d=args.d,
-        p=args.p,
-        epsilon=args.epsilon,
-        trials_override=args.trials,
-        seed=args.seed,
-    )
     return dk_sparsify(instance.oracle(), params)
 
 

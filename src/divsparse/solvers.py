@@ -1,6 +1,8 @@
 """Exact solvers for diversification and clustering on implicit domains.
 
-All four problems reduce to a small sparsifier of the domain:
+All four problems reduce to a small sparsifier of the domain, built by
+the pipeline whose params :func:`solve` is given (small or limited; the
+problem sets their order, cap and radius):
 
 * max-min diversification is a clique search for k members of a
   (k-1)-order sparsifier pairwise at least d apart, max-sum a depth-first
@@ -38,11 +40,11 @@ members more than 2d apart has no center within d and is never asked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, starmap
 from operator import add, and_, or_, xor
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import (
     DomainOracle,
@@ -67,6 +69,13 @@ from .sunflower import SmallSparsifyParams, k_sparsify
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """One instance of the four problems: ``problem`` is ``"maxmin"``,
+    ``"maxsum"``, ``"kcenter"`` or ``"ksumradii"``, ``k`` the tuple size
+    or number of centers, ``d`` the distance threshold (max-min, max-sum)
+    or radius bound (k-center, k-sum-of-radii), and ``modified`` selects
+    the modified Hamming distance, under which a set and its complement
+    are at distance 0."""
+
     problem: str
     k: int
     d: int
@@ -83,57 +92,38 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolveAnswer:
+    """The answer to a :class:`ProblemSpec`.
+
+    ``feasible`` is the YES/NO answer and ``witnesses`` the k domain
+    members proving a YES (empty on NO).  ``radii`` is the radius of each
+    witness's cluster on a clustering YES and ``None`` otherwise: on every
+    NO and for max-min and max-sum.  ``objective`` is the radius sum on a
+    k-sum-of-radii YES and the best pairwise distance sum of the
+    sparsifier searched for max-sum, on YES and on NO alike (below d on a
+    NO, ``None`` when the sparsifier is empty); it is ``None`` otherwise.
+    """
+
     feasible: bool
     witnesses: tuple[SubsetMask, ...] = ()
     radii: tuple[int, ...] | None = None
     objective: int | None = None
 
 
-class SparsifierBuilder(Protocol):
-    """Builds a ``k``-order sparsifier with distance cap ``cap``.
-
-    ``modified`` asks for one usable under the modified Hamming distance
-    (reference sets include complements)."""
-
-    def __call__(
-        self, oracle: DomainOracle, k: int, cap: int, modified: bool
-    ) -> SparsifierReport: ...
-
-
-def small_builder(ell: int) -> SparsifierBuilder:
-    """Sunflower-based builder for domains with member size at most ell.
-
-    Uses ball radius ell (the full universe under the modified distance, so
-    complements fall inside the reference family); the result is a full
-    max-distance sparsifier, hence valid under any cap.
-    """
-
-    def build(
-        oracle: DomainOracle, k: int, cap: int, modified: bool
-    ) -> SparsifierReport:
-        r = oracle.universe_size if modified else ell
-        return k_sparsify(SmallSparsifyParams(k=k, r=r, ell=ell), oracle)
-
-    return build
-
-
-def limited_builder(
-    seed: int = 0,
-    epsilon: float = 0.01,
-    p: int | None = None,
-    trials: int | None = None,
-) -> SparsifierBuilder:
-    """Randomized builder for unbounded member sizes (cap-d-limited)."""
-
-    def build(
-        oracle: DomainOracle, k: int, cap: int, modified: bool
-    ) -> SparsifierReport:
-        params = LimitedSparsifyParams(
-            k=k, d=cap, p=p, epsilon=epsilon, trials_override=trials, seed=seed
-        )
-        return dk_sparsify(oracle, params)
-
-    return build
+def _sparsify(
+    oracle: DomainOracle,
+    params: SmallSparsifyParams | LimitedSparsifyParams,
+    k: int,
+    cap: int,
+    modified: bool,
+) -> SparsifierReport:
+    """The ``k``-order, cap-``cap`` sparsifier of the pipeline ``params``
+    selects (see :func:`solve`).  A small one is a full sparsifier, valid
+    under any cap, whose ball takes in the complements under ``modified``."""
+    # called through this module's names, which the benchmark's tracer rebinds
+    if isinstance(params, SmallSparsifyParams):
+        r = oracle.universe_size if modified else params.ell
+        return k_sparsify(replace(params, k=k, r=r), oracle)
+    return dk_sparsify(oracle, replace(params, k=k, d=cap))
 
 
 class GloballyInfeasible(Exception):
@@ -143,7 +133,7 @@ class GloballyInfeasible(Exception):
 def _diversify(
     oracle: DomainOracle,
     spec: ProblemSpec,
-    sparsifier_builder: SparsifierBuilder,
+    params: SmallSparsifyParams | LimitedSparsifyParams,
     sum_mode: bool,
 ) -> SolveAnswer:
     """Is there a k-tuple with every pairwise distance at least d (max-min),
@@ -162,7 +152,7 @@ def _diversify(
     only up to the cap.
     """
     order = 2 * spec.k - 2 if spec.modified else spec.k - 1
-    rep = sparsifier_builder(oracle, max(1, order), spec.d, spec.modified)
+    rep = _sparsify(oracle, params, max(1, order), spec.d, spec.modified)
     members = rep.family.bits
     n = rep.family.universe_size
     dist = _distance_rows(members, n, spec.modified)
@@ -411,13 +401,13 @@ def _cluster_cost(
 def _solve_clustering(
     oracle: DomainOracle,
     spec: ProblemSpec,
-    sparsifier_builder: SparsifierBuilder,
+    params: SmallSparsifyParams | LimitedSparsifyParams,
     sum_mode: bool,
 ) -> SolveAnswer:
     """Can k balls around domain members cover the domain, with every
     radius at most d (k-center) or the radius sum at most d (sum mode)?"""
     order = 2 * spec.k if spec.modified else spec.k
-    rep = sparsifier_builder(oracle, order, spec.d + 1, spec.modified)
+    rep = _sparsify(oracle, params, order, spec.d + 1, spec.modified)
     members = rep.family.bits
     n = rep.family.universe_size
     if not members:
@@ -614,12 +604,23 @@ _SOLVERS = {
 
 
 def solve(
-    oracle: DomainOracle, spec: ProblemSpec, sparsifier_builder: SparsifierBuilder
+    oracle: DomainOracle,
+    spec: ProblemSpec,
+    params: SmallSparsifyParams | LimitedSparsifyParams,
 ) -> SolveAnswer:
     """Answer ``spec`` on the domain behind ``oracle`` exactly, searching a
-    sparsifier from ``sparsifier_builder``."""
+    sparsifier built by the pipeline ``params`` selects, with its settings.
+
+    ``params`` is the template each problem's sparsifier is built from:
+    ``ell``, or ``p``, ``epsilon``, ``trials_override`` and ``seed``, are
+    used as given, while ``k``, ``d`` and ``r`` are set by the problem.
+    ``k`` becomes the order the problem needs (``k - 1`` for max-min and
+    max-sum, ``k`` for clustering, each doubled under the modified
+    distance, and at least 1), ``d`` the cap (``spec.d``, one more for
+    clustering) and ``r`` the ball radius (``ell``, or the universe size
+    under the modified distance)."""
     if spec.modified and not oracle.complement_closed:
         raise ValueError(
             "the modified Hamming distance needs a complement-closed domain"
         )
-    return _SOLVERS[spec.problem](oracle, spec, sparsifier_builder)
+    return _SOLVERS[spec.problem](oracle, spec, params)

@@ -253,6 +253,16 @@ def generate_instance(
     raise AssertionError(f"no viable {kind} instance for seed {seed}")
 
 
+def small_params(ell: int) -> SmallSparsifyParams:
+    """Small-pipeline params for ``solve``, which sets their ``k`` and ``r``."""
+    return SmallSparsifyParams(k=1, r=ell, ell=ell)
+
+
+def limited_params(seed: int = 0, trials: int | None = None) -> LimitedSparsifyParams:
+    """Limited-pipeline params for ``solve``, which sets their ``k`` and ``d``."""
+    return LimitedSparsifyParams(k=1, d=0, seed=seed, trials_override=trials)
+
+
 def certify_answer(
     domain: SetFamily, spec: ProblemSpec, answer: SolveAnswer
 ) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import divsparse as ds
 import divsparse.bruteforce as bf
@@ -43,8 +44,10 @@ from helpers import (
     certify_answer,
     complement_closed_family,
     generate_instance,
+    limited_params,
     random_digraph,
     random_family,
+    small_params,
 )
 from test_domains import extension_queries
 
@@ -147,10 +150,10 @@ def test_criterion_3_solver_oracle_equivalence():
             d = rng.randint(0, 4)
             spec = ProblemSpec(problem, k, d)
             if instance.prefers_small:
-                builder = ds.small_builder(instance.size_bound)
+                params = small_params(instance.size_bound)
             else:
-                builder = ds.limited_builder(seed=idx, trials=128)
-            answer = ds.solve(instance.oracle(), spec, builder)
+                params = limited_params(seed=idx, trials=128)
+            answer = ds.solve(instance.oracle(), spec, params)
             expected = bf.brute_solve(domain, spec)
             comparisons += 1
             if answer.feasible == expected.feasible:
@@ -168,7 +171,7 @@ def test_criterion_3_solver_oracle_equivalence():
         d = rng.randint(0, 3)
         spec = ProblemSpec(problem, k, d, modified=True)
         answer = ds.solve(
-            ExplicitOracle(family), spec, ds.limited_builder(seed=idx, trials=128)
+            ExplicitOracle(family), spec, limited_params(seed=idx, trials=128)
         )
         expected = bf.brute_solve(family, spec)
         modified_total += 1
@@ -432,3 +435,13 @@ def test_criterion_7_mincut_structure():
         matched == 50,
         f"{matched}/50 lattices exact, {shortcut_firings} shortcut firings valid",
     )
+
+
+def test_readme_library_block_runs():
+    # the README's "Library entry points" example, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library entry points", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict[str, object] = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["answer"].feasible

@@ -16,7 +16,15 @@ import pytest
 
 import divsparse
 import divsparse.cli as cli
-from divsparse import DomainOracle, Found, SetFamily, TrivialSparsifier, solvers
+from divsparse import (
+    DomainOracle,
+    Found,
+    LimitedSparsifyParams,
+    SetFamily,
+    SmallSparsifyParams,
+    TrivialSparsifier,
+    solvers,
+)
 from divsparse.bruteforce import enumerate_domain
 from divsparse.cli import run
 from divsparse.domains import ExplicitOracle
@@ -383,6 +391,55 @@ class TestVerifyCommand:
                 ["verify", "--instance", path, "--k", "1", "--d", "1", "--mode", mode]
             )
             assert code == 0 and out == "OK (sampled)\n", mode
+
+
+class TestPipelineChoice:
+    """``solve``, ``sparsify`` and ``verify`` run with the same flags hand
+    the library equal params, each through the CLI module's own names
+    (``cli.solve``, ``cli.k_sparsify``, ``cli.dk_sparsify``) with the
+    oracle where the benchmark's tracer wraps it."""
+
+    class Handed(Exception):
+        """Raised by a spy once it holds the params."""
+
+    VERTEX_COVER = "domain vertex_cover ell=3\ngraph undirected 4 3\n0 1\n1 2\n2 3\n"
+
+    @pytest.mark.parametrize("mode", ["small", "limited", "auto"])
+    @pytest.mark.parametrize(
+        "text, ell, prefers_small",
+        [(VERTEX_COVER, 3, True), (TRIANGLE_TREES, 2, False)],
+        ids=["vertex_cover", "spanning_tree"],
+    )
+    def test_every_command_hands_over_equal_params(
+        self, write, monkeypatch, mode, text, ell, prefers_small
+    ):
+        handed = []
+
+        def spy(name, oracle_at, params_at):
+            def spied(*args):
+                assert isinstance(args[oracle_at], DomainOracle)
+                handed.append((name, args[params_at]))
+                raise self.Handed
+
+            monkeypatch.setattr(cli, name, spied)
+
+        spy("solve", 0, 2)
+        spy("k_sparsify", 1, 0)
+        spy("dk_sparsify", 0, 1)
+        flags = ["--instance", write(text), "--k", "2", "--d", "1", "--mode", mode,
+                 "--seed", "5", "--epsilon", "0.25", "--trials", "7", "--p", "9"]
+        for command in (["solve", "--problem", "kcenter"], ["sparsify"], ["verify"]):
+            with pytest.raises(self.Handed):
+                run(command + flags)
+        small = mode == "small" or (mode == "auto" and prefers_small)
+        if small:
+            params = SmallSparsifyParams(k=2, r=ell, ell=ell)
+        else:
+            params = LimitedSparsifyParams(
+                k=2, d=1, p=9, epsilon=0.25, trials_override=7, seed=5
+            )
+        pipeline = "k_sparsify" if small else "dk_sparsify"
+        assert handed == [("solve", params), (pipeline, params), (pipeline, params)]
 
 
 class TestExitCodes:

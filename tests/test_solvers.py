@@ -7,6 +7,7 @@ import hashlib
 import io
 import random
 import time
+from dataclasses import replace
 from functools import partial
 from itertools import combinations, product
 
@@ -28,9 +29,7 @@ from divsparse import (
     TrivialSparsifier,
     distance,
     dk_sparsify,
-    limited_builder,
     min_cluster_radius,
-    small_builder,
     solve,
 )
 from divsparse.bruteforce import brute_solve, enumerate_domain
@@ -52,13 +51,15 @@ from helpers import (
     certify_answer,
     complement_closed_family,
     generate_instance,
+    limited_params,
     random_family,
     reference_maxsum,
     reference_min_cluster_radius,
     reference_oriented_radius,
+    small_params,
 )
 
-FAST_BUILDER = limited_builder(seed=0, trials=96)
+FAST_PARAMS = limited_params(seed=0, trials=96)
 
 
 def c4_matchings():
@@ -193,35 +194,35 @@ class TestMaxMin:
     def test_c4_matchings_k2_d4(self):
         instance = c4_matchings()
         spec = ProblemSpec("maxmin", 2, 4)
-        answer = solve(instance.oracle(), spec, FAST_BUILDER)
+        answer = solve(instance.oracle(), spec, FAST_PARAMS)
         assert answer.feasible
         assert sorted(w.bits for w in answer.witnesses) == [0b0101, 0b1010]
         certify_answer(enumerate_domain(instance), spec, answer)
 
     def test_triangle_trees_k2_d3_infeasible(self):
         spec = ProblemSpec("maxmin", 2, 3)
-        answer = solve(triangle_trees().oracle(), spec, FAST_BUILDER)
+        answer = solve(triangle_trees().oracle(), spec, FAST_PARAMS)
         assert not answer.feasible
 
     def test_k1_feasible_iff_nonempty(self):
         fam = SetFamily.from_bits(4, [0b0011])
         spec = ProblemSpec("maxmin", 1, 7)
-        answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
+        answer = solve(ExplicitOracle(fam), spec, FAST_PARAMS)
         assert answer.feasible and len(answer.witnesses) == 1
-        empty = solve(ExplicitOracle(SetFamily.from_bits(4, ())), spec, FAST_BUILDER)
+        empty = solve(ExplicitOracle(SetFamily.from_bits(4, ())), spec, FAST_PARAMS)
         assert not empty.feasible
 
     def test_d0_feasible_iff_nonempty(self):
         fam = SetFamily.from_bits(3, [0b001])
         spec = ProblemSpec("maxmin", 3, 0)
-        answer = solve(ExplicitOracle(fam), spec, FAST_BUILDER)
+        answer = solve(ExplicitOracle(fam), spec, FAST_PARAMS)
         assert answer.feasible
 
-    def test_clique_search_matches_the_tuple_scan(self):
-        # the builder hands the family back as the sparsifier, so only the
-        # search is under test; small universes give many qualifying groups
-        # at once (ties), so witnesses pin the lexicographically first one,
-        # and complements are distinct members at modified distance 0
+    def test_clique_search_matches_the_tuple_scan(self, monkeypatch):
+        # the sparsifier is the family itself, so only the search is under
+        # test; small universes give many qualifying groups at once (ties),
+        # so witnesses pin the lexicographically first one, and complements
+        # are distinct members at modified distance 0
         rng = random.Random(12)
         for trial in range(240):
             n = rng.randint(2, 7)
@@ -231,14 +232,15 @@ class TestMaxMin:
             else:
                 fam = random_family(rng, n, 12, nonempty=trial % 20 != 1)
 
-            def builder(oracle, k, cap, modified, fam=fam):
+            def whole(oracle, params, k, cap, modified, fam=fam):
                 # the whole family: a sparsifier of any order and radius
                 n = fam.universe_size
                 return SparsifierReport(fam, SmallSparsifyParams(k=k, r=n, ell=n))
 
+            monkeypatch.setattr(solvers, "_sparsify", whole)
             for k in range(1, 5):
                 spec = ProblemSpec("maxmin", k, rng.randint(0, n), modified)
-                got = solve(ExplicitOracle(fam), spec, builder)
+                got = solve(ExplicitOracle(fam), spec, FAST_PARAMS)
                 assert got == brute_solve(fam, spec), (fam.bits, spec)
 
 
@@ -246,25 +248,26 @@ class TestMaxSum:
     def test_triangle_trees_k3_d6(self):
         instance = triangle_trees()
         spec = ProblemSpec("maxsum", 3, 6)
-        answer = solve(instance.oracle(), spec, FAST_BUILDER)
+        answer = solve(instance.oracle(), spec, FAST_PARAMS)
         assert answer.feasible and answer.objective == 6
         certify_answer(enumerate_domain(instance), spec, answer)
 
     def test_single_member_duplicate_tuple(self):
         fam = SetFamily.from_bits(3, [0b011])
         oracle = ExplicitOracle(fam)
-        assert not solve(oracle, ProblemSpec("maxsum", 2, 1), FAST_BUILDER).feasible
-        assert solve(oracle, ProblemSpec("maxsum", 2, 0), FAST_BUILDER).feasible
+        assert not solve(oracle, ProblemSpec("maxsum", 2, 1), FAST_PARAMS).feasible
+        assert solve(oracle, ProblemSpec("maxsum", 2, 0), FAST_PARAMS).feasible
 
-    def test_empty_sparsifier_has_no_objective(self):
-        def builder(oracle, k, cap, modified):
+    def test_empty_sparsifier_has_no_objective(self, monkeypatch):
+        def empty(oracle, params, k, cap, modified):
             return SparsifierReport(
                 SetFamily.from_bits(4, ()), SmallSparsifyParams(k=k, r=4, ell=4)
             )
 
+        monkeypatch.setattr(solvers, "_sparsify", empty)
         for k, d in ((1, 0), (2, 0), (3, 5)):
             oracle = ExplicitOracle(SetFamily.from_bits(4, ()))
-            answer = solve(oracle, ProblemSpec("maxsum", k, d), builder)
+            answer = solve(oracle, ProblemSpec("maxsum", k, d), FAST_PARAMS)
             assert answer == SolveAnswer(feasible=False, objective=None)
 
     def test_search_matches_the_tuple_scan(self):
@@ -483,22 +486,63 @@ class TestKCenter:
     def test_two_singletons_examples(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
         oracle = ExplicitOracle(fam)
-        yes = solve(oracle, ProblemSpec("kcenter", 2, 0), FAST_BUILDER)
+        yes = solve(oracle, ProblemSpec("kcenter", 2, 0), FAST_PARAMS)
         assert yes.feasible and yes.radii == (0, 0)
-        assert not solve(oracle, ProblemSpec("kcenter", 1, 1), FAST_BUILDER).feasible
-        wide = solve(oracle, ProblemSpec("kcenter", 1, 2), FAST_BUILDER)
+        assert not solve(oracle, ProblemSpec("kcenter", 1, 1), FAST_PARAMS).feasible
+        wide = solve(oracle, ProblemSpec("kcenter", 1, 2), FAST_PARAMS)
         assert wide.feasible and wide.radii == (2,)
 
     def test_sum_of_radii_examples(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
         oracle = ExplicitOracle(fam)
-        assert solve(oracle, ProblemSpec("ksumradii", 2, 0), FAST_BUILDER).feasible
-        assert solve(oracle, ProblemSpec("ksumradii", 1, 2), FAST_BUILDER).feasible
-        assert not solve(oracle, ProblemSpec("ksumradii", 1, 1), FAST_BUILDER).feasible
+        assert solve(oracle, ProblemSpec("ksumradii", 2, 0), FAST_PARAMS).feasible
+        assert solve(oracle, ProblemSpec("ksumradii", 1, 2), FAST_PARAMS).feasible
+        assert not solve(oracle, ProblemSpec("ksumradii", 1, 1), FAST_PARAMS).feasible
 
     def test_empty_domain_infeasible(self):
         oracle = ExplicitOracle(SetFamily.from_bits(3, ()))
-        assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_BUILDER).feasible
+        assert not solve(oracle, ProblemSpec("kcenter", 1, 3), FAST_PARAMS).feasible
+
+
+class TestSparsifierOrderAndCap:
+    """``solve`` builds one sparsifier from its params template: the
+    problem sets the order ``k``, the cap ``d`` (limited mode) and the
+    radius ``r`` (small mode), and every other field passes through."""
+
+    #: complement closed, so the modified distance applies
+    FAMILY = SetFamily.from_bits(4, [0b0000, 0b1111, 0b0011, 0b1100, 0b0001, 0b1110])
+    TEMPLATES = (
+        SmallSparsifyParams(k=5, r=3, ell=3),
+        LimitedSparsifyParams(k=5, d=4, p=40, epsilon=0.3, trials_override=3, seed=11),
+    )
+
+    @pytest.mark.parametrize("problem", ["maxmin", "maxsum", "kcenter", "ksumradii"])
+    @pytest.mark.parametrize("modified", [False, True])
+    @pytest.mark.parametrize("template", TEMPLATES, ids=["small", "limited"])
+    def test_one_pipeline_call_per_solve(self, monkeypatch, problem, modified, template):
+        calls = []
+
+        def small(params, oracle):
+            calls.append(params)
+            return SparsifierReport(self.FAMILY, params)
+
+        def limited(oracle, params):
+            calls.append(params)
+            return SparsifierReport(self.FAMILY, params)
+
+        monkeypatch.setattr(solvers, "k_sparsify", small)
+        monkeypatch.setattr(solvers, "dk_sparsify", limited)
+        clustering = problem in ("kcenter", "ksumradii")
+        for k, d in product((1, 2, 3), (0, 1, 2)):
+            calls.clear()
+            solve(ExplicitOracle(self.FAMILY), ProblemSpec(problem, k, d, modified), template)
+            order = k if clustering else k - 1
+            order = max(1, 2 * order if modified else order)
+            if isinstance(template, SmallSparsifyParams):
+                want = replace(template, k=order, r=4 if modified else template.ell)
+            else:
+                want = replace(template, k=order, d=d + 1 if clustering else d)
+            assert calls == [want], (k, d)
 
 
 class TestDistanceMatrixGuard:
@@ -513,10 +557,10 @@ class TestDistanceMatrixGuard:
         spec = ProblemSpec(problem, 2, 1)
         m = len(self.FAMILY)  # the small-mode sparsifier keeps all four
         monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", m)
-        solve(oracle, spec, small_builder(3))
+        solve(oracle, spec, small_params(3))
         monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", m - 1)
         with pytest.raises(GuardError) as caught:
-            solve(oracle, spec, small_builder(3))
+            solve(oracle, spec, small_params(3))
         assert f"{m} sparsifier members" in str(caught.value)
         assert f"DISTANCE_MATRIX_GUARD = {m - 1}" in str(caught.value)
 
@@ -548,7 +592,7 @@ class TestEarlyNo:
         for problem in ("kcenter", "ksumradii"):
             oracle = CountingExtensions(ExplicitOracle(fam))
             spec = ProblemSpec(problem, 2, 1)
-            answer = solve(oracle, spec, small_builder(3))
+            answer = solve(oracle, spec, small_params(3))
             assert not answer.feasible and not brute_solve(fam, spec).feasible
             assert oracle.extend_calls == 0
 
@@ -624,10 +668,10 @@ class TestSolverOracleEquivalence:
             d = rng.randint(0, 4)
             spec = ProblemSpec(problem, k, d)
             if instance.prefers_small:
-                builder = small_builder(instance.size_bound)
+                params = small_params(instance.size_bound)
             else:
-                builder = limited_builder(seed=seed, trials=96)
-            answer = solve(instance.oracle(), spec, builder)
+                params = limited_params(seed=seed, trials=96)
+            answer = solve(instance.oracle(), spec, params)
             expected = brute_solve(domain, spec)
             assert answer.feasible == expected.feasible, (kind, problem, k, d, seed)
             certify_answer(domain, spec, answer)
@@ -642,14 +686,14 @@ class TestSolverOracleEquivalence:
             d = rng.randint(0, 2)
             spec = ProblemSpec(problem, k, d, modified=True)
             answer = solve(
-                ExplicitOracle(fam), spec, limited_builder(seed=seed, trials=96)
+                ExplicitOracle(fam), spec, limited_params(seed=seed, trials=96)
             )
             expected = brute_solve(fam, spec)
             assert answer.feasible == expected.feasible, (problem, k, d, seed)
             certify_answer(fam, spec, answer)
 
     def test_modified_distance_in_small_mode(self):
-        # the small builder widens its reference ball to the full universe
+        # the small pipeline widens its reference ball to the full universe
         # under the modified distance, so complements stay covered
         rng = random.Random(777)
         for seed in range(6):
@@ -658,7 +702,7 @@ class TestSolverOracleEquivalence:
             ell = max(b.bit_count() for b in fam.bits)
             problem = ("maxmin", "maxsum", "kcenter", "ksumradii")[seed % 4]
             spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 2), modified=True)
-            answer = solve(ExplicitOracle(fam), spec, small_builder(ell))
+            answer = solve(ExplicitOracle(fam), spec, small_params(ell))
             expected = brute_solve(fam, spec)
             assert answer.feasible == expected.feasible, (problem, seed)
             certify_answer(fam, spec, answer)
@@ -669,7 +713,7 @@ class TestSolverOracleEquivalence:
             solve(
                 ExplicitOracle(fam),
                 ProblemSpec("maxmin", 2, 1, modified=True),
-                FAST_BUILDER,
+                FAST_PARAMS,
             )
 
 
@@ -694,7 +738,7 @@ class TestSmallModeOnFixedSizeDomains:
         ):
             spec = ProblemSpec(problem, k, d)
             answer = solve(
-                instance.oracle(), spec, small_builder(instance.size_bound)
+                instance.oracle(), spec, small_params(instance.size_bound)
             )
             expected = brute_solve(domain, spec)
             assert answer.feasible == expected.feasible, (problem, k, d)
@@ -706,16 +750,16 @@ class TestSmallModeOnFixedSizeDomains:
             instance, domain = generate_instance(kind, seed, 12)
             spec = ProblemSpec("maxmin", 2, 2)
             small = solve(
-                instance.oracle(), spec, small_builder(instance.size_bound)
+                instance.oracle(), spec, small_params(instance.size_bound)
             )
-            limited = solve(instance.oracle(), spec, FAST_BUILDER)
+            limited = solve(instance.oracle(), spec, FAST_PARAMS)
             expected = brute_solve(domain, spec)
             assert small.feasible == limited.feasible == expected.feasible
 
 
 def clustering_grid():
-    """Seeded (domain, oracle factory, spec, builder) cases: k-center and
-    k-sum-of-radii, plain and modified distance, small and limited builders."""
+    """Seeded (domain, oracle factory, spec, params) cases: k-center and
+    k-sum-of-radii, plain and modified distance, small and limited pipelines."""
     kinds = (
         "explicit", "vertex_cover", "spanning_tree", "uniform_matroid", "matching", "st_mincut"
     )
@@ -725,23 +769,23 @@ def clustering_grid():
         instance, domain = generate_instance(kinds[seed % len(kinds)], seed, 24, min_domain=4)
         spec = ProblemSpec(problem, rng.randint(1, 3), rng.randint(0, 4))
         if instance.size_bound is not None:
-            yield domain, instance.oracle, spec, small_builder(instance.size_bound)
+            yield domain, instance.oracle, spec, small_params(instance.size_bound)
         if not instance.prefers_small:  # vertex covers offer no +-1 optimization
-            yield domain, instance.oracle, spec, limited_builder(seed=seed, trials=96)
+            yield domain, instance.oracle, spec, limited_params(seed=seed, trials=96)
         fam = complement_closed_family(rng, rng.randint(4, 7), 12)
         spec = ProblemSpec(problem, rng.randint(1, 2), rng.randint(0, 3), modified=True)
         explicit = partial(ExplicitOracle, fam)
-        yield fam, explicit, spec, small_builder(max(b.bit_count() for b in fam.bits))
-        yield fam, explicit, spec, limited_builder(seed=seed, trials=96)
+        yield fam, explicit, spec, small_params(max(b.bit_count() for b in fam.bits))
+        yield fam, explicit, spec, limited_params(seed=seed, trials=96)
 
 
 def run_clustering_grid() -> tuple[str, int]:
     """SHA-256 of every grid answer, and the exact-extension calls made."""
     answers = hashlib.sha256()
     calls = 0
-    for domain, make_oracle, spec, builder in clustering_grid():
+    for domain, make_oracle, spec, params in clustering_grid():
         oracle = CountingExtensions(make_oracle())
-        answer = solve(oracle, spec, builder)
+        answer = solve(oracle, spec, params)
         calls += oracle.extend_calls
         assert answer.feasible == brute_solve(domain, spec).feasible, spec
         certify_answer(domain, spec, answer)
@@ -773,24 +817,24 @@ class TestClusteringGrid:
 
 def uncovered_cluster_cases():
     """Seeded k = 2 clustering cases whose searches meet grown clusters
-    with no center within d: vertex covers (small builder), random explicit
+    with no center within d: vertex covers (small pipeline), random explicit
     families under the plain distance and complement-closed ones under the
-    modified distance (both builders)."""
+    modified distance (both pipelines)."""
     for seed in range(90):
         rng = random.Random(40_000 + seed)
         problem = ("kcenter", "ksumradii")[seed % 2]
         spec = ProblemSpec(problem, 2, rng.randint(1, 2), modified=seed % 3 == 2)
         if seed % 3 == 0:
             instance, domain = generate_instance("vertex_cover", seed, 24, min_domain=6)
-            yield domain, instance.oracle, spec, small_builder(instance.size_bound)
+            yield domain, instance.oracle, spec, small_params(instance.size_bound)
             continue
         draw = complement_closed_family if spec.modified else random_family
         # closed families stay small: a sum-mode search over 18 members
         # under the modified distance takes seconds
         fam = draw(rng, rng.randint(5, 7), 10 if spec.modified else 16)
         explicit = partial(ExplicitOracle, fam)
-        yield fam, explicit, spec, small_builder(max(b.bit_count() for b in fam.bits))
-        yield fam, explicit, spec, limited_builder(seed=seed, trials=96)
+        yield fam, explicit, spec, small_params(max(b.bit_count() for b in fam.bits))
+        yield fam, explicit, spec, limited_params(seed=seed, trials=96)
 
 
 class TestClusteringSearch:
@@ -825,8 +869,8 @@ class TestClusteringSearch:
         monkeypatch.setattr(solvers, "_cluster_cost", cost)
         monkeypatch.setattr(solvers, "min_cluster_radius", radius)
         met = set()
-        for domain, make_oracle, spec, builder in uncovered_cluster_cases():
-            answer = solve(make_oracle(), spec, builder)
+        for domain, make_oracle, spec, params in uncovered_cluster_cases():
+            answer = solve(make_oracle(), spec, params)
             assert answer.feasible == brute_solve(domain, spec).feasible, spec
             certify_answer(domain, spec, answer)
             if failed:
@@ -864,9 +908,9 @@ class TestClusteringSearch:
 
         monkeypatch.setattr(solvers, "_cluster_cost", cost)
         searched = repeated = 0
-        for domain, make_oracle, spec, builder in (*clustering_grid(), *uncovered_cluster_cases()):
+        for domain, make_oracle, spec, params in (*clustering_grid(), *uncovered_cluster_cases()):
             oracle = Recording(make_oracle())
-            answer = solve(oracle, spec, builder)
+            answer = solve(oracle, spec, params)
             certify_answer(domain, spec, answer)
             search = oracle.asked["search"]
             assert len(set(search)) == len(search), spec
@@ -901,9 +945,9 @@ class TestClusteringSearch:
             return spied
 
         monkeypatch.setattr(solvers, "_cluster_cost", cost)
-        for domain, make_oracle, spec, builder in (*clustering_grid(), *uncovered_cluster_cases()):
+        for domain, make_oracle, spec, params in (*clustering_grid(), *uncovered_cluster_cases()):
             oracle = CountingExtensions(make_oracle())
-            certify_answer(domain, spec, solve(oracle, spec, builder))
+            certify_answer(domain, spec, solve(oracle, spec, params))
         from_memo = [n for seen, n in rechecks if seen]
         fresh = [n for seen, n in rechecks if not seen]
         assert from_memo and fresh
@@ -911,8 +955,8 @@ class TestClusteringSearch:
         assert min(fresh) > 0
 
     def test_answers_do_not_depend_on_member_order(self):
-        # the search assigns sparsifier members in the order the builder
-        # returns them, which follows the adapter's member order
+        # the search assigns sparsifier members in the order the sparsifier
+        # lists them, which follows the adapter's member order
         rng = random.Random(2024)
         feasible = set()
         for seed in range(30):
@@ -929,19 +973,19 @@ class TestClusteringSearch:
                     order = fam.bits_list()
                     rng.shuffle(order)
                     shuffled = SetFamily.from_bits(n, order)
-                    for builder in (small_builder(ell), limited_builder(seed=seed, trials=96)):
-                        answer = solve(ExplicitOracle(shuffled), spec, builder)
+                    for params in (small_params(ell), limited_params(seed=seed, trials=96)):
+                        answer = solve(ExplicitOracle(shuffled), spec, params)
                         assert answer.feasible == want, (order, spec)
                         certify_answer(fam, spec, answer)
         assert feasible == {False, True}
 
 
 def diversification_grid():
-    """Seeded (domain, oracle factory, spec, builder) cases: max-min and
+    """Seeded (domain, oracle factory, spec, params) cases: max-min and
     max-sum, k = 1..3, on explicit families (empty, one member, random, and
     families whose tuples tie on their sums), generated adapter instances,
     and complement-closed families under the modified distance; small and
-    limited builders."""
+    limited pipelines."""
     kinds = ("vertex_cover", "spanning_tree", "uniform_matroid", "matching")
     tied = (
         SetFamily.from_bits(4, [0b0001, 0b0010, 0b0100, 0b1000]),
@@ -959,7 +1003,7 @@ def diversification_grid():
         )[seed % 4]
         closed = complement_closed_family(rng, rng.randint(3, 6), 10)
         instance, domain = generate_instance(kinds[seed % len(kinds)], seed, 16)
-        # (domain, oracle factory, modified, ell or None, limited builder too)
+        # (domain, oracle factory, modified, ell or None, limited pipeline too)
         cases = [
             (fam, partial(ExplicitOracle, fam), False, None, True),
             (domain, instance.oracle, False, instance.size_bound, not instance.prefers_small),
@@ -972,16 +1016,16 @@ def diversification_grid():
             pairs = k * (k - 1) // 2 if problem == "maxsum" else 1
             d = rng.randint(0, domain.universe_size * pairs)
             spec = ProblemSpec(problem, k, d, modified=modified)
-            yield domain, make_oracle, spec, small_builder(ell)
+            yield domain, make_oracle, spec, small_params(ell)
             if limited:
-                yield domain, make_oracle, spec, limited_builder(seed=seed, trials=96)
+                yield domain, make_oracle, spec, limited_params(seed=seed, trials=96)
 
 
 def run_diversification_grid() -> str:
     """SHA-256 of every diversification grid answer."""
     answers = hashlib.sha256()
-    for domain, make_oracle, spec, builder in diversification_grid():
-        answer = solve(make_oracle(), spec, builder)
+    for domain, make_oracle, spec, params in diversification_grid():
+        answer = solve(make_oracle(), spec, params)
         assert answer.feasible == brute_solve(domain, spec).feasible, spec
         certify_answer(domain, spec, answer)
         witnesses = tuple(w.bits for w in answer.witnesses)
@@ -1042,7 +1086,7 @@ class TestWitnessCertification:
             instance, domain = generate_instance("vertex_cover", seed, 10)
             spec = ProblemSpec("kcenter", 2, 2)
             answer = solve(
-                instance.oracle(), spec, small_builder(instance.size_bound)
+                instance.oracle(), spec, small_params(instance.size_bound)
             )
             expected = brute_solve(domain, spec)
             assert answer.feasible == expected.feasible
@@ -1061,6 +1105,6 @@ class TestGloballyInfeasibleSignal:
         instance = st_mincut_instance(graph, 0, length)
         domain = enumerate_domain(instance)
         spec = ProblemSpec("kcenter", 1, 1)
-        answer = solve(instance.oracle(), spec, limited_builder(seed=1, trials=64))
+        answer = solve(instance.oracle(), spec, limited_params(seed=1, trials=64))
         expected = brute_solve(domain, spec)
         assert answer.feasible == expected.feasible == False

@@ -759,7 +759,9 @@ _LYING_ORACLES = textwrap.dedent(
         ExtensionQuery(0b0011, 2, 0b0100, 0)
     )
 
-    from divsparse import ProblemSpec, SparsifierReport, limited_builder, solve
+    from unittest import mock
+
+    from divsparse import ProblemSpec, SparsifierReport, solve, solvers
     from divsparse.domains import ExplicitOracle
 
     class Forgetful(ExplicitOracle):
@@ -774,8 +776,10 @@ _LYING_ORACLES = textwrap.dedent(
 
     def forgetful(lie):
         fam = SetFamily.from_bits(3, [0b000, 0b011, 0b001])
-        report = SparsifierReport(fam, SmallSparsifyParams(k=1, r=2, ell=2))
-        return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), lambda *a: report)
+        params = SmallSparsifyParams(k=1, r=2, ell=2)
+        report = SparsifierReport(fam, params)
+        with mock.patch.object(solvers, "_sparsify", lambda *a: report):
+            return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), params)
 
     runs["radius"] = forgetful
 
@@ -788,7 +792,7 @@ _LYING_ORACLES = textwrap.dedent(
 
     trivial_liar = TrivialLiar(SetFamily.from_bits(4, [0b0011, 0b0111]))
     runs["trivial_solve"] = lambda lie: solve(
-        trivial_liar, ProblemSpec("kcenter", 1, 1), limited_builder()
+        trivial_liar, ProblemSpec("kcenter", 1, 1), LimitedSparsifyParams(k=1, d=1)
     )
     runs["trivial_sparsify"] = lambda lie: dk_sparsify(
         trivial_liar, LimitedSparsifyParams(k=1, d=1)

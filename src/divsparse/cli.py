@@ -38,7 +38,7 @@ from .core import (
 )
 from .instances import DomainInstance, ParseError, parse_instance
 from .limited import LimitedSparsifyParams, dk_sparsify
-from .solvers import ProblemSpec, solve
+from .solvers import ProblemSpec, _check_cluster_p, solve
 from .sunflower import SmallSparsifyParams, k_sparsify
 
 EXIT_OK = 0
@@ -78,7 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--modified", action="store_true")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--epsilon", type=float, default=0.01)
-        p.add_argument("--p", type=int, default=None, help="cluster radius override")
+        p.add_argument(
+            "--p",
+            type=int,
+            default=None,
+            help="cluster radius override; must exceed 2d, or 2(d + 1) for "
+            "kcenter and ksumradii, whose sparsifier cap is d + 1",
+        )
         p.add_argument("--trials", type=int, default=None, help="far-set trials override")
         p.add_argument("--mode", choices=["auto", "small", "limited"], default="auto")
 
@@ -107,6 +113,10 @@ def _params(args, instance: DomainInstance) -> SmallSparsifyParams | LimitedSpar
                 f"domain {instance.kind} does not support the small pipeline"
             )
         return SmallSparsifyParams(k=args.k, r=ell, ell=ell)
+    if getattr(args, "problem", None) in ("kcenter", "ksumradii") and args.d >= 0:
+        # ahead of the params' own check, whose 2d is only a lower bound
+        # here; a negative d is left to them to name
+        _check_cluster_p(args.p, args.d)
     return LimitedSparsifyParams(
         k=args.k,
         d=args.d,

@@ -16,15 +16,17 @@ problem sets their order, cap and radius):
   The search skips every query whose answer is already implied: k+1
   sparsifier members pairwise more than 2d apart answer NO at once (no
   ball of radius d holds two of them; the modified distance is a
-  pseudometric too); a member within the radius of its cluster's current
-  center joins without a query, since radii never shrink as a cluster
-  grows; otherwise the grown cluster's radius search starts at the old
-  radius; a grown cluster that contains a cluster no center covers
-  within d is not evaluated, since a center of the larger cluster would
-  cover the smaller one; and a trace guess whose cluster spread on the
-  guessed elements alone exceeds the radius is never asked.  The guesses
-  within the radius of every member are found by intersecting the
-  members' balls as bit sets over guess indices, not by walking every
+  pseudometric too); a one-member cluster is its own center at radius 0 (a
+  sparsifier member is a domain member, and the radius-0 query at it
+  admits only itself, under either distance); a member within the radius
+  of its cluster's current center joins without a query, since radii never
+  shrink as a cluster grows; otherwise the grown cluster's radius search
+  starts at the old radius; a grown cluster that contains a cluster no
+  center covers within d is not evaluated, since a center of the larger
+  cluster would cover the smaller one; and a trace guess whose cluster
+  spread on the guessed elements alone exceeds the radius is never asked.
+  The guesses within the radius of every member are found by intersecting
+  the members' balls as bit sets over guess indices, not by walking every
   guess; each ball is built once and cached.  Within one solve each
   distinct query reaches the oracle once: later asks are answered from a
   per-solve query memo.  The witnesses are recomputed from the final
@@ -255,15 +257,17 @@ def min_cluster_radius(
     masks = list(cluster)
     if min(masks) < 0 or max(masks) >> n:
         raise ValueError("cluster member has elements outside the universe")
-    bad = reduce(or_, masks) & ~reduce(and_, masks)
+    common = reduce(and_, masks)
+    bad = reduce(or_, masks) ^ common
     if bad.bit_count() > d * len(masks):
         return None
+    # each member's trace on bad; the members agree on the rest
+    on_bad = [m ^ common for m in masks]
     # a center within r of both endpoints of the widest pair needs 2r >= diam
-    diam = max(map(int.bit_count, starmap(xor, combinations(masks, 2))), default=0)
+    diam = max(map(int.bit_count, starmap(xor, combinations(on_bad, 2))), default=0)
     start = max(lo, (diam + 1) // 2)
     if start > d:
         return None
-    on_bad = [m & bad for m in masks]
     # low: the table's elements, the lowest of bad; high: the rest
     width = min(bad.bit_count(), TRACE_TABLE_BITS)
     high = bad
@@ -272,9 +276,9 @@ def min_cluster_radius(
     low = bad ^ high
     full = (1 << (1 << width)) - 1
     # per member: its trace above the table and its trace index in the table
-    lanes = [(m & high, _trace_index(low, m & low)) for m in masks]
+    lanes = [(b & high, _trace_index(low, b & low)) for b in on_bad]
     for radius in range(start, d + 1):
-        for high_trace in submasks(high):
+        for high_trace in submasks(high) if high else (0,):
             chosen = full
             for m_high, m_index in lanes:
                 budget = radius - (m_high ^ high_trace).bit_count()
@@ -286,17 +290,18 @@ def min_cluster_radius(
                 chosen &= _ball_at(width, m_index, budget)
                 if not chosen:
                     break
-            for index in iter_bits(chosen):
-                trace = high_trace | _index_trace(low, index)
+            while chosen:
+                bit = chosen & -chosen
+                chosen ^= bit
+                trace = high_trace | _index_trace(low, bit.bit_length() - 1)
                 spread = [(b ^ trace).bit_count() for b in on_bad]
                 farthest = masks[spread.index(max(spread))]
                 key = (farthest, radius, trace, bad)
                 out = None if memo is None else memo.get(key)
                 if out is None:
-                    query = ExtensionQuery(
-                        center=farthest, radius=radius, forced=trace, forbidden=bad & ~trace
+                    out = oracle.exact_extend(
+                        ExtensionQuery(farthest, radius, trace, bad ^ trace), ctx
                     )
-                    out = oracle.exact_extend(query, ctx)
                     if isinstance(out, TrivialSparsifier):
                         check_trivial_sparsifier(out, ctx)
                         raise GloballyInfeasible("trivial sparsifier rules out any clustering")
@@ -365,6 +370,13 @@ def _cluster_cost(
     ``2 * d`` are never asked.  The plain distance has the single
     orientation, the sorted masks.
 
+    ``members`` must be domain members, as a sparsifier's are.  A
+    one-member cluster ``1 << i`` is then answered ``(0, members[i])``
+    without a call and memoized like any other result.  That is exact:
+    the one query its radius search would ask, radius 0 around
+    ``members[i]`` with nothing forced or forbidden, admits only
+    ``members[i]`` itself, and a single member has a single orientation.
+
     Besides the cluster memo, every call shares one query memo (see
     :func:`min_cluster_radius`), so a query the oracle answered once is
     not sent again.  The cluster memo answers first, whatever
@@ -378,6 +390,9 @@ def _cluster_cost(
 
     def evaluate(held: int, lo: int = 0, requery: bool = False) -> tuple[int, int] | None:
         if held in memo:
+            return memo[held]
+        if not held & held - 1:  # one member is its own center at radius 0
+            memo[held] = (0, members[held.bit_length() - 1])
             return memo[held]
         masks = sorted(members[i] for i in iter_bits(held))
         result: tuple[int, int] | None = None
@@ -398,6 +413,18 @@ def _cluster_cost(
     return evaluate
 
 
+def _check_cluster_p(p: int | None, d: int) -> None:
+    """Refuse a limited-mode ``p`` override at or below 2(d + 1): the
+    clustering problems build their sparsifier with cap d + 1, and the
+    params' own check, against twice their cap, would name a ``d`` the
+    caller never gave."""
+    if p is not None and p <= 2 * (d + 1):
+        raise ValueError(
+            f"cluster radius p ({p}) must exceed 2(d + 1) ({2 * (d + 1)}): "
+            "k-center and k-sum-of-radii build with cap d + 1"
+        )
+
+
 def _solve_clustering(
     oracle: DomainOracle,
     spec: ProblemSpec,
@@ -406,6 +433,8 @@ def _solve_clustering(
 ) -> SolveAnswer:
     """Can k balls around domain members cover the domain, with every
     radius at most d (k-center) or the radius sum at most d (sum mode)?"""
+    if isinstance(params, LimitedSparsifyParams):
+        _check_cluster_p(params.p, spec.d)
     order = 2 * spec.k if spec.modified else spec.k
     rep = _sparsify(oracle, params, order, spec.d + 1, spec.modified)
     members = rep.family.bits

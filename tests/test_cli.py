@@ -496,6 +496,24 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE == 2 and out == ""
         assert err == "error: d must be nonnegative\n"
 
+    @pytest.mark.parametrize("problem", ["kcenter", "ksumradii"])
+    def test_cluster_radius_at_most_twice_the_clustering_cap_is_2(self, write, problem):
+        # clustering builds its sparsifier with cap d + 1, so with --d 2 the
+        # radius --p must exceed 2(d + 1) = 6: 3 (at most 2d) and 5 are
+        # refused with that bound, 7 runs
+        path = write(TRIANGLE_TREES)
+        argv = ["solve", "--instance", path, "--problem", problem, "--k", "2",
+                "--d", "2", "--mode", "limited", "--p"]
+        for p in (3, 5):
+            code, out, err = invoke_all(argv + [str(p)])
+            assert code == cli.EXIT_USAGE == 2 and out == ""
+            assert err == (
+                f"error: cluster radius p ({p}) must exceed 2(d + 1) (6): "
+                "k-center and k-sum-of-radii build with cap d + 1\n"
+            )
+        code, out, err = invoke_all(argv + ["7"])
+        assert code == 0 and out.startswith("YES\n") and err == ""
+
     def test_guard_is_3(self, write):
         big = "domain uniform_matroid rank=1\nuniverse 24\n"
         path = write(big)

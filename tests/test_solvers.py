@@ -34,6 +34,7 @@ from divsparse import (
 )
 from divsparse.bruteforce import brute_solve, enumerate_domain
 from divsparse.cli import run
+from divsparse.core import iter_bits, submasks
 from divsparse.domains import ExplicitOracle, GraphData
 from divsparse.instances import (
     matching_instance,
@@ -362,11 +363,13 @@ class TestMinClusterRadius:
 
     def test_orientations_ask_the_queries_of_every_guess(self):
         # orientations wider than 2d are skipped without a call; the cost
-        # and the queries are those of a loop over every orientation
+        # and the queries are those of a loop over every orientation.  The
+        # members are arbitrary masks, not domain members, so a one-member
+        # cluster, which is answered as its own center, is never drawn
         def draw(rng):
             n = rng.randint(2, 7)
             fam = complement_closed_family(rng, n, 12)
-            cluster = rng.sample(range(1 << n), rng.randint(1, min(6, 1 << n)))
+            cluster = rng.sample(range(1 << n), rng.randint(2, min(6, 1 << n)))
             return fam, cluster, rng.randint(0, 4)
 
         def oriented_cost(cluster, d, oracle, ctx, lo):
@@ -465,9 +468,18 @@ class TestMinClusterRadius:
             maxsize = cached.cache_info().maxsize
             assert maxsize is not None and maxsize <= 4096
 
-    def test_wide_cluster_answers_with_one_query(self):
+    def test_wide_cluster_answers_with_one_query(self, monkeypatch):
         # 40 disagreement elements: a table over every trace would need 2^40
-        # bits; the first trace in counting order, the empty one, answers
+        # bits; the first trace in counting order, the empty one, answers.
+        # The traces above the table are drawn lazily: a search that listed
+        # all 2^28 of them fails here, not by running out of memory
+        def bounded(mask):
+            for count, trace in enumerate(submasks(mask)):
+                if count == 1_000:
+                    raise AssertionError("more than 1,000 high traces drawn")
+                yield trace
+
+        monkeypatch.setattr(solvers, "submasks", bounded)
         n = 40
         a, b = (1 << 20) - 1, ((1 << 20) - 1) << 20
         oracle = CountingExtensions(ExplicitOracle(SetFamily.from_bits(n, [0, a, b])))
@@ -480,6 +492,67 @@ class TestMinClusterRadius:
         for outside in (-1, 0b100):
             with pytest.raises(ValueError):
                 min_cluster_radius([outside], 1, ExplicitOracle(SetFamily.from_bits(2, ())))
+
+
+def explicit_text(fam: SetFamily) -> str:
+    """The instance file of an explicit family."""
+    lines = ["domain explicit", f"universe {fam.universe_size}"]
+    for bits in fam.bits:
+        lines.append(" ".join(["set", *map(str, iter_bits(bits))]))
+    return "\n".join(lines) + "\n"
+
+
+def seeded_family(rng: random.Random, modified: bool) -> SetFamily:
+    n = rng.randint(5, 7)
+    if modified:
+        return complement_closed_family(rng, n, 10)
+    return random_family(rng, n, 9)
+
+
+class TestOneMemberClusters:
+    """A one-member cluster is its own center at radius 0, answered
+    without a query: it holds a sparsifier member, which is a domain
+    member, and a radius-0 query at a member admits only that member."""
+
+    @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
+    def test_answered_without_a_query(self, modified):
+        rng = random.Random(7_000 + modified)
+        for _ in range(40):
+            fam = seeded_family(rng, modified)
+            bits = fam.bits_list()
+            n, d = fam.universe_size, rng.randint(0, 3)
+            oracle = CountingExtensions(ExplicitOracle(fam))
+            evaluate = _cluster_cost(oracle, bits, d, n, modified, None)
+            for i, b in enumerate(bits):
+                assert evaluate(1 << i) == (0, b)
+                assert evaluate(1 << i, requery=True) == (0, b)  # the final recheck
+            assert oracle.extend_calls == 0
+            # the radius search, which asks one query, finds the same pair
+            for b in bits:
+                assert min_cluster_radius([b], d, ExplicitOracle(fam)) == (0, b)
+
+    @pytest.mark.parametrize(
+        "modified, seed, want",
+        [
+            (False, 7_304, "YES\nset: 0 1 6\nset: 1 2 3 6\nset: 2 5 6\n"
+             "radius: 0\nradius: 2\nradius: 0\n"),
+            (True, 7_384, "YES\nset: 1 2 4\nset: 0 2 3 4\nset: 0 1 5\n"
+             "radius: 2\nradius: 0\nradius: 0\n"),
+        ],
+        ids=["plain", "modified"],
+    )
+    def test_sum_of_radii_prints_their_radius_0_lines(self, tmp_path, modified, seed, want):
+        # the bytes printed while one-member clusters still asked their query
+        rng = random.Random(seed)
+        fam = seeded_family(rng, modified)
+        path = tmp_path / "family.txt"
+        path.write_text(explicit_text(fam))
+        argv = ["solve", "--instance", str(path), "--problem", "ksumradii",
+                "--k", "3", "--d", str(rng.randint(2, 4))]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(argv + ["--modified"] * modified) == 0
+        assert out.getvalue() == want
 
 
 class TestKCenter:
@@ -543,6 +616,16 @@ class TestSparsifierOrderAndCap:
             else:
                 want = replace(template, k=order, d=d + 1 if clustering else d)
             assert calls == [want], (k, d)
+
+    @pytest.mark.parametrize("problem", ["kcenter", "ksumradii"])
+    def test_clustering_p_must_exceed_twice_its_cap(self, problem):
+        # the cap is d + 1 = 3, so p = 5 passes the params' own check
+        # against 2d = 4 and is refused by the clustering bound 6
+        params = LimitedSparsifyParams(k=1, d=0, p=5, trials_override=96)
+        with pytest.raises(ValueError, match=r"^cluster radius p \(5\) must exceed 2\(d \+ 1\) \(6\)"):
+            solve(ExplicitOracle(self.FAMILY), ProblemSpec(problem, 2, 2), params)
+        # maxmin builds with cap d and runs with the same p
+        assert solve(ExplicitOracle(self.FAMILY), ProblemSpec("maxmin", 2, 2), params).feasible
 
 
 class TestDistanceMatrixGuard:
@@ -802,9 +885,10 @@ def run_clustering_grid() -> tuple[str, int]:
 CLUSTERING_ANSWERS = "5aeafc1d10f5ee2766e7867a77e2fb64d4dec400a0e68fae0f06e0c561e36afb"
 # Exact-extension calls over the whole grid (sparsifier and search); the
 # count may only go down.  It was 15,794 before the search skipped the
-# queries whose answers are implied, and 1,998 before one solve asked each
-# distinct query once.
-CLUSTERING_EXTEND_CALLS = 1_975
+# queries whose answers are implied, 1,998 before one solve asked each
+# distinct query once, and 1,975 before a one-member cluster was answered
+# as its own center at radius 0 without a query.
+CLUSTERING_EXTEND_CALLS = 1_889
 
 
 class TestClusteringGrid:

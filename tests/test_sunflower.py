@@ -765,14 +765,15 @@ _LYING_ORACLES = textwrap.dedent(
     from divsparse.domains import ExplicitOracle
 
     class Forgetful(ExplicitOracle):
-        # answers the clustering search's two queries, then finds nothing:
-        # the final cluster {000, 011, 001}, reached without a query since
-        # 001 is the center, no longer has the radius the search used
+        # answers the clustering search's one query, then finds nothing:
+        # the singleton {000} asks none, {000, 011} asks one, and the final
+        # cluster {000, 011, 001}, reached without a query since 001 is the
+        # center, no longer has the radius the search used
         calls = 0
 
         def exact_extend(self, query, ctx=None):
             self.calls += 1
-            return super().exact_extend(query, ctx) if self.calls <= 2 else NOT_FOUND
+            return super().exact_extend(query, ctx) if self.calls <= 1 else NOT_FOUND
 
     def forgetful(lie):
         fam = SetFamily.from_bits(3, [0b000, 0b011, 0b001])

@@ -157,13 +157,12 @@ def _diversify(
     rep = _sparsify(oracle, params, max(1, order), spec.d, spec.modified)
     members = rep.family.bits
     n = rep.family.universe_size
-    dist = _distance_rows(members, n, spec.modified)
     best: int | None = None
     found = (0,) * spec.k if members else None
     if sum_mode:
-        best, found = _max_sum_tuple(dist, spec.k)
+        best, found = _max_sum_tuple(_distance_rows(members, n, spec.modified), spec.k)
     elif spec.d:
-        found = _pairwise_far(dist, spec.k, spec.d - 1)
+        found = _pairwise_far(_distance_rows(members, n, spec.modified), spec.k, spec.d - 1)
     if found is None or (best is not None and best < spec.d):
         return SolveAnswer(feasible=False, objective=best)
     witnesses = tuple(SubsetMask(n, members[i]) for i in found)

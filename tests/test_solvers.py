@@ -647,6 +647,12 @@ class TestDistanceMatrixGuard:
         assert f"{m} sparsifier members" in str(caught.value)
         assert f"DISTANCE_MATRIX_GUARD = {m - 1}" in str(caught.value)
 
+    def test_maxmin_at_d0_builds_no_matrix(self, monkeypatch):
+        # member 0, k times, needs no distance; d = 1 raises above
+        monkeypatch.setattr(solvers, "DISTANCE_MATRIX_GUARD", len(self.FAMILY) - 1)
+        spec = ProblemSpec("maxmin", 2, 0)
+        assert solve(ExplicitOracle(self.FAMILY), spec, small_params(3)).feasible
+
 
 class TestEarlyNo:
     def test_pairwise_far_matches_brute_force(self):

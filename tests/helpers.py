@@ -1,13 +1,33 @@
 """Shared test utilities: deterministic instance generators, answer
-certification against enumerated domains, and the sunflower, blocker,
-far-set and max-sum checks the tests use as references."""
+certification against enumerated domains, and at most one reference copy
+per layer of the library:
+
+- sunflower engine: :func:`restart_k_sparsify`, which restarts every
+  blocker walk with :func:`reference_hitting_sets` (itself checked against
+  :func:`brute_blockers`); the only check of the query order that
+  ``k_sparsify``'s docstring promises;
+- far-set phase: :func:`plain_approx_far_set`;
+- weight draws: :func:`reference_top_bits`;
+- max-sum: :func:`reference_maxsum`;
+- cluster radius: :func:`reference_min_cluster_radius`, with
+  :func:`reference_oriented_radius` for the modified distance;
+- min-cut adapter: :func:`reference_mincut_extend`;
+- matching adapter: :func:`reference_matching_search`;
+- DAG adapter: :func:`longest_path_label_sets`.
+
+The vertex-cover adapter has none: its answers are checked against its
+members and pinned by a digest.  Code a change replaces is not kept here
+as a copy: its checks move onto brute force, the layer's one reference,
+or a sha256 of outputs recorded while the old comparison still passed.
+``test_core.py::test_every_helper_is_used`` fails on a function or class
+here that no test module and no other helper uses."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from divsparse import (
     CapabilityError,
@@ -17,7 +37,6 @@ from divsparse import (
     GloballyInfeasible,
     GuardError,
     LimitedSparsifyParams,
-    NotFound,
     ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
@@ -26,13 +45,11 @@ from divsparse import (
     SplitMix64,
     SubsetMask,
     TrivialSparsifier,
-    default_trials,
     distance,
 )
 from divsparse.bruteforce import VerifyScope, enumerate_domain
 from divsparse.core import (
     NOT_FOUND,
-    _check_universe_size,
     check_trivial_sparsifier,
     iter_bits,
     submasks,
@@ -42,7 +59,6 @@ from divsparse.domains import (
     MatchingOracle,
     MinCutOracle,
     MinCutPoset,
-    VertexCoverOracle,
 )
 from divsparse.domains.mincut import SANDWICH_GUARD
 from divsparse.instances import (
@@ -56,7 +72,6 @@ from divsparse.instances import (
     uniform_matroid_instance,
     vertex_cover_instance,
 )
-from divsparse.limited import FARSET_MEMO_GUARD
 from divsparse.sunflower import BLOCKER_UNION_GUARD, _ClassCores
 
 ADAPTER_KINDS = (
@@ -447,40 +462,6 @@ def reference_hitting_sets(
             yield from grow(0, 0, size, (1 << len(required)) - 1)
 
 
-def reference_blockers(record: _ClassCores, union_bits: int) -> Iterator[int]:
-    """The blocker walk of ``record`` as nested generators, one frame per
-    prefix depth, with the same live reads of ``record.known_empty``:
-    :meth:`_ClassCores.blockers` before its walk became one explicit-stack
-    loop per size, on a walk that finds nothing."""
-    if record.dead:
-        return
-    elems = list(iter_bits(union_bits))
-    known_empty, hits, later = record.known_empty, record.hits, record.later
-
-    def grow(y: int, start: int, left: int, missed: int) -> Iterator[int]:
-        for i in range(start, len(elems) - left + 1):
-            e = elems[i]
-            z = y | 1 << e
-            blocked = known_empty.get(e + 1)
-            if blocked and any(b & ~z == 0 for b in blocked):
-                continue
-            still = missed & ~hits[e]
-            if left == 1:
-                if not still:
-                    yield z
-            elif not still & ~later[e]:
-                yield from grow(z, i + 1, left - 1, still)
-
-    for size in range(len(elems) + 1):
-        if 0 in known_empty:
-            return
-        if size == 0:
-            if not record.full:
-                yield 0
-        else:
-            yield from grow(0, 0, size, record.full)
-
-
 def restart_k_sparsify(
     params: SmallSparsifyParams, oracle: DomainOracle
 ) -> tuple[list[int], int, int]:
@@ -560,45 +541,6 @@ def brute_blockers(family: SetFamily, ell_prime: int, t: int) -> list[int]:
     return out
 
 
-def reference_k_sparsify(
-    params: SmallSparsifyParams, oracle: DomainOracle
-) -> tuple[list[int], int, int]:
-    """The small construction without remembered answers.
-
-    Every pass regenerates all blockers by generate-and-filter and asks
-    the oracle afresh, probe included.  Returns (member bits in insertion
-    order, passes, extension calls).  Trivial-sparsifier outcomes are not
-    handled: use it with oracles that never produce them.
-    """
-    n = oracle.universe_size
-    t = params.k * params.r + 1
-    members: list[int] = []
-    calls = passes = 0
-    while True:
-        passes += 1
-        family = SetFamily.from_bits(n, members)
-        added = False
-        for lp in range(min(params.ell, n) + 1):
-            blockers = brute_blockers(family, lp, t)
-            if not blockers:
-                continue
-            if blockers[0] != 0:
-                calls += 1
-                if isinstance(oracle.exact_empty_extend(lp, 0), NotFound):
-                    continue
-            for y in blockers:
-                calls += 1
-                out = oracle.exact_empty_extend(lp, y)
-                if isinstance(out, Found):
-                    members.append(out.witness)
-                    added = True
-                    break
-            if added:
-                break
-        if not added:
-            return members, passes, calls
-
-
 def reference_top_bits(rng: SplitMix64, n: int) -> int:
     """The per-element weight draw: ``n`` calls of ``rng.next_u64``, bit i
     of the result the top bit of output i."""
@@ -606,64 +548,6 @@ def reference_top_bits(rng: SplitMix64, n: int) -> int:
     for i in range(n):
         out |= (rng.next_u64() >> 63) << i
     return out
-
-
-def reference_approx_far_set(
-    oracle: DomainOracle,
-    centers: Sequence[int],
-    d: int,
-    trials: int,
-    rng: SplitMix64,
-    memo: dict[int, int] | None = None,
-) -> tuple[int | None, int]:
-    """The far-set call before the one-center first mask: the trials with
-    the phase memo, the per-call near set and the coverage stop, and
-    nothing else.  Returns (far member or None, calls issued)."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    n = oracle.universe_size
-    _check_universe_size(n)
-    if any(not 0 <= c < 1 << n for c in centers):
-        raise ValueError("center has elements outside the universe")
-    threshold = 2 * d
-    if memo is None:
-        memo = {}
-
-    def far(member: int) -> bool:
-        return all((member ^ c).bit_count() > threshold for c in centers)
-
-    def covered() -> bool:
-        return len(memo) == 1 << n and not any(map(far, memo.values()))
-
-    if covered():
-        return None, 0
-    calls = 0
-    near: set[int] = set()
-    masks = rng.masks(n)
-    for _ in range(trials):
-        positive = next(masks)
-        if positive in near:
-            continue
-        best = memo.get(positive)
-        fresh = best is None
-        if fresh:
-            best = oracle.opt_pm1(positive)
-            calls += 1
-            if best is None:
-                return None, calls  # empty domain
-            if best < 0 or best >> n:
-                raise SoundnessError(
-                    f"optimum {best:#x} has elements outside a universe of size {n}"
-                )
-            if len(memo) < 1 << FARSET_MEMO_GUARD:
-                memo[positive] = best
-        if far(best):
-            return best, calls
-        if len(near) < 1 << FARSET_MEMO_GUARD:
-            near.add(positive)
-        if fresh and covered():
-            return None, calls
-    return None, calls
 
 
 def plain_approx_far_set(
@@ -715,38 +599,6 @@ def plain_approx_far_set(
         if fresh and covered():
             return None, calls
     return None, calls
-
-
-def reference_cluster_or_trivial(
-    oracle: DomainOracle, params: LimitedSparsifyParams
-) -> tuple[list[int], bool, int]:
-    """The far-set clustering phase without a memo.
-
-    Every trial optimizes its weights afresh, and a call gives up only
-    after its full trial count.  Returns (center bits, trivial, trials run).
-    """
-    rng = SplitMix64(params.seed)
-    n = oracle.universe_size
-    centers: list[int] = []
-    total = 0
-    while True:
-        trials = params.trials_override
-        if trials is None:
-            trials = default_trials(params.k, params.epsilon, len(centers))
-        far = None
-        for _ in range(trials):
-            total += 1
-            best = oracle.opt_pm1(reference_top_bits(rng, n))
-            if best is None:
-                break  # empty domain
-            if all((best ^ c).bit_count() > 2 * params.d for c in centers):
-                far = best
-                break
-        if far is None:
-            return centers, False, total
-        centers.append(far)
-        if len(centers) == params.k + 1:
-            return centers, True, total
 
 
 def reference_maxsum(
@@ -849,105 +701,6 @@ def reference_oriented_radius(
         if got is not None:
             result = got
     return result
-
-
-def reference_vertex_cover_extend(
-    oracle: VertexCoverOracle, query: ExtensionQuery, ctx=None
-):
-    """``VertexCoverOracle.exact_extend`` walking every subset of the
-    center as the overlap guess and skipping those that contradict the
-    forced or forbidden vertices."""
-    c = query.center
-    x = query.forced
-    y = query.forbidden
-    if c == 0 and x == 0:
-        return oracle.exact_empty_extend(query.radius, y, ctx)
-    # guess the overlap S = D & C among subsets of the center
-    for s in submasks(c):
-        if x & c & ~s:  # forced-in center vertices must land in S
-            continue
-        if s & y:
-            continue
-        # |D \ C| follows from |D ^ C| = |C \ S| + |D \ C|
-        outside = query.radius - (c & ~s).bit_count()
-        if outside < 0:
-            continue
-        size = s.bit_count() + outside
-        forced = s | (x & ~c)
-        got = oracle._solve_forced(forced, y | (c & ~s), size)
-        if got is None:
-            continue
-        if got & c != s or not query.admits_bits(got):
-            raise SoundnessError(f"cover search returned {got:#x} outside the query")
-        return Found(got)
-    return NOT_FOUND
-
-
-def reference_cover_search(
-    oracle: VertexCoverOracle, forced: int, blocked: int, size: int
-) -> int | None:
-    """``VertexCoverOracle._solve_forced`` as a search that copies the
-    edge list left open at every branch: a cover of exactly ``size``
-    vertices containing ``forced`` and avoiding ``blocked``, padded with
-    the lowest-index allowed vertices, or None."""
-
-    def min_cover(edges, allowed, budget):
-        if budget < 0:
-            return None
-        for u, v in edges:
-            best = None
-            if allowed >> u & 1:
-                rest = [e for e in edges if u not in e]
-                sub = min_cover(rest, allowed & ~(1 << u), budget - 1)
-                if sub is not None:
-                    best = sub | 1 << u
-            if allowed >> v & 1:
-                rest = [e for e in edges if v not in e]
-                sub = min_cover(rest, allowed & ~(1 << v), budget - 1)
-                if sub is not None and (best is None or sub.bit_count() + 1 < best.bit_count()):
-                    best = sub | 1 << v
-            return best  # branch on exactly one edge
-        return 0  # nothing left to cover
-
-    if forced & blocked:
-        return None
-    if size > oracle._ell or forced.bit_count() > size:
-        return None
-    allowed = oracle._full & ~blocked & ~forced
-    open_edges = [
-        (u, v) for u, v in oracle._edges if not (forced >> u & 1 or forced >> v & 1)
-    ]
-    budget = size - forced.bit_count()
-    if allowed.bit_count() < budget:
-        return None
-    cover = min_cover(open_edges, allowed, budget)
-    if cover is None:
-        return None
-    base = forced | cover
-    free = list(iter_bits(allowed & ~base))
-    missing = size - base.bit_count()
-    if not 0 <= missing <= len(free):
-        return None
-    for v in free[:missing]:
-        base |= 1 << v
-    return base
-
-
-def reference_vertex_cover_empty_extend(oracle: VertexCoverOracle, r: int, forbidden: int):
-    """``VertexCoverOracle.exact_empty_extend`` by a scan of the edge list:
-    NotFound for an edge inside the forbidden set, else the neighborhood
-    of the forbidden set forced into :func:`reference_cover_search`."""
-    y = forbidden
-    if any(y >> u & 1 and y >> v & 1 for u, v in oracle._edges):
-        return NOT_FOUND
-    neighborhood = 0
-    for u, v in oracle._edges:
-        if y >> u & 1:
-            neighborhood |= 1 << v
-        if y >> v & 1:
-            neighborhood |= 1 << u
-    got = reference_cover_search(oracle, neighborhood, y, r)
-    return NOT_FOUND if got is None else Found(got)
 
 
 def reference_mincut_extend(

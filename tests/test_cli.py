@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -17,18 +18,24 @@ import pytest
 import divsparse
 import divsparse.cli as cli
 from divsparse import (
+    CapabilityError,
     DomainOracle,
+    ExtensionQuery,
     Found,
     LimitedSparsifyParams,
+    ProblemSpec,
     SetFamily,
     SmallSparsifyParams,
     TrivialSparsifier,
+    default_trials,
+    min_cluster_radius,
     solvers,
 )
-from divsparse.bruteforce import enumerate_domain
+from divsparse.bruteforce import VerifyScope, enumerate_domain, verify_sparsifier
 from divsparse.cli import run
 from divsparse.domains import ExplicitOracle
 from divsparse.instances import ParseError, parse_instance
+from divsparse.limited import ShiftedEmptyExtension
 
 C4_MATCHING = """\
 # C4 cycle, matchings of size 2
@@ -131,6 +138,36 @@ HEADER_FAULTS = {
     "unknown_kind": "domain banana\n",
 }
 
+#: one instance per fault after a well-formed header: (text, the line
+#: the error names, a substring of its message)
+BODY_FAULTS = {
+    "bad_integer": ("domain explicit\nuniverse x\n", 2, "expected an integer universe size"),
+    "end_of_input": ("domain explicit\n# no body\n", 2, "found end of input"),
+    "extra_line": (
+        "domain uniform_matroid rank=1\nuniverse 2\nset 0\n", 3, "unexpected extra line"
+    ),
+    "unknown_orientation": (
+        "domain spanning_tree\ngraph sideways 2 1\n0 1\n", 2, "unknown orientation"
+    ),
+    "edge_line_shape": (
+        "domain spanning_tree\ngraph undirected 2 1\n0 1 1\n", 3, "expected an edge line"
+    ),
+    "endpoint_out_of_range": (
+        "domain spanning_tree\ngraph undirected 2 1\n0 2\n", 3, "endpoint out of range"
+    ),
+    "no_vertices": ("domain spanning_tree\ngraph undirected 0 0\n", 2, "at least one vertex"),
+    "universe_line": ("domain explicit\nuniverse 2 3\n", 2, "expected 'universe <n>'"),
+    "duplicate_set": ("domain explicit\nuniverse 2\nset 0 1\nset 1 0\n", 4, "duplicate set"),
+    "block_line": ("domain partition_matroid\nuniverse 2\nblock\n", 3, "expected 'block"),
+    "block_element_out_of_range": (
+        "domain partition_matroid\nuniverse 2\nblock 1 0 2\n", 3, "index 2 out of range"
+    ),
+    "labels_count": (
+        "domain dag_dp universe=3\ngraph directed 2 1\n0 1\nlabels 0\n", 4, "with 2 entries"
+    ),
+    "bare_domain": ("# kind missing\ndomain\n", 2, "expected 'domain <kind>"),
+}
+
 
 def invoke(argv: list[str]) -> tuple[int, str]:
     buffer = io.StringIO()
@@ -204,6 +241,15 @@ class TestParseInstance:
             parse_instance(text)
         assert err.value.line_no == 2
         if name in ("negative_rank", "source_is_sink"):
+            assert invoke(["enumerate", "--instance", write(text)]) == (2, "")
+
+    @pytest.mark.parametrize("name", BODY_FAULTS)
+    def test_body_fault_names_its_line(self, name, write):
+        text, line_no, message = BODY_FAULTS[name]
+        with pytest.raises(ParseError, match=message) as err:
+            parse_instance(text)
+        assert err.value.line_no == line_no
+        if name == "duplicate_set":
             assert invoke(["enumerate", "--instance", write(text)]) == (2, "")
 
 
@@ -611,6 +657,62 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: trivial sparsifier answered a query without context\n"
         )
+
+
+_PAIR = SetFamily.from_bits(2, [0b01, 0b11])
+_SHIFTED = partial(ShiftedEmptyExtension, ExplicitOracle(_PAIR))
+#: argument checks of the CLI and the library: (call, a substring of its
+#: message).  A list is a command and its flags, run on TRIANGLE_TREES,
+#: which must exit 2 and print the message to stderr; a callable must raise
+#: ValueError, or CapabilityError for a capability the object refuses
+ARGUMENT_CHECKS = {
+    "solve_k": (["solve", "--problem", "maxmin", "--k", "0", "--d", "1"], "k must be at least 1"),
+    "sparsify_k": (["sparsify", "--k", "0", "--d", "1"], "k must be at least 1"),
+    "verify_k": (["verify", "--k", "0", "--d", "1"], "k must be at least 1"),
+    "solve_d": (
+        ["solve", "--problem", "maxmin", "--k", "1", "--d", "-1"], "d must be nonnegative"
+    ),
+    "problem": (partial(ProblemSpec, "maxmax", 1, 1), "unknown problem 'maxmax'"),
+    "problem_k": (partial(ProblemSpec, "maxmin", 0, 1), "k must be at least 1"),
+    "problem_d": (partial(ProblemSpec, "maxmin", 1, -1), "d must be nonnegative"),
+    "query_radius": (partial(ExtensionQuery, 0, -1, 0, 0), "radius must be nonnegative"),
+    "small_r": (partial(SmallSparsifyParams, k=1, r=-1, ell=0), "r and ell must be nonnegative"),
+    "small_ell": (partial(SmallSparsifyParams, k=1, r=1, ell=-1), "r and ell must be nonnegative"),
+    "trials_epsilon": (partial(default_trials, 1, 1.0, 0), r"epsilon must be in \(0, 1\)"),
+    "trials_override": (
+        partial(LimitedSparsifyParams, k=1, d=1, trials_override=0),
+        "trials_override must be positive",
+    ),
+    "shifted_center": (partial(_SHIFTED, 0b100), "center has elements outside the universe"),
+    "shifted_extend": (
+        lambda: _SHIFTED(0b01).exact_extend(ExtensionQuery(0, 0, 0, 0)),
+        "offers only the empty extension",
+    ),
+    "cluster_d": (
+        partial(min_cluster_radius, [0b01], -1, ExplicitOracle(_PAIR)), "d must be nonnegative"
+    ),
+    "scope_k": (partial(VerifyScope, 0, None, "all"), "k must be at least 1"),
+    "scope_cap": (partial(VerifyScope, 1, -1, "all"), "cap must be nonnegative"),
+    "scope_reference": (partial(VerifyScope, 1, None, "near"), "unknown reference family"),
+    "scope_ball": (partial(VerifyScope, 1, None, "ball"), "needs a center and radius"),
+    "verify_universe": (
+        partial(
+            verify_sparsifier, _PAIR, SetFamily.from_bits(3, [0b01]), VerifyScope(1, None, "all")
+        ),
+        "universe mismatch",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_CHECKS)
+def test_argument_check(name, write):
+    call, message = ARGUMENT_CHECKS[name]
+    if isinstance(call, list):
+        argv = [call[0], "--instance", write(TRIANGLE_TREES), *call[1:]]
+        assert invoke_all(argv) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+    else:
+        with pytest.raises((ValueError, CapabilityError), match=message):
+            call()
 
 
 class TestParserReuse:

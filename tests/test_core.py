@@ -243,3 +243,33 @@ def test_no_assert_statement_in_the_package():
     ]
     assert len(list(root.rglob("*.py"))) >= 10
     assert found == []
+
+
+def test_every_helper_is_used():
+    # a top-level function or class of tests/helpers.py must be used by a
+    # test module or by another helper: a reference copy whose test moved
+    # on is deleted with it, not left behind
+    def names(tree):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+
+    tests = Path(__file__).parent
+    helpers = ast.parse((tests / "helpers.py").read_text(encoding="utf-8")).body
+    used = set().union(*(
+        names(ast.parse(path.read_text(encoding="utf-8")))
+        for path in tests.glob("test_*.py")
+    ))
+    inside = [names(node) for node in helpers]
+    defined = [
+        (i, node.name) for i, node in enumerate(helpers)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    orphans = [
+        name for i, name in defined
+        if name not in used and not any(name in seen for j, seen in enumerate(inside) if j != i)
+    ]
+    assert len(defined) > 20
+    assert orphans == []

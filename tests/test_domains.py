@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -20,6 +21,7 @@ from divsparse import (
 )
 from divsparse import domains
 from divsparse.bruteforce import enumerate_domain
+from divsparse.core import iter_bits
 from divsparse.domains import (
     DagDpOracle,
     ExplicitOracle,
@@ -40,10 +42,7 @@ from helpers import (
     interval_dag,
     longest_path_label_sets,
     random_dag,
-    reference_cover_search,
     reference_matching_search,
-    reference_vertex_cover_empty_extend,
-    reference_vertex_cover_extend,
 )
 
 
@@ -141,6 +140,32 @@ def p3() -> GraphData:
     return GraphData(directed=False, n_vertices=3, edges=((0, 1), (1, 2)))
 
 
+# SHA-256 of every answer of TestVertexCover's two seeded grids, recorded
+# while each matched the adapter's earlier searches: the walk over every
+# subset of the center as the overlap guess, then the cover search that
+# copied the open edges at every branch and the empty extension by an edge
+# scan
+OVERLAP_GUESS_ANSWERS = "219a295941ce2252356f2e435c63fabed2d29d50dac75580d18a04003421bdff"
+COVER_SEARCH_ANSWERS = "ec1bd0c74a49d10a7179a4e62ab4cd4a4eb8b314a56041cfc9de745f9eccedc8"
+
+
+def check_cover_answer(answers, nv, edges, ell, query, got):
+    """Check one vertex-cover answer against the members and fold it into
+    the digest: a Found witness is a member the query admits, a NotFound
+    (or None) leaves none.  Returns the answer's type."""
+    if isinstance(got, int):
+        got = Found(got)
+    elif got is None:
+        got = NotFound()
+    admitted = cover_points(nv, edges, ell) & query_points(nv, query)
+    if isinstance(got, Found):
+        assert admitted >> got.witness & 1, (edges, ell, query, got)
+    else:
+        assert not admitted, (edges, ell, query)
+    answers.update(f"{got.witness:x}|".encode() if isinstance(got, Found) else b"-|")
+    return type(got)
+
+
 class TestVertexCover:
     def test_empty_extension_examples(self):
         oracle = VertexCoverOracle(p3(), 2)
@@ -165,8 +190,11 @@ class TestVertexCover:
 
     def test_overlap_guesses_match_the_filtered_walk(self):
         # only the overlaps consistent with forced and forbidden are walked;
-        # the walk over every subset of the center that skips the others
-        # must give the same outcome and the same witness on every query
+        # every answer must be admitted by the members, and the witnesses
+        # (branch order, tie-break, padding) are pinned by
+        # OVERLAP_GUESS_ANSWERS, recorded against the walk over every subset
+        # of the center that skips the others
+        answers = hashlib.sha256()
         rng = random.Random(31)
         kinds = set()
         for _ in range(1500):
@@ -174,14 +202,16 @@ class TestVertexCover:
             edges = tuple(
                 tuple(rng.sample(range(nv), 2)) for _ in range(rng.randint(0, 10))
             ) if nv > 1 else ()
-            oracle = VertexCoverOracle(GraphData(False, nv, edges), rng.randint(0, nv))
+            ell = rng.randint(0, nv)
+            oracle = VertexCoverOracle(GraphData(False, nv, edges), ell)
             center = rng.getrandbits(nv) if rng.random() < 0.8 else 0
             forced = rng.getrandbits(nv) & rng.getrandbits(nv)
             forbidden = rng.getrandbits(nv) & rng.getrandbits(nv) & ~forced
             query = ExtensionQuery(center, rng.randint(0, nv), forced, forbidden)
             got = oracle.exact_extend(query)
-            assert got == reference_vertex_cover_extend(oracle, query), (edges, query)
-            kinds.add((type(got), center == 0, bool(forced & center), bool(forbidden & center)))
+            kind = check_cover_answer(answers, nv, edges, ell, query, got)
+            kinds.add((kind, center == 0, bool(forced & center), bool(forbidden & center)))
+        assert answers.hexdigest() == OVERLAP_GUESS_ANSWERS
         assert {kind[0] for kind in kinds} == {Found, NotFound}
         assert {kind[1:] for kind in kinds} == {
             (True, False, False), *product((False,), (False, True), (False, True))
@@ -189,9 +219,12 @@ class TestVertexCover:
 
     def test_cover_search_matches_the_copying_search(self):
         # the in-place search must find the very cover of the search that
-        # copies the open edges at every branch, not merely a valid one:
-        # multigraphs with parallel edges, disjoint forced and blocked
-        # sets, every size up to ell + 1, forbidden bits at or above n
+        # copied the open edges at every branch, not merely a valid one:
+        # every answer must be admitted by the members, and the witnesses
+        # are pinned by COVER_SEARCH_ANSWERS.  Multigraphs with parallel
+        # edges, disjoint forced and blocked sets, every size up to ell + 1,
+        # forbidden bits at or above n
+        answers = hashlib.sha256()
         rng = random.Random(32)
         seen = set()
         for _ in range(300):
@@ -209,18 +242,51 @@ class TestVertexCover:
                 forbidden = rng.getrandbits(nv + 3) & rng.getrandbits(nv + 3)
                 for size in range(ell + 2):
                     got = oracle._solve_forced(forced, blocked, size)
-                    assert got == reference_cover_search(oracle, forced, blocked, size), (
-                        edges, ell, forced, blocked, size
-                    )
-                    seen.add(("forced", got is not None))
+                    query = ExtensionQuery(0, size, forced, blocked)
+                    kind = check_cover_answer(answers, nv, edges, ell, query, got)
+                    seen.add(("forced", kind))
                     got = oracle.exact_empty_extend(size, forbidden)
-                    assert got == reference_vertex_cover_empty_extend(
-                        oracle, size, forbidden
-                    ), (edges, ell, forbidden, size)
-                    seen.add((type(got), forbidden >> nv != 0))
+                    query = ExtensionQuery(0, size, 0, forbidden)
+                    kind = check_cover_answer(answers, nv, edges, ell, query, got)
+                    seen.add((kind, forbidden >> nv != 0))
+        assert answers.hexdigest() == COVER_SEARCH_ANSWERS
         assert seen == {
-            ("forced", False), ("forced", True), *product((Found, NotFound), (False, True))
+            ("forced", Found), ("forced", NotFound), *product((Found, NotFound), (False, True))
         }
+
+
+@cache
+def vertex_set_points(nv):
+    """Over the 2^nv vertex sets, one bit per set b (bit b): for each vertex
+    the sets holding it, and for each size the sets of that size."""
+    holding, sized = [0] * nv, [0] * (nv + 1)
+    for b in range(1 << nv):
+        sized[b.bit_count()] |= 1 << b
+        for u in iter_bits(b):
+            holding[u] |= 1 << b
+    return holding, sized
+
+
+def cover_points(nv, edges, ell):
+    """The members of the vertex-cover domain, as vertex-set points."""
+    holding, sized = vertex_set_points(nv)
+    points = sum(sized[: ell + 1])
+    for u, v in edges:
+        points &= holding[u] | holding[v]
+    return points
+
+
+def query_points(nv, query):
+    """The vertex sets an extension query admits, as vertex-set points."""
+    holding, sized = vertex_set_points(nv)
+    points = sized[query.radius] if query.radius <= nv else 0
+    for j in iter_bits(query.center):  # XOR every set with the center
+        points = (points & holding[j]) >> (1 << j) | (points & ~holding[j]) << (1 << j)
+    for u in iter_bits(query.forced):
+        points &= holding[u]
+    for u in iter_bits(query.forbidden & ((1 << nv) - 1)):
+        points &= ~holding[u]
+    return points
 
 
 class TestMatroidBases:

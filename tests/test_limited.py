@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from copy import copy
@@ -38,15 +39,19 @@ from divsparse.bruteforce import VerifyScope, verify_sparsifier
 from divsparse.domains import ExplicitOracle, MatroidBaseOracle, UniformMatroid
 from divsparse.limited import FARSET_MEMO_GUARD, ShiftedEmptyExtension
 
-from helpers import (
-    plain_approx_far_set,
-    random_family,
-    reference_approx_far_set,
-    reference_cluster_or_trivial,
-    reference_top_bits,
-)
+from helpers import plain_approx_far_set, random_family, reference_top_bits
 
 import pytest
+
+
+# SHA-256 of (centers, trivial, calls) of every cluster_or_trivial run in
+# the test of each name, recorded while the centers and the flag matched
+# those of the phase that optimizes every trial afresh, with no more calls
+# than its trials plus the one-center first mask
+EARLY_GIVE_UP_PHASES = "5ec392687596c697cdbe4a21bad44d1ed75fe3f22a36370b1eaeb3b2748f09b9"
+PHASES_WITHOUT_A_MEMO = "ce2167fa1aa7e140eaea8b7fa241273997f595675bfe17d49b2464b39151484e"
+GUARDED_PHASES = "5ed2e543f3fb490cd3188af5dd918f505930ec011ccd18c84525880028e039be"
+REGION_BOUNDARY_PHASES = "763eda9ef0207ee833faef8b54ac3425c3391a0964f0c591ba10acd8a16946ee"
 
 
 def two_point_domain(n: int) -> SetFamily:
@@ -93,6 +98,48 @@ def masks_drawn(start: SplitMix64, gen: SplitMix64, n: int, limit: int) -> int:
             return drawn
         reference_top_bits(replay, n)
     return limit + 1
+
+
+def matches_plain(fam, memo, centers, d, count, gen, ref, want_memo):
+    """One far-set call on ``fam`` against :func:`plain_approx_far_set`
+    from the same generator state, the reference on its own oracle and
+    memo ``want_memo`` (a copy of ``memo.optima``).  The same answer; on a
+    find also the same calls, memo and generator state after the call; on
+    a give-up no more calls, a memo inside the reference's, the generator
+    at or before the reference's, and, when it stops before its last
+    trial, no member far.  Returns (answer, calls, the reference's calls,
+    masks drawn)."""
+    oracle = memo.oracle
+    n = oracle.universe_size
+    before, start = memo.calls, copy(gen)
+    got = approx_far_set(memo, centers, d, count, gen)
+    want, want_calls = plain_approx_far_set(
+        ExplicitOracle(fam), centers, d, count, ref, want_memo
+    )
+    calls = memo.calls - before
+    drawn = masks_drawn(start, gen, n, count)
+    assert got == want
+    assert memo.calls == oracle.opts
+    if got is not None:
+        assert calls == want_calls and memo.optima == want_memo
+        assert copy(gen).next_u64() == copy(ref).next_u64()
+    else:
+        assert calls <= want_calls and memo.optima.items() <= want_memo.items()
+        assert drawn <= masks_drawn(start, ref, n, count) <= count
+        if drawn < count:
+            assert not any(map(far_from(centers, d), fam.bits))
+    return got, calls, want_calls, drawn
+
+
+def check_phase(fam, params, got, phases):
+    """The phase's centers are members pairwise more than 2d apart, k + 1
+    of them exactly when it is trivial; (centers, flag, calls) go into the
+    sha256 ``phases``."""
+    centers = got.family.bits
+    assert all(map(fam.contains_bits, centers))
+    assert all((a ^ b).bit_count() > 2 * params.d for a, b in combinations(centers, 2))
+    assert got.trivial == (len(centers) == params.k + 1)
+    phases.update(f"{list(centers)};{got.trivial};{got.calls}|".encode())
 
 
 def single_trial_success_probability(n: int) -> float:
@@ -199,7 +246,7 @@ class TestApproxFarSet:
         fam = SetFamily.from_bits(n, centers)
         for trials in (37, 200, 2**80):
             want_memo: dict[int, int] = {}
-            want = reference_approx_far_set(
+            want = plain_approx_far_set(
                 ExplicitOracle(fam), centers, 1, trials, SplitMix64(3), want_memo
             )
             oracle, rng = Counted(fam), SplitMix64(3)
@@ -235,21 +282,17 @@ class TestApproxFarSet:
         assert not sum(1 << x for x in range(1 << n) if x.bit_count() == 3) & ~memo.empty
 
     def test_matches_the_trials_alone(self):
-        # against the call without its one-center first mask or its region:
-        # the same answer on every call; with 0 or 2+ centers no more calls,
-        # and the same calls, memo and generator state on a find; with one
-        # center a give-up that drew no mask costs at most that one call,
-        # and any other call at most one call more.  Every early give-up is
-        # right: no member is far.  One memo serves every call on a family;
-        # the reference starts from a copy of its optima.
+        # against the plain call, whose answers are those of the trials
+        # alone (see matches_plain); a one-center give-up that drew no mask
+        # costs at most its first mask.  One memo serves every call on a
+        # family; the reference starts from a copy of its optima.
         rng = random.Random(131)
         certified = fewer = 0
         for trial in range(150):
             n = rng.randint(3, 10)
             fam = random_family(rng, n, 16)
             k = rng.randint(1, 3)
-            oracle = Counted(fam)
-            memo = FarSetMemo(oracle)
+            memo = FarSetMemo(Counted(fam))
             for call in range(4):
                 centers = [
                     rng.choice(fam.bits) if rng.random() < 0.5 else rng.getrandbits(n)
@@ -260,32 +303,17 @@ class TestApproxFarSet:
                 if count is None:
                     count = default_trials(k, 0.01, len(centers))
                 seed = 1000 * trial + call
-                want_memo, gen = dict(memo.optima), SplitMix64(seed)
-                ref = SplitMix64(seed)
-                want, want_calls = reference_approx_far_set(
-                    ExplicitOracle(fam), centers, d, count, ref, want_memo
+                got, calls, want_calls, drawn = matches_plain(
+                    fam, memo, centers, d, count, SplitMix64(seed), SplitMix64(seed),
+                    dict(memo.optima),
                 )
-                before = memo.calls
-                got = approx_far_set(memo, centers, d, count, gen)
-                calls = memo.calls - before
-                assert got == want, (trial, call)
-                assert memo.calls == oracle.opts, (trial, call)
                 if got is not None:
-                    assert calls <= want_calls + (len(centers) == 1), (trial, call)
-                    assert copy(gen).next_u64() == copy(ref).next_u64(), (trial, call)
                     continue
-                if masks_drawn(SplitMix64(seed), gen, n, count) < count:
-                    # an early give-up: certain, so no member is far
-                    assert not any(map(far_from(centers, d), fam.bits)), (trial, call)
                 if len(centers) != 1:
-                    assert calls <= want_calls, (trial, call)
-                    assert memo.optima.items() <= want_memo.items(), (trial, call)
                     fewer += calls < want_calls
-                elif gen.next_u64() == SplitMix64(seed).next_u64():
+                elif drawn == 0:
                     assert calls <= 1, (trial, call)
                     certified += 1
-                else:
-                    assert calls <= want_calls + 1, (trial, call)
         assert certified > 40 and fewer > 40
 
     def test_every_early_give_up_is_right(self):
@@ -293,10 +321,10 @@ class TestApproxFarSet:
         # to 3 centers share one memo per family; a call that
         # gives up before its last trial must be right: brute force finds no
         # member more than 2d from every center.  A member returned is far.
-        # The phase on the same family picks the centers and the flag of the
-        # phase that optimizes every trial afresh.
+        # The phase on the same family is pinned by EARLY_GIVE_UP_PHASES.
         rng = random.Random(2027)
-        early = two = 0
+        early = 0
+        phases = hashlib.sha256()
         for trial in range(200):
             n = rng.randint(1, 10)
             fam = random_family(rng, n, 24, nonempty=False)
@@ -322,16 +350,9 @@ class TestApproxFarSet:
                 k=rng.randint(1, 2), d=rng.randint(0, 2), seed=trial,
                 trials_override=rng.choice([None, 8, 64]),
             )
-            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
-                ExplicitOracle(fam), params
-            )
-            got = cluster_or_trivial(ExplicitOracle(fam), params)
-            assert got.family.bits == tuple(want_bits), trial
-            assert got.trivial == want_trivial, trial
-            assert got.calls <= want_trials + 1, trial
-            # a two-center give-up, which only the region ends early
-            two += not got.trivial and len(want_bits) == 2 and got.calls < want_trials
-        assert early > 200 and two > 5
+            check_phase(fam, params, cluster_or_trivial(ExplicitOracle(fam), params), phases)
+        assert early > 200
+        assert phases.hexdigest() == EARLY_GIVE_UP_PHASES
 
     def test_a_full_memo_with_a_far_optimum_keeps_drawing(self):
         # the coverage stop needs every known optimum within 2d of a center;
@@ -484,11 +505,11 @@ class TestClusterOrTrivial:
 
     def test_matches_the_phase_without_a_memo(self):
         # the memo, the coverage stop and the first mask of the one-center
-        # call change only the calls issued: the same centers, the same
-        # flag, and never more calls than trials plus that first mask (asked
-        # once a center is found, since k + 1 >= 2 centers end the phase)
+        # call change only the calls issued: PHASES_WITHOUT_A_MEMO pins the
+        # centers, flag and calls of the phase that optimizes every trial
+        # afresh, with no more calls than its trials plus that first mask
         rng = random.Random(71)
-        stopped = 0
+        phases = hashlib.sha256()
         for trial in range(150):
             n = rng.randint(1, 8)
             fam = random_family(rng, n, 20, nonempty=False)
@@ -496,25 +517,16 @@ class TestClusterOrTrivial:
                 k=rng.randint(1, 3), d=rng.randint(0, 2), seed=trial,
                 trials_override=rng.choice([None, 1, 8, 64]),
             )
-            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
-                ExplicitOracle(fam), params
-            )
             oracle = Counted(fam)
             got = cluster_or_trivial(oracle, params)
-            assert got.family.bits == tuple(want_bits), trial
-            assert got.trivial == want_trivial, trial
-            first = len(want_bits) >= 1
-            assert got.calls == oracle.opts <= want_trials + first, trial
-            stopped += got.calls < want_trials
-        assert stopped > 50
+            assert got.calls == oracle.opts, trial
+            check_phase(fam, params, got, phases)
+        assert phases.hexdigest() == PHASES_WITHOUT_A_MEMO
 
     def test_matches_the_reference_call_by_call(self):
-        # each far-set call against the per-element draw with a far check
-        # on every trial, after the one-center first mask: the same result;
-        # on a find also the same calls, memo and generator state after the
-        # call; on a give-up no more calls, a memo inside the reference's
-        # and the generator at or before the reference's.  From random start
-        # centers and memos pre-filled with half the masks, one per phase
+        # each far-set call of a phase against the plain call (see
+        # matches_plain), from random start centers and memos pre-filled
+        # with half the masks, one per phase
         rng = random.Random(97)
         early = certified = 0
         for trial in range(200):
@@ -523,8 +535,7 @@ class TestClusterOrTrivial:
             k, d = rng.randint(1, 3), rng.randint(0, 2)
             trials = rng.choice([None, 1, 8, 64, 2**80])
             centers = [rng.getrandbits(n) for _ in range(rng.randint(0, 2))]
-            oracle = Counted(fam)
-            memo = FarSetMemo(oracle)
+            memo = FarSetMemo(Counted(fam))
             if fam.bits and rng.random() < 0.5:
                 for mask in rng.sample(range(1 << n), 1 << n >> 1):
                     memo.optimum(mask)
@@ -532,27 +543,14 @@ class TestClusterOrTrivial:
             gen, ref = SplitMix64(trial), SplitMix64(trial)
             while True:
                 count = trials or default_trials(k, 0.01, len(centers))
-                before, start = memo.calls, copy(gen)
-                got = approx_far_set(memo, centers, d, count, gen)
-                want, want_calls = plain_approx_far_set(
-                    ExplicitOracle(fam), centers, d, count, ref, want_memo
+                got, calls, want_calls, drawn = matches_plain(
+                    fam, memo, centers, d, count, gen, ref, want_memo
                 )
-                calls = memo.calls - before
-                assert got == want, trial
-                assert memo.calls == oracle.opts, trial
                 if got is None:
-                    assert calls <= want_calls, trial
-                    assert memo.optima.items() <= want_memo.items(), trial
-                    # the generator is at most as far on as the reference's
-                    drawn = masks_drawn(start, gen, n, count)
-                    assert drawn <= masks_drawn(start, ref, n, count) <= count, trial
                     early += calls < want_calls
                     # a one-center give-up that drew no mask
                     certified += len(centers) == 1 and drawn == 0
                     break
-                assert calls == want_calls, trial
-                assert memo.optima == want_memo, trial
-                assert copy(gen).next_u64() == copy(ref).next_u64(), trial
                 centers.append(got)
                 if len(centers) > k:
                     break
@@ -560,7 +558,8 @@ class TestClusterOrTrivial:
 
     def test_memo_bounded_by_the_guard(self, monkeypatch):
         # with the guard at 2 the memo stops growing at 4 masks; lookups
-        # still run, and the centers are those of the phase without a memo
+        # still run.  GUARDED_PHASES was recorded while the centers and the
+        # flag matched those of the phase without a memo
         monkeypatch.setattr(limited, "FARSET_MEMO_GUARD", 2)
         memos: list[FarSetMemo] = []
         real = limited.approx_far_set
@@ -574,6 +573,7 @@ class TestClusterOrTrivial:
         monkeypatch.setattr(limited, "approx_far_set", spy)
         rng = random.Random(83)
         full = 0
+        phases = hashlib.sha256()
         for trial in range(60):
             memos.clear()
             n = rng.randint(3, 7)
@@ -582,17 +582,14 @@ class TestClusterOrTrivial:
                 k=rng.randint(1, 3), d=rng.randint(0, 2), seed=trial,
                 trials_override=rng.choice([1, 8, 64]),
             )
-            want_bits, want_trivial, _ = reference_cluster_or_trivial(
-                ExplicitOracle(fam), params
-            )
             oracle = Counted(fam)
             got = cluster_or_trivial(oracle, params)
             assert memos, trial
             assert got.calls == oracle.opts, trial
-            assert got.family.bits == tuple(want_bits), trial
-            assert got.trivial == want_trivial, trial
+            check_phase(fam, params, got, phases)
             full += len(memos[0].optima) == 4
         assert full > 20
+        assert phases.hexdigest() == GUARDED_PHASES
 
     def test_repeated_masks_above_the_guard(self):
         # a universe past the guard still answers a repeated mask from the
@@ -625,27 +622,29 @@ class TestClusterOrTrivial:
         # the case above one element narrower: at n = FARSET_MEMO_GUARD the
         # phase keeps a region, and the two-center call gives up once the
         # empty balls of its optima cover the far points, long before its
-        # 3000 trials; the centers are those of the trials alone
+        # 3000 trials (the trials alone ran 3005); the first draw picks the
+        # first center, as with the trials alone
         n = FARSET_MEMO_GUARD
+        full = (1 << n) - 1
+        first = full if reference_top_bits(SplitMix64(5), n).bit_count() > n // 2 else 0
         oracle = Counted(two_point_domain(n))
         params = LimitedSparsifyParams(k=2, d=1, seed=5, trials_override=3000)
-        want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
-            ExplicitOracle(two_point_domain(n)), params
-        )
         got = cluster_or_trivial(oracle, params)
-        assert got.family.bits == tuple(want_bits) and not got.trivial and not want_trivial
-        assert got.calls == oracle.opts == 66 and want_trials == 3005
+        assert got.family.bits == (first, first ^ full) and not got.trivial
+        assert got.calls == oracle.opts == 66
 
     def test_matches_the_phase_without_a_memo_at_the_region_boundary(self):
         # explicit families of one to three clusters (random centers, members
         # at most d flips from one, so within 2d of each other) on 15, 16
         # and 17 elements: the memo keeps a region up to the guard, at its
-        # widest at 16, and none at 17.  The phase picks the centers and the
-        # flag of the trials alone, with no more calls than their trials
-        # plus the one-center first mask, and below the boundary the region
-        # ends give-ups with two or more centers early
+        # widest at 16, and none at 17.  REGION_BOUNDARY_PHASES was recorded
+        # while the phase picked the centers and the flag of the trials
+        # alone, with no more calls than their trials plus the one-center
+        # first mask.  Below the boundary the region ends give-ups with two
+        # or more centers in fewer calls than half the last call's trials
         rng = random.Random(1517)
         early = dict.fromkeys((15, 16, 17), 0)
+        phases = hashlib.sha256()
         for trial in range(45):
             n = 15 + trial % 3
             assert (FarSetMemo(ExplicitOracle(two_point_domain(n))).empty is None) == (
@@ -663,17 +662,14 @@ class TestClusterOrTrivial:
                 k=rng.randint(1, 3), d=d, seed=trial,
                 trials_override=rng.choice([64, 256, 2048]),
             )
-            want_bits, want_trivial, want_trials = reference_cluster_or_trivial(
-                ExplicitOracle(fam), params
-            )
             oracle = Counted(fam)
             got = cluster_or_trivial(oracle, params)
-            assert got.family.bits == tuple(want_bits), trial
-            assert got.trivial == want_trivial, trial
-            assert got.calls == oracle.opts <= want_trials + 1, trial
-            early[n] += not got.trivial and len(want_bits) >= 2 and (
-                got.calls < want_trials - params.trials_override // 2
+            assert got.calls == oracle.opts, trial
+            check_phase(fam, params, got, phases)
+            early[n] += not got.trivial and len(got.family) >= 2 and (
+                got.calls < params.trials_override // 2
             )
+        assert phases.hexdigest() == REGION_BOUNDARY_PHASES
         assert early[15] > 2 and early[16] > 2 and early[17] == 0
 
     def test_trivial_members_pairwise_far(self):

@@ -1185,16 +1185,28 @@ class TestWitnessCertification:
 
 class TestGloballyInfeasibleSignal:
     def test_trivial_sparsifier_during_clustering_means_no(self):
-        # long-path min-cut domain: extension queries fire the chain
-        # shortcut, which must surface as an infeasible clustering
-        length = 9
-        edges = tuple((i, i + 1) for i in range(length))
-        graph = GraphData(directed=True, n_vertices=length + 1, edges=edges)
-        from divsparse.instances import st_mincut_instance
+        # the small build asks without a context, so it is answered
+        # honestly; the clustering search's first center query comes with
+        # one and gets a trivial sparsifier: the solve answers NO where the
+        # honest oracle says YES, after that one query
+        class Shortcut(ExplicitOracle):
+            queries = 0
+            members = [0, 0b111111]
 
-        instance = st_mincut_instance(graph, 0, length)
-        domain = enumerate_domain(instance)
-        spec = ProblemSpec("kcenter", 1, 1)
-        answer = solve(instance.oracle(), spec, limited_params(seed=1, trials=64))
-        expected = brute_solve(domain, spec)
-        assert answer.feasible == expected.feasible == False
+            def exact_extend(self, query, ctx=None):
+                if ctx is None:
+                    return super().exact_extend(query, ctx)
+                self.queries += 1
+                return TrivialSparsifier(SetFamily.from_bits(6, self.members))
+
+        family = SetFamily.from_bits(6, [0b1, 0b11, 0b111])
+        for problem in ("kcenter", "ksumradii"):
+            spec = ProblemSpec(problem, 1, 2)
+            assert solve(ExplicitOracle(family), spec, small_params(3)).feasible
+            oracle = Shortcut(family)
+            assert solve(oracle, spec, small_params(3)) == SolveAnswer(feasible=False)
+            assert oracle.queries == 1
+            # two members within 2d = 4 of each other are no trivial sparsifier
+            oracle.members = [0, 0b11]
+            with pytest.raises(SoundnessError, match="within 2d"):
+                solve(oracle, spec, small_params(3))

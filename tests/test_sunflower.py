@@ -49,9 +49,7 @@ from helpers import (
     mask_from_indices,
     random_family,
     random_undirected_graph,
-    reference_blockers,
     reference_hitting_sets,
-    reference_k_sparsify,
     restart_k_sparsify,
     union_of,
 )
@@ -300,7 +298,8 @@ class TestResumedWalk:
 
 class TestWalkAgainstNestedGenerators:
     """The explicit-stack walk yields what the nested-generator walk
-    yields, blocker for blocker, on the same record and union."""
+    :func:`reference_hitting_sets` yields, blocker for blocker, on the same
+    record and union."""
 
     def test_same_blockers_in_the_same_order(self):
         rng = random.Random(73)
@@ -323,7 +322,9 @@ class TestWalkAgainstNestedGenerators:
             kinds["fresh"] += 1
             kinds["dead"] += record.dead
             # both walks read the one known_empty dict live
-            want = reference_blockers(record, union)
+            want = reference_hitting_sets(
+                union, class_required(record), record.known_empty
+            )
             for y in record.blockers(union):
                 assert y == next(want)
                 compared += 1
@@ -495,20 +496,17 @@ REFERENCE_GRID_RUNS = "76b30d35dd943202694740a31b214f05834e7eaa9acd09ce5fc93c498
 
 
 class TestAgainstReference:
-    """Remembered answers change the call count and nothing else."""
+    """REFERENCE_GRID_RUNS was recorded while the members and passes
+    matched those of the construction without remembered answers, which
+    regenerates every blocker each pass from the definition, with fewer
+    calls on over 150 of the 300 runs and more on none."""
 
     def test_plain_and_shifted_explicit_families(self):
-        fewer = 0
         runs = hashlib.sha256()
         for params, make_oracle in reference_grid():
             report = k_sparsify(params, make_oracle())
-            members, passes, calls = reference_k_sparsify(params, make_oracle())
-            assert report.family.bits_list() == members
-            assert report.passes == passes
-            assert report.calls_extend <= calls
-            fewer += report.calls_extend < calls
-            runs.update(f"{members};{passes};{report.calls_extend}|".encode())
-        assert fewer > 150  # the memo does save calls on most runs
+            members = report.family.bits_list()
+            runs.update(f"{members};{report.passes};{report.calls_extend}|".encode())
         assert runs.hexdigest() == REFERENCE_GRID_RUNS
 
 

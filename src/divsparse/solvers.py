@@ -5,26 +5,30 @@ the pipeline whose params :func:`solve` is given (small or limited; the
 problem sets their order, cap and radius):
 
 * max-min diversification is a clique search for k members of a
-  (k-1)-order sparsifier pairwise at least d apart, max-sum a depth-first
-  search over its k-tuples with repetition that cuts every branch unable
-  to beat the best sum; capped pairwise distances transfer, so an
-  achievable threshold on the domain is achievable on the sparsifier.
+  (k-1)-order sparsifier pairwise at least d apart.  It runs on the far
+  graph at d - 1, whose row i is the bit set of the members more than
+  d - 1 from member i; no distance matrix is held.  Max-sum is a
+  depth-first search over the k-tuples with repetition, on the pairwise
+  distance matrix, that cuts every branch unable to beat the best sum.
+  Capped pairwise distances transfer, so an achievable threshold on the
+  domain is achievable on the sparsifier.
 * k-center / k-sum-of-radii clustering partitions a k-order, cap d+1
   sparsifier into at most k clusters and asks the extension oracle for the
   cheapest center of each cluster, closest-string style: elements the
   cluster disagrees on are guessed, the rest is one exact-distance query.
   The search skips every query whose answer is already implied: k+1
-  sparsifier members pairwise more than 2d apart answer NO at once (no
-  ball of radius d holds two of them; the modified distance is a
-  pseudometric too); a one-member cluster is its own center at radius 0 (a
-  sparsifier member is a domain member, and the radius-0 query at it
-  admits only itself, under either distance); a member within the radius
-  of its cluster's current center joins without a query, since radii never
-  shrink as a cluster grows; otherwise the grown cluster's radius search
-  starts at the old radius; a grown cluster that contains a cluster no
-  center covers within d is not evaluated, since a center of the larger
-  cluster would cover the smaller one; and a trace guess whose cluster
-  spread on the guessed elements alone exceeds the radius is never asked.
+  sparsifier members pairwise more than 2d apart, a clique of the far graph
+  at 2d, answer NO at once (no ball of radius d holds two of them, and no
+  cluster does; the modified distance is a pseudometric too); a one-member
+  cluster is its own center at radius 0 (a sparsifier member is a domain
+  member, and the radius-0 query at it admits only itself, under either
+  distance); a member within the radius of its cluster's current center
+  joins without a query, since radii never shrink as a cluster grows;
+  otherwise the grown cluster's radius search starts at the old radius; a
+  grown cluster that contains a cluster no center covers within d is not
+  evaluated, since a center of the larger cluster would cover the smaller
+  one; and a trace guess whose cluster spread on the guessed elements alone
+  exceeds the radius is never asked.
   The guesses within the radius of every member are found by intersecting
   the members' balls as bit sets over guess indices, not by walking every
   guess; each ball is built once and cached.  Within one solve each
@@ -162,7 +166,7 @@ def _diversify(
     if sum_mode:
         best, found = _max_sum_tuple(_distance_rows(members, n, spec.modified), spec.k)
     elif spec.d:
-        found = _pairwise_far(_distance_rows(members, n, spec.modified), spec.k, spec.d - 1)
+        found = _pairwise_far(_far_graph(members, n, spec.modified, spec.d - 1), spec.k)
     if found is None or (best is not None and best < spec.d):
         return SolveAnswer(feasible=False, objective=best)
     witnesses = tuple(SubsetMask(n, members[i]) for i in found)
@@ -441,15 +445,14 @@ def _solve_clustering(
     if not members:
         return SolveAnswer(feasible=False)  # empty domain has no center tuple
     k = spec.k
-    dist = _distance_rows(members, n, spec.modified)
-    if _pairwise_far(dist, k + 1, 2 * spec.d) is not None:
+    # far[i] holds the members more than 2d from member i: no center
+    # covers both
+    far = _far_graph(members, n, spec.modified, 2 * spec.d)
+    if _pairwise_far(far, k + 1) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
     ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
     evaluate = _cluster_cost(oracle, members, spec.d, n, spec.modified, ctx)
-
-    # member-index bitmasks: far[i] holds the members more than 2d from
-    # member i, and no center covers both; clusters[ci] holds cluster ci
-    far = [sum(1 << j for j, v in enumerate(row) if v > 2 * spec.d) for row in dist]
+    # member-index bitmasks: clusters[ci] holds cluster ci
     clusters: list[int] = []
     # (radius, center) of each open cluster; the center may differ from the
     # memoized one when a member joined within the radius without a query
@@ -530,23 +533,23 @@ def _solve_clustering(
     )
 
 
-def _pairwise_far(dist: list[list[int]], size: int, limit: int) -> tuple[int, ...] | None:
+def _pairwise_far(far: Sequence[int], size: int) -> tuple[int, ...] | None:
     """The lexicographically first increasing tuple of ``size`` member
-    indices pairwise more than ``limit`` apart, or None (backtracking over
-    candidate cliques of the far graph in index order)."""
+    indices pairwise adjacent in the far graph ``far`` (see
+    :func:`_far_graph`), or None: backtracking over its candidate cliques,
+    each a bit set of member indices walked upward from the lowest."""
 
-    def grow(need: int, candidates: list[int]) -> tuple[int, ...] | None:
+    def grow(need: int, candidates: int) -> tuple[int, ...] | None:
         if need == 0:
             return ()
-        for pos, j in enumerate(candidates):
-            if len(candidates) - pos < need:
-                return None
-            rest = [c for c in candidates[pos + 1 :] if dist[j][c] > limit]
-            if (tail := grow(need - 1, rest)) is not None:
+        while candidates.bit_count() >= need:
+            j = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            if (tail := grow(need - 1, candidates & far[j])) is not None:
                 return (j, *tail)
         return None
 
-    return grow(size, list(range(len(dist))))
+    return grow(size, (1 << len(far)) - 1)
 
 
 def _max_sum_tuple(
@@ -562,13 +565,13 @@ def _max_sum_tuple(
     the earlier picks and each pair of them at most the largest distance
     ``top``.  A pick j whose bound cannot beat the best sum strictly is cut,
     and so is every later one, since that bound only falls as j grows; one
-    whose own gain ``acc[j]`` and largest distance ``far[j]`` to the later
+    whose own gain ``acc[j]`` and largest distance ``widest[j]`` to the later
     picks leave it no chance is skipped.  Only a strictly better sum
     replaces the best, so the first tuple reaching the optimum wins."""
     if not dist:
         return None, None
-    far = list(map(max, dist))
-    top = max(far)
+    widest = list(map(max, dist))
+    top = max(widest)
     best, found = -1, ()
 
     def grow(
@@ -587,7 +590,7 @@ def _max_sum_tuple(
             ceiling = ceilings[len(acc) - 1 - j]  # max(acc[j:])
             if partial + need * ceiling + pairs <= best:
                 return
-            if partial + acc[j] + (need - 1) * (ceiling + far[j]) + later <= best:
+            if partial + acc[j] + (need - 1) * (ceiling + widest[j]) + later <= best:
                 continue
             grow(j, need - 1, partial + acc[j], list(map(add, acc, dist[j])), (*picks, j))
 
@@ -595,12 +598,24 @@ def _max_sum_tuple(
     return best, found
 
 
-#: most sparsifier members the solvers search: they hold all m^2 pairwise
-#: distances as one list of rows.  The rank-6 uniform matroid on 16
-#: elements (8,008 members, its whole domain) peaks at 828 MB in
-#: small-mode k-center on CPython 3.11; rank 9 on 18 elements (48,620
-#: members) would need 48,620^2 row pointers, about 19 GB.
+#: most sparsifier members the solvers search.  Max-sum holds all m^2
+#: pairwise distances as one list of rows: the rank-6 uniform matroid on 16
+#: elements (8,008 members, its whole domain) peaks at 828 MB on CPython
+#: 3.11, and rank 9 on 18 elements (48,620 members) would need 48,620^2 row
+#: pointers, about 19 GB.  Max-min and clustering hold the far graph, m
+#: rows of m bits: the same 8,008 members peak at 26 MB in a whole solve,
+#: and 48,620 would take 295 MB of rows.
 DISTANCE_MATRIX_GUARD = 10_000
+
+
+def _check_member_count(members: Sequence[int]) -> None:
+    """Refuse more than ``DISTANCE_MATRIX_GUARD`` members with a
+    :class:`GuardError`."""
+    if len(members) > DISTANCE_MATRIX_GUARD:
+        raise GuardError(
+            f"{len(members)} sparsifier members exceed the distance-matrix "
+            f"guard (DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
+        )
 
 
 def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[int]]:
@@ -609,17 +624,37 @@ def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[
 
     More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
     """
-    if len(members) > DISTANCE_MATRIX_GUARD:
-        raise GuardError(
-            f"{len(members)} sparsifier members exceed the distance-matrix "
-            f"guard (DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
-        )
+    _check_member_count(members)
     upper = [[(a ^ b).bit_count() for b in members[i + 1 :]] for i, a in enumerate(members)]
     if modified:
         upper = [[min(plain, n - plain) for plain in row] for row in upper]
     return [
         [upper[j][i - j - 1] for j in range(i)] + [0] + upper[i]
         for i in range(len(members))
+    ]
+
+
+def _far_graph(members: Sequence[int], n: int, modified: bool, limit: int) -> list[int]:
+    """The members' far graph at ``limit``: row i is a bit set of member
+    indices, with bit j set when members i and j are more than ``limit``
+    apart, plain or modified (see :func:`~divsparse.core.distance`).
+
+    Built one row at a time: no row of distances outlives its bit set.
+    More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
+    """
+    _check_member_count(members)
+    # a distance is at most n <= MASK_WIDTH_LIMIT = 64, so a row of them is
+    # a bytes object, and a table of every byte value maps each to its
+    # digit: "1" from limit + 1 up and, under the modified distance
+    # (min(v, n - v) > limit), only below n - limit; clamped to 256 bytes
+    lo = min(max(limit + 1, 0), 256)
+    hi = min(max(n - limit, lo), 256) if modified else 256
+    digits = b"0" * lo + b"1" * (hi - lo) + b"0" * (256 - hi)
+    # int() reads its most significant digit first: the last member leads
+    backward = members[::-1]
+    return [
+        int(bytes([(a ^ b).bit_count() for b in backward]).translate(digits), 2)
+        for a in members
     ]
 
 

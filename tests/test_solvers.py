@@ -7,6 +7,7 @@ import hashlib
 import io
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from itertools import combinations, product
@@ -39,11 +40,13 @@ from divsparse.domains import ExplicitOracle, GraphData
 from divsparse.instances import (
     matching_instance,
     spanning_tree_instance,
+    uniform_matroid_instance,
 )
 from divsparse import solvers
 from divsparse.solvers import (
     _cluster_cost,
     _distance_rows,
+    _far_graph,
     _max_sum_tuple,
     _pairwise_far,
 )
@@ -672,7 +675,8 @@ class TestEarlyNo:
                 ),
                 None,
             )
-            assert _pairwise_far(dist, size, limit) == brute, (dist, size, limit)
+            far = [sum(1 << j for j, v in enumerate(row) if v > limit) for row in dist]
+            assert _pairwise_far(far, size) == brute, (dist, size, limit)
 
     def test_far_members_answer_no_without_a_query(self):
         # three members pairwise at least 3 > 2d apart: two balls of radius
@@ -739,6 +743,86 @@ class TestEarlyNo:
             tmp_path, mode, "--problem", "maxmin", "--k", str(k), "--d", str(d)
         )
         assert out == "\n".join(want) + "\n"
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak bytes allocated while it ran, as
+    ``tracemalloc`` traces them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        return call(), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestFarGraph:
+    """Row i of the far graph is the bit set of the members more than the
+    limit from member i, as :func:`distance` measures them; max-min and
+    clustering read it instead of a distance matrix."""
+
+    def test_rows_match_the_distances(self):
+        # tiny universes give duplicate members, and a complement joins
+        # under the modified distance; every limit up to n is tried, ⌊n/2⌋
+        # included, and two far outside
+        rng = random.Random(41)
+        for m, modified, n in product(range(9), (False, True), (1, 2, 3, 5, 8, 63, 64)):
+            members = [rng.getrandbits(n) for _ in range(m)]
+            if members:
+                members += [members[0], members[-1] ^ ((1 << n) - 1)]
+            for limit in (-(10**9), *range(-1, n + 1), 10**9):
+                assert _far_graph(members, n, modified, limit) == [
+                    sum(
+                        1 << j
+                        for j, b in enumerate(members)
+                        if distance(a, b, n, modified) > limit
+                    )
+                    for a in members
+                ], (members, n, modified, limit)
+
+    @pytest.mark.parametrize("problem", ["maxmin", "kcenter"])
+    def test_a_huge_d_answers_as_d_past_every_distance(self, problem):
+        # no distance exceeds n, so d = 10**9 asks what d = n + 1 asks, and
+        # nothing of the solve may grow with d
+        rng = random.Random(43)
+        for k, modified in product((1, 2, 3), (False, True)):
+            fam = seeded_family(rng, modified)
+            n = fam.universe_size
+            specs = [ProblemSpec(problem, k, d, modified) for d in (n + 1, 10**9)]
+            (past, _), (huge, peak) = (
+                traced_peak(lambda: solve(ExplicitOracle(fam), spec, small_params(n)))
+                for spec in specs
+            )
+            assert huge == past, (fam, k, modified)
+            assert past.feasible == brute_solve(fam, specs[0]).feasible
+            assert peak < 1_000_000, (fam, k, modified, peak)
+
+    @pytest.mark.parametrize(("problem", "k", "d"), [("maxmin", 3, 4), ("kcenter", 2, 2)])
+    def test_no_distance_matrix_on_a_whole_domain(self, monkeypatch, problem, k, d):
+        # the small-mode sparsifier of the rank-4 uniform matroid on 10
+        # elements is all 210 members.  An m x m distance matrix takes 8
+        # bytes per pair in row pointers alone (about 13 in all, measured);
+        # the far graph takes an eighth of a byte.  The bound allows 2 bytes
+        # per pair.  Max-min finds a clique; k-center ends at its k + 1 far
+        # members
+        sizes = []
+
+        def recorded(*args):
+            rep = build(*args)
+            sizes.append(len(rep.family.bits))
+            return rep
+
+        build = solvers._sparsify
+        monkeypatch.setattr(solvers, "_sparsify", recorded)
+        oracle = uniform_matroid_instance(10, 4).oracle()
+        spec = ProblemSpec(problem, k, d)
+        answer, peak = traced_peak(lambda: solve(oracle, spec, small_params(4)))
+        assert sizes == [210] and answer.feasible == (problem == "maxmin")
+        assert peak < 2 * 210 * 210, peak
 
 
 class TestSolverOracleEquivalence:

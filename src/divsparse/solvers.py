@@ -16,27 +16,37 @@ problem sets their order, cap and radius):
   sparsifier into at most k clusters and asks the extension oracle for the
   cheapest center of each cluster, closest-string style: elements the
   cluster disagrees on are guessed, the rest is one exact-distance query.
-  The search skips every query whose answer is already implied: k+1
-  sparsifier members pairwise more than 2d apart, a clique of the far graph
-  at 2d, answer NO at once (no ball of radius d holds two of them, and no
-  cluster does; the modified distance is a pseudometric too); a one-member
-  cluster is its own center at radius 0 (a sparsifier member is a domain
-  member, and the radius-0 query at it admits only itself, under either
-  distance); a member within the radius of its cluster's current center
-  joins without a query, since radii never shrink as a cluster grows;
-  otherwise the grown cluster's radius search starts at the old radius; a
-  grown cluster that contains a cluster no center covers within d is not
+  The search asks only what its decision needs, and skips every query
+  whose answer is already implied: k+1 sparsifier members pairwise more
+  than 2d apart, a clique of the far graph at 2d, answer NO at once (no
+  ball of radius d holds two of them, and no cluster does; the modified
+  distance is a pseudometric too); a one-member cluster is its own center
+  at radius 0 (a sparsifier member is a domain member, and the radius-0
+  query at it admits only itself, under either distance); and a grown
+  cluster that contains a cluster no center covers within d is not
   evaluated, since a center of the larger cluster would cover the smaller
-  one; and a trace guess whose cluster spread on the guessed elements alone
-  exceeds the radius is never asked.
+  one.  k-center decides a grown cluster on whether some domain member
+  lies within d of all its members.  Each member holds the bit set of the
+  sparsifier members within d of it (the complement of the far graph at d,
+  built in the same pass as the one at 2d), each cluster the AND of its
+  members' sets, and a grown cluster whose set is not empty joins without
+  a query; otherwise a query decides it.  k-sum-of-radii needs the least radius only up to the
+  held radius plus the budget left: a member within the radius of its
+  cluster's current center joins without a query, since radii never
+  shrink as a cluster grows; otherwise the grown cluster's radius search
+  starts at the old radius and stops at that cap.  A trace guess whose
+  cluster spread on the guessed elements alone exceeds the radius is never
+  asked.
   The guesses within the radius of every member are found by intersecting
   the members' balls as bit sets over guess indices, not by walking every
   guess; each ball is built once and cached.  Within one solve each
   distinct query reaches the oracle once: later asks are answered from a
-  per-solve query memo.  The witnesses are recomputed from the final
-  clusters: a cluster the search evaluated is answered from the cluster
-  memo, and one whose last member joined without a query is evaluated
-  then, asking the oracle past the query memo.
+  per-solve query memo.  The witnesses and radii are recomputed from the
+  final clusters: a cluster the search evaluated is answered from the
+  cluster memo, and one it did not is evaluated then, asking the oracle
+  past the query memo.  The recheck raises :class:`SoundnessError` when a
+  final cluster has no center within d (k-center) or a radius other than
+  the one the search held (k-sum-of-radii).
 
 The modified Hamming distance (sets identified with their complements)
 doubles the sparsifier order and guesses an orientation per cluster
@@ -166,7 +176,8 @@ def _diversify(
     if sum_mode:
         best, found = _max_sum_tuple(_distance_rows(members, n, spec.modified), spec.k)
     elif spec.d:
-        found = _pairwise_far(_far_graph(members, n, spec.modified, spec.d - 1), spec.k)
+        (far,) = _far_graphs(members, n, spec.modified, (spec.d - 1,))
+        found = _pairwise_far(far, spec.k)
     if found is None or (best is not None and best < spec.d):
         return SolveAnswer(feasible=False, objective=best)
     witnesses = tuple(SubsetMask(n, members[i]) for i in found)
@@ -362,12 +373,16 @@ def _cluster_cost(
 ) -> Callable[..., tuple[int, int] | None]:
     """Memoized per-cluster minimum radius, plain or modified.
 
-    Returns ``evaluate(held, lo=0, requery=False)``: the (radius, center)
-    of the cluster whose members are ``members[i]`` for the set bits i of
-    the member-index bitmask ``held``, or None above d; ``lo`` is a lower
-    bound on the radius (see :func:`min_cluster_radius`).  The cluster
-    memo is keyed by ``held``.  The modified distance asks one
-    :func:`min_cluster_radius` call per orientation guess of
+    Returns ``evaluate(held, lo=0, cap=d, requery=False)``: the (radius,
+    center) of the cluster whose members are ``members[i]`` for the set
+    bits i of the member-index bitmask ``held``, or None above ``cap``
+    (taken as d when larger); ``lo`` is a lower bound on the radius (see
+    :func:`min_cluster_radius`).  Radii are searched up to ``cap`` alone,
+    so a radius at most ``cap`` is exact, the least one, whatever ``cap``
+    is.  The cluster memo is keyed by ``held`` and holds the exact radii
+    and the misses at d; a miss under a cap below d is not kept.  The
+    modified distance asks
+    one :func:`min_cluster_radius` call per orientation guess of
     :func:`_oriented_variants` on the cluster's masks in increasing order,
     while a strictly smaller radius is still possible; guesses wider than
     ``2 * d`` are never asked.  The plain distance has the single
@@ -385,32 +400,37 @@ def _cluster_cost(
     not sent again.  The cluster memo answers first, whatever
     ``requery`` says; for a cluster not in it, ``requery=True`` sends every
     query of the call to the oracle again instead, past the query memo.
-    The final recheck of a solve uses it, so a final cluster whose last
-    member joined without a query is not taken on trust.
+    The final recheck of a solve uses it, so a final cluster the search did not
+    evaluate is not taken on trust.
     """
     memo: dict[int, tuple[int, int] | None] = {}
     answers: dict[tuple[int, int, int, int], Found | NotFound] = {}
 
-    def evaluate(held: int, lo: int = 0, requery: bool = False) -> tuple[int, int] | None:
+    def evaluate(
+        held: int, lo: int = 0, cap: int = d, requery: bool = False
+    ) -> tuple[int, int] | None:
         if held in memo:
-            return memo[held]
+            result = memo[held]
+            return None if result is None or result[0] > cap else result
         if not held & held - 1:  # one member is its own center at radius 0
             memo[held] = (0, members[held.bit_length() - 1])
             return memo[held]
+        cap = min(cap, d)
         masks = sorted(members[i] for i in iter_bits(held))
-        result: tuple[int, int] | None = None
+        result = None
         for oriented in _oriented_variants(masks, n, d) if modified else (masks,):
             # only strictly better radii matter; an orientation whose
-            # diameter exceeds 2 * cap returns None before any query
-            cap = d if result is None else result[0] - 1
-            if cap < lo:
+            # diameter exceeds 2 * limit returns None before any query
+            limit = cap if result is None else result[0] - 1
+            if limit < lo:
                 break
             got = min_cluster_radius(
-                oriented, cap, oracle, ctx, lo, None if requery else answers
+                oriented, limit, oracle, ctx, lo, None if requery else answers
             )
             if got is not None:
-                result = got  # a radius of at most cap is strictly better
-        memo[held] = result
+                result = got  # a radius of at most limit is strictly better
+        if result is not None or cap == d:
+            memo[held] = result
         return result
 
     return evaluate
@@ -435,7 +455,15 @@ def _solve_clustering(
     sum_mode: bool,
 ) -> SolveAnswer:
     """Can k balls around domain members cover the domain, with every
-    radius at most d (k-center) or the radius sum at most d (sum mode)?"""
+    radius at most d (k-center) or the radius sum at most d (sum mode)?
+
+    The search assigns the sparsifier members in order, each to an open
+    cluster or to a new one, and asks of a grown cluster only what the
+    decision needs.  In k-center that is whether some domain member is
+    within d of all its members: a grown cluster that a sparsifier member
+    covers joins without a query.  In sum mode it is the least radius, up
+    to the held radius plus the budget left.  The radii and the witnesses
+    come from the final recheck of each final cluster."""
     if isinstance(params, LimitedSparsifyParams):
         _check_cluster_p(params.p, spec.d)
     order = 2 * spec.k if spec.modified else spec.k
@@ -444,86 +472,123 @@ def _solve_clustering(
     n = rep.family.universe_size
     if not members:
         return SolveAnswer(feasible=False)  # empty domain has no center tuple
-    k = spec.k
+    k, d, modified = spec.k, spec.d, spec.modified
     # far[i] holds the members more than 2d from member i: no center
-    # covers both
-    far = _far_graph(members, n, spec.modified, 2 * spec.d)
+    # covers both.  k-center also reads the far graph at d, built in the
+    # same pass over the pairs: when the k + 1 test below answers NO that
+    # graph's m rows of m bits go unused, but a search is spared a second pass
+    far, *at_d = _far_graphs(members, n, modified, (2 * d,) if sum_mode else (2 * d, d))
     if _pairwise_far(far, k + 1) is not None:
         return SolveAnswer(feasible=False)  # no ball of radius d holds two
-    ctx = OracleContext(k=spec.k, d=spec.d, p=spec.d)
-    evaluate = _cluster_cost(oracle, members, spec.d, n, spec.modified, ctx)
-    # member-index bitmasks: clusters[ci] holds cluster ci
-    clusters: list[int] = []
-    # (radius, center) of each open cluster; the center may differ from the
-    # memoized one when a member joined within the radius without a query
-    covers: list[tuple[int, int]] = []
+    ctx = OracleContext(k=k, d=d, p=d)
+    evaluate = _cluster_cost(oracle, members, d, n, modified, ctx)
     # grown clusters that no center covers within d, filed under the member
     # that grew them.  Members join in index order and a cluster before its
     # grow has a cover, so a filed cluster inside a cluster grown by idx
     # contains idx as its largest member: one list holds every candidate
     uncovered: list[list[int]] = [[] for _ in members]
 
+    def evaluate_grown(idx: int, grown: int, lo: int, cap: int) -> tuple[int, int] | None:
+        """The (radius, center) of cluster ``grown``, grown by member idx,
+        or None when no radius up to ``cap`` exists."""
+        if any(f & grown == f for f in uncovered[idx]):
+            return None  # a center of grown would cover the filed cluster
+        after = evaluate(grown, lo=lo, cap=cap)
+        if after is None and cap >= d:
+            uncovered[idx].append(grown)  # a miss under a smaller cap proves less
+        return after
+
+    # k-center holds of each open cluster its reach: the bit set of the
+    # sparsifier members within d of all its members.  A grown cluster
+    # whose reach is not empty joins without a query; otherwise a query
+    # decides it, and a center it finds lies outside the sparsifier, so the
+    # reach stays 0.  cov[i], the reach of member i alone, is the
+    # complement of the far graph at d, turned over in place
+    cov = at_d[0] if at_d else []
+    full = (1 << len(members)) - 1
+    for i, row in enumerate(cov):
+        cov[i] = full ^ row
+
+    def join_center(idx: int, held: int, reach: int, budget: int) -> tuple[int, int] | None:
+        """k-center: the reach of cluster ``held`` grown by member idx and
+        the radius it spends, always 0, or None when the grown cluster is
+        refused."""
+        if covering := reach & cov[idx]:
+            return covering, 0  # a sparsifier member covers the grown cluster
+        if evaluate_grown(idx, held | 1 << idx, 0, d) is None:
+            return None
+        return 0, 0
+
+    # sum mode holds of each open cluster its (radius, center); the center
+    # may differ from the memoized one when a member joined within the
+    # radius without a query
+    def join_sum(
+        idx: int, held: int, before: tuple[int, int], budget: int
+    ) -> tuple[tuple[int, int], int] | None:
+        """Sum mode: the (radius, center) of cluster ``held`` grown by
+        member idx and the radius it spends, or None when the grown cluster
+        is refused."""
+        radius, center = before
+        if distance(center, members[idx], n, modified) <= radius:
+            return before, 0  # radii never shrink as a cluster grows
+        # budget is d minus the radius sum of all current clusters: a
+        # radius past the held one plus the budget would overspend it
+        after = evaluate_grown(idx, held | 1 << idx, radius, radius + budget)
+        return None if after is None else (after, after[0] - radius)
+
+    # one member is its own center at radius 0: opened[idx] is the state of
+    # the cluster member idx opens
+    join, opened = (join_sum, [(0, b) for b in members]) if sum_mode else (join_center, cov)
+    # member-index bitmasks: clusters[ci] holds cluster ci, states[ci] what
+    # the search holds of it
+    clusters: list[int] = []
+    states: list = []  # reaches (k-center) or (radius, center) pairs
+
     def assign(idx: int, budget: int) -> bool:
         """Assign member idx; clusters are opened in canonical order."""
         if idx == len(members):
             return True
-        x = members[idx]
         for ci, held in enumerate(clusters):
             if far[idx] & held:
                 continue  # no center can cover both within d
-            before = covers[ci]
-            grown = held | 1 << idx
-            if distance(before[1], x, n, spec.modified) <= before[0]:
-                after = before  # radii never shrink as a cluster grows
-            elif any(f & grown == f for f in uncovered[idx]):
-                continue  # a center of grown would cover the filed cluster
-            else:
-                after = evaluate(grown, lo=before[0])
-                if after is None:
-                    uncovered[idx].append(grown)
-                    continue
-            # budget tracks d minus the radius sum of all current clusters
-            spent = after[0] - before[0] if sum_mode else 0
-            if spent <= budget:
-                clusters[ci] = grown
-                covers[ci] = after
-                if assign(idx + 1, budget - spent):
+            before = states[ci]
+            joined = join(idx, held, before, budget)
+            if joined is not None:
+                clusters[ci], states[ci] = held | 1 << idx, joined[0]
+                if assign(idx + 1, budget - joined[1]):
                     return True
-                clusters[ci] = held
-                covers[ci] = before
+                clusters[ci], states[ci] = held, before
         if len(clusters) < k:
-            cover = evaluate(1 << idx)
-            spent = 0 if cover is None or not sum_mode else cover[0]
-            if cover is not None and spent <= budget:
-                clusters.append(1 << idx)
-                covers.append(cover)
-                if assign(idx + 1, budget - spent):
-                    return True
-                clusters.pop()
-                covers.pop()
+            clusters.append(1 << idx)
+            states.append(opened[idx])
+            if assign(idx + 1, budget):
+                return True
+            clusters.pop()
+            states.pop()
         return False
 
     witnesses: list[SubsetMask] = []
     radii: list[int] = []
     try:
-        if not assign(0, spec.d):
+        if not assign(0, d):
             return SolveAnswer(feasible=False)
-        for cluster, (radius, _) in zip(clusters, covers):
+        for cluster, state in zip(clusters, states):
+            radius = state[0] if sum_mode else 0  # k-center holds no radius
             got = evaluate(cluster, lo=radius, requery=True)
-            if got is None or got[0] != radius:
+            if got is None or sum_mode and got[0] != radius:
+                relied = f"cluster radius {radius}" if sum_mode else f"a center within d = {d}"
                 raise SoundnessError(
-                    f"the search relied on cluster radius {radius}, "
-                    f"but the cluster now evaluates to {got}"
+                    f"the search relied on {relied}, but the cluster now evaluates to {got}"
                 )
             witnesses.append(SubsetMask(n, got[1]))
-            radii.append(radius)
+            radii.append(got[0])
     except GloballyInfeasible:
         return SolveAnswer(feasible=False)
     while len(witnesses) < k:  # unused slots: repeat a center at radius 0
         witnesses.append(witnesses[0])
         radii.append(0)
-    if (sum(radii) if sum_mode else max(radii)) > spec.d:
-        raise SoundnessError(f"cluster radii {radii} exceed the bound d = {spec.d}")
+    if (sum(radii) if sum_mode else max(radii)) > d:
+        raise SoundnessError(f"cluster radii {radii} exceed the bound d = {d}")
     objective = sum(radii) if sum_mode else None
     return SolveAnswer(
         feasible=True,
@@ -536,7 +601,7 @@ def _solve_clustering(
 def _pairwise_far(far: Sequence[int], size: int) -> tuple[int, ...] | None:
     """The lexicographically first increasing tuple of ``size`` member
     indices pairwise adjacent in the far graph ``far`` (see
-    :func:`_far_graph`), or None: backtracking over its candidate cliques,
+    :func:`_far_graphs`), or None: backtracking over its candidate cliques,
     each a bit set of member indices walked upward from the lowest."""
 
     def grow(need: int, candidates: int) -> tuple[int, ...] | None:
@@ -608,13 +673,13 @@ def _max_sum_tuple(
 DISTANCE_MATRIX_GUARD = 10_000
 
 
-def _check_member_count(members: Sequence[int]) -> None:
+def _check_member_count(members: Sequence[int], built: str) -> None:
     """Refuse more than ``DISTANCE_MATRIX_GUARD`` members with a
-    :class:`GuardError`."""
+    :class:`GuardError` naming what the caller would build."""
     if len(members) > DISTANCE_MATRIX_GUARD:
         raise GuardError(
-            f"{len(members)} sparsifier members exceed the distance-matrix "
-            f"guard (DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
+            f"{len(members)} sparsifier members exceed the guard on the {built} "
+            f"(DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
         )
 
 
@@ -624,7 +689,7 @@ def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[
 
     More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
     """
-    _check_member_count(members)
+    _check_member_count(members, "distance matrix")
     upper = [[(a ^ b).bit_count() for b in members[i + 1 :]] for i, a in enumerate(members)]
     if modified:
         upper = [[min(plain, n - plain) for plain in row] for row in upper]
@@ -634,28 +699,37 @@ def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[
     ]
 
 
-def _far_graph(members: Sequence[int], n: int, modified: bool, limit: int) -> list[int]:
-    """The members' far graph at ``limit``: row i is a bit set of member
-    indices, with bit j set when members i and j are more than ``limit``
-    apart, plain or modified (see :func:`~divsparse.core.distance`).
+def _far_graphs(
+    members: Sequence[int], n: int, modified: bool, limits: Sequence[int]
+) -> list[list[int]]:
+    """The members' far graph at each of ``limits``: row i of the graph at
+    ``limit`` is a bit set of member indices, with bit j set when members
+    i and j are more than ``limit`` apart, plain or modified (see
+    :func:`~divsparse.core.distance`).
 
-    Built one row at a time: no row of distances outlives its bit set.
-    More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
+    One pass over the pairs builds every graph, one row at a time: no row
+    of distances outlives its bit sets.  More than
+    ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
     """
-    _check_member_count(members)
+    _check_member_count(members, "far graph")
     # a distance is at most n <= MASK_WIDTH_LIMIT = 64, so a row of them is
     # a bytes object, and a table of every byte value maps each to its
     # digit: "1" from limit + 1 up and, under the modified distance
     # (min(v, n - v) > limit), only below n - limit; clamped to 256 bytes
-    lo = min(max(limit + 1, 0), 256)
-    hi = min(max(n - limit, lo), 256) if modified else 256
-    digits = b"0" * lo + b"1" * (hi - lo) + b"0" * (256 - hi)
+    tables = []
+    for limit in limits:
+        lo = min(max(limit + 1, 0), 256)
+        hi = min(max(n - limit, lo), 256) if modified else 256
+        tables.append(b"0" * lo + b"1" * (hi - lo) + b"0" * (256 - hi))
+    graphs: list[list[int]] = [[] for _ in limits]
+    appends = [(graph.append, digits) for graph, digits in zip(graphs, tables)]
     # int() reads its most significant digit first: the last member leads
     backward = members[::-1]
-    return [
-        int(bytes([(a ^ b).bit_count() for b in backward]).translate(digits), 2)
-        for a in members
-    ]
+    for a in members:
+        spread = bytes([(a ^ b).bit_count() for b in backward])
+        for append, digits in appends:
+            append(int(spread.translate(digits), 2))
+    return graphs
 
 
 _SOLVERS = {

@@ -157,11 +157,15 @@ class _ClassCores:
             self.cores.append(member)  # required once, as a member
         else:
             lp, n = member.bit_count(), self.universe_size
-            for b in self.members:
-                cand = member & b
-                c = cand.bit_count()
-                if c + t * (lp - c) <= n:  # room for t disjoint petals
-                    self._candidates.setdefault(cand, False)
+            # room for t disjoint petals, c + t (l' - c) <= n, holds for
+            # c >= c_min = ceil((t l' - n) / (t - 1)); two distinct members
+            # of size l' share fewer than l' elements
+            c_min = -((n - t * lp) // (t - 1))
+            if c_min < lp:
+                for b in self.members:
+                    cand = member & b
+                    if cand.bit_count() >= c_min:
+                        self._candidates.setdefault(cand, False)
             for cand, confirmed in self._candidates.items():
                 if confirmed or cand & ~member:
                     continue
@@ -318,6 +322,7 @@ def k_sparsify(
     t = params.k * params.r + 1
     ell_cap = min(params.ell, n)
     members: list[int] = []
+    found: set[int] = set()  # the members, for the repeat check
     union_bits = 0
     classes = [_ClassCores(t, n) for _ in range(ell_cap + 1)]
     calls = 0
@@ -332,9 +337,8 @@ def k_sparsify(
                 f"witness {SubsetMask(n, got)!r} does not have size {lp}"
             )
         # before the blocker check: Y meets every member of size l', so a
-        # repeated member would otherwise be reported as meeting Y; after
-        # the size check, so only class l' can hold it
-        if got in classes[lp].members:
+        # repeated member would otherwise be reported as meeting Y
+        if got in found:
             raise SoundnessError(f"witness {SubsetMask(n, got)!r} is already a member")
         if got & y:
             raise SoundnessError(
@@ -354,6 +358,7 @@ def k_sparsify(
             if isinstance(out, Found):
                 check_witness(out.witness, lp, y)
                 members.append(out.witness)
+                found.add(out.witness)
                 group.add(out.witness)
                 size = group.union.bit_count()
                 if size > BLOCKER_UNION_GUARD and not all(c.dead for c in classes):

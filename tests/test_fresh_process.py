@@ -101,6 +101,9 @@ PINS = {
                                "101695d4958bbc6478cfb417e9f83c932ec34f28db8598f23144a27a4ca34cb9"),
     "vc16-kcenter-small": Pin(VC16, "solve --problem kcenter --k 2 --d 4 --mode small",
                               "b63370c2a71c21805bb2b392dd6a7cbbe9f5063ffc291e99ed5c3c5a5c7dcb7a"),
+    # radius searches stopped at the budget left, over many grown clusters
+    "vc16-ksumradii-small": Pin(VC16, "solve --problem ksumradii --k 3 --d 6 --mode small",
+                                "NO\n"),
 }
 
 HASH_SEEDED = {
@@ -122,6 +125,9 @@ HASH_SEEDED = {
     "vc7-ksumradii-small": Pin(VC7, "solve --problem ksumradii --k 3 --d 4 --mode small",
                                "YES\nset: 0 1 3 4\nset: 1 2 5\nset: 1 2 5 6\n"
                                "radius: 4\nradius: 0\nradius: 0\n"),
+    # the witnesses and radii of the final recheck, after capped radius searches
+    "vc7-ksumradii-k2": Pin(VC7, "solve --problem ksumradii --k 2 --d 4 --mode small",
+                            "YES\nset: 1 2 4 5\nset: 0 3 4 5\nradius: 2\nradius: 2\n"),
 }
 
 CASES = [pytest.param(pin, {}, id=name) for name, pin in PINS.items()] + [

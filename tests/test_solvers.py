@@ -9,7 +9,7 @@ import random
 import time
 import tracemalloc
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, product
 
 import pytest
@@ -46,7 +46,7 @@ from divsparse import solvers
 from divsparse.solvers import (
     _cluster_cost,
     _distance_rows,
-    _far_graph,
+    _far_graphs,
     _max_sum_tuple,
     _pairwise_far,
 )
@@ -558,6 +558,34 @@ class TestOneMemberClusters:
         assert out.getvalue() == want
 
 
+class TestCappedEvaluation:
+    @pytest.mark.parametrize("modified", [False, True], ids=["plain", "modified"])
+    def test_radii_within_the_cap_are_exact(self, modified):
+        # evaluate(held, cap=c) searches radii up to c alone: a radius at
+        # most c is the least one, a larger one is a miss, and a miss under
+        # a cap below d is not kept, so the next call searches afresh
+        rng = random.Random(7_500 + modified)
+        met = 0
+        for _ in range(40):
+            fam = seeded_family(rng, modified)
+            bits = fam.bits_list()
+            n, d = fam.universe_size, rng.randint(1, 4)
+            exact = _cluster_cost(ExplicitOracle(fam), bits, d, n, modified, None)
+            helds = range(3, 1 << len(bits))
+            for held in rng.sample(helds, min(len(helds), 16)):
+                want = exact(held)
+                if held & held - 1 == 0 or want is None or want[0] == 0:
+                    continue
+                r = want[0]
+                evaluate = _cluster_cost(ExplicitOracle(fam), bits, d, n, modified, None)
+                assert evaluate(held, cap=rng.randint(r, d)) == want
+                evaluate = _cluster_cost(ExplicitOracle(fam), bits, d, n, modified, None)
+                assert evaluate(held, cap=rng.randint(0, r - 1)) is None
+                assert evaluate(held) == want
+                met += 1
+        assert met > 20
+
+
 class TestKCenter:
     def test_two_singletons_examples(self):
         fam = SetFamily.from_bits(2, [0b01, 0b10])
@@ -767,22 +795,25 @@ class TestFarGraph:
 
     def test_rows_match_the_distances(self):
         # tiny universes give duplicate members, and a complement joins
-        # under the modified distance; every limit up to n is tried, ⌊n/2⌋
-        # included, and two far outside
+        # under the modified distance; every limit up to n, ⌊n/2⌋ included,
+        # and two far outside are built in one pass
         rng = random.Random(41)
         for m, modified, n in product(range(9), (False, True), (1, 2, 3, 5, 8, 63, 64)):
             members = [rng.getrandbits(n) for _ in range(m)]
             if members:
                 members += [members[0], members[-1] ^ ((1 << n) - 1)]
-            for limit in (-(10**9), *range(-1, n + 1), 10**9):
-                assert _far_graph(members, n, modified, limit) == [
+            limits = (-(10**9), *range(-1, n + 1), 10**9)
+            assert _far_graphs(members, n, modified, limits) == [
+                [
                     sum(
                         1 << j
                         for j, b in enumerate(members)
                         if distance(a, b, n, modified) > limit
                     )
                     for a in members
-                ], (members, n, modified, limit)
+                ]
+                for limit in limits
+            ], (members, n, modified)
 
     @pytest.mark.parametrize("problem", ["maxmin", "kcenter"])
     def test_a_huge_d_answers_as_d_past_every_distance(self, problem):
@@ -976,9 +1007,11 @@ CLUSTERING_ANSWERS = "5aeafc1d10f5ee2766e7867a77e2fb64d4dec400a0e68fae0f06e0c561
 # Exact-extension calls over the whole grid (sparsifier and search); the
 # count may only go down.  It was 15,794 before the search skipped the
 # queries whose answers are implied, 1,998 before one solve asked each
-# distinct query once, and 1,975 before a one-member cluster was answered
-# as its own center at radius 0 without a query.
-CLUSTERING_EXTEND_CALLS = 1_889
+# distinct query once, 1,975 before a one-member cluster was answered as
+# its own center at radius 0 without a query, and 1,889 before k-center
+# joined a cluster through a center it knew and k-sum-of-radii stopped each
+# radius search at the budget left.
+CLUSTERING_EXTEND_CALLS = 1_716
 
 
 class TestClusteringGrid:
@@ -1011,25 +1044,84 @@ def uncovered_cluster_cases():
         yield fam, explicit, spec, limited_params(seed=seed, trials=96)
 
 
+def part_of_domain_cases():
+    """Seeded k-center and k-sum-of-radii cases on explicit families (plain,
+    and complement-closed under the modified distance), each with a random
+    part of the family to search in place of the sparsifier.  The centers
+    of its clusters may lie outside the part, which the grids' sparsifiers
+    seldom need: only there does a k-center query find a center."""
+    for seed in range(120):
+        rng = random.Random(60_000 + seed)
+        modified = seed % 3 == 2
+        draw = complement_closed_family if modified else random_family
+        fam = draw(rng, rng.randint(6, 9), 40)
+        part = rng.sample(fam.bits_list(), rng.randint(1, min(9, len(fam))))
+        problem = ("kcenter", "ksumradii")[seed % 2]
+        spec = ProblemSpec(problem, rng.randint(2, 3), rng.randint(1, 3), modified)
+        yield fam, SetFamily.from_bits(fam.universe_size, part), spec
+
+
+def solve_on_part(monkeypatch, domain, part, spec) -> SolveAnswer:
+    """``solve`` on ``domain`` with ``part`` in place of the sparsifier,
+    checked against every partition of ``part`` into at most k clusters,
+    each with its best center in ``domain``."""
+    params = small_params(max(b.bit_count() for b in domain.bits))
+    report = SparsifierReport(part, params)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_sparsify", lambda *args: report)
+        answer = solve(ExplicitOracle(domain), spec, params)
+    n = domain.universe_size
+
+    @cache
+    def radius(cluster: frozenset[int]) -> int:
+        return min(max(distance(c, b, n, spec.modified) for b in cluster) for c in domain.bits)
+
+    def partitions(items):
+        if not items:
+            yield []
+            return
+        for rest in partitions(items[1:]):
+            if len(rest) < spec.k:
+                yield [frozenset([items[0]]), *rest]
+            for i, cluster in enumerate(rest):
+                yield [*rest[:i], cluster | {items[0]}, *rest[i + 1 :]]
+
+    combine = sum if spec.problem == "ksumradii" else max
+    want = any(
+        combine(map(radius, clusters)) <= spec.d for clusters in partitions(part.bits_list())
+    )
+    assert answer.feasible == want, (domain, part, spec)
+    if answer.feasible:
+        assert all(domain.contains_bits(w.bits) for w in answer.witnesses)
+        assert len(answer.radii) == spec.k and combine(answer.radii) <= spec.d
+        for b in part.bits:
+            assert any(
+                distance(b, w.bits, n, spec.modified) <= r
+                for w, r in zip(answer.witnesses, answer.radii)
+            )
+    return answer
+
+
 class TestClusteringSearch:
     def test_no_superset_of_an_uncovered_cluster_is_evaluated(self, monkeypatch):
         # a center within d of every member of a cluster is within d of
         # every member of its subclusters, so once a cluster evaluates to
-        # None every superset would too and must not be evaluated
+        # None at the full cap d every superset would too and must not be
+        # evaluated; a miss under a smaller cap (sum mode) proves nothing
         # clusters as member-index bitmasks
         failed: list[int] = []
         current: list[int] = []
         supersets = []
         real_cost, real_radius = solvers._cluster_cost, solvers.min_cluster_radius
 
-        def cost(*args):
+        def cost(oracle, members, d, *args):
             failed.clear()  # one memo, and one search, per solve
-            evaluate = real_cost(*args)
+            evaluate = real_cost(oracle, members, d, *args)
 
-            def spied(member_bits, lo=0, requery=False):
+            def spied(member_bits, **kwargs):
                 current[:] = [member_bits]
-                got = evaluate(member_bits, lo, requery)
-                if got is None:
+                got = evaluate(member_bits, **kwargs)
+                if got is None and kwargs.get("cap", d) >= d:
                     failed.append(member_bits)
                 return got
 
@@ -1052,6 +1144,109 @@ class TestClusteringSearch:
         assert supersets == []
         assert met == set(product(("kcenter", "ksumradii"), (False, True)))
 
+    def test_kcenter_evaluates_no_cluster_a_known_center_covers(self, monkeypatch):
+        # k-center decides a grown cluster on whether some domain member is
+        # within d of all its members.  The known centers are the
+        # sparsifier members: one that covers the grown cluster decides it
+        # without an evaluation
+        real_cost = solvers._cluster_cost
+        covered: list[int] = []
+        # (search evaluations, centers they found)
+        counts = [0, 0]
+
+        def cost(oracle, members, d, n, modified, ctx):
+            evaluate = real_cost(oracle, members, d, n, modified, ctx)
+
+            def spied(member_bits, **kwargs):
+                if kwargs.get("requery"):
+                    return evaluate(member_bits, **kwargs)
+                cluster = [members[i] for i in iter_bits(member_bits)]
+                if any(all(distance(c, b, n, modified) <= d for b in cluster) for c in members):
+                    covered.append(member_bits)
+                got = evaluate(member_bits, **kwargs)
+                counts[0] += 1
+                counts[1] += got is not None
+                return got
+
+            return spied
+
+        monkeypatch.setattr(solvers, "_cluster_cost", cost)
+        met = set()
+        for domain, make_oracle, spec, params in (*clustering_grid(), *uncovered_cluster_cases()):
+            if spec.problem == "kcenter":
+                answer = solve(make_oracle(), spec, params)
+                assert answer.feasible == brute_solve(domain, spec).feasible, spec
+                certify_answer(domain, spec, answer)
+                met.add((spec.modified, answer.feasible))
+        assert covered == [] and counts[0] > 0
+        assert met == set(product((False, True), (False, True)))
+        # only there do evaluations find centers, outside the members
+        # searched; the grown cluster then holds no member's cover, and its
+        # next grow is evaluated again
+        for domain, part, spec in part_of_domain_cases():
+            if spec.problem == "kcenter":
+                solve_on_part(monkeypatch, domain, part, spec)
+        assert covered == []
+        assert counts[1] > 0 and counts[0] > counts[1], counts
+
+    def test_sum_of_radii_asks_no_radius_past_the_budget(self, monkeypatch):
+        # a grown cluster whose radius exceeds its held radius plus the
+        # budget left would overspend the bound d, so its radius search
+        # stops there: every limit min_cluster_radius is given, and every
+        # radius it asks, is at most the cap the search passed
+        real_cost, real_radius = solvers._cluster_cost, solvers.min_cluster_radius
+        caps: list[int] = []  # the cap of the search evaluation under way
+        past: list[tuple[int, int]] = []
+        # (search evaluations with a cap below d, misses among them)
+        below = [0, 0]
+
+        def cost(oracle, members, d, *args):
+            evaluate = real_cost(oracle, members, d, *args)
+
+            def spied(member_bits, **kwargs):
+                if kwargs.get("requery"):
+                    return evaluate(member_bits, **kwargs)
+                lo, cap = kwargs.get("lo", 0), kwargs.get("cap", d)
+                assert lo <= cap <= d
+                caps[:] = [cap]
+                try:
+                    got = evaluate(member_bits, **kwargs)
+                finally:
+                    caps.clear()
+                if cap < d:
+                    below[0] += 1
+                    below[1] += got is None
+                return got
+
+            return spied
+
+        def radius(cluster, limit, oracle, *args, **kwargs):
+            if caps and limit > caps[0]:
+                past.append((limit, caps[0]))
+
+            class Capped:
+                universe_size = oracle.universe_size
+
+                def exact_extend(self, query, ctx=None):
+                    if caps and query.radius > caps[0]:
+                        past.append((query.radius, caps[0]))
+                    return oracle.exact_extend(query, ctx)
+
+            return real_radius(cluster, limit, Capped(), *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_cluster_cost", cost)
+        monkeypatch.setattr(solvers, "min_cluster_radius", radius)
+        for domain, make_oracle, spec, params in (*clustering_grid(), *uncovered_cluster_cases()):
+            if spec.problem == "ksumradii":
+                answer = solve(make_oracle(), spec, params)
+                assert answer.feasible == brute_solve(domain, spec).feasible, spec
+                certify_answer(domain, spec, answer)
+        for domain, part, spec in part_of_domain_cases():
+            if spec.problem == "ksumradii":
+                solve_on_part(monkeypatch, domain, part, spec)
+        assert past == []
+        assert below[1] > 0 and below[0] > below[1], below
+
     def test_no_query_reaches_the_oracle_twice_in_one_search(self, monkeypatch):
         # every cluster evaluation of a solve shares one query memo; only the
         # final recheck, which passes requery=True, may ask a query again
@@ -1061,10 +1256,10 @@ class TestClusteringSearch:
         def cost(*args):
             evaluate = real_cost(*args)
 
-            def spied(member_bits, lo=0, requery=False):
-                phase[:] = ["recheck" if requery else "search"]
+            def spied(member_bits, **kwargs):
+                phase[:] = ["recheck" if kwargs.get("requery") else "search"]
                 try:
-                    return evaluate(member_bits, lo, requery)
+                    return evaluate(member_bits, **kwargs)
                 finally:
                     phase.clear()
 
@@ -1096,8 +1291,8 @@ class TestClusteringSearch:
     def test_recheck_asks_only_for_clusters_the_search_did_not_evaluate(self, monkeypatch):
         # the cluster memo answers before requery is looked at: a final
         # cluster the search evaluated is rechecked from that memo, with no
-        # query; one whose last member joined without a query was never
-        # evaluated, so its recheck asks the oracle, past the query memo
+        # query; one of two or more members that the search never
+        # evaluated is rechecked by asking the oracle, past the query memo
         real_cost = solvers._cluster_cost
         evaluated: set[int] = set()
         # (evaluated by the search, queries the recheck asked), per recheck
@@ -1107,13 +1302,14 @@ class TestClusteringSearch:
             evaluated.clear()  # one memo per solve
             evaluate = real_cost(oracle, *args)
 
-            def spied(member_bits, lo=0, requery=False):
-                if not requery:
+            def spied(member_bits, **kwargs):
+                if not kwargs.get("requery"):
                     evaluated.add(member_bits)
-                    return evaluate(member_bits, lo, requery)
+                    return evaluate(member_bits, **kwargs)
                 before = oracle.extend_calls
-                got = evaluate(member_bits, lo, requery)
-                rechecks.append((member_bits in evaluated, oracle.extend_calls - before))
+                got = evaluate(member_bits, **kwargs)
+                if member_bits & member_bits - 1:  # one member asks nothing
+                    rechecks.append((member_bits in evaluated, oracle.extend_calls - before))
                 return got
 
             return spied

@@ -763,24 +763,33 @@ _LYING_ORACLES = textwrap.dedent(
     from divsparse.domains import ExplicitOracle
 
     class Forgetful(ExplicitOracle):
-        # answers the clustering search's one query, then finds nothing:
-        # the singleton {000} asks none, {000, 011} asks one, and the final
-        # cluster {000, 011, 001}, reached without a query since 001 is the
-        # center, no longer has the radius the search used
+        # answers the clustering search's queries, then finds nothing.  In
+        # k-sum-of-radii with d = 1 the singleton {000} asks none, {000, 011}
+        # asks one, and the final cluster {000, 011, 001}, reached without
+        # a query since 001 is the center, no longer has the radius the
+        # search used.  k-center asks none: the member 001 covers every
+        # cluster, and the final cluster no longer has a center within d
         calls = 0
+
+        def __init__(self, fam, answers):
+            super().__init__(fam)
+            self.answers = answers
 
         def exact_extend(self, query, ctx=None):
             self.calls += 1
-            return super().exact_extend(query, ctx) if self.calls <= 1 else NOT_FOUND
+            if self.calls > self.answers:
+                return NOT_FOUND
+            return super().exact_extend(query, ctx)
 
-    def forgetful(lie):
+    def forgetful(problem, answers):
         fam = SetFamily.from_bits(3, [0b000, 0b011, 0b001])
         params = SmallSparsifyParams(k=1, r=2, ell=2)
         report = SparsifierReport(fam, params)
         with mock.patch.object(solvers, "_sparsify", lambda *a: report):
-            return solve(Forgetful(fam), ProblemSpec("kcenter", 1, 1), params)
+            return solve(Forgetful(fam, answers), ProblemSpec(problem, 1, 1), params)
 
-    runs["radius"] = forgetful
+    runs["radius"] = lambda lie: forgetful("ksumradii", 1)
+    runs["center_within_d"] = lambda lie: forgetful("kcenter", 0)
 
     class TrivialLiar(ExplicitOracle):
         # a one-member "trivial sparsifier" for every query with a context
@@ -876,6 +885,7 @@ def test_lying_oracle_is_refused_under_optimize():
     assert "optimization did not end at the rank" in verdicts["opt_base"]
     assert "fixed-size search returned 0x3 outside the query" in verdicts["walk_end"]
     assert "relied on cluster radius 1" in verdicts["radius"]
+    assert "relied on a center within d = 1" in verdicts["center_within_d"]
     assert "cover search returned 0x7 outside the query" in verdicts["cover"]
     assert "fixed-size search returned 0x1 outside the query" in verdicts["matching"]
     assert "fixed-size search returned 0x1 outside the query" in verdicts["dag"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Sequence
 
 from .core import GuardError, SetFamily, SoundnessError, SubsetMask, distance
@@ -116,7 +117,8 @@ def _reference_bits(
             for e in rng.sample(range(n), min(flips, n)):
                 flip_bits |= 1 << e
             samples.add(center ^ flip_bits)
-    return sorted(samples), True
+    # the check is sampled only when the draws can have missed a reference set
+    return sorted(samples), len(samples) < sum(comb(n, i) for i in range(radius + 1))
 
 
 def verify_sparsifier(

@@ -8,8 +8,9 @@ problem sets their order, cap and radius):
   (k-1)-order sparsifier pairwise at least d apart.  It runs on the far
   graph at d - 1, whose row i is the bit set of the members more than
   d - 1 from member i; no distance matrix is held.  Max-sum is a
-  depth-first search over the k-tuples with repetition, on the pairwise
-  distance matrix, that cuts every branch unable to beat the best sum.
+  depth-first search over the k-tuples with repetition, on every member's
+  row of distances (one byte each), that cuts every branch unable to beat
+  the best sum.  One builder yields those rows to all four solvers.
   Capped pairwise distances transfer, so an achievable threshold on the
   domain is achievable on the sparsifier.
 * k-center / k-sum-of-radii clustering partitions a k-order, cap d+1
@@ -174,7 +175,8 @@ def _diversify(
     best: int | None = None
     found = (0,) * spec.k if members else None
     if sum_mode:
-        best, found = _max_sum_tuple(_distance_rows(members, n, spec.modified), spec.k)
+        dist = list(_distance_rows(members, n, spec.modified))
+        best, found = _max_sum_tuple(dist, spec.k)
     elif spec.d:
         (far,) = _far_graphs(members, n, spec.modified, (spec.d - 1,))
         found = _pairwise_far(far, spec.k)
@@ -618,7 +620,7 @@ def _pairwise_far(far: Sequence[int], size: int) -> tuple[int, ...] | None:
 
 
 def _max_sum_tuple(
-    dist: list[list[int]], k: int
+    dist: Sequence[bytes], k: int
 ) -> tuple[int | None, tuple[int, ...] | None]:
     """The largest pairwise distance sum of a nondecreasing ``k``-tuple of
     member indices and the lexicographically first tuple reaching it, or
@@ -663,40 +665,33 @@ def _max_sum_tuple(
     return best, found
 
 
-#: most sparsifier members the solvers search.  Max-sum holds all m^2
-#: pairwise distances as one list of rows: the rank-6 uniform matroid on 16
-#: elements (8,008 members, its whole domain) peaks at 828 MB on CPython
-#: 3.11, and rank 9 on 18 elements (48,620 members) would need 48,620^2 row
-#: pointers, about 19 GB.  Max-min and clustering hold the far graph, m
-#: rows of m bits: the same 8,008 members peak at 26 MB in a whole solve,
-#: and 48,620 would take 295 MB of rows.
+#: most sparsifier members the solvers search.  Every solver reads the
+#: pairwise distances as one row of bytes per member (:func:`_distance_rows`).
+#: Max-sum holds all m rows, m^2 bytes: those of the rank-6 uniform matroid
+#: on 16 elements (8,008 members, its whole domain) raise the peak by 61 MB
+#: on CPython 3.11, and rank 9 on 18 elements (48,620 members) would take
+#: 2.4 GB.  Max-min and clustering hold the far graph, m rows of m bits: the
+#: same 8,008 members peak at 25 MB in a whole max-min solve and 34 MB in a
+#: k-center one (two graphs), and 48,620 would take 295 MB a graph.
 DISTANCE_MATRIX_GUARD = 10_000
 
 
-def _check_member_count(members: Sequence[int], built: str) -> None:
-    """Refuse more than ``DISTANCE_MATRIX_GUARD`` members with a
-    :class:`GuardError` naming what the caller would build."""
+def _distance_rows(members: Sequence[int], n: int, modified: bool) -> Iterator[bytes]:
+    """Row i of the members' pairwise distance matrix, plain or modified
+    (see :func:`~divsparse.core.distance`), for each member i in turn: a
+    distance is at most n <= 64, so each row is a ``bytes`` object.
+
+    More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`
+    at the call, before any row is built.
+    """
     if len(members) > DISTANCE_MATRIX_GUARD:
         raise GuardError(
-            f"{len(members)} sparsifier members exceed the guard on the {built} "
-            f"(DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
+            f"{len(members)} sparsifier members exceed the guard on the distance "
+            f"rows (DISTANCE_MATRIX_GUARD = {DISTANCE_MATRIX_GUARD})"
         )
-
-
-def _distance_rows(members: Sequence[int], n: int, modified: bool) -> list[list[int]]:
-    """The members' pairwise distance matrix, plain or modified (see
-    :func:`~divsparse.core.distance`); each unordered pair is computed once.
-
-    More than ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
-    """
-    _check_member_count(members, "distance matrix")
-    upper = [[(a ^ b).bit_count() for b in members[i + 1 :]] for i, a in enumerate(members)]
-    if modified:
-        upper = [[min(plain, n - plain) for plain in row] for row in upper]
-    return [
-        [upper[j][i - j - 1] for j in range(i)] + [0] + upper[i]
-        for i in range(len(members))
-    ]
+    # under the modified distance one table folds each v to min(v, n - v)
+    fold = bytes(min(v, n - v) for v in range(n + 1)).ljust(256, b"\0") if modified else None
+    return (bytes([(a ^ b).bit_count() for b in members]).translate(fold) for a in members)
 
 
 def _far_graphs(
@@ -707,28 +702,20 @@ def _far_graphs(
     i and j are more than ``limit`` apart, plain or modified (see
     :func:`~divsparse.core.distance`).
 
-    One pass over the pairs builds every graph, one row at a time: no row
-    of distances outlives its bit sets.  More than
-    ``DISTANCE_MATRIX_GUARD`` members raise :class:`GuardError`.
+    One pass over :func:`_distance_rows` builds every graph, one row at a
+    time: no row of distances outlives its bit sets.
     """
-    _check_member_count(members, "far graph")
-    # a distance is at most n <= MASK_WIDTH_LIMIT = 64, so a row of them is
-    # a bytes object, and a table of every byte value maps each to its
-    # digit: "1" from limit + 1 up and, under the modified distance
-    # (min(v, n - v) > limit), only below n - limit; clamped to 256 bytes
-    tables = []
-    for limit in limits:
-        lo = min(max(limit + 1, 0), 256)
-        hi = min(max(n - limit, lo), 256) if modified else 256
-        tables.append(b"0" * lo + b"1" * (hi - lo) + b"0" * (256 - hi))
+    # a table of every byte value maps each distance to its digit, "1"
+    # from limit + 1 up, clamped to 256 bytes
+    floors = [min(max(limit + 1, 0), 256) for limit in limits]
+    tables = [b"0" * lo + b"1" * (256 - lo) for lo in floors]
     graphs: list[list[int]] = [[] for _ in limits]
     appends = [(graph.append, digits) for graph, digits in zip(graphs, tables)]
-    # int() reads its most significant digit first: the last member leads
-    backward = members[::-1]
-    for a in members:
-        spread = bytes([(a ^ b).bit_count() for b in backward])
+    for row in _distance_rows(members, n, modified):
+        # int() reads its most significant digit first: the last member leads
+        backward = row[::-1]
         for append, digits in appends:
-            append(int(spread.translate(digits), 2))
+            append(int(backward.translate(digits), 2))
     return graphs
 
 

@@ -172,6 +172,17 @@ class TestVerifySparsifier:
         )
         assert got.ok and got.sampled
 
+    def test_sampled_only_when_a_reference_set_can_be_missed(self):
+        # 10,000 draws hold all 2^13 subsets, and at most 10,000 of the
+        # 14,893 sets of the ball of radius 6 on 16 elements
+        fam = SetFamily.from_bits(13, [0, 1, (1 << 13) - 1])
+        got = verify_sparsifier(fam, fam, VerifyScope.versus_all_subsets(1, 2))
+        assert got.ok and not got.sampled
+        fam = SetFamily.from_bits(16, [0, 1, (1 << 16) - 1])
+        ball = VerifyScope.versus_ball(1, 2, SubsetMask.empty(16), 6)
+        got = verify_sparsifier(fam, fam, ball)
+        assert got.ok and got.sampled
+
 
 class TestBruteSolve:
     def test_named_answers(self):

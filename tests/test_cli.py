@@ -429,14 +429,19 @@ class TestVerifyCommand:
         assert code == 0 and out.splitlines()[0] == "OK"
 
     def test_sampled_verification_says_so(self, write):
-        # a universe of 13 is past the materialized-reference guard: limited
-        # mode samples the whole cube, small mode the ball around the empty set
-        path = write("domain uniform_matroid rank=1\nuniverse 13\n")
-        for mode in ("limited", "small"):
+        # past the materialized-reference guard, limited mode samples the
+        # whole cube and small mode the ball of radius 1 around the empty
+        # set.  At 13 elements the draws hold every reference set: all 8,192
+        # subsets, and the ball's 14 sets.  At 14 elements 10,000 draws
+        # cannot hold 16,384 subsets
+        for n, mode, want in (
+            (13, "limited", "OK\n"), (13, "small", "OK\n"), (14, "limited", "OK (sampled)\n")
+        ):
+            path = write(f"domain uniform_matroid rank=1\nuniverse {n}\n")
             code, out = invoke(
                 ["verify", "--instance", path, "--k", "1", "--d", "1", "--mode", mode]
             )
-            assert code == 0 and out == "OK (sampled)\n", mode
+            assert code == 0 and out == want, (n, mode)
 
 
 class TestPipelineChoice:

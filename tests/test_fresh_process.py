@@ -79,6 +79,9 @@ PINS = {
     # bounded depth-first search
     "k5-maxsum-small": Pin(K5, "solve --problem maxsum --k 4 --d 30 --mode small",
                            "02dd70403a59dc470ea2661efaa90cce759e7c42909cccb06300d2400dfa8244"),
+    # max-sum on distance rows folded to min(v, n - v)
+    "cc-maxsum-modified": Pin(CC, "solve --problem maxsum --k 3 --d 0 --modified",
+                              "YES\nset:\nset: 0\nset: 0 1\nobjective: 4\n"),
     # at seed 2^64 - 1 the generator state wraps in every lane of the block draw
     "k5-seed-max": Pin(K5, "sparsify --k 2 --d 3 --mode limited --seed 18446744073709551615",
                        "bfd26d1d70fdbf801a5bba238fb63e00cc80f00e58ceb4d13185dc1048251679"),

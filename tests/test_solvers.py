@@ -283,8 +283,8 @@ class TestMaxSum:
             n = rng.randint(1, 6)
             members = [rng.getrandbits(n) for _ in range(m)]
             spec = ProblemSpec("maxsum", k, 0, modified)
-            dist = _distance_rows(members, n, modified)
-            assert dist == [
+            dist = list(_distance_rows(members, n, modified))
+            assert list(map(list, dist)) == [
                 [distance(a, b, n, modified) for b in members] for a in members
             ]
             want = reference_maxsum(members, n, spec)
@@ -832,14 +832,17 @@ class TestFarGraph:
             assert past.feasible == brute_solve(fam, specs[0]).feasible
             assert peak < 1_000_000, (fam, k, modified, peak)
 
-    @pytest.mark.parametrize(("problem", "k", "d"), [("maxmin", 3, 4), ("kcenter", 2, 2)])
+    @pytest.mark.parametrize(
+        ("problem", "k", "d"), [("maxmin", 3, 4), ("kcenter", 2, 2), ("maxsum", 3, 0)]
+    )
     def test_no_distance_matrix_on_a_whole_domain(self, monkeypatch, problem, k, d):
         # the small-mode sparsifier of the rank-4 uniform matroid on 10
-        # elements is all 210 members.  An m x m distance matrix takes 8
-        # bytes per pair in row pointers alone (about 13 in all, measured);
-        # the far graph takes an eighth of a byte.  The bound allows 2 bytes
-        # per pair.  Max-min finds a clique; k-center ends at its k + 1 far
-        # members
+        # elements is all 210 members.  A list-of-lists distance matrix
+        # takes 8 bytes per pair in row pointers alone (about 13 in all,
+        # measured); the far graph takes an eighth of a byte, and max-sum's
+        # rows of bytes one byte.  The bound allows 2 bytes per pair, 3 for
+        # max-sum.  Max-min and max-sum find a tuple; k-center ends at its
+        # k + 1 far members
         sizes = []
 
         def recorded(*args):
@@ -852,8 +855,8 @@ class TestFarGraph:
         oracle = uniform_matroid_instance(10, 4).oracle()
         spec = ProblemSpec(problem, k, d)
         answer, peak = traced_peak(lambda: solve(oracle, spec, small_params(4)))
-        assert sizes == [210] and answer.feasible == (problem == "maxmin")
-        assert peak < 2 * 210 * 210, peak
+        assert sizes == [210] and answer.feasible == (problem != "kcenter")
+        assert peak < (3 if problem == "maxsum" else 2) * 210 * 210, peak
 
 
 class TestSolverOracleEquivalence:
